@@ -13,13 +13,11 @@
 #include <cstdio>
 
 #include "bench/bench_util.h"
-#include "index/codec.h"
 
 namespace kadop {
 namespace {
 
 using bench::Banner;
-using bench::Mb;
 
 struct Config {
   const char* label;
@@ -75,45 +73,10 @@ void Run() {
     }
     std::printf("\n");
   }
-  // Codec A/B: publish the same corpus with the posting codec off and on.
-  // Postings travel group-delta + varint encoded (kPublish traffic drops)
-  // while indexing time stays on the same linear shape.
-  std::printf("\n%-36s%12s%16s\n", "codec A/B (1 pub, 200 peers)",
-              "time (s)", "publish MB");
-  std::vector<size_t> ab_volumes_mb = {4, 16};
-  if (bench::QuickMode()) ab_volumes_mb = {4};
-  for (size_t mb : ab_volumes_mb) {
-    xml::corpus::DblpOptions copt;
-    copt.target_bytes = mb << 20;
-    auto docs = xml::corpus::GenerateDblp(copt);
-    for (bool codec_on : {false, true}) {
-      index::codec::SetCompressionEnabled(codec_on);
-      core::KadopOptions opt;
-      opt.peers = 200;
-      core::KadopNet net(opt);
-      const double elapsed = net.PublishAndWait(0, bench::Ptrs(docs));
-      const double publish_mb =
-          Mb(net.network().traffic().CategoryBytes(
-              sim::TrafficCategory::kPublish));
-      std::printf("%4zu MB, codec %-21s%11.2fs%15.2f\n", mb,
-                  codec_on ? "on" : "off", elapsed, publish_mb);
-      std::fflush(stdout);
-      report.AddRow()
-          .Str("config", "codec_ab")
-          .Num("publishers", 1)
-          .Num("peers", 200)
-          .Num("codec", codec_on ? 1 : 0)
-          .Num("published_mb", static_cast<double>(mb))
-          .Num("indexing_time_s", elapsed)
-          .Num("publish_traffic_mb", publish_mb);
-    }
-    index::codec::SetCompressionEnabled(false);
-  }
   report.Write();
   std::printf(
       "\nPaper shape: linear growth; 200 vs 500 peers ~equal; DPP overhead\n"
-      "negligible; 25/50 publishers drastically lower. Codec on cuts\n"
-      "publish traffic without changing the indexing-time shape.\n");
+      "negligible; 25/50 publishers drastically lower.\n");
 }
 
 }  // namespace

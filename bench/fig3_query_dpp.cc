@@ -6,17 +6,16 @@
 // lists (the paper calls it "a stress test for our approach"). Without the
 // DPP the transfer of the author list is bound by its single owner's
 // uplink and grows linearly; with the DPP the list is range-partitioned
-// across peers and fetched in parallel, so response time is cut by a
-// factor of ~3-4 and grows much more slowly.
+// across peers and fetched in parallel, so response time grows much more
+// slowly and the DPP's lead widens with the volume.
 //
-// On top of the paper's figure this bench runs two A/Bs per volume:
-// the codec/cache A/B (posting compression on: same seed, same answers,
-// >= 2x fewer posting bytes on the wire; warm posting cache: the repeat
-// query issues zero Get messages) and the distributed-join A/B (kDppJoin
-// ships structural joins to the block holders, so the query peer's
-// posting ingress collapses to result tuples — same answers, byte for
-// byte), plus a materialized-view run (the query pattern pre-joined into
-// an extent, so serving fetches only the answer columns).
+// On top of the paper's figure this bench runs, per volume, a warm-cache
+// repeat (the repeat query issues zero Get messages), the
+// distributed-join A/B (kDppJoin ships structural joins to the block
+// holders, so the query peer's posting ingress collapses to result
+// tuples — same answers, byte for byte), and a materialized-view run (the
+// query pattern pre-joined into an extent, so serving fetches only the
+// answer columns).
 
 #include <cstdio>
 
@@ -39,8 +38,7 @@ struct Sample {
   std::vector<index::DocId> matched_docs;
 };
 
-Sample RunOne(size_t mb, query::QueryStrategy strategy, bool compress,
-              bool repeat_cached) {
+Sample RunOne(size_t mb, query::QueryStrategy strategy, bool repeat_cached) {
   xml::corpus::DblpOptions copt;
   copt.target_bytes = mb << 20;
   auto docs = xml::corpus::GenerateDblp(copt);
@@ -63,7 +61,6 @@ Sample RunOne(size_t mb, query::QueryStrategy strategy, bool compress,
   query::QueryOptions qopt;
   qopt.strategy = strategy;
   qopt.dpp_join_available = strategy == query::QueryStrategy::kDppJoin;
-  qopt.compress = compress;
   qopt.cache_postings = repeat_cached;
 
   Sample out;
@@ -100,33 +97,24 @@ void Run() {
   bench::Banner("FIG 3", "query response time with/without DPP");
   bench::BenchReport report("fig3_query_dpp",
                             "query response time with/without DPP, plus "
-                            "posting codec and cache A/B");
+                            "posting cache and join A/B");
   std::printf("query: %s\n\n", kQuery);
-  std::printf("%-28s%14s%14s%16s%12s%14s%14s%14s\n",
-              "indexed data (scaled MB)", "no DPP (s)", "DPP (s)",
-              "DPP 1st ans (s)", "speedup", "wire raw KB", "wire enc KB",
-              "djoin (s)");
+  std::printf("%-28s%14s%14s%16s%12s%14s%14s\n", "indexed data (scaled MB)",
+              "no DPP (s)", "DPP (s)", "DPP 1st ans (s)", "speedup",
+              "wire KB", "djoin (s)");
   std::vector<size_t> volumes_mb = {2, 4, 8, 16, 24};
   if (bench::QuickMode()) volumes_mb = {2};
   for (size_t mb : volumes_mb) {
-    // Paper trajectory (compression off), with a warm-cache repeat on the
-    // DPP run; then the same DPP run with the codec on, and once more
-    // with the join pushed to the block holders.
+    // Paper trajectory, with a warm-cache repeat on the DPP run; then the
+    // DPP run once more with the join pushed to the block holders.
     const Sample base = RunOne(mb, query::QueryStrategy::kBaseline,
-                               /*compress=*/false, /*repeat_cached=*/false);
+                               /*repeat_cached=*/false);
     const Sample dpp = RunOne(mb, query::QueryStrategy::kDpp,
-                              /*compress=*/false, /*repeat_cached=*/true);
-    const Sample dppc = RunOne(mb, query::QueryStrategy::kDpp,
-                               /*compress=*/true, /*repeat_cached=*/false);
+                              /*repeat_cached=*/true);
     const Sample djoin = RunOne(mb, query::QueryStrategy::kDppJoin,
-                                /*compress=*/false, /*repeat_cached=*/false);
+                                /*repeat_cached=*/false);
     const Sample view = RunOne(mb, query::QueryStrategy::kView,
-                               /*compress=*/false, /*repeat_cached=*/false);
-    const double wire_reduction =
-        dppc.posting_wire > 0
-            ? static_cast<double>(dpp.posting_wire) /
-                  static_cast<double>(dppc.posting_wire)
-            : 0.0;
+                               /*repeat_cached=*/false);
     // Query-peer posting ingress: kDppJoin receives result tuples instead
     // of posting blocks, so its ingress is normally zero — clamp the
     // denominator so the emitted ratio stays finite.
@@ -135,11 +123,10 @@ void Run() {
         static_cast<double>(std::max<uint64_t>(1, djoin.ingress_wire));
     const bool join_answers_match = dpp.answers == djoin.answers &&
                                     dpp.matched_docs == djoin.matched_docs;
-    std::printf("%-28zu%14.4f%14.4f%16.4f%11.2fx%14.1f%14.1f%14.4f\n", mb,
+    std::printf("%-28zu%14.4f%14.4f%16.4f%11.2fx%14.1f%14.4f\n", mb,
                 base.response, dpp.response, dpp.first_answer,
                 base.response / dpp.response,
                 static_cast<double>(dpp.posting_wire) / 1024.0,
-                static_cast<double>(dppc.posting_wire) / 1024.0,
                 djoin.response);
     std::fflush(stdout);
     report.AddRow()
@@ -148,12 +135,7 @@ void Run() {
         .Num("dpp_response_s", dpp.response)
         .Num("dpp_first_answer_s", dpp.first_answer)
         .Num("speedup", base.response / dpp.response)
-        .Num("posting_wire_raw_kb",
-             static_cast<double>(dpp.posting_wire) / 1024.0)
-        .Num("posting_wire_encoded_kb",
-             static_cast<double>(dppc.posting_wire) / 1024.0)
-        .Num("wire_reduction", wire_reduction)
-        .Num("answers_match", dpp.answers == dppc.answers ? 1.0 : 0.0)
+        .Num("posting_wire_kb", static_cast<double>(dpp.posting_wire) / 1024.0)
         .Num("repeat_cache_gets", static_cast<double>(dpp.repeat_gets))
         .Num("repeat_cache_hits",
              static_cast<double>(dpp.repeat_cache_hits))
@@ -181,8 +163,7 @@ void Run() {
       "\nPaper shape: DPP cuts response time by ~3x and its growth with\n"
       "data volume is much slower (transfer parallelized across block\n"
       "holders instead of a single owner uplink).\n"
-      "Codec A/B: compress=on moves the same answers in >= 2x fewer\n"
-      "posting bytes; the warm-cache repeat query issues zero Gets.\n"
+      "The warm-cache repeat query issues zero Gets.\n"
       "Join A/B: dpp_join pushes the structural join to the block\n"
       "holders — byte-identical answers with (near-)zero posting ingress\n"
       "at the query peer.\n");

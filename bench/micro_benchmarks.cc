@@ -753,7 +753,6 @@ void EmitBatchDecodeAbRow(bench::BenchReport& report) {
   size_t max_block = 0;
   {
     index::codec::BlockEncoder enc(256);
-    index::codec::SetBlockHeadersEnabled(true);
     for (size_t i = 0; i < all.size(); i += 256) {
       const size_t end = std::min(i + 256, all.size());
       for (size_t k = i; k < end; ++k) enc.Add(all[k]);
@@ -762,7 +761,6 @@ void EmitBatchDecodeAbRow(bench::BenchReport& report) {
       bare.push_back(index::codec::EncodePostings(block.postings));
       max_block = std::max(max_block, block.postings.size());
     }
-    index::codec::SetBlockHeadersEnabled(false);
   }
 
   // A doc range covering ~10% of the corpus, mid-stream.

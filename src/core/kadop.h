@@ -60,13 +60,9 @@ struct HandoffMessage final : sim::Payload {
   std::optional<std::string> blob;
   std::optional<index::DppManager::TermExport> dpp_root;
 
-  /// Captured from the process-wide codec switch at construction time.
-  bool compressed = index::codec::CompressionEnabled();
-
   size_t SizeBytes() const override {
     size_t total = key.size() + 16 +
-                   index::codec::MemoizedWireBytes(postings, compressed,
-                                                   &wire_bytes_memo_);
+                   index::codec::MemoizedWireBytes(postings, &wire_bytes_memo_);
     if (blob) total += blob->size();
     if (dpp_root) total += dpp_root->WireBytes();
     return total;
@@ -89,13 +85,9 @@ struct ReplicaInstallMessage final : sim::Payload {
   uint64_t version = 0;
   bool flat = true;
 
-  /// Captured from the process-wide codec switch at construction time.
-  bool compressed = index::codec::CompressionEnabled();
-
   size_t SizeBytes() const override {
     size_t total = key.size() + 25 +
-                   index::codec::MemoizedWireBytes(postings, compressed,
-                                                   &wire_bytes_memo_);
+                   index::codec::MemoizedWireBytes(postings, &wire_bytes_memo_);
     if (dpp_root) total += dpp_root->WireBytes();
     return total;
   }

@@ -70,14 +70,10 @@ struct AppendRequest final : sim::Payload {
   /// timeout without double-inserting postings. Stable across resends (the
   /// per-attempt ack_req_id is not).
   uint64_t dedup_id = 0;
-  /// Captured from the process-wide codec switch when the request is built;
-  /// copies (replication forwards, retries) keep the sender's choice.
-  bool compressed = index::codec::CompressionEnabled();
 
   size_t SizeBytes() const override {
     size_t total = key.size() + 8;
-    total += index::codec::MemoizedWireBytes(postings, compressed,
-                                             &wire_bytes_memo_);
+    total += index::codec::MemoizedWireBytes(postings, &wire_bytes_memo_);
     for (const auto& t : doc_types) total += t.size() + 1;
     if (dedup_id != 0) total += 8;
     return total;
@@ -107,10 +103,6 @@ struct GetRequest final : sim::Payload {
   uint32_t block_postings = 4096;
   index::Posting lo = index::kMinPosting;
   index::Posting hi = index::kMaxPosting;
-  /// Ask the responder to delta+varint-encode the returned blocks
-  /// (docs/wire_format.md). Resolved by the requester from
-  /// `QueryOptions::compress` or the process-wide codec switch.
-  bool compress = false;
 
   size_t SizeBytes() const override { return key.size() + 56; }
   std::string_view TypeName() const override { return "GetRequest"; }
@@ -122,16 +114,13 @@ struct GetBlock final : sim::Payload {
   RequestId req_id = 0;
   uint32_t block_index = 0;
   bool last = false;
+  /// Delta+varint-coded on the wire (docs/wire_format.md). Blocks are
+  /// posting-aligned: each one is an independently decodable stream
+  /// (codec::BlockEncoder framing).
   index::PostingList postings;
-  /// Set by the responder when the requesting `GetRequest::compress` asked
-  /// for delta+varint-coded blocks. Blocks are posting-aligned: each one is
-  /// an independently decodable stream (codec::BlockEncoder framing).
-  bool compressed = false;
 
   size_t SizeBytes() const override {
-    return index::codec::MemoizedWireBytes(postings, compressed,
-                                           &wire_bytes_memo_) +
-           16;
+    return index::codec::MemoizedWireBytes(postings, &wire_bytes_memo_) + 16;
   }
   std::string_view TypeName() const override { return "GetBlock"; }
 

@@ -264,8 +264,6 @@ RequestId DhtPeer::IssueGet(PendingGet pending) {
                             : dht_->options().pipeline_block_postings;
   req->lo = pending.spec.lo;
   req->hi = pending.spec.hi;
-  req->compress =
-      pending.spec.compress.value_or(index::codec::CompressionEnabled());
 
   // With a retry policy the per-attempt timeout comes from the policy; the
   // legacy spec timeout stays an overall (single-attempt) deadline.
@@ -665,13 +663,12 @@ void DhtPeer::HandleAppend(const AppendRequest& req) {
 
 void DhtPeer::SendGetBlock(NodeIndex origin, RequestId req_id,
                            uint32_t block_index, bool last,
-                           PostingList postings, bool compressed) {
+                           PostingList postings) {
   auto out = std::make_shared<GetBlock>();
   out->req_id = req_id;
   out->block_index = block_index;
   out->last = last;
   out->postings = std::move(postings);
-  out->compressed = compressed;
   stats_.blocks_sent++;
   C().blocks_sent->Increment();
   network_->Send(
@@ -715,16 +712,15 @@ void DhtPeer::ServeGetRange(const GetRequest& req) {
         req.pipelined ? std::min(total, begin + block_postings) : total;
     // Blocks are sliced on posting boundaries, so each one is encoded as a
     // standalone stream (codec::BlockEncoder framing) and the disk read is
-    // charged at the stored (possibly compressed) size.
+    // charged at the stored (encoded) size.
     PostingList block(list.begin() + begin, list.begin() + end_pos);
     const double block_bytes =
-        static_cast<double>(index::codec::StoredBytes(block));
+        static_cast<double>(index::codec::EncodedBytes(block));
     auto out = std::make_shared<GetBlock>();
     out->req_id = req.req_id;
     out->block_index = static_cast<uint32_t>(b);
     out->last = (b + 1 == n_blocks);
     out->postings = std::move(block);
-    out->compressed = req.compress;
     const NodeIndex origin = req.origin;
     const bool last_block = (b + 1 == n_blocks);
     ScheduleAfterDisk(block_bytes, /*write=*/false,

@@ -124,9 +124,6 @@ struct GetSpec {
   /// policy active, `retry.timeout_s` is the per-attempt timeout and
   /// `timeout_s` above is ignored.
   RetryPolicy retry;
-  /// Delta+varint-encode the returned blocks (nullopt = follow the
-  /// process-wide codec switch; see QueryOptions::compress).
-  std::optional<bool> compress;
 };
 
 /// One DHT peer: a Chord-style node with a finger table, a local store for
@@ -239,11 +236,10 @@ class DhtPeer final : public sim::Actor {
   }
 
   /// Emits one response block for a get request being served out-of-band
-  /// (by a get interceptor). `compressed` echoes the request's `compress`
-  /// flag so interceptor-served blocks are sized like store-served ones.
+  /// (by a get interceptor).
   void SendGetBlock(sim::NodeIndex origin, RequestId req_id,
                     uint32_t block_index, bool last,
-                    index::PostingList postings, bool compressed = false);
+                    index::PostingList postings);
 
   /// Intercepts deletes served by this peer (DPP fans the delete out to
   /// the overflow-block holders). Return true when handled.

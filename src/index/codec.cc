@@ -34,14 +34,9 @@ CodecCounters& C() {
   return c;
 }
 
-bool g_compression_enabled = false;
-bool g_block_headers_enabled = false;
-
-/// Leading magic byte of the block-header framing. `EncodePostings`
-/// streams start with varint(count), so a headered block is recognizably
-/// different from a bare stream only by convention — both ends of an
-/// exchange agree on the framing via `SetBlockHeadersEnabled`; the magic
-/// byte is a corruption tripwire, not a negotiation.
+/// Leading magic byte of the block-header framing. Every `BlockEncoder`
+/// block carries the header, so the magic byte is a corruption tripwire,
+/// not a negotiation.
 constexpr uint8_t kBlockHeaderMagic = 0xB7;
 
 void AppendVarint(std::vector<uint8_t>& out, uint64_t v) {
@@ -58,6 +53,7 @@ void AppendVarint(std::vector<uint8_t>& out, uint64_t v) {
   for (int shift = 0; shift < 64; shift += 7) {
     if (*pos >= size) return false;
     const uint8_t byte = data[(*pos)++];
+    if (shift == 63 && byte > 0x01) return false;  // bits beyond 2^64
     value |= static_cast<uint64_t>(byte & 0x7f) << shift;
     if ((byte & 0x80) == 0) {
       *v = value;
@@ -80,6 +76,7 @@ void AppendVarint(std::vector<uint8_t>& out, uint64_t v) {
   for (int shift = 0; shift < 64; shift += 7) {
     if (p >= end) return false;
     const uint8_t byte = *p++;
+    if (shift == 63 && byte > 0x01) return false;  // bits beyond 2^64
     value |= static_cast<uint64_t>(byte & 0x7f) << shift;
     if ((byte & 0x80) == 0) {
       *v = value;
@@ -161,10 +158,6 @@ void WalkEncoded(const PostingList& list, Emit&& emit) {
 }
 
 }  // namespace
-
-void SetCompressionEnabled(bool on) { g_compression_enabled = on; }
-
-bool CompressionEnabled() { return g_compression_enabled; }
 
 size_t VarintLen(uint64_t v) {
   size_t len = 1;
@@ -344,47 +337,30 @@ size_t EncodedSingleBytes(const Posting& posting) {
          + VarintLen(posting.sid.level);
 }
 
-size_t WireBytes(const PostingList& list, bool compressed) {
-  if (!compressed) return RawBytes(list);
+size_t WireBytes(const PostingList& list) {
   const size_t encoded = EncodedBytes(list);
   RecordEncode(RawBytes(list), encoded);
   return encoded;
 }
 
-size_t MemoizedWireBytes(const PostingList& list, bool compressed,
-                         WireSizeMemo* memo) {
+size_t MemoizedWireBytes(const PostingList& list, WireSizeMemo* memo) {
   if (memo->count != list.size()) {
-    memo->bytes = WireBytes(list, compressed);
+    memo->bytes = WireBytes(list);
     memo->count = list.size();
   }
   return memo->bytes;
 }
 
-size_t StoredBytes(const PostingList& list) {
-  return g_compression_enabled ? EncodedBytes(list) : RawBytes(list);
-}
-
-size_t StoredPostingBytes(const Posting& posting) {
-  return g_compression_enabled ? EncodedSingleBytes(posting)
-                               : RawBytes(static_cast<size_t>(1));
-}
-
-double EstimatedWirePostingBytes(bool compressed) {
+double EstimatedWirePostingBytes() {
   // ~6 bytes/posting is the measured DBLP-mix ratio (BENCH_codec.json);
   // the planner only needs relative strategy costs, not exact sizes.
-  constexpr double kEstimatedEncodedPostingBytes = 6.0;
-  return compressed ? kEstimatedEncodedPostingBytes
-                    : static_cast<double>(Posting::kWireBytes);
+  return 6.0;
 }
 
 void RecordEncode(size_t raw_bytes, size_t encoded_bytes) {
   C().raw_bytes->Increment(raw_bytes);
   C().encoded_bytes->Increment(encoded_bytes);
 }
-
-void SetBlockHeadersEnabled(bool on) { g_block_headers_enabled = on; }
-
-bool BlockHeadersEnabled() { return g_block_headers_enabled; }
 
 size_t BlockHeaderBytes(const BlockHeader& header) {
   size_t total = 1 + VarintLen(header.count);  // magic + count
@@ -469,10 +445,7 @@ BlockEncoder::Block BlockEncoder::Flush() {
   if (!block.postings.empty()) {
     block.bounds = Condition{block.postings.front(), block.postings.back()};
   }
-  if (g_block_headers_enabled) {
-    AppendBlockHeader(block.bytes,
-                      BlockHeader{block.bounds, block.count});
-  }
+  AppendBlockHeader(block.bytes, BlockHeader{block.bounds, block.count});
   const std::vector<uint8_t> payload = EncodePostings(block.postings);
   block.bytes.insert(block.bytes.end(), payload.begin(), payload.end());
   return block;

@@ -31,13 +31,10 @@ namespace kadop::index::codec {
 /// Encoding requires `IsSortedPostingList(list)` and `sid.end >= sid.start`
 /// for every posting — the invariants every stored list already satisfies.
 /// Duplicates encode as zero deltas; the codec never deduplicates.
-
-/// Process-wide A/B switch (shell `codec on|off`, bench knobs). When off —
-/// the default — every size function below reports raw 18-byte records, so
-/// seeded baselines are unchanged. Query-side transfers can override the
-/// switch per query via `QueryOptions::compress`.
-void SetCompressionEnabled(bool on);
-[[nodiscard]] bool CompressionEnabled();
+///
+/// This is the only posting wire and store format: every posting payload
+/// and stored list is charged at its encoded size. The raw 18-byte record
+/// size (`RawBytes`) survives only as the paper's data-volume unit.
 
 /// LEB128 length of `v` (1..10 bytes).
 [[nodiscard]] size_t VarintLen(uint64_t v);
@@ -65,8 +62,9 @@ void SetCompressionEnabled(bool on);
                                         size_t* decoded);
 
 /// Exact size of `EncodePostings(list)` without materializing the buffer —
-/// the size model used for every network/store cost charge, so the
-/// simulator never allocates encode buffers on hot paths.
+/// the size model used for every network/store cost charge (peer-store
+/// B+-tree leaves hold delta blocks too), so the simulator never allocates
+/// encode buffers on hot paths.
 [[nodiscard]] size_t EncodedBytes(const PostingList& list);
 
 /// Encoded size of a single posting as a standalone one-element stream —
@@ -84,9 +82,9 @@ void SetCompressionEnabled(bool on);
   return RawBytes(list.size());
 }
 
-/// Wire size of a posting payload: encoded when `compressed`, raw records
-/// otherwise. Records the achieved ratio in `codec.{raw,encoded}_bytes`.
-[[nodiscard]] size_t WireBytes(const PostingList& list, bool compressed);
+/// Wire size of a posting payload (its encoded size). Records the achieved
+/// ratio in `codec.{raw,encoded}_bytes`.
+[[nodiscard]] size_t WireBytes(const PostingList& list);
 
 /// `WireBytes` with a caller-owned memo so a payload's size is computed
 /// (and its compression ratio counted) once per list length even though
@@ -100,28 +98,16 @@ struct WireSizeMemo {
   size_t bytes = 0;
 };
 [[nodiscard]] size_t MemoizedWireBytes(const PostingList& list,
-                                       bool compressed, WireSizeMemo* memo);
+                                       WireSizeMemo* memo);
 
-/// Stored size of posting data in a peer store, honoring the process-wide
-/// switch: B+-tree leaves hold delta blocks when compression is on.
-[[nodiscard]] size_t StoredBytes(const PostingList& list);
-[[nodiscard]] size_t StoredPostingBytes(const Posting& posting);
-
-/// Per-posting byte estimate for the query planner's transfer-cost model:
-/// `Posting::kWireBytes` raw, or a fixed documented estimate when the
-/// transfer will be delta-coded (docs/wire_format.md#planner).
-[[nodiscard]] double EstimatedWirePostingBytes(bool compressed);
+/// Per-posting byte estimate for the query planner's transfer-cost model: a
+/// fixed documented estimate of the delta-coded size
+/// (docs/wire_format.md#planner).
+[[nodiscard]] double EstimatedWirePostingBytes();
 
 /// Record an achieved raw -> encoded ratio in the codec counters (used by
 /// sites that model an encode without materializing it).
 void RecordEncode(size_t raw_bytes, size_t encoded_bytes);
-
-/// Process-wide switch for the self-describing block-header framing below.
-/// Off by default so every seeded baseline stays byte-identical; holders
-/// and query peers that want pre-decode block skipping turn it on for both
-/// ends of the exchange (the header is not self-negotiating).
-void SetBlockHeadersEnabled(bool on);
-[[nodiscard]] bool BlockHeadersEnabled();
 
 /// Self-describing block header: the exact first/last posting of the block
 /// (so `bounds` carries `[min_doc, max_doc]` *and* the min/max start
@@ -158,13 +144,12 @@ void AppendBlockHeader(std::vector<uint8_t>& out, const BlockHeader& header);
 /// blocks: every `Flush()` emits a standalone `EncodePostings` stream of at
 /// most `max_block_postings` postings, so pipelined-get and DPP block
 /// boundaries never straddle a posting and each block decodes on its own.
-/// When `BlockHeadersEnabled()`, `bytes` is prefixed with the block's
-/// `BlockHeader`; `bounds`/`count` are filled either way.
+/// `bytes` is the block's `BlockHeader` followed by the stream.
 class BlockEncoder {
  public:
   struct Block {
     PostingList postings;
-    std::vector<uint8_t> bytes;  // [header +] EncodePostings(postings)
+    std::vector<uint8_t> bytes;  // header + EncodePostings(postings)
     Condition bounds;            // exact first/last posting (empty if none)
     uint64_t count = 0;
   };

@@ -139,7 +139,7 @@ void DppManager::ProcessAppend(const AppendRequest& request) {
     BlockEntry& block = st.blocks[block_index];
     if (block.key == term_key) {
       // Local block 0.
-      const double bytes = static_cast<double>(codec::StoredBytes(postings));
+      const double bytes = static_cast<double>(codec::EncodedBytes(postings));
       peer_->store()->AppendPostings(term_key, postings);
       peer_->ScheduleAfterDisk(bytes, /*write=*/true, on_part_done);
     } else {
@@ -177,8 +177,7 @@ bool DppManager::OnGet(const dht::GetRequest& request) {
     if (b.cond.Intersects(range)) block_keys->push_back(b.key);
   }
   if (block_keys->empty()) {
-    peer_->SendGetBlock(request.origin, request.req_id, 0, /*last=*/true, {},
-                        request.compress);
+    peer_->SendGetBlock(request.origin, request.req_id, 0, /*last=*/true, {});
     return true;
   }
   auto fetch_next = std::make_shared<std::function<void(size_t)>>();
@@ -198,14 +197,14 @@ bool DppManager::OnGet(const dht::GetRequest& request) {
       // interceptor) and forward after the disk read.
       PostingList list =
           peer_->store()->GetPostingRange(block_key, req.lo, req.hi, 0);
-      const double bytes = static_cast<double>(codec::StoredBytes(list));
+      const double bytes = static_cast<double>(codec::EncodedBytes(list));
       peer_->ScheduleAfterDisk(
           bytes, /*write=*/false,
           [this, req, i, is_last_block, list = std::move(list), block_keys,
            fetch_next]() mutable {
             peer_->SendGetBlock(req.origin, req.req_id,
                                 static_cast<uint32_t>(i), is_last_block,
-                                std::move(list), req.compress);
+                                std::move(list));
             if (!is_last_block) (*fetch_next)(i + 1);
           });
       return;
@@ -215,13 +214,12 @@ bool DppManager::OnGet(const dht::GetRequest& request) {
     spec.lo = req.lo;
     spec.hi = req.hi;
     spec.pipelined = false;
-    spec.compress = req.compress;
     peer_->GetBlocks(spec, [this, req, i, is_last_block, block_keys,
                             fetch_next](PostingList postings, bool last,
                                         bool /*complete*/) {
       if (!last) return;
       peer_->SendGetBlock(req.origin, req.req_id, static_cast<uint32_t>(i),
-                          is_last_block, std::move(postings), req.compress);
+                          is_last_block, std::move(postings));
       if (!is_last_block) (*fetch_next)(i + 1);
     });
   };
@@ -434,7 +432,7 @@ void DppManager::PerformLocalSplit(const std::string& block_key,
 
   // The whole block is read and half of it rewritten: charge the disk,
   // then migrate the upper half to the new holder.
-  const double io_bytes = static_cast<double>(codec::StoredBytes(all));
+  const double io_bytes = static_cast<double>(codec::EncodedBytes(all));
   auto migrate = [this, new_block_key, upper = std::move(upper),
                   result = std::move(result),
                   done = std::move(done)]() mutable {
@@ -457,7 +455,7 @@ bool DppManager::HandleApp(const AppRequest& request, NodeIndex /*from*/) {
     stats_.blocks_stored++;
     C().blocks_stored->Increment();
     const double bytes =
-        static_cast<double>(codec::StoredBytes(append->postings));
+        static_cast<double>(codec::EncodedBytes(append->postings));
     const NodeIndex origin = request.origin;
     const dht::RequestId req_id = request.req_id;
     const uint64_t count = peer_->store()->PostingCount(append->block_key);
@@ -477,7 +475,7 @@ bool DppManager::HandleApp(const AppRequest& request, NodeIndex /*from*/) {
     stats_.blocks_stored++;
     C().blocks_stored->Increment();
     const double bytes =
-        static_cast<double>(codec::StoredBytes(block->postings));
+        static_cast<double>(codec::EncodedBytes(block->postings));
     const NodeIndex origin = request.origin;
     const dht::RequestId req_id = request.req_id;
     const uint64_t count = peer_->store()->PostingCount(block->block_key);

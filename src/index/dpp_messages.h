@@ -18,13 +18,10 @@ namespace kadop::index {
 struct DppAppendToBlock final : sim::Payload {
   std::string block_key;
   PostingList postings;
-  /// Captured from the process-wide codec switch at construction time.
-  bool compressed = codec::CompressionEnabled();
 
   size_t SizeBytes() const override {
     return block_key.size() +
-           codec::MemoizedWireBytes(postings, compressed, &wire_bytes_memo_) +
-           8;
+           codec::MemoizedWireBytes(postings, &wire_bytes_memo_) + 8;
   }
   std::string_view TypeName() const override { return "DppAppendToBlock"; }
 
@@ -45,13 +42,10 @@ struct DppAppendDone final : sim::Payload {
 struct DppStoreBlock final : sim::Payload {
   std::string block_key;
   PostingList postings;
-  /// Captured from the process-wide codec switch at construction time.
-  bool compressed = codec::CompressionEnabled();
 
   size_t SizeBytes() const override {
     return block_key.size() +
-           codec::MemoizedWireBytes(postings, compressed, &wire_bytes_memo_) +
-           8;
+           codec::MemoizedWireBytes(postings, &wire_bytes_memo_) + 8;
   }
   std::string_view TypeName() const override { return "DppStoreBlock"; }
 
@@ -182,10 +176,9 @@ struct BlockJoinRequest final : sim::Payload {
   Condition window;
   size_t home_node = 0;
   size_t home_block = 0;
-  /// Fetch policy and codec choice for the holder's pulls, inherited from
-  /// the originating query.
+  /// Fetch policy for the holder's pulls, inherited from the originating
+  /// query.
   dht::RetryPolicy fetch_retry;
-  bool compress = false;
 
   size_t SizeBytes() const override {
     // Header + retry policy + the window's two raw posting bounds.

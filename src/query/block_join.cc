@@ -99,7 +99,6 @@ void BlockJoinService::RunTask(const index::BlockJoinRequest& req,
   state->gathered.resize(req.nodes.size());
   const uint64_t query_id = req.query_id;
   const uint32_t task = req.task;
-  const bool compress = req.compress;
   dht::DhtPeer* peer = peer_;
 
   // Holder-side span: parents to the dispatching query via the request's
@@ -162,7 +161,6 @@ void BlockJoinService::RunTask(const index::BlockJoinRequest& req,
       spec.lo = block.cond.lo < req.window.lo ? req.window.lo : block.cond.lo;
       spec.hi = req.window.hi < block.cond.hi ? req.window.hi : block.cond.hi;
       spec.retry = req.fetch_retry;
-      spec.compress = compress;
       const bool lower_trimmed = block.cond.lo < spec.lo;
       const bool upper_trimmed = spec.hi < block.cond.hi;
       const uint64_t expected = block.count;
@@ -172,9 +170,9 @@ void BlockJoinService::RunTask(const index::BlockJoinRequest& req,
       const bool local = peer_->IsResponsible(dht::HashKey(block.key));
       auto staged = std::make_shared<PostingList>();
       peer_->GetBlocks(
-          spec, [state, node, local, compress, lower_trimmed, upper_trimmed,
-                 expected, staged, finish](PostingList postings, bool last,
-                                           bool complete) {
+          spec, [state, node, local, lower_trimmed, upper_trimmed, expected,
+                 staged, finish](PostingList postings, bool last,
+                                 bool complete) {
             staged->insert(staged->end(), postings.begin(), postings.end());
             if (!last) return;
             PostingList got = std::move(*staged);
@@ -200,8 +198,7 @@ void BlockJoinService::RunTask(const index::BlockJoinRequest& req,
             state->blocks_fetched++;
             C().ingress_postings->Increment(got.size());
             if (!local) {
-              const size_t wire = compress ? index::codec::EncodedBytes(got)
-                                           : index::codec::RawBytes(got);
+              const size_t wire = index::codec::EncodedBytes(got);
               state->pulled_wire_bytes += wire;
               C().ingress_wire_bytes->Increment(wire);
             }

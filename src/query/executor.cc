@@ -67,14 +67,6 @@ QueryCounters& C() {
   return counters;
 }
 
-/// Wire size of a received posting transfer for query metrics. The pure
-/// size functions (never `codec::WireBytes`): the ratio counters were
-/// already bumped when the carrying payload was first sized.
-size_t TransferWireBytes(const index::PostingList& list, bool compressed) {
-  return compressed ? index::codec::EncodedBytes(list)
-                    : index::codec::RawBytes(list);
-}
-
 }  // namespace
 
 using dht::AppRequest;
@@ -110,8 +102,8 @@ std::string_view QueryStrategyName(QueryStrategy s) {
 }
 
 double QueryMetrics::NormalizedDataVolume() const {
-  // The paper's metric is defined over raw posting records; wire
-  // compression shows up in posting_wire_bytes, not here.
+  // The paper's metric is defined over raw posting records; the encoded
+  // wire size shows up in posting_wire_bytes, not here.
   const double baseline = static_cast<double>(
       index::codec::RawBytes(static_cast<size_t>(full_postings)));
   if (baseline <= 0) return 0.0;
@@ -169,7 +161,6 @@ QueryExecutor::QueryExecutor(QueryClient* client, uint64_t query_id,
       query_id_(query_id),
       pattern_(std::move(pattern)),
       options_(options),
-      compress_(options.compress.value_or(index::codec::CompressionEnabled())),
       callback_(std::move(callback)),
       join_(pattern_) {
   stream_closed_.assign(pattern_.size(), false);
@@ -251,7 +242,6 @@ void QueryExecutor::FetchStream(size_t node, bool count_blocks) {
   spec.pipelined = options_.pipelined;
   spec.block_postings = options_.block_postings;
   spec.retry = options_.fetch_retry;
-  spec.compress = compress_;
   if (options_.cache_postings) {
     if (auto cached = client_->posting_cache().Lookup(
             spec.key, spec.lo, spec.hi,
@@ -284,16 +274,9 @@ void QueryExecutor::FetchStream(size_t node, bool count_blocks) {
   peer_->GetBlocks(spec, [self, node, count_blocks, spec, pre_version, accum](
                              PostingList block, bool last, bool complete) {
     if (self->finished_) return;
-    self->metrics_.postings_received += block.size();
-    self->metrics_.posting_bytes += index::codec::RawBytes(block);
-    self->metrics_.posting_wire_bytes +=
-        TransferWireBytes(block, self->compress_);
+    self->RecordTransfer(block);
     self->metrics_.full_postings += block.size();
     if (count_blocks) self->metrics_.blocks_fetched++;
-    C().postings_received->Increment(block.size());
-    C().posting_bytes->Increment(index::codec::RawBytes(block));
-    C().posting_wire_bytes->Increment(
-        TransferWireBytes(block, self->compress_));
     // The cache accumulator (when present) takes a copy; the join always
     // takes the block itself — the single-consumer fast path moves it.
     if (accum) accum->insert(accum->end(), block.begin(), block.end());
@@ -315,6 +298,19 @@ void QueryExecutor::FetchStream(size_t node, bool count_blocks) {
     self->AdvanceJoin();
     self->MaybeFinishStreams();
   });
+}
+
+size_t QueryExecutor::RecordTransfer(const PostingList& postings) {
+  // The pure size function (never `codec::WireBytes`): the ratio counters
+  // were already bumped when the carrying payload was first sized.
+  const size_t wire = index::codec::EncodedBytes(postings);
+  metrics_.postings_received += postings.size();
+  metrics_.posting_bytes += index::codec::RawBytes(postings);
+  metrics_.posting_wire_bytes += wire;
+  C().postings_received->Increment(postings.size());
+  C().posting_bytes->Increment(index::codec::RawBytes(postings));
+  C().posting_wire_bytes->Increment(wire);
+  return wire;
 }
 
 void QueryExecutor::MaybeCacheInsert(const GetSpec& spec, uint64_t pre_version,
@@ -587,7 +583,6 @@ void QueryExecutor::DispatchJoinTask(size_t task) {
   req->home_node = jt.home_node;
   req->home_block = jt.home_block;
   req->fetch_retry = options_.fetch_retry;
-  req->compress = compress_;
   const std::string home_key = jt.inputs[jt.home_node][jt.home_block].key;
   peer_->RouteApp(
       home_key, std::move(req), TrafficCategory::kQuery,
@@ -688,7 +683,6 @@ void QueryExecutor::RunLocalJoinFallback(size_t task) {
       spec.lo = block.cond.lo < jt.window.lo ? jt.window.lo : block.cond.lo;
       spec.hi = jt.window.hi < block.cond.hi ? jt.window.hi : block.cond.hi;
       spec.retry = options_.fetch_retry;
-      spec.compress = compress_;
       FallbackPull(gather, node, spec, /*lower_trimmed=*/block.cond.lo < spec.lo,
                    /*upper_trimmed=*/spec.hi < block.cond.hi, block.count,
                    /*attempt=*/1, on_all);
@@ -740,15 +734,8 @@ void QueryExecutor::FallbackPull(std::shared_ptr<JoinGather> gather,
         }
         // These postings really crossed to the query peer: full ingress
         // accounting, exactly like a kDpp block fetch.
-        self->metrics_.postings_received += got.size();
-        self->metrics_.posting_bytes += index::codec::RawBytes(got);
-        self->metrics_.posting_wire_bytes +=
-            TransferWireBytes(got, self->compress_);
+        self->RecordTransfer(got);
         self->metrics_.blocks_fetched++;
-        C().postings_received->Increment(got.size());
-        C().posting_bytes->Increment(index::codec::RawBytes(got));
-        C().posting_wire_bytes->Increment(
-            TransferWireBytes(got, self->compress_));
         C().dpp_blocks_fetched->Increment();
         gather->lists[node].push_back(std::move(got));
         if (--gather->pending == 0) on_all();
@@ -802,7 +789,6 @@ void QueryExecutor::PumpDppFetches(size_t node) {
     spec.lo = block.cond.lo < dpp_window_.lo ? dpp_window_.lo : block.cond.lo;
     spec.hi = dpp_window_.hi < block.cond.hi ? dpp_window_.hi : block.cond.hi;
     spec.retry = options_.fetch_retry;
-    spec.compress = compress_;
     if (options_.cache_postings) {
       if (auto cached = client_->posting_cache().Lookup(
               spec.key, spec.lo, spec.hi,
@@ -855,15 +841,8 @@ void QueryExecutor::PumpDppFetches(size_t node) {
         sound = false;
       }
       DppNodeState& state = self->dpp_[node];
-      self->metrics_.postings_received += postings.size();
-      self->metrics_.posting_bytes += index::codec::RawBytes(postings);
-      self->metrics_.posting_wire_bytes +=
-          TransferWireBytes(postings, self->compress_);
+      self->RecordTransfer(postings);
       self->metrics_.blocks_fetched++;
-      C().postings_received->Increment(postings.size());
-      C().posting_bytes->Increment(index::codec::RawBytes(postings));
-      C().posting_wire_bytes->Increment(
-          TransferWireBytes(postings, self->compress_));
       C().dpp_blocks_fetched->Increment();
       auto shared =
           std::make_shared<const PostingList>(std::move(postings));
@@ -956,17 +935,10 @@ bool QueryExecutor::HandleApp(const AppRequest& request, NodeIndex /*from*/) {
   const size_t node = static_cast<size_t>(list->node);
   KADOP_CHECK(node < pattern_.size(), "bad node in reduced list");
   KADOP_CHECK(!stream_closed_[node], "duplicate reduced list");
-  metrics_.postings_received += list->postings.size();
-  metrics_.posting_bytes += index::codec::RawBytes(list->postings);
-  metrics_.posting_wire_bytes +=
-      TransferWireBytes(list->postings, list->compressed);
+  RecordTransfer(list->postings);
   metrics_.full_postings += list->full_count;
   metrics_.ab_filter_bytes += list->ab_filter_bytes;
   metrics_.db_filter_bytes += list->db_filter_bytes;
-  C().postings_received->Increment(list->postings.size());
-  C().posting_bytes->Increment(index::codec::RawBytes(list->postings));
-  C().posting_wire_bytes->Increment(
-      TransferWireBytes(list->postings, list->compressed));
   C().ab_filter_bytes->Increment(list->ab_filter_bytes);
   C().db_filter_bytes->Increment(list->db_filter_bytes);
   if (!list->postings.empty()) join_.Append(node, list->postings);
@@ -1018,11 +990,8 @@ void QueryExecutor::StartSubQuery() {
 std::vector<StrategyCostEstimate> EstimateStrategyCosts(
     const TreePattern& pattern, const std::vector<uint64_t>& term_counts,
     const QueryOptions& options) {
-  // Per-posting transfer estimate honors the query's compression choice:
-  // delta-coded transfers move fewer bytes, which shifts the byte-cost
-  // ranking (but not the bottleneck structure) between strategies.
-  const double kWire = index::codec::EstimatedWirePostingBytes(
-      options.compress.value_or(index::codec::CompressionEnabled()));
+  // Per-posting transfer estimate: postings always ship delta-coded.
+  const double kWire = index::codec::EstimatedWirePostingBytes();
   // Approximate per-posting DBF cost: |containers| inserts at ~10 bits.
   constexpr double kDbfBytesPerPosting = 15.0;
 
@@ -1322,7 +1291,6 @@ void QueryExecutor::ServeFromView() {
     spec.pipelined = options_.pipelined;
     spec.block_postings = options_.block_postings;
     spec.retry = options_.fetch_retry;
-    spec.compress = compress_;
     const uint64_t expected = rw.column_counts[v];
     peer_->GetBlocks(spec, [self, gather, v, expected](
                                PostingList block, bool last, bool complete) {
@@ -1332,16 +1300,9 @@ void QueryExecutor::ServeFromView() {
       // full lists in the normalized-volume denominator (full_postings),
       // which understates the denominator on purpose — the extent is what
       // this strategy would fetch at worst.
-      self->metrics_.postings_received += block.size();
-      self->metrics_.posting_bytes += index::codec::RawBytes(block);
-      const size_t wire = TransferWireBytes(block, self->compress_);
-      self->metrics_.posting_wire_bytes += wire;
+      gather->wire_bytes += self->RecordTransfer(block);
       self->metrics_.full_postings += block.size();
       self->metrics_.blocks_fetched++;
-      gather->wire_bytes += wire;
-      C().postings_received->Increment(block.size());
-      C().posting_bytes->Increment(index::codec::RawBytes(block));
-      C().posting_wire_bytes->Increment(wire);
       PostingList& column = gather->columns[v];
       column.insert(column.end(), block.begin(), block.end());
       if (!last) return;

@@ -96,10 +96,6 @@ struct QueryOptions {
   /// parallelism (DPP) over the reducers' filter round-trips.
   enum class Objective : uint8_t { kTime = 0, kTraffic = 1 };
   Objective objective = Objective::kTime;
-  /// Delta+varint-compress this query's posting transfers
-  /// (docs/wire_format.md). nullopt follows the process-wide codec switch
-  /// (`codec on|off` in the shell); set explicitly for A/B runs.
-  std::optional<bool> compress;
   /// Serve repeat fetches from the peer's version-checked posting cache
   /// and cache complete fetch results for later queries.
   bool cache_postings = false;
@@ -147,8 +143,8 @@ struct QueryMetrics {
   /// Raw (decoded) bytes of postings shipped to this peer — the paper's
   /// data-volume unit, independent of the wire encoding.
   uint64_t posting_bytes = 0;
-  /// Bytes those postings actually occupied on the wire (== posting_bytes
-  /// unless the transfer was compressed). Cache hits add to neither.
+  /// Bytes those postings actually occupied on the wire: their
+  /// delta+varint-coded size. Cache hits add to neither.
   uint64_t posting_wire_bytes = 0;
   /// Posting-cache outcomes for this query's fetches.
   uint64_t cache_hits = 0;
@@ -266,6 +262,10 @@ class QueryExecutor : public std::enable_shared_from_this<QueryExecutor> {
   /// baseline strategy and the sub-query plan's off-path fetches (the only
   /// difference being whether blocks_fetched is counted).
   void FetchStream(size_t node, bool count_blocks);
+  /// Accounts a posting transfer that crossed to this peer: the received
+  /// count, raw bytes and wire bytes. Returns the wire (encoded) size,
+  /// computed once per transfer.
+  size_t RecordTransfer(const index::PostingList& postings);
   /// Caches a completed fetch result unless the key was mutated while the
   /// stream was in flight (`pre_version` no longer authoritative). The
   /// shared overload lets the cache alias the list the join consumes.
@@ -332,8 +332,6 @@ class QueryExecutor : public std::enable_shared_from_this<QueryExecutor> {
   const uint64_t query_id_;
   const TreePattern pattern_;
   const QueryOptions options_;
-  /// options_.compress resolved against the codec switch at submit time.
-  const bool compress_;
   QueryClient::Callback callback_;
 
   TwigJoin join_;

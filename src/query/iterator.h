@@ -92,9 +92,9 @@ class PostingBlock {
   static PostingBlock FromEncoded(
       std::shared_ptr<const std::vector<uint8_t>> bytes,
       index::Condition bounds, uint64_t count);
-  /// Parses the `BlockEncoder` header framing off `bytes` (headers must
-  /// have been enabled on the encoding side). Checks the header, not the
-  /// payload — the payload is validated if and when the block is decoded.
+  /// Parses the `BlockEncoder` header framing off `bytes`. Checks the
+  /// header, not the payload — the payload is validated if and when the
+  /// block is decoded.
   static Result<PostingBlock> FromEncodedWithHeader(
       std::shared_ptr<const std::vector<uint8_t>> bytes);
 

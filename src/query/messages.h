@@ -103,12 +103,9 @@ struct ReducedListMessage final : sim::Payload {
   uint64_t full_count = 0;
   uint64_t ab_filter_bytes = 0;
   uint64_t db_filter_bytes = 0;
-  /// Captured from the process-wide codec switch at construction time.
-  bool compressed = index::codec::CompressionEnabled();
 
   size_t SizeBytes() const override {
-    return 36 + index::codec::MemoizedWireBytes(postings, compressed,
-                                                &wire_bytes_memo_);
+    return 36 + index::codec::MemoizedWireBytes(postings, &wire_bytes_memo_);
   }
   std::string_view TypeName() const override { return "ReducedListMessage"; }
 

@@ -106,7 +106,7 @@ void BTreePeerStore::AppendPosting(const std::string& key,
   }
   // Append charge is amortized: only the appended record is (re-)encoded,
   // never the whole stored list.
-  ChargeIo(0, index::codec::StoredPostingBytes(posting));
+  ChargeIo(0, index::codec::EncodedSingleBytes(posting));
 }
 
 void BTreePeerStore::AppendPostings(const std::string& key,
@@ -130,7 +130,7 @@ PostingList BTreePeerStore::GetPostingRange(const std::string& key,
     if (limit != 0 && out.size() >= limit) break;
     it.Next();
   }
-  ChargeIo(index::codec::StoredBytes(out), 0);
+  ChargeIo(index::codec::EncodedBytes(out), 0);
   return out;
 }
 
@@ -147,7 +147,7 @@ bool BTreePeerStore::DeletePosting(const std::string& key,
   if (!LookupTerm(key, tid)) return false;
   ChargeIo(0, 0);
   if (tree_.Erase(TreeKey{tid, posting})) {
-    AddIoBytes(0, index::codec::StoredPostingBytes(posting));
+    AddIoBytes(0, index::codec::EncodedSingleBytes(posting));
     --counts_[tid];
     BumpPostingVersion(key);
     return true;
@@ -166,7 +166,7 @@ size_t BTreePeerStore::DeleteDocPostings(const std::string& key,
   for (const Posting& p : victims) {
     KADOP_CHECK(tree_.Erase(TreeKey{tid, p}),
                 "posting listed by GetPostingRange must be erasable");
-    AddIoBytes(0, index::codec::StoredPostingBytes(p));
+    AddIoBytes(0, index::codec::EncodedSingleBytes(p));
   }
   counts_[tid] -= victims.size();
   if (!victims.empty()) BumpPostingVersion(key);
@@ -181,7 +181,7 @@ size_t BTreePeerStore::DeleteKey(const std::string& key) {
   for (const Posting& p : victims) {
     KADOP_CHECK(tree_.Erase(TreeKey{tid, p}),
                 "posting listed by GetPostingRange must be erasable");
-    AddIoBytes(0, index::codec::StoredPostingBytes(p));
+    AddIoBytes(0, index::codec::EncodedSingleBytes(p));
   }
   counts_[tid] = 0;
   if (!victims.empty()) BumpPostingVersion(key);
@@ -232,14 +232,14 @@ std::vector<std::string> BTreePeerStore::BlobKeys() const {
 
 void NaivePeerStore::ChargeReconciliation(const PostingList& list,
                                           size_t extra) {
-  const size_t old_bytes = index::codec::StoredBytes(list);
+  const size_t old_bytes = index::codec::EncodedBytes(list);
   ChargeIo(old_bytes, old_bytes + extra);
 }
 
 void NaivePeerStore::AppendPosting(const std::string& key,
                                    const Posting& posting) {
   PostingList& list = lists_[key];
-  ChargeReconciliation(list, index::codec::StoredPostingBytes(posting));
+  ChargeReconciliation(list, index::codec::EncodedSingleBytes(posting));
   auto it = std::lower_bound(list.begin(), list.end(), posting);
   if (it == list.end() || *it != posting) {
     list.insert(it, posting);
@@ -251,7 +251,7 @@ void NaivePeerStore::AppendPostings(const std::string& key,
                                     const PostingList& postings) {
   PostingList& list = lists_[key];
   // One reconciliation per batch: read old value once, write merged once.
-  ChargeReconciliation(list, index::codec::StoredBytes(postings));
+  ChargeReconciliation(list, index::codec::EncodedBytes(postings));
   bool changed = false;
   for (const Posting& p : postings) {
     auto it = std::lower_bound(list.begin(), list.end(), p);
@@ -266,7 +266,7 @@ void NaivePeerStore::AppendPostings(const std::string& key,
 PostingList NaivePeerStore::GetPostings(const std::string& key) {
   auto it = lists_.find(key);
   if (it == lists_.end()) return {};
-  ChargeIo(index::codec::StoredBytes(it->second), 0);
+  ChargeIo(index::codec::EncodedBytes(it->second), 0);
   return it->second;
 }
 
@@ -277,7 +277,7 @@ PostingList NaivePeerStore::GetPostingRange(const std::string& key,
   if (it == lists_.end()) return {};
   // The naive store has no clustered index: it reads the whole value and
   // filters in memory.
-  ChargeIo(index::codec::StoredBytes(it->second), 0);
+  ChargeIo(index::codec::EncodedBytes(it->second), 0);
   PostingList out;
   auto from = std::lower_bound(it->second.begin(), it->second.end(), lo);
   for (; from != it->second.end() && !(hi < *from); ++from) {
@@ -320,7 +320,7 @@ size_t NaivePeerStore::DeleteKey(const std::string& key) {
   auto it = lists_.find(key);
   if (it == lists_.end()) return 0;
   const size_t removed = it->second.size();
-  ChargeIo(0, index::codec::StoredBytes(it->second));
+  ChargeIo(0, index::codec::EncodedBytes(it->second));
   lists_.erase(it);
   if (removed > 0) BumpPostingVersion(key);
   return removed;

@@ -137,6 +137,34 @@ TEST(CodecTest, AbsurdCountFailsInsteadOfAllocating) {
             StatusCode::kCorruption);
 }
 
+/// A 10-byte varint whose last byte is `last`: bits 63.. of the value.
+std::vector<uint8_t> TenByteVarint(uint8_t last) {
+  std::vector<uint8_t> buf(9, 0x80);
+  buf.push_back(last);
+  return buf;
+}
+
+TEST(CodecTest, OverlongVarintFailsWithCorruption) {
+  // 0x02 in the 10th byte is bit 64: the value does not fit in 64 bits and
+  // must not truncate to 0 (which would decode as a valid empty list).
+  const std::vector<uint8_t> overlong = TenByteVarint(0x02);
+  PostingList out;
+  const Status heap = codec::DecodePostings(overlong, &out);
+  EXPECT_EQ(heap.code(), StatusCode::kCorruption);
+  EXPECT_EQ(heap.message(), "codec: truncated posting count");
+  std::vector<Posting> span(4);
+  size_t decoded = 0;
+  const Status batch = codec::DecodePostingsInto(
+      overlong.data(), overlong.size(), span.data(), span.size(), &decoded);
+  EXPECT_EQ(batch.code(), StatusCode::kCorruption);
+  EXPECT_EQ(batch.message(), "codec: truncated posting count");
+
+  // 0x01 in the 10th byte is 2^63, a well-formed varint: it parses and is
+  // then refused by the count plausibility check instead.
+  EXPECT_EQ(codec::DecodePostings(TenByteVarint(0x01), &out).message(),
+            "codec: posting count exceeds buffer");
+}
+
 TEST(CodecTest, BlockEncoderEmitsAlignedStandaloneBlocks) {
   std::mt19937_64 rng(5);
   const PostingList list = RandomSortedList(rng, 1000);
@@ -146,10 +174,16 @@ TEST(CodecTest, BlockEncoderEmitsAlignedStandaloneBlocks) {
   auto drain = [&](codec::BlockEncoder::Block block) {
     ++blocks;
     EXPECT_LE(block.postings.size(), 128u);
-    EXPECT_EQ(block.bytes.size(), codec::EncodedBytes(block.postings));
+    const codec::BlockHeader expected{block.bounds, block.count};
+    EXPECT_EQ(block.bytes.size(), codec::BlockHeaderBytes(expected) +
+                                      codec::EncodedBytes(block.postings));
     // Posting-aligned: every block decodes standalone.
+    codec::BlockHeader header;
     PostingList decoded;
-    ASSERT_TRUE(codec::DecodePostings(block.bytes, &decoded).ok());
+    ASSERT_TRUE(codec::DecodeBlockWithHeader(block.bytes.data(),
+                                             block.bytes.size(), &header,
+                                             &decoded)
+                    .ok());
     EXPECT_EQ(decoded, block.postings);
     reassembled.insert(reassembled.end(), decoded.begin(), decoded.end());
   };
@@ -209,12 +243,6 @@ TEST(CodecTest, DecodePostingsIntoRejectsInsufficientCapacity) {
 // ---------------------------------------------------------------------------
 // Block-header framing.
 
-/// RAII flip of the block-header switch (default off for wire compat).
-struct ScopedHeaders {
-  explicit ScopedHeaders(bool on) { codec::SetBlockHeadersEnabled(on); }
-  ~ScopedHeaders() { codec::SetBlockHeadersEnabled(false); }
-};
-
 std::vector<codec::BlockEncoder::Block> EncodeBlocks(const PostingList& list,
                                                      size_t per_block) {
   codec::BlockEncoder enc(per_block);
@@ -228,7 +256,6 @@ std::vector<codec::BlockEncoder::Block> EncodeBlocks(const PostingList& list,
 }
 
 TEST(CodecTest, BlockHeaderRoundtripsExactBoundsAndCount) {
-  ScopedHeaders on(true);
   std::mt19937_64 rng(21);
   const PostingList list = RandomSortedList(rng, 700);
   PostingList reassembled;
@@ -262,21 +289,22 @@ TEST(CodecTest, BlockHeaderRoundtripsExactBoundsAndCount) {
   EXPECT_EQ(reassembled, list);
 }
 
-TEST(CodecTest, BlockHeaderDisabledKeepsBytesIdenticalToSeed) {
-  // The wire-compatibility flag: with headers off (the default), Flush()
-  // emits exactly the bare EncodePostings stream of the seeded baselines.
+TEST(CodecTest, BlockBytesAreHeaderThenBareStream) {
+  // The framing is exactly AppendBlockHeader + EncodePostings, so a reader
+  // that strips the header sees the bare stream every decoder accepts.
   std::mt19937_64 rng(23);
   const PostingList list = RandomSortedList(rng, 300);
   for (const auto& block : EncodeBlocks(list, 64)) {
-    EXPECT_EQ(block.bytes, codec::EncodePostings(block.postings));
-    // Bounds/count are still filled for in-process consumers.
-    EXPECT_EQ(block.count, block.postings.size());
-    EXPECT_EQ(block.bounds.lo, block.postings.front());
+    std::vector<uint8_t> expected;
+    codec::AppendBlockHeader(expected,
+                             codec::BlockHeader{block.bounds, block.count});
+    const std::vector<uint8_t> bare = codec::EncodePostings(block.postings);
+    expected.insert(expected.end(), bare.begin(), bare.end());
+    EXPECT_EQ(block.bytes, expected);
   }
 }
 
 TEST(CodecTest, BlockHeaderCorruptionIsRejected) {
-  ScopedHeaders on(true);
   std::mt19937_64 rng(29);
   const PostingList list = RandomSortedList(rng, 100);
   const auto blocks = EncodeBlocks(list, 100);
@@ -327,24 +355,33 @@ TEST(CodecTest, BlockHeaderCorruptionIsRejected) {
       codec::DecodeBlockWithHeader(cut.data(), cut.size(), &header, &out)
           .code(),
       StatusCode::kCorruption);
+
+  // An overlong varint (bit 64 set) as the header's posting count.
+  std::vector<uint8_t> overlong_count{good[0]};
+  const std::vector<uint8_t> overlong = TenByteVarint(0x02);
+  overlong_count.insert(overlong_count.end(), overlong.begin(),
+                        overlong.end());
+  const Status st = codec::ParseBlockHeader(
+      overlong_count.data(), overlong_count.size(), &header, &payload);
+  EXPECT_EQ(st.code(), StatusCode::kCorruption);
+  EXPECT_EQ(st.message(), "codec: truncated block header count");
 }
 
-TEST(CodecTest, WireBytesHonorsCompressionFlag) {
+TEST(CodecTest, WireBytesIsTheMemoizedEncodedSize) {
   std::mt19937_64 rng(11);
   const PostingList list = RandomSortedList(rng, 300);
-  EXPECT_EQ(codec::WireBytes(list, false), codec::RawBytes(list));
-  EXPECT_EQ(codec::WireBytes(list, true), codec::EncodedBytes(list));
+  EXPECT_EQ(codec::WireBytes(list), codec::EncodedBytes(list));
   codec::WireSizeMemo memo;
-  const size_t first = codec::MemoizedWireBytes(list, true, &memo);
+  const size_t first = codec::MemoizedWireBytes(list, &memo);
   EXPECT_EQ(first, codec::EncodedBytes(list));
   EXPECT_EQ(memo.bytes, first);
-  EXPECT_EQ(codec::MemoizedWireBytes(list, true, &memo), first);
+  EXPECT_EQ(codec::MemoizedWireBytes(list, &memo), first);
   // The memo revalidates on length change: growing the payload after a
   // first sizing (messages_test's handoff case) must re-size, not serve
   // the stale bytes.
   PostingList grown = list;
   grown.push_back(grown.back());
-  EXPECT_EQ(codec::MemoizedWireBytes(grown, true, &memo),
+  EXPECT_EQ(codec::MemoizedWireBytes(grown, &memo),
             codec::EncodedBytes(grown));
 }
 

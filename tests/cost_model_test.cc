@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "core/kadop.h"
+#include "index/codec.h"
 #include "query/executor.h"
 #include "query/iterator.h"
 #include "xml/corpus.h"
@@ -76,7 +77,7 @@ TEST(CostModelTest, OffPathLongListsKeepBottleneckHigh) {
   const auto* sub = Find(costs, QueryStrategy::kSubQueryReducer);
   ASSERT_NE(sub, nullptr);
   EXPECT_GE(sub->bottleneck_bytes,
-            60000.0 * index::Posting::kWireBytes * 0.9);
+            60000.0 * index::codec::EstimatedWirePostingBytes() * 0.9);
 }
 
 TEST(CostModelTest, IteratorEstimateFlipsDppJoinDecision) {
@@ -120,7 +121,7 @@ TEST(CostModelTest, DppJoinBytesTrackEstimateTwigResults) {
   auto costs = EstimateStrategyCosts(pattern, counts, options);
   const auto* djoin = Find(costs, QueryStrategy::kDppJoin);
   ASSERT_NE(djoin, nullptr);
-  const double kWire = static_cast<double>(index::Posting::kWireBytes);
+  const double kWire = index::codec::EstimatedWirePostingBytes();
   const double est =
       static_cast<double>(EstimateTwigResults(pattern, counts));
   EXPECT_EQ(est, 40.0);
@@ -174,11 +175,13 @@ TEST(CostModelTest, TinyExtentFlipsAutoToView) {
 TEST(CostModelTest, HugeExtentKeepsAutoOnDppJoin) {
   // An unselective view whose extent nearly reprints the base lists loses
   // to kDppJoin's answer-tuple shipping even with a cheap residual term.
+  // Each answer tuple (~28B here) outweighs an encoded posting several
+  // times over, so the extent must come close to the 6000 base postings.
   TreePattern pattern = MustParse("//a//b");
   QueryOptions options;
   options.dpp_join_available = true;
   options.view_available = true;
-  options.view_extent_postings = 5200;
+  options.view_extent_postings = 5800;
   options.view_residual_postings = 300;
   auto costs = EstimateStrategyCosts(pattern, {1000, 5000}, options);
   const auto* view = Find(costs, QueryStrategy::kView);

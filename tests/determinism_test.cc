@@ -6,7 +6,6 @@
 
 #include "common/random.h"
 #include "core/kadop.h"
-#include "index/codec.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "obs/trace_analysis.h"
@@ -64,7 +63,7 @@ TEST(DeterminismTest, IdenticalRunsProduceIdenticalOutcomes) {
 }
 
 // The strongest observable we have: the FULL metric registry. Two
-// same-seed runs with compression, the posting cache and seeded faults
+// same-seed runs with the posting cache and seeded faults
 // all enabled must leave every counter, gauge and histogram bucket
 // byte-identical — any wall-clock, RNG or hash-order escape anywhere in
 // the stack shows up here as a diff.
@@ -125,13 +124,8 @@ obs::MetricsSnapshot RunScenarioFullSnapshot() {
 }
 
 TEST(DeterminismTest, FullMetricSnapshotIsSeedDeterministic) {
-  const bool compression_was = index::codec::CompressionEnabled();
-  index::codec::SetCompressionEnabled(true);
-
   const obs::MetricsSnapshot a = RunScenarioFullSnapshot();
   const obs::MetricsSnapshot b = RunScenarioFullSnapshot();
-
-  index::codec::SetCompressionEnabled(compression_was);
   obs::MetricRegistry::Default().Reset();
 
   EXPECT_EQ(a, b);

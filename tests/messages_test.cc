@@ -6,6 +6,7 @@
 
 #include "core/kadop.h"
 #include "dht/messages.h"
+#include "index/codec.h"
 #include "index/dpp_messages.h"
 #include "query/messages.h"
 
@@ -27,20 +28,22 @@ TEST(MessagesTest, PostingBearingPayloadsScaleWithContent) {
   dht::AppendRequest big = small;
   big.postings = MakePostings(1000);
   EXPECT_GT(big.SizeBytes(), small.SizeBytes());
-  EXPECT_GE(big.SizeBytes(), 1000 * index::Posting::kWireBytes);
+  EXPECT_GE(big.SizeBytes(), index::codec::EncodedBytes(big.postings));
 
   dht::GetBlock block;
   block.postings = MakePostings(100);
-  EXPECT_GE(block.SizeBytes(), 100 * index::Posting::kWireBytes);
+  EXPECT_GE(block.SizeBytes(), index::codec::EncodedBytes(block.postings));
 
   index::DppStoreBlock store_block;
   store_block.block_key = "ovf:1:l:a";
   store_block.postings = MakePostings(50);
-  EXPECT_GE(store_block.SizeBytes(), 50 * index::Posting::kWireBytes);
+  EXPECT_GE(store_block.SizeBytes(),
+            index::codec::EncodedBytes(store_block.postings));
 
   query::ReducedListMessage reduced;
   reduced.postings = MakePostings(7);
-  EXPECT_GE(reduced.SizeBytes(), 7 * index::Posting::kWireBytes);
+  EXPECT_GE(reduced.SizeBytes(),
+            index::codec::EncodedBytes(reduced.postings));
 }
 
 TEST(MessagesTest, DocTypesAreCharged) {
@@ -113,7 +116,9 @@ TEST(MessagesTest, HandoffMessageChargesAllParts) {
   const size_t base = msg.SizeBytes();
   msg.postings = MakePostings(100);
   const size_t with_postings = msg.SizeBytes();
-  EXPECT_GE(with_postings, base + 100 * index::Posting::kWireBytes);
+  // `base` already charged the empty list's one-byte count varint.
+  EXPECT_EQ(with_postings, base - index::codec::EncodedBytes({}) +
+                               index::codec::EncodedBytes(msg.postings));
   msg.blob = std::string(500, 'x');
   EXPECT_GE(msg.SizeBytes(), with_postings + 500);
 }

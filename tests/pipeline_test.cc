@@ -35,13 +35,13 @@ PostingList BigList(size_t n) {
 
 TEST(PipelineTest, BlocksArriveSpacedInTime) {
   Net net(8);
-  net.dht.peer(0)->Append("l:a", BigList(4000), nullptr);
+  net.dht.peer(0)->Append("l:a", BigList(12000), nullptr);
   net.scheduler.RunUntilIdle();
 
   GetSpec spec;
   spec.key = "l:a";
   spec.pipelined = true;
-  spec.block_postings = 1000;
+  spec.block_postings = 3000;
   std::vector<double> arrivals;
   net.dht.peer(1)->GetBlocks(spec, [&](PostingList block, bool, bool) {
     if (!block.empty()) arrivals.push_back(net.scheduler.Now());
@@ -54,7 +54,8 @@ TEST(PipelineTest, BlocksArriveSpacedInTime) {
     EXPECT_GT(arrivals[i], arrivals[i - 1]);
   }
   // The stream spans real time: ~three extra 18 KB transfers after the
-  // first block (>= 3 x 1.8 ms at 10 MB/s).
+  // first block (3000 postings at ~6 encoded bytes each; >= 3 x 1.8 ms at
+  // 10 MB/s).
   EXPECT_GT(arrivals.back() - arrivals.front(), 0.004);
 }
 
@@ -94,15 +95,17 @@ TEST(PipelineTest, ProducerFailureMidStreamTimesOutIncomplete) {
 }
 
 TEST(PipelineTest, ConcurrentStreamsFromOneProducerSerializeOnUplink) {
+  // ~108 KB on the wire: 18000 postings at ~6 encoded bytes each.
+  constexpr size_t kPostings = 18000;
   Net net(8);
-  net.dht.peer(0)->Append("l:a", BigList(6000), nullptr);
+  net.dht.peer(0)->Append("l:a", BigList(kPostings), nullptr);
   net.scheduler.RunUntilIdle();
   const sim::NodeIndex owner = net.dht.OwnerOf(HashKey("l:a"));
 
   // One consumer alone.
   auto run = [&](std::vector<sim::NodeIndex> consumers) {
     Net fresh(8);
-    fresh.dht.peer(0)->Append("l:a", BigList(6000), nullptr);
+    fresh.dht.peer(0)->Append("l:a", BigList(kPostings), nullptr);
     fresh.scheduler.RunUntilIdle();
     const double start = fresh.scheduler.Now();
     double last_done = start;

@@ -45,7 +45,7 @@ Enforces invariants no off-the-shelf tool knows about:
                              and src/index/codec.{h,cc}. Posting transfer
                              and storage sizes must route through the codec
                              size functions (codec::RawBytes / WireBytes /
-                             StoredBytes) so compression is charged
+                             EncodedBytes) so the encoded size is charged
                              consistently everywhere; a bare non-multiplied
                              `kWireBytes` term (fixed-format field) is fine.
 
@@ -262,8 +262,8 @@ def check_file(path: Path, rel: str, text: str) -> list[Violation]:
         for m in RE_RAW_POSTING_MATH.finditer(clean):
             add("KDP010", m.start(),
                 "raw `* Posting::kWireBytes` size math; use the codec size "
-                "functions (index::codec::RawBytes/WireBytes/StoredBytes) "
-                "so compression is charged consistently")
+                "functions (index::codec::RawBytes/WireBytes/EncodedBytes) "
+                "so the encoded size is charged consistently")
 
     return violations
 

@@ -21,7 +21,6 @@
 
 #include "core/kadop.h"
 #include "dht/ring.h"
-#include "index/codec.h"
 #include "obs/buildinfo.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -75,8 +74,6 @@ class Shell {
       CmdMetrics();
     } else if (cmd == "trace") {
       CmdTrace(in);
-    } else if (cmd == "codec") {
-      CmdCodec(in);
     } else if (cmd == "cache") {
       CmdCache(in);
     } else if (cmd == "repl") {
@@ -133,7 +130,6 @@ class Shell {
         "  trace on|off|dump [json]|clear   virtual-time span tracing\n"
         "  trace report                     per-query phase breakdown\n"
         "  trace export [file]              Chrome trace_event JSON\n"
-        "  codec on|off | codec             delta+varint posting transfers\n"
         "  cache on|off|stats|clear         query-side posting cache\n"
         "  repl on|off|stats                hot-data replication + routing\n"
         "  views on|off|stats|list          materialized tree-pattern views\n"
@@ -494,20 +490,6 @@ class Shell {
     std::printf("warning: trace buffer full — %llu span(s) dropped; raise "
                 "Tracer capacity or 'trace clear' between runs\n",
                 static_cast<unsigned long long>(dropped));
-  }
-
-  void CmdCodec(std::istringstream& in) {
-    std::string sub;
-    in >> sub;
-    if (sub == "on" || sub == "off") {
-      index::codec::SetCompressionEnabled(sub == "on");
-    } else if (!sub.empty()) {
-      std::printf("usage: codec [on|off]\n");
-      return;
-    }
-    std::printf("codec %s (delta+varint posting transfers; per-query "
-                "override via QueryOptions::compress)\n",
-                index::codec::CompressionEnabled() ? "on" : "off");
   }
 
   void CmdCache(std::istringstream& in) {
