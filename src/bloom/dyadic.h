@@ -32,8 +32,13 @@ struct DyadicInterval {
       default;
 
   std::string ToString() const {
-    return "[" + std::to_string(lo) + "," + std::to_string(hi) + "]@" +
-           std::to_string(level);
+    std::string out = "[";  // appends only (g++ 12 -Wrestrict at -O3)
+    out += std::to_string(lo);
+    out += ',';
+    out += std::to_string(hi);
+    out += "]@";
+    out += std::to_string(level);
+    return out;
   }
 };
 

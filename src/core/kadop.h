@@ -44,9 +44,8 @@ struct DocQueryResponse final : sim::Payload {
   std::vector<query::Answer> answers;
 
   size_t SizeBytes() const override {
-    size_t total = 8;
-    for (const auto& a : answers) total += 8 + a.elements.size() * 10;
-    return total;
+    // The answer stream of the kDppJoin holder reply, with no matched docs.
+    return 8 + index::codec::EncodedAnswerBytes({}, answers);
   }
   std::string_view TypeName() const override { return "DocQueryResponse"; }
 };

@@ -157,6 +157,86 @@ void WalkEncoded(const PostingList& list, Emit&& emit) {
   }
 }
 
+[[nodiscard]] uint64_t ZigZag(int64_t v) {
+  return (static_cast<uint64_t>(v) << 1) ^ static_cast<uint64_t>(v >> 63);
+}
+
+[[nodiscard]] int64_t UnZigZag(uint64_t z) {
+  return static_cast<int64_t>(z >> 1) ^ -static_cast<int64_t>(z & 1);
+}
+
+/// The (peer, doc) fields shared by matched docs and answer runs: the
+/// posting codec's convention, mod 2^32 so unsorted input round-trips.
+struct DocDeltas {
+  DocId prev;
+
+  template <typename Emit>
+  void Write(const DocId& d, Emit& emit) {
+    emit(static_cast<uint32_t>(d.peer - prev.peer));
+    emit(d.peer != prev.peer ? d.doc : static_cast<uint32_t>(d.doc - prev.doc));
+    prev = d;
+  }
+
+  [[nodiscard]] bool Read(const uint8_t* data, size_t size, size_t* pos,
+                          DocId* d) {
+    uint64_t dpeer = 0;
+    uint64_t doc_field = 0;
+    if (!ReadVarint(data, size, pos, &dpeer) ||
+        !ReadVarint(data, size, pos, &doc_field) ||
+        dpeer > std::numeric_limits<uint32_t>::max() ||
+        doc_field > std::numeric_limits<uint32_t>::max()) {
+      return false;
+    }
+    d->peer = static_cast<uint32_t>(prev.peer + dpeer);
+    d->doc = dpeer != 0 ? static_cast<uint32_t>(doc_field)
+                        : static_cast<uint32_t>(prev.doc + doc_field);
+    prev = *d;
+    return true;
+  }
+};
+
+/// Shared traversal for `EncodeAnswers` and `EncodedAnswerBytes`, so the
+/// size function is exact by construction.
+template <typename Emit>
+void WalkAnswers(const std::vector<DocId>& matched_docs,
+                 const std::vector<Answer>& answers, Emit&& emit) {
+  DocDeltas docs;
+  emit(matched_docs.size());
+  for (const DocId& d : matched_docs) docs.Write(d, emit);
+  docs = DocDeltas{};
+  emit(answers.size());
+  const size_t arity = answers.empty() ? 0 : answers.front().elements.size();
+  const xml::StructuralId zero;
+  size_t i = 0;
+  while (i < answers.size()) {
+    const DocId doc = answers[i].doc;
+    size_t end = i;
+    while (end < answers.size() && answers[end].doc == doc) ++end;
+    docs.Write(doc, emit);
+    emit(static_cast<uint64_t>(end - i));
+    for (size_t a = i; a < end; ++a) {
+      KADOP_CHECK(answers[a].elements.size() == arity,
+                  "codec: answers of mixed arity");
+      for (size_t k = 0; k < arity; ++k) {
+        const xml::StructuralId& sid = answers[a].elements[k];
+        const xml::StructuralId& prev =
+            a == i ? zero : answers[a - 1].elements[k];
+        if (sid == prev) {
+          emit(0);
+          continue;
+        }
+        KADOP_CHECK(sid.end >= sid.start, "codec: sid interval end < start");
+        emit(ZigZag(static_cast<int64_t>(sid.start) -
+                    static_cast<int64_t>(prev.start)) +
+             1);
+        emit(sid.end - sid.start);
+        emit(sid.level);
+      }
+    }
+    i = end;
+  }
+}
+
 }  // namespace
 
 size_t VarintLen(uint64_t v) {
@@ -355,6 +435,117 @@ double EstimatedWirePostingBytes() {
   // ~6 bytes/posting is the measured DBLP-mix ratio (BENCH_codec.json);
   // the planner only needs relative strategy costs, not exact sizes.
   return 6.0;
+}
+
+std::vector<uint8_t> EncodeAnswers(const std::vector<DocId>& matched_docs,
+                                   const std::vector<Answer>& answers) {
+  std::vector<uint8_t> out;
+  out.reserve(EncodedAnswerBytes(matched_docs, answers));
+  WalkAnswers(matched_docs, answers,
+              [&out](uint64_t v) { AppendVarint(out, v); });
+  return out;
+}
+
+size_t EncodedAnswerBytes(const std::vector<DocId>& matched_docs,
+                          const std::vector<Answer>& answers) {
+  size_t total = 0;
+  WalkAnswers(matched_docs, answers,
+              [&total](uint64_t v) { total += VarintLen(v); });
+  return total;
+}
+
+Status DecodeAnswers(const uint8_t* data, size_t size, size_t arity,
+                     std::vector<DocId>* matched_docs,
+                     std::vector<Answer>* answers) {
+  matched_docs->clear();
+  answers->clear();
+  auto fail = [&](const char* what) {
+    matched_docs->clear();
+    answers->clear();
+    return Status::Corruption(what);
+  };
+  size_t pos = 0;
+  uint64_t matched = 0;
+  // A matched doc takes >= 2 bytes: reject counts the buffer can't hold
+  // before allocating.
+  if (!ReadVarint(data, size, &pos, &matched) || matched > (size - pos) / 2) {
+    return fail("codec: bad matched-doc count");
+  }
+  matched_docs->resize(matched);
+  DocDeltas docs;
+  for (DocId& d : *matched_docs) {
+    if (!docs.Read(data, size, &pos, &d)) {
+      return fail("codec: truncated matched doc");
+    }
+  }
+  uint64_t count = 0;
+  // An answer takes >= `arity` bytes (one per repeated sid), and a
+  // zero-arity answer is meaningless.
+  if (!ReadVarint(data, size, &pos, &count) ||
+      (count > 0 && (arity == 0 || count > (size - pos) / arity))) {
+    return fail("codec: bad answer count");
+  }
+  answers->reserve(count);
+  docs = DocDeltas{};
+  const xml::StructuralId zero;
+  while (answers->size() < count) {
+    DocId doc;
+    uint64_t run_len = 0;
+    if (!docs.Read(data, size, &pos, &doc) ||
+        !ReadVarint(data, size, &pos, &run_len)) {
+      return fail("codec: truncated answer run header");
+    }
+    if (run_len == 0 || run_len > count - answers->size()) {
+      return fail("codec: malformed answer run header");
+    }
+    for (uint64_t r = 0; r < run_len; ++r) {
+      Answer a;
+      a.doc = doc;
+      a.elements.resize(arity);
+      for (size_t k = 0; k < arity; ++k) {
+        const xml::StructuralId& prev =
+            r == 0 ? zero : answers->back().elements[k];
+        uint64_t token = 0;
+        if (!ReadVarint(data, size, &pos, &token)) {
+          return fail("codec: truncated answer");
+        }
+        if (token == 0) {
+          a.elements[k] = prev;
+          continue;
+        }
+        const int64_t dstart = UnZigZag(token - 1);
+        uint64_t width = 0;
+        uint64_t level = 0;
+        if (!ReadVarint(data, size, &pos, &width) ||
+            !ReadVarint(data, size, &pos, &level)) {
+          return fail("codec: truncated answer");
+        }
+        // Bound the delta before adding, so the sum cannot overflow.
+        const int64_t base = prev.start;
+        constexpr int64_t kMax = std::numeric_limits<uint32_t>::max();
+        if (dstart < -base || dstart > kMax - base ||
+            width > static_cast<uint64_t>(kMax - (base + dstart)) ||
+            level > std::numeric_limits<uint16_t>::max()) {
+          return fail("codec: answer sid overflow");
+        }
+        xml::StructuralId& sid = a.elements[k];
+        sid.start = static_cast<uint32_t>(base + dstart);
+        sid.end = static_cast<uint32_t>(sid.start + width);
+        sid.level = static_cast<uint16_t>(level);
+      }
+      answers->push_back(std::move(a));
+    }
+  }
+  if (pos != size) return fail("codec: trailing bytes after answers");
+  return Status::OK();
+}
+
+double EstimatedWireAnswerBytes(size_t nodes) {
+  // The raw tuple (8 B doc id + 18 B per node) over the ~9x ratio measured
+  // on the Fig 3 twigs: 4.95-4.99 B per answer at 2 nodes and 6.84 B at 3
+  // (docs/wire_format.md#planner). Like EstimatedWirePostingBytes it only
+  // steers strategy choice, never a byte charge.
+  return 1.0 + 2.0 * static_cast<double>(nodes);
 }
 
 void RecordEncode(size_t raw_bytes, size_t encoded_bytes) {

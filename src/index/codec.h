@@ -105,6 +105,50 @@ struct WireSizeMemo {
 /// (docs/wire_format.md#planner).
 [[nodiscard]] double EstimatedWirePostingBytes();
 
+/// Answer-tuple codec: the one wire format for tree-pattern answers (the
+/// kDppJoin holder reply and the phase-2 document-query reply;
+/// docs/wire_format.md#answer-stream). The stream is
+///
+///   varint(matched_count)
+///   matched*: varint(dpeer) varint(ddoc | doc)
+///   varint(answer_count)
+///   run*:     varint(dpeer) varint(ddoc | doc) varint(run_len)
+///             answer*: per pattern node, either
+///                      0                                (sid repeats), or
+///                      varint(zigzag(dstart) + 1) varint(width) varint(level)
+///
+/// A run is a maximal group of answers sharing `(peer, doc)`. Peer and doc
+/// fields follow the posting codec (doc absolute on a peer change, else a
+/// delta), taken mod 2^32 so any document order round-trips. Inside a run
+/// each pattern node's sid is coded against the same node's sid in the
+/// previous answer (the zero sid for the run's first answer): a repeat —
+/// typically the root element — is one 0 byte; otherwise the start delta
+/// is zigzag-coded, because a non-root column may decrease on a branching
+/// pattern. Every answer must carry the same number of elements, and every
+/// sid needs `end >= start`.
+[[nodiscard]] std::vector<uint8_t> EncodeAnswers(
+    const std::vector<DocId>& matched_docs, const std::vector<Answer>& answers);
+
+/// Exact size of `EncodeAnswers(matched_docs, answers)` — the same walk,
+/// counting instead of writing.
+[[nodiscard]] size_t EncodedAnswerBytes(const std::vector<DocId>& matched_docs,
+                                        const std::vector<Answer>& answers);
+
+/// Inverse of `EncodeAnswers` for answers of `arity` elements (the
+/// pattern's node count; the stream does not repeat it). Fails with
+/// `kCorruption` on truncated, malformed or trailing input and on counts
+/// the buffer cannot hold, never crashing or over-allocating; both outputs
+/// are cleared first and hold the decoded stream only on OK.
+[[nodiscard]] Status DecodeAnswers(const uint8_t* data, size_t size,
+                                   size_t arity,
+                                   std::vector<DocId>* matched_docs,
+                                   std::vector<Answer>* answers);
+
+/// Per-answer byte estimate of the answer stream for a pattern of `nodes`
+/// nodes, the planner's price for kDppJoin result egress
+/// (docs/wire_format.md#planner).
+[[nodiscard]] double EstimatedWireAnswerBytes(size_t nodes);
+
 /// Record an achieved raw -> encoded ratio in the codec counters (used by
 /// sites that model an encode without materializing it).
 void RecordEncode(size_t raw_bytes, size_t encoded_bytes);

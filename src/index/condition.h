@@ -52,7 +52,12 @@ struct Condition {
   DocId MaxDoc() const { return hi.doc_id(); }
 
   std::string ToString() const {
-    return "[" + lo.ToString() + ".." + hi.ToString() + "]";
+    std::string out = "[";  // appends only (g++ 12 -Wrestrict at -O3)
+    out += lo.ToString();
+    out += "..";
+    out += hi.ToString();
+    out += ']';
+    return out;
   }
 
   friend bool operator==(const Condition&, const Condition&) = default;

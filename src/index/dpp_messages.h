@@ -193,17 +193,13 @@ struct BlockJoinRequest final : sim::Payload {
 };
 
 /// The holder's reply: per-document answer tuples, never raw postings.
-/// Answers are flattened — answer i is (answer_docs[i], answer_sids
-/// [i*n, (i+1)*n)) with n = nodes_per_answer — and wire-costed through
-/// the codec size model: each (doc, sid) element tuple is exactly one raw
-/// posting record.
+/// The matched documents and answers travel as one codec answer stream
+/// (`codec::EncodeAnswers`), which the query peer decodes with its
+/// pattern's arity; the message is sized at the stream's length.
 struct JoinResultMessage final : sim::Payload {
   uint64_t query_id = 0;
   uint32_t task = 0;
-  uint32_t nodes_per_answer = 0;
-  std::vector<DocId> matched_docs;
-  std::vector<DocId> answer_docs;
-  std::vector<xml::StructuralId> answer_sids;
+  std::vector<uint8_t> answers;
   bool complete = true;
   bool degraded = false;
   /// Holder-side accounting, folded into the query's metrics: postings
@@ -214,10 +210,7 @@ struct JoinResultMessage final : sim::Payload {
   uint64_t pulled_wire_bytes = 0;
   uint64_t blocks_fetched = 0;
 
-  size_t SizeBytes() const override {
-    return 48 + matched_docs.size() * 8 + answer_docs.size() * 8 +
-           codec::RawBytes(answer_sids.size());
-  }
+  size_t SizeBytes() const override { return 48 + answers.size(); }
   std::string_view TypeName() const override { return "JoinResultMessage"; }
 };
 

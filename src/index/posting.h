@@ -25,7 +25,14 @@ struct DocId {
       default;
 
   std::string ToString() const {
-    return "(" + std::to_string(peer) + "," + std::to_string(doc) + ")";
+    // Appends only: `"(" + std::to_string(...)` trips g++ 12's -Wrestrict
+    // false positive at -O3.
+    std::string out = "(";
+    out += std::to_string(peer);
+    out += ',';
+    out += std::to_string(doc);
+    out += ')';
+    return out;
   }
 };
 
@@ -51,8 +58,14 @@ struct Posting {
   static constexpr size_t kWireBytes = 18;
 
   std::string ToString() const {
-    return "[" + std::to_string(peer) + "," + std::to_string(doc) + "," +
-           sid.ToString() + "]";
+    std::string out = "[";  // appends only, as in DocId::ToString
+    out += std::to_string(peer);
+    out += ',';
+    out += std::to_string(doc);
+    out += ',';
+    out += sid.ToString();
+    out += ']';
+    return out;
   }
 };
 
@@ -69,6 +82,16 @@ using PostingList = std::vector<Posting>;
 [[nodiscard]] inline size_t PostingListBytes(const PostingList& list) {
   return list.size() * Posting::kWireBytes;
 }
+
+/// One tree-pattern answer: the document plus one element (sid) per
+/// pattern node, in pattern-node order. Lives beside `Posting` so the
+/// answer codec (codec.h) and the query layer share one type.
+struct Answer {
+  DocId doc;
+  std::vector<xml::StructuralId> elements;
+
+  friend bool operator==(const Answer&, const Answer&) = default;
+};
 
 /// True if `list` is sorted in the canonical (peer, doc, sid) order.
 [[nodiscard]] inline bool IsSortedPostingList(const PostingList& list) {

@@ -124,17 +124,8 @@ void BlockJoinService::RunTask(const index::BlockJoinRequest& req,
     auto result = std::make_shared<index::JoinResultMessage>();
     result->query_id = query_id;
     result->task = task;
-    result->nodes_per_answer =
-        static_cast<uint32_t>(state->pattern.size());
-    result->matched_docs = join.matched_docs();
-    result->answer_docs.reserve(join.answers().size());
-    result->answer_sids.reserve(join.answers().size() *
-                                state->pattern.size());
-    for (const Answer& a : join.answers()) {
-      result->answer_docs.push_back(a.doc);
-      result->answer_sids.insert(result->answer_sids.end(),
-                                 a.elements.begin(), a.elements.end());
-    }
+    result->answers =
+        index::codec::EncodeAnswers(join.matched_docs(), join.answers());
     result->complete = state->complete;
     result->degraded = state->degraded;
     result->postings_pulled = state->postings_pulled;

@@ -31,6 +31,7 @@ struct QueryCounters {
   obs::Counter* join_remote;
   obs::Counter* join_local_fallback;
   obs::Counter* join_result_postings;
+  obs::Counter* result_wire_bytes;
   obs::Histogram* response_time_s;
   obs::Histogram* first_answer_s;
   obs::Histogram* dpp_outstanding;
@@ -52,6 +53,7 @@ struct QueryCounters {
     join_remote = r.GetCounter("query.join.remote");
     join_local_fallback = r.GetCounter("query.join.local_fallback");
     join_result_postings = r.GetCounter("query.join.result_postings");
+    result_wire_bytes = r.GetCounter("query.result_wire_bytes");
     response_time_s =
         r.GetHistogram("query.response_time_s", obs::LatencyBuckets());
     first_answer_s =
@@ -603,42 +605,36 @@ void QueryExecutor::DispatchJoinTask(size_t task) {
 
 void QueryExecutor::OnJoinTaskResult(size_t task,
                                      const index::JoinResultMessage& msg) {
+  // Every reply crossed to this peer, whether or not its answers are used.
+  const size_t wire = msg.SizeBytes();
+  metrics_.result_wire_bytes += wire;
+  C().result_wire_bytes->Increment(wire);
   JoinTask& jt = join_tasks_[task];
   if (jt.done) return;  // a late remote result after the local fallback won
-  if (!msg.complete) {
-    // The holder could not verify its inputs — typically it inherited the
-    // real holder's key range after a crash and found nothing under the
-    // home block. Its partial answers are discarded; the task is redone
-    // here, where the fallback's verified fetches can out-wait the outage.
+  std::vector<Answer> answers;
+  std::vector<DocId> matched_docs;
+  if (!msg.complete ||
+      !index::codec::DecodeAnswers(msg.answers.data(), msg.answers.size(),
+                                   pattern_.size(), &matched_docs, &answers)
+           .ok()) {
+    // A NACK: the holder could not verify its inputs — typically it
+    // inherited the real holder's key range after a crash and found
+    // nothing under the home block. A reply that fails to decode is
+    // treated the same. Either way the task is redone here, where the
+    // fallback's verified fetches can out-wait the outage.
     RunLocalJoinFallback(task);
     return;
   }
-  KADOP_CHECK(msg.nodes_per_answer == pattern_.size(),
-              "join result arity mismatch");
-  KADOP_CHECK(msg.answer_sids.size() ==
-                  msg.answer_docs.size() * pattern_.size(),
-              "malformed join result");
+  const size_t elements = answers.size() * pattern_.size();
   metrics_.join_remote++;
-  metrics_.join_result_postings += msg.answer_sids.size();
+  metrics_.join_result_postings += elements;
   metrics_.join_input_wire_bytes += msg.pulled_wire_bytes;
   metrics_.blocks_fetched += msg.blocks_fetched;
   C().join_remote->Increment();
-  C().join_result_postings->Increment(msg.answer_sids.size());
+  C().join_result_postings->Increment(elements);
   C().dpp_blocks_fetched->Increment(msg.blocks_fetched);
   if (msg.degraded) metrics_.degraded = true;
-
-  std::vector<Answer> answers;
-  answers.reserve(msg.answer_docs.size());
-  const size_t n = pattern_.size();
-  for (size_t i = 0; i < msg.answer_docs.size(); ++i) {
-    Answer a;
-    a.doc = msg.answer_docs[i];
-    a.elements.assign(msg.answer_sids.begin() + static_cast<ptrdiff_t>(i * n),
-                      msg.answer_sids.begin() +
-                          static_cast<ptrdiff_t>((i + 1) * n));
-    answers.push_back(std::move(a));
-  }
-  FinishJoinTask(task, std::move(answers), msg.matched_docs);
+  FinishJoinTask(task, std::move(answers), std::move(matched_docs));
 }
 
 /// Accumulated fallback inputs for one join task, shared by its pulls:
@@ -1035,13 +1031,14 @@ std::vector<StrategyCostEstimate> EstimateStrategyCosts(
       StrategyCostEstimate djoin;
       djoin.strategy = QueryStrategy::kDppJoin;
       // Holder-to-holder input shipping plus the result tuples coming
-      // back: each answer carries a doc id (~8B) and one structural id
-      // (~10B) per pattern node. The egress term is what makes kDppJoin
-      // lose to kDpp on low-selectivity patterns — shipping every answer
-      // tuple can cost more than shipping the inputs.
+      // back, priced at the answer codec's per-answer estimate. The egress
+      // term is what makes kDppJoin lose to kDpp on low-selectivity
+      // patterns — shipping every answer tuple can cost more than
+      // shipping the inputs.
       djoin.bytes =
           (total - max_count) * kWire +
-          est_matches * (8.0 + 10.0 * static_cast<double>(pattern.size()));
+          est_matches *
+              index::codec::EstimatedWireAnswerBytes(pattern.size());
       djoin.bottleneck_bytes =
           (total - max_count) * kWire /
           static_cast<double>(

@@ -164,6 +164,10 @@ struct QueryMetrics {
   uint64_t join_remote = 0;
   uint64_t join_local_fallback = 0;
   uint64_t join_result_postings = 0;
+  /// kDppJoin: wire bytes of the holders' result messages received by
+  /// this peer (answer streams plus their fixed headers). With
+  /// posting_wire_bytes it is the query peer's whole data ingress.
+  uint64_t result_wire_bytes = 0;
   /// kDppJoin: wire bytes of the posting blocks the holders pulled from
   /// each other on this query's behalf. Holder-side ingress, not part of
   /// posting_wire_bytes (which counts query-peer ingress only); the sum of

@@ -15,7 +15,7 @@
 
 namespace kadop::query {
 
-struct Answer;
+using Answer = index::Answer;
 struct TreePattern;
 class TwigJoin;
 

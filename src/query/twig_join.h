@@ -13,14 +13,8 @@
 
 namespace kadop::query {
 
-/// One index-query answer: the document plus one element (sid) per pattern
-/// node, in pattern-node order.
-struct Answer {
-  index::DocId doc;
-  std::vector<xml::StructuralId> elements;
-
-  friend bool operator==(const Answer&, const Answer&) = default;
-};
+/// One index-query answer (defined in index/posting.h for the codec).
+using Answer = index::Answer;
 
 namespace internal {
 

@@ -67,7 +67,7 @@ Result<std::string> ViewCatalog::Register(const TreePattern& pattern,
   }
   if (name.empty()) {
     do {
-      name = "v" + std::to_string(++next_name_id_);
+      name = std::string("v").append(std::to_string(++next_name_id_));
     } while (entries_.count(name) > 0);
   } else if (entries_.count(name) > 0) {
     return Status::AlreadyExists("view name in use: " + name);

@@ -90,7 +90,7 @@ std::vector<Document> GenerateDblp(const DblpOptions& options) {
           std::to_string(1970 + rng.Uniform(37)));
       if (kind < 0.40) {
         entry->AddElement("journal")->AddText(
-            "J" + SyntheticWord(rng.Uniform(50)));
+            std::string("J").append(SyntheticWord(rng.Uniform(50))));
         entry->AddElement("volume")->AddText(
             std::to_string(1 + rng.Uniform(40)));
       } else {
@@ -192,7 +192,7 @@ std::vector<Document> GenerateXmark(const SimpleCorpusOptions& options) {
     for (size_t p = 0; p < n_people; ++p) {
       Node* person = people->AddElement("person");
       person->AddElement("name")->AddText(
-          "P" + SyntheticWord(rng.Uniform(3000)));
+          std::string("P").append(SyntheticWord(rng.Uniform(3000))));
       person->AddElement("emailaddress")
           ->AddText(SyntheticWord(rng.Uniform(3000)) + "@example.org");
       elements += 3;
@@ -215,7 +215,8 @@ std::vector<Document> GenerateSwissprot(const SimpleCorpusOptions& options) {
     doc.root = Node::Element("root");
     for (size_t e = 0; e < 120 && elements < options.target_elements; ++e) {
       Node* entry = doc.root->AddElement("Entry");
-      entry->AddElement("AC")->AddText("P" + std::to_string(rng.Uniform(99999)));
+      entry->AddElement("AC")->AddText(
+          std::string("P").append(std::to_string(rng.Uniform(99999))));
       entry->AddElement("Mod")->AddText("2006-08-01");
       std::string descr;
       words.SampleSentence(rng, 4 + rng.Uniform(8), descr);
@@ -225,7 +226,7 @@ std::vector<Document> GenerateSwissprot(const SimpleCorpusOptions& options) {
       const size_t n_auth = 1 + rng.Uniform(5);
       for (size_t a = 0; a < n_auth; ++a) {
         ref->AddElement("Author")->AddText(
-            "A" + SyntheticWord(rng.Uniform(2500)));
+            std::string("A").append(SyntheticWord(rng.Uniform(2500))));
       }
       ref->AddElement("Cite")->AddText(SyntheticWord(rng.Uniform(600)));
       const size_t n_kw = 1 + rng.Uniform(4);
@@ -273,7 +274,7 @@ std::vector<Document> GenerateNasa(const SimpleCorpusOptions& options) {
       for (size_t a = 0; a < n_auth; ++a) {
         Node* author = ds->AddElement("author");
         author->AddElement("lastName")->AddText(
-            "N" + SyntheticWord(rng.Uniform(1500)));
+            std::string("N").append(SyntheticWord(rng.Uniform(1500))));
         author->AddElement("initial")->AddText("X");
       }
       Node* table = ds->AddElement("tableHead");
@@ -314,7 +315,7 @@ std::vector<Document> GenerateInex(const InexOptions& options) {
     const size_t n_auth = 1 + rng.Uniform(3);
     for (size_t a = 0; a < n_auth; ++a) {
       main.root->AddElement("author")->AddText(
-          "A" + SyntheticWord(rng.Uniform(2000)));
+          std::string("A").append(SyntheticWord(rng.Uniform(2000))));
     }
     std::string title;
     words.SampleSentence(rng, 4 + rng.Uniform(6), title);

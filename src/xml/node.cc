@@ -7,8 +7,16 @@
 namespace kadop::xml {
 
 std::string StructuralId::ToString() const {
-  return "(" + std::to_string(start) + ":" + std::to_string(end) + ":" +
-         std::to_string(level) + ")";
+  // Built by appending: `"(" + std::to_string(...)` trips g++ 12's
+  // -Wrestrict false positive at -O3.
+  std::string out = "(";
+  out += std::to_string(start);
+  out += ':';
+  out += std::to_string(end);
+  out += ':';
+  out += std::to_string(level);
+  out += ')';
+  return out;
 }
 
 std::unique_ptr<Node> Node::Element(std::string label) {

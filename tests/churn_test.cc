@@ -57,7 +57,8 @@ TEST(ChurnTest, RoutingStaysConsistentThroughFailures) {
     net.dht.FailPeer(victim);
     net.dht.Stabilize();
     for (int k = 0; k < 8; ++k) {
-      const std::string key = "k" + std::to_string(round * 8 + k);
+      const std::string key =
+          std::string("k").append(std::to_string(round * 8 + k));
       const sim::NodeIndex expected = net.dht.OwnerOf(HashKey(key));
       const sim::NodeIndex from = static_cast<sim::NodeIndex>(3 * round + 2);
       EXPECT_EQ(LocateSync(net, from, key), expected);

@@ -4,6 +4,7 @@
 // allocating, encoded size must be monotone in list length, the block
 // encoder must emit independently decodable posting-aligned blocks, and
 // malformed input must fail with a Corruption status instead of crashing.
+// The answer-tuple codec gets the same treatment (AnswerCodecTest).
 
 #include <gtest/gtest.h>
 
@@ -383,6 +384,242 @@ TEST(CodecTest, WireBytesIsTheMemoizedEncodedSize) {
   grown.push_back(grown.back());
   EXPECT_EQ(codec::MemoizedWireBytes(grown, &memo),
             codec::EncodedBytes(grown));
+}
+
+// ---------------------------------------------------------------------------
+// Answer-tuple codec (EncodeAnswers / DecodeAnswers / EncodedAnswerBytes).
+
+struct Reply {
+  std::vector<DocId> matched;
+  std::vector<Answer> answers;
+};
+
+xml::StructuralId RandomSid(std::mt19937_64& rng) {
+  std::uniform_int_distribution<uint32_t> start_d(1, 1 << 18);
+  std::uniform_int_distribution<uint32_t> width_d(0, 1 << 9);
+  std::uniform_int_distribution<uint16_t> level_d(1, 12);
+  const uint32_t start = start_d(rng);
+  return {start, start + width_d(rng), level_d(rng)};
+}
+
+/// Seeded holder reply of an `arity`-node branching pattern: documents in
+/// ascending order with peer resets (the doc id drops when the peer
+/// changes), 0-5 answers per matched doc, a root column that mostly
+/// repeats, and other columns drawn independently so they decrease as
+/// often as they grow.
+Reply RandomReply(std::mt19937_64& rng, size_t arity, size_t docs) {
+  std::uniform_int_distribution<uint32_t> peer_step(0, 2);
+  std::uniform_int_distribution<uint32_t> doc_step(1, 40);
+  std::uniform_int_distribution<int> per_doc(0, 5);
+  std::uniform_int_distribution<int> new_root(0, 3);
+  Reply r;
+  DocId doc{0, 500};
+  for (size_t i = 0; i < docs; ++i) {
+    if (const uint32_t step = peer_step(rng); step > 0) {
+      doc = DocId{doc.peer + step, doc_step(rng)};
+    } else {
+      doc.doc += doc_step(rng);
+    }
+    r.matched.push_back(doc);
+    const int n = per_doc(rng);
+    xml::StructuralId root = RandomSid(rng);
+    for (int a = 0; a < n; ++a) {
+      if (a > 0 && new_root(rng) == 0) root = RandomSid(rng);
+      Answer ans{doc, {root}};
+      for (size_t k = 1; k < arity; ++k) ans.elements.push_back(RandomSid(rng));
+      r.answers.push_back(std::move(ans));
+    }
+  }
+  return r;
+}
+
+void ExpectAnswerRoundtrip(const Reply& reply, size_t arity) {
+  const std::vector<uint8_t> buf =
+      codec::EncodeAnswers(reply.matched, reply.answers);
+  EXPECT_EQ(buf.size(), codec::EncodedAnswerBytes(reply.matched, reply.answers));
+  // Stale output contents must be replaced, not appended to.
+  std::vector<DocId> matched{DocId{9, 9}};
+  std::vector<Answer> answers{Answer{DocId{9, 9}, {}}};
+  const Status st =
+      codec::DecodeAnswers(buf.data(), buf.size(), arity, &matched, &answers);
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  EXPECT_EQ(matched, reply.matched);
+  EXPECT_EQ(answers, reply.answers);
+}
+
+Status DecodeReply(const std::vector<uint8_t>& buf, size_t arity) {
+  std::vector<DocId> matched;
+  std::vector<Answer> answers;
+  return codec::DecodeAnswers(buf.data(), buf.size(), arity, &matched,
+                              &answers);
+}
+
+TEST(AnswerCodecTest, RoundtripRandomBranchingReplies) {
+  for (uint64_t seed = 1; seed <= 12; ++seed) {
+    std::mt19937_64 rng(seed);
+    for (size_t arity : {1u, 2u, 3u, 5u}) {
+      for (size_t docs : {0u, 1u, 2u, 40u, 300u}) {
+        ExpectAnswerRoundtrip(RandomReply(rng, arity, docs), arity);
+      }
+    }
+  }
+}
+
+TEST(AnswerCodecTest, RoundtripAdversarialReplies) {
+  // Empty reply, and a matched doc with no answer tuple.
+  ExpectAnswerRoundtrip({}, 3);
+  ExpectAnswerRoundtrip({{DocId{4, 7}}, {}}, 3);
+  // Single answer; its first sid equals the zero sid the run starts from,
+  // so it is coded as a one-byte repeat.
+  ExpectAnswerRoundtrip(
+      {{DocId{0, 0}}, {Answer{DocId{0, 0}, {xml::StructuralId{}}}}}, 1);
+  // //a[//b]//c in one document: the root repeats while the b column
+  // decreases and the c column grows, then both reverse.
+  const DocId d{2, 11};
+  Reply branching{{d},
+                  {Answer{d, {{1, 90, 1}, {40, 45, 2}, {10, 12, 2}}},
+                   Answer{d, {{1, 90, 1}, {20, 25, 2}, {50, 52, 3}}},
+                   Answer{d, {{1, 90, 1}, {60, 65, 2}, {5, 6, 3}}}}};
+  ExpectAnswerRoundtrip(branching, 3);
+  // Peer resets with a smaller doc id, and documents out of order: the
+  // peer and doc deltas wrap mod 2^32, so any order round-trips.
+  const DocId a{0, 400}, b{1, 2}, c{0, 3};
+  ExpectAnswerRoundtrip(
+      {{a, b, c},
+       {Answer{a, {{5, 6, 1}}}, Answer{b, {{5, 6, 1}}}, Answer{c, {{7, 7, 2}}},
+        Answer{a, {{8, 9, 2}}}}},
+      1);
+  // Extreme field values.
+  const uint32_t u32 = std::numeric_limits<uint32_t>::max();
+  const uint16_t u16 = std::numeric_limits<uint16_t>::max();
+  const DocId top{u32, u32};
+  ExpectAnswerRoundtrip(
+      {{top}, {Answer{top, {{u32, u32, u16}, {0, u32, 0}}},
+               Answer{top, {{0, 0, u16}, {u32, u32, 0}}}}},
+      2);
+}
+
+TEST(AnswerCodecTest, EncodedAnswerBytesIsTheEncodeSize) {
+  std::mt19937_64 rng(21);
+  for (size_t arity : {1u, 2u, 3u, 4u}) {
+    const Reply reply = RandomReply(rng, arity, 200);
+    EXPECT_EQ(codec::EncodedAnswerBytes(reply.matched, reply.answers),
+              codec::EncodeAnswers(reply.matched, reply.answers).size());
+  }
+  EXPECT_EQ(codec::EncodedAnswerBytes({}, {}), 2u);  // two zero counts
+}
+
+TEST(AnswerCodecTest, StreamIsFarSmallerThanRawTuples) {
+  // Dense replies (several answers per document, repeating root): the
+  // stream must beat the raw 8 B doc + 18 B per sid tuple several times.
+  std::mt19937_64 rng(22);
+  const Reply reply = RandomReply(rng, 2, 500);
+  const size_t raw = reply.matched.size() * 8 +
+                     reply.answers.size() * (8 + codec::RawBytes(2));
+  EXPECT_LE(3 * codec::EncodedAnswerBytes(reply.matched, reply.answers), raw);
+}
+
+TEST(AnswerCodecTest, EveryTruncationFailsWithCorruption) {
+  std::mt19937_64 rng(23);
+  const Reply reply = RandomReply(rng, 3, 12);
+  const std::vector<uint8_t> buf =
+      codec::EncodeAnswers(reply.matched, reply.answers);
+  for (size_t len = 0; len < buf.size(); ++len) {
+    std::vector<DocId> matched;
+    std::vector<Answer> answers;
+    const Status st =
+        codec::DecodeAnswers(buf.data(), len, 3, &matched, &answers);
+    EXPECT_EQ(st.code(), StatusCode::kCorruption) << "prefix " << len;
+    EXPECT_TRUE(matched.empty());
+    EXPECT_TRUE(answers.empty());
+  }
+  std::vector<uint8_t> trailing = buf;
+  trailing.push_back(0);
+  EXPECT_EQ(DecodeReply(trailing, 3).code(), StatusCode::kCorruption);
+}
+
+TEST(AnswerCodecTest, ByteFlipsFailOrDecodeWellFormedAnswers) {
+  // The stream carries no checksum, so a flipped byte can yield another
+  // well-formed stream. Every flip must therefore either fail with
+  // kCorruption or decode to answers of the right arity with valid sids —
+  // never crash, over-read or over-allocate (run under ASan in CI).
+  std::mt19937_64 rng(24);
+  const Reply reply = RandomReply(rng, 3, 10);
+  const std::vector<uint8_t> buf =
+      codec::EncodeAnswers(reply.matched, reply.answers);
+  size_t rejected = 0;
+  for (size_t i = 0; i < buf.size(); ++i) {
+    for (uint8_t mask : {0x01, 0x02, 0x10, 0x40, 0x80, 0xff}) {
+      std::vector<uint8_t> flipped = buf;
+      flipped[i] ^= mask;
+      std::vector<DocId> matched;
+      std::vector<Answer> answers;
+      const Status st = codec::DecodeAnswers(flipped.data(), flipped.size(),
+                                             3, &matched, &answers);
+      if (!st.ok()) {
+        EXPECT_EQ(st.code(), StatusCode::kCorruption);
+        ++rejected;
+        continue;
+      }
+      for (const Answer& a : answers) {
+        ASSERT_EQ(a.elements.size(), 3u);
+        for (const auto& sid : a.elements) EXPECT_GE(sid.end, sid.start);
+      }
+    }
+  }
+  EXPECT_GT(rejected, 0u);
+  // Setting the continuation bit of the final byte always truncates.
+  std::vector<uint8_t> open_end = buf;
+  open_end.back() ^= 0x80;
+  EXPECT_EQ(DecodeReply(open_end, 3).code(), StatusCode::kCorruption);
+}
+
+TEST(AnswerCodecTest, OverlongVarintsFailWithCorruption) {
+  // As the matched-doc count...
+  EXPECT_EQ(DecodeReply(TenByteVarint(0x02), 2).code(),
+            StatusCode::kCorruption);
+  // ...and as a sid token inside a run: one answer of arity 1 whose token
+  // is a 10-byte varint carrying bit 64.
+  std::vector<uint8_t> buf{0x00, 0x01, 0x00, 0x00, 0x01};
+  const std::vector<uint8_t> overlong = TenByteVarint(0x02);
+  buf.insert(buf.end(), overlong.begin(), overlong.end());
+  buf.push_back(0x00);  // width
+  buf.push_back(0x01);  // level
+  EXPECT_EQ(DecodeReply(buf, 1).code(), StatusCode::kCorruption);
+}
+
+TEST(AnswerCodecTest, AbsurdCountsAndFieldsFailWithCorruption) {
+  // Counts the buffer cannot hold are refused before any allocation.
+  const std::vector<uint8_t> huge_matched{0x80, 0x80, 0x80, 0x80, 0x80,
+                                          0x80, 0x80, 0x80, 0x10};
+  EXPECT_EQ(DecodeReply(huge_matched, 2).code(), StatusCode::kCorruption);
+  std::vector<uint8_t> huge_answers{0x00};
+  huge_answers.insert(huge_answers.end(), huge_matched.begin(),
+                      huge_matched.end());
+  EXPECT_EQ(DecodeReply(huge_answers, 2).code(), StatusCode::kCorruption);
+  // Answers need a positive arity.
+  const std::vector<uint8_t> one_answer{0x00, 0x01, 0x00, 0x00, 0x01, 0x00};
+  EXPECT_TRUE(DecodeReply(one_answer, 1).ok());
+  EXPECT_EQ(DecodeReply(one_answer, 0).code(), StatusCode::kCorruption);
+  // A run of length zero, and a run longer than the answers left.
+  EXPECT_EQ(DecodeReply({0x00, 0x01, 0x00, 0x00, 0x00, 0x00}, 1).code(),
+            StatusCode::kCorruption);
+  EXPECT_EQ(DecodeReply({0x00, 0x01, 0x00, 0x00, 0x02, 0x00, 0x00}, 1).code(),
+            StatusCode::kCorruption);
+  // A start delta below zero: zigzag(-1) + 1 = 2 against the zero sid.
+  EXPECT_EQ(DecodeReply({0x00, 0x01, 0x00, 0x00, 0x01, 0x02, 0x00, 0x01}, 1)
+                .code(),
+            StatusCode::kCorruption);
+  // A level beyond 16 bits: varint(2^16) = 80 80 04.
+  EXPECT_EQ(DecodeReply({0x00, 0x01, 0x00, 0x00, 0x01, 0x01, 0x00, 0x80, 0x80,
+                         0x04},
+                        1)
+                .code(),
+            StatusCode::kCorruption);
+  // A peer delta beyond 32 bits: varint(2^32) = 80 80 80 80 10.
+  EXPECT_EQ(DecodeReply({0x01, 0x80, 0x80, 0x80, 0x80, 0x10, 0x00, 0x00}, 1)
+                .code(),
+            StatusCode::kCorruption);
 }
 
 }  // namespace

@@ -81,17 +81,19 @@ TEST(CostModelTest, OffPathLongListsKeepBottleneckHigh) {
 }
 
 TEST(CostModelTest, IteratorEstimateFlipsDppJoinDecision) {
-  // The kDppJoin egress term is cardinality-driven: each answer tuple
-  // ships ~8B of doc id plus ~10B per pattern node. The intersect
-  // estimate (min term count) decides whether shipping answers beats
-  // shipping inputs — so shrinking the *larger* list, which leaves the
-  // estimate untouched, flips the traffic ranking.
-  TreePattern pattern = MustParse("//a//b");
+  // The kDppJoin egress term is cardinality-driven: each answer tuple is
+  // priced at the answer codec's estimate (7 B for three nodes, more than
+  // one 6 B posting). The intersect estimate (min term count) decides
+  // whether shipping answers beats shipping inputs — so shrinking the
+  // *larger* lists, which leaves the estimate untouched, flips the traffic
+  // ranking. (A two-node answer costs less than a posting, so there the
+  // distributed join always ships less.)
+  TreePattern pattern = MustParse("//a//b//c");
   QueryOptions options;
   options.dpp_join_available = true;
 
   // Wide gap: inputs dwarf answers, kDppJoin ships less than kDpp.
-  const std::vector<uint64_t> skewed{1000, 5000};
+  const std::vector<uint64_t> skewed{1000, 5000, 5000};
   auto costs = EstimateStrategyCosts(pattern, skewed, options);
   const auto* djoin = Find(costs, QueryStrategy::kDppJoin);
   const auto* dpp = Find(costs, QueryStrategy::kDpp);
@@ -99,9 +101,9 @@ TEST(CostModelTest, IteratorEstimateFlipsDppJoinDecision) {
   ASSERT_NE(dpp, nullptr);
   EXPECT_LT(djoin->bytes, dpp->bytes);
 
-  // Near-equal lists: the estimate (still 1000) now prices the answer
-  // egress above the input shipping, and the ranking flips.
-  const std::vector<uint64_t> balanced{1000, 1200};
+  // Equal lists: the estimate (still 1000) now prices the answer egress
+  // above the input shipping it saves, and the ranking flips.
+  const std::vector<uint64_t> balanced{1000, 1000, 1000};
   costs = EstimateStrategyCosts(pattern, balanced, options);
   djoin = Find(costs, QueryStrategy::kDppJoin);
   dpp = Find(costs, QueryStrategy::kDpp);
@@ -127,7 +129,7 @@ TEST(CostModelTest, DppJoinBytesTrackEstimateTwigResults) {
   EXPECT_EQ(est, 40.0);
   const double expected =
       (40.0 + 700.0) * kWire +
-      est * (8.0 + 10.0 * static_cast<double>(pattern.size()));
+      est * index::codec::EstimatedWireAnswerBytes(pattern.size());
   EXPECT_DOUBLE_EQ(djoin->bytes, expected);
 }
 
@@ -174,9 +176,9 @@ TEST(CostModelTest, TinyExtentFlipsAutoToView) {
 
 TEST(CostModelTest, HugeExtentKeepsAutoOnDppJoin) {
   // An unselective view whose extent nearly reprints the base lists loses
-  // to kDppJoin's answer-tuple shipping even with a cheap residual term.
-  // Each answer tuple (~28B here) outweighs an encoded posting several
-  // times over, so the extent must come close to the 6000 base postings.
+  // to kDppJoin's answer-tuple shipping even with a cheap residual term:
+  // kDppJoin moves the 1000-posting list plus ~5 B per estimated answer,
+  // about a third of the 6100 postings the view ships.
   TreePattern pattern = MustParse("//a//b");
   QueryOptions options;
   options.dpp_join_available = true;

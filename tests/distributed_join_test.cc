@@ -108,6 +108,11 @@ TEST_F(DistributedJoinTest, QueryPeerIngressReducedAndTasksBounded) {
   EXPECT_EQ(djoin.metrics.join_local_fallback, 0u);
   EXPECT_GT(djoin.metrics.join_result_postings, 0u);
   EXPECT_EQ(djoin.metrics.effective_strategy, QueryStrategy::kDppJoin);
+  // What arrives instead is the holders' answer streams, counted as result
+  // ingress; kDpp receives none.
+  EXPECT_GT(djoin.metrics.result_wire_bytes, 0u);
+  EXPECT_LT(djoin.metrics.result_wire_bytes, dpp.metrics.posting_wire_bytes);
+  EXPECT_EQ(dpp.metrics.result_wire_bytes, 0u);
 }
 
 TEST_F(DistributedJoinTest, HolderAccountingFoldsIntoQueryMetrics) {
@@ -122,6 +127,58 @@ TEST_F(DistributedJoinTest, HolderAccountingFoldsIntoQueryMetrics) {
   EXPECT_GT(counter("query.join.holder.tasks"), 0u);
   EXPECT_GT(counter("query.join.holder.ingress_postings"), 0u);
   EXPECT_GT(counter("query.join.holder.egress_result_bytes"), 0u);
+}
+
+TEST_F(DistributedJoinTest, CorruptReplyFallsBackLocally) {
+  const char* expr = "//article//author";
+  QueryResult dpp = RunQuery(expr, QueryStrategy::kDpp);
+
+  // Every peer's app handler is replaced: the first BlockJoinRequest any
+  // peer receives is answered with an answer stream that cannot decode (a
+  // matched-doc count with nothing behind it); every other request goes to
+  // the peer's own services, in KadopPeer's dispatch order.
+  int corrupted = 0;
+  for (sim::NodeIndex n = 0; n < net_->PeerCount(); ++n) {
+    core::KadopPeer* peer = net_->peer(n);
+    peer->dht_peer()->SetAppHandler([peer, &corrupted](
+                                        const dht::AppRequest& request,
+                                        sim::NodeIndex from) {
+      const auto* req =
+          dynamic_cast<const index::BlockJoinRequest*>(request.inner.get());
+      if (req != nullptr && corrupted == 0) {
+        ++corrupted;
+        auto reply = std::make_shared<index::JoinResultMessage>();
+        reply->query_id = req->query_id;
+        reply->task = req->task;
+        reply->answers = {0x7f};
+        peer->dht_peer()->Reply(request.origin, request.req_id,
+                                std::move(reply),
+                                sim::TrafficCategory::kResult);
+        return;
+      }
+      if (peer->dpp() != nullptr && peer->dpp()->HandleApp(request, from)) {
+        return;
+      }
+      if (peer->reducer().HandleApp(request, from)) return;
+      if (peer->query_client().HandleApp(request, from)) return;
+      if (peer->block_join().HandleApp(request, from)) return;
+      EXPECT_TRUE(peer->fundex().HandleApp(request, from))
+          << "unexpected app message " << request.inner->TypeName();
+    });
+  }
+
+  QueryResult djoin = RunQuery(expr, QueryStrategy::kDppJoin);
+  EXPECT_EQ(corrupted, 1);
+  // The undecodable reply is treated like a NACK: that one task is redone
+  // at the query peer, and the answers are still kDpp's, byte for byte.
+  EXPECT_EQ(djoin.metrics.join_local_fallback, 1u);
+  EXPECT_EQ(djoin.metrics.join_remote + 1, djoin.metrics.join_tasks);
+  EXPECT_TRUE(djoin.metrics.complete);
+  EXPECT_TRUE(djoin.metrics.degraded);
+  EXPECT_EQ(djoin.answers, dpp.answers);
+  EXPECT_EQ(djoin.matched_docs, dpp.matched_docs);
+  // The corrupt reply crossed the wire too: 48 header bytes + 1.
+  EXPECT_GT(djoin.metrics.result_wire_bytes, 49u);
 }
 
 TEST_F(DistributedJoinTest, EmptyAndProvablyEmptyQueries) {
