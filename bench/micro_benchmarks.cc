@@ -9,9 +9,7 @@
 
 #include <algorithm>
 #include <chrono>
-#include <limits>
 #include <map>
-#include <memory>
 #include <optional>
 
 #include "bench/bench_util.h"
@@ -23,7 +21,6 @@
 #include "index/structural_join.h"
 #include "obs/profile_clock.h"
 #include "index/terms.h"
-#include "query/iterator.h"
 #include "query/twig_join.h"
 #include "query/twig_stack.h"
 #include "store/bplus_tree.h"
@@ -395,141 +392,6 @@ std::vector<index::PostingList> DblpTermLists(size_t target_bytes) {
   return lists;
 }
 
-/// One encoded block's reusable ingredients: PostingBlock is move-only,
-/// so benches keep the shared bytes + exact bounds and restamp cheap
-/// PostingBlock views per iteration.
-struct EncodedChunk {
-  std::shared_ptr<const std::vector<uint8_t>> bytes;
-  index::Condition bounds;
-  uint64_t count = 0;
-};
-
-std::vector<EncodedChunk> EncodeChunks(const index::PostingList& list,
-                                       size_t per_block) {
-  std::vector<EncodedChunk> out;
-  for (size_t i = 0; i < list.size(); i += per_block) {
-    const size_t end = std::min(i + per_block, list.size());
-    const index::PostingList chunk(list.begin() + static_cast<ptrdiff_t>(i),
-                                   list.begin() + static_cast<ptrdiff_t>(end));
-    out.push_back(EncodedChunk{
-        std::make_shared<const std::vector<uint8_t>>(
-            index::codec::EncodePostings(chunk)),
-        index::Condition{chunk.front(), chunk.back()}, chunk.size()});
-  }
-  return out;
-}
-
-std::unique_ptr<query::PostingListIterator> MakeEncodedIterator(
-    const std::vector<EncodedChunk>& chunks, query::Arena* arena) {
-  auto it = std::make_unique<query::PostingListIterator>(arena);
-  for (const auto& c : chunks) {
-    it->Push(query::PostingBlock::FromEncoded(c.bytes, c.bounds, c.count));
-  }
-  it->Close();
-  return it;
-}
-
-/// Best-of-`reps` wall-clock seconds for `fn` — the A/B rows compare
-/// minima so one scheduler hiccup cannot fake (or hide) a speedup.
-template <typename F>
-double TimeBest(int reps, F&& fn) {
-  double best = std::numeric_limits<double>::infinity();
-  for (int r = 0; r < reps; ++r) {
-    const auto t0 = std::chrono::steady_clock::now();
-    fn();
-    const auto t1 = std::chrono::steady_clock::now();
-    best = std::min(best, std::chrono::duration<double>(t1 - t0).count());
-  }
-  return best;
-}
-
-void BM_IteratorSkipTo(benchmark::State& state) {
-  const index::PostingList list = MakeNestedList(200000);
-  const auto chunks = EncodeChunks(list, 256);
-  const uint32_t max_doc = list.back().doc;
-  constexpr size_t kProbes = 32;
-  query::Arena arena;
-  for (auto _ : state) {
-    arena.Reset();
-    auto it = MakeEncodedIterator(chunks, &arena);
-    size_t found = 0;
-    for (size_t i = 0; i < kProbes; ++i) {
-      const auto doc =
-          static_cast<uint32_t>(i * (static_cast<uint64_t>(max_doc) + 1) /
-                                kProbes);
-      const index::Posting target{0, doc, {0, 0, 0}};
-      index::Posting out;
-      if (it->SkipTo(target, &out)) ++found;
-    }
-    benchmark::DoNotOptimize(found);
-  }
-  state.SetItemsProcessed(state.iterations() * kProbes);
-}
-BENCHMARK(BM_IteratorSkipTo);
-
-/// A clustered selective list: every 7th posting of the documents in the
-/// first ~5% of `large`'s doc space. The doc-level leapfrog never touches
-/// the large list's blocks past the cluster.
-index::PostingList ClusteredSubset(const index::PostingList& large) {
-  const uint32_t cluster_end = large.back().doc / 20;
-  index::PostingList small;
-  for (size_t i = 0; i < large.size(); i += 7) {
-    if (large[i].doc <= cluster_end) small.push_back(large[i]);
-  }
-  return small;
-}
-
-void BM_IteratorIntersect(benchmark::State& state) {
-  const index::PostingList large = MakeNestedList(200000);
-  const index::PostingList small = ClusteredSubset(large);
-  const auto large_chunks = EncodeChunks(large, 256);
-  const auto small_chunks = EncodeChunks(small, 256);
-  query::Arena arena;
-  for (auto _ : state) {
-    arena.Reset();
-    std::vector<std::unique_ptr<query::IndexIterator>> children;
-    children.push_back(MakeEncodedIterator(small_chunks, &arena));
-    children.push_back(MakeEncodedIterator(large_chunks, &arena));
-    query::IntersectIterator isect(std::move(children));
-    index::Posting p;
-    size_t n = 0;
-    while (isect.Read(&p)) ++n;
-    benchmark::DoNotOptimize(n);
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(small.size()));
-}
-BENCHMARK(BM_IteratorIntersect);
-
-void BM_IteratorBatchDecode(benchmark::State& state) {
-  const auto lists = DblpTermLists(256 << 10);
-  std::vector<std::vector<uint8_t>> encoded;
-  size_t postings = 0;
-  for (const auto& l : lists) {
-    encoded.push_back(index::codec::EncodePostings(l));
-    postings += l.size();
-  }
-  query::Arena arena;
-  for (auto _ : state) {
-    arena.Reset();
-    size_t decoded = 0;
-    for (size_t i = 0; i < encoded.size(); ++i) {
-      index::Posting* span =
-          arena.AllocateArray<index::Posting>(lists[i].size());
-      size_t n = 0;
-      if (index::codec::DecodePostingsInto(encoded[i].data(),
-                                           encoded[i].size(), span,
-                                           lists[i].size(), &n)
-              .ok()) {
-        decoded += n;
-      }
-    }
-    benchmark::DoNotOptimize(decoded);
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(postings));
-}
-BENCHMARK(BM_IteratorBatchDecode);
-
 void BM_CodecEncode(benchmark::State& state) {
   const auto lists = DblpTermLists(static_cast<size_t>(state.range(0)) << 10);
   size_t postings = 0, raw = 0;
@@ -602,233 +464,6 @@ void BM_DhtLocate(benchmark::State& state) {
 }
 BENCHMARK(BM_DhtLocate)->Arg(64)->Arg(512);
 
-// ---------------------------------------------------------------------------
-// Iterator A/B rows (kind "iterator_ab"): the lazy-decode iterator tree
-// against the decode-everything consumption it replaced, on identical
-// inputs, with the answers compared posting-for-posting. CI
-// (tools/check_bench_json.py) fails unless every row shows ratio >= 2.0
-// and answers_match == 1.
-
-/// "skipto": resolve sparse doc probes against an encoded stream. The old
-/// world decodes every block, then binary-searches; the iterator answers
-/// each probe from block headers and decodes only the blocks that hold a
-/// result.
-void EmitSkipToAbRow(bench::BenchReport& report) {
-  const size_t n = bench::QuickMode() ? 60000 : 300000;
-  const index::PostingList list = MakeNestedList(n);
-  const auto chunks = EncodeChunks(list, 256);
-  const uint32_t max_doc = list.back().doc;
-  constexpr size_t kProbes = 32;
-  std::vector<index::Posting> targets;
-  for (size_t i = 0; i < kProbes; ++i) {
-    const auto doc = static_cast<uint32_t>(
-        i * (static_cast<uint64_t>(max_doc) + 1) / kProbes);
-    targets.push_back(index::Posting{0, doc, {0, 0, 0}});
-  }
-  const int reps = bench::QuickMode() ? 3 : 5;
-
-  std::vector<index::Posting> baseline_found;
-  const double baseline_s = TimeBest(reps, [&] {
-    baseline_found.clear();
-    index::PostingList flat;
-    flat.reserve(list.size());
-    for (const auto& c : chunks) {
-      index::PostingList out;
-      if (index::codec::DecodePostings(*c.bytes, &out).ok()) {
-        flat.insert(flat.end(), out.begin(), out.end());
-      }
-    }
-    for (const auto& t : targets) {
-      auto it = std::lower_bound(flat.begin(), flat.end(), t);
-      if (it != flat.end()) baseline_found.push_back(*it);
-    }
-  });
-
-  std::vector<index::Posting> iterator_found;
-  uint64_t decoded = 0, skipped = 0;
-  query::Arena arena;
-  const double iterator_s = TimeBest(reps, [&] {
-    iterator_found.clear();
-    arena.Reset();
-    auto it = MakeEncodedIterator(chunks, &arena);
-    for (const auto& t : targets) {
-      index::Posting out;
-      if (it->SkipTo(t, &out)) iterator_found.push_back(out);
-    }
-    decoded = it->blocks_decoded();
-    skipped = it->blocks_skipped_undecoded();
-  });
-
-  report.AddRow()
-      .Str("kind", "iterator_ab")
-      .Str("op", "skipto")
-      .Num("postings", static_cast<double>(list.size()))
-      .Num("blocks", static_cast<double>(chunks.size()))
-      .Num("probes", static_cast<double>(kProbes))
-      .Num("blocks_decoded", static_cast<double>(decoded))
-      .Num("blocks_skipped_undecoded", static_cast<double>(skipped))
-      .Num("baseline_ms", baseline_s * 1e3)
-      .Num("iterator_ms", iterator_s * 1e3)
-      .Num("ratio", iterator_s > 0 ? baseline_s / iterator_s : 0.0)
-      .Num("answers_match", baseline_found == iterator_found ? 1.0 : 0.0);
-}
-
-/// "intersect": a clustered selective list against a large stream. The
-/// old world decodes both sides entirely, then runs a doc-level
-/// two-pointer; the galloping leapfrog never decodes the large blocks
-/// past the cluster.
-void EmitIntersectAbRow(bench::BenchReport& report) {
-  const size_t n = bench::QuickMode() ? 60000 : 300000;
-  const index::PostingList large = MakeNestedList(n);
-  const index::PostingList small = ClusteredSubset(large);
-  const auto large_chunks = EncodeChunks(large, 256);
-  const auto small_chunks = EncodeChunks(small, 256);
-  const int reps = bench::QuickMode() ? 3 : 5;
-
-  std::vector<index::Posting> baseline_out;
-  const double baseline_s = TimeBest(reps, [&] {
-    baseline_out.clear();
-    index::PostingList small_flat, large_flat;
-    for (const auto& c : small_chunks) {
-      index::PostingList out;
-      if (index::codec::DecodePostings(*c.bytes, &out).ok()) {
-        small_flat.insert(small_flat.end(), out.begin(), out.end());
-      }
-    }
-    for (const auto& c : large_chunks) {
-      index::PostingList out;
-      if (index::codec::DecodePostings(*c.bytes, &out).ok()) {
-        large_flat.insert(large_flat.end(), out.begin(), out.end());
-      }
-    }
-    size_t j = 0;
-    for (const auto& p : small_flat) {
-      while (j < large_flat.size() && large_flat[j].doc_id() < p.doc_id()) {
-        ++j;
-      }
-      if (j < large_flat.size() && large_flat[j].doc_id() == p.doc_id()) {
-        baseline_out.push_back(p);
-      }
-    }
-  });
-
-  std::vector<index::Posting> iterator_out;
-  query::Arena arena;
-  const double iterator_s = TimeBest(reps, [&] {
-    iterator_out.clear();
-    arena.Reset();
-    std::vector<std::unique_ptr<query::IndexIterator>> children;
-    children.push_back(MakeEncodedIterator(small_chunks, &arena));
-    children.push_back(MakeEncodedIterator(large_chunks, &arena));
-    query::IntersectIterator isect(std::move(children));
-    index::Posting p;
-    while (isect.Read(&p)) iterator_out.push_back(p);
-  });
-
-  report.AddRow()
-      .Str("kind", "iterator_ab")
-      .Str("op", "intersect")
-      .Num("large_postings", static_cast<double>(large.size()))
-      .Num("small_postings", static_cast<double>(small.size()))
-      .Num("results", static_cast<double>(iterator_out.size()))
-      .Num("baseline_ms", baseline_s * 1e3)
-      .Num("iterator_ms", iterator_s * 1e3)
-      .Num("ratio", iterator_s > 0 ? baseline_s / iterator_s : 0.0)
-      .Num("answers_match", baseline_out == iterator_out ? 1.0 : 0.0);
-}
-
-/// "batch_decode": serve a doc-range query over header-framed blocks. The
-/// old world decodes every block on the heap and filters; the new path
-/// reads each block's [min_doc, max_doc] header, skips blocks outside the
-/// range undecoded, and batch-decodes survivors into arena scratch.
-void EmitBatchDecodeAbRow(bench::BenchReport& report) {
-  const size_t corpus_kb = bench::QuickMode() ? 128 : 1024;
-  const auto lists = DblpTermLists(corpus_kb << 10);
-  index::PostingList all;
-  for (const auto& l : lists) all.insert(all.end(), l.begin(), l.end());
-  std::sort(all.begin(), all.end());
-
-  // Bare payloads (the pre-header wire format) and headered frames.
-  std::vector<std::vector<uint8_t>> bare, framed;
-  size_t max_block = 0;
-  {
-    index::codec::BlockEncoder enc(256);
-    for (size_t i = 0; i < all.size(); i += 256) {
-      const size_t end = std::min(i + 256, all.size());
-      for (size_t k = i; k < end; ++k) enc.Add(all[k]);
-      auto block = enc.Flush();
-      framed.push_back(std::move(block.bytes));
-      bare.push_back(index::codec::EncodePostings(block.postings));
-      max_block = std::max(max_block, block.postings.size());
-    }
-  }
-
-  // A doc range covering ~10% of the corpus, mid-stream.
-  const uint32_t doc_lo = all.back().doc * 45 / 100;
-  const uint32_t doc_hi = all.back().doc * 55 / 100;
-  const auto in_range = [&](const index::Posting& p) {
-    return p.doc >= doc_lo && p.doc <= doc_hi;
-  };
-  const int reps = bench::QuickMode() ? 3 : 5;
-
-  std::vector<index::Posting> baseline_out;
-  const double baseline_s = TimeBest(reps, [&] {
-    baseline_out.clear();
-    for (const auto& buf : bare) {
-      index::PostingList out;
-      if (index::codec::DecodePostings(buf, &out).ok()) {
-        for (const auto& p : out) {
-          if (in_range(p)) baseline_out.push_back(p);
-        }
-      }
-    }
-  });
-
-  std::vector<index::Posting> batch_out;
-  size_t blocks_decoded = 0;
-  query::Arena arena;
-  const double batch_s = TimeBest(reps, [&] {
-    batch_out.clear();
-    blocks_decoded = 0;
-    arena.Reset();
-    index::Posting* span = arena.AllocateArray<index::Posting>(max_block);
-    for (const auto& buf : framed) {
-      index::codec::BlockHeader header;
-      size_t payload = 0;
-      if (!index::codec::ParseBlockHeader(buf.data(), buf.size(), &header,
-                                          &payload)
-               .ok()) {
-        continue;
-      }
-      if (header.bounds.hi.doc < doc_lo || header.bounds.lo.doc > doc_hi) {
-        continue;  // header says the whole block misses the range
-      }
-      size_t decoded = 0;
-      if (index::codec::DecodePostingsInto(buf.data() + payload,
-                                           buf.size() - payload, span,
-                                           max_block, &decoded)
-              .ok()) {
-        ++blocks_decoded;
-        for (size_t i = 0; i < decoded; ++i) {
-          if (in_range(span[i])) batch_out.push_back(span[i]);
-        }
-      }
-    }
-  });
-
-  report.AddRow()
-      .Str("kind", "iterator_ab")
-      .Str("op", "batch_decode")
-      .Num("postings", static_cast<double>(all.size()))
-      .Num("blocks", static_cast<double>(framed.size()))
-      .Num("blocks_decoded", static_cast<double>(blocks_decoded))
-      .Num("results", static_cast<double>(batch_out.size()))
-      .Num("baseline_ms", baseline_s * 1e3)
-      .Num("iterator_ms", batch_s * 1e3)
-      .Num("ratio", batch_s > 0 ? baseline_s / batch_s : 0.0)
-      .Num("answers_match", baseline_out == batch_out ? 1.0 : 0.0);
-}
-
 /// Emits BENCH_codec.json: achieved ratio plus wall-clock encode/decode
 /// throughput on fig2's DBLP mix (validated by tools/check_bench_json.py
 /// in the CI bench-emit job).
@@ -876,7 +511,6 @@ void EmitCodecReport() {
                         : 0.0)
       .Num("encode_mb_per_s", encode_s > 0 ? raw_mb / encode_s : 0.0)
       .Num("decode_mb_per_s", decode_s > 0 ? raw_mb / decode_s : 0.0);
-  EmitBatchDecodeAbRow(report);
   report.Write();
 }
 
@@ -964,8 +598,6 @@ void EmitTwigReport() {
       .Num("stream_join_mpostings_per_s",
            stream_s > 0 ? postings_d / stream_s / 1e6 : 0.0)
       .Num("stream_join_answers", static_cast<double>(join.answers().size()));
-  EmitSkipToAbRow(report);
-  EmitIntersectAbRow(report);
   report.Write();
 }
 

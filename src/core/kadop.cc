@@ -730,26 +730,20 @@ Result<std::string> KadopNet::ExplainQueryAndWait(
            pattern.node(node).TermKey() + ": " +
            std::to_string(counts[node]) + " postings\n";
   }
-  query::QueryOptions explain_options = options;
+  std::optional<query::ViewPricing> view;
   if (view_catalog_->enabled()) {
     if (std::optional<query::ViewCatalog::Rewrite> rw =
             view_catalog_->FindRewrite(pattern, origin)) {
-      explain_options.view_available = true;
-      explain_options.view_extent_postings = rw->extent_postings;
-      uint64_t residual = 0;
-      for (size_t q = 0; q < pattern.size(); ++q) {
-        if (!rw->match.Covers(static_cast<int>(q))) residual += counts[q];
-      }
-      explain_options.view_residual_postings = residual;
+      view = query::PriceViewRewrite(*rw, counts);
       out += "view rewrite: " + rw->name +
              (rw->match.exact ? " (exact" : " (containment") +
-             ", extent=" + std::to_string(rw->extent_postings) +
-             " postings, residual=" + std::to_string(residual) +
-             " postings)\n";
+             ", extent=" + std::to_string(view->extent_postings) +
+             " postings, residual=" +
+             std::to_string(view->residual_postings) + " postings)\n";
     }
   }
   const auto costs =
-      query::EstimateStrategyCosts(pattern, counts, explain_options);
+      query::EstimateStrategyCosts(pattern, counts, options, view);
   out += "strategy cost estimates:\n";
   const query::StrategyCostEstimate* best = costs.empty() ? nullptr
                                                           : &costs[0];

@@ -63,29 +63,6 @@ void AppendVarint(std::vector<uint8_t>& out, uint64_t v) {
   return false;  // > 10 bytes: malformed
 }
 
-/// Pointer-based varint reader for the batch decode path: one bounds
-/// check up front for the common single-byte case, per-byte checks only
-/// on the multi-byte tail. Rejects exactly what `ReadVarint` rejects.
-[[nodiscard]] inline bool ReadVarintPtr(const uint8_t*& p, const uint8_t* end,
-                                        uint64_t* v) {
-  if (p < end && *p < 0x80) {  // single-byte fast case (most deltas)
-    *v = *p++;
-    return true;
-  }
-  uint64_t value = 0;
-  for (int shift = 0; shift < 64; shift += 7) {
-    if (p >= end) return false;
-    const uint8_t byte = *p++;
-    if (shift == 63 && byte > 0x01) return false;  // bits beyond 2^64
-    value |= static_cast<uint64_t>(byte & 0x7f) << shift;
-    if ((byte & 0x80) == 0) {
-      *v = value;
-      return true;
-    }
-  }
-  return false;  // > 10 bytes: malformed
-}
-
 void AppendVarintPosting(std::vector<uint8_t>& out, const Posting& p) {
   AppendVarint(out, p.peer);
   AppendVarint(out, p.doc);
@@ -329,76 +306,6 @@ Status DecodePostings(const uint8_t* data, size_t size, PostingList* out) {
 
 Status DecodePostings(const std::vector<uint8_t>& buffer, PostingList* out) {
   return DecodePostings(buffer.data(), buffer.size(), out);
-}
-
-Status DecodePostingsInto(const uint8_t* data, size_t size, Posting* out,
-                          size_t capacity, size_t* decoded) {
-  const uint64_t t0 = obs::ProfileNowNs();
-  *decoded = 0;
-  const uint8_t* p = data;
-  const uint8_t* const end = data + size;
-  uint64_t count = 0;
-  if (!ReadVarintPtr(p, end, &count)) {
-    return Status::Corruption("codec: truncated posting count");
-  }
-  if (count > static_cast<uint64_t>(end - p) / 3 + 1) {
-    return Status::Corruption("codec: posting count exceeds buffer");
-  }
-  if (count > capacity) {
-    return Status::Corruption("codec: posting count exceeds caller span");
-  }
-  Posting* w = out;
-  Posting* const w_end = out + count;
-  uint32_t prev_peer = 0;
-  uint32_t prev_doc = 0;
-  while (w < w_end) {
-    uint64_t dpeer = 0;
-    uint64_t doc_field = 0;
-    uint64_t run_len = 0;
-    if (!ReadVarintPtr(p, end, &dpeer) || !ReadVarintPtr(p, end, &doc_field) ||
-        !ReadVarintPtr(p, end, &run_len)) {
-      return Status::Corruption("codec: truncated run header");
-    }
-    const uint64_t peer = prev_peer + dpeer;
-    const uint64_t doc = dpeer != 0 ? doc_field : prev_doc + doc_field;
-    if (run_len == 0 || run_len > static_cast<uint64_t>(w_end - w) ||
-        peer > std::numeric_limits<uint32_t>::max() ||
-        doc > std::numeric_limits<uint32_t>::max()) {
-      return Status::Corruption("codec: malformed run header");
-    }
-    uint64_t prev_start = 0;
-    for (uint64_t k = 0; k < run_len; ++k) {
-      uint64_t dstart = 0;
-      uint64_t width = 0;
-      uint64_t level = 0;
-      if (!ReadVarintPtr(p, end, &dstart) || !ReadVarintPtr(p, end, &width) ||
-          !ReadVarintPtr(p, end, &level)) {
-        return Status::Corruption("codec: truncated posting");
-      }
-      const uint64_t start = prev_start + dstart;
-      const uint64_t sid_end = start + width;
-      if (sid_end > std::numeric_limits<uint32_t>::max() ||
-          level > std::numeric_limits<uint16_t>::max()) {
-        return Status::Corruption("codec: posting field overflow");
-      }
-      w->peer = static_cast<uint32_t>(peer);
-      w->doc = static_cast<uint32_t>(doc);
-      w->sid.start = static_cast<uint32_t>(start);
-      w->sid.end = static_cast<uint32_t>(sid_end);
-      w->sid.level = static_cast<uint16_t>(level);
-      ++w;
-      prev_start = start;
-    }
-    prev_peer = static_cast<uint32_t>(peer);
-    prev_doc = static_cast<uint32_t>(doc);
-  }
-  if (p != end) {
-    return Status::Corruption("codec: trailing bytes after postings");
-  }
-  *decoded = static_cast<size_t>(count);
-  C().decodes->Increment();
-  C().decode_ns->Increment(obs::ProfileNowNs() - t0);
-  return Status::OK();
 }
 
 size_t EncodedBytes(const PostingList& list) {

@@ -51,16 +51,6 @@ namespace kadop::index::codec {
 [[nodiscard]] Status DecodePostings(const std::vector<uint8_t>& buffer,
                                     PostingList* out);
 
-/// Batch fast path: decodes a whole stream into the caller-preallocated
-/// span `out[0..capacity)` without touching the heap — the query engine
-/// points it at arena scratch. Validates exactly what `DecodePostings`
-/// validates (truncation, malformed varints, run/field overflow, trailing
-/// bytes) and additionally fails with `kCorruption` when the stream holds
-/// more than `capacity` postings. On OK `*decoded` is the posting count.
-[[nodiscard]] Status DecodePostingsInto(const uint8_t* data, size_t size,
-                                        Posting* out, size_t capacity,
-                                        size_t* decoded);
-
 /// Exact size of `EncodePostings(list)` without materializing the buffer —
 /// the size model used for every network/store cost charge (peer-store
 /// B+-tree leaves hold delta blocks too), so the simulator never allocates

@@ -111,15 +111,15 @@ void BlockJoinService::RunTask(const index::BlockJoinRequest& req,
 
   auto finish = [state, peer, origin, req_id, query_id, task, span]() {
     obs::Tracer::Default().End(span);
-    StructuralJoinIterator join(state->pattern);
+    TwigJoin join(state->pattern);
     for (size_t node = 0; node < state->gathered.size(); ++node) {
       // Pulled blocks may interleave or overlap (random-split ablation):
       // merge-distinct the sorted pulls once — the same canonical result
       // as the query peer's merge path.
-      join.AddInput(node, PostingBlock::FromList(MergeDistinct(
-                              std::move(state->gathered[node]))));
+      join.Append(node, MergeDistinct(std::move(state->gathered[node])));
     }
-    join.Run();
+    join.CloseAll();
+    join.Advance();
 
     auto result = std::make_shared<index::JoinResultMessage>();
     result->query_id = query_id;

@@ -660,15 +660,15 @@ void QueryExecutor::RunLocalJoinFallback(size_t task) {
   KADOP_CHECK(gather->pending > 0, "join task with no inputs");
 
   auto on_all = [self, task, gather]() {
-    StructuralJoinIterator join(self->pattern_);
+    TwigJoin join(self->pattern_);
     for (size_t node = 0; node < gather->lists.size(); ++node) {
       // Pulls may interleave or overlap: merge-distinct the sorted pulls
       // once, exactly like the holder-side join path.
-      join.AddInput(node, PostingBlock::FromList(MergeDistinct(
-                              std::move(gather->lists[node]))));
+      join.Append(node, MergeDistinct(std::move(gather->lists[node])));
     }
-    join.Run();
-    self->FinishJoinTask(task, join.TakeAnswers(), join.TakeMatchedDocs());
+    join.CloseAll();
+    join.Advance();
+    self->FinishJoinTask(task, join.answers(), join.matched_docs());
   };
 
   for (size_t node = 0; node < jt.inputs.size(); ++node) {
@@ -862,18 +862,14 @@ void QueryExecutor::PumpDppFetches(size_t node) {
 void QueryExecutor::DeliverReadyDppBlocks(size_t node) {
   DppNodeState& st = dpp_[node];
   if (st.requires_merge) {
-    // Wait for everything, merge-distinct once through the union iterator
-    // (each block is already sorted; overlap is across blocks only).
+    // Wait for everything, then merge-distinct once (each block is
+    // already sorted; overlap is across blocks only).
     if (st.ready.size() < st.blocks.size()) return;
-    std::vector<PostingBlock> blocks;
-    blocks.reserve(st.ready.size());
-    for (auto& [idx, postings] : st.ready) {
-      if (!postings->empty()) {
-        blocks.push_back(PostingBlock::FromShared(postings));
-      }
-    }
+    std::vector<PostingList> lists;
+    lists.reserve(st.ready.size());
+    for (auto& [idx, postings] : st.ready) lists.push_back(*postings);
     st.ready.clear();
-    join_.Append(node, MergeDistinct(std::move(blocks)));
+    join_.Append(node, MergeDistinct(std::move(lists)));
     st.next_to_deliver = st.blocks.size();
     stream_closed_[node] = true;
     join_.Close(node);
@@ -983,9 +979,21 @@ void QueryExecutor::StartSubQuery() {
   FetchTermCounts([this]() { OnTermCountsReady(); });
 }
 
+ViewPricing PriceViewRewrite(const ViewCatalog::Rewrite& rewrite,
+                             const std::vector<uint64_t>& term_counts) {
+  ViewPricing pricing;
+  pricing.extent_postings = rewrite.extent_postings;
+  for (size_t q = 0; q < term_counts.size(); ++q) {
+    if (!rewrite.match.Covers(static_cast<int>(q))) {
+      pricing.residual_postings += term_counts[q];
+    }
+  }
+  return pricing;
+}
+
 std::vector<StrategyCostEstimate> EstimateStrategyCosts(
     const TreePattern& pattern, const std::vector<uint64_t>& term_counts,
-    const QueryOptions& options) {
+    const QueryOptions& options, std::optional<ViewPricing> view) {
   // Per-posting transfer estimate: postings always ship delta-coded.
   const double kWire = index::codec::EstimatedWirePostingBytes();
   // Approximate per-posting DBF cost: |containers| inserts at ~10 bits.
@@ -999,11 +1007,10 @@ std::vector<StrategyCostEstimate> EstimateStrategyCosts(
     max_count = std::max(max_count, static_cast<double>(term_counts[i]));
     if (term_counts[i] < term_counts[selective]) selective = i;
   }
-  // Upper bound on answer cardinality from the iterator tree itself: an
-  // intersect-of-leaves estimate over the per-term counts, the same
-  // EstimateResultsAmount every live iterator exposes. Replaces the old
-  // fixed bytes-per-posting guesswork wherever a strategy's cost depends
-  // on how much survives the join rather than on what ships.
+  // Upper bound on answer cardinality: a twig answer needs a posting from
+  // every node's stream, so the scarcest stream bounds the count. Replaces
+  // the old fixed bytes-per-posting guesswork wherever a strategy's cost
+  // depends on how much survives the join rather than on what ships.
   const double est_matches =
       static_cast<double>(EstimateTwigResults(pattern, term_counts));
 
@@ -1046,8 +1053,8 @@ std::vector<StrategyCostEstimate> EstimateStrategyCosts(
       costs.push_back(djoin);
     }
   }
-  // The iterator tree's intersect estimate is the most selective term's
-  // count — the same quantity the sub-query heuristic keys on.
+  // The twig estimate is the most selective term's count — the same
+  // quantity the sub-query heuristic keys on.
   const double min_count = est_matches;
   if (pattern.size() > 1 &&
       min_count * static_cast<double>(options.auto_selectivity_ratio) <
@@ -1086,25 +1093,24 @@ std::vector<StrategyCostEstimate> EstimateStrategyCosts(
     }
     costs.push_back(sub);
   }
-  if (options.view_available) {
+  if (view.has_value()) {
     // Serving from a materialized view ships the extent columns plus the
     // residual terms' base lists — nothing else. Appended last so exact
     // cost ties (strict-< best pick) keep preferring the base strategies,
     // leaving view-less plans byte-identical to the pre-view planner.
-    const double extent = static_cast<double>(options.view_extent_postings);
-    const double residual =
-        static_cast<double>(options.view_residual_postings);
-    StrategyCostEstimate view;
-    view.strategy = QueryStrategy::kView;
-    view.bytes = (extent + residual) * kWire;
+    const double extent = static_cast<double>(view->extent_postings);
+    const double residual = static_cast<double>(view->residual_postings);
+    StrategyCostEstimate served;
+    served.strategy = QueryStrategy::kView;
+    served.bytes = (extent + residual) * kWire;
     // Columns live under distinct keys and fetch in parallel; a residual
     // term's full list ships from its single owner.
-    view.bottleneck_bytes =
+    served.bottleneck_bytes =
         std::max(extent * kWire /
                      static_cast<double>(
                          std::max<size_t>(1, options.dpp_parallelism / 2)),
                  residual * kWire);
-    costs.push_back(view);
+    costs.push_back(served);
   }
   return costs;
 }
@@ -1114,24 +1120,16 @@ void QueryExecutor::StartAuto() {
     // Catalog consult before strategy selection: a servable rewrite makes
     // kView a priced candidate, with the extent cardinality from the
     // catalog and the residual cost from the just-fetched term counts.
-    QueryOptions planning = options_;
+    std::optional<ViewPricing> view;
     ViewCatalog* catalog = client_->view_catalog();
     if (catalog != nullptr && catalog->enabled()) {
       view_rewrite_ = catalog->FindRewrite(pattern_, peer_);
       if (view_rewrite_.has_value()) {
-        planning.view_available = true;
-        planning.view_extent_postings = view_rewrite_->extent_postings;
-        uint64_t residual = 0;
-        for (size_t q = 0; q < pattern_.size(); ++q) {
-          if (!view_rewrite_->match.Covers(static_cast<int>(q))) {
-            residual += term_counts_[q];
-          }
-        }
-        planning.view_residual_postings = residual;
+        view = PriceViewRewrite(*view_rewrite_, term_counts_);
       }
     }
     const std::vector<StrategyCostEstimate> costs =
-        EstimateStrategyCosts(pattern_, term_counts_, planning);
+        EstimateStrategyCosts(pattern_, term_counts_, options_, view);
     KADOP_CHECK(!costs.empty(), "no viable strategy");
     const StrategyCostEstimate* best = &costs[0];
     for (const StrategyCostEstimate& c : costs) {

@@ -99,13 +99,6 @@ struct QueryOptions {
   /// Serve repeat fetches from the peer's version-checked posting cache
   /// and cache complete fetch results for later queries.
   bool cache_postings = false;
-  /// Planner inputs for kView, filled by kAuto's catalog consult (or by
-  /// tests driving EstimateStrategyCosts directly): whether a servable
-  /// rewrite exists, the matched extent's total stored postings, and the
-  /// summed base-list counts of the residual (uncovered) query terms.
-  bool view_available = false;
-  uint64_t view_extent_postings = 0;
-  uint64_t view_residual_postings = 0;
 };
 
 /// The kAuto cost model: predicted shipped bytes per candidate strategy,
@@ -120,11 +113,25 @@ struct StrategyCostEstimate {
   double bottleneck_bytes = 0;
 };
 
+/// Planner inputs for kView, from a servable catalog rewrite: the matched
+/// extent's total stored postings and the summed base-list counts of the
+/// residual (uncovered) query terms.
+struct ViewPricing {
+  uint64_t extent_postings = 0;
+  uint64_t residual_postings = 0;
+};
+
+/// Prices `rewrite` against the query's per-term posting counts.
+[[nodiscard]] ViewPricing PriceViewRewrite(
+    const ViewCatalog::Rewrite& rewrite,
+    const std::vector<uint64_t>& term_counts);
+
 /// Estimates costs for the viable strategies given per-term posting
-/// counts. `selective` is the index of the most selective term.
+/// counts. kView is a candidate only when `view` prices a rewrite.
 [[nodiscard]] std::vector<StrategyCostEstimate> EstimateStrategyCosts(
     const TreePattern& pattern, const std::vector<uint64_t>& term_counts,
-    const QueryOptions& options);
+    const QueryOptions& options,
+    std::optional<ViewPricing> view = std::nullopt);
 
 struct QueryMetrics {
   double submit_time = 0.0;

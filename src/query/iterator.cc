@@ -1,50 +1,24 @@
 #include "query/iterator.h"
 
 #include <algorithm>
-#include <limits>
-#include <new>
 
 #include "common/logging.h"
-#include "obs/metrics.h"
 #include "query/tree_pattern.h"
-#include "query/twig_join.h"
 
 namespace kadop::query {
 
-using index::Condition;
 using index::DocId;
 using index::Posting;
 using index::PostingList;
 
 namespace {
 
-struct IterCounters {
-  obs::Counter* blocks_decoded;
-  obs::Counter* blocks_skipped_undecoded;
-
-  IterCounters() {
-    auto& r = obs::MetricRegistry::Default();
-    blocks_decoded = r.GetCounter("iter.blocks_decoded");
-    blocks_skipped_undecoded = r.GetCounter("iter.blocks_skipped_undecoded");
-  }
-};
-
-IterCounters& C() {
-  static IterCounters counters;
-  return counters;
-}
-
-/// Smallest posting of document `doc` — the SkipTo target that lands on
-/// the first posting with doc id >= `doc`.
-[[nodiscard]] Posting DocFloor(const DocId& doc) {
-  return Posting{doc.peer, doc.doc, xml::StructuralId{0, 0, 0}};
-}
-
 /// First index in [lo, hi) with data[idx] >= target, found by galloping
 /// from `lo` (the proved-out exponential probe of the semi-join kernels:
 /// cheap when the answer is near, log-bounded when it is far).
-[[nodiscard]] size_t GallopLowerBound(const Posting* data, size_t lo,
-                                      size_t hi, const Posting& target) {
+[[nodiscard]] size_t GallopLowerBound(const PostingList& data, size_t lo,
+                                      const Posting& target) {
+  const size_t hi = data.size();
   if (lo >= hi || !(data[lo] < target)) return lo;
   size_t low = lo;  // invariant: data[low] < target
   size_t step = 1;
@@ -54,154 +28,32 @@ IterCounters& C() {
   }
   const size_t high = std::min(low + step, hi);
   return static_cast<size_t>(
-      std::lower_bound(data + low + 1, data + high, target) - data);
+      std::lower_bound(data.begin() + static_cast<long>(low + 1),
+                       data.begin() + static_cast<long>(high), target) -
+      data.begin());
 }
 
 }  // namespace
 
-// --- Arena ----------------------------------------------------------------
-
-void* Arena::Allocate(size_t bytes, size_t align) {
-  KADOP_CHECK(align != 0 && (align & (align - 1)) == 0,
-              "arena: alignment must be a power of two");
-  if (bytes == 0) bytes = 1;
-  for (;;) {
-    if (current_ < chunks_.size()) {
-      Chunk& c = chunks_[current_];
-      const size_t aligned = (used_ + align - 1) & ~(align - 1);
-      if (aligned + bytes <= c.size) {
-        used_ = aligned + bytes;
-        allocated_bytes_ += bytes;
-        return c.data.get() + aligned;
-      }
-      ++current_;
-      used_ = 0;
-      continue;  // try the next (possibly recycled) chunk
-    }
-    const size_t want = std::max(chunk_bytes_, bytes + align);
-    chunks_.push_back(Chunk{std::make_unique<uint8_t[]>(want), want});
-    current_ = chunks_.size() - 1;
-    used_ = 0;
-  }
-}
-
-void Arena::Reset() {
-  current_ = 0;
-  used_ = 0;
-  allocated_bytes_ = 0;
-}
-
-// --- PostingBlock ---------------------------------------------------------
-
-PostingBlock PostingBlock::FromList(PostingList list) {
-  PostingBlock b;
-  b.count_ = list.size();
-  if (!list.empty()) b.bounds_ = Condition{list.front(), list.back()};
-  b.owned_ = std::move(list);
-  b.data_ = b.owned_.data();
-  b.size_ = b.owned_.size();
-  return b;
-}
-
-PostingBlock PostingBlock::FromShared(
-    std::shared_ptr<const PostingList> list) {
-  KADOP_CHECK(list != nullptr, "iterator: null shared block");
-  PostingBlock b;
-  b.count_ = list->size();
-  if (!list->empty()) b.bounds_ = Condition{list->front(), list->back()};
-  b.data_ = list->data();
-  b.size_ = list->size();
-  b.shared_ = std::move(list);
-  return b;
-}
-
-PostingBlock PostingBlock::FromEncoded(
-    std::shared_ptr<const std::vector<uint8_t>> bytes, Condition bounds,
-    uint64_t count) {
-  KADOP_CHECK(bytes != nullptr, "iterator: null encoded block");
-  KADOP_CHECK(count == 0 || !(bounds.hi < bounds.lo),
-              "iterator: encoded block bounds inverted");
-  PostingBlock b;
-  b.encoded_ = std::move(bytes);
-  b.bounds_ = bounds;
-  b.count_ = count;
-  return b;
-}
-
-Result<PostingBlock> PostingBlock::FromEncodedWithHeader(
-    std::shared_ptr<const std::vector<uint8_t>> bytes) {
-  KADOP_CHECK(bytes != nullptr, "iterator: null encoded block");
-  index::codec::BlockHeader header;
-  size_t payload = 0;
-  if (Status s = index::codec::ParseBlockHeader(bytes->data(), bytes->size(),
-                                                &header, &payload);
-      !s.ok()) {
-    return s;
-  }
-  PostingBlock b;
-  b.encoded_ = std::move(bytes);
-  b.bounds_ = header.bounds;
-  b.count_ = header.count;
-  b.payload_offset_ = payload;
-  return b;
-}
-
-void PostingBlock::EnsureDecoded(Arena* arena) {
-  if (data_ != nullptr) return;
-  const uint8_t* payload = encoded_->data() + payload_offset_;
-  const size_t payload_size = encoded_->size() - payload_offset_;
-  if (arena != nullptr) {
-    Posting* span = arena->AllocateArray<Posting>(count_);
-    size_t n = 0;
-    const Status s = index::codec::DecodePostingsInto(payload, payload_size,
-                                                      span, count_, &n);
-    KADOP_CHECK(s.ok(), "iterator: corrupt encoded block");
-    KADOP_CHECK(n == count_, "iterator: block count disagrees with header");
-    data_ = span;
-    size_ = n;
-  } else {
-    const Status s =
-        index::codec::DecodePostings(payload, payload_size, &owned_);
-    KADOP_CHECK(s.ok(), "iterator: corrupt encoded block");
-    KADOP_CHECK(owned_.size() == count_,
-                "iterator: block count disagrees with header");
-    data_ = owned_.data();
-    size_ = owned_.size();
-  }
-  KADOP_CHECK(size_ == 0 || (data_[0] == bounds_.lo &&
-                             data_[size_ - 1] == bounds_.hi),
-              "iterator: block bounds disagree with payload");
-}
-
 // --- PostingListIterator --------------------------------------------------
 
-PostingListIterator PostingListIterator::ForEstimate(uint64_t estimate) {
-  PostingListIterator it;
-  it.is_estimate_ = true;
-  it.estimate_only_ = estimate;
-  it.closed_ = true;
-  return it;
+void PostingListIterator::Push(PostingList block) {
+  PushBlock(Block{std::move(block), nullptr});
 }
 
-void PostingListIterator::Push(PostingBlock block) {
-  KADOP_CHECK(!is_estimate_, "iterator: pushing into an estimate iterator");
+void PostingListIterator::Push(std::shared_ptr<const PostingList> block) {
+  KADOP_CHECK(block != nullptr, "iterator: null shared block");
+  PushBlock(Block{{}, std::move(block)});
+}
+
+void PostingListIterator::PushBlock(Block block) {
   KADOP_CHECK(!closed_, "iterator: pushing into a closed stream");
-  if (block.empty()) return;
+  const PostingList& list = block.list();
+  if (list.empty()) return;
   KADOP_CHECK(blocks_.empty() ||
-                  !(block.bounds().lo < blocks_.back().bounds().hi),
+                  !(list.front() < blocks_.back().list().back()),
               "iterator: blocks out of stream order");
-  buffered_ += block.count();
   blocks_.push_back(std::move(block));
-}
-
-PostingBlock& PostingListIterator::FrontDecoded() {
-  PostingBlock& b = blocks_.front();
-  if (!b.decoded()) {
-    b.EnsureDecoded(arena_);
-    ++blocks_decoded_;
-    C().blocks_decoded->Increment();
-  }
-  return b;
 }
 
 void PostingListIterator::PopFrontBlock() {
@@ -209,88 +61,28 @@ void PostingListIterator::PopFrontBlock() {
   cursor_ = 0;
 }
 
-bool PostingListIterator::Read(Posting* out) {
-  KADOP_CHECK(!is_estimate_, "iterator: reading an estimate iterator");
-  if (blocks_.empty()) return false;
-  PostingBlock& b = FrontDecoded();
-  *out = b.data_[cursor_++];
-  --buffered_;
-  if (cursor_ == b.size_) PopFrontBlock();
-  return true;
-}
-
-bool PostingListIterator::SkipTo(const Posting& target, Posting* out) {
-  KADOP_CHECK(!is_estimate_, "iterator: reading an estimate iterator");
-  while (!blocks_.empty()) {
-    PostingBlock& b = blocks_.front();
-    if (!b.decoded() && b.bounds().hi < target) {
-      // The whole block lies below the target: drop it without decoding.
-      buffered_ -= b.count();
-      ++blocks_skipped_undecoded_;
-      C().blocks_skipped_undecoded->Increment();
-      PopFrontBlock();
-      continue;
-    }
-    PostingBlock& d = FrontDecoded();
-    const size_t i = GallopLowerBound(d.data_, cursor_, d.size_, target);
-    buffered_ -= i - cursor_;
-    if (i < d.size_) {
-      *out = d.data_[i];
-      cursor_ = i + 1;
-      --buffered_;
-      if (cursor_ == d.size_) PopFrontBlock();
-      return true;
-    }
-    PopFrontBlock();
-  }
-  return false;
-}
-
-uint64_t PostingListIterator::EstimateResultsAmount() const {
-  return is_estimate_ ? estimate_only_ : buffered_;
-}
-
-void PostingListIterator::Abort() {
-  blocks_.clear();
-  cursor_ = 0;
-  buffered_ = 0;
-  closed_ = true;
-}
-
 DocId PostingListIterator::HeadDoc() const {
   KADOP_CHECK(!blocks_.empty(), "iterator: head of an empty stream");
-  const PostingBlock& b = blocks_.front();
-  // Invariant: a partially consumed front block is always decoded.
-  if (!b.decoded()) return b.bounds().lo.doc_id();
-  return b.data_[cursor_].doc_id();
+  return blocks_.front().list()[cursor_].doc_id();
 }
 
 DocId PostingListIterator::LastBufferedDoc() const {
   KADOP_CHECK(!blocks_.empty(), "iterator: tail of an empty stream");
-  return blocks_.back().bounds().hi.doc_id();
+  return blocks_.back().list().back().doc_id();
 }
 
 size_t PostingListIterator::SkipBelowDoc(DocId doc) {
+  // The smallest posting of `doc`: lower-bounding on it lands on the
+  // first posting with doc id >= `doc`.
+  const Posting doc_floor{doc.peer, doc.doc, xml::StructuralId{0, 0, 0}};
   size_t dropped = 0;
   while (!blocks_.empty()) {
-    PostingBlock& b = blocks_.front();
-    if (!b.decoded()) {
-      if (b.bounds().hi.doc_id() < doc) {
-        dropped += b.count();
-        buffered_ -= b.count();
-        ++blocks_skipped_undecoded_;
-        C().blocks_skipped_undecoded->Increment();
-        PopFrontBlock();
-        continue;
-      }
-      if (!(b.bounds().lo.doc_id() < doc)) break;  // head already >= doc
-    }
-    PostingBlock& d = FrontDecoded();
-    const size_t i =
-        GallopLowerBound(d.data_, cursor_, d.size_, DocFloor(doc));
+    const PostingList& list = blocks_.front().list();
+    const size_t i = list.back().doc_id() < doc
+                         ? list.size()
+                         : GallopLowerBound(list, cursor_, doc_floor);
     dropped += i - cursor_;
-    buffered_ -= i - cursor_;
-    if (i < d.size_) {
+    if (i < list.size()) {
       cursor_ = i;
       break;
     }
@@ -302,15 +94,7 @@ size_t PostingListIterator::SkipBelowDoc(DocId doc) {
 size_t PostingListIterator::SkipAll() {
   size_t dropped = 0;
   while (!blocks_.empty()) {
-    const PostingBlock& b = blocks_.front();
-    const size_t remaining =
-        b.decoded() ? b.size_ - cursor_ : static_cast<size_t>(b.count());
-    dropped += remaining;
-    buffered_ -= remaining;
-    if (!b.decoded()) {
-      ++blocks_skipped_undecoded_;
-      C().blocks_skipped_undecoded->Increment();
-    }
+    dropped += blocks_.front().list().size() - cursor_;
     PopFrontBlock();
   }
   return dropped;
@@ -318,290 +102,45 @@ size_t PostingListIterator::SkipAll() {
 
 size_t PostingListIterator::TakeDoc(DocId doc, PostingList& out) {
   size_t took = 0;
-  while (!blocks_.empty() && HeadDoc() == doc) {
-    PostingBlock& b = FrontDecoded();
-    while (cursor_ < b.size_ && b.data_[cursor_].doc_id() == doc) {
-      out.push_back(b.data_[cursor_]);
-      ++cursor_;
-      ++took;
-      --buffered_;
-    }
-    if (cursor_ < b.size_) break;  // block continues with a later document
+  while (!blocks_.empty()) {
+    const PostingList& list = blocks_.front().list();
+    const size_t start = cursor_;
+    while (cursor_ < list.size() && list[cursor_].doc_id() == doc) ++cursor_;
+    out.insert(out.end(), list.begin() + static_cast<long>(start),
+               list.begin() + static_cast<long>(cursor_));
+    took += cursor_ - start;
+    if (cursor_ < list.size()) break;  // block continues with a later doc
     PopFrontBlock();
   }
   return took;
 }
 
-// --- UnionIterator --------------------------------------------------------
-
-UnionIterator::UnionIterator(
-    std::vector<std::unique_ptr<IndexIterator>> children) {
-  children_.reserve(children.size());
-  for (auto& it : children) {
-    KADOP_CHECK(it != nullptr, "iterator: null union child");
-    children_.push_back(Child{std::move(it), Posting{}, false, false});
-  }
-}
-
-bool UnionIterator::Prime(Child& c) {
-  if (!c.has_peek && !c.done) {
-    if (c.it->Read(&c.peek)) {
-      c.has_peek = true;
-    } else {
-      c.done = true;
-    }
-  }
-  return c.has_peek;
-}
-
-bool UnionIterator::Read(Posting* out) {
-  const Posting* min = nullptr;
-  for (Child& c : children_) {
-    if (Prime(c) && (min == nullptr || c.peek < *min)) min = &c.peek;
-  }
-  if (min == nullptr) return false;
-  const Posting value = *min;
-  // Consume every copy of `value`, across and within children, so exact
-  // duplicates come out once — the behaviour of sort + unique.
-  for (Child& c : children_) {
-    while (Prime(c) && c.peek == value) c.has_peek = false;
-  }
-  *out = value;
-  return true;
-}
-
-bool UnionIterator::SkipTo(const Posting& target, Posting* out) {
-  for (Child& c : children_) {
-    if (c.done) continue;
-    if (c.has_peek && !(c.peek < target)) continue;
-    c.has_peek = c.it->SkipTo(target, &c.peek);
-    if (!c.has_peek) c.done = true;
-  }
-  return Read(out);
-}
-
-uint64_t UnionIterator::EstimateResultsAmount() const {
-  uint64_t total = 0;
-  for (const Child& c : children_) total += c.it->EstimateResultsAmount();
-  return total;
-}
-
-void UnionIterator::Abort() {
-  for (Child& c : children_) {
-    c.it->Abort();
-    c.has_peek = false;
-    c.done = true;
-  }
-}
-
-// --- IntersectIterator ----------------------------------------------------
-
-IntersectIterator::IntersectIterator(
-    std::vector<std::unique_ptr<IndexIterator>> children)
-    : children_(std::move(children)) {
-  KADOP_CHECK(!children_.empty(), "iterator: intersect needs children");
-  for (const auto& c : children_) {
-    KADOP_CHECK(c != nullptr, "iterator: null intersect child");
-  }
-  peeks_.resize(children_.size());
-  has_peek_.assign(children_.size(), 0);
-}
-
-bool IntersectIterator::AlignOnDoc() {
-  for (;;) {
-    const DocId d = pending_.doc_id();
-    DocId furthest = d;
-    bool all_match = true;
-    for (size_t i = 1; i < children_.size(); ++i) {
-      if (!has_peek_[i] || peeks_[i].doc_id() < d) {
-        if (!children_[i]->SkipTo(DocFloor(d), &peeks_[i])) {
-          return false;  // a child ran out: no further common document
-        }
-        has_peek_[i] = 1;
-      }
-      const DocId di = peeks_[i].doc_id();
-      if (di != d) {
-        all_match = false;
-        if (furthest < di) furthest = di;
-      }
-    }
-    if (all_match) {
-      agreed_doc_ = d;
-      emitting_ = true;
-      return true;
-    }
-    if (!children_[0]->SkipTo(DocFloor(furthest), &pending_)) return false;
-  }
-}
-
-bool IntersectIterator::Read(Posting* out) {
-  if (done_) return false;
-  for (;;) {
-    if (!has_pending_) {
-      if (!children_[0]->Read(&pending_)) {
-        done_ = true;
-        return false;
-      }
-      has_pending_ = true;
-    }
-    if (emitting_ && pending_.doc_id() == agreed_doc_) {
-      *out = pending_;
-      has_pending_ = false;
-      return true;
-    }
-    emitting_ = false;
-    if (!AlignOnDoc()) {
-      done_ = true;
-      return false;
-    }
-  }
-}
-
-bool IntersectIterator::SkipTo(const Posting& target, Posting* out) {
-  if (done_) return false;
-  if (!has_pending_ || pending_ < target) {
-    if (!children_[0]->SkipTo(target, &pending_)) {
-      done_ = true;
-      return false;
-    }
-    has_pending_ = true;
-    if (emitting_ && pending_.doc_id() != agreed_doc_) emitting_ = false;
-  }
-  return Read(out);
-}
-
-uint64_t IntersectIterator::EstimateResultsAmount() const {
-  uint64_t best = std::numeric_limits<uint64_t>::max();
-  for (const auto& c : children_) {
-    best = std::min(best, c->EstimateResultsAmount());
-  }
-  return best;
-}
-
-void IntersectIterator::Abort() {
-  for (auto& c : children_) c->Abort();
-  done_ = true;
-}
-
 // --- MergeDistinct --------------------------------------------------------
 
-PostingList MergeDistinct(std::vector<PostingBlock> blocks) {
-  uint64_t total = 0;
-  std::vector<std::unique_ptr<IndexIterator>> children;
-  children.reserve(blocks.size());
-  for (PostingBlock& b : blocks) {
-    if (b.empty()) continue;
-    total += b.count();
-    auto it = std::make_unique<PostingListIterator>();
-    it->Push(std::move(b));
-    it->Close();
-    children.push_back(std::move(it));
-  }
-  PostingList out;
-  out.reserve(total);
-  UnionIterator u(std::move(children));
-  Posting p;
-  while (u.Read(&p)) out.push_back(p);
-  return out;
-}
-
 PostingList MergeDistinct(std::vector<PostingList> lists) {
-  // The union merge assumes each input is itself sorted — true for every
-  // store/pull path. Fall back to the classic discipline otherwise so a
-  // degenerate producer still gets a canonical result.
-  bool all_sorted = true;
-  for (const PostingList& l : lists) {
-    if (!index::IsSortedPostingList(l)) {
-      all_sorted = false;
-      break;
-    }
+  if (lists.empty()) return {};
+  size_t total = 0;
+  for (const PostingList& l : lists) total += l.size();
+  PostingList merged = std::move(lists.front());
+  merged.reserve(total);
+  for (size_t i = 1; i < lists.size(); ++i) {
+    merged.insert(merged.end(), lists[i].begin(), lists[i].end());
   }
-  if (!all_sorted) {
-    PostingList merged;
-    for (PostingList& l : lists) {
-      merged.insert(merged.end(), l.begin(), l.end());
-    }
+  if (!index::IsSortedPostingList(merged)) {
     std::sort(merged.begin(), merged.end());
-    merged.erase(std::unique(merged.begin(), merged.end()), merged.end());
-    return merged;
   }
-  std::vector<PostingBlock> blocks;
-  blocks.reserve(lists.size());
-  for (PostingList& l : lists) {
-    blocks.push_back(PostingBlock::FromList(std::move(l)));
-  }
-  return MergeDistinct(std::move(blocks));
+  merged.erase(std::unique(merged.begin(), merged.end()), merged.end());
+  return merged;
 }
 
-// --- StructuralJoinIterator -----------------------------------------------
-
-StructuralJoinIterator::StructuralJoinIterator(const TreePattern& pattern,
-                                               size_t max_answers)
-    : join_(std::make_unique<TwigJoin>(pattern, max_answers)),
-      input_counts_(pattern.size(), 0) {}
-
-StructuralJoinIterator::~StructuralJoinIterator() = default;
-StructuralJoinIterator::StructuralJoinIterator(
-    StructuralJoinIterator&&) noexcept = default;
-StructuralJoinIterator& StructuralJoinIterator::operator=(
-    StructuralJoinIterator&&) noexcept = default;
-
-void StructuralJoinIterator::AddInput(size_t node, PostingBlock block) {
-  KADOP_CHECK(node < input_counts_.size(), "bad pattern node");
-  input_counts_[node] += block.count();
-  join_->AppendBlock(node, std::move(block));
-}
-
-uint64_t StructuralJoinIterator::EstimateResultsAmount() const {
-  uint64_t best = std::numeric_limits<uint64_t>::max();
-  for (uint64_t c : input_counts_) best = std::min(best, c);
-  return best;
-}
-
-void StructuralJoinIterator::Run() {
-  join_->CloseAll();
-  (void)join_->Advance();
-}
-
-const std::vector<Answer>& StructuralJoinIterator::answers() const {
-  return join_->answers();
-}
-
-const std::vector<DocId>& StructuralJoinIterator::matched_docs() const {
-  return join_->matched_docs();
-}
-
-std::vector<Answer> StructuralJoinIterator::TakeAnswers() {
-  return std::vector<Answer>(join_->answers());
-}
-
-std::vector<DocId> StructuralJoinIterator::TakeMatchedDocs() {
-  return std::vector<DocId>(join_->matched_docs());
-}
-
-uint64_t StructuralJoinIterator::postings_consumed() const {
-  return join_->postings_consumed();
-}
-
-uint64_t StructuralJoinIterator::blocks_skipped_undecoded() const {
-  return join_->blocks_skipped_undecoded();
-}
+// --- EstimateTwigResults --------------------------------------------------
 
 uint64_t EstimateTwigResults(const TreePattern& pattern,
                              const std::vector<uint64_t>& counts) {
   KADOP_CHECK(counts.size() == pattern.size(),
               "iterator: one count per pattern node");
   if (counts.empty()) return 0;
-  std::vector<std::unique_ptr<IndexIterator>> leaves;
-  leaves.reserve(counts.size());
-  for (uint64_t c : counts) {
-    leaves.push_back(std::make_unique<PostingListIterator>(
-        PostingListIterator::ForEstimate(c)));
-  }
-  // The runtime joins the streams document-wise; the twig result count is
-  // bounded by the document-level intersection of its leaves.
-  IntersectIterator tree(std::move(leaves));
-  return tree.EstimateResultsAmount();
+  return *std::min_element(counts.begin(), counts.end());
 }
 
 }  // namespace kadop::query

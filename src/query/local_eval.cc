@@ -63,13 +63,14 @@ std::vector<Answer> EvaluateOnDocument(const TreePattern& pattern,
   std::vector<PostingList> candidates(pattern.size());
   CollectCandidates(*doc.root, pattern, doc_id, candidates);
 
-  StructuralJoinIterator join(pattern);
+  TwigJoin join(pattern);
   for (size_t q = 0; q < pattern.size(); ++q) {
     std::sort(candidates[q].begin(), candidates[q].end());
-    join.AddInput(q, PostingBlock::FromList(std::move(candidates[q])));
+    join.Append(q, std::move(candidates[q]));
   }
-  join.Run();
-  return join.TakeAnswers();
+  join.CloseAll();
+  join.Advance();
+  return join.answers();
 }
 
 bool MatchesDocument(const TreePattern& pattern, const xml::Document& doc) {

@@ -4,7 +4,6 @@
 
 #include "common/logging.h"
 #include "obs/trace.h"
-#include "query/iterator.h"
 
 namespace kadop::query {
 
@@ -203,18 +202,14 @@ void ReducerService::BuildAndSendDbf(NodeState& st) {
 
 void ReducerService::ApplyDbfs(NodeState& st) {
   if (st.dbfs.empty()) return;
-  // One iterator pass through all child filters at once: a posting
-  // survives iff every DBF's may-have-descendant probe passes, which is
-  // exactly the sequential `Filter` composition (same survivors, same
-  // order) at the cost of one output list instead of k.
+  // One pass through all child filters at once: a posting survives iff
+  // every DBF's may-have-descendant probe passes, which is exactly the
+  // sequential `Filter` composition (same survivors, same order) at the
+  // cost of one output list instead of k.
   const size_t before = st.list.size();
-  PostingListIterator it;
-  it.Push(PostingBlock::FromList(std::move(st.list)));
-  it.Close();
   PostingList kept;
   kept.reserve(before / 4);
-  index::Posting p;
-  while (it.Read(&p)) {
+  for (const index::Posting& p : st.list) {
     bool pass = true;
     for (const auto& filter : st.dbfs) {
       if (!filter->MaybeAncestor(p)) {

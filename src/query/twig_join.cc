@@ -39,52 +39,33 @@ JoinCounters& C() {
 TwigJoin::TwigJoin(const TreePattern& pattern, size_t max_answers)
     : pattern_(pattern), max_answers_(max_answers) {
   KADOP_CHECK(!pattern_.nodes.empty(), "empty pattern");
-  streams_.reserve(pattern_.size());
-  for (size_t i = 0; i < pattern_.size(); ++i) {
-    streams_.emplace_back(&arena_);
-  }
+  streams_.resize(pattern_.size());
   scratch_.resize(pattern_.size());
 }
 
 void TwigJoin::Append(size_t node, PostingList postings) {
-  if (postings.empty()) {
-    KADOP_CHECK(node < streams_.size(), "bad stream index");
-    return;
-  }
+  KADOP_CHECK(node < streams_.size(), "bad stream index");
+  if (postings.empty()) return;
+  KADOP_CHECK(!streams_[node].closed(), "append after close");
   // Validate ordering within the block before it enters the stream (the
-  // cross-block check lives in AppendBlock).
+  // stream checks the order across blocks).
   for (size_t i = 1; i < postings.size(); ++i) {
     KADOP_CHECK(!(postings[i] < postings[i - 1]),
                 "stream postings out of order");
   }
-  AppendBlock(node, PostingBlock::FromList(std::move(postings)));
+  streams_[node].Push(std::move(postings));
 }
 
 void TwigJoin::AppendShared(size_t node,
                             std::shared_ptr<const PostingList> postings) {
-  if (!postings || postings->empty()) {
-    KADOP_CHECK(node < streams_.size(), "bad stream index");
-    return;
-  }
+  KADOP_CHECK(node < streams_.size(), "bad stream index");
+  if (!postings || postings->empty()) return;
+  KADOP_CHECK(!streams_[node].closed(), "append after close");
   for (size_t i = 1; i < postings->size(); ++i) {
     KADOP_CHECK(!((*postings)[i] < (*postings)[i - 1]),
                 "stream postings out of order");
   }
-  AppendBlock(node, PostingBlock::FromShared(std::move(postings)));
-}
-
-void TwigJoin::AppendEncoded(size_t node,
-                             std::shared_ptr<const std::vector<uint8_t>> bytes,
-                             index::Condition bounds, uint64_t count) {
-  AppendBlock(node, PostingBlock::FromEncoded(std::move(bytes), bounds, count));
-}
-
-void TwigJoin::AppendBlock(size_t node, PostingBlock block) {
-  KADOP_CHECK(node < streams_.size(), "bad stream index");
-  PostingListIterator& s = streams_[node];
-  KADOP_CHECK(!s.closed(), "append after close");
-  if (block.empty()) return;
-  s.Push(std::move(block));
+  streams_[node].Push(std::move(postings));
 }
 
 void TwigJoin::Close(size_t node) {
@@ -101,20 +82,6 @@ bool TwigJoin::Done() const {
     if (!s.Exhausted()) return false;
   }
   return true;
-}
-
-uint64_t TwigJoin::blocks_skipped_undecoded() const {
-  uint64_t total = 0;
-  for (const PostingListIterator& s : streams_) {
-    total += s.blocks_skipped_undecoded();
-  }
-  return total;
-}
-
-uint64_t TwigJoin::blocks_decoded() const {
-  uint64_t total = 0;
-  for (const PostingListIterator& s : streams_) total += s.blocks_decoded();
-  return total;
 }
 
 size_t TwigJoin::Advance() {
@@ -135,9 +102,8 @@ size_t TwigJoin::Advance() {
 
     // Document-level leapfrog: every posting below the furthest stream
     // head is absent from that stream (streams are in order), so it can
-    // never join — drop those postings in bulk, skipping still-encoded
-    // blocks without decoding them. A stream that has ended with nothing
-    // buffered makes *every* remaining document unmatchable.
+    // never join — drop those postings in bulk. A stream that has ended
+    // with nothing buffered makes *every* remaining document unmatchable.
     DocId target = doc;
     bool unmatchable = false;
     for (const PostingListIterator& s : streams_) {

@@ -2,11 +2,9 @@
 #define KADOP_QUERY_TWIG_JOIN_H_
 
 #include <cstddef>
-#include <cstdint>
 #include <memory>
 #include <vector>
 
-#include "index/condition.h"
 #include "index/posting.h"
 #include "query/iterator.h"
 #include "query/tree_pattern.h"
@@ -45,13 +43,12 @@ size_t EnumerateMatches(const TreePattern& pattern, const index::DocId& doc,
 /// while later blocks are still in flight, giving the "time to first
 /// answer" behaviour of Sections 3 and 4.2.
 ///
-/// Streams are `PostingListIterator`s, so the join leapfrogs at document
-/// granularity: when the stream heads disagree on a document, every
-/// posting below the furthest head provably cannot match and is skipped in
-/// bulk — and encoded blocks that fall entirely below the leapfrog target
-/// are dropped without ever being decoded. Answers and
-/// `postings_consumed()` totals are identical to the posting-at-a-time
-/// discipline; only the work to get there shrinks.
+/// Streams are `PostingListIterator`s over decoded blocks, so the join
+/// leapfrogs at document granularity: when the stream heads disagree on a
+/// document, every posting below the furthest head provably cannot match
+/// and is skipped in bulk (whole blocks at once when they lie entirely
+/// below it). Answers and `postings_consumed()` totals are identical to
+/// the posting-at-a-time discipline; only the work to get there shrinks.
 class TwigJoin {
  public:
   /// `max_answers` caps enumeration (protection against cross-product
@@ -73,16 +70,6 @@ class TwigJoin {
   void AppendShared(size_t node,
                     std::shared_ptr<const index::PostingList> postings);
 
-  /// Lazy variant: an encoded `EncodePostings` block with its exact
-  /// `[first, last]` posting bounds and count. Decoded on first touch, or
-  /// never if the document leapfrog skips past `bounds.hi`.
-  void AppendEncoded(size_t node,
-                     std::shared_ptr<const std::vector<uint8_t>> bytes,
-                     index::Condition bounds, uint64_t count);
-
-  /// Lowest-level feed: any storage form `PostingBlock` supports.
-  void AppendBlock(size_t node, PostingBlock block);
-
   /// Marks `node`'s stream as ended.
   void Close(size_t node);
 
@@ -103,11 +90,6 @@ class TwigJoin {
   /// Total postings consumed across all streams (bulk skips included).
   size_t postings_consumed() const { return consumed_; }
 
-  /// Encoded blocks dropped whole by the document leapfrog, never decoded.
-  [[nodiscard]] uint64_t blocks_skipped_undecoded() const;
-  /// Encoded blocks the join did decode (lazily, on first touch).
-  [[nodiscard]] uint64_t blocks_decoded() const;
-
  private:
   /// Joins one document's candidates; appends answers.
   void JoinDocument(const index::DocId& doc,
@@ -115,7 +97,6 @@ class TwigJoin {
 
   const TreePattern pattern_;
   const size_t max_answers_;
-  Arena arena_;  // decode scratch; lives as long as the join
   std::vector<PostingListIterator> streams_;
   std::vector<index::PostingList> scratch_;  // per-doc candidates, reused
   std::vector<Answer> answers_;

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <utility>
 
-#include "query/iterator.h"
+#include "query/twig_join.h"
 
 namespace kadop::query {
 
@@ -103,7 +103,7 @@ std::vector<index::PostingList> ProjectAnswers(
 std::vector<Answer> ViewAnswersForDoc(
     const TreePattern& pattern,
     const std::vector<index::TermPosting>& postings) {
-  StructuralJoinIterator join(pattern);
+  TwigJoin join(pattern);
   for (size_t node = 0; node < pattern.size(); ++node) {
     const std::string key = pattern.node(node).TermKey();
     index::PostingList list;
@@ -111,10 +111,11 @@ std::vector<Answer> ViewAnswersForDoc(
       if (tp.key == key) list.push_back(tp.posting);
     }
     std::sort(list.begin(), list.end());
-    join.AddInput(node, PostingBlock::FromList(std::move(list)));
+    join.Append(node, std::move(list));
   }
-  join.Run();
-  return join.TakeAnswers();
+  join.CloseAll();
+  join.Advance();
+  return join.answers();
 }
 
 }  // namespace kadop::query

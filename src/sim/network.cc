@@ -233,8 +233,4 @@ void Network::Send(Message msg) {
   }
 }
 
-void Network::RunAfter(double cpu_time, std::function<void()> fn) {
-  scheduler_->After(cpu_time, std::move(fn));
-}
-
 }  // namespace kadop::sim

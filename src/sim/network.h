@@ -83,10 +83,6 @@ class Network {
   /// the meter immediately; delivery is scheduled per the transfer model.
   void Send(Message msg);
 
-  /// Runs a local computation on `node` that takes `cpu_time` of virtual
-  /// time before invoking `fn`. Used to model disk reads and join CPU cost.
-  void RunAfter(double cpu_time, std::function<void()> fn);
-
   const TrafficStats& traffic() const { return traffic_; }
   void ResetTraffic() { traffic_ = TrafficStats(); }
 

@@ -150,15 +150,9 @@ TEST(CodecTest, OverlongVarintFailsWithCorruption) {
   // must not truncate to 0 (which would decode as a valid empty list).
   const std::vector<uint8_t> overlong = TenByteVarint(0x02);
   PostingList out;
-  const Status heap = codec::DecodePostings(overlong, &out);
-  EXPECT_EQ(heap.code(), StatusCode::kCorruption);
-  EXPECT_EQ(heap.message(), "codec: truncated posting count");
-  std::vector<Posting> span(4);
-  size_t decoded = 0;
-  const Status batch = codec::DecodePostingsInto(
-      overlong.data(), overlong.size(), span.data(), span.size(), &decoded);
-  EXPECT_EQ(batch.code(), StatusCode::kCorruption);
-  EXPECT_EQ(batch.message(), "codec: truncated posting count");
+  const Status st = codec::DecodePostings(overlong, &out);
+  EXPECT_EQ(st.code(), StatusCode::kCorruption);
+  EXPECT_EQ(st.message(), "codec: truncated posting count");
 
   // 0x01 in the 10th byte is 2^63, a well-formed varint: it parses and is
   // then refused by the count plausibility check instead.
@@ -195,50 +189,6 @@ TEST(CodecTest, BlockEncoderEmitsAlignedStandaloneBlocks) {
   if (enc.pending() > 0) drain(enc.Flush());
   EXPECT_EQ(reassembled, list);
   EXPECT_EQ(blocks, (list.size() + 127) / 128);
-}
-
-TEST(CodecTest, DecodePostingsIntoMatchesHeapPath) {
-  for (uint64_t seed = 1; seed <= 6; ++seed) {
-    std::mt19937_64 rng(seed);
-    for (size_t n : {0u, 1u, 40u, 500u}) {
-      const PostingList list = RandomSortedList(rng, n);
-      const std::vector<uint8_t> buf = codec::EncodePostings(list);
-      std::vector<Posting> span(list.size() + 3);  // slack capacity is fine
-      size_t decoded = 0;
-      ASSERT_TRUE(codec::DecodePostingsInto(buf.data(), buf.size(),
-                                            span.data(), span.size(),
-                                            &decoded)
-                      .ok());
-      ASSERT_EQ(decoded, list.size());
-      EXPECT_TRUE(std::equal(list.begin(), list.end(), span.begin()));
-    }
-  }
-}
-
-TEST(CodecTest, DecodePostingsIntoRejectsEveryTruncation) {
-  std::mt19937_64 rng(13);
-  const PostingList list = RandomSortedList(rng, 40);
-  const std::vector<uint8_t> buf = codec::EncodePostings(list);
-  std::vector<Posting> span(list.size());
-  for (size_t len = 0; len < buf.size(); ++len) {
-    size_t decoded = 0;
-    const Status st = codec::DecodePostingsInto(buf.data(), len, span.data(),
-                                                span.size(), &decoded);
-    EXPECT_FALSE(st.ok()) << "prefix of length " << len << " decoded";
-    EXPECT_EQ(st.code(), StatusCode::kCorruption);
-  }
-}
-
-TEST(CodecTest, DecodePostingsIntoRejectsInsufficientCapacity) {
-  std::mt19937_64 rng(17);
-  const PostingList list = RandomSortedList(rng, 20);
-  const std::vector<uint8_t> buf = codec::EncodePostings(list);
-  std::vector<Posting> span(list.size() - 1);
-  size_t decoded = 0;
-  EXPECT_EQ(codec::DecodePostingsInto(buf.data(), buf.size(), span.data(),
-                                      span.size(), &decoded)
-                .code(),
-            StatusCode::kCorruption);
 }
 
 // ---------------------------------------------------------------------------

@@ -158,10 +158,8 @@ TEST(CostModelTest, TinyExtentFlipsAutoToView) {
   TreePattern pattern = MustParse("//a//b");
   QueryOptions options;
   options.dpp_join_available = true;
-  options.view_available = true;
-  options.view_extent_postings = 10;
-  options.view_residual_postings = 0;
-  auto costs = EstimateStrategyCosts(pattern, {1000, 5000}, options);
+  auto costs = EstimateStrategyCosts(pattern, {1000, 5000}, options,
+                                     ViewPricing{10, 0});
   const auto* view = Find(costs, QueryStrategy::kView);
   const auto* djoin = Find(costs, QueryStrategy::kDppJoin);
   ASSERT_NE(view, nullptr);
@@ -182,10 +180,8 @@ TEST(CostModelTest, HugeExtentKeepsAutoOnDppJoin) {
   TreePattern pattern = MustParse("//a//b");
   QueryOptions options;
   options.dpp_join_available = true;
-  options.view_available = true;
-  options.view_extent_postings = 5800;
-  options.view_residual_postings = 300;
-  auto costs = EstimateStrategyCosts(pattern, {1000, 5000}, options);
+  auto costs = EstimateStrategyCosts(pattern, {1000, 5000}, options,
+                                     ViewPricing{5800, 300});
   const auto* view = Find(costs, QueryStrategy::kView);
   const auto* djoin = Find(costs, QueryStrategy::kDppJoin);
   ASSERT_NE(view, nullptr);

@@ -1,10 +1,8 @@
-// Seeded property tests for the iterator-tree query engine
-// (src/query/iterator.h): every combinator must agree with a naive
-// decode-everything oracle on skewed and adversarial posting lists, lazy
-// block decode must actually skip out-of-range encoded blocks (pinned
-// through the blocks_decoded / blocks_skipped_undecoded counters), and
-// the structural join must produce byte-identical answers regardless of
-// whether its inputs arrive decoded, shared, or encoded.
+// Seeded property tests for the twig join's decoded posting streams
+// (src/query/iterator.h): the streaming skip/take API must agree with a
+// flat-list oracle across any block split and either storage form,
+// MergeDistinct must equal concat + sort + unique, and the planner's twig
+// estimate is the minimum per-node count.
 
 #include <gtest/gtest.h>
 
@@ -14,16 +12,13 @@
 #include <random>
 #include <vector>
 
-#include "index/codec.h"
 #include "index/posting.h"
 #include "query/iterator.h"
 #include "query/tree_pattern.h"
-#include "query/twig_join.h"
 
 namespace kadop::query {
 namespace {
 
-using index::Condition;
 using index::DocId;
 using index::Posting;
 using index::PostingList;
@@ -57,62 +52,7 @@ PostingList RandomSortedList(std::mt19937_64& rng, size_t n,
   return list;
 }
 
-/// Splits `list` into random contiguous chunks (possibly empty at the
-/// tail) — any split of a sorted list is a valid block stream.
-std::vector<PostingList> RandomChunks(std::mt19937_64& rng,
-                                      const PostingList& list) {
-  std::vector<PostingList> chunks;
-  std::uniform_int_distribution<size_t> len_d(1, 64);
-  size_t i = 0;
-  while (i < list.size()) {
-    const size_t len = std::min(len_d(rng), list.size() - i);
-    chunks.emplace_back(list.begin() + static_cast<long>(i),
-                        list.begin() + static_cast<long>(i + len));
-    i += len;
-  }
-  return chunks;
-}
-
-enum class Storage { kOwned, kShared, kEncoded };
-
-PostingBlock MakeBlock(PostingList chunk, Storage storage) {
-  switch (storage) {
-    case Storage::kOwned:
-      return PostingBlock::FromList(std::move(chunk));
-    case Storage::kShared:
-      return PostingBlock::FromShared(
-          std::make_shared<const PostingList>(std::move(chunk)));
-    case Storage::kEncoded: {
-      const Condition bounds =
-          chunk.empty() ? Condition{} : Condition{chunk.front(), chunk.back()};
-      const uint64_t count = chunk.size();
-      return PostingBlock::FromEncoded(
-          std::make_shared<const std::vector<uint8_t>>(
-              index::codec::EncodePostings(chunk)),
-          bounds, count);
-    }
-  }
-  return PostingBlock::FromList({});  // unreachable
-}
-
-PostingListIterator MakeIterator(std::mt19937_64& rng, const PostingList& list,
-                                 Storage storage, Arena* arena = nullptr) {
-  PostingListIterator it(arena);
-  for (PostingList& chunk : RandomChunks(rng, list)) {
-    it.Push(MakeBlock(std::move(chunk), storage));
-  }
-  it.Close();
-  return it;
-}
-
-PostingList Drain(IndexIterator& it) {
-  PostingList out;
-  Posting p;
-  while (it.Read(&p)) out.push_back(p);
-  return out;
-}
-
-/// sort + unique oracle for MergeDistinct / UnionIterator.
+/// sort + unique oracle for MergeDistinct.
 PostingList DistinctOracle(const std::vector<PostingList>& lists) {
   PostingList merged;
   for (const PostingList& l : lists) {
@@ -123,315 +63,70 @@ PostingList DistinctOracle(const std::vector<PostingList>& lists) {
   return merged;
 }
 
-/// Intersect oracle: postings of lists[0] whose document id appears in
-/// every other list.
-PostingList IntersectOracle(const std::vector<PostingList>& lists) {
-  PostingList out;
-  for (const Posting& p : lists[0]) {
-    bool everywhere = true;
-    for (size_t i = 1; i < lists.size() && everywhere; ++i) {
-      everywhere = std::any_of(
-          lists[i].begin(), lists[i].end(),
-          [&](const Posting& q) { return q.doc_id() == p.doc_id(); });
-    }
-    if (everywhere) out.push_back(p);
-  }
-  return out;
-}
-
-// --- Arena -----------------------------------------------------------------
-
-TEST(ArenaTest, AllocationsAreAlignedAndDisjoint) {
-  Arena arena(256);
-  auto* a = arena.AllocateArray<Posting>(10);
-  auto* b = arena.AllocateArray<uint64_t>(4);
-  ASSERT_NE(a, nullptr);
-  ASSERT_NE(b, nullptr);
-  EXPECT_EQ(reinterpret_cast<uintptr_t>(a) % alignof(Posting), 0u);
-  EXPECT_EQ(reinterpret_cast<uintptr_t>(b) % alignof(uint64_t), 0u);
-  for (size_t i = 0; i < 10; ++i) a[i] = Posting{1, 2, {3, 4, 5}};
-  for (size_t i = 0; i < 4; ++i) b[i] = i;
-  for (size_t i = 0; i < 10; ++i) {
-    EXPECT_EQ(a[i], (Posting{1, 2, {3, 4, 5}}));
-  }
-  EXPECT_GE(arena.allocated_bytes(), 10 * sizeof(Posting) + 4 * sizeof(uint64_t));
-}
-
-TEST(ArenaTest, OversizedRequestGetsItsOwnChunk) {
-  Arena arena(64);
-  auto* big = arena.AllocateArray<Posting>(100);  // far beyond one chunk
-  ASSERT_NE(big, nullptr);
-  big[99] = Posting{9, 9, {9, 9, 9}};
-  EXPECT_EQ(big[99], (Posting{9, 9, {9, 9, 9}}));
-}
-
-TEST(ArenaTest, ResetRecyclesChunksInsteadOfGrowing) {
-  Arena arena(1 << 12);
-  for (int round = 0; round < 3; ++round) {
-    arena.Reset();
-    for (int i = 0; i < 8; ++i) (void)arena.AllocateArray<Posting>(16);
-  }
-  const size_t chunks_after_warmup = arena.chunk_count();
-  for (int round = 0; round < 10; ++round) {
-    arena.Reset();
-    for (int i = 0; i < 8; ++i) (void)arena.AllocateArray<Posting>(16);
-  }
-  // The hot loop is allocation-free once capacities have warmed up.
-  EXPECT_EQ(arena.chunk_count(), chunks_after_warmup);
-}
-
 // --- PostingListIterator ---------------------------------------------------
 
-TEST(PostingListIteratorTest, DrainMatchesListInEveryStorageForm) {
+TEST(PostingListIteratorTest, SkipAndTakeMatchFlatListOracle) {
   for (uint64_t seed = 1; seed <= 8; ++seed) {
-    for (Storage storage :
-         {Storage::kOwned, Storage::kShared, Storage::kEncoded}) {
-      std::mt19937_64 rng(seed);
-      const PostingList list = RandomSortedList(rng, 300);
-      Arena arena;
-      PostingListIterator it = MakeIterator(rng, list, storage, &arena);
-      EXPECT_EQ(it.EstimateResultsAmount(), list.size());
-      EXPECT_EQ(Drain(it), list);
-      EXPECT_FALSE(it.HasBuffered());
-      EXPECT_TRUE(it.Exhausted());
-    }
-  }
-}
-
-TEST(PostingListIteratorTest, SkipToMatchesLowerBoundOracle) {
-  for (uint64_t seed = 1; seed <= 8; ++seed) {
-    for (Storage storage :
-         {Storage::kOwned, Storage::kShared, Storage::kEncoded}) {
-      std::mt19937_64 rng(seed);
-      const PostingList list = RandomSortedList(rng, 400);
-      Arena arena;
-      PostingListIterator it = MakeIterator(rng, list, storage, &arena);
-      // Random non-decreasing targets; the oracle walks the flat list.
-      size_t oracle = 0;  // index of the next unconsumed oracle posting
-      std::uniform_int_distribution<size_t> jump_d(0, 12);
-      std::uniform_int_distribution<int> coin(0, 1);
-      while (oracle < list.size()) {
-        if (coin(rng) == 0) {
-          // Interleave plain reads to exercise mixed access.
-          Posting got;
-          ASSERT_TRUE(it.Read(&got));
-          EXPECT_EQ(got, list[oracle]);
-          ++oracle;
-          continue;
-        }
-        const size_t probe =
-            std::min(list.size() - 1, oracle + jump_d(rng));
-        const Posting target = list[probe];
-        const size_t expect = static_cast<size_t>(
-            std::lower_bound(list.begin() + static_cast<long>(oracle),
-                             list.end(), target) -
-            list.begin());
-        Posting got;
-        ASSERT_TRUE(it.SkipTo(target, &got));
-        EXPECT_EQ(got, list[expect]);
-        oracle = expect + 1;  // SkipTo consumes the returned posting
+    std::mt19937_64 rng(seed);
+    const PostingList list = RandomSortedList(rng, 400);
+    // Random block split, alternating owned and shared storage, with an
+    // empty block (dropped on Push) thrown in.
+    PostingListIterator it;
+    it.Push(PostingList{});
+    std::uniform_int_distribution<size_t> len_d(1, 64);
+    for (size_t i = 0, b = 0; i < list.size(); ++b) {
+      const size_t len = std::min(len_d(rng), list.size() - i);
+      PostingList chunk(list.begin() + static_cast<long>(i),
+                        list.begin() + static_cast<long>(i + len));
+      if (b % 2 == 0) {
+        it.Push(std::move(chunk));
+      } else {
+        it.Push(std::make_shared<const PostingList>(std::move(chunk)));
       }
-      Posting end;
-      EXPECT_FALSE(it.Read(&end));
+      i += len;
     }
+    it.Close();
+    EXPECT_EQ(it.LastBufferedDoc(), list.back().doc_id());
+
+    // Alternate doc-level skips and takes; the oracle walks the flat list.
+    size_t oracle = 0;
+    std::uniform_int_distribution<uint32_t> jump_d(0, 40);
+    std::uniform_int_distribution<int> coin(0, 1);
+    while (oracle < list.size()) {
+      ASSERT_TRUE(it.HasBuffered());
+      ASSERT_EQ(it.HeadDoc(), list[oracle].doc_id());
+      if (coin(rng) == 0) {
+        const DocId doc = list[oracle].doc_id();
+        PostingList took;
+        const size_t n = it.TakeDoc(doc, took);
+        const size_t start = oracle;
+        while (oracle < list.size() && list[oracle].doc_id() == doc) ++oracle;
+        EXPECT_EQ(n, oracle - start);
+        EXPECT_EQ(took, PostingList(list.begin() + static_cast<long>(start),
+                                    list.begin() + static_cast<long>(oracle)));
+        continue;
+      }
+      const DocId target{list[oracle].peer, list[oracle].doc + jump_d(rng)};
+      const size_t start = oracle;
+      while (oracle < list.size() && list[oracle].doc_id() < target) ++oracle;
+      EXPECT_EQ(it.SkipBelowDoc(target), oracle - start);
+    }
+    EXPECT_FALSE(it.HasBuffered());
+    EXPECT_TRUE(it.Exhausted());
   }
 }
 
-TEST(PostingListIteratorTest, SkipToPastEverythingReturnsFalse) {
-  std::mt19937_64 rng(3);
-  const PostingList list = RandomSortedList(rng, 100);
-  PostingListIterator it = MakeIterator(rng, list, Storage::kEncoded);
-  Posting got;
-  EXPECT_FALSE(it.SkipTo(index::kMaxPosting, &got));
-  EXPECT_FALSE(it.HasBuffered());
-  // Every block was dropped from its bounds alone.
-  EXPECT_EQ(it.blocks_decoded(), 0u);
-  EXPECT_GT(it.blocks_skipped_undecoded(), 0u);
-}
-
-TEST(PostingListIteratorTest, OutOfRangeEncodedBlocksAreNeverDecoded) {
-  // Ten encoded blocks over docs [0, 1000), then one block at doc 5000.
-  // A SkipTo straight to doc 5000 must decode exactly one block: the
-  // [min_doc, max_doc] header interval of the other ten misses the target.
-  PostingListIterator it;
-  for (uint32_t b = 0; b < 10; ++b) {
-    PostingList chunk;
-    for (uint32_t d = 0; d < 100; ++d) {
-      chunk.push_back(Posting{0, b * 100 + d, {1, 2, 1}});
-    }
-    it.Push(MakeBlock(std::move(chunk), Storage::kEncoded));
-  }
-  it.Push(MakeBlock({Posting{0, 5000, {1, 2, 1}}}, Storage::kEncoded));
-  it.Close();
-
-  Posting got;
-  ASSERT_TRUE(it.SkipTo(Posting{0, 5000, {0, 0, 0}}, &got));
-  EXPECT_EQ(got, (Posting{0, 5000, {1, 2, 1}}));
-  EXPECT_EQ(it.blocks_skipped_undecoded(), 10u);
-  EXPECT_EQ(it.blocks_decoded(), 1u);
-}
-
-TEST(PostingListIteratorTest, EstimateIsAvailableBeforeAnyDecode) {
-  std::mt19937_64 rng(5);
-  const PostingList list = RandomSortedList(rng, 200);
-  PostingListIterator it = MakeIterator(rng, list, Storage::kEncoded);
-  EXPECT_EQ(it.EstimateResultsAmount(), list.size());
-  EXPECT_EQ(it.blocks_decoded(), 0u);  // the estimate came from headers
-}
-
-TEST(PostingListIteratorTest, AdversarialShapes) {
-  // Empty blocks are dropped on Push; single-posting runs and a long run
-  // of exact duplicates stream through unchanged.
-  PostingListIterator it;
-  it.Push(PostingBlock::FromList({}));
-  const Posting dup{1, 1, {5, 9, 2}};
-  it.Push(PostingBlock::FromList(PostingList(32, dup)));
-  it.Push(PostingBlock::FromList({Posting{1, 2, {1, 1, 1}}}));
-  it.Push(PostingBlock::FromList({}));
-  it.Push(MakeBlock({Posting{2, 0, {1, 4, 1}}}, Storage::kEncoded));
-  it.Close();
-  PostingList expect(32, dup);
-  expect.push_back(Posting{1, 2, {1, 1, 1}});
-  expect.push_back(Posting{2, 0, {1, 4, 1}});
-  EXPECT_EQ(Drain(it), expect);
-}
-
-TEST(PostingListIteratorTest, AbortDropsEverything) {
+TEST(PostingListIteratorTest, SkipAllCountsEveryBufferedPosting) {
   std::mt19937_64 rng(6);
-  PostingListIterator it =
-      MakeIterator(rng, RandomSortedList(rng, 50), Storage::kOwned);
-  it.Abort();
-  EXPECT_TRUE(it.Exhausted());
-  EXPECT_EQ(it.EstimateResultsAmount(), 0u);
-  Posting p;
-  EXPECT_FALSE(it.Read(&p));
-}
-
-TEST(PostingListIteratorTest, ForEstimateCarriesCardinality) {
-  PostingListIterator it = PostingListIterator::ForEstimate(1234);
-  EXPECT_EQ(it.EstimateResultsAmount(), 1234u);
-}
-
-// --- UnionIterator ---------------------------------------------------------
-
-TEST(UnionIteratorTest, MatchesSortUniqueOracle) {
-  for (uint64_t seed = 1; seed <= 8; ++seed) {
-    std::mt19937_64 rng(seed);
-    std::uniform_int_distribution<size_t> n_d(0, 200);
-    std::vector<PostingList> lists;
-    std::vector<std::unique_ptr<IndexIterator>> children;
-    for (int i = 0; i < 4; ++i) {
-      lists.push_back(RandomSortedList(rng, n_d(rng)));
-      const Storage storage =
-          static_cast<Storage>(i % 3);  // mix storage forms
-      children.push_back(std::make_unique<PostingListIterator>(
-          MakeIterator(rng, lists.back(), storage)));
-    }
-    UnionIterator u(std::move(children));
-    EXPECT_EQ(Drain(u), DistinctOracle(lists));
-  }
-}
-
-TEST(UnionIteratorTest, SkipToMatchesOracle) {
-  std::mt19937_64 rng(11);
-  std::vector<PostingList> lists;
-  std::vector<std::unique_ptr<IndexIterator>> children;
-  for (int i = 0; i < 3; ++i) {
-    lists.push_back(RandomSortedList(rng, 150));
-    children.push_back(std::make_unique<PostingListIterator>(
-        MakeIterator(rng, lists.back(), Storage::kOwned)));
-  }
-  const PostingList oracle = DistinctOracle(lists);
-  UnionIterator u(std::move(children));
-  size_t at = 0;
-  std::uniform_int_distribution<size_t> jump_d(0, 9);
-  while (at < oracle.size()) {
-    const size_t probe = std::min(oracle.size() - 1, at + jump_d(rng));
-    Posting got;
-    ASSERT_TRUE(u.SkipTo(oracle[probe], &got));
-    EXPECT_EQ(got, oracle[probe]);
-    at = probe + 1;
-  }
-  Posting end;
-  EXPECT_FALSE(u.Read(&end));
-}
-
-// --- IntersectIterator -----------------------------------------------------
-
-TEST(IntersectIteratorTest, MatchesOracleOnSkewedLists) {
-  for (uint64_t seed = 1; seed <= 8; ++seed) {
-    std::mt19937_64 rng(seed);
-    // Skew: one tiny selective child against larger ones, tight doc span
-    // so intersections actually happen.
-    std::vector<PostingList> lists;
-    lists.push_back(RandomSortedList(rng, 250, 120));
-    lists.push_back(RandomSortedList(rng, 20, 120));
-    lists.push_back(RandomSortedList(rng, 400, 120));
-    std::vector<std::unique_ptr<IndexIterator>> children;
-    for (size_t i = 0; i < lists.size(); ++i) {
-      children.push_back(std::make_unique<PostingListIterator>(
-          MakeIterator(rng, lists[i], static_cast<Storage>(i % 3))));
-    }
-    IntersectIterator x(std::move(children));
-    EXPECT_EQ(Drain(x), IntersectOracle(lists));
-  }
-}
-
-TEST(IntersectIteratorTest, DisjointChildrenProduceNothing) {
-  std::vector<std::unique_ptr<IndexIterator>> children;
-  for (uint32_t base : {0u, 1000u}) {
-    PostingList list;
-    for (uint32_t d = 0; d < 50; ++d) {
-      list.push_back(Posting{0, base + d, {1, 2, 1}});
-    }
-    auto it = std::make_unique<PostingListIterator>();
-    it->Push(PostingBlock::FromList(std::move(list)));
-    it->Close();
-    children.push_back(std::move(it));
-  }
-  IntersectIterator x(std::move(children));
-  Posting p;
-  EXPECT_FALSE(x.Read(&p));
-}
-
-TEST(IntersectIteratorTest, GallopingWorstCaseSkipsLargeChildUndecoded) {
-  // The galloping worst case: a single-posting child forces one giant
-  // leap through a large encoded child. Every out-of-range block of the
-  // large child must be dropped from its header bounds alone.
-  auto large = std::make_unique<PostingListIterator>();
-  for (uint32_t b = 0; b < 20; ++b) {
-    PostingList chunk;
-    for (uint32_t d = 0; d < 50; ++d) {
-      chunk.push_back(Posting{0, b * 50 + d, {1, 2, 1}});
-    }
-    large->Push(MakeBlock(std::move(chunk), Storage::kEncoded));
-  }
-  large->Push(MakeBlock({Posting{0, 99999, {1, 2, 1}}}, Storage::kEncoded));
-  large->Close();
-  PostingListIterator* large_raw = large.get();
-
-  auto tiny = std::make_unique<PostingListIterator>();
-  tiny->Push(PostingBlock::FromList({Posting{0, 99999, {3, 4, 2}}}));
-  tiny->Close();
-
-  std::vector<std::unique_ptr<IndexIterator>> children;
-  children.push_back(std::move(tiny));
-  children.push_back(std::move(large));
-  IntersectIterator x(std::move(children));
-  const PostingList expect{Posting{0, 99999, {3, 4, 2}}};
-  EXPECT_EQ(Drain(x), expect);
-  EXPECT_EQ(large_raw->blocks_skipped_undecoded(), 20u);
-  EXPECT_EQ(large_raw->blocks_decoded(), 1u);
-}
-
-TEST(IntersectIteratorTest, EstimateIsMinOverChildren) {
-  std::vector<std::unique_ptr<IndexIterator>> children;
-  for (uint64_t c : {500u, 7u, 90u}) {
-    children.push_back(std::make_unique<PostingListIterator>(
-        PostingListIterator::ForEstimate(c)));
-  }
-  IntersectIterator x(std::move(children));
-  EXPECT_EQ(x.EstimateResultsAmount(), 7u);
+  const PostingList list = RandomSortedList(rng, 50);
+  PostingListIterator it;
+  it.Push(PostingList(list.begin(), list.begin() + 20));
+  it.Push(PostingList(list.begin() + 20, list.end()));
+  PostingList took;
+  const size_t head = it.TakeDoc(list.front().doc_id(), took);
+  EXPECT_EQ(it.SkipAll(), list.size() - head);
+  EXPECT_FALSE(it.HasBuffered());
+  EXPECT_FALSE(it.Exhausted());  // not closed: more blocks may follow
 }
 
 // --- MergeDistinct ---------------------------------------------------------
@@ -442,15 +137,14 @@ TEST(MergeDistinctTest, MatchesSortUniqueOracle) {
     std::uniform_int_distribution<size_t> n_d(0, 120);
     std::vector<PostingList> lists;
     for (int i = 0; i < 5; ++i) lists.push_back(RandomSortedList(rng, n_d(rng)));
-    const PostingList oracle = DistinctOracle(lists);
-    EXPECT_EQ(MergeDistinct(lists), oracle);
-
-    std::vector<PostingBlock> blocks;
-    for (size_t i = 0; i < lists.size(); ++i) {
-      blocks.push_back(MakeBlock(lists[i], static_cast<Storage>(i % 3)));
-    }
-    EXPECT_EQ(MergeDistinct(std::move(blocks)), oracle);
+    EXPECT_EQ(MergeDistinct(lists), DistinctOracle(lists));
   }
+  // Already-ordered pulls (the common case) skip the sort but still drop
+  // duplicates at the seams.
+  const Posting a{0, 1, {1, 2, 1}};
+  const Posting b{0, 2, {1, 2, 1}};
+  EXPECT_EQ(MergeDistinct({{a}, {a, b}, {b}}), (PostingList{a, b}));
+  EXPECT_TRUE(MergeDistinct({}).empty());
 }
 
 TEST(MergeDistinctTest, UnsortedInputFallsBackToCanonicalResult) {
@@ -461,112 +155,6 @@ TEST(MergeDistinctTest, UnsortedInputFallsBackToCanonicalResult) {
   PostingList expect{Posting{0, 1, {1, 2, 1}}, Posting{0, 5, {1, 2, 1}},
                      Posting{0, 9, {1, 2, 1}}};
   EXPECT_EQ(out, expect);
-}
-
-// --- StructuralJoinIterator ------------------------------------------------
-
-/// Builds matching //a//b candidate lists over `docs` documents with
-/// `per_doc` elements each plus decoy-only documents that cannot join.
-struct TwigFixture {
-  PostingList ancestors;
-  PostingList descendants;
-
-  explicit TwigFixture(std::mt19937_64& rng, uint32_t docs,
-                       uint32_t per_doc) {
-    std::uniform_int_distribution<int> decoy_d(0, 2);
-    for (uint32_t d = 0; d < docs; ++d) {
-      const int decoy = decoy_d(rng);
-      if (decoy == 1) {  // ancestor without descendants
-        ancestors.push_back(Posting{0, d, {1, 1000, 1}});
-        continue;
-      }
-      if (decoy == 2) {  // descendants without an ancestor
-        for (uint32_t i = 0; i < per_doc; ++i) {
-          descendants.push_back(Posting{0, d, {10 + i, 10 + i, 3}});
-        }
-        continue;
-      }
-      ancestors.push_back(Posting{0, d, {1, 1000, 1}});
-      for (uint32_t i = 0; i < per_doc; ++i) {
-        descendants.push_back(Posting{0, d, {10 + i, 10 + i, 3}});
-      }
-    }
-  }
-};
-
-std::vector<Answer> RunJoin(const TreePattern& pattern,
-                            const PostingList& ancestors,
-                            const PostingList& descendants, Storage storage,
-                            std::mt19937_64& rng,
-                            uint64_t* skipped = nullptr) {
-  StructuralJoinIterator join(pattern);
-  for (PostingList& chunk : RandomChunks(rng, ancestors)) {
-    join.AddInput(0, MakeBlock(std::move(chunk), storage));
-  }
-  for (PostingList& chunk : RandomChunks(rng, descendants)) {
-    join.AddInput(1, MakeBlock(std::move(chunk), storage));
-  }
-  join.Run();
-  if (skipped != nullptr) *skipped = join.blocks_skipped_undecoded();
-  return join.TakeAnswers();
-}
-
-bool AnswersEqual(const std::vector<Answer>& a, const std::vector<Answer>& b) {
-  if (a.size() != b.size()) return false;
-  for (size_t i = 0; i < a.size(); ++i) {
-    if (a[i].doc != b[i].doc || a[i].elements != b[i].elements) return false;
-  }
-  return true;
-}
-
-TEST(StructuralJoinIteratorTest, EncodedInputsMatchDecodedByteForByte) {
-  const TreePattern pattern = MustParse("//a//b");
-  for (uint64_t seed = 1; seed <= 6; ++seed) {
-    std::mt19937_64 rng(seed);
-    TwigFixture fx(rng, 120, 3);
-    std::mt19937_64 rng_a(seed * 101);
-    std::mt19937_64 rng_b(seed * 101 + 1);
-    std::mt19937_64 rng_c(seed * 101 + 2);
-    const auto decoded =
-        RunJoin(pattern, fx.ancestors, fx.descendants, Storage::kOwned, rng_a);
-    const auto shared =
-        RunJoin(pattern, fx.ancestors, fx.descendants, Storage::kShared, rng_b);
-    const auto encoded = RunJoin(pattern, fx.ancestors, fx.descendants,
-                                 Storage::kEncoded, rng_c);
-    EXPECT_GT(decoded.size(), 0u);
-    EXPECT_TRUE(AnswersEqual(decoded, shared));
-    EXPECT_TRUE(AnswersEqual(decoded, encoded));
-  }
-}
-
-TEST(StructuralJoinIteratorTest, LeapfrogSkipsOutOfRangeBlocksUndecoded) {
-  // The selective stream has one document; the other stream's blocks
-  // below it must be dropped by the document leapfrog without a decode.
-  const TreePattern pattern = MustParse("//a//b");
-  StructuralJoinIterator join(pattern);
-  join.AddInput(0, PostingBlock::FromList({Posting{0, 950, {1, 1000, 1}}}));
-  for (uint32_t b = 0; b < 9; ++b) {
-    PostingList chunk;
-    for (uint32_t d = 0; d < 100; ++d) {
-      chunk.push_back(Posting{0, b * 100 + d, {10, 10, 3}});
-    }
-    join.AddInput(1, MakeBlock(std::move(chunk), Storage::kEncoded));
-  }
-  join.AddInput(1, MakeBlock({Posting{0, 950, {10, 10, 3}}},
-                             Storage::kEncoded));
-  join.Run();
-  ASSERT_EQ(join.answers().size(), 1u);
-  EXPECT_EQ(join.answers()[0].doc, (DocId{0, 950}));
-  EXPECT_EQ(join.blocks_skipped_undecoded(), 9u);
-}
-
-TEST(StructuralJoinIteratorTest, EstimateIsMinInputCount) {
-  const TreePattern pattern = MustParse("//a//b");
-  StructuralJoinIterator join(pattern);
-  std::mt19937_64 rng(2);
-  join.AddInput(0, PostingBlock::FromList(RandomSortedList(rng, 40)));
-  join.AddInput(1, PostingBlock::FromList(RandomSortedList(rng, 7)));
-  EXPECT_EQ(join.EstimateResultsAmount(), 7u);
 }
 
 // --- EstimateTwigResults ---------------------------------------------------

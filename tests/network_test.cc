@@ -132,14 +132,6 @@ TEST_F(NetworkTest, DownNodeDropsMessages) {
   EXPECT_EQ(actors[1].arrivals.size(), 1u);
 }
 
-TEST_F(NetworkTest, RunAfterModelsCpuTime) {
-  bool ran = false;
-  net.RunAfter(0.5, [&] { ran = true; });
-  sched.RunUntilIdle();
-  EXPECT_TRUE(ran);
-  EXPECT_EQ(sched.Now(), 0.5);
-}
-
 TEST(TrafficCategoryTest, NamesAreStable) {
   EXPECT_EQ(TrafficCategoryName(TrafficCategory::kControl), "control");
   EXPECT_EQ(TrafficCategoryName(TrafficCategory::kPublish), "publish");

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
+#include <random>
 
 #include "index/terms.h"
 #include "query/local_eval.h"
@@ -204,6 +206,96 @@ TEST(TwigJoinTest, IncompleteStreamsAfterCloseAllStillJoinSafely) {
   join.CloseAll();
   join.Advance();
   EXPECT_TRUE(join.answers().empty());
+  EXPECT_TRUE(join.Done());
+}
+
+/// Matching //a//b streams over `docs` documents, `per_doc` descendants
+/// each, plus decoy documents holding only one side (which cannot join).
+std::vector<PostingList> RandomAncestorDescendantStreams(
+    std::mt19937_64& rng, uint32_t docs, uint32_t per_doc) {
+  std::vector<PostingList> streams(2);
+  std::uniform_int_distribution<int> shape_d(0, 2);
+  for (uint32_t d = 0; d < docs; ++d) {
+    const int shape = shape_d(rng);
+    if (shape != 2) streams[0].push_back(Posting{0, d, {1, 1000, 1}});
+    if (shape == 1) continue;  // ancestor without descendants
+    for (uint32_t i = 0; i < per_doc; ++i) {
+      streams[1].push_back(Posting{0, d, {10 + i, 10 + i, 3}});
+    }
+  }
+  return streams;
+}
+
+TEST(TwigJoinTest, BlockBoundariesDoNotChangeTheJoin) {
+  const TreePattern pattern = MustParse("//a//b");
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    std::mt19937_64 rng(seed);
+    const auto streams = RandomAncestorDescendantStreams(rng, 150, 3);
+
+    TwigJoin whole(pattern);
+    for (size_t q = 0; q < streams.size(); ++q) whole.Append(q, streams[q]);
+    whole.CloseAll();
+    whole.Advance();
+    ASSERT_GT(whole.answers().size(), 0u);
+
+    // The same streams cut into random-size blocks (often mid-document),
+    // fed in a random interleaving of the two nodes through both append
+    // forms, with the join advancing after every block.
+    TwigJoin blocked(pattern);
+    std::vector<size_t> fed(streams.size(), 0);
+    std::uniform_int_distribution<size_t> len_d(1, 7);
+    std::uniform_int_distribution<int> coin(0, 1);
+    for (;;) {
+      std::vector<size_t> open;
+      for (size_t q = 0; q < streams.size(); ++q) {
+        if (fed[q] < streams[q].size()) open.push_back(q);
+      }
+      if (open.empty()) break;
+      const size_t q = open[static_cast<size_t>(coin(rng)) % open.size()];
+      const size_t len = std::min(len_d(rng), streams[q].size() - fed[q]);
+      PostingList block(streams[q].begin() + static_cast<long>(fed[q]),
+                        streams[q].begin() + static_cast<long>(fed[q] + len));
+      fed[q] += len;
+      if (coin(rng) == 0) {
+        blocked.Append(q, std::move(block));
+      } else {
+        blocked.AppendShared(
+            q, std::make_shared<const PostingList>(std::move(block)));
+      }
+      if (fed[q] == streams[q].size()) blocked.Close(q);
+      blocked.Advance();
+    }
+    EXPECT_TRUE(blocked.Done());
+
+    EXPECT_EQ(blocked.answers(), whole.answers()) << "seed " << seed;
+    EXPECT_EQ(blocked.matched_docs(), whole.matched_docs()) << "seed " << seed;
+    EXPECT_EQ(blocked.postings_consumed(), whole.postings_consumed());
+    EXPECT_EQ(whole.postings_consumed(),
+              streams[0].size() + streams[1].size());
+  }
+}
+
+TEST(TwigJoinTest, LeapfrogDropsUnmatchablePostingsButCountsThem) {
+  // The selective stream has one document; the 900 postings of the other
+  // stream below it are dropped by the document leapfrog, block by block,
+  // and still count as consumed.
+  const TreePattern pattern = MustParse("//a//b");
+  TwigJoin join(pattern);
+  join.Append(0, PostingList{Posting{0, 950, {1, 1000, 1}}});
+  for (uint32_t b = 0; b < 9; ++b) {
+    PostingList block;
+    for (uint32_t d = 0; d < 100; ++d) {
+      block.push_back(Posting{0, b * 100 + d, {10, 10, 3}});
+    }
+    join.Append(1, std::move(block));
+  }
+  join.Append(1, PostingList{Posting{0, 950, {10, 10, 3}}});
+  join.CloseAll();
+  join.Advance();
+  ASSERT_EQ(join.answers().size(), 1u);
+  EXPECT_EQ(join.answers()[0].doc, (DocId{0, 950}));
+  EXPECT_EQ(join.matched_docs(), (std::vector<DocId>{DocId{0, 950}}));
+  EXPECT_EQ(join.postings_consumed(), 902u);
   EXPECT_TRUE(join.Done());
 }
 

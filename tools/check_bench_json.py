@@ -29,12 +29,6 @@ The serving harness (bench == "serving") additionally promises:
     == 1 and kDppJoin total posting movement >= 5x the view-hit wire
     bytes (djoin_wire_bytes / view_wire_bytes >= 5)
 
-The twig and codec benches additionally promise the iterator-engine A/B
-(docs/query_engine.md): rows of kind "iterator_ab" — ops "skipto" and
-"intersect" for twig, "batch_decode" for codec — each with a numeric
-speedup "ratio" >= 2.0 over the decode-everything baseline and
-"answers_match" == 1 (the two paths produced identical postings)
-
 Usage: check_bench_json.py FILE [FILE...]
 Exits non-zero listing every violation, so CI fails loudly when a bench
 stops emitting what the figure scripts consume.
@@ -135,35 +129,6 @@ def check_file(path, errors):
 
     if bench == "serving" and isinstance(rows, list):
         check_serving_rows(rows, path, errors)
-    if bench in ("twig", "codec") and isinstance(rows, list):
-        check_iterator_ab_rows(rows, bench, path, errors)
-
-
-def check_iterator_ab_rows(rows, bench, path, errors):
-    """The iterator-engine speedup A/B promised by the twig/codec benches."""
-    required_ops = {"twig": ("skipto", "intersect"),
-                    "codec": ("batch_decode",)}[bench]
-    ab = [r for r in rows if isinstance(r, dict)
-          and r.get("kind") == "iterator_ab"]
-    present = {r.get("op") for r in ab}
-    for op in required_ops:
-        if op not in present:
-            _err(errors, path,
-                 f"{bench}: missing 'iterator_ab' row with op '{op}'")
-    for r in ab:
-        op = r.get("op", "?")
-        ratio = r.get("ratio")
-        if not isinstance(ratio, (int, float)):
-            _err(errors, path,
-                 f"{bench}: iterator_ab '{op}' needs a numeric 'ratio'")
-        elif ratio < 2.0:
-            _err(errors, path,
-                 f"{bench}: iterator_ab '{op}' speedup ratio {ratio:.2f} "
-                 f"is below the promised 2.0x")
-        if r.get("answers_match") != 1:
-            _err(errors, path,
-                 f"{bench}: iterator_ab '{op}' answers_match != 1 — the "
-                 f"iterator path diverged from the baseline")
 
 
 def check_serving_rows(rows, path, errors):
