@@ -22,7 +22,6 @@
 #include "obs/profile_clock.h"
 #include "index/terms.h"
 #include "query/twig_join.h"
-#include "query/twig_stack.h"
 #include "store/bplus_tree.h"
 #include "xml/corpus.h"
 #include "xml/parser.h"
@@ -339,37 +338,6 @@ void BM_TwigJoinBlockAppend(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(total));
 }
 BENCHMARK(BM_TwigJoinBlockAppend)->Arg(64)->Arg(512);
-
-void BM_TwigStackKernel(benchmark::State& state) {
-  xml::corpus::DblpOptions opt;
-  opt.target_bytes = 256 << 10;
-  auto docs = xml::corpus::GenerateDblp(opt);
-  auto pattern =
-      query::ParsePattern("//article//author[. contains 'ullman']").take();
-  std::vector<index::PostingList> streams(pattern.size());
-  for (size_t d = 0; d < docs.size(); ++d) {
-    std::vector<index::TermPosting> postings;
-    index::ExtractTerms(docs[d], 0, static_cast<uint32_t>(d), {}, postings);
-    for (const auto& tp : postings) {
-      for (size_t q = 0; q < pattern.size(); ++q) {
-        if (tp.key == pattern.node(q).TermKey()) {
-          streams[q].push_back(tp.posting);
-        }
-      }
-    }
-  }
-  size_t total = 0;
-  for (auto& s : streams) {
-    std::sort(s.begin(), s.end());
-    total += s.size();
-  }
-  for (auto _ : state) {
-    query::TwigStackJoin join(pattern);
-    benchmark::DoNotOptimize(join.Run(streams).size());
-  }
-  state.SetItemsProcessed(state.iterations() * total);
-}
-BENCHMARK(BM_TwigStackKernel);
 
 /// fig2's document mix as per-term sorted posting lists — the data the
 /// codec sees on the wire and in B+-tree leaves.

@@ -20,20 +20,16 @@ namespace {
 using dht::GetSpec;
 using index::PostingList;
 
-struct HolderCounters {
-  obs::Counter* tasks;
-  obs::Counter* ingress_postings;
-  obs::Counter* ingress_wire_bytes;
-  obs::Counter* egress_result_bytes;
+obs::MetricRegistry& R() { return obs::MetricRegistry::Default(); }
 
-  HolderCounters() {
-    auto& r = obs::MetricRegistry::Default();
-    tasks = r.GetCounter("query.join.holder.tasks");
-    ingress_postings = r.GetCounter("query.join.holder.ingress_postings");
-    ingress_wire_bytes = r.GetCounter("query.join.holder.ingress_wire_bytes");
-    egress_result_bytes =
-        r.GetCounter("query.join.holder.egress_result_bytes");
-  }
+struct HolderCounters {
+  obs::Counter* tasks = R().GetCounter("query.join.holder.tasks");
+  obs::Counter* ingress_postings =
+      R().GetCounter("query.join.holder.ingress_postings");
+  obs::Counter* ingress_wire_bytes =
+      R().GetCounter("query.join.holder.ingress_wire_bytes");
+  obs::Counter* egress_result_bytes =
+      R().GetCounter("query.join.holder.egress_result_bytes");
 };
 
 HolderCounters& C() {
@@ -61,21 +57,124 @@ TreePattern PatternFromSlice(
   return pattern;
 }
 
-/// One in-flight task at the holder: input accumulation per pattern node
-/// (one sorted list per completed pull, merged once at join time) plus the
-/// accounting that travels back in the reply.
-struct TaskState {
-  TreePattern pattern;
-  std::vector<std::vector<PostingList>> gathered;
-  size_t pending = 0;
-  bool complete = true;
-  bool degraded = false;
-  uint64_t postings_pulled = 0;
-  uint64_t pulled_wire_bytes = 0;
-  uint64_t blocks_fetched = 0;
+}  // namespace
+
+GetSpec BlockPullSpec(const index::DppBlockInfo& block,
+                      const index::Condition& window,
+                      const dht::RetryPolicy& retry) {
+  GetSpec spec;
+  spec.key = block.key;
+  spec.pipelined = false;
+  spec.lo = block.cond.lo < window.lo ? window.lo : block.cond.lo;
+  spec.hi = window.hi < block.cond.hi ? window.hi : block.cond.hi;
+  spec.retry = retry;
+  return spec;
+}
+
+bool ShortPull(const index::DppBlockInfo& block, const GetSpec& spec,
+               size_t got, bool complete) {
+  const bool lower_trimmed = block.cond.lo < spec.lo;
+  const bool upper_trimmed = spec.hi < block.cond.hi;
+  return !complete ||
+         (!lower_trimmed && !upper_trimmed && got < block.count) ||
+         (lower_trimmed != upper_trimmed && got == 0 && block.count > 0);
+}
+
+namespace {
+
+/// One PullBlock call, shared by its re-pulls.
+struct Pull {
+  dht::DhtPeer* peer;
+  index::DppBlockInfo block;
+  GetSpec spec;
+  PullOptions options;
+  PullSink sink;
+
+  [[nodiscard]] bool Live() const { return !options.live || options.live(); }
 };
 
+void Issue(std::shared_ptr<const Pull> pull, uint32_t attempt) {
+  auto staged = std::make_shared<PostingList>();
+  pull->peer->GetBlocks(pull->spec, [pull, attempt, staged](
+                                        PostingList postings, bool last,
+                                        bool complete) {
+    if (staged->empty()) {
+      staged->swap(postings);
+    } else {
+      staged->insert(staged->end(), postings.begin(), postings.end());
+    }
+    if (!last || !pull->Live()) return;
+    const bool suspect =
+        ShortPull(pull->block, pull->spec, staged->size(), complete);
+    const dht::RetryPolicy& retry = pull->options.retry;
+    if (suspect && pull->options.repull && retry.enabled() &&
+        attempt <= retry.max_retries) {
+      // The resend re-resolves the key owner.
+      pull->peer->network()->scheduler()->After(
+          retry.timeout_s + retry.BackoffDelay(attempt), [pull, attempt]() {
+            if (pull->Live()) Issue(pull, attempt + 1);
+          });
+      return;
+    }
+    pull->sink(std::move(*staged), complete, suspect);
+  });
+}
+
 }  // namespace
+
+void PullBlock(dht::DhtPeer* peer, const index::DppBlockInfo& block,
+               const index::Condition& window, const PullOptions& options,
+               PullSink sink) {
+  Issue(std::make_shared<const Pull>(
+            Pull{peer, block, BlockPullSpec(block, window, options.retry),
+                 options, std::move(sink)}),
+        /*attempt=*/1);
+}
+
+void PullAndJoin(dht::DhtPeer* peer, const TreePattern& pattern,
+                 const std::vector<std::vector<index::DppBlockInfo>>& inputs,
+                 const index::Condition& window, const PullOptions& options,
+                 const PullAccount& account,
+                 std::function<void(const TwigJoin& join)> done) {
+  // One sorted list per finished pull, merged once at join time.
+  struct Gather {
+    TreePattern pattern;
+    std::function<void(const TwigJoin& join)> done;
+    std::vector<std::vector<PostingList>> lists;
+    size_t pending = 0;
+
+    void Join() {
+      TwigJoin join(pattern);
+      for (size_t node = 0; node < lists.size(); ++node) {
+        // Pulled blocks may interleave or overlap (random-split ablation):
+        // merge-distinct the sorted pulls once, like kDpp's merge path.
+        join.Append(node, MergeDistinct(std::move(lists[node])));
+      }
+      join.CloseAll();
+      join.Advance();
+      done(join);
+    }
+  };
+  KADOP_CHECK(inputs.size() == pattern.size(), "one input list per node");
+  auto gather = std::make_shared<Gather>(
+      Gather{pattern, std::move(done),
+             std::vector<std::vector<PostingList>>(inputs.size()), 0});
+  // Count every pull up front so an early completion cannot run the join
+  // while later pulls are still being issued.
+  for (const auto& per_node : inputs) gather->pending += per_node.size();
+  if (gather->pending == 0) gather->Join();
+  for (size_t node = 0; node < inputs.size(); ++node) {
+    for (const index::DppBlockInfo& block : inputs[node]) {
+      PullBlock(peer, block, window, options,
+                [gather, node, record = account(block)](
+                    PostingList got, bool /*complete*/, bool suspect) {
+                  record(got, suspect);
+                  gather->lists[node].push_back(std::move(got));
+                  if (--gather->pending == 0) gather->Join();
+                });
+    }
+  }
+}
 
 BlockJoinService::BlockJoinService(dht::DhtPeer* peer) : peer_(peer) {
   KADOP_CHECK(peer_ != nullptr, "BlockJoinService requires a peer");
@@ -94,11 +193,10 @@ bool BlockJoinService::HandleApp(const dht::AppRequest& request,
 void BlockJoinService::RunTask(const index::BlockJoinRequest& req,
                                sim::NodeIndex origin, dht::RequestId req_id) {
   C().tasks->Increment();
-  auto state = std::make_shared<TaskState>();
-  state->pattern = PatternFromSlice(req.nodes);
-  state->gathered.resize(req.nodes.size());
-  const uint64_t query_id = req.query_id;
-  const uint32_t task = req.task;
+  // The reply, accumulating the pulls' accounting until the join is done.
+  auto result = std::make_shared<index::JoinResultMessage>();
+  result->query_id = req.query_id;
+  result->task = req.task;
   dht::DhtPeer* peer = peer_;
 
   // Holder-side span: parents to the dispatching query via the request's
@@ -106,98 +204,39 @@ void BlockJoinService::RunTask(const index::BlockJoinRequest& req,
   // the result leaves for the query peer.
   auto& tracer = obs::Tracer::Default();
   const obs::SpanId span = tracer.Begin("join.holder.task");
-  tracer.Annotate(span, "task", std::to_string(task));
+  tracer.Annotate(span, "task", std::to_string(req.task));
   obs::ScopedTraceContext scope(tracer.ContextFor(span));
-
-  auto finish = [state, peer, origin, req_id, query_id, task, span]() {
+  auto reply = [result, peer, origin, req_id, span](const TwigJoin& join) {
     obs::Tracer::Default().End(span);
-    TwigJoin join(state->pattern);
-    for (size_t node = 0; node < state->gathered.size(); ++node) {
-      // Pulled blocks may interleave or overlap (random-split ablation):
-      // merge-distinct the sorted pulls once — the same canonical result
-      // as the query peer's merge path.
-      join.Append(node, MergeDistinct(std::move(state->gathered[node])));
-    }
-    join.CloseAll();
-    join.Advance();
-
-    auto result = std::make_shared<index::JoinResultMessage>();
-    result->query_id = query_id;
-    result->task = task;
     result->answers =
         index::codec::EncodeAnswers(join.matched_docs(), join.answers());
-    result->complete = state->complete;
-    result->degraded = state->degraded;
-    result->postings_pulled = state->postings_pulled;
-    result->pulled_wire_bytes = state->pulled_wire_bytes;
-    result->blocks_fetched = state->blocks_fetched;
     C().egress_result_bytes->Increment(result->SizeBytes());
-    peer->Reply(origin, req_id, std::move(result),
-                sim::TrafficCategory::kResult);
+    peer->Reply(origin, req_id, result, sim::TrafficCategory::kResult);
   };
 
-  // Count every pull up front so an early completion cannot fire `finish`
-  // while later fetches are still being issued.
-  for (const auto& per_node : req.inputs) state->pending += per_node.size();
-  if (state->pending == 0) {
-    finish();
-    return;
-  }
-
-  for (size_t node = 0; node < req.inputs.size(); ++node) {
-    for (const index::DppBlockInfo& block : req.inputs[node]) {
-      GetSpec spec;
-      spec.key = block.key;
-      spec.pipelined = false;
-      spec.lo = block.cond.lo < req.window.lo ? req.window.lo : block.cond.lo;
-      spec.hi = req.window.hi < block.cond.hi ? req.window.hi : block.cond.hi;
-      spec.retry = req.fetch_retry;
-      const bool lower_trimmed = block.cond.lo < spec.lo;
-      const bool upper_trimmed = spec.hi < block.cond.hi;
-      const uint64_t expected = block.count;
-      // The home block (and any other block this peer happens to hold) is
-      // served locally: the get round-trips through the local store with
-      // zero network traffic, so only foreign pulls charge wire bytes.
-      const bool local = peer_->IsResponsible(dht::HashKey(block.key));
-      auto staged = std::make_shared<PostingList>();
-      peer_->GetBlocks(
-          spec, [state, node, local, lower_trimmed, upper_trimmed, expected,
-                 staged, finish](PostingList postings, bool last,
-                                 bool complete) {
-            staged->insert(staged->end(), postings.begin(), postings.end());
-            if (!last) return;
-            PostingList got = std::move(*staged);
-            // Verify the pull against the directory. A crashed holder's
-            // key range is inherited by its data-less successor, which
-            // answers instantly with an empty list and complete=true —
-            // silent data loss unless caught here. An untrimmed pull must
-            // match the directory count; a pull trimmed at one end must
-            // still contain the block's posting at the untrimmed end, so
-            // empty means the data is gone. Only a window strictly inside
-            // the block (both ends trimmed) can be legitimately empty and
-            // stays unverifiable.
-            const bool suspect =
-                !complete ||
-                (!lower_trimmed && !upper_trimmed && got.size() < expected) ||
-                (lower_trimmed != upper_trimmed && got.empty() &&
-                 expected > 0);
-            if (suspect) {
-              state->complete = false;
-              state->degraded = true;
-            }
-            state->postings_pulled += got.size();
-            state->blocks_fetched++;
-            C().ingress_postings->Increment(got.size());
-            if (!local) {
-              const size_t wire = index::codec::EncodedBytes(got);
-              state->pulled_wire_bytes += wire;
-              C().ingress_wire_bytes->Increment(wire);
-            }
-            state->gathered[node].push_back(std::move(got));
-            if (--state->pending == 0) finish();
-          });
-    }
-  }
+  auto account = [result, peer](const index::DppBlockInfo& block) {
+    // The home block (and any other block this peer holds) is read from
+    // the local store with zero network traffic, so only foreign pulls
+    // charge wire bytes.
+    const bool local = peer->IsResponsible(dht::HashKey(block.key));
+    return [result, local](const PostingList& got, bool suspect) {
+      if (suspect) {  // unverifiable here: NACK the task
+        result->complete = false;
+        result->degraded = true;
+      }
+      result->postings_pulled += got.size();
+      result->blocks_fetched++;
+      C().ingress_postings->Increment(got.size());
+      if (!local) {
+        const size_t wire = index::codec::EncodedBytes(got);
+        result->pulled_wire_bytes += wire;
+        C().ingress_wire_bytes->Increment(wire);
+      }
+    };
+  };
+  PullAndJoin(peer_, PatternFromSlice(req.nodes), req.inputs, req.window,
+              {.retry = req.fetch_retry, .repull = false, .live = {}},
+              account, reply);
 }
 
 }  // namespace kadop::query

@@ -1,20 +1,79 @@
 #ifndef KADOP_QUERY_BLOCK_JOIN_H_
 #define KADOP_QUERY_BLOCK_JOIN_H_
 
+#include <functional>
+#include <vector>
+
 #include "dht/peer.h"
 #include "index/dpp_messages.h"
+#include "query/tree_pattern.h"
+#include "query/twig_join.h"
 
 namespace kadop::query {
 
-/// Holder-side executor of distributed block-join tasks (Section 4.3,
-/// docs/distributed_join.md). A query peer running `kDppJoin` routes a
-/// `BlockJoinRequest` to the pseudo-key of a task's largest input block;
-/// this service — one per peer — pulls the remaining input blocks
-/// (trimmed to the task window, reusing GetBlocks, the retry policy and
-/// the codec), runs the streaming twig join locally, and replies with a
-/// `JoinResultMessage` carrying only the per-document answer tuples. The
-/// home block is served by the local store, so the heaviest posting list
-/// never crosses the wire.
+/// The DPP block pull (docs/distributed_join.md): one directory block
+/// fetched trimmed to a document window. kDpp's fetches, the kDppJoin
+/// holder and the query peer's local join fallback all pull through here.
+
+/// The non-pipelined get of `block` clamped to `window`.
+[[nodiscard]] dht::GetSpec BlockPullSpec(const index::DppBlockInfo& block,
+                                         const index::Condition& window,
+                                         const dht::RetryPolicy& retry);
+
+/// The short-pull rule: may `got` postings pulled from `block` with `spec`
+/// be missing data? A crashed holder's range passes to a data-less
+/// successor that answers at once with an empty, complete list. So an
+/// untrimmed pull must match the directory count, and a pull trimmed at
+/// one end must not be empty (the block's posting at the untrimmed end is
+/// in range). A window strictly inside the block can be legitimately empty
+/// and stays unverifiable. A timed-out pull is always short.
+[[nodiscard]] bool ShortPull(const index::DppBlockInfo& block,
+                             const dht::GetSpec& spec, size_t got,
+                             bool complete);
+
+/// `retry` is the per-fetch policy. With `repull`, a short pull is pulled
+/// again, up to `retry.max_retries` times, each after `retry.timeout_s +
+/// retry.BackoffDelay(attempt)`, giving a crashed holder time to come back.
+/// Once `live` (when set) returns false, a finished pull is dropped and no
+/// re-pull is scheduled.
+struct PullOptions {
+  dht::RetryPolicy retry;
+  bool repull = false;
+  std::function<bool()> live;
+};
+
+/// One finished pull: its postings, whether the get completed, and the
+/// ShortPull verdict.
+using PullSink =
+    std::function<void(index::PostingList got, bool complete, bool suspect)>;
+
+/// Pulls `block` clamped to `window` and hands the final pull to `sink`.
+void PullBlock(dht::DhtPeer* peer, const index::DppBlockInfo& block,
+               const index::Condition& window, const PullOptions& options,
+               PullSink sink);
+
+/// Called as each input pull of a join task is issued; the callback it
+/// returns accounts that pull's postings and verdict.
+using PullAccount =
+    std::function<std::function<void(const index::PostingList& got,
+                                     bool suspect)>(
+        const index::DppBlockInfo& block)>;
+
+/// One block-join task: pulls every block of `inputs[node]` clamped to
+/// `window`, merge-distincts each node's pulls, twig-joins them under
+/// `pattern` and hands the join to `done`.
+void PullAndJoin(dht::DhtPeer* peer, const TreePattern& pattern,
+                 const std::vector<std::vector<index::DppBlockInfo>>& inputs,
+                 const index::Condition& window, const PullOptions& options,
+                 const PullAccount& account,
+                 std::function<void(const TwigJoin& join)> done);
+
+/// Holder side of kDppJoin (Section 4.3), one per peer. The query peer
+/// routes each task to the pseudo-key of its largest input block; the
+/// holder runs it with PullAndJoin and replies with the answer tuples
+/// only, so the heaviest posting list never crosses the wire. It never
+/// re-pulls: a short pull turns the reply into a NACK (complete=false) and
+/// the query peer redoes the task.
 class BlockJoinService {
  public:
   explicit BlockJoinService(dht::DhtPeer* peer);

@@ -9,64 +9,55 @@
 #include "index/codec.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "query/block_join.h"
 #include "query/iterator.h"
 
 namespace kadop::query {
 
 namespace {
 
-struct QueryCounters {
-  obs::Counter* submitted;
-  obs::Counter* completed;
-  obs::Counter* incomplete;
-  obs::Counter* degraded;
-  obs::Counter* postings_received;
-  obs::Counter* posting_bytes;
-  obs::Counter* posting_wire_bytes;
-  obs::Counter* ab_filter_bytes;
-  obs::Counter* db_filter_bytes;
-  obs::Counter* dpp_blocks_fetched;
-  obs::Counter* dpp_blocks_skipped;
-  obs::Counter* join_tasks;
-  obs::Counter* join_remote;
-  obs::Counter* join_local_fallback;
-  obs::Counter* join_result_postings;
-  obs::Counter* result_wire_bytes;
-  obs::Histogram* response_time_s;
-  obs::Histogram* first_answer_s;
-  obs::Histogram* dpp_outstanding;
+obs::MetricRegistry& R() { return obs::MetricRegistry::Default(); }
 
-  QueryCounters() {
-    auto& r = obs::MetricRegistry::Default();
-    submitted = r.GetCounter("query.submitted");
-    completed = r.GetCounter("query.completed");
-    incomplete = r.GetCounter("query.incomplete");
-    degraded = r.GetCounter("query.degraded");
-    postings_received = r.GetCounter("query.postings_received");
-    posting_bytes = r.GetCounter("query.posting_bytes");
-    posting_wire_bytes = r.GetCounter("query.posting_wire_bytes");
-    ab_filter_bytes = r.GetCounter("query.ab_filter_bytes");
-    db_filter_bytes = r.GetCounter("query.db_filter_bytes");
-    dpp_blocks_fetched = r.GetCounter("query.dpp.blocks_fetched");
-    dpp_blocks_skipped = r.GetCounter("query.dpp.blocks_skipped");
-    join_tasks = r.GetCounter("query.join.tasks");
-    join_remote = r.GetCounter("query.join.remote");
-    join_local_fallback = r.GetCounter("query.join.local_fallback");
-    join_result_postings = r.GetCounter("query.join.result_postings");
-    result_wire_bytes = r.GetCounter("query.result_wire_bytes");
-    response_time_s =
-        r.GetHistogram("query.response_time_s", obs::LatencyBuckets());
-    first_answer_s =
-        r.GetHistogram("query.first_answer_s", obs::LatencyBuckets());
-    // Fan-out actually in flight when a DPP pump pass finishes.
-    dpp_outstanding =
-        r.GetHistogram("query.dpp.outstanding", obs::CountBuckets());
-  }
+struct QueryCounters {
+  obs::Counter* submitted = R().GetCounter("query.submitted");
+  obs::Counter* completed = R().GetCounter("query.completed");
+  obs::Counter* incomplete = R().GetCounter("query.incomplete");
+  obs::Counter* degraded = R().GetCounter("query.degraded");
+  obs::Counter* postings_received = R().GetCounter("query.postings_received");
+  obs::Counter* posting_bytes = R().GetCounter("query.posting_bytes");
+  obs::Counter* posting_wire_bytes =
+      R().GetCounter("query.posting_wire_bytes");
+  obs::Counter* ab_filter_bytes = R().GetCounter("query.ab_filter_bytes");
+  obs::Counter* db_filter_bytes = R().GetCounter("query.db_filter_bytes");
+  obs::Counter* dpp_blocks_fetched =
+      R().GetCounter("query.dpp.blocks_fetched");
+  obs::Counter* dpp_blocks_skipped =
+      R().GetCounter("query.dpp.blocks_skipped");
+  obs::Counter* join_tasks = R().GetCounter("query.join.tasks");
+  obs::Counter* join_remote = R().GetCounter("query.join.remote");
+  obs::Counter* join_local_fallback =
+      R().GetCounter("query.join.local_fallback");
+  obs::Counter* join_result_postings =
+      R().GetCounter("query.join.result_postings");
+  obs::Counter* result_wire_bytes = R().GetCounter("query.result_wire_bytes");
+  obs::Histogram* response_time_s =
+      R().GetHistogram("query.response_time_s", obs::LatencyBuckets());
+  obs::Histogram* first_answer_s =
+      R().GetHistogram("query.first_answer_s", obs::LatencyBuckets());
+  // Fan-out actually in flight when a DPP pump pass finishes.
+  obs::Histogram* dpp_outstanding =
+      R().GetHistogram("query.dpp.outstanding", obs::CountBuckets());
 };
 
 QueryCounters& C() {
   static QueryCounters counters;
   return counters;
+}
+
+/// Ends a phase span if it is still open.
+void EndSpan(obs::SpanId& span) {
+  if (span != 0) obs::Tracer::Default().End(span);
+  span = 0;
 }
 
 }  // namespace
@@ -80,27 +71,13 @@ using sim::NodeIndex;
 using sim::TrafficCategory;
 
 std::string_view QueryStrategyName(QueryStrategy s) {
-  switch (s) {
-    case QueryStrategy::kBaseline:
-      return "baseline";
-    case QueryStrategy::kDpp:
-      return "dpp";
-    case QueryStrategy::kAbReducer:
-      return "ab-reducer";
-    case QueryStrategy::kDbReducer:
-      return "db-reducer";
-    case QueryStrategy::kBloomReducer:
-      return "bloom-reducer";
-    case QueryStrategy::kSubQueryReducer:
-      return "subquery-reducer";
-    case QueryStrategy::kAuto:
-      return "auto";
-    case QueryStrategy::kDppJoin:
-      return "dpp-join";
-    case QueryStrategy::kView:
-      return "view";
-  }
-  return "unknown";
+  static constexpr std::string_view kNames[] = {
+      "baseline",         "dpp",  "ab-reducer", "db-reducer", "bloom-reducer",
+      "subquery-reducer", "auto", "dpp-join",   "view"};
+  static_assert(std::size(kNames) ==
+                static_cast<size_t>(QueryStrategy::kView) + 1);
+  const auto i = static_cast<size_t>(s);
+  return i < std::size(kNames) ? kNames[i] : "unknown";
 }
 
 double QueryMetrics::NormalizedDataVolume() const {
@@ -138,14 +115,10 @@ void QueryClient::Submit(const TreePattern& pattern,
 }
 
 bool QueryClient::HandleApp(const AppRequest& request, NodeIndex from) {
-  uint64_t query_id = 0;
-  if (const auto* list =
-          dynamic_cast<const ReducedListMessage*>(request.inner.get())) {
-    query_id = list->query_id;
-  } else {
-    return false;
-  }
-  auto it = active_.find(query_id);
+  const auto* list =
+      dynamic_cast<const ReducedListMessage*>(request.inner.get());
+  if (list == nullptr) return false;
+  auto it = active_.find(list->query_id);
   if (it == active_.end()) return true;  // late message for a finished query
   return it->second->HandleApp(request, from);
 }
@@ -171,9 +144,11 @@ QueryExecutor::QueryExecutor(QueryClient* client, uint64_t query_id,
 
 void QueryExecutor::Start() {
   if (pattern_.HasWildcard()) {
-    FailInvalid(
-        "bare wildcard nodes make the index query imprecise and are not "
-        "supported by the distributed engine");
+    // Bare wildcard nodes make the index query imprecise; the distributed
+    // engine does not support them.
+    KADOP_LOG_INFO("query %llu failed: wildcard pattern",
+                   static_cast<unsigned long long>(query_id_));
+    Finish(false);
     return;
   }
   metrics_.effective_strategy = options_.strategy;
@@ -187,15 +162,22 @@ void QueryExecutor::Start() {
                   std::string(QueryStrategyName(options_.strategy)));
   obs::ScopedTraceContext scope(tracer.ContextFor(span_));
   ArmTimeout();
-  switch (options_.strategy) {
+  Run(options_.strategy);
+}
+
+void QueryExecutor::Run(QueryStrategy strategy) {
+  switch (strategy) {
     case QueryStrategy::kBaseline:
       StartBaseline();
       break;
+    case QueryStrategy::kDppJoin:
+      // Same directory round and block filtering as kDpp;
+      // OnDppDirectoriesReady branches into task planning instead of
+      // fetches.
+      dpp_join_mode_ = true;
+      [[fallthrough]];
     case QueryStrategy::kDpp:
       StartDpp();
-      break;
-    case QueryStrategy::kDppJoin:
-      StartDppJoin();
       break;
     case QueryStrategy::kAuto:
       StartAuto();
@@ -213,15 +195,14 @@ void QueryExecutor::Start() {
       StartReducer(ReduceMode::kBloom);
       break;
     case QueryStrategy::kSubQueryReducer:
-      StartSubQuery();
+      // kAuto already fetched the term counts it planned with.
+      if (term_counts_.empty()) {
+        FetchTermCounts([this]() { OnTermCountsReady(); });
+      } else {
+        OnTermCountsReady();
+      }
       break;
   }
-}
-
-void QueryExecutor::FailInvalid(const std::string& why) {
-  KADOP_LOG_INFO("query %llu failed: %s",
-                 static_cast<unsigned long long>(query_id_), why.c_str());
-  Finish(false);
 }
 
 void QueryExecutor::ArmTimeout() {
@@ -244,30 +225,17 @@ void QueryExecutor::FetchStream(size_t node, bool count_blocks) {
   spec.pipelined = options_.pipelined;
   spec.block_postings = options_.block_postings;
   spec.retry = options_.fetch_retry;
-  if (options_.cache_postings) {
-    if (auto cached = client_->posting_cache().Lookup(
-            spec.key, spec.lo, spec.hi,
-            peer_->AuthoritativeVersion(spec.key))) {
-      metrics_.cache_hits++;
-      // Deliver asynchronously so join/stream bookkeeping sees the same
-      // ordering as a real fetch. A hit ships nothing: full_postings still
-      // grows (it is the metric's denominator) but no posting/wire bytes
-      // and no blocks_fetched.
-      peer_->network()->scheduler()->After(0.0, [self, node, cached]() {
-        if (self->finished_) return;
-        self->metrics_.postings_received += cached->size();
+  if (ServeFromCache(spec, [self, node](
+                               std::shared_ptr<const PostingList> cached) {
+        // full_postings still grows (it is the metric's denominator).
         self->metrics_.full_postings += cached->size();
-        C().postings_received->Increment(cached->size());
         // Zero-copy: the join's iterator reads the cached list in place.
         if (!cached->empty()) self->join_.AppendShared(node, cached);
-        self->stream_closed_[node] = true;
-        self->join_.Close(node);
+        self->CloseStream(node);
         self->AdvanceJoin();
         self->MaybeFinishStreams();
-      });
-      return;
-    }
-    metrics_.cache_misses++;
+      })) {
+    return;
   }
   const uint64_t pre_version =
       options_.cache_postings ? peer_->AuthoritativeVersion(spec.key) : 0;
@@ -294,8 +262,7 @@ void QueryExecutor::FetchStream(size_t node, bool count_blocks) {
             spec, pre_version,
             std::shared_ptr<const PostingList>(std::move(accum)));
       }
-      self->stream_closed_[node] = true;
-      self->join_.Close(node);
+      self->CloseStream(node);
     }
     self->AdvanceJoin();
     self->MaybeFinishStreams();
@@ -315,10 +282,29 @@ size_t QueryExecutor::RecordTransfer(const PostingList& postings) {
   return wire;
 }
 
-void QueryExecutor::MaybeCacheInsert(const GetSpec& spec, uint64_t pre_version,
-                                     PostingList postings) {
-  MaybeCacheInsert(spec, pre_version,
-                   std::make_shared<const PostingList>(std::move(postings)));
+bool QueryExecutor::ServeFromCache(
+    const GetSpec& spec,
+    std::function<void(std::shared_ptr<const PostingList>)> deliver) {
+  if (!options_.cache_postings) return false;
+  auto cached = client_->posting_cache().Lookup(
+      spec.key, spec.lo, spec.hi, peer_->AuthoritativeVersion(spec.key));
+  if (!cached) {
+    metrics_.cache_misses++;
+    return false;
+  }
+  metrics_.cache_hits++;
+  // Deliver asynchronously so join/stream bookkeeping sees the same
+  // ordering as a real fetch. A hit ships nothing: no posting/wire bytes
+  // and no blocks_fetched.
+  auto self = shared_from_this();
+  peer_->network()->scheduler()->After(
+      0.0, [self, cached = std::move(cached), deliver = std::move(deliver)]() {
+        if (self->finished_) return;
+        self->metrics_.postings_received += cached->size();
+        C().postings_received->Increment(cached->size());
+        deliver(cached);
+      });
+  return true;
 }
 
 void QueryExecutor::MaybeCacheInsert(
@@ -342,13 +328,6 @@ void QueryExecutor::StartBaseline() {
 }
 
 // -- DPP --------------------------------------------------------------------
-
-void QueryExecutor::StartDppJoin() {
-  // Same directory round and block filtering as kDpp;
-  // OnDppDirectoriesReady branches into task planning instead of fetches.
-  dpp_join_mode_ = true;
-  StartDpp();
-}
 
 void QueryExecutor::StartDpp() {
   auto self = shared_from_this();
@@ -382,11 +361,7 @@ void QueryExecutor::StartDpp() {
 }
 
 void QueryExecutor::OnDppDirectoriesReady() {
-  auto& tracer = obs::Tracer::Default();
-  if (route_span_ != 0) {
-    tracer.End(route_span_);
-    route_span_ = 0;
-  }
+  EndSpan(route_span_);
   // The [min, max] document-interval filter of Section 4.2: all answers lie
   // between the largest per-term minimum and the smallest per-term maximum.
   DocId min_doc{0, 0};
@@ -415,8 +390,7 @@ void QueryExecutor::OnDppDirectoriesReady() {
       metrics_.blocks_skipped += dpp_[node].blocks.size();
       C().dpp_blocks_skipped->Increment(dpp_[node].blocks.size());
       dpp_[node].blocks.clear();
-      stream_closed_[node] = true;
-      join_.Close(node);
+      CloseStream(node);
     }
     AdvanceJoin();
     Finish(metrics_.complete);
@@ -428,37 +402,24 @@ void QueryExecutor::OnDppDirectoriesReady() {
       Posting{max_doc.peer, max_doc.doc, {UINT32_MAX, UINT32_MAX, UINT16_MAX}};
 
   // Type-aware filtering (Section 4.1): a document type can only produce
-  // answers if every query term has postings of that type. Compute the
-  // viable type set as the intersection of per-term type unions; blocks
-  // whose types miss it are skipped. Blocks with no type info (e.g. `rev:`
-  // entries) disable the filter conservatively.
-  std::set<std::string> viable_types;
+  // answers if every query term has postings of that type, so a block none
+  // of whose types occurs under every term is skipped. Blocks with no type
+  // info (e.g. `rev:` entries) disable the filter conservatively.
+  std::map<std::string, size_t> terms_with_type;
   bool types_known = true;
-  for (size_t node = 0; node < pattern_.size() && types_known; ++node) {
+  for (const DppNodeState& st : dpp_) {
     std::set<std::string> term_types;
-    for (const auto& b : dpp_[node].blocks) {
-      if (b.types.empty()) {
-        types_known = false;
-        break;
-      }
+    for (const auto& b : st.blocks) {
+      types_known = types_known && !b.types.empty();
       term_types.insert(b.types.begin(), b.types.end());
     }
-    if (!types_known) break;
-    if (node == 0) {
-      viable_types = std::move(term_types);
-    } else {
-      std::set<std::string> intersection;
-      std::set_intersection(
-          viable_types.begin(), viable_types.end(), term_types.begin(),
-          term_types.end(),
-          std::inserter(intersection, intersection.begin()));
-      viable_types = std::move(intersection);
-    }
+    for (const auto& t : term_types) terms_with_type[t]++;
   }
 
   // Phase span for the remainder of the query: block fetches (kDpp), or
   // the dispatch/result round of holder-side joins (kDppJoin). Ended by
   // Finish().
+  auto& tracer = obs::Tracer::Default();
   phase_span_ = tracer.Begin(
       dpp_join_mode_ ? "query.join.dispatch" : "query.fetch", span_);
   obs::ScopedTraceContext phase_scope(tracer.ContextFor(phase_span_));
@@ -467,14 +428,9 @@ void QueryExecutor::OnDppDirectoriesReady() {
     DppNodeState& st = dpp_[node];
     std::vector<index::DppBlockInfo> kept;
     for (auto& b : st.blocks) {
-      bool type_viable = !types_known || b.types.empty();
-      if (!type_viable) {
-        for (const auto& t : b.types) {
-          if (viable_types.count(t)) {
-            type_viable = true;
-            break;
-          }
-        }
+      bool type_viable = !types_known;
+      for (const auto& t : b.types) {
+        type_viable = type_viable || terms_with_type[t] == pattern_.size();
       }
       if (type_viable && b.cond.Intersects(dpp_window_)) {
         kept.push_back(std::move(b));
@@ -494,8 +450,7 @@ void QueryExecutor::OnDppDirectoriesReady() {
     }
     if (dpp_join_mode_) continue;  // no query-side fetches in join mode
     if (st.blocks.empty()) {
-      stream_closed_[node] = true;
-      join_.Close(node);
+      CloseStream(node);
     } else {
       PumpDppFetches(node);
     }
@@ -637,13 +592,6 @@ void QueryExecutor::OnJoinTaskResult(size_t task,
   FinishJoinTask(task, std::move(answers), std::move(matched_docs));
 }
 
-/// Accumulated fallback inputs for one join task, shared by its pulls:
-/// one sorted list per completed pull, merge-distincted at join time.
-struct QueryExecutor::JoinGather {
-  std::vector<std::vector<index::PostingList>> lists;
-  size_t pending = 0;
-};
-
 void QueryExecutor::RunLocalJoinFallback(size_t task) {
   JoinTask& jt = join_tasks_[task];
   if (jt.done) return;
@@ -654,88 +602,29 @@ void QueryExecutor::RunLocalJoinFallback(size_t task) {
   metrics_.degraded = true;
 
   auto self = shared_from_this();
-  auto gather = std::make_shared<JoinGather>();
-  gather->lists.resize(pattern_.size());
-  for (const auto& per_node : jt.inputs) gather->pending += per_node.size();
-  KADOP_CHECK(gather->pending > 0, "join task with no inputs");
-
-  auto on_all = [self, task, gather]() {
-    TwigJoin join(self->pattern_);
-    for (size_t node = 0; node < gather->lists.size(); ++node) {
-      // Pulls may interleave or overlap: merge-distinct the sorted pulls
-      // once, exactly like the holder-side join path.
-      join.Append(node, MergeDistinct(std::move(gather->lists[node])));
-    }
-    join.CloseAll();
-    join.Advance();
-    self->FinishJoinTask(task, join.answers(), join.matched_docs());
+  // Unlike the holder, the fallback re-pulls a short pull within the retry
+  // budget: the crashed holder may come back and reclaim its range.
+  auto account = [self](const index::DppBlockInfo& /*block*/) {
+    return [self](const PostingList& got, bool suspect) {
+      if (suspect) {
+        self->metrics_.complete = false;
+        self->metrics_.degraded = true;
+      }
+      // These postings really crossed to the query peer: full ingress
+      // accounting, exactly like a kDpp block fetch.
+      self->RecordTransfer(got);
+      self->metrics_.blocks_fetched++;
+      C().dpp_blocks_fetched->Increment();
+    };
   };
-
-  for (size_t node = 0; node < jt.inputs.size(); ++node) {
-    for (const index::DppBlockInfo& block : jt.inputs[node]) {
-      GetSpec spec;
-      spec.key = block.key;
-      spec.pipelined = false;
-      spec.lo = block.cond.lo < jt.window.lo ? jt.window.lo : block.cond.lo;
-      spec.hi = jt.window.hi < block.cond.hi ? jt.window.hi : block.cond.hi;
-      spec.retry = options_.fetch_retry;
-      FallbackPull(gather, node, spec, /*lower_trimmed=*/block.cond.lo < spec.lo,
-                   /*upper_trimmed=*/spec.hi < block.cond.hi, block.count,
-                   /*attempt=*/1, on_all);
-    }
-  }
-}
-
-void QueryExecutor::FallbackPull(std::shared_ptr<JoinGather> gather,
-                                 size_t node, GetSpec spec, bool lower_trimmed,
-                                 bool upper_trimmed, uint64_t expected,
-                                 uint32_t attempt,
-                                 std::function<void()> on_all) {
-  auto self = shared_from_this();
-  auto staged = std::make_shared<PostingList>();
-  peer_->GetBlocks(
-      spec, [self, gather, node, spec, lower_trimmed, upper_trimmed, expected,
-             attempt, on_all, staged](PostingList postings, bool last,
-                                      bool complete) {
-        if (self->finished_) return;
-        staged->insert(staged->end(), postings.begin(), postings.end());
-        if (!last) return;
-        PostingList got = std::move(*staged);
-        // Same verification as the remote holder: an untrimmed pull must
-        // match the directory count and a one-end-trimmed pull must not be
-        // empty — a data-less successor that inherited a crashed holder's
-        // key range answers instantly with an empty, "complete" list.
-        const bool suspect =
-            !complete ||
-            (!lower_trimmed && !upper_trimmed && got.size() < expected) ||
-            (lower_trimmed != upper_trimmed && got.empty() && expected > 0);
-        const dht::RetryPolicy& policy = self->options_.fetch_retry;
-        if (suspect && policy.enabled() && attempt <= policy.max_retries) {
-          // Re-pull after the crashed holder has had a chance to come back
-          // and reclaim its range: the resend re-resolves the key owner.
-          const double delay = policy.timeout_s + policy.BackoffDelay(attempt);
-          self->peer_->network()->scheduler()->After(
-              delay, [self, gather, node, spec, lower_trimmed, upper_trimmed,
-                      expected, attempt, on_all]() {
-                if (self->finished_) return;
-                self->FallbackPull(gather, node, spec, lower_trimmed,
-                                   upper_trimmed, expected, attempt + 1,
-                                   on_all);
+  PullAndJoin(peer_, pattern_, jt.inputs, jt.window,
+              {.retry = options_.fetch_retry,
+               .repull = true,
+               .live = [self]() { return !self->finished_; }},
+              account, [self, task](const TwigJoin& join) {
+                self->FinishJoinTask(task, join.answers(),
+                                     join.matched_docs());
               });
-          return;
-        }
-        if (suspect) {
-          self->metrics_.complete = false;
-          self->metrics_.degraded = true;
-        }
-        // These postings really crossed to the query peer: full ingress
-        // accounting, exactly like a kDpp block fetch.
-        self->RecordTransfer(got);
-        self->metrics_.blocks_fetched++;
-        C().dpp_blocks_fetched->Increment();
-        gather->lists[node].push_back(std::move(got));
-        if (--gather->pending == 0) on_all();
-      });
 }
 
 void QueryExecutor::FinishJoinTask(size_t task, std::vector<Answer> answers,
@@ -779,84 +668,60 @@ void QueryExecutor::PumpDppFetches(size_t node) {
     const size_t idx = st.next_to_issue++;
     st.outstanding++;
     const index::DppBlockInfo& block = st.blocks[idx];
-    GetSpec spec;
-    spec.key = block.key;
-    spec.pipelined = false;
-    spec.lo = block.cond.lo < dpp_window_.lo ? dpp_window_.lo : block.cond.lo;
-    spec.hi = dpp_window_.hi < block.cond.hi ? dpp_window_.hi : block.cond.hi;
-    spec.retry = options_.fetch_retry;
-    if (options_.cache_postings) {
-      if (auto cached = client_->posting_cache().Lookup(
-              spec.key, spec.lo, spec.hi,
-              peer_->AuthoritativeVersion(spec.key))) {
-        metrics_.cache_hits++;
-        // Deliver asynchronously with the same pump bookkeeping as a real
-        // block fetch (outstanding already counts this slot). Nothing
-        // shipped: no posting/wire bytes, no blocks_fetched;
-        // full_postings was counted from the directory.
-        peer_->network()->scheduler()->After(0.0, [self, node, idx, cached]() {
-          if (self->finished_) return;
-          DppNodeState& state = self->dpp_[node];
-          self->metrics_.postings_received += cached->size();
-          C().postings_received->Increment(cached->size());
-          state.ready[idx] = cached;  // shared view, no copy
-          state.outstanding--;
-          self->DeliverReadyDppBlocks(node);
-          self->PumpDppFetches(node);
-          self->AdvanceJoin();
-          self->MaybeFinishStreams();
-        });
-        continue;
-      }
-      metrics_.cache_misses++;
+    const GetSpec spec =
+        BlockPullSpec(block, dpp_window_, options_.fetch_retry);
+    // A hit's full_postings was counted from the directory.
+    if (ServeFromCache(spec, [self, node, idx](
+                                 std::shared_ptr<const PostingList> cached) {
+          self->OnDppBlock(node, idx, std::move(cached));  // shared, no copy
+        })) {
+      continue;
     }
     const uint64_t pre_version =
         options_.cache_postings ? peer_->AuthoritativeVersion(spec.key) : 0;
-    const bool trimmed = block.cond.lo < dpp_window_.lo ||
-                         dpp_window_.hi < block.cond.hi;
-    const uint64_t expected = block.count;
-    peer_->GetBlocks(spec, [self, node, idx, trimmed, expected, spec,
-                            pre_version](PostingList postings, bool last,
-                                         bool complete) {
-      if (self->finished_ || !last) return;
-      bool sound = complete;
-      if (!complete) {
-        self->metrics_.complete = false;
-        if (self->options_.fetch_retry.enabled()) {
-          self->metrics_.degraded = true;
-        }
-      } else if (self->options_.fetch_retry.enabled() && !trimmed &&
-                 postings.size() < expected) {
-        // The fetch succeeded (possibly rerouted to the crashed holder's
-        // successor) but returned fewer postings than the directory
-        // recorded for an untrimmed block: data died with its holder. The
-        // answers we can still compute are a sound subset, so deliver what
-        // arrived but say so.
-        self->metrics_.complete = false;
-        self->metrics_.degraded = true;
-        sound = false;
-      }
-      DppNodeState& state = self->dpp_[node];
-      self->RecordTransfer(postings);
-      self->metrics_.blocks_fetched++;
-      C().dpp_blocks_fetched->Increment();
-      auto shared =
-          std::make_shared<const PostingList>(std::move(postings));
-      if (sound && self->options_.cache_postings) {
-        // The cache aliases the same storage the join will read.
-        self->MaybeCacheInsert(spec, pre_version, shared);
-      }
-      state.ready[idx] = std::move(shared);
-      state.outstanding--;
-      self->DeliverReadyDppBlocks(node);
-      self->PumpDppFetches(node);
-      self->AdvanceJoin();
-      self->MaybeFinishStreams();
-    });
+    PullBlock(
+        peer_, block, dpp_window_,
+        {.retry = options_.fetch_retry,
+         .repull = false,
+         .live = [self]() { return !self->finished_; }},
+        [self, node, idx, spec, pre_version](PostingList postings,
+                                             bool complete, bool suspect) {
+          // Without a retry policy only a timeout marks the query
+          // incomplete. With one, a short pull does too: the data died
+          // with its holder. The answers still computable are a sound
+          // subset, so deliver what arrived but say so.
+          const bool retry = self->options_.fetch_retry.enabled();
+          const bool sound = retry ? !suspect : complete;
+          if (!sound) {
+            self->metrics_.complete = false;
+            if (retry) self->metrics_.degraded = true;
+          }
+          self->RecordTransfer(postings);
+          self->metrics_.blocks_fetched++;
+          C().dpp_blocks_fetched->Increment();
+          auto shared =
+              std::make_shared<const PostingList>(std::move(postings));
+          if (sound && self->options_.cache_postings) {
+            // The cache aliases the same storage the join will read.
+            self->MaybeCacheInsert(spec, pre_version, shared);
+          }
+          self->OnDppBlock(node, idx, std::move(shared));
+        });
   }
   if (st.outstanding > 0) {
     C().dpp_outstanding->Observe(static_cast<double>(st.outstanding));
   }
+}
+
+void QueryExecutor::OnDppBlock(size_t node, size_t idx,
+                               std::shared_ptr<const PostingList> postings) {
+  DppNodeState& st = dpp_[node];
+  st.ready[idx] = std::move(postings);
+  st.outstanding--;
+  DeliverReadyDppBlocks(node);
+  PumpDppFetches(node);
+  AdvanceJoin();
+  MaybeFinishStreams();
 }
 
 void QueryExecutor::DeliverReadyDppBlocks(size_t node) {
@@ -871,8 +736,7 @@ void QueryExecutor::DeliverReadyDppBlocks(size_t node) {
     st.ready.clear();
     join_.Append(node, MergeDistinct(std::move(lists)));
     st.next_to_deliver = st.blocks.size();
-    stream_closed_[node] = true;
-    join_.Close(node);
+    CloseStream(node);
     return;
   }
   while (true) {
@@ -883,32 +747,34 @@ void QueryExecutor::DeliverReadyDppBlocks(size_t node) {
     st.next_to_deliver++;
   }
   if (st.next_to_deliver == st.blocks.size() && !stream_closed_[node]) {
-    stream_closed_[node] = true;
-    join_.Close(node);
+    CloseStream(node);
   }
 }
 
 // -- Bloom reducers ---------------------------------------------------------
 
 void QueryExecutor::StartReducer(ReduceMode mode) {
-  ReducePlan plan;
-  plan.query_id = query_id_;
-  plan.query_peer = peer_->node();
-  plan.mode = mode;
-  plan.ab_params = options_.ab_params;
-  plan.db_params = options_.db_params;
+  std::vector<ReducePlanNode> nodes;
   for (size_t node = 0; node < pattern_.size(); ++node) {
     ReducePlanNode pn;
     pn.node = static_cast<int>(node);
     pn.term_key = pattern_.node(node).TermKey();
     pn.parent = pattern_.node(node).parent;
     pn.children = pattern_.node(node).children;
-    plan.nodes.push_back(std::move(pn));
+    nodes.push_back(std::move(pn));
   }
-  LaunchReducePlan(plan);
+  LaunchReducePlan(mode, std::move(nodes));
 }
 
-void QueryExecutor::LaunchReducePlan(const ReducePlan& plan) {
+void QueryExecutor::LaunchReducePlan(ReduceMode mode,
+                                     std::vector<ReducePlanNode> nodes) {
+  ReducePlan plan;
+  plan.query_id = query_id_;
+  plan.query_peer = peer_->node();
+  plan.mode = mode;
+  plan.ab_params = options_.ab_params;
+  plan.db_params = options_.db_params;
+  plan.nodes = std::move(nodes);
   reduced_lists_pending_ += plan.nodes.size();
   for (const ReducePlanNode& pn : plan.nodes) {
     auto start = std::make_shared<ReduceStart>();
@@ -934,8 +800,7 @@ bool QueryExecutor::HandleApp(const AppRequest& request, NodeIndex /*from*/) {
   C().ab_filter_bytes->Increment(list->ab_filter_bytes);
   C().db_filter_bytes->Increment(list->db_filter_bytes);
   if (!list->postings.empty()) join_.Append(node, list->postings);
-  stream_closed_[node] = true;
-  join_.Close(node);
+  CloseStream(node);
   KADOP_CHECK(reduced_lists_pending_ > 0, "unexpected reduced list");
   reduced_lists_pending_--;
   AdvanceJoin();
@@ -973,10 +838,6 @@ void QueryExecutor::FetchTermCounts(std::function<void()> then) {
                     },
                     options_.fetch_retry);
   }
-}
-
-void QueryExecutor::StartSubQuery() {
-  FetchTermCounts([this]() { OnTermCountsReady(); });
 }
 
 ViewPricing PriceViewRewrite(const ViewCatalog::Rewrite& rewrite,
@@ -1144,23 +1005,7 @@ void QueryExecutor::StartAuto() {
       if (better) best = &c;
     }
     metrics_.effective_strategy = best->strategy;
-    switch (best->strategy) {
-      case QueryStrategy::kSubQueryReducer:
-        OnTermCountsReady();
-        break;
-      case QueryStrategy::kDpp:
-        StartDpp();
-        break;
-      case QueryStrategy::kDppJoin:
-        StartDppJoin();
-        break;
-      case QueryStrategy::kView:
-        StartView();
-        break;
-      default:
-        StartBaseline();
-        break;
-    }
+    Run(best->strategy);
   });
 }
 
@@ -1177,25 +1022,18 @@ void QueryExecutor::OnTermCountsReady() {
     path.push_back(q);
   }
 
-  ReducePlan plan;
-  plan.query_id = query_id_;
-  plan.query_peer = peer_->node();
-  plan.mode = ReduceMode::kDb;
-  plan.ab_params = options_.ab_params;
-  plan.db_params = options_.db_params;
+  std::vector<ReducePlanNode> nodes;
   for (size_t i = 0; i < path.size(); ++i) {
     ReducePlanNode pn;
     pn.node = path[i];
     pn.term_key = pattern_.node(path[i]).TermKey();
-    // The path is leaf -> root; within the plan each node's child is the
-    // previous path entry.
+    // The path is leaf -> root; within the plan each node's parent is the
+    // next path entry and its child the previous one.
     pn.parent = i + 1 < path.size() ? path[i + 1] : -1;
     if (i > 0) pn.children.push_back(path[i - 1]);
-    plan.nodes.push_back(std::move(pn));
+    nodes.push_back(std::move(pn));
   }
-  // Plan parents point along the path only; fix orientation: plan parent
-  // of path[i] is path[i+1] (its pattern ancestor), children accordingly.
-  LaunchReducePlan(plan);
+  LaunchReducePlan(ReduceMode::kDb, std::move(nodes));
 
   // Remaining nodes: plain full fetches (uncounted in blocks_fetched,
   // which tracks the DPP/baseline block economy only).
@@ -1234,30 +1072,16 @@ void QueryExecutor::FallbackFromView() {
     catalog->CountFallback(view_rewrite_ ? view_rewrite_->name
                                          : std::string());
   }
-  auto& tracer = obs::Tracer::Default();
-  if (phase_span_ != 0) {
-    tracer.End(phase_span_);
-    phase_span_ = 0;
-  }
+  EndSpan(phase_span_);
   const QueryStrategy fallback =
       options_.dpp_join_available
           ? QueryStrategy::kDppJoin
           : (options_.dpp_available ? QueryStrategy::kDpp
                                     : QueryStrategy::kBaseline);
   metrics_.effective_strategy = fallback;
-  tracer.Annotate(span_, "view_fallback",
-                  std::string(QueryStrategyName(fallback)));
-  switch (fallback) {
-    case QueryStrategy::kDppJoin:
-      StartDppJoin();
-      break;
-    case QueryStrategy::kDpp:
-      StartDpp();
-      break;
-    default:
-      StartBaseline();
-      break;
-  }
+  obs::Tracer::Default().Annotate(span_, "view_fallback",
+                                  std::string(QueryStrategyName(fallback)));
+  Run(fallback);
 }
 
 void QueryExecutor::ServeFromView() {
@@ -1334,8 +1158,7 @@ void QueryExecutor::OnViewColumns(std::vector<PostingList> columns,
   for (size_t v = 0; v < columns.size(); ++v) {
     const auto q = static_cast<size_t>(rw.match.node_map[v]);
     if (!columns[v].empty()) join_.Append(q, std::move(columns[v]));
-    stream_closed_[q] = true;
-    join_.Close(q);
+    CloseStream(q);
   }
   // Residual predicates: the uncovered query nodes fetch their base term
   // lists through the ordinary stream path and filter via the join.
@@ -1349,6 +1172,11 @@ void QueryExecutor::OnViewColumns(std::vector<PostingList> columns,
 }
 
 // -- Completion ---------------------------------------------------------------
+
+void QueryExecutor::CloseStream(size_t node) {
+  stream_closed_[node] = true;
+  join_.Close(node);
+}
 
 void QueryExecutor::AdvanceJoin() {
   const size_t produced = join_.Advance();
@@ -1386,15 +1214,9 @@ void QueryExecutor::Finish(bool complete) {
   if (metrics_.TimeToFirstAnswer() >= 0) {
     C().first_answer_s->Observe(metrics_.TimeToFirstAnswer());
   }
+  EndSpan(route_span_);
+  EndSpan(phase_span_);
   auto& tracer = obs::Tracer::Default();
-  if (route_span_ != 0) {
-    tracer.End(route_span_);
-    route_span_ = 0;
-  }
-  if (phase_span_ != 0) {
-    tracer.End(phase_span_);
-    phase_span_ = 0;
-  }
   tracer.Annotate(span_, "effective",
                   std::string(QueryStrategyName(metrics_.effective_strategy)));
   tracer.Annotate(span_, "answers", std::to_string(result.answers.size()));

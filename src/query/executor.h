@@ -141,8 +141,8 @@ struct QueryMetrics {
   bool complete = true;
   /// True when fault tolerance changed the evaluation: a fetch exhausted
   /// its retry budget, a directory or term count came back unanswered, or
-  /// a refetched DPP block returned fewer postings than its directory
-  /// count (data lost with a crashed holder). A degraded query's answers
+  /// a DPP block pull came back short (ShortPull in query/block_join.h:
+  /// data lost with a crashed holder). A degraded query's answers
   /// are a sound subset; `complete` says whether they are the full set.
   bool degraded = false;
 
@@ -234,7 +234,6 @@ class QueryClient {
   [[nodiscard]] bool HandleApp(const dht::AppRequest& request, sim::NodeIndex from);
 
   dht::DhtPeer* peer() { return peer_; }
-  size_t active_queries() const { return active_.size(); }
 
   /// This peer's query-side posting cache (see PostingCache); consulted by
   /// executors when `QueryOptions::cache_postings` is set.
@@ -265,10 +264,11 @@ class QueryExecutor : public std::enable_shared_from_this<QueryExecutor> {
 
   void Start();
   [[nodiscard]] bool HandleApp(const dht::AppRequest& request, sim::NodeIndex from);
-  uint64_t query_id() const { return query_id_; }
 
  private:
-  void FailInvalid(const std::string& why);
+  /// Starts `strategy`: the one dispatch shared by Start, kAuto's pick and
+  /// a kView fallback.
+  void Run(QueryStrategy strategy);
   /// Full-list fetch of `node`'s term with cache consult/fill: used by the
   /// baseline strategy and the sub-query plan's off-path fetches (the only
   /// difference being whether blocks_fetched is counted).
@@ -277,16 +277,20 @@ class QueryExecutor : public std::enable_shared_from_this<QueryExecutor> {
   /// count, raw bytes and wire bytes. Returns the wire (encoded) size,
   /// computed once per transfer.
   size_t RecordTransfer(const index::PostingList& postings);
+  /// Consults the posting cache for `spec` when caching is on, counting
+  /// the hit or miss. On a hit, `deliver` runs with the cached list after
+  /// a zero delay (the ordering of a real fetch) unless the query has
+  /// finished by then; false means the caller must fetch.
+  bool ServeFromCache(
+      const dht::GetSpec& spec,
+      std::function<void(std::shared_ptr<const index::PostingList>)> deliver);
   /// Caches a completed fetch result unless the key was mutated while the
   /// stream was in flight (`pre_version` no longer authoritative). The
-  /// shared overload lets the cache alias the list the join consumes.
-  void MaybeCacheInsert(const dht::GetSpec& spec, uint64_t pre_version,
-                        index::PostingList postings);
+  /// cache aliases the list the join consumes.
   void MaybeCacheInsert(const dht::GetSpec& spec, uint64_t pre_version,
                         std::shared_ptr<const index::PostingList> postings);
   void StartBaseline();
   void StartDpp();
-  void StartDppJoin();
   void OnDppDirectoriesReady();
   /// kDppJoin: cut the document window at surviving block boundaries,
   /// form one join task per interval where every term participates, and
@@ -295,25 +299,16 @@ class QueryExecutor : public std::enable_shared_from_this<QueryExecutor> {
   void DispatchJoinTask(size_t task);
   void OnJoinTaskResult(size_t task, const index::JoinResultMessage& msg);
   /// The holder is unreachable (routing retry budget exhausted) or replied
-  /// without being able to verify its inputs: fetch the task's input
-  /// blocks here and join locally, like a one-task kDpp.
+  /// without being able to verify its inputs: pull the task's input
+  /// blocks here, re-pulling short pulls within the retry budget, and
+  /// join locally, like a one-task kDpp.
   void RunLocalJoinFallback(size_t task);
-  /// One verified fallback fetch: pulls `spec`, checks the result against
-  /// the directory count, and re-pulls (the resend re-resolves the key
-  /// owner) when a verifiably short answer comes back — e.g. from the
-  /// data-less successor that inherited a crashed holder's range.
-  struct JoinGather;  // accumulated fallback inputs (defined in executor.cc)
-  void FallbackPull(std::shared_ptr<JoinGather> gather, size_t node,
-                    dht::GetSpec spec, bool lower_trimmed, bool upper_trimmed,
-                    uint64_t expected, uint32_t attempt,
-                    std::function<void()> on_all);
   void FinishJoinTask(size_t task, std::vector<Answer> answers,
                       std::vector<index::DocId> matched_docs);
   /// Appends completed tasks to the merged result in task (= document)
   /// order; finishes the query when every task has been delivered.
   void DeliverReadyJoinTasks();
   void StartReducer(ReduceMode mode);
-  void StartSubQuery();
   void StartAuto();
   /// kView: resolve a rewrite (unless kAuto already stashed one), fetch and
   /// count-verify the extent columns, then feed them into the join at their
@@ -329,10 +324,14 @@ class QueryExecutor : public std::enable_shared_from_this<QueryExecutor> {
   /// Fetches every term's stored posting count, then runs `then`.
   void FetchTermCounts(std::function<void()> then);
   void OnTermCountsReady();
-  void LaunchReducePlan(const ReducePlan& plan);
+  void LaunchReducePlan(ReduceMode mode, std::vector<ReducePlanNode> nodes);
   /// DPP: issue up to K block fetches for `node`; called on completions.
   void PumpDppFetches(size_t node);
+  /// DPP: block `idx` of `node` arrived (fetched or from the cache).
+  void OnDppBlock(size_t node, size_t idx,
+                  std::shared_ptr<const index::PostingList> postings);
   void DeliverReadyDppBlocks(size_t node);
+  void CloseStream(size_t node);
   void AdvanceJoin();
   void MaybeFinishStreams();
   void Finish(bool complete);

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <map>
 #include <optional>
 #include <set>
 #include <string>
@@ -14,9 +15,11 @@
 
 #include "core/kadop.h"
 #include "dht/ring.h"
+#include "index/dpp.h"
 #include "index/terms.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "query/block_join.h"
 #include "xml/corpus.h"
 
 namespace kadop::query {
@@ -234,6 +237,142 @@ TEST_F(DistributedJoinTest, CostModelOffersDppJoinOnlyWhenAvailable) {
       }
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// The short-pull rule shared by kDpp, the holder and the local fallback.
+
+index::Posting At(uint32_t doc, uint32_t start) {
+  return index::Posting{0, doc, {start, start + 1, 1}};
+}
+
+TEST(ShortPullTest, OneRuleForEveryTrimShape) {
+  index::DppBlockInfo block;
+  block.key = "block";
+  block.cond = {At(10, 5), At(20, 5)};
+  block.count = 8;
+  const index::Condition whole{At(0, 0), At(99, 0)};
+  const index::Condition lower{At(15, 0), At(99, 0)};   // cuts the low end
+  const index::Condition upper{At(0, 0), At(15, 0)};    // cuts the high end
+  const index::Condition inside{At(12, 0), At(18, 0)};  // cuts both ends
+  struct Row {
+    const char* name;
+    index::Condition window;
+    size_t got;
+    bool complete;
+    bool short_pull;
+  };
+  const Row rows[] = {
+      {"untrimmed full", whole, 8, true, false},
+      {"untrimmed short", whole, 7, true, true},
+      {"lower-trimmed empty", lower, 0, true, true},
+      {"lower-trimmed non-empty", lower, 1, true, false},
+      {"upper-trimmed empty", upper, 0, true, true},
+      {"upper-trimmed non-empty", upper, 1, true, false},
+      {"both ends trimmed, empty (unverifiable)", inside, 0, true, false},
+      {"timed out", whole, 8, false, true},
+      {"timed out, both ends trimmed", inside, 0, false, true},
+  };
+  for (const Row& row : rows) {
+    const dht::GetSpec spec = BlockPullSpec(block, row.window, {});
+    EXPECT_FALSE(spec.pipelined) << row.name;
+    EXPECT_EQ(ShortPull(block, spec, row.got, row.complete), row.short_pull)
+        << row.name;
+  }
+  // The clamp: the spec never reaches outside the block or the window.
+  const dht::GetSpec spec = BlockPullSpec(block, lower, {});
+  EXPECT_EQ(spec.key, "block");
+  EXPECT_EQ(spec.lo, lower.lo);
+  EXPECT_EQ(spec.hi, block.cond.hi);
+}
+
+// A kDpp pull trimmed at one end by the [min, max] window that comes back
+// empty from a crashed holder's data-less successor has lost data: with a
+// retry policy the query must say so instead of passing as complete.
+TEST(ShortPullTest, KDppFlagsOneEndTrimmedEmptyPull) {
+  xml::corpus::DblpOptions copt;
+  copt.target_bytes = 150 << 10;
+  auto docs = xml::corpus::GenerateDblp(copt);
+  KadopOptions opt;
+  opt.peers = 12;
+  opt.dpp.max_block_postings = 256;
+  KadopNet net(opt);
+  std::vector<const xml::Document*> ptrs;
+  for (const auto& d : docs) ptrs.push_back(&d);
+  constexpr sim::NodeIndex kQuerier = 5;
+  net.PublishAndWait(2, ptrs);
+
+  // The rare word narrows the [min, max] window, so the first and last
+  // 'author' blocks are each trimmed at one end.
+  constexpr const char* kQuery = "//author[. contains 'Ullman']";
+  TreePattern pattern = ParsePattern(kQuery).take();
+  // Publishing is over, so only the querier and the directory owners
+  // must survive.
+  std::set<sim::NodeIndex> protected_nodes{kQuerier};
+  std::vector<std::vector<index::DppBlockInfo>> dirs;
+  for (size_t n = 0; n < pattern.size(); ++n) {
+    const std::string term = pattern.node(n).TermKey();
+    protected_nodes.insert(net.dht().OwnerOf(dht::HashKey(term)));
+    index::DppManager::FetchDirectory(
+        net.peer(0)->dht_peer(), term,
+        [&](Status st, std::vector<index::DppBlockInfo> blocks) {
+          EXPECT_TRUE(st.ok());
+          dirs.push_back(std::move(blocks));
+        });
+    net.RunToIdle();
+  }
+  ASSERT_EQ(dirs.size(), pattern.size());
+  // The executor's window: largest per-term minimum to smallest maximum.
+  index::DocId lo{0, 0};
+  index::DocId hi{UINT32_MAX, UINT32_MAX};
+  for (const auto& dir : dirs) {
+    ASSERT_FALSE(dir.empty());
+    if (lo < dir.front().cond.MinDoc()) lo = dir.front().cond.MinDoc();
+    if (dir.back().cond.MaxDoc() < hi) hi = dir.back().cond.MaxDoc();
+  }
+  const index::Condition window{
+      index::Posting{lo.peer, lo.doc, {0, 0, 0}},
+      index::Posting{hi.peer, hi.doc, {UINT32_MAX, UINT32_MAX, UINT16_MAX}}};
+
+  // Victim: a holder whose every pulled block is trimmed at exactly one
+  // end, so only the one-end-trimmed clause can notice its loss.
+  std::map<sim::NodeIndex, bool> only_one_end_trimmed;
+  for (const auto& dir : dirs) {
+    for (const auto& b : dir) {
+      if (!b.cond.Intersects(window)) continue;
+      const bool one_end =
+          (b.cond.lo < window.lo) != (window.hi < b.cond.hi);
+      const sim::NodeIndex holder = net.dht().OwnerOf(dht::HashKey(b.key));
+      auto [it, fresh] = only_one_end_trimmed.emplace(holder, one_end);
+      if (!fresh) it->second = it->second && one_end;
+    }
+  }
+  std::optional<sim::NodeIndex> victim;
+  for (const auto& [holder, ok] : only_one_end_trimmed) {
+    if (ok && protected_nodes.count(holder) == 0) {
+      victim = holder;
+      break;
+    }
+  }
+  ASSERT_TRUE(victim.has_value()) << "no holder of only one-end-trimmed blocks";
+
+  // Crash it for good: its range passes to a data-less successor that
+  // answers the trimmed pull with an empty, complete list.
+  const double t0 = net.scheduler().Now();
+  net.EnableFaults(sim::FaultOptions{},
+                   {sim::CrashEvent{t0, *victim, /*up=*/false}});
+  QueryOptions qopt;
+  qopt.strategy = QueryStrategy::kDpp;
+  qopt.fetch_retry.timeout_s = 0.5;
+  qopt.fetch_retry.max_retries = 3;
+  std::optional<QueryResult> result;
+  ASSERT_TRUE(net.SubmitQuery(kQuerier, kQuery, qopt, [&](QueryResult r) {
+                   result = std::move(r);
+                 }).ok());
+  net.scheduler().RunUntil(t0 + 60.0);
+  ASSERT_TRUE(result.has_value()) << "kDpp hung after the crash";
+  EXPECT_FALSE(result->metrics.complete);
+  EXPECT_TRUE(result->metrics.degraded);
 }
 
 // ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@
 
 #include "index/terms.h"
 #include "query/twig_join.h"
-#include "query/twig_stack.h"
+#include "twig_stack.h"
 #include "xml/corpus.h"
 #include "xml/parser.h"
 

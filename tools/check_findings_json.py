@@ -1,12 +1,11 @@
 #!/usr/bin/env python3
-"""Validates the merged findings JSON emitted by kadop_analyze/kadop_lint.
+"""Validates the findings JSON emitted by kadop_analyze.
 
 Hand-rolled schema check in the check_bench_json.py mold (no third-party
 deps): each file must be a JSON object with
 
   schema_version  the integer 1
-  tools           non-empty array of strings from
-                  {"kadop_analyze", "kadop_lint"}
+  tools           non-empty array of strings from {"kadop_analyze"}
   root            non-empty string
   findings        array of objects with tool/rule/file/line/message/
                   suppressed (+ suppression_reason, a non-empty string
@@ -18,15 +17,15 @@ deps): each file must be a JSON object with
                   internally consistent with the findings array
 
 Usage: check_findings_json.py FILE [FILE...]
-Exits non-zero listing every violation, so CI fails loudly when the tools
-stop emitting what the analyze job consumes.
+Exits non-zero listing every violation, so CI fails loudly when the
+analyzer stops emitting what the analyze job consumes.
 """
 
 import json
 import re
 import sys
 
-KNOWN_TOOLS = {"kadop_analyze", "kadop_lint"}
+KNOWN_TOOLS = {"kadop_analyze"}
 RULE_RE = re.compile(r"^KDP\d{3}$")
 
 

@@ -1,12 +1,60 @@
 #!/usr/bin/env python3
-"""kadop_analyze: AST-level determinism & protocol analyzer for KadoP.
+"""kadop_analyze: the KadoP static analyzer (rules KDP001-KDP016).
 
-Every claim this reproduction makes — fig2/fig3 traffic numbers, the chaos
-suite, the PR 4/5 byte-identity guarantees — rests on *seeded determinism*:
-two runs with the same seeds must be byte-identical in every observable
-(virtual times, traffic counters, metric snapshots, trace dumps).
-`kadop_lint.py` is token-level and cannot see the constructs that break
-that property. This tool closes the gap with the KDP011+ rule family:
+Enforces invariants no off-the-shelf tool knows about. The token-level
+rules guard the library's contracts:
+
+  KDP001  no-exceptions      `throw` / `try` / `catch` anywhere under src/.
+                             The library is exception-free by contract;
+                             fallible operations return Status/Result.
+  KDP002  naked-value        `x.value()` / `x.take()` on a Result without a
+                             prior `x.ok()` / `x.status()` / `x.has_value()`
+                             check in the same function body.
+  KDP003  include-guard      Headers under src/ must guard with
+                             KADOP_<RELATIVE_PATH>_H_ (e.g. src/xml/sid.h
+                             -> KADOP_XML_SID_H_).
+  KDP004  bare-assert        `assert(...)` in non-header code under src/.
+                             Use KADOP_CHECK (always on, prints location)
+                             instead; `assert` compiles out in NDEBUG builds
+                             and silently stops guarding the index.
+  KDP005  dyadic-construct   Brace-construction of DyadicInterval outside
+                             src/bloom/. Intervals must come from
+                             DyadicCover / DyadicContainers / DyadicAncestors
+                             so the level/alignment invariants hold.
+  KDP006  manual-sid-test    Hand-rolled ancestor test (`a.start < b.start &&
+                             b.end < a.end`-style conjunction) outside
+                             src/xml/sid.h. Use IsAncestorOf / Encloses —
+                             inline copies drift from the level-aware rules.
+  KDP007  dyadic-zero        DyadicCover / DyadicContainers called with a
+                             literal 0 position. The dyadic domain is
+                             [1, 2^l]; position 0 is not representable.
+  KDP008  posting-sort       `std::sort` with a custom comparator in the
+                             posting-carrying layers (src/index, src/store).
+                             Posting lists are kept in the canonical
+                             (peer, doc, sid) order; sorting with an ad-hoc
+                             comparator silently breaks merge joins and
+                             range scans.
+  KDP009  adhoc-counter      New integer member/variable declarations named
+                             `*_count` / `*_counter` under src/ outside
+                             src/obs/. Observable event tallies belong in
+                             the metrics registry (obs::MetricRegistry) so
+                             they show up in KadopStats / bench JSON;
+                             existing wire-format and structural-size
+                             fields are grandfathered per file.
+  KDP010  raw-posting-math   `... * Posting::kWireBytes` (or `kWireBytes *
+                             ...`) arithmetic outside src/index/posting.h
+                             and src/index/codec.{h,cc}. Posting transfer
+                             and storage sizes must route through the codec
+                             size functions (codec::RawBytes / WireBytes /
+                             EncodedBytes) so the encoded size is charged
+                             consistently everywhere; a bare non-multiplied
+                             `kWireBytes` term (fixed-format field) is fine.
+
+The structural rules guard *seeded determinism*, which every claim this
+reproduction makes rests on (fig2/fig3 traffic numbers, the chaos suite,
+the byte-identity guarantees): two runs with the same seeds must be
+byte-identical in every observable (virtual times, traffic counters,
+metric snapshots, trace dumps).
 
   KDP011  wall-clock-escape   std::chrono::{system,steady,high_resolution}_
                               clock, time(), gettimeofday, clock_gettime or
@@ -60,14 +108,15 @@ Backends 1 and 2 *augment* the built-in facts; the structural rule engine
 shared, so results are reproducible on machines without LLVM — the
 fixtures and ctest cases pin the built-in backend explicitly.
 
-Suppressions use the shared `// KDP-ALLOW(KDPxxx): <reason>` syntax
+Deliberate exceptions use the `// KDP-ALLOW(KDPxxx): <reason>` syntax
 (kdp_common.py); reasons are mandatory and the accepted inventory is
-printed on every run.
+printed on every run. `--json` emits the machine-readable findings
+document that tools/check_findings_json.py validates.
 
 Usage:
   kadop_analyze.py --root <repo>                      scan src/ tools/ bench/
-  kadop_analyze.py --root <repo> --json findings.json [--with-lint]
-  kadop_analyze.py --root <repo> --self-test          fixture pairs fire/stay clean
+  kadop_analyze.py --root <repo> --json findings.json
+  kadop_analyze.py --root <repo> --self-test          fixtures fire/stay clean
   kadop_analyze.py --root <repo> --meta-test          rule removed => fixture fails
   kadop_analyze.py --root <repo> --audit-unordered    list every unordered range-for
 
@@ -92,21 +141,57 @@ from kdp_common import (Finding, apply_suppressions, findings_json, line_of,
                         strip_comments_and_strings, write_findings_json)
 
 TOOL = "kadop_analyze"
-ALL_RULES = ("KDP011", "KDP012", "KDP013", "KDP014", "KDP015", "KDP016")
+ALL_RULES = tuple(f"KDP{i:03d}" for i in range(1, 17))
 
-# Path policy (rel paths are posix, repo-root-relative):
-#   scanned tree      src/**, tools/*.cc|.h (fixtures excluded), bench/**
-#   KDP011 scope      src/ + tools/ — bench/ is exempt by design: benches
-#                     exist to measure wall throughput; their numbers are
-#                     never part of a determinism diff.
-#   KDP011 exempt     src/obs/profile_clock.* (the sanctioned shim)
-#   KDP013 exempt     src/common/random.* (the seeded RNG itself), src/sim/
-#                     (jitter/fault draws own a seeded Rng by contract)
-# No path is exempt from KDP011 inside src/ — even the profiling shim
-# (src/obs/profile_clock.cc) carries explicit KDP-ALLOW comments, so its
-# gated wall-clock reads stay visible in the suppression inventory.
-KDP011_EXEMPT_PREFIXES = ()
-KDP013_EXEMPT_PREFIXES = ("src/common/random.", "src/sim/")
+# Path policy (rel paths are posix, repo-root-relative). The scanned tree
+# is src/**, tools/*.cc|.h (fixtures excluded) and bench/**. Each rule runs
+# on the paths under one of its scope prefixes, minus its exempt prefixes:
+#   KDP001-010  src/ only (KDP008: the posting layers src/index, src/store).
+#   KDP011      src/ + tools/ — bench/ is exempt by design: benches exist
+#               to measure wall throughput; their numbers are never part of
+#               a determinism diff. No path inside src/ is exempt — even the
+#               profiling shim (src/obs/profile_clock.cc) carries explicit
+#               KDP-ALLOW comments, so its gated wall-clock reads stay
+#               visible in the suppression inventory.
+#   KDP013      everywhere but src/common/random.* (the seeded RNG itself)
+#               and src/sim/ (jitter/fault draws own a seeded Rng by
+#               contract).
+
+# KDP009 grandfather list: files whose *_count declarations predate the
+# metrics registry and are not event tallies — wire-format fields
+# (messages.h, dpp_messages.h, reducer.h) and structural size bookkeeping
+# (bplus_tree.h). New counters anywhere else must go through obs/.
+KDP009_EXEMPT_FILES = (
+    "src/query/messages.h",
+    "src/query/reducer.h",
+    "src/index/dpp_messages.h",
+    "src/store/bplus_tree.h",
+)
+
+# KDP010 exempt list: the raw record size's definition site and the codec
+# library, which is the sanctioned home of raw-size arithmetic
+# (codec::RawBytes and friends).
+KDP010_EXEMPT_FILES = (
+    "src/index/posting.h",
+    "src/index/codec.h",
+    "src/index/codec.cc",
+)
+
+# rule -> (scope prefixes, exempt prefixes); unlisted rules run everywhere.
+RULE_SCOPE = {
+    "KDP001": (("src/",), ()),
+    "KDP002": (("src/",), ("src/common/status.h",)),
+    "KDP003": (("src/",), ()),
+    "KDP004": (("src/",), ()),
+    "KDP005": (("src/",), ("src/bloom/",)),
+    "KDP006": (("src/",), ("src/xml/sid.h",)),
+    "KDP007": (("src/",), ()),
+    "KDP008": (("src/index/", "src/store/"), ()),
+    "KDP009": (("src/",), ("src/obs/",) + KDP009_EXEMPT_FILES),
+    "KDP010": (("src/",), KDP010_EXEMPT_FILES),
+    "KDP011": (("src/", "tools/"), ()),
+    "KDP013": (("",), ("src/common/random.", "src/sim/")),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -455,18 +540,149 @@ RE_STD_IGNORE = re.compile(
 
 
 def rule_scope_ok(rule: str, rel: str) -> bool:
-    if rule == "KDP011":
-        if rel.startswith(KDP011_EXEMPT_PREFIXES):
-            return False
-        return rel.startswith(("src/", "tools/"))
-    if rule == "KDP013":
-        if rel.startswith(KDP013_EXEMPT_PREFIXES):
-            return False
-        return True
-    return True
+    scope, exempt = RULE_SCOPE.get(rule, (("",), ()))
+    return rel.startswith(scope) and not rel.startswith(exempt)
 
 
-def check_kdp011(rel: str, clean: str, add) -> None:
+RE_EXCEPTION = re.compile(r"\b(throw\b|try\s*\{|catch\s*\()")
+RE_VALUE_USE = re.compile(r"\b([A-Za-z_]\w*)\s*\.\s*(value|take)\s*\(\s*\)")
+RE_ASSERT = re.compile(r"(?<!_)\bassert\s*\(")
+RE_DYADIC_BRACE = re.compile(r"\bDyadicInterval\s*\{")
+RE_SID_MANUAL = re.compile(
+    r"\.\s*start\s*<=?\s*[\w.]*\.\s*start\s*&&[^;\n]*\.\s*end\s*<=?"
+    r"|\.\s*end\s*<=?\s*[\w.]*\.\s*end\s*&&[^;\n]*\.\s*start\s*<=?"
+)
+RE_DYADIC_ZERO = re.compile(r"\bDyadic(?:Cover|Containers)\s*\(\s*0\s*[,u]")
+RE_SORT_CMP = re.compile(r"\bstd::(?:stable_)?sort\s*\(")
+RE_GUARD = re.compile(r"^\s*#\s*ifndef\s+(\w+)", re.MULTILINE)
+RE_ADHOC_COUNTER = re.compile(
+    r"\b(?:uint(?:8|16|32|64)_t|int(?:8|16|32|64)_t|size_t|unsigned|int|"
+    r"long)\s+(\w*_(?:count|counts|counter|counters)_?)\s*(?:=|;|\{)"
+)
+RE_RAW_POSTING_MATH = re.compile(
+    r"\*\s*(?:\w+\s*::\s*)*kWireBytes\b|\bkWireBytes\s*\*"
+)
+
+
+def function_scope_start(clean: str, offset: int) -> int:
+    """Offset of the opening brace of the outermost scope enclosing `offset`.
+
+    Tracks brace depth from the start of the file; namespace/class braces are
+    included, which only widens the window the KDP002 check searches — a
+    prior ok() check is still required to appear before the use.
+    """
+    stack: list[int] = []
+    for i in range(offset):
+        c = clean[i]
+        if c == "{":
+            stack.append(i)
+        elif c == "}" and stack:
+            stack.pop()
+    return stack[0] if stack else 0
+
+
+def check_kdp001(rel: str, clean: str, facts: Facts, add) -> None:
+    for m in RE_EXCEPTION.finditer(clean):
+        add("KDP001", m.start(),
+            "exceptions are banned in src/ (return Status/Result instead)")
+
+
+def check_kdp002(rel: str, clean: str, facts: Facts, add) -> None:
+    for m in RE_VALUE_USE.finditer(clean):
+        var = m.group(1)
+        window = clean[function_scope_start(clean, m.start()):m.start()]
+        if not re.search(
+                rf"\b{re.escape(var)}\s*\.\s*(ok|status|has_value)\s*\(",
+                window):
+            add("KDP002", m.start(),
+                f"`{var}.{m.group(2)}()` without a prior `{var}.ok()` "
+                "check in the enclosing scope")
+
+
+def check_kdp003(rel: str, clean: str, facts: Facts, add) -> None:
+    if not rel.endswith(".h"):
+        return
+    expected = (
+        "KADOP_" + rel[len("src/"):-len(".h")]
+        .replace("/", "_").replace(".", "_").replace("-", "_").upper()
+        + "_H_"
+    )
+    m = RE_GUARD.search(clean)
+    if not m:
+        add("KDP003", 0, f"missing include guard (expected {expected})")
+    elif m.group(1) != expected:
+        add("KDP003", m.start(),
+            f"include guard `{m.group(1)}` should be `{expected}`")
+
+
+def check_kdp004(rel: str, clean: str, facts: Facts, add) -> None:
+    if rel.endswith(".h"):
+        return
+    for m in RE_ASSERT.finditer(clean):
+        add("KDP004", m.start(),
+            "bare assert() in .cc code; use KADOP_CHECK (assert "
+            "compiles out under NDEBUG)")
+
+
+def check_kdp005(rel: str, clean: str, facts: Facts, add) -> None:
+    for m in RE_DYADIC_BRACE.finditer(clean):
+        add("KDP005", m.start(),
+            "construct DyadicInterval via DyadicCover/DyadicContainers/"
+            "DyadicAncestors, not by hand (alignment invariant)")
+
+
+def check_kdp006(rel: str, clean: str, facts: Facts, add) -> None:
+    for m in RE_SID_MANUAL.finditer(clean):
+        add("KDP006", m.start(),
+            "hand-rolled start/end containment test; use "
+            "StructuralId::IsAncestorOf or Encloses")
+
+
+def check_kdp007(rel: str, clean: str, facts: Facts, add) -> None:
+    for m in RE_DYADIC_ZERO.finditer(clean):
+        add("KDP007", m.start(),
+            "dyadic domain is [1, 2^l]; position 0 is invalid")
+
+
+def check_kdp008(rel: str, clean: str, facts: Facts, add) -> None:
+    for m in RE_SORT_CMP.finditer(clean):
+        # A third top-level argument means a custom comparator.
+        depth, args, i = 0, 1, m.end()
+        while i < len(clean):
+            c = clean[i]
+            if c in "([{":
+                depth += 1
+            elif c in ")]}":
+                if depth == 0:
+                    break
+                depth -= 1
+            elif c == "," and depth == 0:
+                args += 1
+            i += 1
+        if args >= 3:
+            add("KDP008", m.start(),
+                "std::sort with a custom comparator in a posting layer; "
+                "posting lists must keep the canonical (peer, doc, sid) "
+                "order (default operator<=>)")
+
+
+def check_kdp009(rel: str, clean: str, facts: Facts, add) -> None:
+    for m in RE_ADHOC_COUNTER.finditer(clean):
+        add("KDP009", m.start(),
+            f"ad-hoc counter `{m.group(1)}`; register a Counter in "
+            "obs::MetricRegistry instead so it reaches KadopStats and "
+            "the bench JSON")
+
+
+def check_kdp010(rel: str, clean: str, facts: Facts, add) -> None:
+    for m in RE_RAW_POSTING_MATH.finditer(clean):
+        add("KDP010", m.start(),
+            "raw `* Posting::kWireBytes` size math; use the codec size "
+            "functions (index::codec::RawBytes/WireBytes/EncodedBytes) "
+            "so the encoded size is charged consistently")
+
+
+def check_kdp011(rel: str, clean: str, facts: Facts, add) -> None:
     for m in RE_KDP011.finditer(clean):
         add("KDP011", m.start(),
             "wall-clock read outside the timing shim; virtual time comes "
@@ -496,7 +712,7 @@ def check_kdp012(rel: str, clean: str, facts: Facts, add,
             "key vector instead")
 
 
-def check_kdp013(rel: str, clean: str, add) -> None:
+def check_kdp013(rel: str, clean: str, facts: Facts, add) -> None:
     for m in RE_KDP013.finditer(clean):
         add("KDP013", m.start(),
             "RNG construction/seeding outside the seeded RNG; all "
@@ -504,7 +720,7 @@ def check_kdp013(rel: str, clean: str, add) -> None:
             "(src/common/random.h) so runs replay from their seeds")
 
 
-def check_kdp014(rel: str, clean: str, add) -> None:
+def check_kdp014(rel: str, clean: str, facts: Facts, add) -> None:
     for m in RE_KDP014_ORDERED.finditer(clean):
         open_pos = clean.index("<", m.start())
         end = match_angle_brackets(clean, open_pos)
@@ -571,7 +787,7 @@ RE_KDP016_BEGIN = re.compile(
     r"(?:[A-Za-z_]\w*(?:\(\s*\))?\s*(?:\.|->|::)\s*)*Begin(?:Root)?\s*\(")
 
 
-def check_kdp016(rel: str, clean: str, add) -> None:
+def check_kdp016(rel: str, clean: str, facts: Facts, add) -> None:
     """Span-leak: a local span must reach its End() on every path.
 
     Textual approximation of the CFG check: the first `End(var)` after the
@@ -600,6 +816,9 @@ def check_kdp016(rel: str, clean: str, add) -> None:
                 "lambda defined before the return)")
 
 
+CHECKS = {rule: globals()["check_" + rule.lower()] for rule in ALL_RULES}
+
+
 def analyze_file(rel: str, text: str, facts: Facts,
                  disabled: set[str],
                  audit: list | None = None) -> tuple[list[Finding], list, int]:
@@ -608,30 +827,18 @@ def analyze_file(rel: str, text: str, facts: Facts,
     clean = strip_comments_and_strings(text)
     findings: list[Finding] = []
 
-    def add_for(rule):
-        def add(rule_id: str, offset: int, message: str) -> None:
-            findings.append(Finding(TOOL, rule_id, rel,
-                                    line_of(text, offset), message))
-        return add
+    def add(rule_id: str, offset: int, message: str) -> None:
+        findings.append(Finding(TOOL, rule_id, rel,
+                                line_of(text, offset), message))
 
     rules_run = 0
-    if "KDP011" not in disabled and rule_scope_ok("KDP011", rel):
-        check_kdp011(rel, clean, add_for("KDP011"))
-        rules_run += 1
-    if "KDP012" not in disabled and rule_scope_ok("KDP012", rel):
-        check_kdp012(rel, clean, facts, add_for("KDP012"), audit)
-        rules_run += 1
-    if "KDP013" not in disabled and rule_scope_ok("KDP013", rel):
-        check_kdp013(rel, clean, add_for("KDP013"))
-        rules_run += 1
-    if "KDP014" not in disabled and rule_scope_ok("KDP014", rel):
-        check_kdp014(rel, clean, add_for("KDP014"))
-        rules_run += 1
-    if "KDP015" not in disabled and rule_scope_ok("KDP015", rel):
-        check_kdp015(rel, clean, facts, add_for("KDP015"))
-        rules_run += 1
-    if "KDP016" not in disabled and rule_scope_ok("KDP016", rel):
-        check_kdp016(rel, clean, add_for("KDP016"))
+    for rule in ALL_RULES:
+        if rule in disabled or not rule_scope_ok(rule, rel):
+            continue
+        if rule == "KDP012":
+            check_kdp012(rel, clean, facts, add, audit)
+        else:
+            CHECKS[rule](rel, clean, facts, add)
         rules_run += 1
 
     suppressions, malformed = parse_suppressions(TOOL, rel, text)
@@ -700,48 +907,71 @@ def scan_tree(root: Path, compile_commands: Path, backend: str,
 # Self-test / meta-test
 # ---------------------------------------------------------------------------
 
+# fixture -> (path it is analyzed as, rules that must all fire; empty =
+# must stay clean).
 FIXTURES = {
-    "kdp011_bad.cc.txt": {"KDP011"},
-    "kdp011_good.cc.txt": set(),
-    "kdp012_bad.cc.txt": {"KDP012"},
-    "kdp012_good.cc.txt": set(),
-    "kdp013_bad.cc.txt": {"KDP013"},
-    "kdp013_good.cc.txt": set(),
-    "kdp014_bad.cc.txt": {"KDP014"},
-    "kdp014_good.cc.txt": set(),
-    "kdp015_bad.cc.txt": {"KDP015"},
-    "kdp015_good.cc.txt": set(),
-    "kdp016_bad.cc.txt": {"KDP016"},
-    "kdp016_good.cc.txt": set(),
+    "violations.cc.txt": ("src/index/violations.cc",
+                          {"KDP001", "KDP002", "KDP004", "KDP005", "KDP006",
+                           "KDP007", "KDP008", "KDP009", "KDP010"}),
+    "bad_guard.h.txt": ("src/index/bad_guard.h", {"KDP003"}),
+    "kdp011_bad.cc.txt": ("src/kdp011_bad.cc", {"KDP011"}),
+    "kdp011_good.cc.txt": ("src/kdp011_good.cc", set()),
+    "kdp012_bad.cc.txt": ("src/kdp012_bad.cc", {"KDP012"}),
+    "kdp012_good.cc.txt": ("src/kdp012_good.cc", set()),
+    "kdp013_bad.cc.txt": ("src/kdp013_bad.cc", {"KDP013"}),
+    "kdp013_good.cc.txt": ("src/kdp013_good.cc", set()),
+    "kdp014_bad.cc.txt": ("src/kdp014_bad.cc", {"KDP014"}),
+    "kdp014_good.cc.txt": ("src/kdp014_good.cc", set()),
+    "kdp015_bad.cc.txt": ("src/kdp015_bad.cc", {"KDP015"}),
+    "kdp015_good.cc.txt": ("src/kdp015_good.cc", set()),
+    "kdp016_bad.cc.txt": ("src/kdp016_bad.cc", {"KDP016"}),
+    "kdp016_good.cc.txt": ("src/kdp016_good.cc", set()),
 }
-SUPPRESSION_FIXTURE = "kdp_allow.cc.txt"
+# Each seeds reasoned KDP-ALLOWs over real violations of the listed rules
+# plus one reasonless allow, which must be reported as KDP000.
+SUPPRESSION_FIXTURES = {
+    "kdp002_allow.cc.txt": ("src/index/kdp002_allow.cc", {"KDP002"}),
+    "kdp_allow.cc.txt": ("src/kdp_allow.cc",
+                         {"KDP011", "KDP012", "KDP013", "KDP014"}),
+}
 
 
-def check_fixture(root: Path, name: str, disabled: set[str]):
-    """Analyzes one fixture as if it lived at src/<name>; facts come from
-    the fixture file alone (fixtures are self-contained)."""
+def check_fixture(root: Path, name: str, rel: str, disabled: set[str]):
+    """Analyzes one fixture as if it lived at `rel`; facts come from the
+    fixture file alone (fixtures are self-contained)."""
     path = root / "tools" / "lint_fixtures" / name
     text = path.read_text(encoding="utf-8")
-    rel = "src/" + name.replace(".txt", "")
     facts = gather_internal_facts({rel: strip_comments_and_strings(text)})
     return analyze_file(rel, text, facts, disabled)
 
 
-def self_test(root: Path, disabled: set[str], quiet: bool = False) -> int:
+def self_test(root: Path, disabled: set[str], quiet: bool = False,
+              scope: set[str] | None = None) -> int:
+    """Runs the fixtures with `disabled` rules switched off. Fixtures that
+    seed only rules outside `scope` (default: every rule) are skipped, so
+    `--self-test --disable ...` tests the remaining rules alone; the
+    meta-test keeps the full scope, so a disabled rule's fixture fails."""
     say = (lambda *a, **k: None) if quiet else print
+    scope = set(ALL_RULES) if scope is None else scope
     failures = 0
-    for name, expected in sorted(FIXTURES.items()):
+    covered = 0
+    for name, (rel, expected) in sorted(FIXTURES.items()):
+        if expected and not expected & scope:
+            continue
+        expected = expected & scope
+        covered += 1
         path = root / "tools" / "lint_fixtures" / name
         if not path.is_file():
             say(f"self-test FAILED: fixture missing: {path}", file=sys.stderr)
             failures += 1
             continue
-        findings, _, _ = check_fixture(root, name, disabled)
+        findings, _, _ = check_fixture(root, name, rel, disabled)
         fired = {f.rule for f in findings if not f.suppressed}
         for f in findings:
             say(f"  (fixture) {f}")
-        if expected and not (expected & fired):
-            say(f"self-test FAILED: {name}: expected {sorted(expected)} "
+        missing = expected - fired
+        if missing:
+            say(f"self-test FAILED: {name}: expected {sorted(missing)} "
                 f"to fire, got {sorted(fired)}", file=sys.stderr)
             failures += 1
         if not expected and fired:
@@ -754,29 +984,31 @@ def self_test(root: Path, disabled: set[str], quiet: bool = False) -> int:
                 f"{sorted(unexpected)}", file=sys.stderr)
             failures += 1
 
-    # Suppression parsing: every seeded violation in the allow-fixture is
-    # suppressed with a reason, and the one malformed KDP-ALLOW is KDP000.
-    findings, suppressions, _ = check_fixture(root, SUPPRESSION_FIXTURE,
-                                              disabled)
-    rule_findings = [f for f in findings if f.rule != "KDP000"]
-    kdp000 = [f for f in findings if f.rule == "KDP000"]
-    if not rule_findings:
-        say("self-test FAILED: suppression fixture seeded no violations",
-            file=sys.stderr)
-        failures += 1
-    for f in rule_findings:
-        if not f.suppressed or not f.suppression_reason:
-            say(f"self-test FAILED: expected suppressed-with-reason: {f}",
+    # Suppression parsing: every seeded violation in an allow-fixture is
+    # suppressed with a reason, and its one malformed KDP-ALLOW is KDP000.
+    for name, (rel, seeded) in sorted(SUPPRESSION_FIXTURES.items()):
+        if not seeded & scope:
+            continue
+        findings, suppressions, _ = check_fixture(root, name, rel, disabled)
+        rule_findings = [f for f in findings if f.rule != "KDP000"]
+        kdp000 = [f for f in findings if f.rule == "KDP000"]
+        if not rule_findings:
+            say(f"self-test FAILED: {name} seeded no violations",
                 file=sys.stderr)
             failures += 1
-    if len(kdp000) != 1:
-        say(f"self-test FAILED: expected exactly 1 malformed KDP-ALLOW "
-            f"(KDP000), got {len(kdp000)}", file=sys.stderr)
-        failures += 1
-    if not suppressions:
-        say("self-test FAILED: no suppressions parsed from "
-            f"{SUPPRESSION_FIXTURE}", file=sys.stderr)
-        failures += 1
+        for f in rule_findings:
+            if not f.suppressed or not f.suppression_reason:
+                say(f"self-test FAILED: expected suppressed-with-reason: {f}",
+                    file=sys.stderr)
+                failures += 1
+        if len(kdp000) != 1:
+            say(f"self-test FAILED: {name}: expected exactly 1 malformed "
+                f"KDP-ALLOW (KDP000), got {len(kdp000)}", file=sys.stderr)
+            failures += 1
+        if not suppressions:
+            say(f"self-test FAILED: no suppressions parsed from {name}",
+                file=sys.stderr)
+            failures += 1
 
     # False-positive guard on real, clean tree files.
     for rel in ("src/xml/sid.h", "src/obs/metrics.h"):
@@ -797,8 +1029,8 @@ def self_test(root: Path, disabled: set[str], quiet: bool = False) -> int:
 
     if failures:
         return 1
-    say(f"self-test OK: {len(FIXTURES) // 2} rule fixture pairs + "
-        "suppression parsing")
+    say(f"self-test OK: {covered} rule fixtures cover "
+        f"{len(scope)} rules + suppression parsing")
     return 0
 
 
@@ -841,11 +1073,10 @@ def main(argv: list[str]) -> int:
                         default="auto")
     parser.add_argument("--json", type=Path, default=None,
                         help="write machine-readable findings JSON here")
-    parser.add_argument("--with-lint", action="store_true",
-                        help="merge kadop_lint (KDP001-010) findings into "
-                             "the scan and the JSON")
     parser.add_argument("--disable", action="append", default=[],
-                        metavar="KDPxxx", help="disable a rule (repeatable)")
+                        metavar="KDPxxx",
+                        help="disable a rule (repeatable); with --self-test, "
+                             "fixtures of disabled rules are skipped")
     parser.add_argument("--self-test", action="store_true")
     parser.add_argument("--meta-test", action="store_true")
     parser.add_argument("--audit-unordered", action="store_true",
@@ -868,32 +1099,13 @@ def main(argv: list[str]) -> int:
         root / "build" / "compile_commands.json")
 
     if args.self_test:
-        return self_test(root, disabled)
+        return self_test(root, disabled, scope=set(ALL_RULES) - disabled)
     if args.meta_test:
         return meta_test(root)
 
     audit: list | None = [] if args.audit_unordered else None
     findings, suppressions, facts, n_files = scan_tree(
         root, compile_commands, args.backend, disabled, audit)
-
-    tools = [TOOL]
-    if args.with_lint:
-        import kadop_lint
-        lint_findings, lint_suppressions = \
-            kadop_lint.lint_tree_with_suppressions(root)
-        # Both tools parse KDP-ALLOW comments under src/; keep one copy of
-        # each suppression / malformed-suppression finding in the merge.
-        seen_s = {(s.path, s.comment_line) for s in suppressions}
-        for s in lint_suppressions:
-            if (s.path, s.comment_line) not in seen_s:
-                suppressions.append(s)
-        seen_f = {(f.rule, f.path, f.line) for f in findings
-                  if f.rule == "KDP000"}
-        for f in lint_findings:
-            if f.rule == "KDP000" and (f.rule, f.path, f.line) in seen_f:
-                continue
-            findings.append(f)
-        tools.append("kadop_lint")
 
     if audit is not None:
         print("unordered-container range-for audit "
@@ -903,14 +1115,11 @@ def main(argv: list[str]) -> int:
 
     for f in findings:
         print(f)
-    own_rules = set(ALL_RULES) | {"KDP000"}
-    if args.with_lint:
-        own_rules |= {f"KDP{i:03d}" for i in range(1, 11)}
-    print_suppression_inventory(suppressions, own_rules)
+    print_suppression_inventory(suppressions)
 
     if args.json is not None:
         write_findings_json(args.json, findings_json(
-            tools, root, findings, suppressions, n_files))
+            [TOOL], root, findings, suppressions, n_files))
         print(f"wrote {args.json}")
 
     unsuppressed = [f for f in findings if not f.suppressed]

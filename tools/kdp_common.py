@@ -1,12 +1,8 @@
-"""Shared infrastructure for the KadoP static-analysis tools.
-
-Both `kadop_lint.py` (token-level invariants, KDP001-KDP010) and
-`kadop_analyze.py` (AST-level determinism/protocol rules, KDP011+) build on
-this module:
+"""Infrastructure of the KadoP static analyzer (`kadop_analyze.py`):
 
   * comment/string stripping that keeps offsets stable,
   * the `KDP-ALLOW` suppression syntax shared by every rule,
-  * the Finding model and the merged machine-readable findings JSON
+  * the Finding model and the machine-readable findings JSON
     (validated by tools/check_findings_json.py, the same way
     check_bench_json.py validates BENCH_*.json).
 
@@ -204,27 +200,21 @@ def apply_suppressions(findings: list[Finding],
 
 
 def print_suppression_inventory(suppressions: list[Suppression],
-                                own_rules: set[str],
                                 stream=sys.stdout) -> None:
-    """Prints every suppression plus a staleness note for unused ones.
-
-    `own_rules` limits the unused-check to rules this tool evaluates, so
-    e.g. the analyzer does not call a KDP002 allow (a kadop_lint rule)
-    stale.
-    """
+    """Prints every suppression plus a staleness note for unused ones."""
     if not suppressions:
         return
     print("KDP-ALLOW inventory:", file=stream)
     for s in sorted(suppressions, key=lambda s: (s.path, s.comment_line)):
         print(f"  {s.path}:{s.comment_line}: "
               f"[{','.join(s.rules)}] {s.reason}", file=stream)
-        if not s.used and all(r in own_rules for r in s.rules):
+        if not s.used:
             print("    note: no finding matched this allow here "
                   "(stale? consider removing)", file=stream)
 
 
 # ---------------------------------------------------------------------------
-# Machine-readable findings JSON (merged schema, schema_version 1)
+# Machine-readable findings JSON (schema_version 1)
 # ---------------------------------------------------------------------------
 
 
