@@ -57,14 +57,7 @@ KadopPeer::KadopPeer(dht::DhtPeer* dht_peer, const KadopOptions& options,
           return dpp_->OnDelete(request);
         });
   }
-  query::ReducerService::CountProvider count_provider = nullptr;
-  if (options.enable_dpp) {
-    count_provider = [this](const std::string& term_key) {
-      return dpp_->OwnedTermCount(term_key);
-    };
-  }
-  reducer_ = std::make_unique<query::ReducerService>(
-      dht_peer_, std::move(count_provider));
+  reducer_ = std::make_unique<query::ReducerService>(dht_peer_);
   query_client_ = std::make_unique<query::QueryClient>(dht_peer_);
   block_join_ = std::make_unique<query::BlockJoinService>(dht_peer_);
   fundex_ = std::make_unique<fundex::FundexService>(dht_peer_, &doc_store_,
@@ -699,23 +692,42 @@ Result<std::string> KadopNet::ExplainQueryAndWait(
   if (!parsed.ok()) return parsed.status();
   const query::TreePattern pattern = parsed.take();
 
-  // Gather stored list sizes (what the optimizer samples).
-  std::vector<uint64_t> counts(pattern.size(), 0);
-  size_t pending = pattern.size();
+  // The planning round kAuto runs: every term's directory, whose block
+  // sum is the term's posting count.
+  struct TermDirectory {
+    bool answered = false;
+    Status status;
+    std::vector<index::DppBlockInfo> blocks;
+  };
+  // Shared: a reply that never came leaves its callback registered past
+  // this call.
+  auto dirs = std::make_shared<std::vector<TermDirectory>>(pattern.size());
   dht::DhtPeer* origin = peer(at)->dht_peer();
   for (size_t node = 0; node < pattern.size(); ++node) {
-    auto req = std::make_shared<query::TermCountRequest>();
-    req->term_key = pattern.node(node).TermKey();
-    origin->RouteApp(req->term_key, req, TrafficCategory::kControl,
-                     [&counts, &pending, node](sim::PayloadPtr inner) {
-                       auto* resp = dynamic_cast<query::TermCountResponse*>(
-                           inner.get());
-                       if (resp != nullptr) counts[node] = resp->count;
-                       --pending;
-                     });
+    index::DppManager::FetchDirectory(
+        origin, pattern.node(node).TermKey(),
+        [dirs, node](Status st, std::vector<index::DppBlockInfo> blocks) {
+          (*dirs)[node] = {true, std::move(st), std::move(blocks)};
+        },
+        options.fetch_retry);
   }
   scheduler_.RunUntilIdle();
-  KADOP_CHECK(pending == 0, "count responses missing");
+  std::vector<uint64_t> counts(pattern.size(), 0);
+  std::string unreachable;
+  for (size_t node = 0; node < pattern.size(); ++node) {
+    const TermDirectory& dir = (*dirs)[node];
+    if (dir.answered && dir.status.ok()) {
+      counts[node] = index::DirectoryCount(dir.blocks);
+      continue;
+    }
+    if (!unreachable.empty()) unreachable += ", ";
+    unreachable += '\'';
+    unreachable += pattern.node(node).TermKey();
+    unreachable += dir.answered ? "' (retry budget exhausted)" : "' (no reply)";
+  }
+  if (!unreachable.empty()) {
+    return Status::Unavailable("no directory for " + unreachable);
+  }
 
   std::string out = "pattern: " + pattern.ToString() + "\n";
   const query::PatternAnalysis analysis = query::AnalyzePattern(pattern);
@@ -726,9 +738,11 @@ Result<std::string> KadopNet::ExplainQueryAndWait(
   if (!analysis.notes.empty()) out += " (" + analysis.notes + ")";
   out += "\nterms:\n";
   for (size_t node = 0; node < pattern.size(); ++node) {
+    const size_t blocks = (*dirs)[node].blocks.size();
     out += "  [" + std::to_string(node) + "] " +
            pattern.node(node).TermKey() + ": " +
-           std::to_string(counts[node]) + " postings\n";
+           std::to_string(counts[node]) + " postings in " +
+           std::to_string(blocks) + (blocks == 1 ? " block\n" : " blocks\n");
   }
   std::optional<query::ViewPricing> view;
   if (view_catalog_->enabled()) {
@@ -745,8 +759,6 @@ Result<std::string> KadopNet::ExplainQueryAndWait(
   const auto costs =
       query::EstimateStrategyCosts(pattern, counts, options, view);
   out += "strategy cost estimates:\n";
-  const query::StrategyCostEstimate* best = costs.empty() ? nullptr
-                                                          : &costs[0];
   for (const auto& c : costs) {
     char line[160];
     std::snprintf(line, sizeof(line),
@@ -754,17 +766,11 @@ Result<std::string> KadopNet::ExplainQueryAndWait(
                   std::string(query::QueryStrategyName(c.strategy)).c_str(),
                   c.bytes, c.bottleneck_bytes);
     out += line;
-    const bool better =
-        options.objective == query::QueryOptions::Objective::kTraffic
-            ? c.bytes < best->bytes
-            : c.bottleneck_bytes < best->bottleneck_bytes;
-    if (better) best = &c;
   }
-  if (best != nullptr) {
-    out += "auto would run: ";
-    out += query::QueryStrategyName(best->strategy);
-    out += "\n";
-  }
+  out += "auto would run: ";
+  out += query::QueryStrategyName(
+      query::PickStrategy(costs, options.objective));
+  out += "\n";
   return out;
 }
 

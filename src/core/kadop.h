@@ -298,8 +298,12 @@ class KadopNet {
                                           const index::DocId& doc);
 
   /// Explains how the optimizer sees a query: the parsed pattern, its
-  /// completeness/precision analysis, the stored list size per term, the
-  /// per-strategy cost estimates, and the strategy kAuto would pick.
+  /// completeness/precision analysis, the stored list size per term with
+  /// its directory block count, the per-strategy cost estimates, and the
+  /// strategy kAuto would pick. The sizes come from kAuto's own planning
+  /// round (one directory fetch per term, under `options.fetch_retry` or
+  /// else the DHT's retry policy); a term whose directory never arrives
+  /// yields kUnavailable naming it.
   Result<std::string> ExplainQueryAndWait(sim::NodeIndex at,
                                           std::string_view xpath,
                                           const query::QueryOptions& options);

@@ -534,11 +534,7 @@ bool DppManager::HandleApp(const AppRequest& request, NodeIndex /*from*/) {
         resp->blocks.push_back(DppBlockInfo{b.key, b.cond, b.count, b.types});
       }
     } else {
-      const size_t count = peer_->store()->PostingCount(dir->term_key);
-      if (count > 0) {
-        resp->blocks.push_back(
-            DppBlockInfo{dir->term_key, FullCondition(), count, {}});
-      }
+      resp->blocks = StoreDirectory(*peer_->store(), dir->term_key);
     }
     peer_->Reply(request.origin, request.req_id, std::move(resp),
                  TrafficCategory::kControl);
@@ -570,6 +566,19 @@ void DppManager::FetchDirectory(
         cb(Status::OK(), std::move(resp->blocks));
       },
       retry);
+}
+
+std::vector<DppBlockInfo> StoreDirectory(const store::PeerStore& store,
+                                         const std::string& key) {
+  const size_t count = store.PostingCount(key);
+  if (count == 0) return {};
+  return {DppBlockInfo{key, FullCondition(), count, {}}};
+}
+
+uint64_t DirectoryCount(const std::vector<DppBlockInfo>& blocks) {
+  uint64_t total = 0;
+  for (const DppBlockInfo& b : blocks) total += b.count;
+  return total;
 }
 
 size_t DppManager::PartitionedTermCount() const {

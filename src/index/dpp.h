@@ -120,7 +120,8 @@ class DppManager {
   /// owner. The callback receives OK and the block list (empty when the
   /// term has no postings); with a retry policy, an owner that never
   /// answers within the budget yields kDeadlineExceeded and an empty list
-  /// instead of hanging.
+  /// instead of hanging. The directory is the system's one term-size
+  /// message: DirectoryCount of the list is the term's posting count.
   static void FetchDirectory(
       dht::DhtPeer* requester, const std::string& term_key,
       std::function<void(Status, std::vector<DppBlockInfo>)> cb,
@@ -164,6 +165,16 @@ class DppManager {
   Rng rng_;
   std::unordered_map<std::string, TermState> terms_;
 };
+
+/// The directory of a key with no DPP root block at the answering peer:
+/// one FullCondition() block carrying the store's posting count, or none
+/// when the store holds no postings under the key. DppManager answers
+/// unowned keys with it; on a DPP-off network every key is answered so.
+[[nodiscard]] std::vector<DppBlockInfo> StoreDirectory(
+    const store::PeerStore& store, const std::string& key);
+
+/// A term's posting count: the sum of its directory's block counts.
+[[nodiscard]] uint64_t DirectoryCount(const std::vector<DppBlockInfo>& blocks);
 
 }  // namespace kadop::index
 

@@ -84,7 +84,7 @@ bool Publisher::Unpublish(DocSeq seq) {
   peer_->DeleteBlobKey("doc:" + std::to_string(peer_->node()) + ":" +
                        std::to_string(seq));
   // Derived state (view extents) is withdrawn after the base index: the
-  // hook's count probes then observe post-delete authoritative counts.
+  // hook's directory probes then observe post-delete authoritative counts.
   if (options_.on_unpublish) {
     options_.on_unpublish(peer_, *doc, peer_->node(), seq, postings);
   }

@@ -205,6 +205,11 @@ std::string PhaseReportText(const Tracer& tracer, SpanId root) {
            JsonWriter::FormatDouble(tree.root->end - tree.root->start);
   }
   out += '\n';
+  // The root's annotations: the requested and effective strategy, and the
+  // per-term counts kAuto planned from.
+  for (const auto& [key, value] : tree.root->attrs) {
+    out += "  " + key + "=" + value + '\n';
+  }
   out += "critical path:\n";
   for (const CriticalPathStep& step : CriticalPath(tree)) {
     out += "  #" + std::to_string(step.id) + " " + step.name;

@@ -61,8 +61,8 @@ struct PhaseBreakdown {
 };
 PhaseBreakdown ComputePhaseBreakdown(const TraceTree& tree);
 
-// Human-readable per-query report: tree size, peer count, critical path and
-// phase breakdown.
+// Human-readable per-query report: tree size, peer count, the root's
+// annotations, critical path and phase breakdown.
 std::string PhaseReportText(const Tracer& tracer, SpanId root);
 
 // Chrome trace_event JSON ("X" complete events, "i" instants, "M" process

@@ -177,7 +177,7 @@ void QueryExecutor::Run(QueryStrategy strategy) {
       dpp_join_mode_ = true;
       [[fallthrough]];
     case QueryStrategy::kDpp:
-      StartDpp();
+      FetchDirectories([this]() { OnDppDirectoriesReady(); });
       break;
     case QueryStrategy::kAuto:
       StartAuto();
@@ -195,12 +195,7 @@ void QueryExecutor::Run(QueryStrategy strategy) {
       StartReducer(ReduceMode::kBloom);
       break;
     case QueryStrategy::kSubQueryReducer:
-      // kAuto already fetched the term counts it planned with.
-      if (term_counts_.empty()) {
-        FetchTermCounts([this]() { OnTermCountsReady(); });
-      } else {
-        OnTermCountsReady();
-      }
+      FetchDirectories([this]() { OnTermCountsReady(); });
       break;
   }
 }
@@ -329,39 +324,64 @@ void QueryExecutor::StartBaseline() {
 
 // -- DPP --------------------------------------------------------------------
 
-void QueryExecutor::StartDpp() {
+void QueryExecutor::FetchDirectories(std::function<void()> then) {
+  // kAuto's round (reached directly or through a kView fallback) already
+  // holds what every later plan needs.
+  if (directories_ready_) {
+    then();
+    return;
+  }
   auto self = shared_from_this();
+  auto continuation =
+      std::make_shared<std::function<void()>>(std::move(then));
   auto& tracer = obs::Tracer::Default();
   route_span_ = tracer.Begin("query.route.directory", span_);
   obs::ScopedTraceContext scope(tracer.ContextFor(route_span_));
   dpp_.resize(pattern_.size());
+  term_counts_.assign(pattern_.size(), 0);
   directories_pending_ = pattern_.size();
   for (size_t node = 0; node < pattern_.size(); ++node) {
     index::DppManager::FetchDirectory(
         peer_, pattern_.node(node).TermKey(),
-        [self, node](Status st, std::vector<index::DppBlockInfo> blocks) {
+        [self, node, continuation](Status st,
+                                   std::vector<index::DppBlockInfo> blocks) {
           if (self->finished_) return;
           if (!st.ok()) {
-            // Directory owner unreachable within the retry budget. Treat the
-            // term as unanswerable: the empty block list routes through the
-            // provably-empty path below, which closes every stream and
-            // finishes incomplete instead of waiting on fetches that will
-            // never be issued.
-            self->metrics_.complete = false;
+            // Directory owner unreachable within the retry budget.
             self->metrics_.degraded = true;
-            blocks.clear();
+            self->directory_lost_ = true;
           }
+          self->term_counts_[node] = index::DirectoryCount(blocks);
           self->dpp_[node].blocks = std::move(blocks);
-          if (--self->directories_pending_ == 0) {
-            self->OnDppDirectoriesReady();
+          if (--self->directories_pending_ > 0) return;
+          self->directories_ready_ = true;
+          self->AnnotateTermCounts();
+          EndSpan(self->route_span_);
+          if (self->directory_lost_) {
+            // Every plan starts at the term owners, so none can reach the
+            // lost term's postings: finish with the sound (empty) subset
+            // instead of dispatching work that may never be answered.
+            self->Finish(false);
+            return;
           }
+          (*continuation)();
         },
         options_.fetch_retry);
   }
 }
 
+void QueryExecutor::AnnotateTermCounts() {
+  if (span_ == 0) return;  // tracing off: skip building the string
+  std::string counts;
+  for (size_t node = 0; node < pattern_.size(); ++node) {
+    if (node > 0) counts += ',';
+    counts += pattern_.node(node).TermKey() + '=' +
+              std::to_string(term_counts_[node]);
+  }
+  obs::Tracer::Default().Annotate(span_, "term_counts", std::move(counts));
+}
+
 void QueryExecutor::OnDppDirectoriesReady() {
-  EndSpan(route_span_);
   // The [min, max] document-interval filter of Section 4.2: all answers lie
   // between the largest per-term minimum and the smallest per-term maximum.
   DocId min_doc{0, 0};
@@ -810,36 +830,6 @@ bool QueryExecutor::HandleApp(const AppRequest& request, NodeIndex /*from*/) {
 
 // -- Sub-query reducer -------------------------------------------------------
 
-void QueryExecutor::FetchTermCounts(std::function<void()> then) {
-  auto self = shared_from_this();
-  auto continuation = std::make_shared<std::function<void()>>(
-      std::move(then));
-  term_counts_.assign(pattern_.size(), 0);
-  counts_pending_ = pattern_.size();
-  for (size_t node = 0; node < pattern_.size(); ++node) {
-    auto req = std::make_shared<TermCountRequest>();
-    req->term_key = pattern_.node(node).TermKey();
-    peer_->RouteApp(req->term_key, req, TrafficCategory::kControl,
-                    [self, node, continuation](sim::PayloadPtr inner) {
-                      if (self->finished_) return;
-                      auto* resp =
-                          dynamic_cast<TermCountResponse*>(inner.get());
-                      if (resp == nullptr) {
-                        // Retry budget exhausted (nullptr) or a foreign
-                        // payload: plan with count 0 — the strategy choice
-                        // may be worse but the query still runs to an
-                        // explicit completion.
-                        self->metrics_.degraded = true;
-                        self->term_counts_[node] = 0;
-                      } else {
-                        self->term_counts_[node] = resp->count;
-                      }
-                      if (--self->counts_pending_ == 0) (*continuation)();
-                    },
-                    options_.fetch_retry);
-  }
-}
-
 ViewPricing PriceViewRewrite(const ViewCatalog::Rewrite& rewrite,
                              const std::vector<uint64_t>& term_counts) {
   ViewPricing pricing;
@@ -976,11 +966,26 @@ std::vector<StrategyCostEstimate> EstimateStrategyCosts(
   return costs;
 }
 
+QueryStrategy PickStrategy(const std::vector<StrategyCostEstimate>& costs,
+                           QueryOptions::Objective objective) {
+  KADOP_CHECK(!costs.empty(), "no viable strategy");
+  const bool traffic = objective == QueryOptions::Objective::kTraffic;
+  auto key = [traffic](const StrategyCostEstimate& c) {
+    return traffic ? std::pair(c.bytes, c.bottleneck_bytes)
+                   : std::pair(c.bottleneck_bytes, c.bytes);
+  };
+  const StrategyCostEstimate* best = &costs[0];
+  for (const StrategyCostEstimate& c : costs) {
+    if (key(c) < key(*best)) best = &c;
+  }
+  return best->strategy;
+}
+
 void QueryExecutor::StartAuto() {
-  FetchTermCounts([this]() {
+  FetchDirectories([this]() {
     // Catalog consult before strategy selection: a servable rewrite makes
     // kView a priced candidate, with the extent cardinality from the
-    // catalog and the residual cost from the just-fetched term counts.
+    // catalog and the residual cost from the directory counts.
     std::optional<ViewPricing> view;
     ViewCatalog* catalog = client_->view_catalog();
     if (catalog != nullptr && catalog->enabled()) {
@@ -989,23 +994,10 @@ void QueryExecutor::StartAuto() {
         view = PriceViewRewrite(*view_rewrite_, term_counts_);
       }
     }
-    const std::vector<StrategyCostEstimate> costs =
-        EstimateStrategyCosts(pattern_, term_counts_, options_, view);
-    KADOP_CHECK(!costs.empty(), "no viable strategy");
-    const StrategyCostEstimate* best = &costs[0];
-    for (const StrategyCostEstimate& c : costs) {
-      const bool better =
-          options_.objective == QueryOptions::Objective::kTraffic
-              ? (c.bytes < best->bytes ||
-                 (c.bytes == best->bytes &&
-                  c.bottleneck_bytes < best->bottleneck_bytes))
-              : (c.bottleneck_bytes < best->bottleneck_bytes ||
-                 (c.bottleneck_bytes == best->bottleneck_bytes &&
-                  c.bytes < best->bytes));
-      if (better) best = &c;
-    }
-    metrics_.effective_strategy = best->strategy;
-    Run(best->strategy);
+    metrics_.effective_strategy = PickStrategy(
+        EstimateStrategyCosts(pattern_, term_counts_, options_, view),
+        options_.objective);
+    Run(metrics_.effective_strategy);
   });
 }
 

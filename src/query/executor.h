@@ -37,7 +37,8 @@ enum class QueryStrategy : uint8_t {
   /// optimizer the paper leaves as current work (Section 8): if some term
   /// is much more selective than the largest one, run the Sub-query
   /// Reducer on its path; otherwise fetch everything with the DPP (or the
-  /// baseline when the index has no DPP).
+  /// baseline when the index has no DPP). The sizes come from the terms'
+  /// DPP directories, which a DPP plan then uses without a second fetch.
   kAuto = 6,
   /// Distributed block-level twig join (Section 4.3): after the directory
   /// round and [min, max] / type-set filtering, partition the document
@@ -73,15 +74,16 @@ struct QueryOptions {
   /// Overall deadline; 0 disables. On expiry the query completes with
   /// whatever arrived (`metrics.complete = false`).
   double timeout_s = 0.0;
-  /// Per-fetch retry policy (block fetches, directory fetches, term-count
-  /// probes). Disabled by default. When enabled, a fetch whose target died
-  /// is retried around the failure (routed retries reach the key's new
+  /// Per-fetch retry policy (block fetches and directory fetches).
+  /// Disabled by default. When enabled, a fetch whose target died is
+  /// retried around the failure (routed retries reach the key's new
   /// owner) and a query whose retry budget runs dry finishes with
   /// `metrics.complete = false` / `metrics.degraded = true` instead of
   /// hanging until the overall deadline.
   dht::RetryPolicy fetch_retry;
-  /// Whether the index maintains DPP directories (kAuto falls back to the
-  /// baseline fetch when it does not).
+  /// Whether the index partitions posting lists into DPP blocks (without
+  /// it, kAuto prices neither kDpp nor kDppJoin; every peer still answers
+  /// directory requests, with one block per term).
   bool dpp_available = true;
   /// Whether peers run the BlockJoinService, making kDppJoin a candidate
   /// for kAuto. Off by default so existing deployments (and seeded
@@ -133,6 +135,14 @@ struct ViewPricing {
     const QueryOptions& options,
     std::optional<ViewPricing> view = std::nullopt);
 
+/// kAuto's choice among `costs` (non-empty): the lowest primary cost
+/// under `objective` (bytes for kTraffic, bottleneck bytes for kTime),
+/// ties broken by the other cost, then by list order. `explain` reports
+/// the same pick.
+[[nodiscard]] QueryStrategy PickStrategy(
+    const std::vector<StrategyCostEstimate>& costs,
+    QueryOptions::Objective objective);
+
 struct QueryMetrics {
   double submit_time = 0.0;
   /// Virtual time of the first produced answer; < 0 if none.
@@ -140,8 +150,8 @@ struct QueryMetrics {
   double complete_time = 0.0;
   bool complete = true;
   /// True when fault tolerance changed the evaluation: a fetch exhausted
-  /// its retry budget, a directory or term count came back unanswered, or
-  /// a DPP block pull came back short (ShortPull in query/block_join.h:
+  /// its retry budget, a directory came back unanswered, or a DPP block
+  /// pull came back short (ShortPull in query/block_join.h:
   /// data lost with a crashed holder). A degraded query's answers
   /// are a sound subset; `complete` says whether they are the full set.
   bool degraded = false;
@@ -187,7 +197,8 @@ struct QueryMetrics {
   bool view_hit = false;
   bool view_exact = false;
   bool view_fallback = false;
-  /// The strategy that actually ran (differs from the request for kAuto).
+  /// The strategy that actually ran (differs from the request for kAuto;
+  /// stays kAuto when a lost directory ended the query before planning).
   QueryStrategy effective_strategy = QueryStrategy::kBaseline;
 
   /// Virtual time from submission to completion (including a timeout-forced
@@ -214,7 +225,7 @@ struct QueryResult {
 class QueryExecutor;
 
 /// Per-peer registry of in-flight queries issued from this peer. Routes
-/// incoming reducer / count responses to the right executor.
+/// incoming reduced lists to the right executor.
 class QueryClient {
  public:
   explicit QueryClient(dht::DhtPeer* peer);
@@ -290,7 +301,6 @@ class QueryExecutor : public std::enable_shared_from_this<QueryExecutor> {
   void MaybeCacheInsert(const dht::GetSpec& spec, uint64_t pre_version,
                         std::shared_ptr<const index::PostingList> postings);
   void StartBaseline();
-  void StartDpp();
   void OnDppDirectoriesReady();
   /// kDppJoin: cut the document window at surviving block boundaries,
   /// form one join task per interval where every term participates, and
@@ -321,9 +331,16 @@ class QueryExecutor : public std::enable_shared_from_this<QueryExecutor> {
   /// Re-dispatches a failed kView start to the strongest available base
   /// strategy (kDppJoin > kDpp > kBaseline) with degraded accounting.
   void FallbackFromView();
-  /// Fetches every term's stored posting count, then runs `then`.
-  void FetchTermCounts(std::function<void()> then);
+  /// The planning round: fetches every term's directory into `dpp_` and
+  /// its posting count (the directory's block sum) into `term_counts_`,
+  /// then runs `then` (at once if the round already ran). kDpp and
+  /// kDppJoin run from the directories; every other strategy needs only
+  /// the counts. A directory lost to the retry budget finishes the query
+  /// degraded and incomplete instead.
+  void FetchDirectories(std::function<void()> then);
   void OnTermCountsReady();
+  /// Records the planning counts on the root span (`term_counts`).
+  void AnnotateTermCounts();
   void LaunchReducePlan(ReduceMode mode, std::vector<ReducePlanNode> nodes);
   /// DPP: issue up to K block fetches for `node`; called on completions.
   void PumpDppFetches(size_t node);
@@ -373,6 +390,10 @@ class QueryExecutor : public std::enable_shared_from_this<QueryExecutor> {
   std::vector<DppNodeState> dpp_;
   index::Condition dpp_window_;
   size_t directories_pending_ = 0;
+  /// Set once FetchDirectories has filled `dpp_` and `term_counts_`.
+  bool directories_ready_ = false;
+  /// Some directory fetch exhausted its retry budget.
+  bool directory_lost_ = false;
 
   // Distributed block-join state (kDppJoin). Tasks partition the document
   // window into disjoint ascending intervals, so delivering them in task
@@ -395,8 +416,7 @@ class QueryExecutor : public std::enable_shared_from_this<QueryExecutor> {
   // Reducer state.
   size_t reduced_lists_pending_ = 0;
 
-  // Sub-query state.
-  size_t counts_pending_ = 0;
+  // Per-term posting counts from the directory round (kAuto, sub-query).
   std::vector<uint64_t> term_counts_;
 
   // View state: the rewrite this query serves from (stashed by kAuto's

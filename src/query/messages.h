@@ -113,22 +113,6 @@ struct ReducedListMessage final : sim::Payload {
   mutable index::codec::WireSizeMemo wire_bytes_memo_;
 };
 
-/// Asks a term owner for its posting-list size (used by the sub-query
-/// heuristic and by metrics).
-struct TermCountRequest final : sim::Payload {
-  std::string term_key;
-
-  size_t SizeBytes() const override { return term_key.size() + 4; }
-  std::string_view TypeName() const override { return "TermCountRequest"; }
-};
-
-struct TermCountResponse final : sim::Payload {
-  uint64_t count = 0;
-
-  size_t SizeBytes() const override { return 8; }
-  std::string_view TypeName() const override { return "TermCountResponse"; }
-};
-
 }  // namespace kadop::query
 
 #endif  // KADOP_QUERY_MESSAGES_H_

@@ -3,6 +3,7 @@
 #include <utility>
 
 #include "common/logging.h"
+#include "index/dpp.h"
 #include "obs/trace.h"
 
 namespace kadop::query {
@@ -12,9 +13,7 @@ using index::PostingList;
 using sim::NodeIndex;
 using sim::TrafficCategory;
 
-ReducerService::ReducerService(dht::DhtPeer* peer,
-                               CountProvider count_provider)
-    : peer_(peer), count_provider_(std::move(count_provider)) {
+ReducerService::ReducerService(dht::DhtPeer* peer) : peer_(peer) {
   KADOP_CHECK(peer_ != nullptr, "ReducerService requires a peer");
 }
 
@@ -34,13 +33,9 @@ bool ReducerService::HandleApp(const AppRequest& request,
     OnDbf(*dbf);
     return true;
   }
-  if (const auto* count = dynamic_cast<const TermCountRequest*>(inner)) {
-    auto resp = std::make_shared<TermCountResponse>();
-    std::optional<uint64_t> provided =
-        count_provider_ ? count_provider_(count->term_key) : std::nullopt;
-    resp->count = provided.has_value()
-                      ? *provided
-                      : peer_->store()->PostingCount(count->term_key);
+  if (const auto* dir = dynamic_cast<const index::DppDirRequest*>(inner)) {
+    auto resp = std::make_shared<index::DppDirResponse>();
+    resp->blocks = index::StoreDirectory(*peer_->store(), dir->term_key);
     peer_->Reply(request.origin, request.req_id, std::move(resp),
                  TrafficCategory::kControl);
     return true;

@@ -1,10 +1,8 @@
 #ifndef KADOP_QUERY_REDUCER_H_
 #define KADOP_QUERY_REDUCER_H_
 
-#include <functional>
 #include <map>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -34,16 +32,13 @@ struct ReducerStats {
 /// list, applies / builds Structural Bloom Filters according to the plan
 /// mode, exchanges filters directly with the owners of neighbouring
 /// pattern nodes, and finally ships its (reduced) list to the query peer.
+///
+/// On a DPP-off network it also answers directory requests (the system's
+/// one term-size message) from the local store; with DPP on, the
+/// DppManager answers them first.
 class ReducerService {
  public:
-  /// `count_provider` (optional) reports the true posting count of a term
-  /// owned by this peer even when its list is partitioned (DPP); falls
-  /// back to the local store count.
-  using CountProvider = std::function<std::optional<uint64_t>(
-      const std::string& term_key)>;
-
-  explicit ReducerService(dht::DhtPeer* peer,
-                          CountProvider count_provider = nullptr);
+  explicit ReducerService(dht::DhtPeer* peer);
 
   ReducerService(const ReducerService&) = delete;
   ReducerService& operator=(const ReducerService&) = delete;
@@ -86,7 +81,6 @@ class ReducerService {
   [[nodiscard]] static bool NeedsAbf(const NodeState& st);
 
   dht::DhtPeer* peer_;
-  CountProvider count_provider_;
   ReducerStats stats_;
   std::map<StateKey, NodeState> states_;
 };

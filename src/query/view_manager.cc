@@ -5,8 +5,8 @@
 #include <utility>
 
 #include "common/logging.h"
+#include "index/dpp.h"
 #include "obs/metrics.h"
-#include "query/messages.h"
 
 namespace kadop::query {
 
@@ -293,20 +293,18 @@ void ViewCatalog::HandleUnpublish(
       const std::string key = entry.def.ColumnKey(v);
       entry.pending++;
       peer->DeleteDoc(key, doc_id);
-      // The count probe doubles as the delete's apply ack: routed behind
-      // the delete, it returns the post-delete authoritative count. A lost
-      // probe (or one reordered ahead of its delete under jitter) leaves
-      // the entry out of sync — sticky fallback until the next resync.
-      auto probe = std::make_shared<TermCountRequest>();
-      probe->term_key = key;
-      peer->RouteApp(
-          key, probe, sim::TrafficCategory::kControl,
-          [this, vname = name, prefix = entry.def.extent_prefix, v,
-           peer](sim::PayloadPtr inner) {
-            const auto* resp =
-                dynamic_cast<const TermCountResponse*>(inner.get());
-            if (resp == nullptr) return;
-            OnMaintenanceApplied(vname, prefix, v, 0, resp->count, peer);
+      // The directory probe doubles as the delete's apply ack: routed
+      // behind the delete, its block sum is the post-delete authoritative
+      // count. A lost probe (or one reordered ahead of its delete under
+      // jitter) leaves the entry out of sync — sticky fallback until the
+      // next resync.
+      index::DppManager::FetchDirectory(
+          peer, key,
+          [this, vname = name, prefix = entry.def.extent_prefix, v, peer](
+              Status st, std::vector<index::DppBlockInfo> blocks) {
+            if (!st.ok()) return;
+            OnMaintenanceApplied(vname, prefix, v, 0,
+                                 index::DirectoryCount(blocks), peer);
           });
     }
   }

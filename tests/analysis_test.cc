@@ -114,6 +114,8 @@ TEST_F(BroadcastTest, ExplainReportsCountsAndPick) {
   EXPECT_NE(text.find("l:author"), std::string::npos);
   EXPECT_NE(text.find("w:ullman"), std::string::npos);
   EXPECT_NE(text.find("complete, precise"), std::string::npos);
+  // Each term's count comes with the directory blocks it sums.
+  EXPECT_NE(text.find(" postings in 1 block\n"), std::string::npos) << text;
   EXPECT_NE(text.find("auto would run: subquery-reducer"),
             std::string::npos)
       << text;

@@ -133,25 +133,6 @@ TEST(CostModelTest, DppJoinBytesTrackEstimateTwigResults) {
   EXPECT_DOUBLE_EQ(djoin->bytes, expected);
 }
 
-// Mirrors StartAuto's selection loop exactly (strict improvement, primary
-// key by objective, secondary key as tie-break).
-QueryStrategy Pick(const std::vector<StrategyCostEstimate>& costs,
-                   QueryOptions::Objective objective) {
-  const StrategyCostEstimate* best = &costs[0];
-  for (const StrategyCostEstimate& c : costs) {
-    const bool better =
-        objective == QueryOptions::Objective::kTraffic
-            ? (c.bytes < best->bytes ||
-               (c.bytes == best->bytes &&
-                c.bottleneck_bytes < best->bottleneck_bytes))
-            : (c.bottleneck_bytes < best->bottleneck_bytes ||
-               (c.bottleneck_bytes == best->bottleneck_bytes &&
-                c.bytes < best->bytes));
-    if (better) best = &c;
-  }
-  return best->strategy;
-}
-
 TEST(CostModelTest, TinyExtentFlipsAutoToView) {
   // A selective view collapses both inputs and egress to its tiny extent:
   // kView must beat kDppJoin (and everything else) under both objectives.
@@ -166,9 +147,9 @@ TEST(CostModelTest, TinyExtentFlipsAutoToView) {
   ASSERT_NE(djoin, nullptr);
   EXPECT_LT(view->bytes, djoin->bytes);
   EXPECT_LT(view->bottleneck_bytes, djoin->bottleneck_bytes);
-  EXPECT_EQ(Pick(costs, QueryOptions::Objective::kTraffic),
+  EXPECT_EQ(PickStrategy(costs, QueryOptions::Objective::kTraffic),
             QueryStrategy::kView);
-  EXPECT_EQ(Pick(costs, QueryOptions::Objective::kTime),
+  EXPECT_EQ(PickStrategy(costs, QueryOptions::Objective::kTime),
             QueryStrategy::kView);
 }
 
@@ -187,9 +168,9 @@ TEST(CostModelTest, HugeExtentKeepsAutoOnDppJoin) {
   ASSERT_NE(view, nullptr);
   ASSERT_NE(djoin, nullptr);
   EXPECT_GT(view->bytes, djoin->bytes);
-  EXPECT_EQ(Pick(costs, QueryOptions::Objective::kTraffic),
+  EXPECT_EQ(PickStrategy(costs, QueryOptions::Objective::kTraffic),
             QueryStrategy::kDppJoin);
-  EXPECT_EQ(Pick(costs, QueryOptions::Objective::kTime),
+  EXPECT_EQ(PickStrategy(costs, QueryOptions::Objective::kTime),
             QueryStrategy::kDppJoin);
 }
 

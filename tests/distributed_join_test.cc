@@ -11,6 +11,7 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/kadop.h"
@@ -211,6 +212,119 @@ TEST_F(DistributedJoinTest, AutoPicksDppJoinOnlyWhenAvailable) {
   EXPECT_EQ(without_flag.value().metrics.effective_strategy,
             QueryStrategy::kDpp);
   EXPECT_EQ(with_flag.value().answers, without_flag.value().answers);
+}
+
+// kAuto plans from the directories kDpp and kDppJoin run on: one planning
+// round, so on a quiescent network it answers exactly as fast as an
+// explicit run of the strategy it picked.
+TEST_F(DistributedJoinTest, AutoRunsAsFastAsItsPick) {
+  for (const bool join : {true, false}) {
+    QueryOptions options;
+    options.strategy = QueryStrategy::kAuto;
+    options.dpp_join_available = join;
+    auto planned = net_->QueryAndWait(1, "//article//author", options);
+    ASSERT_TRUE(planned.ok());
+    const QueryMetrics& m = planned.value().metrics;
+    ASSERT_EQ(m.effective_strategy,
+              join ? QueryStrategy::kDppJoin : QueryStrategy::kDpp);
+    options.strategy = m.effective_strategy;
+    auto direct = net_->QueryAndWait(1, "//article//author", options);
+    ASSERT_TRUE(direct.ok());
+    EXPECT_EQ(planned.value().answers, direct.value().answers);
+    EXPECT_NEAR(m.ResponseTime(), direct.value().metrics.ResponseTime(),
+                1e-9)
+        << QueryStrategyName(m.effective_strategy);
+  }
+}
+
+// The planning round is the directory round, whatever plan it picks.
+TEST_F(DistributedJoinTest, AutoFetchesEachDirectoryOnce) {
+  std::set<QueryStrategy> picked;
+  for (const char* expr : kQueries) {
+    const size_t terms = ParsePattern(expr).value().size();
+    const uint64_t before = net_->Stats().dpp.dir_requests;
+    QueryResult r = RunQuery(expr, QueryStrategy::kAuto);
+    picked.insert(r.metrics.effective_strategy);
+    EXPECT_EQ(net_->Stats().dpp.dir_requests - before, terms)
+        << expr << " ran "
+        << QueryStrategyName(r.metrics.effective_strategy);
+  }
+  // Both kinds of plan are covered: one that reuses the directories and
+  // one that needs only their counts.
+  EXPECT_TRUE(picked.count(QueryStrategy::kDppJoin));
+  EXPECT_TRUE(picked.count(QueryStrategy::kSubQueryReducer));
+}
+
+// `explain` and kAuto share one pick, ties included: under kTraffic the
+// baseline and kDpp always tie on bytes.
+TEST_F(DistributedJoinTest, ExplainNamesTheStrategyAutoRuns) {
+  for (const auto objective : {QueryOptions::Objective::kTraffic,
+                               QueryOptions::Objective::kTime}) {
+    for (const bool join : {false, true}) {
+      for (const char* expr : kQueries) {
+        QueryOptions options;
+        options.strategy = QueryStrategy::kAuto;
+        options.objective = objective;
+        options.dpp_join_available = join;
+        auto explained = net_->ExplainQueryAndWait(1, expr, options);
+        ASSERT_TRUE(explained.ok()) << explained.status().ToString();
+        auto ran = net_->QueryAndWait(1, expr, options);
+        ASSERT_TRUE(ran.ok());
+        const std::string line =
+            "auto would run: " +
+            std::string(QueryStrategyName(
+                ran.value().metrics.effective_strategy)) +
+            "\n";
+        EXPECT_NE(explained.value().find(line), std::string::npos)
+            << explained.value();
+      }
+    }
+  }
+}
+
+// A term owner that never answers makes `explain` return a Status naming
+// the term, with or without a retry policy, instead of aborting.
+TEST_F(DistributedJoinTest, ExplainReportsAnUnreachableTerm) {
+  const sim::NodeIndex owner = net_->dht().OwnerOf(dht::HashKey("l:author"));
+  net_->dht().FailPeer(owner);  // no re-stabilization: routes hit the corpse
+  const sim::NodeIndex at = (owner + 1) % net_->PeerCount();
+  QueryOptions options;
+  auto silent = net_->ExplainQueryAndWait(at, "//article//author", options);
+  ASSERT_FALSE(silent.ok());
+  EXPECT_EQ(silent.status().code(), StatusCode::kUnavailable);
+  EXPECT_NE(silent.status().ToString().find("'l:author' (no reply)"),
+            std::string::npos)
+      << silent.status().ToString();
+  options.fetch_retry.timeout_s = 0.5;
+  auto retried = net_->ExplainQueryAndWait(at, "//article//author", options);
+  ASSERT_FALSE(retried.ok());
+  EXPECT_NE(retried.status().ToString().find(
+                "'l:author' (retry budget exhausted)"),
+            std::string::npos)
+      << retried.status().ToString();
+}
+
+// A crashed term owner under a retry policy: kAuto never hangs, and
+// finishes explicitly degraded and incomplete, whichever plan the other
+// terms' counts would have picked.
+TEST_F(DistributedJoinTest, AutoWithCrashedTermOwnerFinishesDegraded) {
+  const sim::NodeIndex owner = net_->dht().OwnerOf(dht::HashKey("l:author"));
+  net_->dht().FailPeer(owner);
+  const sim::NodeIndex at = (owner + 1) % net_->PeerCount();
+  for (const char* expr : kQueries) {
+    if (std::string_view(expr).find("author") == std::string_view::npos) {
+      continue;
+    }
+    QueryOptions options;
+    options.strategy = QueryStrategy::kAuto;
+    options.dpp_join_available = true;
+    options.fetch_retry.timeout_s = 0.5;
+    auto r = net_->QueryAndWait(at, expr, options);
+    ASSERT_TRUE(r.ok()) << expr << ": " << r.status().ToString();
+    EXPECT_TRUE(r.value().metrics.degraded) << expr;
+    EXPECT_FALSE(r.value().metrics.complete) << expr;
+    EXPECT_TRUE(r.value().answers.empty()) << expr;
+  }
 }
 
 TEST_F(DistributedJoinTest, CostModelOffersDppJoinOnlyWhenAvailable) {

@@ -26,9 +26,12 @@ struct TracedQuery {
 };
 
 /// Publishes a small dblp corpus on `peers` peers, then runs one traced
-/// dpp_join twig query from peer 1. Publish spans are cleared first so the
-/// query root is the only root in the buffer.
-TracedQuery RunTracedTwigQuery(size_t peers) {
+/// twig query (dpp_join unless told otherwise) from peer 1. Publish spans
+/// are cleared first so the query root is the only root in the buffer.
+TracedQuery RunTracedTwigQuery(
+    size_t peers,
+    query::QueryStrategy strategy = query::QueryStrategy::kDppJoin,
+    const char* xpath = "//article[//author]//title") {
   auto& tracer = obs::Tracer::Default();
   tracer.Clear();
   tracer.SetEnabled(true);
@@ -46,9 +49,9 @@ TracedQuery RunTracedTwigQuery(size_t peers) {
   tracer.Clear();  // drop publish spans; keep tracing on for the query
 
   query::QueryOptions qopt;
-  qopt.strategy = query::QueryStrategy::kDppJoin;
+  qopt.strategy = strategy;
   qopt.dpp_join_available = true;
-  auto result = net.QueryAndWait(1, "//article[//author]//title", qopt);
+  auto result = net.QueryAndWait(1, xpath, qopt);
   EXPECT_TRUE(result.ok());
 
   TracedQuery out;
@@ -124,6 +127,56 @@ TEST(DistributedTraceTest, CriticalPathAndPhasesMatchResponseTime) {
   const std::string report = obs::PhaseReportText(tracer, q.root);
   EXPECT_NE(report.find("critical path"), std::string::npos);
   EXPECT_NE(report.find("route"), std::string::npos);
+
+  tracer.Clear();
+}
+
+// kAuto's planning round is the directory span, also when the plan it
+// picks needs only the counts: the span ends before that plan starts, and
+// the root records the counts the plan came from.
+TEST(DistributedTraceTest, AutoPlanningRoundIsTheDirectorySpan) {
+  const TracedQuery q =
+      RunTracedTwigQuery(16, query::QueryStrategy::kAuto,
+                         "//article//author[. contains 'Ullman']");
+  auto& tracer = obs::Tracer::Default();
+  ASSERT_NE(q.root, 0u);
+  ASSERT_EQ(q.result.metrics.effective_strategy,
+            query::QueryStrategy::kSubQueryReducer);
+  const obs::TraceTree tree = obs::BuildTraceTree(tracer, q.root);
+  ASSERT_NE(tree.root, nullptr);
+  EXPECT_EQ(tree.disconnected, 0u);
+
+  const obs::SpanRecord* route = nullptr;
+  for (const obs::SpanRecord* s : tree.spans) {
+    if (s->name != "query.route.directory") continue;
+    EXPECT_EQ(route, nullptr) << "more than one planning round";
+    route = s;
+  }
+  ASSERT_NE(route, nullptr);
+  EXPECT_EQ(route->parent, q.root);
+  EXPECT_GT(route->end, route->start);
+  for (const obs::SpanRecord* s : tree.spans) {
+    if (s->is_event || s == route || s == tree.root) continue;
+    if (s->parent == q.root) {
+      EXPECT_GE(s->start, route->end) << s->name;
+    }
+  }
+  const obs::PhaseBreakdown pb = obs::ComputePhaseBreakdown(tree);
+  for (const auto& [phase, seconds] : pb.phases) {
+    if (phase == "route") {
+      EXPECT_GT(seconds, 0.0);
+    }
+  }
+
+  std::string counts;
+  for (const auto& [key, value] : tree.root->attrs) {
+    if (key == "term_counts") counts = value;
+  }
+  EXPECT_NE(counts.find("l:article="), std::string::npos) << counts;
+  EXPECT_NE(counts.find("l:author="), std::string::npos) << counts;
+  EXPECT_NE(counts.find("w:ullman="), std::string::npos) << counts;
+  EXPECT_NE(obs::PhaseReportText(tracer, q.root).find("term_counts=l:"),
+            std::string::npos);
 
   tracer.Clear();
 }

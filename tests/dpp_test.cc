@@ -33,6 +33,10 @@ struct DppNet {
           [manager](const dht::AppendRequest& request) {
             return manager->OnAppend(request);
           });
+      peer->SetDeleteInterceptor(
+          [manager](const dht::DeleteRequest& request) {
+            return manager->OnDelete(request);
+          });
       peer->SetAppHandler(
           [manager](const dht::AppRequest& request, sim::NodeIndex from) {
             // Handled-ness is irrelevant here: DPP is the only service.
@@ -41,15 +45,29 @@ struct DppNet {
     }
   }
 
-  PostingList FetchAllBlocks(const std::string& term) {
+  std::vector<DppBlockInfo> Directory(const std::string& term) {
     std::vector<DppBlockInfo> dir;
     DppManager::FetchDirectory(dht.peer(0), term,
                                [&](Status, std::vector<DppBlockInfo> blocks) {
                                  dir = std::move(blocks);
                                });
     scheduler.RunUntilIdle();
+    return dir;
+  }
+
+  /// The count the owner's DPP manager keeps for `term`, or the owner's
+  /// store count when no manager holds a root block for it.
+  uint64_t OwnerCount(const std::string& term) {
+    for (const auto& m : managers) {
+      if (auto owned = m->OwnedTermCount(term)) return *owned;
+    }
+    return dht.peer(dht.OwnerOf(dht::HashKey(term)))->store()->PostingCount(
+        term);
+  }
+
+  PostingList FetchAllBlocks(const std::string& term) {
     PostingList all;
-    for (const auto& block : dir) {
+    for (const auto& block : Directory(term)) {
       std::optional<GetResult> got;
       dht.peer(0)->Get(block.key, [&](GetResult r) { got = std::move(r); });
       scheduler.RunUntilIdle();
@@ -215,6 +233,56 @@ TEST(DppTest, DirectoryOfUnknownTermIsEmpty) {
   net.scheduler.RunUntilIdle();
   ASSERT_TRUE(dir.has_value());
   EXPECT_TRUE(dir->empty());
+}
+
+// The directory is the one term-size message: its block sum is the count
+// the owner keeps, for a partitioned term, an unpartitioned one, an absent
+// one, and after a delete empties a whole block.
+TEST(DppTest, DirectoryCountIsTheOwnersCount) {
+  DppOptions options;
+  options.max_block_postings = 64;
+  DppNet net(6, options);
+  PostingList big;
+  for (uint32_t i = 0; i < 500; ++i) big.push_back(MakePosting(i, 1));
+  net.dht.peer(0)->Append("l:big", big, nullptr);
+  net.dht.peer(0)->Append("l:small", {MakePosting(1, 1)}, nullptr);
+  net.scheduler.RunUntilIdle();
+
+  const std::vector<DppBlockInfo> partitioned = net.Directory("l:big");
+  ASSERT_GT(partitioned.size(), 2u);
+  EXPECT_EQ(DirectoryCount(partitioned), 500u);
+  EXPECT_EQ(net.OwnerCount("l:big"), 500u);
+  EXPECT_EQ(DirectoryCount(net.Directory("l:small")), 1u);
+  EXPECT_EQ(net.OwnerCount("l:small"), 1u);
+  EXPECT_EQ(DirectoryCount(net.Directory("l:never")), 0u);
+  EXPECT_EQ(net.OwnerCount("l:never"), 0u);
+
+  // Empty the last block: the directory drops it and still sums to the
+  // owner's count.
+  const Condition last = partitioned.back().cond;
+  uint64_t removed = 0;
+  for (uint32_t doc = last.MinDoc().doc; doc <= last.MaxDoc().doc; ++doc) {
+    net.dht.peer(0)->DeleteDoc("l:big", DocId{1, doc});
+    ++removed;
+  }
+  net.scheduler.RunUntilIdle();
+  const std::vector<DppBlockInfo> after = net.Directory("l:big");
+  EXPECT_EQ(after.size(), partitioned.size() - 1);
+  EXPECT_EQ(DirectoryCount(after), 500u - removed);
+  EXPECT_EQ(net.OwnerCount("l:big"), 500u - removed);
+}
+
+// Without a DPP root block, the directory comes from the store alone.
+TEST(DppTest, StoreDirectoryIsOneFullBlock) {
+  DppNet net(2);
+  store::PeerStore* store = net.dht.peer(0)->store();
+  EXPECT_TRUE(StoreDirectory(*store, "l:a").empty());
+  store->AppendPostings("l:a", {MakePosting(1, 1), MakePosting(2, 1)});
+  const std::vector<DppBlockInfo> dir = StoreDirectory(*store, "l:a");
+  ASSERT_EQ(dir.size(), 1u);
+  EXPECT_EQ(dir[0].key, "l:a");
+  EXPECT_EQ(dir[0].count, 2u);
+  EXPECT_TRUE(dir[0].cond == FullCondition());
 }
 
 TEST(DppTest, PartitionedTermCount) {

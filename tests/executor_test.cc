@@ -1,8 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
+#include <utility>
+#include <vector>
 
 #include "core/kadop.h"
+#include "dht/ring.h"
+#include "index/dpp.h"
 #include "xml/corpus.h"
 
 namespace kadop::query {
@@ -198,6 +203,62 @@ TEST_F(ExecutorTest, IncompleteQueryMetricsStaySane) {
   fresh.submit_time = 5.0;
   EXPECT_DOUBLE_EQ(fresh.ResponseTime(), -1.0);
   EXPECT_DOUBLE_EQ(fresh.TimeToFirstAnswer(), -1.0);
+}
+
+// On a DPP-off network the reducer service answers directory requests
+// from the store: the directory's count is the owner's stored count, and
+// kAuto plans from it and runs.
+TEST(ExecutorDppOffTest, AutoPlansFromStoreDirectories) {
+  xml::corpus::DblpOptions copt;
+  copt.target_bytes = 150 << 10;
+  copt.doc_bytes = 8 << 10;
+  const std::vector<xml::Document> docs = xml::corpus::GenerateDblp(copt);
+  KadopOptions opt;
+  opt.peers = 8;
+  opt.enable_dpp = false;
+  KadopNet net(opt);
+  std::vector<const xml::Document*> ptrs;
+  for (const auto& d : docs) ptrs.push_back(&d);
+  net.PublishAndWait(2, ptrs);
+
+  for (const char* term : {"l:article", "l:author", "w:ullman", "l:none"}) {
+    std::optional<std::vector<index::DppBlockInfo>> dir;
+    index::DppManager::FetchDirectory(
+        net.peer(1)->dht_peer(), term,
+        [&dir](Status st, std::vector<index::DppBlockInfo> blocks) {
+          EXPECT_TRUE(st.ok());
+          dir = std::move(blocks);
+        });
+    net.RunToIdle();
+    ASSERT_TRUE(dir.has_value()) << term;
+    EXPECT_LE(dir->size(), 1u) << term;
+    const sim::NodeIndex owner = net.dht().OwnerOf(dht::HashKey(term));
+    EXPECT_EQ(index::DirectoryCount(*dir),
+              net.peer(owner)->dht_peer()->store()->PostingCount(term))
+        << term;
+  }
+
+  for (const auto& [expr, plan] :
+       {std::pair{"//article//author", QueryStrategy::kBaseline},
+        std::pair{"//article//author[. contains 'Ullman']",
+                  QueryStrategy::kSubQueryReducer}}) {
+    QueryOptions options;
+    options.strategy = QueryStrategy::kAuto;
+    options.dpp_available = false;
+    auto result = net.QueryAndWait(1, expr, options);
+    ASSERT_TRUE(result.ok()) << expr;
+    EXPECT_EQ(result.value().metrics.effective_strategy, plan) << expr;
+    EXPECT_TRUE(result.value().metrics.complete) << expr;
+    const TreePattern pattern = ParsePattern(expr).take();
+    std::vector<Answer> truth;
+    for (size_t d = 0; d < docs.size(); ++d) {
+      auto answers = EvaluateOnDocument(
+          pattern, docs[d], index::DocId{2, static_cast<uint32_t>(d)});
+      truth.insert(truth.end(), answers.begin(), answers.end());
+    }
+    EXPECT_FALSE(truth.empty()) << expr;
+    EXPECT_EQ(Sorted(result.value().answers), Sorted(truth)) << expr;
+  }
 }
 
 TEST_F(ExecutorTest, ParseErrorSurfaces) {

@@ -71,7 +71,7 @@ TEST(MessagesTest, ControlPayloadsAreSmall) {
   EXPECT_LT(dht::AppendAck().SizeBytes(), 64u);
   EXPECT_LT(index::DppAppendDone().SizeBytes(), 64u);
   EXPECT_LT(index::DppDeleteDone().SizeBytes(), 64u);
-  EXPECT_LT(query::TermCountResponse().SizeBytes(), 64u);
+  EXPECT_LT(index::DppDirResponse().SizeBytes(), 64u);
 }
 
 TEST(MessagesTest, FilterMessagesChargeTheBloomVector) {

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "core/kadop.h"
+#include "dht/ring.h"
 #include "index/publisher.h"
 #include "obs/metrics.h"
 #include "query/view.h"
@@ -265,6 +266,47 @@ TEST_F(ViewTest, DisabledCatalogNeverRewrites) {
   EXPECT_TRUE(view.metrics.view_fallback);
   EXPECT_EQ(view.answers, RunQuery("//article//author",
                                    QueryStrategy::kDpp).answers);
+}
+
+// kAuto prices the view from its planning round; when the view then fails
+// to serve, the fallback into kDpp runs on the directories that round
+// already fetched instead of fetching them again.
+TEST_F(ViewTest, AutoViewFallbackReusesThePlanningDirectories) {
+  auto name = net_->CreateViewAndWait("//article//author");
+  ASSERT_TRUE(name.ok());
+  QueryOptions options;
+  options.strategy = QueryStrategy::kAuto;
+  options.fetch_retry.timeout_s = 0.5;
+  options.fetch_retry.max_retries = 0;
+  ASSERT_TRUE(net_->QueryAndWait(1, "//article//author", options)
+                  .value()
+                  .metrics.view_hit);
+
+  // Slow the first extent column's holder past the fetch timeout: the
+  // catalog still reads the rewrite as servable, but the column pull
+  // times out and fails verification. (The late reply lands soon after,
+  // so it does not hold up the fallback's own pulls for long.)
+  const ViewCatalog::Entry* entry = net_->views().Find(name.value());
+  ASSERT_NE(entry, nullptr);
+  sim::FaultOptions slow;
+  slow.slow_extra_s = 0.7;
+  slow.slow_peers = {
+      net_->dht().OwnerOf(dht::HashKey(entry->def.ColumnKey(0)))};
+  net_->EnableFaults(slow);
+  const uint64_t before = net_->Stats().dpp.dir_requests;
+  auto fallen = net_->QueryAndWait(1, "//article//author", options);
+  net_->DisableFaults();
+  ASSERT_TRUE(fallen.ok());
+  const QueryMetrics& m = fallen.value().metrics;
+  EXPECT_TRUE(m.view_fallback);
+  EXPECT_TRUE(m.complete);
+  EXPECT_EQ(m.effective_strategy, QueryStrategy::kDpp);
+  EXPECT_EQ(net_->Stats().dpp.dir_requests - before, 2u);
+
+  options.strategy = QueryStrategy::kDpp;
+  auto truth = net_->QueryAndWait(1, "//article//author", options);
+  ASSERT_TRUE(truth.ok());
+  EXPECT_EQ(fallen.value().answers, truth.value().answers);
 }
 
 // -- Advisor ----------------------------------------------------------------

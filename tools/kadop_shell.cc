@@ -356,6 +356,9 @@ class Shell {
     std::string xpath;
     std::getline(in, xpath);
     query::QueryOptions options;
+    if (net_->fault_plan() != nullptr) {
+      options.fetch_retry.timeout_s = 0.5;  // as `query` does under faults
+    }
     auto result = net_->ExplainQueryAndWait(0, xpath, options);
     if (result.ok()) {
       std::printf("%s", result.value().c_str());
