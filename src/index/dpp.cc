@@ -168,62 +168,80 @@ bool DppManager::OnGet(const dht::GetRequest& request) {
   if (st.blocks.size() == 1 && st.blocks[0].key == request.key) {
     return false;  // unpartitioned: the default store path is complete
   }
-  // Gather blocks in condition order, one at a time, and forward them to
-  // the requester under the original request id (the proxy path: complete
-  // but not parallel — parallel clients fetch blocks directly instead).
-  auto block_keys = std::make_shared<std::vector<std::string>>();
+  std::vector<std::string> block_keys;
   for (const BlockEntry& b : st.blocks) {
     Condition range{request.lo, request.hi};
-    if (b.cond.Intersects(range)) block_keys->push_back(b.key);
+    if (b.cond.Intersects(range)) block_keys.push_back(b.key);
   }
-  if (block_keys->empty()) {
+  if (block_keys.empty()) {
     peer_->SendGetBlock(request.origin, request.req_id, 0, /*last=*/true, {});
     return true;
   }
-  auto fetch_next = std::make_shared<std::function<void(size_t)>>();
-  const dht::GetRequest req = request;
-  // The stored function captures itself only weakly: the strong references
-  // live in the transient disk/network continuations below, so the chain
-  // stays alive exactly as long as a fetch is in flight and is freed after
-  // the last block (a strong self-capture here would leak the cycle).
-  std::weak_ptr<std::function<void(size_t)>> weak_next = fetch_next;
-  *fetch_next = [this, req, block_keys, weak_next](size_t i) {
-    auto fetch_next = weak_next.lock();
-    if (!fetch_next) return;
-    const std::string& block_key = (*block_keys)[i];
-    const bool is_last_block = i + 1 == block_keys->size();
-    if (block_key == req.key) {
+  // Pull every block at once and forward them to the requester under the
+  // original request id in condition order: a block that arrives early
+  // waits in `arrived` until all earlier ones have gone out. The per-block
+  // continuations share the gather; the last of them frees it. The span
+  // closes with the last forwarded block, or when a pull fails.
+  struct Gather {
+    dht::GetRequest req;
+    obs::SpanId span = 0;
+    std::vector<std::optional<PostingList>> arrived;
+    size_t next = 0;  // index of the next block to forward
+    bool failed = false;
+  };
+  auto gather = std::make_shared<Gather>();
+  gather->req = request;
+  gather->arrived.resize(block_keys.size());
+  auto& tracer = obs::Tracer::Default();
+  gather->span = tracer.Begin("dht.get.proxy");
+  tracer.Annotate(gather->span, "blocks", std::to_string(block_keys.size()));
+  obs::ScopedTraceContext scope(tracer.ContextFor(gather->span));
+  auto deliver = [this, gather](size_t i, PostingList postings) {
+    Gather& g = *gather;
+    if (g.failed) return;
+    g.arrived[i] = std::move(postings);
+    while (g.next < g.arrived.size() && g.arrived[g.next].has_value()) {
+      const bool last = g.next + 1 == g.arrived.size();
+      peer_->SendGetBlock(g.req.origin, g.req.req_id,
+                          static_cast<uint32_t>(g.next), last,
+                          std::move(*g.arrived[g.next]));
+      g.arrived[g.next].reset();
+      if (last) obs::Tracer::Default().End(g.span);
+      ++g.next;
+    }
+  };
+  for (size_t i = 0; i < block_keys.size(); ++i) {
+    if (block_keys[i] == request.key) {
       // Local block 0: read from the own store (cannot recurse through the
       // interceptor) and forward after the disk read.
-      PostingList list =
-          peer_->store()->GetPostingRange(block_key, req.lo, req.hi, 0);
+      PostingList list = peer_->store()->GetPostingRange(
+          request.key, request.lo, request.hi, 0);
       const double bytes = static_cast<double>(codec::EncodedBytes(list));
       peer_->ScheduleAfterDisk(
           bytes, /*write=*/false,
-          [this, req, i, is_last_block, list = std::move(list), block_keys,
-           fetch_next]() mutable {
-            peer_->SendGetBlock(req.origin, req.req_id,
-                                static_cast<uint32_t>(i), is_last_block,
-                                std::move(list));
-            if (!is_last_block) (*fetch_next)(i + 1);
+          [deliver, i, list = std::move(list)]() mutable {
+            deliver(i, std::move(list));
           });
-      return;
+      continue;
     }
     dht::GetSpec spec;
-    spec.key = block_key;
-    spec.lo = req.lo;
-    spec.hi = req.hi;
+    spec.key = block_keys[i];
+    spec.lo = request.lo;
+    spec.hi = request.hi;
     spec.pipelined = false;
-    peer_->GetBlocks(spec, [this, req, i, is_last_block, block_keys,
-                            fetch_next](PostingList postings, bool last,
-                                        bool /*complete*/) {
-      if (!last) return;
-      peer_->SendGetBlock(req.origin, req.req_id, static_cast<uint32_t>(i),
-                          is_last_block, std::move(postings));
-      if (!is_last_block) (*fetch_next)(i + 1);
+    peer_->GetBlocks(spec, [gather, deliver, i](PostingList postings,
+                                                bool last, bool complete) {
+      // A pull that ran out of time leaves a hole: forward nothing from
+      // here on, so the requester's own timeout/retry path recovers or
+      // reports the get incomplete instead of completing it short.
+      if (!complete) {
+        if (!gather->failed) obs::Tracer::Default().End(gather->span);
+        gather->failed = true;
+        return;
+      }
+      if (last) deliver(i, std::move(postings));
     });
-  };
-  (*fetch_next)(0);
+  }
   return true;
 }
 

@@ -65,10 +65,13 @@ class DppManager {
   [[nodiscard]] bool OnAppend(const dht::AppendRequest& request);
 
   /// Get interceptor: serves reads of terms whose list was partitioned by
-  /// gathering the blocks (in condition order) from their holders and
-  /// streaming them to the requester. Plain DHT gets therefore stay
-  /// complete on a DPP index; parallel-fetch clients bypass this by
-  /// reading blocks directly. Returns false for unpartitioned keys.
+  /// pulling every block in the requested range from its holder at once
+  /// and streaming them to the requester in condition order, each as soon
+  /// as all earlier blocks have gone out. Plain DHT gets therefore stay
+  /// complete on a DPP index. A pull that times out ends the stream short
+  /// of its last block, so the requester's own timeout/retry path decides
+  /// the get's outcome. DPP-aware clients bypass this by reading blocks
+  /// directly. Returns false for unpartitioned keys.
   [[nodiscard]] bool OnGet(const dht::GetRequest& request);
 
   /// Delete interceptor: routes deletes to the overflow-block holders and

@@ -796,6 +796,11 @@ void QueryExecutor::LaunchReducePlan(ReduceMode mode,
   plan.db_params = options_.db_params;
   plan.nodes = std::move(nodes);
   reduced_lists_pending_ += plan.nodes.size();
+  // Phase span for the owners' loads and filter rounds (and, for the
+  // sub-query plan, its off-path fetches); Finish closes it.
+  auto& tracer = obs::Tracer::Default();
+  phase_span_ = tracer.Begin("query.fetch", span_);
+  obs::ScopedTraceContext scope(tracer.ContextFor(phase_span_));
   for (const ReducePlanNode& pn : plan.nodes) {
     auto start = std::make_shared<ReduceStart>();
     start->plan = plan;
@@ -814,6 +819,11 @@ bool QueryExecutor::HandleApp(const AppRequest& request, NodeIndex /*from*/) {
   KADOP_CHECK(node < pattern_.size(), "bad node in reduced list");
   KADOP_CHECK(!stream_closed_[node], "duplicate reduced list");
   RecordTransfer(list->postings);
+  if (!list->complete) {
+    // The owner's load ran out of its retry budget: the list is short.
+    metrics_.complete = false;
+    metrics_.degraded = true;
+  }
   metrics_.full_postings += list->full_count;
   metrics_.ab_filter_bytes += list->ab_filter_bytes;
   metrics_.db_filter_bytes += list->db_filter_bytes;
@@ -1029,6 +1039,8 @@ void QueryExecutor::OnTermCountsReady() {
 
   // Remaining nodes: plain full fetches (uncounted in blocks_fetched,
   // which tracks the DPP/baseline block economy only).
+  obs::ScopedTraceContext scope(
+      obs::Tracer::Default().ContextFor(phase_span_));
   for (size_t node = 0; node < pattern_.size(); ++node) {
     if (std::find(path.begin(), path.end(), static_cast<int>(node)) !=
         path.end()) {

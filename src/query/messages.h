@@ -95,10 +95,13 @@ struct DbfMessage final : sim::Payload {
 /// of a node's filtering role. Carries accounting so the query peer can
 /// compute the paper's normalized-data-volume metric exactly:
 /// `full_count` is the unfiltered list size, `ab/db_filter_bytes` the
-/// filters this owner sent (counted once, at the sender).
+/// filters this owner sent (counted once, at the sender). `complete` is
+/// false when the owner's load of the list ran out of its retry budget;
+/// it rides in a spare bit of the fixed header's node word.
 struct ReducedListMessage final : sim::Payload {
   uint64_t query_id = 0;
   int node = -1;
+  bool complete = true;
   index::PostingList postings;
   uint64_t full_count = 0;
   uint64_t ab_filter_bytes = 0;

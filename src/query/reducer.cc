@@ -58,11 +58,14 @@ void ReducerService::OnStart(const ReduceStart& start) {
   // Load this term's posting list through the DHT get: this peer owns the
   // term key, so the read is served locally (disk time modeled by the get
   // path) — and it stays complete when the list is DPP-partitioned, since
-  // the owner's get path gathers the overflow blocks.
+  // the owner's get path gathers the overflow blocks. A load that ran out
+  // of its retry budget still proceeds, but its list ships flagged
+  // incomplete.
   peer_->Get(pn->term_key, [this, key](dht::GetResult got) {
     auto it = states_.find(key);
     if (it == states_.end()) return;
     NodeState& state = it->second;
+    state.complete = got.complete;
     state.list = std::move(got.postings);
     state.full_count = state.list.size();
     state.loaded = true;
@@ -151,6 +154,7 @@ void ReducerService::SendListToQueryPeer(NodeState& st) {
   auto msg = std::make_shared<ReducedListMessage>();
   msg->query_id = st.plan.query_id;
   msg->node = st.node;
+  msg->complete = st.complete;
   msg->postings = st.list;
   msg->full_count = st.full_count;
   msg->ab_filter_bytes = st.ab_filter_bytes;

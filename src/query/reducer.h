@@ -54,6 +54,8 @@ class ReducerService {
     int node = -1;
     bool started = false;
     bool loaded = false;
+    /// False when the list load ran out of its retry budget (short list).
+    bool complete = true;
     index::PostingList list;
     uint64_t full_count = 0;
     bool abf_in_applied = false;

@@ -31,7 +31,8 @@ struct TracedQuery {
 TracedQuery RunTracedTwigQuery(
     size_t peers,
     query::QueryStrategy strategy = query::QueryStrategy::kDppJoin,
-    const char* xpath = "//article[//author]//title") {
+    const char* xpath = "//article[//author]//title",
+    index::DppOptions dpp = {}) {
   auto& tracer = obs::Tracer::Default();
   tracer.Clear();
   tracer.SetEnabled(true);
@@ -42,6 +43,7 @@ TracedQuery RunTracedTwigQuery(
 
   core::KadopOptions opt;
   opt.peers = peers;
+  opt.dpp = dpp;
   core::KadopNet net(opt);
   std::vector<const xml::Document*> ptrs;
   for (const auto& d : docs) ptrs.push_back(&d);
@@ -177,6 +179,50 @@ TEST(DistributedTraceTest, AutoPlanningRoundIsTheDirectorySpan) {
   EXPECT_NE(counts.find("w:ullman="), std::string::npos) << counts;
   EXPECT_NE(obs::PhaseReportText(tracer, q.root).find("term_counts=l:"),
             std::string::npos);
+
+  tracer.Clear();
+}
+
+// The sub-query reducer's owners load partitioned lists through the DPP
+// get proxy: that time is fetch time, under the reducer plan's fetch span,
+// not unattributed `other`.
+TEST(DistributedTraceTest, ReducerLoadsOfPartitionedTermsAreFetchTime) {
+  index::DppOptions dpp;
+  dpp.max_block_postings = 256;
+  const TracedQuery q =
+      RunTracedTwigQuery(16, query::QueryStrategy::kAuto,
+                         "//article//author[. contains 'Ullman']", dpp);
+  auto& tracer = obs::Tracer::Default();
+  ASSERT_NE(q.root, 0u);
+  ASSERT_EQ(q.result.metrics.effective_strategy,
+            query::QueryStrategy::kSubQueryReducer);
+  EXPECT_TRUE(q.result.metrics.complete);
+  const obs::TraceTree tree = obs::BuildTraceTree(tracer, q.root);
+  ASSERT_NE(tree.root, nullptr);
+  EXPECT_EQ(tree.disconnected, 0u);
+
+  size_t proxies = 0;
+  for (const obs::SpanRecord* s : tree.spans) {
+    if (s->name != "dht.get.proxy") continue;
+    ++proxies;
+    EXPECT_GT(s->end, s->start);
+    std::string blocks;
+    for (const auto& [key, value] : s->attrs) {
+      if (key == "blocks") blocks = value;
+    }
+    EXPECT_GE(std::stoul(blocks), 2u);
+  }
+  EXPECT_GE(proxies, 1u);
+
+  const obs::PhaseBreakdown pb = obs::ComputePhaseBreakdown(tree);
+  double fetch = 0;
+  double other = 0;
+  for (const auto& [phase, seconds] : pb.phases) {
+    if (phase == "fetch") fetch = seconds;
+    if (phase == "other") other = seconds;
+  }
+  EXPECT_GT(fetch, other);
+  EXPECT_EQ(obs::PhaseForSpanName("dht.get.proxy"), "fetch");
 
   tracer.Clear();
 }

@@ -6,6 +6,7 @@
 #include "dht/dht.h"
 #include "dht/ring.h"
 #include "index/dpp.h"
+#include "sim/fault_plan.h"
 
 namespace kadop::index {
 namespace {
@@ -19,9 +20,11 @@ Posting MakePosting(uint32_t doc, uint32_t start) {
 }
 
 /// A small cluster with a DppManager per peer, wired as the core facade
-/// would wire it.
+/// would wire it. `proxy_gets` also installs the get interceptor, so a
+/// plain get of a partitioned term is served by the owner's gather.
 struct DppNet {
-  explicit DppNet(size_t peers, DppOptions dpp_options = {})
+  explicit DppNet(size_t peers, DppOptions dpp_options = {},
+                  bool proxy_gets = false)
       : network(&scheduler), dht(&scheduler, &network, DhtOptions{}) {
     dht.AddPeers(peers);
     for (size_t i = 0; i < peers; ++i) {
@@ -37,6 +40,11 @@ struct DppNet {
           [manager](const dht::DeleteRequest& request) {
             return manager->OnDelete(request);
           });
+      if (proxy_gets) {
+        peer->SetGetInterceptor([manager](const dht::GetRequest& request) {
+          return manager->OnGet(request);
+        });
+      }
       peer->SetAppHandler(
           [manager](const dht::AppRequest& request, sim::NodeIndex from) {
             // Handled-ness is irrelevant here: DPP is the only service.
@@ -63,6 +71,15 @@ struct DppNet {
     }
     return dht.peer(dht.OwnerOf(dht::HashKey(term)))->store()->PostingCount(
         term);
+  }
+
+  /// What the holder of `block` stores in [lo, hi], read off its store
+  /// without any network traffic.
+  PostingList StoredBlock(const DppBlockInfo& block, const Posting& lo,
+                          const Posting& hi) {
+    return dht.peer(dht.OwnerOf(dht::HashKey(block.key)))
+        ->store()
+        ->GetPostingRange(block.key, lo, hi, 0);
   }
 
   PostingList FetchAllBlocks(const std::string& term) {
@@ -297,6 +314,176 @@ TEST(DppTest, PartitionedTermCount) {
   size_t partitioned = 0;
   for (const auto& m : net.managers) partitioned += m->PartitionedTermCount();
   EXPECT_EQ(partitioned, 1u);
+}
+
+// A term split into many blocks, for the get-proxy tests below.
+struct SplitTerm {
+  static constexpr const char* kTerm = "l:long";
+  static constexpr size_t kPeers = 16;
+
+  SplitTerm() : net(kPeers, Options(), /*proxy_gets=*/true) {
+    for (uint32_t i = 0; i < 1200; ++i) postings.push_back(MakePosting(i, 1));
+    for (size_t off = 0; off < postings.size(); off += 300) {
+      PostingList batch(postings.begin() + off,
+                        postings.begin() + off + 300);
+      net.dht.peer(3)->Append(kTerm, batch, nullptr);
+    }
+    net.scheduler.RunUntilIdle();
+    dir = net.Directory(kTerm);
+    owner = net.dht.OwnerOf(dht::HashKey(kTerm));
+    requester = static_cast<sim::NodeIndex>((owner + 1) % kPeers);
+  }
+
+  static DppOptions Options() {
+    DppOptions options;
+    options.max_block_postings = 128;
+    return options;
+  }
+
+  /// Concatenation of the stored blocks that intersect [lo, hi], each
+  /// restricted to the range, in directory (condition) order.
+  PostingList Concatenation(const Posting& lo, const Posting& hi) {
+    PostingList all;
+    for (const DppBlockInfo& block : dir) {
+      if (!block.cond.Intersects(Condition{lo, hi})) continue;
+      PostingList part = net.StoredBlock(block, lo, hi);
+      all.insert(all.end(), part.begin(), part.end());
+    }
+    return all;
+  }
+
+  DppNet net;
+  PostingList postings;
+  std::vector<DppBlockInfo> dir;
+  sim::NodeIndex owner = 0;
+  sim::NodeIndex requester = 0;
+};
+
+// A plain get of a partitioned term returns exactly the holders' blocks,
+// concatenated in condition order — over the full range and a sub-range.
+TEST(DppGetProxyTest, StreamsTheBlocksInConditionOrder) {
+  SplitTerm t;
+  ASSERT_GE(t.dir.size(), 8u);
+
+  std::optional<GetResult> got;
+  t.net.dht.peer(t.requester)->Get(SplitTerm::kTerm,
+                                   [&](GetResult r) { got = std::move(r); });
+  t.net.scheduler.RunUntilIdle();
+  ASSERT_TRUE(got.has_value());
+  EXPECT_TRUE(got->complete);
+  EXPECT_EQ(got->postings, t.Concatenation(kMinPosting, kMaxPosting));
+  EXPECT_EQ(got->postings, t.postings);
+
+  // A sub-range cutting into the third block and the third-from-last one.
+  const Posting lo = MakePosting(t.dir[2].cond.MinDoc().doc + 3, 1);
+  const Posting hi =
+      MakePosting(t.dir[t.dir.size() - 3].cond.MaxDoc().doc - 3, 1);
+  dht::GetSpec spec;
+  spec.key = SplitTerm::kTerm;
+  spec.lo = lo;
+  spec.hi = hi;
+  PostingList ranged;
+  size_t blocks = 0;
+  bool done = false;
+  t.net.dht.peer(t.requester)
+      ->GetBlocks(spec, [&](PostingList block, bool last, bool complete) {
+        EXPECT_TRUE(complete);
+        EXPECT_FALSE(done) << "block after the last one";
+        ranged.insert(ranged.end(), block.begin(), block.end());
+        ++blocks;
+        done = last;
+      });
+  t.net.scheduler.RunUntilIdle();
+  EXPECT_TRUE(done);
+  EXPECT_EQ(blocks, t.dir.size() - 4);
+  EXPECT_EQ(ranged, t.Concatenation(lo, hi));
+  EXPECT_EQ(ranged.front(), lo);
+  EXPECT_EQ(ranged.back(), hi);
+}
+
+// The stream's first block comes from a slow holder, so every later block
+// reaches the owner first: the requester still sees each block once, in
+// condition order, with the holder's postings.
+TEST(DppGetProxyTest, SlowFirstHolderStillStreamsInOrder) {
+  SplitTerm t;
+  ASSERT_GE(t.dir.size(), 8u);
+  // The first remote block whose holder is neither the owner nor the
+  // requester starts the stream.
+  size_t first = 1;
+  auto holder = [&](size_t i) {
+    return t.net.dht.OwnerOf(dht::HashKey(t.dir[i].key));
+  };
+  while (first < t.dir.size() &&
+         (holder(first) == t.owner || holder(first) == t.requester)) {
+    ++first;
+  }
+  ASSERT_LT(first + 4, t.dir.size());
+  sim::FaultOptions fo;
+  fo.slow_extra_s = 0.5;
+  fo.slow_peers = {holder(first)};
+  sim::FaultPlan plan(fo);
+  t.net.network.SetFaultPlan(&plan);
+
+  dht::GetSpec spec;
+  spec.key = SplitTerm::kTerm;
+  spec.lo = t.dir[first].cond.lo;
+  std::vector<PostingList> blocks;
+  bool done = false;
+  t.net.dht.peer(t.requester)
+      ->GetBlocks(spec, [&](PostingList block, bool last, bool complete) {
+        EXPECT_TRUE(complete);
+        EXPECT_FALSE(done) << "block after the last one";
+        blocks.push_back(std::move(block));
+        done = last;
+      });
+  t.net.scheduler.RunUntilIdle();
+  EXPECT_TRUE(done);
+  EXPECT_GT(plan.stats().delayed, 0u);
+  ASSERT_EQ(blocks.size(), t.dir.size() - first);
+  for (size_t i = 0; i < blocks.size(); ++i) {
+    EXPECT_EQ(blocks[i],
+              t.net.StoredBlock(t.dir[first + i], kMinPosting, kMaxPosting))
+        << "stream block " << i;
+  }
+}
+
+// The owner pulls the blocks at once: the proxied get takes less than one
+// routed pull per remote block, which a one-at-a-time gather cannot.
+TEST(DppGetProxyTest, GatherIsFasterThanOnePullPerBlock) {
+  SplitTerm t;
+  ASSERT_GE(t.dir.size(), 8u);
+
+  // The cheapest routed pull of one block the owner does not hold itself
+  // (its own blocks are read locally, at no network cost).
+  double one_pull = 1e9;
+  size_t n = 0;
+  for (const DppBlockInfo& block : t.dir) {
+    if (t.net.dht.OwnerOf(dht::HashKey(block.key)) == t.owner) continue;
+    ++n;
+    dht::GetSpec spec;
+    spec.key = block.key;
+    const double start = t.net.scheduler.Now();
+    double took = -1;
+    t.net.dht.peer(t.owner)->GetBlocks(
+        spec, [&](PostingList, bool last, bool) {
+          if (last) took = t.net.scheduler.Now() - start;
+        });
+    t.net.scheduler.RunUntilIdle();
+    ASSERT_GT(took, 0.0) << block.key;
+    one_pull = std::min(one_pull, took);
+  }
+
+  const double start = t.net.scheduler.Now();
+  double proxied = -1;
+  t.net.dht.peer(t.requester)->Get(SplitTerm::kTerm, [&](GetResult r) {
+    EXPECT_TRUE(r.complete);
+    proxied = t.net.scheduler.Now() - start;
+  });
+  t.net.scheduler.RunUntilIdle();
+  ASSERT_GT(proxied, 0.0);
+  ASSERT_GE(n, 8u);
+  EXPECT_LT(proxied, static_cast<double>(n) * one_pull)
+      << n << " remote blocks, one pull " << one_pull << " s";
 }
 
 }  // namespace

@@ -44,6 +44,11 @@ TEST(MessagesTest, PostingBearingPayloadsScaleWithContent) {
   reduced.postings = MakePostings(7);
   EXPECT_GE(reduced.SizeBytes(),
             index::codec::EncodedBytes(reduced.postings));
+  // The completeness flag rides in the fixed header: no extra bytes.
+  query::ReducedListMessage short_list;
+  short_list.postings = MakePostings(7);
+  short_list.complete = false;
+  EXPECT_EQ(short_list.SizeBytes(), reduced.SizeBytes());
 }
 
 TEST(MessagesTest, DocTypesAreCharged) {

@@ -6,8 +6,11 @@
 
 #include <algorithm>
 #include <optional>
+#include <set>
 
 #include "core/kadop.h"
+#include "dht/ring.h"
+#include "index/dpp.h"
 #include "xml/corpus.h"
 
 namespace kadop::query {
@@ -141,6 +144,96 @@ TEST(ReducerRepeatTest, SameTermTwiceInOnePattern) {
   ASSERT_TRUE(baseline.ok());
   EXPECT_EQ(Sorted(reduced.value().answers),
             Sorted(baseline.value().answers));
+}
+
+// A block holder of a partitioned term that answers only after the retry
+// budget is spent: the owner's load of the term cannot complete, so neither
+// a sub-query reducer query nor a plain get of the term may come back as a
+// short list marked complete.
+TEST(ReducerIncompleteLoadTest, SlowBlockHolderMakesTheLoadIncomplete) {
+  xml::corpus::DblpOptions copt;
+  copt.target_bytes = 60 << 10;
+  auto docs = xml::corpus::GenerateDblp(copt);
+  core::KadopOptions opt;
+  opt.peers = 8;
+  opt.dpp.max_block_postings = 64;
+  opt.dht.retry.timeout_s = 0.2;
+  opt.dht.retry.max_retries = 1;
+  core::KadopNet net(opt);
+  std::vector<const xml::Document*> ptrs;
+  for (const auto& d : docs) ptrs.push_back(&d);
+  net.PublishAndWait(0, ptrs);
+
+  const char* kTerm = "l:author";
+  const char* expr = "//article//author[. contains 'Ullman']";
+  const sim::NodeIndex query_peer = 1;
+  std::vector<index::DppBlockInfo> dir;
+  index::DppManager::FetchDirectory(
+      net.peer(query_peer)->dht_peer(), kTerm,
+      [&](Status, std::vector<index::DppBlockInfo> blocks) {
+        dir = std::move(blocks);
+      });
+  net.RunToIdle();
+  ASSERT_GE(dir.size(), 3u) << kTerm << " is not partitioned";
+
+  // Slow the holder of a remote block that plays no other role in the
+  // query: not the query peer and no pattern term's owner.
+  std::set<sim::NodeIndex> roles = {query_peer};
+  for (const char* term : {"l:article", "l:author", "w:ullman"}) {
+    roles.insert(net.dht().OwnerOf(dht::HashKey(term)));
+  }
+  std::optional<sim::NodeIndex> slow;
+  for (const index::DppBlockInfo& block : dir) {
+    const sim::NodeIndex holder = net.dht().OwnerOf(dht::HashKey(block.key));
+    if (!roles.count(holder)) {
+      slow = holder;
+      break;
+    }
+  }
+  ASSERT_TRUE(slow.has_value()) << "every holder plays another role";
+  sim::FaultOptions fo;
+  fo.slow_extra_s = 5.0;  // far past 2 attempts of 0.2 s
+  fo.slow_peers = {*slow};
+  net.EnableFaults(fo);
+
+  QueryOptions qopt;
+  qopt.strategy = QueryStrategy::kSubQueryReducer;
+  qopt.fetch_retry = opt.dht.retry;
+  auto result = net.QueryAndWait(query_peer, expr, qopt);
+  ASSERT_TRUE(result.ok());
+  EXPECT_FALSE(result.value().metrics.complete);
+  EXPECT_TRUE(result.value().metrics.degraded);
+
+  // A plain get whose per-attempt timeout outlasts the owner's budget for
+  // the block pull: the owner must not fill the hole with an empty block.
+  auto plain_get = [&]() {
+    dht::GetSpec spec;
+    spec.key = kTerm;
+    spec.retry.timeout_s = 2.0;
+    spec.retry.max_retries = 1;
+    index::PostingList list;
+    std::optional<bool> complete;
+    net.peer(query_peer)->dht_peer()->GetBlocks(
+        spec, [&](index::PostingList block, bool last, bool ok) {
+          list.insert(list.end(), block.begin(), block.end());
+          if (last) complete = ok;
+        });
+    net.RunToIdle();
+    return std::pair(complete, list.size());
+  };
+  const auto [complete, size] = plain_get();
+  ASSERT_TRUE(complete.has_value());
+  EXPECT_FALSE(*complete) << size << " of " << index::DirectoryCount(dir)
+                          << " postings";
+
+  // Once the holder is fast again, both read the whole list.
+  net.DisableFaults();
+  auto healthy = net.QueryAndWait(query_peer, expr, qopt);
+  ASSERT_TRUE(healthy.ok());
+  EXPECT_TRUE(healthy.value().metrics.complete);
+  EXPECT_EQ(plain_get(), std::pair(std::optional<bool>(true),
+                                   static_cast<size_t>(
+                                       index::DirectoryCount(dir))));
 }
 
 }  // namespace
