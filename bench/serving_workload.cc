@@ -4,6 +4,11 @@
 // benches, arrivals never wait for completions, so queueing delay at the
 // modeled disks and links shows up directly in the tail percentiles.
 //
+// The ladder is measured, not guessed: a capacity search on the main
+// network (no churn) finds the highest SLO-passing rate C, and the ladder
+// offers fixed fractions of C. Every percentile is the nearest-rank order
+// statistic of the step's raw latency samples (obs::NearestRank).
+//
 // Emitted rows (BENCH_serving.json):
 //   kind=qps_step         one per offered-QPS ladder step on the main network
 //   kind=flash_crowd      a burst phase concentrating arrivals on the hot
@@ -17,7 +22,8 @@
 //                         row index; carries view hit-rate cells)
 //   kind=view_probe       wire-bytes A/B on the selective tenant: kDppJoin
 //                         total posting movement vs. the view extent
-//   kind=capacity         peers vs. highest SLO-passing offered QPS
+//   kind=capacity         peers vs. highest SLO-passing offered QPS, no
+//                         churn; the first row is the main network's C
 //
 // Everything runs in virtual time from seeded RNGs: two runs with the same
 // seed produce byte-identical JSON.
@@ -26,6 +32,7 @@
 #include <cstdio>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -43,6 +50,20 @@ namespace {
 // least 90% of the offered load completes within the measurement window.
 constexpr double kSloP99Seconds = 0.5;
 constexpr double kSloMinCompletion = 0.9;
+
+// Churn published while a step serves, per virtual second of its window.
+constexpr double kChurnDocsPerSecond = 1.0;
+
+// Capacity search: double from kSearchStartQps until a step misses the SLO
+// (giving up past kSearchMaxQps), then bisect between the last passing and
+// the first failing rate for kBisectRounds rounds.
+constexpr double kSearchStartQps = 8;
+constexpr double kSearchMaxQps = 8192;
+constexpr int kBisectRounds = 3;
+
+// The serving ladder, as fractions of the main network's capacity: the knee
+// lands inside it, so the A/B twins compare loaded steps.
+constexpr double kLadderFractions[] = {0.25, 0.5, 0.75, 1.0, 1.25};
 
 /// One tenant of the serving mix: a query template plus its traffic share
 /// rank (rank 0 is the hot tenant a flash crowd piles onto).
@@ -67,12 +88,6 @@ struct StepResult {
   double p50 = 0;
   double p99 = 0;
   double p999 = 0;
-  /// Exact (order-statistic) percentiles alongside the bucketed ones: the
-  /// views A/B compares same-seed twins row against row, where histogram
-  /// quantization would hide real differences.
-  double p50_exact = 0;
-  double p99_exact = 0;
-  double p999_exact = 0;
   size_t submitted = 0;
   size_t completed = 0;
   size_t degraded = 0;
@@ -90,57 +105,36 @@ struct StepResult {
   }
 };
 
-/// Sums a counter family (`load.holder.<N>.gets` etc.) from a snapshot.
-uint64_t SumSuffix(const obs::MetricsSnapshot& snap, const char* prefix,
-                   const char* suffix) {
-  uint64_t total = 0;
-  for (const auto& [name, value] : snap.counters) {
-    if (name.rfind(prefix, 0) == 0 &&
-        name.size() >= std::string(suffix).size() &&
-        name.compare(name.size() - std::string(suffix).size(),
-                     std::string::npos, suffix) == 0) {
-      total += value;
-    }
-  }
-  return total;
-}
+/// Sum and maximum over a counter family (`load.holder.<N>.gets` etc.).
+struct FamilyTotals {
+  uint64_t sum = 0;
+  uint64_t max = 0;
+};
 
-/// Maximum over a counter family from a snapshot.
-uint64_t MaxSuffix(const obs::MetricsSnapshot& snap, const char* prefix,
-                   const char* suffix) {
-  uint64_t best = 0;
+FamilyTotals CounterFamily(const obs::MetricsSnapshot& snap,
+                           std::string_view prefix, std::string_view suffix) {
+  FamilyTotals out;
   for (const auto& [name, value] : snap.counters) {
-    if (name.rfind(prefix, 0) == 0 &&
-        name.size() >= std::string(suffix).size() &&
-        name.compare(name.size() - std::string(suffix).size(),
-                     std::string::npos, suffix) == 0) {
-      best = std::max(best, value);
+    if (name.starts_with(prefix) && name.ends_with(suffix)) {
+      out.sum += value;
+      out.max = std::max(out.max, value);
     }
   }
-  return best;
+  return out;
 }
 
 /// Runs one open-loop window: Poisson arrivals at `qps` over `window_s`
 /// virtual seconds, tenant picked by Zipf rank, query peer uniform. When
 /// `burst_mult > 1`, the middle third of the window additionally offers
-/// `(burst_mult - 1) * qps` arrivals, all of them the rank-0 tenant. One
-/// churn document is published every eighth of the window while serving.
-/// Exact order-statistic percentile over a sorted sample.
-double ExactPercentile(const std::vector<double>& sorted, double q) {
-  if (sorted.empty()) return 0;
-  const size_t rank = std::min(
-      sorted.size() - 1,
-      static_cast<size_t>(q * static_cast<double>(sorted.size())));
-  return sorted[rank];
-}
-
+/// `(burst_mult - 1) * qps` arrivals, all of them the rank-0 tenant. While
+/// serving, churn documents are published at kChurnDocsPerSecond, evenly
+/// spread over the window.
 StepResult RunStep(core::KadopNet& net, const ZipfSampler& zipf,
                    std::vector<const xml::Document*>& churn,
                    size_t& next_churn, uint64_t seed, double qps,
                    double window_s, double burst_mult) {
   Rng rng(seed);
   obs::WindowedSnapshots windows(obs::MetricRegistry::Default());
-  obs::Histogram latencies(obs::LogLatencyBuckets());
   std::vector<double> samples;
 
   StepResult out;
@@ -149,8 +143,8 @@ StepResult RunStep(core::KadopNet& net, const ZipfSampler& zipf,
   const double start = net.scheduler().Now();
 
   const auto submit = [&](double when, size_t tenant) {
-    net.scheduler().At(when, [&net, &rng, &out, &inflight, &latencies,
-                              &samples, tenant]() {
+    net.scheduler().At(when, [&net, &rng, &out, &inflight, &samples,
+                              tenant]() {
       const auto at = static_cast<sim::NodeIndex>(
           rng.Uniform(static_cast<uint64_t>(net.PeerCount())));
       query::QueryOptions qopt;
@@ -162,14 +156,12 @@ StepResult RunStep(core::KadopNet& net, const ZipfSampler& zipf,
       out.max_inflight = std::max(out.max_inflight, inflight);
       const Status ok = net.SubmitQuery(
           at, kTenants[tenant].xpath, qopt,
-          [&net, &out, &inflight, &latencies, &samples,
+          [&net, &out, &inflight, &samples,
            submitted_at](query::QueryResult result) {
             inflight--;
             out.completed++;
             if (result.metrics.degraded) out.degraded++;
-            const double elapsed = net.scheduler().Now() - submitted_at;
-            latencies.Observe(elapsed);
-            samples.push_back(elapsed);
+            samples.push_back(net.scheduler().Now() - submitted_at);
           });
       KADOP_CHECK(ok.ok(), "serving-mix query must parse");
     });
@@ -191,8 +183,10 @@ StepResult RunStep(core::KadopNet& net, const ZipfSampler& zipf,
   }
   // Continuous publishing: the index keeps growing while it serves.
   std::vector<std::shared_ptr<index::Publisher>> publishers;
-  for (int p = 0; p < 8 && next_churn < churn.size(); ++p, ++next_churn) {
-    const double when = start + (p + 0.5) * window_s / 8;
+  const int churn_docs = static_cast<int>(window_s * kChurnDocsPerSecond);
+  for (int p = 0; p < churn_docs && next_churn < churn.size();
+       ++p, ++next_churn) {
+    const double when = start + (p + 0.5) * window_s / churn_docs;
     const xml::Document* doc = churn[next_churn];
     const auto from = static_cast<sim::NodeIndex>(
         rng.Uniform(static_cast<uint64_t>(net.PeerCount())));
@@ -210,18 +204,50 @@ StepResult RunStep(core::KadopNet& net, const ZipfSampler& zipf,
   net.RunToIdle();
 
   const obs::MetricsSnapshot& delta = windows.Advance(start + window_s).delta;
-  out.window_gets = SumSuffix(delta, "load.holder.", ".gets");
-  out.window_appends = SumSuffix(delta, "load.holder.", ".appends");
-  out.max_holder_gets = MaxSuffix(delta, "load.holder.", ".gets");
+  const FamilyTotals gets = CounterFamily(delta, "load.holder.", ".gets");
+  out.window_gets = gets.sum;
+  out.max_holder_gets = gets.max;
+  out.window_appends = CounterFamily(delta, "load.holder.", ".appends").sum;
   out.achieved_qps = static_cast<double>(out.completed) / window_s;
-  out.p50 = latencies.Percentile(0.50);
-  out.p99 = latencies.Percentile(0.99);
-  out.p999 = latencies.Percentile(0.999);
   std::sort(samples.begin(), samples.end());
-  out.p50_exact = ExactPercentile(samples, 0.50);
-  out.p99_exact = ExactPercentile(samples, 0.99);
-  out.p999_exact = ExactPercentile(samples, 0.999);
+  out.p50 = obs::NearestRank(samples, 0.50);
+  out.p99 = obs::NearestRank(samples, 0.99);
+  out.p999 = obs::NearestRank(samples, 0.999);
   return out;
+}
+
+/// The highest SLO-passing offered rate on `net`, without churn, and the
+/// step measured there. Doubles from kSearchStartQps until a step misses
+/// the SLO, then bisects between the last passing and the first failing
+/// rate for kBisectRounds rounds. `qps` is 0 when the first step fails.
+struct Capacity {
+  double qps = 0;
+  StepResult at;
+};
+
+Capacity FindCapacity(core::KadopNet& net, const ZipfSampler& zipf,
+                      uint64_t seed, double window_s) {
+  std::vector<const xml::Document*> no_churn;
+  size_t no_churn_at = 0;
+  Capacity best;
+  double failed_qps = 0;
+  const auto passes = [&](double qps) {
+    const StepResult r = RunStep(net, zipf, no_churn, no_churn_at, seed++,
+                                 qps, window_s, /*burst_mult=*/1.0);
+    if (!r.MeetsSlo()) {
+      failed_qps = qps;
+      return false;
+    }
+    best = {qps, r};
+    return true;
+  };
+  for (double qps = kSearchStartQps; qps <= kSearchMaxQps && passes(qps);)
+    qps *= 2;
+  if (failed_qps == 0) return best;  // no miss below kSearchMaxQps
+  for (int round = 0; round < kBisectRounds; ++round) {
+    passes((best.qps + failed_qps) / 2);
+  }
+  return best;
 }
 
 void AddLatencyCells(bench::BenchReport::Row& row, const StepResult& r) {
@@ -230,9 +256,6 @@ void AddLatencyCells(bench::BenchReport::Row& row, const StepResult& r) {
       .Num("p50", r.p50)
       .Num("p99", r.p99)
       .Num("p999", r.p999)
-      .Num("p50_exact", r.p50_exact)
-      .Num("p99_exact", r.p99_exact)
-      .Num("p999_exact", r.p999_exact)
       .Num("submitted", static_cast<double>(r.submitted))
       .Num("completed", static_cast<double>(r.completed))
       .Num("degraded", static_cast<double>(r.degraded))
@@ -276,10 +299,29 @@ void Run() {
   net.PublishAndWait(0, bench::Ptrs(docs));
 
   const ZipfSampler zipf(kTenantCount, 1.0);
-  const double window_s = quick ? 8.0 : 20.0;
-  const std::vector<double> ladder =
-      quick ? std::vector<double>{4, 8, 16, 32}
-            : std::vector<double>{4, 8, 16, 32, 64, 128};
+  const double window_s = quick ? 1.0 : 4.0;
+
+  // Capacity rows: peers vs. sustainable rate on the main corpus, no churn.
+  const auto add_capacity_row = [&report](size_t peers, const Capacity& c) {
+    std::printf("capacity: %3zu peers -> sustainable %7.1f qps\n", peers,
+                c.qps);
+    std::fflush(stdout);
+    auto& row = report.AddRow()
+                    .Str("kind", "capacity")
+                    .Num("peers", static_cast<double>(peers))
+                    .Num("sustainable_qps", c.qps);
+    AddLatencyCells(row, c.at);
+  };
+
+  // The ladder's basis: the main network's own capacity. Queries do not
+  // change the index, so searching first leaves the ladder's network as the
+  // twins start theirs.
+  const Capacity basis = FindCapacity(net, zipf, /*seed=*/4000, window_s);
+  KADOP_CHECK(basis.qps > 0, "the serving mix must pass the search's first "
+                             "rate");
+  add_capacity_row(opt.peers, basis);
+  std::vector<double> ladder;
+  for (double f : kLadderFractions) ladder.push_back(f * basis.qps);
 
   std::vector<StepResult> steps;
   for (size_t i = 0; i < ladder.size(); ++i) {
@@ -312,10 +354,11 @@ void Run() {
       .Num("offered_qps", knee_qps)
       .Str("reason", knee_reason);
 
-  // Flash crowd on the main network: mid-ladder base rate, middle third
-  // concentrates 6x arrivals on the hot tenant.
+  // Flash crowd on the main network: the ladder's unloaded first step as
+  // base rate, and the middle third concentrates 6x arrivals on the hot
+  // tenant, so the burst alone takes that tenant past capacity.
   {
-    const double base = ladder[ladder.size() / 2];
+    const double base = ladder.front();
     const StepResult r = RunStep(net, zipf, churn, next_churn, /*seed=*/77,
                                  base, window_s, /*burst_mult=*/6.0);
     PrintStep("flash_crowd", r);
@@ -353,22 +396,21 @@ void Run() {
       auto& row = report.AddRow().Str("kind", "qps_step_repl");
       AddLatencyCells(row, r);
     }
-    const double base = ladder[ladder.size() / 2];
+    const double base = ladder.front();
     const StepResult r = RunStep(rnet, zipf, churn, next_churn_repl,
                                  /*seed=*/77, base, window_s,
                                  /*burst_mult=*/6.0);
     PrintStep("flash_repl", r);
-    const obs::MetricsSnapshot final_snap =
-        obs::MetricRegistry::Default().Snapshot();
-    auto& row = report.AddRow()
-                    .Str("kind", "flash_crowd_repl")
-                    .Num("burst_mult", 6.0)
-                    .Num("promotions",
-                         static_cast<double>(SumSuffix(
-                             final_snap, "repl.promotions", "")))
-                    .Num("replica_gets",
-                         static_cast<double>(SumSuffix(
-                             final_snap, "repl.replica_gets", "")));
+    obs::MetricRegistry& reg = obs::MetricRegistry::Default();
+    auto& row =
+        report.AddRow()
+            .Str("kind", "flash_crowd_repl")
+            .Num("burst_mult", 6.0)
+            .Num("promotions", static_cast<double>(
+                                   reg.GetCounter("repl.promotions")->value()))
+            .Num("replica_gets",
+                 static_cast<double>(
+                     reg.GetCounter("repl.replica_gets")->value()));
     AddLatencyCells(row, r);
   }
 
@@ -451,45 +493,18 @@ void Run() {
         .Num("answers_match", match ? 1.0 : 0.0);
   }
 
-  // Capacity table: fresh smaller networks per peer count, ladder ascended
-  // until the SLO breaks; sustainable = the last passing offered rate.
+  // Capacity table: fresh networks per peer count, same corpus and search.
   const std::vector<size_t> peer_counts =
       quick ? std::vector<size_t>{8, 16} : std::vector<size_t>{16, 32, 64};
-  xml::corpus::DblpOptions cap_copt;
-  cap_copt.target_bytes = 1u << 20;
-  auto cap_docs = xml::corpus::GenerateDblp(cap_copt);
   for (size_t pi = 0; pi < peer_counts.size(); ++pi) {
-    const size_t peers = peer_counts[pi];
     core::KadopOptions cap_opt;
-    cap_opt.peers = peers;
+    cap_opt.peers = peer_counts[pi];
     core::KadopNet cap_net(cap_opt);
-    cap_net.RegisterDocuments(cap_docs);
-    cap_net.PublishAndWait(0, bench::Ptrs(cap_docs));
-    std::vector<const xml::Document*> no_churn;
-    size_t no_churn_at = 0;
-    double sustainable = 0;
-    StepResult last_pass;
-    // Doubling search: keep raising the offered rate past the ladder until
-    // the SLO actually breaks, so the table differentiates peer counts even
-    // when every ladder step passes.
-    double rate = ladder.front();
-    for (size_t i = 0; i < 10; ++i, rate *= 2) {
-      const StepResult r =
-          RunStep(cap_net, zipf, no_churn, no_churn_at,
-                  /*seed=*/5000 + 100 * pi + i, rate, window_s,
-                  /*burst_mult=*/1.0);
-      if (!r.MeetsSlo()) break;
-      sustainable = r.offered_qps;
-      last_pass = r;
-    }
-    std::printf("capacity: %3zu peers -> sustainable %7.1f qps\n", peers,
-                sustainable);
-    std::fflush(stdout);
-    auto& row = report.AddRow()
-                    .Str("kind", "capacity")
-                    .Num("peers", static_cast<double>(peers))
-                    .Num("sustainable_qps", sustainable);
-    AddLatencyCells(row, last_pass);
+    cap_net.RegisterDocuments(docs);
+    cap_net.PublishAndWait(0, bench::Ptrs(docs));
+    add_capacity_row(peer_counts[pi],
+                     FindCapacity(cap_net, zipf, /*seed=*/5000 + 100 * pi,
+                                  window_s));
   }
 
   report.Write();

@@ -1,6 +1,7 @@
 #include "obs/metrics.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "common/logging.h"
 
@@ -18,41 +19,6 @@ void Histogram::Observe(double v) {
   counts_[i]++;
   count_++;
   sum_ += v;
-}
-
-namespace {
-// Shared by Histogram and HistogramSnapshot: exact rank ceil(q*count) over
-// the cumulative bucket counts; the answer is the upper bound of the bucket
-// holding that rank. The overflow bucket has no finite bound, so it reports
-// the last finite bound (the floor of any value that landed there).
-double BucketPercentile(const std::vector<double>& bounds,
-                        const std::vector<uint64_t>& counts, uint64_t count,
-                        double q) {
-  if (count == 0 || counts.empty()) return 0;
-  if (q < 0) q = 0;
-  if (q > 1) q = 1;
-  uint64_t rank = static_cast<uint64_t>(q * static_cast<double>(count));
-  if (static_cast<double>(rank) < q * static_cast<double>(count)) ++rank;
-  if (rank == 0) rank = 1;
-  if (rank > count) rank = count;
-  uint64_t cumulative = 0;
-  for (size_t i = 0; i < counts.size(); ++i) {
-    cumulative += counts[i];
-    if (cumulative >= rank) {
-      if (i < bounds.size()) return bounds[i];
-      return bounds.empty() ? 0 : bounds.back();
-    }
-  }
-  return bounds.empty() ? 0 : bounds.back();
-}
-}  // namespace
-
-double Histogram::Percentile(double q) const {
-  return BucketPercentile(bounds_, counts_, count_, q);
-}
-
-double HistogramSnapshot::Percentile(double q) const {
-  return BucketPercentile(bounds, counts, count, q);
 }
 
 MetricsSnapshot MetricsSnapshot::DiffSince(const MetricsSnapshot& base) const {
@@ -197,17 +163,14 @@ std::vector<double> CountBuckets() {
   return {0, 1, 2, 3, 4, 6, 8, 12, 16, 24, 32};
 }
 
-std::vector<double> LogLatencyBuckets() {
-  // Four buckets per decade (x1, x1.8, x3.2, x5.6 ~ equal log spacing),
-  // 100µs through 1000s. Literal multipliers, not pow(), so the bounds are
-  // bit-identical everywhere.
-  static const double kPerDecade[] = {1.0, 1.8, 3.2, 5.6};
-  static const double kDecades[] = {1e-4, 1e-3, 1e-2, 1e-1, 1, 10, 100, 1000};
-  std::vector<double> bounds;
-  for (double decade : kDecades) {
-    for (double m : kPerDecade) bounds.push_back(decade * m);
-  }
-  return bounds;
+double NearestRank(const std::vector<double>& sorted, double q) {
+  KADOP_CHECK(std::is_sorted(sorted.begin(), sorted.end()),
+              "nearest rank needs an ascending sample");
+  if (sorted.empty()) return 0;
+  const auto n = static_cast<double>(sorted.size());
+  // The epsilon keeps q * n from rounding one rank up (0.99 * 100).
+  const auto rank = static_cast<size_t>(std::ceil(q * n - 1e-9));
+  return sorted[std::clamp<size_t>(rank, 1, sorted.size()) - 1];
 }
 
 WindowedSnapshots::WindowedSnapshots(const MetricRegistry& registry)

@@ -56,8 +56,6 @@ class Histogram {
   const std::vector<double>& bounds() const { return bounds_; }
   // counts().size() == bounds().size() + 1; the last entry is the overflow.
   const std::vector<uint64_t>& counts() const { return counts_; }
-  // Exact-rank percentile; see HistogramSnapshot::Percentile.
-  double Percentile(double q) const;
 
  private:
   friend class MetricRegistry;
@@ -72,13 +70,6 @@ struct HistogramSnapshot {
   std::vector<uint64_t> counts;
   uint64_t count = 0;
   double sum = 0;
-
-  // Exact-rank percentile over the bucketed data: computes rank
-  // ceil(q * count), walks the cumulative counts, and returns the upper
-  // bound of the bucket holding that rank (the last finite bound for the
-  // overflow bucket). Monotone in q by construction — p50 <= p99 <= p999
-  // for any bucket layout. Returns 0 when the histogram is empty.
-  double Percentile(double q) const;
 
   friend bool operator==(const HistogramSnapshot&,
                          const HistogramSnapshot&) = default;
@@ -144,10 +135,11 @@ class MetricRegistry {
 std::vector<double> LatencyBuckets();
 // Small cardinalities: DHT hop counts, DPP fan-out.
 std::vector<double> CountBuckets();
-// Log-spaced latency buckets (4 per decade, 100µs..1000s): fine enough for
-// meaningful p50/p99/p999 reads from bucket upper bounds across the full
-// dynamic range a saturating serving run produces.
-std::vector<double> LogLatencyBuckets();
+
+// The one percentile every verdict reads: the nearest-rank order statistic
+// of an ascending sample, the value at 1-based rank ceil(q * n). Returns 0
+// for an empty sample. Histogram buckets only count; they decide nothing.
+double NearestRank(const std::vector<double>& sorted, double q);
 
 // Windowed time-series view over a registry: each Advance() closes a window
 // at virtual time `end_time` and records the metric delta accumulated since

@@ -18,6 +18,14 @@ namespace {
 
 obs::MetricRegistry& R() { return obs::MetricRegistry::Default(); }
 
+// Maximum concurrent DPP block fetches per posting list (the paper's
+// parallelism degree K). kAuto prices a parallel fetch as spread over half
+// of them.
+constexpr size_t kDppParallelism = 16;
+// kAuto runs the Sub-query Reducer when
+// min_count * kAutoSelectivityRatio < max_count.
+constexpr double kAutoSelectivityRatio = 10;
+
 struct QueryCounters {
   obs::Counter* submitted = R().GetCounter("query.submitted");
   obs::Counter* completed = R().GetCounter("query.completed");
@@ -683,7 +691,7 @@ void QueryExecutor::DeliverReadyJoinTasks() {
 void QueryExecutor::PumpDppFetches(size_t node) {
   auto self = shared_from_this();
   DppNodeState& st = dpp_[node];
-  while (st.outstanding < options_.dpp_parallelism &&
+  while (st.outstanding < kDppParallelism &&
          st.next_to_issue < st.blocks.size()) {
     const size_t idx = st.next_to_issue++;
     st.outstanding++;
@@ -889,8 +897,7 @@ std::vector<StrategyCostEstimate> EstimateStrategyCosts(
     dpp.bytes = total * kWire;
     // Parallel block fetch spreads the longest list across holders.
     dpp.bottleneck_bytes =
-        max_count * kWire /
-        static_cast<double>(std::max<size_t>(1, options.dpp_parallelism / 2));
+        max_count * kWire / static_cast<double>(kDppParallelism / 2);
     costs.push_back(dpp);
     if (options.dpp_join_available) {
       // Distributed block join: the largest list never moves (each task
@@ -909,8 +916,7 @@ std::vector<StrategyCostEstimate> EstimateStrategyCosts(
               index::codec::EstimatedWireAnswerBytes(pattern.size());
       djoin.bottleneck_bytes =
           (total - max_count) * kWire /
-          static_cast<double>(
-              std::max<size_t>(1, options.dpp_parallelism / 2));
+          static_cast<double>(kDppParallelism / 2);
       costs.push_back(djoin);
     }
   }
@@ -918,8 +924,7 @@ std::vector<StrategyCostEstimate> EstimateStrategyCosts(
   // quantity the sub-query heuristic keys on.
   const double min_count = est_matches;
   if (pattern.size() > 1 &&
-      min_count * static_cast<double>(options.auto_selectivity_ratio) <
-          max_count) {
+      min_count * kAutoSelectivityRatio < max_count) {
     // DB-reduce the path from the most selective term to the root: path
     // lists shrink to ~min_count; off-path lists ship entire.
     size_t path_len = 0;
@@ -967,9 +972,7 @@ std::vector<StrategyCostEstimate> EstimateStrategyCosts(
     // Columns live under distinct keys and fetch in parallel; a residual
     // term's full list ships from its single owner.
     served.bottleneck_bytes =
-        std::max(extent * kWire /
-                     static_cast<double>(
-                         std::max<size_t>(1, options.dpp_parallelism / 2)),
+        std::max(extent * kWire / static_cast<double>(kDppParallelism / 2),
                  residual * kWire);
     costs.push_back(served);
   }

@@ -64,9 +64,6 @@ struct QueryOptions {
   bool pipelined = true;
   /// Pipelined-get block granularity in postings (0 = DHT default).
   uint32_t block_postings = 0;
-  /// Maximum concurrent DPP block fetches per posting list (the paper's
-  /// parallelism degree K).
-  size_t dpp_parallelism = 16;
   bloom::StructuralFilterParams ab_params{
       .levels = 20, .target_fp = 0.2, .trace_c = 4, .point_probe = false};
   bloom::StructuralFilterParams db_params{
@@ -89,9 +86,6 @@ struct QueryOptions {
   /// for kAuto. Off by default so existing deployments (and seeded
   /// baseline runs) plan exactly as before.
   bool dpp_join_available = false;
-  /// kAuto: run the Sub-query Reducer when
-  /// min_count * auto_selectivity_ratio < max_count.
-  uint64_t auto_selectivity_ratio = 10;
   /// kAuto objective (the paper's planned optimizer "minimizes query
   /// response time or traffic consumption, depending on the setting"):
   /// kTraffic weights shipped bytes only; kTime also rewards transfer

@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "common/random.h"
 #include "core/kadop.h"
 #include "obs/metrics.h"
@@ -188,9 +191,9 @@ TEST(DeterminismTest, TraceDumpsAreSeedDeterministic) {
 }
 
 // Serving-style load: an open-loop burst of Zipf-mixed queries measured
-// through a latency histogram plus the registry delta, the exact shape the
-// serving bench emits. Both the histogram buckets and the delta must be
-// identical across same-seed runs.
+// by nearest-rank percentiles over the raw latencies plus the registry
+// delta, the exact shape the serving bench emits. Both must be identical
+// across same-seed runs.
 std::pair<std::string, obs::MetricsSnapshot> RunServingSlice() {
   obs::MetricRegistry::Default().Reset();
 
@@ -209,7 +212,7 @@ std::pair<std::string, obs::MetricsSnapshot> RunServingSlice() {
                        "//inproceedings//title"};
   Rng rng(99);
   const ZipfSampler zipf(3, 1.0);
-  obs::Histogram latencies(obs::LogLatencyBuckets());
+  std::vector<double> latencies;
   obs::WindowedSnapshots windows(obs::MetricRegistry::Default());
   const double start = net.scheduler().Now();
   for (double t = start + rng.Exponential(0.1); t < start + 4.0;
@@ -224,23 +227,24 @@ std::pair<std::string, obs::MetricsSnapshot> RunServingSlice() {
       const double submitted = net.scheduler().Now();
       (void)net.SubmitQuery(at, mix[pick], qopt,
                             [&net, &latencies, submitted](query::QueryResult) {
-                              latencies.Observe(net.scheduler().Now() -
-                                                submitted);
+                              latencies.push_back(net.scheduler().Now() -
+                                                  submitted);
                             });
     });
   }
   net.RunToIdle();
+  std::sort(latencies.begin(), latencies.end());
 
   obs::JsonWriter w;
   w.BeginObject();
   w.Key("count");
-  w.Value(latencies.count());
+  w.Value(static_cast<uint64_t>(latencies.size()));
   w.Key("p50");
-  w.Value(latencies.Percentile(0.5));
+  w.Value(obs::NearestRank(latencies, 0.5));
   w.Key("p99");
-  w.Value(latencies.Percentile(0.99));
+  w.Value(obs::NearestRank(latencies, 0.99));
   w.Key("p999");
-  w.Value(latencies.Percentile(0.999));
+  w.Value(obs::NearestRank(latencies, 0.999));
   w.EndObject();
   return {w.str(), windows.Advance(start + 4.0).delta};
 }

@@ -4,7 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
+#include <vector>
 
 #include "obs/json.h"
 #include "obs/metrics.h"
@@ -140,51 +142,43 @@ TEST(MetricsTest, DumpsAreDeterministicallyOrdered) {
   EXPECT_LT(json.find("\"aaa\""), json.find("\"zzz\""));
 }
 
-TEST(MetricsTest, PercentileIsExactRank) {
-  Histogram h(std::vector<double>{1.0, 2.0, 4.0, 8.0});
-  EXPECT_DOUBLE_EQ(h.Percentile(0.5), 0.0);  // empty histogram
-  h.Observe(0.5);                            // bucket [.., 1]
-  h.Observe(1.5);                            // bucket (1, 2]
-  h.Observe(1.6);                            // bucket (1, 2]
-  h.Observe(3.0);                            // bucket (2, 4]
-  // rank = ceil(q * 4): q=0.25 -> rank 1 -> first bucket's upper bound.
-  EXPECT_DOUBLE_EQ(h.Percentile(0.25), 1.0);
-  EXPECT_DOUBLE_EQ(h.Percentile(0.5), 2.0);
-  EXPECT_DOUBLE_EQ(h.Percentile(1.0), 4.0);
-  // Overflow observations report the last finite bound, never +inf.
-  h.Observe(100.0);
-  EXPECT_DOUBLE_EQ(h.Percentile(1.0), 8.0);
+TEST(MetricsTest, NearestRankIsAnOrderStatistic) {
+  EXPECT_DOUBLE_EQ(NearestRank({}, 0.5), 0.0);  // empty sample
+  std::vector<double> v;
+  for (int i = 1; i <= 100; ++i) v.push_back(i * 0.01);
+  // 1-based rank ceil(q * n), clamped to [1, n].
+  EXPECT_DOUBLE_EQ(NearestRank(v, 0.0), 0.01);
+  EXPECT_DOUBLE_EQ(NearestRank(v, 0.5), 0.50);
+  EXPECT_DOUBLE_EQ(NearestRank(v, 0.99), 0.99);
+  EXPECT_DOUBLE_EQ(NearestRank(v, 1.0), 1.00);
+  EXPECT_DOUBLE_EQ(NearestRank(v, 0.999), 1.00);
+  // Values, not bucket edges: a 0.328 s sample reads as 0.328 s.
+  const std::vector<double> odd = {0.05, 0.1, 0.328};
+  EXPECT_DOUBLE_EQ(NearestRank(odd, 0.5), 0.1);
+  EXPECT_DOUBLE_EQ(NearestRank(odd, 0.99), 0.328);
+  EXPECT_DOUBLE_EQ(NearestRank({7.0}, 0.0), 7.0);
+  EXPECT_DOUBLE_EQ(NearestRank({7.0}, 1.0), 7.0);
 }
 
-TEST(MetricsTest, PercentilesAreMonotoneOnAdversarialLayouts) {
-  // Monotonicity (p50 <= p99 <= p999) must hold for any bucket layout and
-  // mass distribution, including all-overflow and single-observation cases.
-  const std::vector<std::vector<double>> layouts = {
-      {1.0}, {1.0, 2.0, 4.0}, LogLatencyBuckets()};
+TEST(MetricsTest, NearestRankIsMonotoneOnAdversarialSamples) {
+  // p50 <= p99 <= p999 and every read is a sample, for single values,
+  // huge values, skewed heads and wide spreads alike.
   const std::vector<std::vector<double>> workloads = {
-      {0.5}, {1e9, 2e9, 3e9},                     // all overflow
+      {0.5}, {1e9, 2e9, 3e9},                     // huge values
       {0.1, 0.1, 0.1, 5.0},                       // skewed head
-      {1.0, 2.0, 4.0, 8.0, 16.0, 1e6, 1e7, 1e8},  // spread + overflow
+      {1.0, 2.0, 4.0, 8.0, 16.0, 1e6, 1e7, 1e8},  // wide spread
   };
-  for (const auto& bounds : layouts) {
-    for (const auto& work : workloads) {
-      Histogram h(bounds);
-      for (double v : work) h.Observe(v);
-      double prev = 0;
-      for (double q : {0.001, 0.01, 0.1, 0.25, 0.5, 0.9, 0.99, 0.999, 1.0}) {
-        const double p = h.Percentile(q);
-        EXPECT_GE(p, prev) << "q=" << q;
-        prev = p;
-      }
+  for (const auto& work : workloads) {
+    double prev = 0;
+    for (double q : {0.0, 0.001, 0.01, 0.1, 0.25, 0.5, 0.9, 0.99, 0.999,
+                     1.0}) {
+      const double p = NearestRank(work, q);
+      EXPECT_GE(p, prev) << "q=" << q;
+      EXPECT_NE(std::find(work.begin(), work.end(), p), work.end());
+      prev = p;
     }
+    EXPECT_DOUBLE_EQ(prev, work.back());
   }
-}
-
-TEST(MetricsTest, LogLatencyBucketsAreStrictlyAscending) {
-  const std::vector<double> b = LogLatencyBuckets();
-  ASSERT_GE(b.size(), 16u);
-  for (size_t i = 1; i < b.size(); ++i) EXPECT_LT(b[i - 1], b[i]);
-  EXPECT_DOUBLE_EQ(b.front(), 1e-4);
 }
 
 TEST(MetricsTest, WindowedSnapshotsRecordDeltas) {

@@ -16,27 +16,35 @@ The serving harness (bench == "serving") additionally promises:
 
   - at least 4 rows of kind "qps_step", each with numeric offered_qps,
     p50, p99 and p999 where p50 <= p99 <= p999
-  - exactly one "knee" row with numeric offered_qps and a "reason"
+  - exactly one "knee" row with a "reason" whose offered_qps is the rate
+    of one of the "qps_step" rows (a ladder that never reaches its knee
+    fails)
   - at least one "capacity" row with numeric peers and sustainable_qps
   - a replication A/B: one "qps_step_repl" row per "qps_step" row (same
-    ascending offered_qps ladder), p99_on <= p99_off at the knee step
-    (or the last step when no knee was hit), and one "flash_crowd_repl"
-    row whose max_holder_gets is strictly below the "flash_crowd" row's
+    ascending offered_qps ladder), p99_on <= p99_off at the knee step,
+    and one "flash_crowd_repl" row whose max_holder_gets is strictly
+    below the "flash_crowd" row's
   - a views A/B: one "qps_step_views" row per "qps_step" row (same
     ascending offered_qps ladder, numeric view_hits/view_hit_rate with
-    view hits somewhere in the ladder), exact p99 strictly improved at
-    the knee step, and exactly one "view_probe" row with answers_match
-    == 1 and kDppJoin total posting movement >= 5x the view-hit wire
-    bytes (djoin_wire_bytes / view_wire_bytes >= 5)
+    view hits somewhere in the ladder), p99 strictly improved at the knee
+    step, and exactly one "view_probe" row with answers_match == 1 and
+    kDppJoin total posting movement >= 5x the view-hit wire bytes
+    (djoin_wire_bytes / view_wire_bytes >= 5)
+
+Every p50/p99/p999 cell is a nearest-rank order statistic of the step's
+raw latency samples.
 
 Usage: check_bench_json.py FILE [FILE...]
+       check_bench_json.py --self-test
 Exits non-zero listing every violation, so CI fails loudly when a bench
-stops emitting what the figure scripts consume.
+stops emitting what the figure scripts consume. --self-test checks that
+small synthetic serving files which break each gate are rejected.
 """
 
 import json
 import os
 import sys
+import tempfile
 
 
 def _err(errors, path, message):
@@ -168,6 +176,12 @@ def check_serving_rows(rows, path, errors):
             not isinstance(knees[0].get("reason"), str):
         _err(errors, path,
              "serving: knee row needs numeric offered_qps and string reason")
+    elif knees[0]["offered_qps"] not in offered:
+        _err(errors, path,
+             f"serving: knee row names no ladder step "
+             f"(offered_qps={knees[0]['offered_qps']}, "
+             f"reason={knees[0]['reason']!r}); the ladder must reach "
+             f"its knee")
 
     if not capacity:
         _err(errors, path, "serving: need at least one 'capacity' row")
@@ -182,7 +196,11 @@ def check_serving_rows(rows, path, errors):
 
 
 def _knee_index(qps_steps, knees):
-    """Index of the ladder step the knee row names (last step if none)."""
+    """Index of the ladder step the knee row names.
+
+    Falls back to the last step when the knee names none; that case is
+    already an error, and the A/B gates still check the fallback step.
+    """
     knee_qps = knees[0].get("offered_qps", 0) if len(knees) == 1 else 0
     for i, row in enumerate(qps_steps):
         if isinstance(row.get("offered_qps"), (int, float)) and \
@@ -208,7 +226,7 @@ def check_views_ab(rows, qps_steps, knees, path, errors):
              f"({len(view_steps)} vs {len(qps_steps)})")
         return
     for i, (off, on) in enumerate(zip(qps_steps, view_steps)):
-        missing = [k for k in ("offered_qps", "p99_exact", "view_hits",
+        missing = [k for k in ("offered_qps", "p99", "view_hits",
                                "view_hit_rate") if not num(on, k)]
         if missing:
             _err(errors, path,
@@ -224,17 +242,15 @@ def check_views_ab(rows, qps_steps, knees, path, errors):
              "serving: the views ladder never served a query from a view "
              "(sum of view_hits is 0)")
 
-    # Exact p99 must strictly improve at the knee step: rewritten queries
-    # free enough capacity to shave the tail where queueing dominates.
+    # p99 must strictly improve at the knee step: rewritten queries free
+    # enough capacity to shave the tail where queueing dominates.
     knee_idx = _knee_index(qps_steps, knees)
-    if num(qps_steps[knee_idx], "p99_exact") and \
-            view_steps[knee_idx]["p99_exact"] >= \
-            qps_steps[knee_idx]["p99_exact"]:
+    if num(qps_steps[knee_idx], "p99") and \
+            view_steps[knee_idx]["p99"] >= qps_steps[knee_idx]["p99"]:
         _err(errors, path,
-             f"serving: exact p99 with views "
-             f"({view_steps[knee_idx]['p99_exact']}) does not improve on "
-             f"the viewless exact p99 "
-             f"({qps_steps[knee_idx]['p99_exact']}) at the knee step "
+             f"serving: p99 with views ({view_steps[knee_idx]['p99']}) "
+             f"does not improve on the viewless p99 "
+             f"({qps_steps[knee_idx]['p99']}) at the knee step "
              f"(offered_qps={qps_steps[knee_idx].get('offered_qps')})")
 
     if len(probes) != 1:
@@ -295,14 +311,8 @@ def check_replication_ab(rows, qps_steps, knees, path, errors):
                  f"serving: qps_step_repl[{i}] offered_qps "
                  f"{on['offered_qps']} != qps_step's {off['offered_qps']}")
 
-    # p99 must be no worse with replication at the knee step (the step the
-    # knee row names, or the last ladder step when no knee was hit).
-    knee_qps = knees[0].get("offered_qps", 0) if len(knees) == 1 else 0
-    knee_idx = len(qps_steps) - 1
-    for i, row in enumerate(qps_steps):
-        if num(row, "offered_qps") and row["offered_qps"] == knee_qps:
-            knee_idx = i
-            break
+    # p99 must be no worse with replication at the knee step.
+    knee_idx = _knee_index(qps_steps, knees)
     if num(qps_steps[knee_idx], "p99") and \
             repl_steps[knee_idx]["p99"] > qps_steps[knee_idx]["p99"]:
         _err(errors, path,
@@ -329,10 +339,104 @@ def check_replication_ab(rows, qps_steps, knees, path, errors):
              f"{flash[0]['max_holder_gets']})")
 
 
+def _synthetic_serving():
+    """A small serving file that passes every gate: a five-step ladder
+    with its knee at the fourth step."""
+    rates = [100, 200, 300, 400, 500]
+    p99s = [0.05, 0.06, 0.1, 0.6, 2.0]
+
+    def step(kind, qps, p99, **extra):
+        row = {"kind": kind, "offered_qps": qps, "p50": p99 / 2,
+               "p99": p99, "p999": p99 * 1.5, "max_holder_gets": 100}
+        row.update(extra)
+        return row
+
+    rows = [{"kind": "capacity", "peers": 24, "sustainable_qps": 400}]
+    rows += [step("qps_step", q, p) for q, p in zip(rates, p99s)]
+    rows.append({"kind": "knee", "offered_qps": 400, "reason": "slo_miss"})
+    rows.append(step("flash_crowd", 300, 5.0, max_holder_gets=900))
+    rows += [step("qps_step_repl", q, p) for q, p in zip(rates, p99s)]
+    rows.append(step("flash_crowd_repl", 300, 5.0, max_holder_gets=600))
+    rows += [step("qps_step_views", q, p * 0.9, view_hits=10,
+                  view_hit_rate=0.2) for q, p in zip(rates, p99s)]
+    rows.append({"kind": "view_probe", "tenant": "filtered",
+                 "djoin_wire_bytes": 50000, "view_wire_bytes": 1000,
+                 "view_hit": 1, "answers_match": 1})
+    return {"bench": "serving", "description": "synthetic serving file",
+            "schema_version": 1, "rows": rows,
+            "metrics": {"counters": {}, "gauges": {}, "histograms": {}}}
+
+
+def _rows_of(data, kind):
+    return [r for r in data["rows"] if r.get("kind") == kind]
+
+
+def _no_knee(data):
+    _rows_of(data, "knee")[0].update(offered_qps=0,
+                                     reason="none within ladder")
+
+
+def _views_tie(data):
+    _rows_of(data, "qps_step_views")[3]["p99"] = \
+        _rows_of(data, "qps_step")[3]["p99"]
+
+
+def _replication_worse(data):
+    _rows_of(data, "qps_step_repl")[3]["p99"] += 0.001
+
+
+def _unpaired_repl(data):
+    data["rows"].remove(_rows_of(data, "qps_step_repl")[-1])
+
+
+def _unpaired_views(data):
+    _rows_of(data, "qps_step_views")[2]["offered_qps"] = 301
+
+
+def self_test():
+    """Each broken synthetic file must be rejected for its own reason,
+    and the unbroken one accepted."""
+    cases = [
+        ("valid", None, None),
+        ("no knee", _no_knee, "knee row names no ladder step"),
+        ("views not strictly better", _views_tie,
+         "p99 with views"),
+        ("replication worse", _replication_worse, "p99 with replication"),
+        ("unpaired replication rows", _unpaired_repl,
+         "one 'qps_step_repl' row per 'qps_step' row"),
+        ("unpaired views rows", _unpaired_views,
+         "qps_step_views[2] offered_qps"),
+    ]
+    failures = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "BENCH_serving.json")
+        for name, mutate, expected in cases:
+            data = _synthetic_serving()
+            if mutate:
+                mutate(data)
+            with open(path, "w", encoding="utf-8") as f:
+                json.dump(data, f)
+            errors = []
+            check_file(path, errors)
+            if expected is None:
+                ok = not errors
+            else:
+                ok = any(expected in e for e in errors)
+            print(f"check_bench_json self-test: {name}: "
+                  f"{'ok' if ok else 'FAILED'}")
+            if not ok:
+                failures += 1
+                for e in errors or ["(no errors reported)"]:
+                    print(f"  {e}")
+    return 1 if failures else 0
+
+
 def main(argv):
     if len(argv) < 2:
         print(__doc__.strip(), file=sys.stderr)
         return 2
+    if argv[1:] == ["--self-test"]:
+        return self_test()
     errors = []
     for path in argv[1:]:
         check_file(path, errors)
