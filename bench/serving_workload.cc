@@ -283,9 +283,12 @@ void Run() {
   xml::corpus::DblpOptions copt;
   copt.target_bytes = (quick ? 1u : 3u) << 20;
   auto docs = xml::corpus::GenerateDblp(copt);
-  // Churn corpus published while serving (distinct from the base corpus so
-  // every publish indexes fresh documents).
+  // Churn corpus published while serving. Its own seed (the base corpus
+  // keeps the default 42) makes it distinct from the base corpus, so every
+  // publish indexes fresh documents; with the base seed the quick-mode
+  // churn would republish the base documents.
   xml::corpus::DblpOptions churn_opt;
+  churn_opt.seed = 43;
   churn_opt.target_bytes = 1u << 20;
   auto churn_docs = xml::corpus::GenerateDblp(churn_opt);
   auto churn = bench::Ptrs(churn_docs);

@@ -21,10 +21,13 @@ using RequestId = uint64_t;
 /// Envelope for multi-hop routing: carries the target key, the inner
 /// payload, and a hop counter. Every hop is a real simulated message, so
 /// routing cost shows up in both time and traffic (Fig 2's locate() cost).
+/// `hinted` marks an envelope sent straight to a node a directory reply
+/// named as the key's owner; it rides in the hop counter's spare bits.
 struct RouteEnvelope final : sim::Payload {
   KeyId key = 0;
   sim::PayloadPtr inner;
   uint32_t hops = 0;
+  bool hinted = false;
   sim::TrafficCategory category = sim::TrafficCategory::kControl;
 
   size_t SizeBytes() const override {

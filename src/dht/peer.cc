@@ -37,6 +37,8 @@ struct DhtCounters {
   obs::Counter* retries;
   obs::Counter* timeouts;
   obs::Counter* dedup_hits;
+  obs::Counter* hint_sends;
+  obs::Counter* hint_forwards;
   obs::Histogram* hops_per_delivery;
 
   DhtCounters() {
@@ -53,6 +55,8 @@ struct DhtCounters {
     retries = r.GetCounter("dht.retries");
     timeouts = r.GetCounter("dht.timeouts");
     dedup_hits = r.GetCounter("dht.append_dedup_hits");
+    hint_sends = r.GetCounter("dht.hint.sends");
+    hint_forwards = r.GetCounter("dht.hint.forwards");
     hops_per_delivery =
         r.GetHistogram("dht.hops_per_delivery", obs::CountBuckets());
   }
@@ -271,6 +275,7 @@ RequestId DhtPeer::IssueGet(PendingGet pending) {
                                                  : pending.spec.timeout_s;
   const KeyId hashed = HashKey(pending.spec.key);
   const NodeIndex replica = dht_->replication().RouteGet(pending.spec.key);
+  const std::optional<NodeIndex> owner_hint = pending.spec.owner_hint;
   pending.next_block = 0;
   auto [it, inserted] = pending_get_.emplace(id, std::move(pending));
   KADOP_CHECK(inserted, "get request id collision");
@@ -289,7 +294,7 @@ RequestId DhtPeer::IssueGet(PendingGet pending) {
   env->key = hashed;
   env->inner = std::move(req);
   env->category = TrafficCategory::kControl;
-  RouteEnvelopeMsg(std::move(env));
+  SendEnvelope(std::move(env), owner_hint);
   return id;
 }
 
@@ -352,7 +357,8 @@ void DhtPeer::GetBlob(const std::string& key, BlobCallback cb) {
 
 void DhtPeer::RouteApp(const std::string& key, sim::PayloadPtr inner,
                        TrafficCategory category, AppResponseCallback cb,
-                       RetryPolicy retry) {
+                       RetryPolicy retry,
+                       std::optional<NodeIndex> owner_hint) {
   if (!cb) {
     auto req = std::make_shared<AppRequest>();
     req->key = key;
@@ -362,7 +368,7 @@ void DhtPeer::RouteApp(const std::string& key, sim::PayloadPtr inner,
     env->key = HashKey(key);
     env->inner = std::move(req);
     env->category = category;
-    RouteEnvelopeMsg(std::move(env));
+    SendEnvelope(std::move(env), owner_hint);
     return;
   }
   PendingApp pending;
@@ -372,6 +378,7 @@ void DhtPeer::RouteApp(const std::string& key, sim::PayloadPtr inner,
   pending.inner = std::move(inner);
   pending.category = category;
   pending.retry = retry;
+  pending.owner_hint = owner_hint;
   IssueApp(std::move(pending));
 }
 
@@ -422,6 +429,7 @@ RequestId DhtPeer::IssueApp(PendingApp pending) {
   const std::string key = pending.key;
   const NodeIndex target = pending.target;
   const TrafficCategory category = pending.category;
+  const std::optional<NodeIndex> owner_hint = pending.owner_hint;
   auto [it, inserted] = pending_app_.emplace(id, std::move(pending));
   KADOP_CHECK(inserted, "app request id collision");
   if (timeout > 0) {
@@ -434,7 +442,7 @@ RequestId DhtPeer::IssueApp(PendingApp pending) {
     env->key = HashKey(key);
     env->inner = std::move(req);
     env->category = category;
-    RouteEnvelopeMsg(std::move(env));
+    SendEnvelope(std::move(env), owner_hint);
   } else {
     network_->Send(Message{node_, target, category, std::move(req)});
   }
@@ -450,6 +458,7 @@ void DhtPeer::OnAppTimeout(RequestId req_id) {
   pending.timeout_event = sim::kInvalidEventId;
   if (pending.attempt <= pending.retry.max_retries) {
     pending.attempt++;
+    pending.owner_hint.reset();
     C().retries->Increment();
     const double delay = pending.retry.BackoffDelay(pending.attempt - 1);
     auto next = std::make_shared<PendingApp>(std::move(pending));
@@ -485,6 +494,9 @@ void DhtPeer::OnGetTimeout(RequestId req_id) {
   if (can_retry) {
     pending.attempt++;
     pending.accumulated.clear();
+    // The resend re-resolves the owner by routing: the hinted node may be
+    // the one that crashed.
+    pending.spec.owner_hint.reset();
     C().retries->Increment();
     const double delay = pending.retry.BackoffDelay(pending.attempt - 1);
     auto next = std::make_shared<PendingGet>(std::move(pending));
@@ -525,6 +537,25 @@ void DhtPeer::RouteEnvelopeMsg(std::shared_ptr<RouteEnvelope> env) {
   stats_.route_hops++;
   C().route_hops->Increment();
   network_->Send(Message{node_, next, env->category, std::move(env)});
+}
+
+void DhtPeer::SendEnvelope(std::shared_ptr<RouteEnvelope> env,
+                           std::optional<NodeIndex> owner_hint) {
+  if (!owner_hint.has_value() || *owner_hint == node_) {
+    RouteEnvelopeMsg(std::move(env));
+    return;
+  }
+  // One hop straight to the hinted owner, counted like a routing hop. The
+  // receiver re-checks ownership (HandleMessage) and routes on if the hint
+  // went stale, so a wrong hint costs hops but never misdelivers.
+  stats_.routed_messages++;
+  C().routed_messages->Increment();
+  env->hops++;
+  env->hinted = true;
+  stats_.route_hops++;
+  C().route_hops->Increment();
+  C().hint_sends->Increment();
+  network_->Send(Message{node_, *owner_hint, env->category, std::move(env)});
 }
 
 void DhtPeer::DeliverRouted(const RouteEnvelope& env) {
@@ -756,6 +787,12 @@ void DhtPeer::HandleMessage(const Message& msg) {
     if (IsResponsible(env->key)) {
       DeliverRouted(*env);
     } else {
+      if (env->hinted) {
+        // A stale hint: this peer no longer owns the key. Count it once;
+        // from here the envelope is routed like any other.
+        C().hint_forwards->Increment();
+        env->hinted = false;
+      }
       // Re-wrap in a fresh shared_ptr to the same envelope for forwarding.
       RouteEnvelopeMsg(std::static_pointer_cast<RouteEnvelope>(msg.payload));
     }

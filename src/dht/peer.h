@@ -124,6 +124,10 @@ struct GetSpec {
   /// policy active, `retry.timeout_s` is the per-attempt timeout and
   /// `timeout_s` above is ignored.
   RetryPolicy retry;
+  /// The key's owner as a directory reply named it: the first attempt goes
+  /// there in one hop instead of being routed (see DhtPeer::RouteApp).
+  /// Retries are routed; a replica picked by load-aware routing wins.
+  std::optional<sim::NodeIndex> owner_hint;
 };
 
 /// One DHT peer: a Chord-style node with a finger table, a local store for
@@ -192,9 +196,17 @@ class DhtPeer final : public sim::Actor {
   /// request is re-routed after per-attempt timeouts (picking up routing
   /// changes, e.g. a new owner after a crash); when the budget is exhausted
   /// `cb` receives nullptr. Callers passing a policy must handle nullptr.
+  ///
+  /// `owner_hint` (a node a directory reply named as the key's owner) sends
+  /// the first attempt straight there, one hop. The receiver still checks
+  /// ownership and forwards by Chord if the hint is stale, so a wrong hint
+  /// costs hops, never a misdelivery; retries drop the hint. Reads only:
+  /// a hinted send can overtake an earlier routed one to the same peer, so
+  /// writes whose order matters (DPP block maintenance) stay routed.
   void RouteApp(const std::string& key, sim::PayloadPtr inner,
                 sim::TrafficCategory category, AppResponseCallback cb,
-                RetryPolicy retry = {});
+                RetryPolicy retry = {},
+                std::optional<sim::NodeIndex> owner_hint = std::nullopt);
 
   /// Replies to an application request received via the app handler.
   void Reply(sim::NodeIndex origin, RequestId req_id, sim::PayloadPtr inner,
@@ -296,6 +308,10 @@ class DhtPeer final : public sim::Actor {
   sim::NodeIndex NextHop(KeyId key) const;
   /// Starts or forwards routing of an envelope.
   void RouteEnvelopeMsg(std::shared_ptr<RouteEnvelope> env);
+  /// Sends an envelope one hop to `owner_hint` when set (and not this
+  /// peer); otherwise starts routing it.
+  void SendEnvelope(std::shared_ptr<RouteEnvelope> env,
+                    std::optional<sim::NodeIndex> owner_hint);
   /// Delivers a routed payload for which this peer is responsible.
   void DeliverRouted(const RouteEnvelope& env);
 
@@ -362,6 +378,8 @@ class DhtPeer final : public sim::Actor {
     sim::PayloadPtr inner;
     sim::TrafficCategory category = sim::TrafficCategory::kControl;
     RetryPolicy retry;
+    /// First attempt of a routed request only (retries clear it).
+    std::optional<sim::NodeIndex> owner_hint;
     uint32_t attempt = 1;
     sim::EventId timeout_event = sim::kInvalidEventId;
   };

@@ -303,7 +303,8 @@ std::optional<DppManager::TermExport> DppManager::ExportTerm(
   out.term_key = term_key;
   out.next_block_seq = it->second.next_block_seq;
   for (const BlockEntry& b : it->second.blocks) {
-    out.blocks.push_back(DppBlockInfo{b.key, b.cond, b.count, b.types});
+    out.blocks.push_back(
+        DppBlockInfo{b.key, b.cond, b.count, b.types, std::nullopt});
   }
   terms_.erase(it);
   return out;
@@ -323,7 +324,8 @@ std::optional<DppManager::TermExport> DppManager::PeekTerm(
   out.term_key = term_key;
   out.next_block_seq = it->second.next_block_seq;
   for (const BlockEntry& b : it->second.blocks) {
-    out.blocks.push_back(DppBlockInfo{b.key, b.cond, b.count, b.types});
+    out.blocks.push_back(
+        DppBlockInfo{b.key, b.cond, b.count, b.types, std::nullopt});
   }
   return out;
 }
@@ -549,10 +551,15 @@ bool DppManager::HandleApp(const AppRequest& request, NodeIndex /*from*/) {
     if (it != terms_.end()) {
       for (const BlockEntry& b : it->second.blocks) {
         if (b.count == 0) continue;
-        resp->blocks.push_back(DppBlockInfo{b.key, b.cond, b.count, b.types});
+        DppBlockInfo& info = resp->blocks.emplace_back(
+            DppBlockInfo{b.key, b.cond, b.count, b.types, std::nullopt});
+        // Block 0 lives in this peer's own store: name this peer as its
+        // holder. Overflow holders are only known by routing.
+        if (b.key == dir->term_key) info.holder = peer_->node();
       }
     } else {
-      resp->blocks = StoreDirectory(*peer_->store(), dir->term_key);
+      resp->blocks =
+          StoreDirectory(*peer_->store(), dir->term_key, peer_->node());
     }
     peer_->Reply(request.origin, request.req_id, std::move(resp),
                  TrafficCategory::kControl);
@@ -587,10 +594,11 @@ void DppManager::FetchDirectory(
 }
 
 std::vector<DppBlockInfo> StoreDirectory(const store::PeerStore& store,
-                                         const std::string& key) {
+                                         const std::string& key,
+                                         sim::NodeIndex holder) {
   const size_t count = store.PostingCount(key);
   if (count == 0) return {};
-  return {DppBlockInfo{key, FullCondition(), count, {}}};
+  return {DppBlockInfo{key, FullCondition(), count, {}, holder}};
 }
 
 uint64_t DirectoryCount(const std::vector<DppBlockInfo>& blocks) {

@@ -169,12 +169,14 @@ class DppManager {
   std::unordered_map<std::string, TermState> terms_;
 };
 
-/// The directory of a key with no DPP root block at the answering peer:
-/// one FullCondition() block carrying the store's posting count, or none
-/// when the store holds no postings under the key. DppManager answers
-/// unowned keys with it; on a DPP-off network every key is answered so.
+/// The directory of a key with no DPP root block at the answering peer
+/// `holder`: one FullCondition() block carrying the store's posting count
+/// and `holder`, or none when the store holds no postings under the key.
+/// DppManager answers unowned keys with it; on a DPP-off network every key
+/// is answered so.
 [[nodiscard]] std::vector<DppBlockInfo> StoreDirectory(
-    const store::PeerStore& store, const std::string& key);
+    const store::PeerStore& store, const std::string& key,
+    sim::NodeIndex holder);
 
 /// A term's posting count: the sum of its directory's block counts.
 [[nodiscard]] uint64_t DirectoryCount(const std::vector<DppBlockInfo>& blocks);

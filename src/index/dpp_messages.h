@@ -1,6 +1,7 @@
 #ifndef KADOP_INDEX_DPP_MESSAGES_H_
 #define KADOP_INDEX_DPP_MESSAGES_H_
 
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -116,15 +117,24 @@ struct DppDeleteDone final : sim::Payload {
 /// block that satisfies it. `types` is the set of document types (root
 /// labels) with postings in the block; queries skip blocks whose types
 /// cannot match (empty set = unknown, never skipped).
+///
+/// `holder` is the node that answered the directory request, set only on
+/// the blocks it stores itself (block 0 under the term key). Readers send
+/// their first attempt there in one hop (GetSpec::owner_hint). Overflow
+/// blocks carry none: the owner's record of their holders can go stale
+/// after a ring change, and a read aimed at a dead holder would hang a
+/// query that has no retry policy.
 struct DppBlockInfo {
   std::string key;
   Condition cond;
   uint64_t count = 0;
   std::set<std::string> types;
+  std::optional<sim::NodeIndex> holder;
 
   size_t WireBytes() const {
-    // The condition's raw posting bounds are fixed-format fields.
-    size_t total = key.size() + codec::RawBytes(2) + 8;
+    // The condition's raw posting bounds and the 4-byte holder (a reserved
+    // value when absent) are fixed-format fields.
+    size_t total = key.size() + codec::RawBytes(2) + 12;
     for (const auto& t : types) total += t.size() + 1;
     return total;
   }

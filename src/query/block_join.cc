@@ -68,6 +68,7 @@ GetSpec BlockPullSpec(const index::DppBlockInfo& block,
   spec.lo = block.cond.lo < window.lo ? window.lo : block.cond.lo;
   spec.hi = window.hi < block.cond.hi ? window.hi : block.cond.hi;
   spec.retry = retry;
+  spec.owner_hint = block.holder;
   return spec;
 }
 
@@ -95,7 +96,11 @@ struct Pull {
 
 void Issue(std::shared_ptr<const Pull> pull, uint32_t attempt) {
   auto staged = std::make_shared<PostingList>();
-  pull->peer->GetBlocks(pull->spec, [pull, attempt, staged](
+  GetSpec spec = pull->spec;
+  // Only the first pull goes straight to the directory's holder; a re-pull
+  // re-resolves the key owner by routing.
+  if (attempt > 1) spec.owner_hint.reset();
+  pull->peer->GetBlocks(spec, [pull, attempt, staged](
                                         PostingList postings, bool last,
                                         bool complete) {
     if (staged->empty()) {
@@ -109,7 +114,6 @@ void Issue(std::shared_ptr<const Pull> pull, uint32_t attempt) {
     const dht::RetryPolicy& retry = pull->options.retry;
     if (suspect && pull->options.repull && retry.enabled() &&
         attempt <= retry.max_retries) {
-      // The resend re-resolves the key owner.
       pull->peer->network()->scheduler()->After(
           retry.timeout_s + retry.BackoffDelay(attempt), [pull, attempt]() {
             if (pull->Live()) Issue(pull, attempt + 1);

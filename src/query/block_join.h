@@ -15,7 +15,8 @@ namespace kadop::query {
 /// fetched trimmed to a document window. kDpp's fetches, the kDppJoin
 /// holder and the query peer's local join fallback all pull through here.
 
-/// The non-pipelined get of `block` clamped to `window`.
+/// The non-pipelined get of `block` clamped to `window`, hinted at the
+/// block's holder when the directory named one.
 [[nodiscard]] dht::GetSpec BlockPullSpec(const index::DppBlockInfo& block,
                                          const index::Condition& window,
                                          const dht::RetryPolicy& retry);
@@ -34,6 +35,7 @@ namespace kadop::query {
 /// `retry` is the per-fetch policy. With `repull`, a short pull is pulled
 /// again, up to `retry.max_retries` times, each after `retry.timeout_s +
 /// retry.BackoffDelay(attempt)`, giving a crashed holder time to come back.
+/// Re-pulls drop the holder hint and are routed.
 /// Once `live` (when set) returns false, a finished pull is dropped and no
 /// re-pull is scheduled.
 struct PullOptions {

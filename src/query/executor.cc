@@ -228,6 +228,7 @@ void QueryExecutor::FetchStream(size_t node, bool count_blocks) {
   spec.pipelined = options_.pipelined;
   spec.block_postings = options_.block_postings;
   spec.retry = options_.fetch_retry;
+  spec.owner_hint = TermOwner(node);
   if (ServeFromCache(spec, [self, node](
                                std::shared_ptr<const PostingList> cached) {
         // full_postings still grows (it is the metric's denominator).
@@ -347,6 +348,7 @@ void QueryExecutor::FetchDirectories(std::function<void()> then) {
   obs::ScopedTraceContext scope(tracer.ContextFor(route_span_));
   dpp_.resize(pattern_.size());
   term_counts_.assign(pattern_.size(), 0);
+  term_owners_.assign(pattern_.size(), std::nullopt);
   directories_pending_ = pattern_.size();
   for (size_t node = 0; node < pattern_.size(); ++node) {
     index::DppManager::FetchDirectory(
@@ -360,6 +362,11 @@ void QueryExecutor::FetchDirectories(std::function<void()> then) {
             self->directory_lost_ = true;
           }
           self->term_counts_[node] = index::DirectoryCount(blocks);
+          // The term owner answered for block 0 under the term key.
+          const std::string term_key = self->pattern_.node(node).TermKey();
+          for (const index::DppBlockInfo& b : blocks) {
+            if (b.key == term_key) self->term_owners_[node] = b.holder;
+          }
           self->dpp_[node].blocks = std::move(blocks);
           if (--self->directories_pending_ > 0) return;
           self->directories_ready_ = true;
@@ -376,6 +383,10 @@ void QueryExecutor::FetchDirectories(std::function<void()> then) {
         },
         options_.fetch_retry);
   }
+}
+
+std::optional<NodeIndex> QueryExecutor::TermOwner(size_t node) const {
+  return node < term_owners_.size() ? term_owners_[node] : std::nullopt;
 }
 
 void QueryExecutor::AnnotateTermCounts() {
@@ -568,9 +579,9 @@ void QueryExecutor::DispatchJoinTask(size_t task) {
   req->home_node = jt.home_node;
   req->home_block = jt.home_block;
   req->fetch_retry = options_.fetch_retry;
-  const std::string home_key = jt.inputs[jt.home_node][jt.home_block].key;
+  const index::DppBlockInfo& home = jt.inputs[jt.home_node][jt.home_block];
   peer_->RouteApp(
-      home_key, std::move(req), TrafficCategory::kQuery,
+      home.key, std::move(req), TrafficCategory::kQuery,
       [self, task](sim::PayloadPtr inner) {
         if (self->finished_) return;
         const auto* msg =
@@ -583,7 +594,7 @@ void QueryExecutor::DispatchJoinTask(size_t task) {
         }
         self->OnJoinTaskResult(task, *msg);
       },
-      options_.fetch_retry);
+      options_.fetch_retry, home.holder);
 }
 
 void QueryExecutor::OnJoinTaskResult(size_t task,
@@ -789,6 +800,7 @@ void QueryExecutor::StartReducer(ReduceMode mode) {
     pn.term_key = pattern_.node(node).TermKey();
     pn.parent = pattern_.node(node).parent;
     pn.children = pattern_.node(node).children;
+    pn.owner = TermOwner(node);
     nodes.push_back(std::move(pn));
   }
   LaunchReducePlan(mode, std::move(nodes));
@@ -814,7 +826,7 @@ void QueryExecutor::LaunchReducePlan(ReduceMode mode,
     start->plan = plan;
     start->node = pn.node;
     peer_->RouteApp(pn.term_key, std::move(start), TrafficCategory::kQuery,
-                    nullptr);
+                    nullptr, {}, pn.owner);
   }
 }
 
@@ -1032,6 +1044,7 @@ void QueryExecutor::OnTermCountsReady() {
     ReducePlanNode pn;
     pn.node = path[i];
     pn.term_key = pattern_.node(path[i]).TermKey();
+    pn.owner = TermOwner(static_cast<size_t>(path[i]));
     // The path is leaf -> root; within the plan each node's parent is the
     // next path entry and its child the previous one.
     pn.parent = i + 1 < path.size() ? path[i + 1] : -1;
@@ -1111,6 +1124,8 @@ void QueryExecutor::ServeFromView() {
   auto gather = std::make_shared<ColumnGather>();
   gather->columns.resize(arity);
   gather->pending = arity;
+  // Column keys are not in the query's directory round, so no reply named
+  // their owners: the column gets are routed, unhinted.
   for (size_t v = 0; v < arity; ++v) {
     GetSpec spec;
     spec.key = rw.def.ColumnKey(v);

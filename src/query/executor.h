@@ -276,7 +276,8 @@ class QueryExecutor : public std::enable_shared_from_this<QueryExecutor> {
   void Run(QueryStrategy strategy);
   /// Full-list fetch of `node`'s term with cache consult/fill: used by the
   /// baseline strategy and the sub-query plan's off-path fetches (the only
-  /// difference being whether blocks_fetched is counted).
+  /// difference being whether blocks_fetched is counted). After a
+  /// directory round the get goes to the term owner in one hop.
   void FetchStream(size_t node, bool count_blocks);
   /// Accounts a posting transfer that crossed to this peer: the received
   /// count, raw bytes and wire bytes. Returns the wire (encoded) size,
@@ -333,6 +334,9 @@ class QueryExecutor : public std::enable_shared_from_this<QueryExecutor> {
   /// degraded and incomplete instead.
   void FetchDirectories(std::function<void()> then);
   void OnTermCountsReady();
+  /// The owner of `node`'s term as its directory reply named it; unset
+  /// before (or without) a directory round, or for a term with no block 0.
+  [[nodiscard]] std::optional<sim::NodeIndex> TermOwner(size_t node) const;
   /// Records the planning counts on the root span (`term_counts`).
   void AnnotateTermCounts();
   void LaunchReducePlan(ReduceMode mode, std::vector<ReducePlanNode> nodes);
@@ -412,6 +416,8 @@ class QueryExecutor : public std::enable_shared_from_this<QueryExecutor> {
 
   // Per-term posting counts from the directory round (kAuto, sub-query).
   std::vector<uint64_t> term_counts_;
+  // Per-term owners from the same round (see TermOwner).
+  std::vector<std::optional<sim::NodeIndex>> term_owners_;
 
   // View state: the rewrite this query serves from (stashed by kAuto's
   // catalog consult or resolved by StartView).

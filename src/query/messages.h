@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -22,12 +23,15 @@ enum class ReduceMode : uint8_t {
 
 /// One pattern node in a reduce plan. `node` is the pattern-node id; the
 /// child/parent ids refer to plan entries (a sub-query plan keeps the
-/// original pattern ids).
+/// original pattern ids). `owner` is the term owner as the query's
+/// directory round named it (unset without a round): the query peer's
+/// ReduceStart and the owners' filter sends go there in one hop.
 struct ReducePlanNode {
   int node = -1;
   std::string term_key;
   int parent = -1;
   std::vector<int> children;
+  std::optional<sim::NodeIndex> owner;
 };
 
 /// The full filtering plan, shipped to every participating term owner.
@@ -48,7 +52,9 @@ struct ReducePlan {
 
   size_t WireBytes() const {
     size_t total = 32;
-    for (const auto& n : nodes) total += n.term_key.size() + 16;
+    // Per node: ids, parent and child links, and the 4-byte owner (a
+    // reserved value when unset).
+    for (const auto& n : nodes) total += n.term_key.size() + 20;
     return total;
   }
 };

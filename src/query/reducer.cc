@@ -35,7 +35,8 @@ bool ReducerService::HandleApp(const AppRequest& request,
   }
   if (const auto* dir = dynamic_cast<const index::DppDirRequest*>(inner)) {
     auto resp = std::make_shared<index::DppDirResponse>();
-    resp->blocks = index::StoreDirectory(*peer_->store(), dir->term_key);
+    resp->blocks = index::StoreDirectory(*peer_->store(), dir->term_key,
+                                         peer_->node());
     peer_->Reply(request.origin, request.req_id, std::move(resp),
                  TrafficCategory::kControl);
     return true;
@@ -178,7 +179,7 @@ void ReducerService::BuildAndSendAbf(NodeState& st) {
     msg->filter = filter;
     st.ab_filter_bytes += filter->SizeBytes();
     peer_->RouteApp(cn->term_key, std::move(msg),
-                    TrafficCategory::kBloomFilter, nullptr);
+                    TrafficCategory::kBloomFilter, nullptr, {}, cn->owner);
   }
 }
 
@@ -196,7 +197,7 @@ void ReducerService::BuildAndSendDbf(NodeState& st) {
   msg->filter = filter;
   st.db_filter_bytes += filter->SizeBytes();
   peer_->RouteApp(parent->term_key, std::move(msg),
-                  TrafficCategory::kBloomFilter, nullptr);
+                  TrafficCategory::kBloomFilter, nullptr, {}, parent->owner);
 }
 
 void ReducerService::ApplyDbfs(NodeState& st) {

@@ -5,6 +5,7 @@
 
 #include "dht/dht.h"
 #include "dht/ring.h"
+#include "obs/metrics.h"
 
 namespace kadop::dht {
 namespace {
@@ -318,6 +319,181 @@ TEST(DhtTest, StoreKindSelectsImplementation) {
   // Same contents, wildly different I/O cost.
   EXPECT_GT(a.dht.AggregateIo().read_bytes,
             10 * b.dht.AggregateIo().read_bytes + 1);
+}
+
+// -- Owner hints ------------------------------------------------------------
+
+obs::MetricsSnapshot Since(const obs::MetricsSnapshot& base) {
+  return obs::MetricRegistry::Default().Snapshot().DiffSince(base);
+}
+
+obs::MetricsSnapshot Now() { return obs::MetricRegistry::Default().Snapshot(); }
+
+/// Replies with the node index of the peer that handled the request.
+struct WhoPayload final : sim::Payload {
+  sim::NodeIndex node = 0;
+  size_t SizeBytes() const override { return 4; }
+  std::string_view TypeName() const override { return "WhoPayload"; }
+};
+
+/// A network holding `postings` under `key` at its owner, with a
+/// who-answered handler on every peer.
+struct HintNet : TestNet {
+  HintNet(const std::string& key, const PostingList& postings)
+      : TestNet(64), owner(dht.OwnerOf(HashKey(key))) {
+    dht.peer(owner)->Append(key, postings, nullptr);
+    scheduler.RunUntilIdle();
+    for (size_t i = 0; i < dht.PeerCount(); ++i) {
+      DhtPeer* p = dht.peer(static_cast<sim::NodeIndex>(i));
+      p->SetAppHandler([p](const AppRequest& req, sim::NodeIndex) {
+        auto resp = std::make_shared<WhoPayload>();
+        resp->node = p->node();
+        p->Reply(req.origin, req.req_id, std::move(resp),
+                 sim::TrafficCategory::kControl);
+      });
+    }
+    // A requester the ring puts at least two routed hops from the owner,
+    // so a one-hop delivery can only come from the hint.
+    for (sim::NodeIndex n = 0; n < dht.PeerCount(); ++n) {
+      if (n == owner) continue;
+      const obs::MetricsSnapshot base = Now();
+      dht.peer(n)->Locate(key, [](sim::NodeIndex) {});
+      scheduler.RunUntilIdle();
+      if (Since(base).histograms.at("dht.hops_per_delivery").sum >= 2) {
+        requester = n;
+        break;
+      }
+    }
+    // Any live peer that is neither the owner nor the requester.
+    while (bystander == owner || bystander == requester) ++bystander;
+  }
+
+  /// Reads `spec` from the requester; the postings, or nullopt when the
+  /// get did not complete.
+  std::optional<PostingList> Read(const GetSpec& spec) {
+    PostingList got;
+    bool done = false;
+    bool ok = true;
+    dht.peer(requester)->GetBlocks(
+        spec, [&](PostingList block, bool last, bool complete) {
+          ok = ok && complete;
+          got.insert(got.end(), block.begin(), block.end());
+          done = last;
+        });
+    scheduler.RunUntilIdle();
+    if (!done || !ok) return std::nullopt;
+    return got;
+  }
+
+  /// Routes an app request from the requester; the node that answered.
+  std::optional<sim::NodeIndex> Ask(const std::string& key,
+                                    std::optional<sim::NodeIndex> hint,
+                                    RetryPolicy retry = {}) {
+    std::optional<sim::NodeIndex> answered;
+    dht.peer(requester)->RouteApp(
+        key, std::make_shared<WhoPayload>(), sim::TrafficCategory::kControl,
+        [&](sim::PayloadPtr inner) {
+          const auto* who = dynamic_cast<const WhoPayload*>(inner.get());
+          if (who != nullptr) answered = who->node;
+        },
+        retry, hint);
+    scheduler.RunUntilIdle();
+    return answered;
+  }
+
+  const sim::NodeIndex owner;
+  sim::NodeIndex requester = owner;
+  sim::NodeIndex bystander = 0;
+};
+
+PostingList HintPostings() {
+  PostingList postings;
+  for (uint32_t i = 0; i < 50; ++i) postings.push_back(MakePosting(2, i, 1));
+  return postings;
+}
+
+TEST(DhtHintTest, HintedReadsReachTheOwnerInOneHop) {
+  const PostingList postings = HintPostings();
+  HintNet net("l:hinted", postings);
+  ASSERT_NE(net.requester, net.owner);
+
+  GetSpec spec;
+  spec.key = "l:hinted";
+  spec.owner_hint = net.owner;
+  obs::MetricsSnapshot base = Now();
+  EXPECT_EQ(net.Read(spec), postings);
+  obs::MetricsSnapshot d = Since(base);
+  // Delivered once, with RouteEnvelope::hops == 1.
+  EXPECT_EQ(d.histograms.at("dht.hops_per_delivery").count, 1u);
+  EXPECT_EQ(d.histograms.at("dht.hops_per_delivery").sum, 1.0);
+  EXPECT_EQ(d.counters.at("dht.route_hops"), 1u);
+  EXPECT_EQ(d.counters.at("dht.hint.sends"), 1u);
+  EXPECT_EQ(d.counters.at("dht.hint.forwards"), 0u);
+
+  base = Now();
+  EXPECT_EQ(net.Ask("l:hinted", net.owner), net.owner);
+  d = Since(base);
+  EXPECT_EQ(d.histograms.at("dht.hops_per_delivery").count, 1u);
+  EXPECT_EQ(d.histograms.at("dht.hops_per_delivery").sum, 1.0);
+  EXPECT_EQ(d.counters.at("dht.hint.sends"), 1u);
+  EXPECT_EQ(d.counters.at("dht.hint.forwards"), 0u);
+}
+
+TEST(DhtHintTest, StaleHintIsForwardedToTheOwner) {
+  const PostingList postings = HintPostings();
+  HintNet net("l:hinted", postings);
+  ASSERT_NE(net.requester, net.owner);
+
+  GetSpec spec;
+  spec.key = "l:hinted";
+  const std::optional<PostingList> routed = net.Read(spec);
+  ASSERT_TRUE(routed.has_value());
+  EXPECT_EQ(*routed, postings);
+
+  // A live peer that does not own the key routes the envelope on.
+  spec.owner_hint = net.bystander;
+  obs::MetricsSnapshot base = Now();
+  EXPECT_EQ(net.Read(spec), routed);
+  obs::MetricsSnapshot d = Since(base);
+  EXPECT_EQ(d.counters.at("dht.hint.sends"), 1u);
+  EXPECT_EQ(d.counters.at("dht.hint.forwards"), 1u);
+  EXPECT_EQ(d.histograms.at("dht.hops_per_delivery").count, 1u);
+  EXPECT_GE(d.histograms.at("dht.hops_per_delivery").sum, 1.0);
+
+  base = Now();
+  EXPECT_EQ(net.Ask("l:hinted", net.bystander), net.owner);
+  d = Since(base);
+  EXPECT_EQ(d.counters.at("dht.hint.sends"), 1u);
+  EXPECT_EQ(d.counters.at("dht.hint.forwards"), 1u);
+}
+
+TEST(DhtHintTest, HintAtACrashedPeerResolvesOnTheRoutedRetry) {
+  const PostingList postings = HintPostings();
+  HintNet net("l:hinted", postings);
+  ASSERT_NE(net.requester, net.owner);
+  net.dht.FailPeer(net.bystander);
+  net.dht.Stabilize();
+
+  RetryPolicy retry;
+  retry.timeout_s = 0.5;
+  GetSpec spec;
+  spec.key = "l:hinted";
+  spec.retry = retry;
+  spec.owner_hint = net.bystander;
+  obs::MetricsSnapshot base = Now();
+  const double start = net.scheduler.Now();
+  EXPECT_EQ(net.Read(spec), postings);
+  // One lost hinted attempt, then the routed retry.
+  EXPECT_LT(net.scheduler.Now() - start, 2 * retry.timeout_s);
+  obs::MetricsSnapshot d = Since(base);
+  EXPECT_EQ(d.counters.at("dht.hint.sends"), 1u);
+  EXPECT_EQ(d.counters.at("dht.retries"), 1u);
+
+  base = Now();
+  EXPECT_EQ(net.Ask("l:hinted", net.bystander, retry), net.owner);
+  d = Since(base);
+  EXPECT_EQ(d.counters.at("dht.hint.sends"), 1u);
+  EXPECT_EQ(d.counters.at("dht.retries"), 1u);
 }
 
 }  // namespace

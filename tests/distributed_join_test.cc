@@ -360,6 +360,80 @@ index::Posting At(uint32_t doc, uint32_t start) {
   return index::Posting{0, doc, {start, start + 1, 1}};
 }
 
+// Owner hints: after the directory round, every read of a term goes one
+// hop to the node its directory reply named. With every term unpartitioned
+// (each directory is one block 0 whose holder is the term owner), a
+// query's routed hops on a quiescent network are exactly the directory
+// round's plus one per hinted send.
+TEST(OwnerHintTest, ReadsAfterTheDirectoryRoundTakeOneHop) {
+  xml::corpus::DblpOptions copt;
+  copt.target_bytes = 150 << 10;
+  copt.doc_bytes = 8 << 10;
+  const std::vector<xml::Document> docs = xml::corpus::GenerateDblp(copt);
+  KadopOptions opt;
+  opt.peers = 16;
+  KadopNet net(opt);
+  net.RegisterDocuments(docs);
+  std::vector<const xml::Document*> ptrs;
+  for (const auto& d : docs) ptrs.push_back(&d);
+  net.PublishAndWait(2, ptrs);
+
+  constexpr sim::NodeIndex kQuerier = 1;
+  auto& registry = obs::MetricRegistry::Default();
+  const obs::Counter* hops = registry.GetCounter("dht.route_hops");
+  const obs::Counter* sends = registry.GetCounter("dht.hint.sends");
+  const obs::Counter* forwards = registry.GetCounter("dht.hint.forwards");
+  auto run = [&](const char* expr, QueryStrategy strategy) {
+    QueryOptions options;
+    options.strategy = strategy;
+    options.dpp_join_available = true;
+    auto result = net.QueryAndWait(kQuerier, expr, options);
+    EXPECT_TRUE(result.ok()) << result.status().ToString();
+    return result.take();
+  };
+
+  for (const char* expr : {"//article//author", "//article[//journal]//year",
+                           "//inproceedings//booktitle"}) {
+    // The directory round alone, from the querier, as the query runs it.
+    const TreePattern pattern = ParsePattern(expr).take();
+    const uint64_t hops_before_round = hops->value();
+    for (size_t n = 0; n < pattern.size(); ++n) {
+      const std::string term = pattern.node(n).TermKey();
+      index::DppManager::FetchDirectory(
+          net.peer(kQuerier)->dht_peer(), term,
+          [term](Status st, std::vector<index::DppBlockInfo> blocks) {
+            EXPECT_TRUE(st.ok());
+            ASSERT_EQ(blocks.size(), 1u) << term;
+            EXPECT_EQ(blocks[0].key, term);
+            EXPECT_TRUE(blocks[0].holder.has_value());
+          });
+    }
+    net.RunToIdle();
+    const uint64_t round_hops = hops->value() - hops_before_round;
+    ASSERT_GT(round_hops, 0u) << expr;
+
+    const QueryResult dpp = run(expr, QueryStrategy::kDpp);
+    ASSERT_FALSE(dpp.answers.empty()) << expr;
+    for (QueryStrategy strategy :
+         {QueryStrategy::kDppJoin, QueryStrategy::kSubQueryReducer}) {
+      const uint64_t hops0 = hops->value();
+      const uint64_t sends0 = sends->value();
+      const uint64_t forwards0 = forwards->value();
+      const QueryResult r = run(expr, strategy);
+      const std::string what =
+          std::string(expr) + " " + std::string(QueryStrategyName(strategy));
+      EXPECT_TRUE(r.metrics.complete) << what;
+      EXPECT_FALSE(r.metrics.degraded) << what;
+      EXPECT_EQ(r.answers, dpp.answers) << what;
+      EXPECT_EQ(r.matched_docs, dpp.matched_docs) << what;
+      const uint64_t hinted = sends->value() - sends0;
+      EXPECT_GT(hinted, 0u) << what;
+      EXPECT_EQ(forwards->value() - forwards0, 0u) << what;
+      EXPECT_EQ(hops->value() - hops0, round_hops + hinted) << what;
+    }
+  }
+}
+
 TEST(ShortPullTest, OneRuleForEveryTrimShape) {
   index::DppBlockInfo block;
   block.key = "block";

@@ -293,13 +293,14 @@ TEST(DppTest, DirectoryCountIsTheOwnersCount) {
 TEST(DppTest, StoreDirectoryIsOneFullBlock) {
   DppNet net(2);
   store::PeerStore* store = net.dht.peer(0)->store();
-  EXPECT_TRUE(StoreDirectory(*store, "l:a").empty());
+  EXPECT_TRUE(StoreDirectory(*store, "l:a", 0).empty());
   store->AppendPostings("l:a", {MakePosting(1, 1), MakePosting(2, 1)});
-  const std::vector<DppBlockInfo> dir = StoreDirectory(*store, "l:a");
+  const std::vector<DppBlockInfo> dir = StoreDirectory(*store, "l:a", 0);
   ASSERT_EQ(dir.size(), 1u);
   EXPECT_EQ(dir[0].key, "l:a");
   EXPECT_EQ(dir[0].count, 2u);
   EXPECT_TRUE(dir[0].cond == FullCondition());
+  EXPECT_EQ(dir[0].holder, std::optional<sim::NodeIndex>(0));
 }
 
 TEST(DppTest, PartitionedTermCount) {

@@ -115,6 +115,31 @@ TEST(MessagesTest, DirResponseChargesConditionsAndTypes) {
   EXPECT_GE(resp.SizeBytes(), 10 * (info.key.size() + 36));
 }
 
+TEST(MessagesTest, DirectoryEntryAndReducePlanPinTheirSizes) {
+  // A directory entry: key, the condition's two raw bounds, the count and
+  // the 4-byte holder (charged whether or not a holder is named), plus
+  // each type name with its terminator.
+  index::DppBlockInfo info;
+  info.key = "ovf:1:l:author";
+  const size_t fixed = info.key.size() + index::codec::RawBytes(2);
+  EXPECT_EQ(info.WireBytes(), fixed + 12);
+  info.holder = 3;
+  EXPECT_EQ(info.WireBytes(), fixed + 12);
+  info.types = {"dblp"};
+  EXPECT_EQ(info.WireBytes(), fixed + 12 + 5);
+
+  // A reduce plan: a 32-byte header plus, per node, its term key and 20
+  // bytes of ids, links and owner.
+  query::ReducePlan plan;
+  EXPECT_EQ(plan.WireBytes(), 32u);
+  query::ReducePlanNode node;
+  node.term_key = "l:author";
+  plan.nodes.push_back(node);
+  node.owner = 7;
+  plan.nodes.push_back(node);
+  EXPECT_EQ(plan.WireBytes(), 32u + 2 * (node.term_key.size() + 20));
+}
+
 TEST(MessagesTest, HandoffMessageChargesAllParts) {
   core::HandoffMessage msg;
   msg.key = "l:a";

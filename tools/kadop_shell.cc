@@ -385,7 +385,9 @@ class Shell {
 
   /// Per-peer breakdown: that peer's DhtStats plus every registry metric
   /// filed under its load prefix (`load.holder.<N>.*`), so hot holders can
-  /// be singled out without grepping the full metrics dump.
+  /// be singled out without grepping the full metrics dump. The owner-hint
+  /// counters (`dht.hint.*`) follow, network-wide: sends that went one hop
+  /// to a directory-named owner, and how many of those found a non-owner.
   void CmdStatsPeer(std::istringstream& in) {
     size_t peer = 0;
     if (!(in >> peer) || peer >= net_->PeerCount()) {
@@ -425,6 +427,13 @@ class Shell {
                   static_cast<unsigned long long>(value));
     }
     if (!any) std::printf("  load counters: none recorded\n");
+    std::printf("  owner hints (network-wide):\n");
+    for (const char* name : {"dht.hint.sends", "dht.hint.forwards"}) {
+      auto it = snap.counters.find(name);
+      std::printf("    %-24s %llu\n", name,
+                  static_cast<unsigned long long>(
+                      it == snap.counters.end() ? 0 : it->second));
+    }
   }
 
   void CmdMetrics() {
