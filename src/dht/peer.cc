@@ -39,6 +39,7 @@ struct DhtCounters {
   obs::Counter* dedup_hits;
   obs::Counter* hint_sends;
   obs::Counter* hint_forwards;
+  obs::Counter* hint_cached;
   obs::Histogram* hops_per_delivery;
 
   DhtCounters() {
@@ -57,6 +58,7 @@ struct DhtCounters {
     dedup_hits = r.GetCounter("dht.append_dedup_hits");
     hint_sends = r.GetCounter("dht.hint.sends");
     hint_forwards = r.GetCounter("dht.hint.forwards");
+    hint_cached = r.GetCounter("dht.hint.cached");
     hops_per_delivery =
         r.GetHistogram("dht.hops_per_delivery", obs::CountBuckets());
   }
@@ -275,8 +277,9 @@ RequestId DhtPeer::IssueGet(PendingGet pending) {
                                                  : pending.spec.timeout_s;
   const KeyId hashed = HashKey(pending.spec.key);
   const NodeIndex replica = dht_->replication().RouteGet(pending.spec.key);
-  const std::optional<NodeIndex> owner_hint = pending.spec.owner_hint;
+  const std::optional<OwnerHint> owner_hint = pending.spec.owner_hint;
   pending.next_block = 0;
+  pending.to_replica = replica != ReplicationManager::kNoReplica;
   auto [it, inserted] = pending_get_.emplace(id, std::move(pending));
   KADOP_CHECK(inserted, "get request id collision");
   if (timeout > 0) it->second.timeout_event = ArmTimeout(id, timeout);
@@ -358,7 +361,7 @@ void DhtPeer::GetBlob(const std::string& key, BlobCallback cb) {
 void DhtPeer::RouteApp(const std::string& key, sim::PayloadPtr inner,
                        TrafficCategory category, AppResponseCallback cb,
                        RetryPolicy retry,
-                       std::optional<NodeIndex> owner_hint) {
+                       std::optional<OwnerHint> owner_hint) {
   if (!cb) {
     auto req = std::make_shared<AppRequest>();
     req->key = key;
@@ -429,7 +432,7 @@ RequestId DhtPeer::IssueApp(PendingApp pending) {
   const std::string key = pending.key;
   const NodeIndex target = pending.target;
   const TrafficCategory category = pending.category;
-  const std::optional<NodeIndex> owner_hint = pending.owner_hint;
+  const std::optional<OwnerHint> owner_hint = pending.owner_hint;
   auto [it, inserted] = pending_app_.emplace(id, std::move(pending));
   KADOP_CHECK(inserted, "app request id collision");
   if (timeout > 0) {
@@ -540,8 +543,8 @@ void DhtPeer::RouteEnvelopeMsg(std::shared_ptr<RouteEnvelope> env) {
 }
 
 void DhtPeer::SendEnvelope(std::shared_ptr<RouteEnvelope> env,
-                           std::optional<NodeIndex> owner_hint) {
-  if (!owner_hint.has_value() || *owner_hint == node_) {
+                           std::optional<OwnerHint> owner_hint) {
+  if (!owner_hint.has_value() || owner_hint->node == node_) {
     RouteEnvelopeMsg(std::move(env));
     return;
   }
@@ -555,7 +558,9 @@ void DhtPeer::SendEnvelope(std::shared_ptr<RouteEnvelope> env,
   stats_.route_hops++;
   C().route_hops->Increment();
   C().hint_sends->Increment();
-  network_->Send(Message{node_, *owner_hint, env->category, std::move(env)});
+  if (owner_hint->cached) C().hint_cached->Increment();
+  network_->Send(
+      Message{node_, owner_hint->node, env->category, std::move(env)});
 }
 
 void DhtPeer::DeliverRouted(const RouteEnvelope& env) {
@@ -817,6 +822,13 @@ void DhtPeer::HandleMessage(const Message& msg) {
     // complete a stream with a hole. The timeout/retry path recovers.
     if (block->block_index != pending.next_block) return;
     pending.next_block++;
+    // The first block of a get routed through the ring comes from the key's
+    // owner (its DPP get proxy included). A hinted attempt's owner was
+    // already named, and a replica's answer says nothing about the owner.
+    if (block->block_index == 0 && !pending.to_replica &&
+        !pending.spec.owner_hint.has_value()) {
+      LearnOwner(pending.spec.key, msg.from);
+    }
     if (pending.accumulate) {
       pending.accumulated.insert(pending.accumulated.end(),
                                  block->postings.begin(),
@@ -931,6 +943,16 @@ void DhtPeer::HandleMessage(const Message& msg) {
   KADOP_LOG_INFO("peer %u dropped unknown message '%.*s'", node_,
                  static_cast<int>(payload->TypeName().size()),
                  payload->TypeName().data());
+}
+
+std::optional<OwnerHint> DhtPeer::KnownOwner(const std::string& key) const {
+  auto it = owners_.find(key);
+  if (it == owners_.end()) return std::nullopt;
+  return OwnerHint(it->second, /*from_cache=*/true);
+}
+
+void DhtPeer::LearnOwner(const std::string& key, NodeIndex owner) {
+  owners_[key] = owner;
 }
 
 uint64_t DhtPeer::AuthoritativeVersion(const std::string& key) const {

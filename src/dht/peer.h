@@ -110,6 +110,19 @@ struct GetResult {
   Status status;
 };
 
+/// A node believed to own a key: a read's first attempt goes there in one
+/// hop instead of being routed (see DhtPeer::RouteApp). `cached` marks a
+/// belief from the sending peer's owner cache (DhtPeer::KnownOwner) rather
+/// than from a reply the caller holds; it only feeds `dht.hint.cached`.
+struct OwnerHint {
+  // Implicit: a bare node is a hint from a reply in hand.
+  // NOLINTNEXTLINE(runtime/explicit)
+  OwnerHint(sim::NodeIndex owner, bool from_cache = false)
+      : node(owner), cached(from_cache) {}
+  sim::NodeIndex node;
+  bool cached;
+};
+
 /// Parameters of a get. `lo`/`hi` restrict the transferred range (used by
 /// the DPP's [min, max] block filtering).
 struct GetSpec {
@@ -124,10 +137,11 @@ struct GetSpec {
   /// policy active, `retry.timeout_s` is the per-attempt timeout and
   /// `timeout_s` above is ignored.
   RetryPolicy retry;
-  /// The key's owner as a directory reply named it: the first attempt goes
-  /// there in one hop instead of being routed (see DhtPeer::RouteApp).
-  /// Retries are routed; a replica picked by load-aware routing wins.
-  std::optional<sim::NodeIndex> owner_hint;
+  /// The key's owner as a directory reply or the owner cache named it: the
+  /// first attempt goes there in one hop instead of being routed (see
+  /// DhtPeer::RouteApp). Retries are routed; a replica picked by load-aware
+  /// routing wins.
+  std::optional<OwnerHint> owner_hint;
 };
 
 /// One DHT peer: a Chord-style node with a finger table, a local store for
@@ -197,16 +211,17 @@ class DhtPeer final : public sim::Actor {
   /// changes, e.g. a new owner after a crash); when the budget is exhausted
   /// `cb` receives nullptr. Callers passing a policy must handle nullptr.
   ///
-  /// `owner_hint` (a node a directory reply named as the key's owner) sends
-  /// the first attempt straight there, one hop. The receiver still checks
-  /// ownership and forwards by Chord if the hint is stale, so a wrong hint
-  /// costs hops, never a misdelivery; retries drop the hint. Reads only:
-  /// a hinted send can overtake an earlier routed one to the same peer, so
-  /// writes whose order matters (DPP block maintenance) stay routed.
+  /// `owner_hint` (a node a directory reply or the owner cache named as the
+  /// key's owner) sends the first attempt straight there, one hop. The
+  /// receiver still checks ownership and forwards by Chord if the hint is
+  /// stale, so a wrong hint costs hops, never a misdelivery; retries drop
+  /// the hint. Reads only: a hinted send can overtake an earlier routed one
+  /// to the same peer, so writes whose order matters (DPP block
+  /// maintenance) stay routed.
   void RouteApp(const std::string& key, sim::PayloadPtr inner,
                 sim::TrafficCategory category, AppResponseCallback cb,
                 RetryPolicy retry = {},
-                std::optional<sim::NodeIndex> owner_hint = std::nullopt);
+                std::optional<OwnerHint> owner_hint = std::nullopt);
 
   /// Replies to an application request received via the app handler.
   void Reply(sim::NodeIndex origin, RequestId req_id, sim::PayloadPtr inner,
@@ -277,6 +292,18 @@ class DhtPeer final : public sim::Actor {
   /// sends no message and charges nothing.
   [[nodiscard]] uint64_t AuthoritativeVersion(const std::string& key) const;
 
+  /// The owner cache: which node owns each key this peer has read, learned
+  /// only from messages it received (a directory reply's block-0 holder,
+  /// the sender of the first block of a get routed through the ring,
+  /// neither hinted nor sent to a replica). The cache-aware read sites
+  /// hint their first attempt with it; a stale entry costs a forward,
+  /// never a misdelivery. `set_routing` empties it, so an entry never
+  /// outlives the ring it was learned on. Writes never consult it.
+  [[nodiscard]] std::optional<OwnerHint> KnownOwner(
+      const std::string& key) const;
+  void LearnOwner(const std::string& key, sim::NodeIndex owner);
+  [[nodiscard]] size_t KnownOwnerCount() const { return owners_.size(); }
+
   /// Models a local disk/CPU busy period: runs `fn` once the peer's disk
   /// has absorbed `bytes` (FIFO with other disk activity).
   void ScheduleAfterDisk(double bytes, bool write, std::function<void()> fn);
@@ -293,7 +320,11 @@ class DhtPeer final : public sim::Actor {
     /// Successor list for replication.
     std::vector<sim::NodeIndex> successors;
   };
-  void set_routing(RoutingTable table) { routing_ = std::move(table); }
+  /// Installs a rebuilt routing table and empties the owner cache.
+  void set_routing(RoutingTable table) {
+    routing_ = std::move(table);
+    owners_.clear();
+  }
   const RoutingTable& routing() const { return routing_; }
 
   void HandleMessage(const sim::Message& msg) override;
@@ -311,7 +342,7 @@ class DhtPeer final : public sim::Actor {
   /// Sends an envelope one hop to `owner_hint` when set (and not this
   /// peer); otherwise starts routing it.
   void SendEnvelope(std::shared_ptr<RouteEnvelope> env,
-                    std::optional<sim::NodeIndex> owner_hint);
+                    std::optional<OwnerHint> owner_hint);
   /// Delivers a routed payload for which this peer is responsible.
   void DeliverRouted(const RouteEnvelope& env);
 
@@ -347,6 +378,8 @@ class DhtPeer final : public sim::Actor {
   GetInterceptor get_interceptor_;
   DeleteInterceptor delete_interceptor_;
   DhtStats stats_;
+  /// The owner cache (see KnownOwner).
+  std::unordered_map<std::string, sim::NodeIndex> owners_;
 
   double disk_free_at_ = 0.0;
   uint64_t last_read_bytes_ = 0;
@@ -363,6 +396,9 @@ class DhtPeer final : public sim::Actor {
     GetSpec spec;
     RetryPolicy retry;
     uint32_t attempt = 1;
+    /// This attempt went to a replica picked by load-aware routing: its
+    /// sender teaches the owner cache nothing.
+    bool to_replica = false;
     bool delivered_any = false;
     /// Expected next block index: out-of-sequence blocks (duplicates, or a
     /// gap left by a dropped block) are discarded so a stream never
@@ -379,7 +415,7 @@ class DhtPeer final : public sim::Actor {
     sim::TrafficCategory category = sim::TrafficCategory::kControl;
     RetryPolicy retry;
     /// First attempt of a routed request only (retries clear it).
-    std::optional<sim::NodeIndex> owner_hint;
+    std::optional<OwnerHint> owner_hint;
     uint32_t attempt = 1;
     sim::EventId timeout_event = sim::kInvalidEventId;
   };

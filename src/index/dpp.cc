@@ -572,12 +572,14 @@ bool DppManager::HandleApp(const AppRequest& request, NodeIndex /*from*/) {
 void DppManager::FetchDirectory(
     dht::DhtPeer* requester, const std::string& term_key,
     std::function<void(Status, std::vector<DppBlockInfo>)> cb,
-    dht::RetryPolicy retry) {
+    dht::RetryPolicy retry, bool behind_writes) {
   auto msg = std::make_shared<DppDirRequest>();
   msg->term_key = term_key;
+  std::optional<dht::OwnerHint> hint;
+  if (!behind_writes) hint = requester->KnownOwner(term_key);
   requester->RouteApp(
       term_key, std::move(msg), TrafficCategory::kControl,
-      [cb = std::move(cb), term_key](sim::PayloadPtr inner) {
+      [cb = std::move(cb), term_key, requester](sim::PayloadPtr inner) {
         if (inner == nullptr) {
           // Retry budget exhausted (only possible with a policy).
           cb(Status::DeadlineExceeded(
@@ -588,9 +590,15 @@ void DppManager::FetchDirectory(
         }
         auto* resp = dynamic_cast<DppDirResponse*>(inner.get());
         KADOP_CHECK(resp != nullptr, "bad directory response payload");
+        // The responder names itself as block 0's holder: the term owner.
+        for (const DppBlockInfo& b : resp->blocks) {
+          if (b.key == term_key && b.holder.has_value()) {
+            requester->LearnOwner(term_key, *b.holder);
+          }
+        }
         cb(Status::OK(), std::move(resp->blocks));
       },
-      retry);
+      retry, hint);
 }
 
 std::vector<DppBlockInfo> StoreDirectory(const store::PeerStore& store,

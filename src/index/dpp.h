@@ -125,10 +125,16 @@ class DppManager {
   /// answers within the budget yields kDeadlineExceeded and an empty list
   /// instead of hanging. The directory is the system's one term-size
   /// message: DirectoryCount of the list is the term's posting count.
+  ///
+  /// The first attempt goes one hop to the owner the requester's owner
+  /// cache names (DhtPeer::KnownOwner), and a reply's block-0 holder
+  /// teaches that cache. A probe that must arrive behind the requester's
+  /// earlier routed writes to the key (`behind_writes`: view maintenance's
+  /// delete ack) is routed like them.
   static void FetchDirectory(
       dht::DhtPeer* requester, const std::string& term_key,
       std::function<void(Status, std::vector<DppBlockInfo>)> cb,
-      dht::RetryPolicy retry = {});
+      dht::RetryPolicy retry = {}, bool behind_writes = false);
 
   const DppStats& stats() const { return stats_; }
 

@@ -385,8 +385,9 @@ void QueryExecutor::FetchDirectories(std::function<void()> then) {
   }
 }
 
-std::optional<NodeIndex> QueryExecutor::TermOwner(size_t node) const {
-  return node < term_owners_.size() ? term_owners_[node] : std::nullopt;
+std::optional<dht::OwnerHint> QueryExecutor::TermOwner(size_t node) const {
+  if (node < term_owners_.size()) return term_owners_[node];
+  return peer_->KnownOwner(pattern_.node(node).TermKey());
 }
 
 void QueryExecutor::AnnotateTermCounts() {
@@ -800,7 +801,7 @@ void QueryExecutor::StartReducer(ReduceMode mode) {
     pn.term_key = pattern_.node(node).TermKey();
     pn.parent = pattern_.node(node).parent;
     pn.children = pattern_.node(node).children;
-    pn.owner = TermOwner(node);
+    if (const auto owner = TermOwner(node)) pn.owner = owner->node;
     nodes.push_back(std::move(pn));
   }
   LaunchReducePlan(mode, std::move(nodes));
@@ -825,8 +826,10 @@ void QueryExecutor::LaunchReducePlan(ReduceMode mode,
     auto start = std::make_shared<ReduceStart>();
     start->plan = plan;
     start->node = pn.node;
+    // TermOwner rather than pn.owner: it also says whether the hint came
+    // from this peer's owner cache.
     peer_->RouteApp(pn.term_key, std::move(start), TrafficCategory::kQuery,
-                    nullptr, {}, pn.owner);
+                    nullptr, {}, TermOwner(static_cast<size_t>(pn.node)));
   }
 }
 
@@ -1044,7 +1047,9 @@ void QueryExecutor::OnTermCountsReady() {
     ReducePlanNode pn;
     pn.node = path[i];
     pn.term_key = pattern_.node(path[i]).TermKey();
-    pn.owner = TermOwner(static_cast<size_t>(path[i]));
+    if (const auto owner = TermOwner(static_cast<size_t>(path[i]))) {
+      pn.owner = owner->node;
+    }
     // The path is leaf -> root; within the plan each node's parent is the
     // next path entry and its child the previous one.
     pn.parent = i + 1 < path.size() ? path[i + 1] : -1;
@@ -1124,14 +1129,15 @@ void QueryExecutor::ServeFromView() {
   auto gather = std::make_shared<ColumnGather>();
   gather->columns.resize(arity);
   gather->pending = arity;
-  // Column keys are not in the query's directory round, so no reply named
-  // their owners: the column gets are routed, unhinted.
+  // Column keys are not in the query's directory round: the column gets
+  // are hinted from the owner cache only.
   for (size_t v = 0; v < arity; ++v) {
     GetSpec spec;
     spec.key = rw.def.ColumnKey(v);
     spec.pipelined = options_.pipelined;
     spec.block_postings = options_.block_postings;
     spec.retry = options_.fetch_retry;
+    spec.owner_hint = peer_->KnownOwner(spec.key);
     const uint64_t expected = rw.column_counts[v];
     peer_->GetBlocks(spec, [self, gather, v, expected](
                                PostingList block, bool last, bool complete) {

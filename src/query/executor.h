@@ -334,9 +334,10 @@ class QueryExecutor : public std::enable_shared_from_this<QueryExecutor> {
   /// degraded and incomplete instead.
   void FetchDirectories(std::function<void()> then);
   void OnTermCountsReady();
-  /// The owner of `node`'s term as its directory reply named it; unset
-  /// before (or without) a directory round, or for a term with no block 0.
-  [[nodiscard]] std::optional<sim::NodeIndex> TermOwner(size_t node) const;
+  /// The owner of `node`'s term as its directory reply named it (unset for
+  /// a term with no block 0); without a directory round, the owner the
+  /// peer's owner cache names (DhtPeer::KnownOwner).
+  [[nodiscard]] std::optional<dht::OwnerHint> TermOwner(size_t node) const;
   /// Records the planning counts on the root span (`term_counts`).
   void AnnotateTermCounts();
   void LaunchReducePlan(ReduceMode mode, std::vector<ReducePlanNode> nodes);

@@ -24,7 +24,8 @@ enum class ReduceMode : uint8_t {
 /// One pattern node in a reduce plan. `node` is the pattern-node id; the
 /// child/parent ids refer to plan entries (a sub-query plan keeps the
 /// original pattern ids). `owner` is the term owner as the query's
-/// directory round named it (unset without a round): the query peer's
+/// directory round named it or, without a round, as the query peer's
+/// owner cache names it (unset when neither does): the query peer's
 /// ReduceStart and the owners' filter sends go there in one hop.
 struct ReducePlanNode {
   int node = -1;

@@ -305,7 +305,8 @@ void ViewCatalog::HandleUnpublish(
             if (!st.ok()) return;
             OnMaintenanceApplied(vname, prefix, v, 0,
                                  index::DirectoryCount(blocks), peer);
-          });
+          },
+          {}, /*behind_writes=*/true);
     }
   }
 }

@@ -496,5 +496,82 @@ TEST(DhtHintTest, HintAtACrashedPeerResolvesOnTheRoutedRetry) {
   EXPECT_EQ(d.counters.at("dht.retries"), 1u);
 }
 
+// -- Owner cache ------------------------------------------------------------
+
+TEST(OwnerCacheTest, RoutedGetTeachesTheOwnerAndWarmReadsTakeOneHop) {
+  const PostingList postings = HintPostings();
+  HintNet net("l:hinted", postings);
+  ASSERT_NE(net.requester, net.owner);
+  DhtPeer* requester = net.dht.peer(net.requester);
+  EXPECT_FALSE(requester->KnownOwner("l:hinted").has_value());
+
+  // A hinted attempt teaches nothing: its owner was already named.
+  GetSpec spec;
+  spec.key = "l:hinted";
+  spec.owner_hint = net.owner;
+  ASSERT_EQ(net.Read(spec), postings);
+  EXPECT_FALSE(requester->KnownOwner("l:hinted").has_value());
+
+  spec.owner_hint.reset();
+  ASSERT_EQ(net.Read(spec), postings);
+  // The first block came from the owner: the requester remembers it.
+  const std::optional<OwnerHint> known = requester->KnownOwner("l:hinted");
+  ASSERT_TRUE(known.has_value());
+  EXPECT_EQ(known->node, net.owner);
+  EXPECT_TRUE(known->cached);
+  EXPECT_EQ(requester->KnownOwnerCount(), 1u);
+
+  // A read hinted from the cache arrives in one hop.
+  spec.owner_hint = known;
+  const obs::MetricsSnapshot base = Now();
+  EXPECT_EQ(net.Read(spec), postings);
+  const obs::MetricsSnapshot d = Since(base);
+  EXPECT_EQ(d.histograms.at("dht.hops_per_delivery").count, 1u);
+  EXPECT_EQ(d.histograms.at("dht.hops_per_delivery").sum, 1.0);
+  EXPECT_EQ(d.counters.at("dht.hint.sends"), 1u);
+  EXPECT_EQ(d.counters.at("dht.hint.cached"), 1u);
+  EXPECT_EQ(d.counters.at("dht.hint.forwards"), 0u);
+}
+
+TEST(OwnerCacheTest, StaleCachedOwnerIsForwarded) {
+  const PostingList postings = HintPostings();
+  HintNet net("l:hinted", postings);
+  ASSERT_NE(net.requester, net.owner);
+  DhtPeer* requester = net.dht.peer(net.requester);
+  // A planted entry naming a live peer that does not own the key.
+  requester->LearnOwner("l:hinted", net.bystander);
+
+  GetSpec spec;
+  spec.key = "l:hinted";
+  spec.owner_hint = requester->KnownOwner("l:hinted");
+  const obs::MetricsSnapshot base = Now();
+  EXPECT_EQ(net.Read(spec), postings);
+  const obs::MetricsSnapshot d = Since(base);
+  EXPECT_EQ(d.counters.at("dht.hint.sends"), 1u);
+  EXPECT_EQ(d.counters.at("dht.hint.cached"), 1u);
+  EXPECT_EQ(d.counters.at("dht.hint.forwards"), 1u);
+  // The next get routed through the ring corrects the entry.
+  spec.owner_hint.reset();
+  EXPECT_EQ(net.Read(spec), postings);
+  EXPECT_EQ(requester->KnownOwner("l:hinted")->node, net.owner);
+}
+
+TEST(OwnerCacheTest, AddPeersEmptiesEveryCache) {
+  TestNet net(16);
+  net.dht.peer(0)->Append("l:a", {MakePosting(1, 1, 1)}, nullptr);
+  net.scheduler.RunUntilIdle();
+  for (sim::NodeIndex n = 0; n < net.dht.PeerCount(); ++n) {
+    net.dht.peer(n)->Get("l:a", [](const GetResult&) {});
+  }
+  net.scheduler.RunUntilIdle();
+  for (sim::NodeIndex n = 0; n < net.dht.PeerCount(); ++n) {
+    ASSERT_EQ(net.dht.peer(n)->KnownOwnerCount(), 1u) << n;
+  }
+  net.dht.AddPeers(2);
+  for (sim::NodeIndex n = 0; n < net.dht.PeerCount(); ++n) {
+    EXPECT_EQ(net.dht.peer(n)->KnownOwnerCount(), 0u) << n;
+  }
+}
+
 }  // namespace
 }  // namespace kadop::dht

@@ -6,8 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
+#include <iterator>
 #include <map>
+#include <memory>
 #include <optional>
 #include <set>
 #include <string>
@@ -17,10 +20,12 @@
 #include "core/kadop.h"
 #include "dht/ring.h"
 #include "index/dpp.h"
+#include "index/publisher.h"
 #include "index/terms.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "query/block_join.h"
+#include "query/local_eval.h"
 #include "xml/corpus.h"
 
 namespace kadop::query {
@@ -216,8 +221,10 @@ TEST_F(DistributedJoinTest, AutoPicksDppJoinOnlyWhenAvailable) {
 
 // kAuto plans from the directories kDpp and kDppJoin run on: one planning
 // round, so on a quiescent network it answers exactly as fast as an
-// explicit run of the strategy it picked.
+// explicit run of the strategy it picked. The querier reads the pattern
+// once first, so both runs find its owner cache equally warm.
 TEST_F(DistributedJoinTest, AutoRunsAsFastAsItsPick) {
+  RunQuery("//article//author", QueryStrategy::kDpp);
   for (const bool join : {true, false}) {
     QueryOptions options;
     options.strategy = QueryStrategy::kAuto;
@@ -354,6 +361,382 @@ TEST_F(DistributedJoinTest, CostModelOffersDppJoinOnlyWhenAvailable) {
 }
 
 // ---------------------------------------------------------------------------
+// The owner cache: each peer remembers which node owns each key it has
+// read, learned only from messages it received, and hints its next
+// directory round (and baseline, reducer and view reads) with it.
+
+std::vector<xml::Document> CacheCorpus() {
+  xml::corpus::DblpOptions copt;
+  copt.target_bytes = 150 << 10;
+  copt.doc_bytes = 8 << 10;
+  return xml::corpus::GenerateDblp(copt);
+}
+
+std::vector<const xml::Document*> DocPtrs(const std::vector<xml::Document>& docs,
+                                          size_t begin, size_t end) {
+  std::vector<const xml::Document*> ptrs;
+  for (size_t d = begin; d < end; ++d) ptrs.push_back(&docs[d]);
+  return ptrs;
+}
+
+std::vector<Answer> Sorted(std::vector<Answer> v) {
+  std::sort(v.begin(), v.end(), [](const Answer& a, const Answer& b) {
+    if (a.doc != b.doc) return a.doc < b.doc;
+    return a.elements < b.elements;
+  });
+  return v;
+}
+
+/// Ground truth for documents all published, in order, by peer 2.
+std::vector<Answer> Oracle(const char* expr,
+                           const std::vector<xml::Document>& docs) {
+  const TreePattern pattern = ParsePattern(expr).take();
+  std::vector<Answer> all;
+  for (size_t d = 0; d < docs.size(); ++d) {
+    auto answers = EvaluateOnDocument(
+        pattern, docs[d], index::DocId{2, static_cast<uint32_t>(d)});
+    all.insert(all.end(), answers.begin(), answers.end());
+  }
+  return Sorted(std::move(all));
+}
+
+/// `term`'s directory as `at` fetches it.
+std::vector<index::DppBlockInfo> Directory(KadopNet& net, sim::NodeIndex at,
+                                           const std::string& term) {
+  std::optional<std::vector<index::DppBlockInfo>> got;
+  index::DppManager::FetchDirectory(
+      net.peer(at)->dht_peer(), term,
+      [&got](Status st, std::vector<index::DppBlockInfo> blocks) {
+        EXPECT_TRUE(st.ok());
+        got = std::move(blocks);
+      });
+  net.RunToIdle();
+  EXPECT_TRUE(got.has_value()) << term;
+  return got.value_or(std::vector<index::DppBlockInfo>{});
+}
+
+void ExpectSameDirectory(const std::vector<index::DppBlockInfo>& a,
+                         const std::vector<index::DppBlockInfo>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].key, b[i].key);
+    EXPECT_EQ(a[i].count, b[i].count);
+    EXPECT_EQ(a[i].types, b[i].types);
+    EXPECT_EQ(a[i].holder, b[i].holder);
+  }
+}
+
+obs::MetricsSnapshot MetricsNow() {
+  return obs::MetricRegistry::Default().Snapshot();
+}
+
+obs::MetricsSnapshot MetricsSince(const obs::MetricsSnapshot& base) {
+  return MetricsNow().DiffSince(base);
+}
+
+uint64_t CounterDelta(const obs::MetricsSnapshot& d, const std::string& name) {
+  auto it = d.counters.find(name);
+  return it == d.counters.end() ? 0 : it->second;
+}
+
+TEST(OwnerCacheTest, DirectoryRoundsFromAWarmPeerTakeOneHop) {
+  const std::vector<xml::Document> docs = CacheCorpus();
+  KadopOptions opt;
+  opt.peers = 16;
+  KadopNet net(opt);
+  net.PublishAndWait(2, DocPtrs(docs, 0, docs.size()));
+
+  const std::string term = index::LabelKey("author");
+  const sim::NodeIndex owner = net.dht().OwnerOf(dht::HashKey(term));
+  const sim::NodeIndex querier = owner == 1 ? 3 : 1;
+  sim::NodeIndex bystander = 0;
+  while (bystander == owner || bystander == querier) ++bystander;
+  dht::DhtPeer* q = net.peer(querier)->dht_peer();
+  EXPECT_FALSE(q->KnownOwner(term).has_value());
+
+  // Cold: routed; the reply's block-0 holder teaches the cache.
+  const std::vector<index::DppBlockInfo> cold = Directory(net, querier, term);
+  ASSERT_FALSE(cold.empty());
+  ASSERT_TRUE(q->KnownOwner(term).has_value());
+  EXPECT_EQ(q->KnownOwner(term)->node, owner);
+
+  // Warm: the request arrives in one hop (RouteEnvelope::hops == 1).
+  obs::MetricsSnapshot base = MetricsNow();
+  ExpectSameDirectory(Directory(net, querier, term), cold);
+  obs::MetricsSnapshot d = MetricsSince(base);
+  EXPECT_EQ(d.histograms.at("dht.hops_per_delivery").count, 1u);
+  EXPECT_EQ(d.histograms.at("dht.hops_per_delivery").sum, 1.0);
+  EXPECT_EQ(CounterDelta(d, "dht.hint.sends"), 1u);
+  EXPECT_EQ(CounterDelta(d, "dht.hint.cached"), 1u);
+  EXPECT_EQ(CounterDelta(d, "dht.hint.forwards"), 0u);
+
+  // A stale entry naming a live bystander is forwarded to the owner: the
+  // same directory comes back, and the cache names the owner again.
+  q->LearnOwner(term, bystander);
+  base = MetricsNow();
+  ExpectSameDirectory(Directory(net, querier, term), cold);
+  d = MetricsSince(base);
+  EXPECT_EQ(CounterDelta(d, "dht.hint.cached"), 1u);
+  EXPECT_EQ(CounterDelta(d, "dht.hint.forwards"), 1u);
+  EXPECT_EQ(q->KnownOwner(term)->node, owner);
+}
+
+TEST(OwnerCacheTest, ReplicaServedGetTeachesNothing) {
+  const std::vector<xml::Document> docs = CacheCorpus();
+  KadopOptions opt;
+  opt.peers = 10;
+  opt.enable_dpp = false;  // replicas serve flat lists only
+  opt.dht.repl.enabled = true;
+  opt.dht.repl.replicas = 2;
+  opt.dht.repl.window_s = 1.0;
+  opt.dht.repl.hot_gets_per_window = 4;
+  opt.dht.repl.hot_windows = 2;
+  opt.dht.repl.cool_windows = 1000;  // keep the copies
+  KadopNet net(opt);
+  net.PublishAndWait(2, DocPtrs(docs, 0, docs.size()));
+
+  // Promote the key through the manager's lazy windows, then let the
+  // copies install.
+  const std::string key = index::LabelKey("author");
+  dht::ReplicationManager& repl = net.dht().replication();
+  double now = net.scheduler().Now();
+  repl.MaybeTick(now);
+  for (int window = 0; window < 2; ++window) {
+    for (int i = 0; i < 10; ++i) repl.RecordKeyGet(key);
+    now += 1.5;
+    repl.MaybeTick(now);
+  }
+  net.RunToIdle();
+  ASSERT_TRUE(repl.IsReplicated(key));
+
+  const sim::NodeIndex owner = net.dht().OwnerOf(dht::HashKey(key));
+  const std::vector<sim::NodeIndex> replicas = repl.ReplicaNodes(key);
+  sim::NodeIndex querier = 0;
+  while (querier == owner || std::find(replicas.begin(), replicas.end(),
+                                       querier) != replicas.end()) {
+    ++querier;
+  }
+  dht::DhtPeer* q = net.peer(querier)->dht_peer();
+  auto& registry = obs::MetricRegistry::Default();
+  const obs::Counter* replica_gets = registry.GetCounter("repl.replica_gets");
+  const obs::Counter* stale = registry.GetCounter("repl.stale_rejects");
+  bool owner_served = false;
+  bool replica_served = false;
+  for (int i = 0; i < 64 && !(owner_served && replica_served); ++i) {
+    net.dht().Stabilize();  // empties every cache
+    ASSERT_FALSE(q->KnownOwner(key).has_value());
+    const uint64_t to_replica = replica_gets->value() + stale->value();
+    bool done = false;
+    q->Get(key, [&done](const dht::GetResult& r) { done = r.complete; });
+    net.RunToIdle();
+    ASSERT_TRUE(done);
+    if (replica_gets->value() + stale->value() > to_replica) {
+      replica_served = true;
+      EXPECT_FALSE(q->KnownOwner(key).has_value()) << "attempt " << i;
+    } else {
+      owner_served = true;
+      ASSERT_TRUE(q->KnownOwner(key).has_value()) << "attempt " << i;
+      EXPECT_EQ(q->KnownOwner(key)->node, owner);
+    }
+  }
+  EXPECT_TRUE(owner_served);
+  EXPECT_TRUE(replica_served);
+}
+
+TEST(OwnerCacheTest, EveryRingChangeEmptiesEveryCache) {
+  const std::vector<xml::Document> docs = CacheCorpus();
+  KadopOptions opt;
+  opt.peers = 12;
+  KadopNet net(opt);
+  net.PublishAndWait(2, DocPtrs(docs, 0, docs.size()));
+  const char* expr = "//article//author";
+  // A victim that owns neither term and did not publish.
+  sim::NodeIndex victim = 3;
+  for (const char* label : {"article", "author"}) {
+    const std::string term = index::LabelKey(label);
+    while (victim == 2 || victim == net.dht().OwnerOf(dht::HashKey(term))) {
+      ++victim;
+    }
+  }
+  ASSERT_NE(victim, net.dht().OwnerOf(dht::HashKey(index::LabelKey("article"))));
+  ASSERT_NE(victim, net.dht().OwnerOf(dht::HashKey(index::LabelKey("author"))));
+
+  auto warm_all = [&](std::optional<sim::NodeIndex> down) {
+    for (sim::NodeIndex n = 0; n < net.PeerCount(); ++n) {
+      if (n == down) continue;
+      QueryOptions options;
+      options.strategy = QueryStrategy::kDpp;
+      ASSERT_TRUE(net.QueryAndWait(n, expr, options).ok());
+      ASSERT_GT(net.peer(n)->dht_peer()->KnownOwnerCount(), 0u) << n;
+    }
+  };
+  auto expect_all_empty = [&](const char* after,
+                              std::optional<sim::NodeIndex> down) {
+    for (sim::NodeIndex n = 0; n < net.PeerCount(); ++n) {
+      if (n == down) continue;
+      EXPECT_EQ(net.peer(n)->dht_peer()->KnownOwnerCount(), 0u)
+          << "peer " << n << " after " << after;
+    }
+  };
+
+  warm_all(std::nullopt);
+  net.FailPeerAndStabilize(victim);
+  expect_all_empty("FailPeerAndStabilize", victim);
+  warm_all(victim);
+  net.RestartPeerAndStabilize(victim);
+  expect_all_empty("RestartPeerAndStabilize", std::nullopt);
+  warm_all(std::nullopt);
+  (void)net.JoinPeerAndWait();
+  expect_all_empty("JoinPeerAndWait", std::nullopt);
+}
+
+// A warm peer's cached owner crashes and the ring re-stabilizes: the cache
+// is empty again, so a query with no retry policy is routed to the new
+// owner (which took over from the replicas) instead of hanging on a hint
+// at the dead node.
+TEST(OwnerCacheTest, CrashedCachedOwnerNeedsNoRetryPolicy) {
+  const std::vector<xml::Document> docs = CacheCorpus();
+  KadopOptions opt;
+  opt.peers = 12;
+  opt.enable_dpp = false;  // replication covers the flat index
+  opt.dht.replication = 3;
+  KadopNet net(opt);
+  net.PublishAndWait(2, DocPtrs(docs, 0, docs.size()));
+  const char* expr = "//article//author";
+  const std::vector<Answer> truth = Oracle(expr, docs);
+  ASSERT_FALSE(truth.empty());
+
+  constexpr sim::NodeIndex kQuerier = 5;
+  dht::DhtPeer* q = net.peer(kQuerier)->dht_peer();
+  QueryOptions options;
+  options.strategy = QueryStrategy::kBaseline;
+  ASSERT_TRUE(net.QueryAndWait(kQuerier, expr, options).ok());
+  std::optional<sim::NodeIndex> victim;
+  for (const char* label : {"author", "article"}) {
+    const auto known = q->KnownOwner(index::LabelKey(label));
+    ASSERT_TRUE(known.has_value()) << label;
+    if (known->node != kQuerier && known->node != 2) {
+      victim = known->node;
+      break;
+    }
+  }
+  ASSERT_TRUE(victim.has_value());
+  net.FailPeerAndStabilize(*victim);
+
+  for (QueryStrategy strategy :
+       {QueryStrategy::kBaseline, QueryStrategy::kAuto}) {
+    options.strategy = strategy;
+    auto r = net.QueryAndWait(kQuerier, expr, options);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_TRUE(r.value().metrics.complete) << QueryStrategyName(strategy);
+    EXPECT_EQ(Sorted(r.value().answers), truth) << QueryStrategyName(strategy);
+  }
+}
+
+/// A network whose DPP splits often (small blocks), with the first half of
+/// the corpus published by peer 2 and every peer's cache warm.
+class WarmSplitNetTest : public ::testing::Test {
+ protected:
+  static constexpr const char* kExprs[] = {
+      "//article//author", "//article[//journal]//year",
+      "//inproceedings//booktitle"};
+
+  void SetUp() override {
+    docs_ = CacheCorpus();
+    KadopOptions opt;
+    opt.peers = 12;
+    opt.dpp.max_block_postings = 64;  // force splits
+    net_ = std::make_unique<KadopNet>(opt);
+    half_ = docs_.size() / 2;
+    net_->PublishAndWait(2, DocPtrs(docs_, 0, half_));
+    for (sim::NodeIndex n = 0; n < net_->PeerCount(); ++n) {
+      for (const char* expr : kExprs) {
+        for (QueryStrategy strategy :
+             {QueryStrategy::kBaseline, QueryStrategy::kDpp}) {
+          ASSERT_TRUE(net_->QueryAndWait(n, expr, Options(strategy)).ok());
+        }
+      }
+      ASSERT_GT(net_->peer(n)->dht_peer()->KnownOwnerCount(), 0u) << n;
+    }
+  }
+
+  static QueryOptions Options(QueryStrategy strategy) {
+    QueryOptions options;
+    options.strategy = strategy;
+    options.dpp_join_available = true;
+    return options;
+  }
+
+  std::vector<xml::Document> docs_;
+  std::unique_ptr<KadopNet> net_;
+  size_t half_ = 0;
+};
+
+// Writes never take a hint, warm caches or not: publishing (appends, DPP
+// splits and migrations, blob puts) adds no hinted send.
+TEST_F(WarmSplitNetTest, PublishingSendsNoHint) {
+  const uint64_t splits = net_->Stats().dpp.splits;
+  const obs::MetricsSnapshot base = MetricsNow();
+  net_->PublishAndWait(2, DocPtrs(docs_, half_, docs_.size()));
+  const obs::MetricsSnapshot d = MetricsSince(base);
+  EXPECT_GT(net_->Stats().dpp.splits, splits);
+  EXPECT_GT(CounterDelta(d, "dht.appends_received"), 0u);
+  EXPECT_EQ(CounterDelta(d, "dht.hint.sends"), 0u);
+}
+
+// Reads beside writes: queries from warm peers run while the second half
+// of the corpus is published; at quiescence every strategy matches the
+// oracle.
+TEST_F(WarmSplitNetTest, ReadsBesideWritesMatchTheOracleAtQuiescence) {
+  const double start = net_->scheduler().Now();
+  std::vector<std::shared_ptr<index::Publisher>> publishers;
+  for (size_t d = half_; d < docs_.size(); ++d) {
+    const xml::Document* doc = &docs_[d];
+    net_->scheduler().At(
+        start + 0.02 * static_cast<double>(d - half_), [this, &publishers, doc] {
+          auto pub = std::make_shared<index::Publisher>(
+              net_->peer(2)->dht_peer(), &net_->peer(2)->doc_store(),
+              net_->options().publish);
+          publishers.push_back(pub);
+          pub->Publish({doc}, [] {});
+        });
+  }
+  constexpr QueryStrategy kStrategies[] = {QueryStrategy::kDpp,
+                                           QueryStrategy::kDppJoin,
+                                           QueryStrategy::kSubQueryReducer};
+  size_t submitted = 0;
+  size_t finished = 0;
+  for (size_t i = 0; i < 60; ++i) {
+    const auto at = static_cast<sim::NodeIndex>(i % net_->PeerCount());
+    const char* expr = kExprs[i % std::size(kExprs)];
+    const QueryStrategy strategy = kStrategies[i % std::size(kStrategies)];
+    ++submitted;
+    net_->scheduler().At(
+        start + 0.011 * static_cast<double>(i),
+        [this, at, expr, strategy, &finished] {
+          net_->peer(at)->query_client().Submit(
+              ParsePattern(expr).take(), Options(strategy),
+              [&finished](const QueryResult&) { ++finished; });
+        });
+  }
+  net_->RunToIdle();
+  EXPECT_EQ(finished, submitted);
+
+  for (const char* expr : kExprs) {
+    const std::vector<Answer> truth = Oracle(expr, docs_);
+    ASSERT_FALSE(truth.empty()) << expr;
+    for (const QueryStrategy strategy : kStrategies) {
+      auto r = net_->QueryAndWait(1, expr, Options(strategy));
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+      EXPECT_TRUE(r.value().metrics.complete)
+          << expr << " " << QueryStrategyName(strategy);
+      EXPECT_EQ(Sorted(r.value().answers), truth)
+          << expr << " " << QueryStrategyName(strategy);
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
 // The short-pull rule shared by kDpp, the holder and the local fallback.
 
 index::Posting At(uint32_t doc, uint32_t start) {
@@ -361,10 +744,11 @@ index::Posting At(uint32_t doc, uint32_t start) {
 }
 
 // Owner hints: after the directory round, every read of a term goes one
-// hop to the node its directory reply named. With every term unpartitioned
-// (each directory is one block 0 whose holder is the term owner), a
-// query's routed hops on a quiescent network are exactly the directory
-// round's plus one per hinted send.
+// hop to the node its directory reply named, and a warm querier's own
+// directory round goes one hop to the owner its cache names. With every
+// term unpartitioned (each directory is one block 0 whose holder is the
+// term owner), every routed send of a warm query on a quiescent network is
+// a one-hop hinted send.
 TEST(OwnerHintTest, ReadsAfterTheDirectoryRoundTakeOneHop) {
   xml::corpus::DblpOptions copt;
   copt.target_bytes = 150 << 10;
@@ -383,6 +767,7 @@ TEST(OwnerHintTest, ReadsAfterTheDirectoryRoundTakeOneHop) {
   const obs::Counter* hops = registry.GetCounter("dht.route_hops");
   const obs::Counter* sends = registry.GetCounter("dht.hint.sends");
   const obs::Counter* forwards = registry.GetCounter("dht.hint.forwards");
+  const obs::Counter* cached = registry.GetCounter("dht.hint.cached");
   auto run = [&](const char* expr, QueryStrategy strategy) {
     QueryOptions options;
     options.strategy = strategy;
@@ -394,8 +779,10 @@ TEST(OwnerHintTest, ReadsAfterTheDirectoryRoundTakeOneHop) {
 
   for (const char* expr : {"//article//author", "//article[//journal]//year",
                            "//inproceedings//booktitle"}) {
-    // The directory round alone, from the querier, as the query runs it.
+    // The directory round alone, from the querier, as a cold query runs
+    // it: a re-stabilized ring starts every owner cache over.
     const TreePattern pattern = ParsePattern(expr).take();
+    net.dht().Stabilize();
     const uint64_t hops_before_round = hops->value();
     for (size_t n = 0; n < pattern.size(); ++n) {
       const std::string term = pattern.node(n).TermKey();
@@ -410,7 +797,15 @@ TEST(OwnerHintTest, ReadsAfterTheDirectoryRoundTakeOneHop) {
     }
     net.RunToIdle();
     const uint64_t round_hops = hops->value() - hops_before_round;
-    ASSERT_GT(round_hops, 0u) << expr;
+    // Terms the querier does not own: each costs one hinted send once warm.
+    uint64_t remote_terms = 0;
+    for (size_t n = 0; n < pattern.size(); ++n) {
+      const std::string term = pattern.node(n).TermKey();
+      if (net.dht().OwnerOf(dht::HashKey(term)) != kQuerier) ++remote_terms;
+    }
+    ASSERT_GT(remote_terms, 0u) << expr;
+    // The cold round is routed through the ring: more than a hop a term.
+    EXPECT_GT(round_hops, remote_terms) << expr;
 
     const QueryResult dpp = run(expr, QueryStrategy::kDpp);
     ASSERT_FALSE(dpp.answers.empty()) << expr;
@@ -419,6 +814,7 @@ TEST(OwnerHintTest, ReadsAfterTheDirectoryRoundTakeOneHop) {
       const uint64_t hops0 = hops->value();
       const uint64_t sends0 = sends->value();
       const uint64_t forwards0 = forwards->value();
+      const uint64_t cached0 = cached->value();
       const QueryResult r = run(expr, strategy);
       const std::string what =
           std::string(expr) + " " + std::string(QueryStrategyName(strategy));
@@ -429,7 +825,10 @@ TEST(OwnerHintTest, ReadsAfterTheDirectoryRoundTakeOneHop) {
       const uint64_t hinted = sends->value() - sends0;
       EXPECT_GT(hinted, 0u) << what;
       EXPECT_EQ(forwards->value() - forwards0, 0u) << what;
-      EXPECT_EQ(hops->value() - hops0, round_hops + hinted) << what;
+      EXPECT_EQ(hops->value() - hops0, hinted) << what;
+      // The directory round: one send per remote term, hinted from the
+      // cache. Every later read is hinted from the directory replies.
+      EXPECT_EQ(cached->value() - cached0, remote_terms) << what;
     }
   }
 }

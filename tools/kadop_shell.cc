@@ -385,9 +385,11 @@ class Shell {
 
   /// Per-peer breakdown: that peer's DhtStats plus every registry metric
   /// filed under its load prefix (`load.holder.<N>.*`), so hot holders can
-  /// be singled out without grepping the full metrics dump. The owner-hint
-  /// counters (`dht.hint.*`) follow, network-wide: sends that went one hop
-  /// to a directory-named owner, and how many of those found a non-owner.
+  /// be singled out without grepping the full metrics dump. The peer's
+  /// owner-cache size and the owner-hint counters (`dht.hint.*`) follow,
+  /// the counters network-wide: sends that went one hop to a named owner,
+  /// how many of those found a non-owner, and how many took their hint
+  /// from an owner cache.
   void CmdStatsPeer(std::istringstream& in) {
     size_t peer = 0;
     if (!(in >> peer) || peer >= net_->PeerCount()) {
@@ -427,8 +429,11 @@ class Shell {
                   static_cast<unsigned long long>(value));
     }
     if (!any) std::printf("  load counters: none recorded\n");
+    std::printf("  owner cache       %zu keys\n",
+                net_->dht().peer(node)->KnownOwnerCount());
     std::printf("  owner hints (network-wide):\n");
-    for (const char* name : {"dht.hint.sends", "dht.hint.forwards"}) {
+    for (const char* name :
+         {"dht.hint.sends", "dht.hint.forwards", "dht.hint.cached"}) {
       auto it = snap.counters.find(name);
       std::printf("    %-24s %llu\n", name,
                   static_cast<unsigned long long>(
