@@ -70,8 +70,9 @@ DhtCounters& C() {
 }
 
 // Per-holder ingress load, the input signal for load-aware rebalancing
-// (ROADMAP item 2). Handles are cached per node index; per-key load lives
-// in the bounded ReplicationManager tracker, not in registry counters.
+// (ROADMAP item "Hot terms: capacity that grows with peers"). Handles are
+// cached per node index; per-key load lives in the bounded
+// ReplicationManager tracker, not in registry counters.
 struct HolderLoadCounters {
   obs::Counter* gets;
   obs::Counter* appends;
@@ -887,6 +888,12 @@ void DhtPeer::HandleMessage(const Message& msg) {
     pending_app_.erase(it);
     if (done.timeout_event != sim::kInvalidEventId) {
       network_->scheduler()->Cancel(done.timeout_event);
+    }
+    // Same rule as a get's first block: the reply to a request routed
+    // through the ring comes from the key's owner. A hinted attempt's
+    // owner was already named, and a direct CallApp names no key.
+    if (done.routed && !done.owner_hint.has_value()) {
+      LearnOwner(done.key, msg.from);
     }
     done.cb(resp->inner);
     return;

@@ -217,7 +217,8 @@ class DhtPeer final : public sim::Actor {
   /// stale, so a wrong hint costs hops, never a misdelivery; retries drop
   /// the hint. Reads only: a hinted send can overtake an earlier routed one
   /// to the same peer, so writes whose order matters (DPP block
-  /// maintenance) stay routed.
+  /// maintenance) stay routed. The reply to an attempt routed through the
+  /// ring (no hint) teaches the owner cache its sender (see KnownOwner).
   void RouteApp(const std::string& key, sim::PayloadPtr inner,
                 sim::TrafficCategory category, AppResponseCallback cb,
                 RetryPolicy retry = {},
@@ -292,13 +293,15 @@ class DhtPeer final : public sim::Actor {
   /// sends no message and charges nothing.
   [[nodiscard]] uint64_t AuthoritativeVersion(const std::string& key) const;
 
-  /// The owner cache: which node owns each key this peer has read, learned
-  /// only from messages it received (a directory reply's block-0 holder,
-  /// the sender of the first block of a get routed through the ring,
-  /// neither hinted nor sent to a replica). The cache-aware read sites
-  /// hint their first attempt with it; a stale entry costs a forward,
-  /// never a misdelivery. `set_routing` empties it, so an entry never
-  /// outlives the ring it was learned on. Writes never consult it.
+  /// The owner cache: which node owns each key this peer has read or
+  /// written, learned only from messages it received (a directory reply's
+  /// block-0 holder; the sender of the first block of a get, or of the
+  /// reply to an app request, routed through the ring, neither hinted nor
+  /// sent to a replica). The cache-aware read sites hint their first
+  /// attempt with it, and a DPP owner names its overflow holders from it;
+  /// a stale entry costs a forward, never a misdelivery. `set_routing`
+  /// empties it, so an entry never outlives the ring it was learned on.
+  /// Writes never consult it.
   [[nodiscard]] std::optional<OwnerHint> KnownOwner(
       const std::string& key) const;
   void LearnOwner(const std::string& key, sim::NodeIndex owner);

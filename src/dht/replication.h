@@ -19,10 +19,11 @@ namespace kadop::dht {
 
 class Dht;
 
-/// Knobs of the hot-data replication layer (ROADMAP item 2). Off by
-/// default: with `enabled == false` the manager records bounded key-load
-/// statistics but never promotes, never routes, and never ticks, so every
-/// seeded baseline is byte-identical to the pre-replication build.
+/// Knobs of the hot-data replication layer (ROADMAP item "Hot terms:
+/// capacity that grows with peers"). Off by default: with
+/// `enabled == false` the manager records bounded key-load statistics but
+/// never promotes, never routes, and never ticks, so every seeded
+/// baseline is byte-identical to the pre-replication build.
 struct ReplicationOptions {
   bool enabled = false;
   /// Copies per hot key beyond the owner (placed on the owner's successors).

@@ -18,6 +18,8 @@ struct DppCounters {
   obs::Counter* migrated_postings;
   obs::Counter* blocks_stored;
   obs::Counter* dir_requests;
+  obs::Counter* holders_named;
+  obs::Counter* holders_unnamed;
 
   DppCounters() {
     auto& r = obs::MetricRegistry::Default();
@@ -25,6 +27,8 @@ struct DppCounters {
     migrated_postings = r.GetCounter("dpp.migrated_postings");
     blocks_stored = r.GetCounter("dpp.blocks_stored");
     dir_requests = r.GetCounter("dpp.dir_requests");
+    holders_named = r.GetCounter("dpp.dir.holders_named");
+    holders_unnamed = r.GetCounter("dpp.dir.holders_unnamed");
   }
 };
 
@@ -554,8 +558,18 @@ bool DppManager::HandleApp(const AppRequest& request, NodeIndex /*from*/) {
         DppBlockInfo& info = resp->blocks.emplace_back(
             DppBlockInfo{b.key, b.cond, b.count, b.types, std::nullopt});
         // Block 0 lives in this peer's own store: name this peer as its
-        // holder. Overflow holders are only known by routing.
-        if (b.key == dir->term_key) info.holder = peer_->node();
+        // holder. An overflow block's holder is named once a routed reply
+        // from it taught the owner cache, which every ring change empties.
+        if (b.key == dir->term_key) {
+          info.holder = peer_->node();
+          continue;
+        }
+        if (const auto known = peer_->KnownOwner(b.key)) {
+          info.holder = known->node;
+          C().holders_named->Increment();
+        } else {
+          C().holders_unnamed->Increment();
+        }
       }
     } else {
       resp->blocks =

@@ -118,12 +118,15 @@ struct DppDeleteDone final : sim::Payload {
 /// labels) with postings in the block; queries skip blocks whose types
 /// cannot match (empty set = unknown, never skipped).
 ///
-/// `holder` is the node that answered the directory request, set only on
-/// the blocks it stores itself (block 0 under the term key). Readers send
-/// their first attempt there in one hop (GetSpec::owner_hint). Overflow
-/// blocks carry none: the owner's record of their holders can go stale
-/// after a ring change, and a read aimed at a dead holder would hang a
-/// query that has no retry policy.
+/// `holder` names the node a read of the block goes to in one hop
+/// (GetSpec::owner_hint): for block 0 under the term key, the owner that
+/// answered the directory request; for an overflow block, the holder the
+/// owner's cache learned from a routed reply to its own writes or
+/// get-proxy pulls (DhtPeer::KnownOwner). It is absent while the owner
+/// knows none: after every ring change (which empties the cache, so a
+/// dead holder is never named after it) until a routed reply teaches the
+/// owner again. A stale name costs a forward, or a lost attempt and its
+/// routed retry, never a misdelivery.
 struct DppBlockInfo {
   std::string key;
   Condition cond;

@@ -556,6 +556,47 @@ TEST(OwnerCacheTest, StaleCachedOwnerIsForwarded) {
   EXPECT_EQ(requester->KnownOwner("l:hinted")->node, net.owner);
 }
 
+// The reply to an app request routed through the ring comes from the
+// key's owner and teaches the cache. A hinted attempt's owner was already
+// named, and a direct CallApp names no key: neither reply teaches.
+TEST(OwnerCacheTest, OnlyARingRoutedAppReplyTeachesTheOwner) {
+  HintNet net("l:hinted", HintPostings());
+  ASSERT_NE(net.requester, net.owner);
+  DhtPeer* requester = net.dht.peer(net.requester);
+
+  EXPECT_EQ(net.Ask("l:hinted", net.owner), net.owner);
+  EXPECT_EQ(net.Ask("l:hinted", net.bystander), net.owner);  // forwarded
+  std::optional<sim::NodeIndex> answered;
+  requester->CallApp(net.owner, std::make_shared<WhoPayload>(),
+                     sim::TrafficCategory::kControl,
+                     [&](sim::PayloadPtr inner) {
+                       const auto* who =
+                           dynamic_cast<const WhoPayload*>(inner.get());
+                       if (who != nullptr) answered = who->node;
+                     });
+  net.scheduler.RunUntilIdle();
+  EXPECT_EQ(answered, net.owner);
+  EXPECT_EQ(requester->KnownOwnerCount(), 0u);
+
+  EXPECT_EQ(net.Ask("l:hinted", std::nullopt), net.owner);
+  const std::optional<OwnerHint> known = requester->KnownOwner("l:hinted");
+  ASSERT_TRUE(known.has_value());
+  EXPECT_EQ(known->node, net.owner);
+  EXPECT_EQ(requester->KnownOwnerCount(), 1u);
+
+  // A hinted attempt lost at a crashed peer is retried through the ring:
+  // that attempt's reply teaches the cache again (the ring change emptied
+  // it).
+  net.dht.FailPeer(net.bystander);
+  net.dht.Stabilize();
+  ASSERT_EQ(requester->KnownOwnerCount(), 0u);
+  RetryPolicy retry;
+  retry.timeout_s = 0.5;
+  EXPECT_EQ(net.Ask("l:hinted", net.bystander, retry), net.owner);
+  ASSERT_TRUE(requester->KnownOwner("l:hinted").has_value());
+  EXPECT_EQ(requester->KnownOwner("l:hinted")->node, net.owner);
+}
+
 TEST(OwnerCacheTest, AddPeersEmptiesEveryCache) {
   TestNet net(16);
   net.dht.peer(0)->Append("l:a", {MakePosting(1, 1, 1)}, nullptr);

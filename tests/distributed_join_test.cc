@@ -633,6 +633,14 @@ TEST(OwnerCacheTest, CrashedCachedOwnerNeedsNoRetryPolicy) {
   }
 }
 
+/// `strategy`, with kDppJoin plannable.
+QueryOptions StrategyOptions(QueryStrategy strategy) {
+  QueryOptions options;
+  options.strategy = strategy;
+  options.dpp_join_available = true;
+  return options;
+}
+
 /// A network whose DPP splits often (small blocks), with the first half of
 /// the corpus published by peer 2 and every peer's cache warm.
 class WarmSplitNetTest : public ::testing::Test {
@@ -653,18 +661,12 @@ class WarmSplitNetTest : public ::testing::Test {
       for (const char* expr : kExprs) {
         for (QueryStrategy strategy :
              {QueryStrategy::kBaseline, QueryStrategy::kDpp}) {
-          ASSERT_TRUE(net_->QueryAndWait(n, expr, Options(strategy)).ok());
+          ASSERT_TRUE(
+              net_->QueryAndWait(n, expr, StrategyOptions(strategy)).ok());
         }
       }
       ASSERT_GT(net_->peer(n)->dht_peer()->KnownOwnerCount(), 0u) << n;
     }
-  }
-
-  static QueryOptions Options(QueryStrategy strategy) {
-    QueryOptions options;
-    options.strategy = strategy;
-    options.dpp_join_available = true;
-    return options;
   }
 
   std::vector<xml::Document> docs_;
@@ -715,7 +717,7 @@ TEST_F(WarmSplitNetTest, ReadsBesideWritesMatchTheOracleAtQuiescence) {
         start + 0.011 * static_cast<double>(i),
         [this, at, expr, strategy, &finished] {
           net_->peer(at)->query_client().Submit(
-              ParsePattern(expr).take(), Options(strategy),
+              ParsePattern(expr).take(), StrategyOptions(strategy),
               [&finished](const QueryResult&) { ++finished; });
         });
   }
@@ -726,7 +728,7 @@ TEST_F(WarmSplitNetTest, ReadsBesideWritesMatchTheOracleAtQuiescence) {
     const std::vector<Answer> truth = Oracle(expr, docs_);
     ASSERT_FALSE(truth.empty()) << expr;
     for (const QueryStrategy strategy : kStrategies) {
-      auto r = net_->QueryAndWait(1, expr, Options(strategy));
+      auto r = net_->QueryAndWait(1, expr, StrategyOptions(strategy));
       ASSERT_TRUE(r.ok()) << r.status().ToString();
       EXPECT_TRUE(r.value().metrics.complete)
           << expr << " " << QueryStrategyName(strategy);
@@ -831,6 +833,162 @@ TEST(OwnerHintTest, ReadsAfterTheDirectoryRoundTakeOneHop) {
       EXPECT_EQ(cached->value() - cached0, remote_terms) << what;
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// Named overflow holders: the term owner learns each overflow block's
+// holder from the replies to its routed writes and names it in its
+// directory, so reads of a partitioned term's blocks go one hop.
+
+/// A network whose terms split into many blocks, the corpus published by
+/// peer 2 and its last document withdrawn again: a whole-document delete
+/// visits every block of each of its terms, so each term owner learns
+/// every overflow holder (a block created by a remote split is otherwise
+/// learned only at the owner's next write to it). `docs` is what stays
+/// published.
+struct SplitNet {
+  static constexpr const char* kExprs[] = {"//article//author",
+                                           "//article[//journal]//year"};
+
+  SplitNet() : docs(CacheCorpus()) {
+    KadopOptions opt;
+    opt.peers = 12;
+    opt.dpp.max_block_postings = 256;  // force splits
+    net = std::make_unique<KadopNet>(opt);
+    net->PublishAndWait(2, DocPtrs(docs, 0, docs.size()));
+    EXPECT_TRUE(net->UnpublishAndWait(2, docs.size() - 1));
+    docs.pop_back();
+  }
+
+  /// Each term of the queries, with its directory as `at` fetches it.
+  std::map<std::string, std::vector<index::DppBlockInfo>> Directories(
+      sim::NodeIndex at) {
+    std::map<std::string, std::vector<index::DppBlockInfo>> dirs;
+    for (const char* expr : kExprs) {
+      const TreePattern pattern = ParsePattern(expr).take();
+      for (size_t n = 0; n < pattern.size(); ++n) {
+        const std::string term = pattern.node(n).TermKey();
+        if (dirs.count(term) == 0) dirs[term] = Directory(*net, at, term);
+      }
+    }
+    return dirs;
+  }
+
+  /// Overflow entries of `dirs` that name a holder, and all of them.
+  static std::pair<size_t, size_t> NamedOverflow(
+      const std::map<std::string, std::vector<index::DppBlockInfo>>& dirs) {
+    size_t named = 0;
+    size_t overflow = 0;
+    for (const auto& [term, dir] : dirs) {
+      for (const index::DppBlockInfo& b : dir) {
+        if (b.key == term) continue;
+        ++overflow;
+        if (b.holder.has_value()) ++named;
+      }
+    }
+    return {named, overflow};
+  }
+
+  std::vector<xml::Document> docs;
+  std::unique_ptr<KadopNet> net;
+};
+
+// On a warm querier whose directories name every overflow holder, every
+// routed send of a kDpp or kDppJoin query is a one-hop hinted send.
+TEST(NamedHolderTest, WarmQueriesReadEveryBlockInOneHop) {
+  SplitNet s;
+  constexpr sim::NodeIndex kQuerier = 1;
+  const auto dirs = s.Directories(kQuerier);
+  for (const auto& [term, dir] : dirs) {
+    for (const index::DppBlockInfo& b : dir) {
+      ASSERT_TRUE(b.holder.has_value()) << term << " " << b.key;
+      EXPECT_EQ(*b.holder, s.net->dht().OwnerOf(dht::HashKey(b.key)))
+          << b.key;
+    }
+  }
+  const auto [named, overflow] = SplitNet::NamedOverflow(dirs);
+  ASSERT_GE(overflow, 4u);
+  ASSERT_EQ(named, overflow);
+
+  auto& registry = obs::MetricRegistry::Default();
+  const obs::Counter* hops = registry.GetCounter("dht.route_hops");
+  const obs::Counter* sends = registry.GetCounter("dht.hint.sends");
+  const obs::Counter* forwards = registry.GetCounter("dht.hint.forwards");
+  for (const char* expr : SplitNet::kExprs) {
+    const std::vector<Answer> truth = Oracle(expr, s.docs);
+    ASSERT_FALSE(truth.empty()) << expr;
+    for (const QueryStrategy strategy :
+         {QueryStrategy::kDpp, QueryStrategy::kDppJoin}) {
+      const std::string what =
+          std::string(expr) + " " + std::string(QueryStrategyName(strategy));
+      const uint64_t hops0 = hops->value();
+      const uint64_t sends0 = sends->value();
+      const uint64_t forwards0 = forwards->value();
+      auto r =
+          s.net->QueryAndWait(kQuerier, expr, StrategyOptions(strategy));
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+      EXPECT_TRUE(r.value().metrics.complete) << what;
+      EXPECT_EQ(Sorted(r.value().answers), truth) << what;
+      EXPECT_GT(sends->value() - sends0, 0u) << what;
+      EXPECT_EQ(hops->value() - hops0, sends->value() - sends0) << what;
+      EXPECT_EQ(forwards->value() - forwards0, 0u) << what;
+    }
+  }
+}
+
+// Every ring change empties every owner cache, so the directory names no
+// overflow holder until a routed reply teaches the owner again (a write's,
+// or a pull of its get proxy). Every strategy stays complete and correct,
+// and whatever the owner re-learns names the holder on the new ring.
+TEST(NamedHolderTest, RingChangesUnnameEveryOverflowHolder) {
+  SplitNet s;
+  constexpr sim::NodeIndex kQuerier = 1;
+  const auto before = s.Directories(kQuerier);
+  ASSERT_GT(SplitNet::NamedOverflow(before).first, 0u);
+  // A victim that holds no block of the queries' terms: failing it loses
+  // no data the queries read.
+  std::set<sim::NodeIndex> busy{2, kQuerier};
+  for (const auto& [term, dir] : before) {
+    busy.insert(s.net->dht().OwnerOf(dht::HashKey(term)));
+    for (const index::DppBlockInfo& b : dir) {
+      busy.insert(s.net->dht().OwnerOf(dht::HashKey(b.key)));
+    }
+  }
+  sim::NodeIndex victim = 0;
+  while (busy.count(victim) > 0) ++victim;
+  ASSERT_LT(victim, s.net->PeerCount());
+
+  auto expect_unnamed_and_correct = [&](const char* after) {
+    const auto [named, overflow] =
+        SplitNet::NamedOverflow(s.Directories(kQuerier));
+    EXPECT_GE(overflow, 4u) << after;
+    EXPECT_EQ(named, 0u) << after;
+    for (const char* expr : SplitNet::kExprs) {
+      const std::vector<Answer> truth = Oracle(expr, s.docs);
+      for (const QueryStrategy strategy :
+           {QueryStrategy::kDpp, QueryStrategy::kDppJoin,
+            QueryStrategy::kSubQueryReducer}) {
+        const std::string what = std::string(after) + " " + expr + " " +
+                                 std::string(QueryStrategyName(strategy));
+        auto r =
+            s.net->QueryAndWait(kQuerier, expr, StrategyOptions(strategy));
+        ASSERT_TRUE(r.ok()) << r.status().ToString();
+        EXPECT_TRUE(r.value().metrics.complete) << what;
+        EXPECT_EQ(Sorted(r.value().answers), truth) << what;
+      }
+    }
+    for (const auto& [term, dir] : s.Directories(kQuerier)) {
+      for (const index::DppBlockInfo& b : dir) {
+        if (!b.holder.has_value()) continue;
+        EXPECT_EQ(*b.holder, s.net->dht().OwnerOf(dht::HashKey(b.key)))
+            << after << " " << b.key;
+      }
+    }
+  };
+  s.net->FailPeerAndStabilize(victim);
+  expect_unnamed_and_correct("FailPeerAndStabilize");
+  (void)s.net->JoinPeerAndWait();
+  expect_unnamed_and_correct("JoinPeerAndWait");
 }
 
 TEST(ShortPullTest, OneRuleForEveryTrimShape) {
@@ -970,6 +1128,11 @@ struct JoinChaosOutcome {
   bool complete = false;
   bool degraded = false;
   bool answers_match_ground_truth = false;
+  bool answers_match_oracle = false;
+  /// The directory named the crashed victim as its block's holder, so the
+  /// first dispatch of that block's task went one hop to the dead node.
+  bool victim_named = false;
+  uint64_t retries = 0;
   uint64_t tasks = 0;
   uint64_t remote = 0;
   uint64_t local_fallback = 0;
@@ -980,12 +1143,25 @@ struct JoinChaosOutcome {
                          const JoinChaosOutcome&) = default;
 };
 
+/// What the term owner knows of its overflow holders when the query runs.
+enum class HolderNames {
+  /// Every owner cache emptied first, as right after a ring change: the
+  /// directory names no overflow holder, so every dispatch and pull is
+  /// routed through the ring.
+  kNone,
+  /// Warm caches: the directory names every overflow holder, the victim
+  /// included, so the victim's task is dispatched to it in one hop.
+  kNamed,
+};
+
 /// The single-term pattern makes every join task have exactly one input
 /// block — its home — so the crashed holder's blocks are touched only by
-/// the tasks homed there: those tasks (and only those) must fall back to
-/// a query-side join, and with the holder revived inside the fallback's
-/// retry window the final answers equal the fault-free ground truth.
-JoinChaosOutcome RunJoinChaosScenario(uint64_t seed) {
+/// the tasks homed there. With routed dispatches (HolderNames::kNone)
+/// those tasks must fall back to a query-side join; with the victim named
+/// (kNamed) the task's routed retry may instead run it remotely. Either
+/// way, with the holder revived inside the retry window the final answers
+/// equal the fault-free ground truth.
+JoinChaosOutcome RunJoinChaosScenario(uint64_t seed, HolderNames names) {
   auto& tracer = obs::Tracer::Default();
   tracer.SetEnabled(true);
   tracer.Clear();
@@ -1023,9 +1199,8 @@ JoinChaosOutcome RunJoinChaosScenario(uint64_t seed) {
   // Victim: the holder of an interior 'author' block — the home of the
   // join tasks covering that document interval.
   const std::string term = index::LabelKey("author");
-  std::set<sim::NodeIndex> protected_nodes{2, kQuerier,
-                                           net.dht().OwnerOf(
-                                               dht::HashKey(term))};
+  const sim::NodeIndex owner = net.dht().OwnerOf(dht::HashKey(term));
+  std::set<sim::NodeIndex> protected_nodes{2, kQuerier, owner};
   std::optional<sim::NodeIndex> victim;
   std::vector<index::DppBlockInfo> dir;
   index::DppManager::FetchDirectory(
@@ -1035,23 +1210,34 @@ JoinChaosOutcome RunJoinChaosScenario(uint64_t seed) {
         dir = std::move(blocks);
       });
   net.RunToIdle();
+  JoinChaosOutcome out;
   for (size_t i = 1; i + 1 < dir.size() && !victim.has_value(); ++i) {
     const sim::NodeIndex holder = net.dht().OwnerOf(dht::HashKey(dir[i].key));
     if (protected_nodes.count(holder) > 0) continue;
     victim = holder;
+    out.victim_named = dir[i].holder == holder;
   }
   EXPECT_TRUE(victim.has_value()) << "corpus too small to pick a victim";
-  JoinChaosOutcome out;
   if (!victim.has_value()) return out;
+  if (names == HolderNames::kNone) {
+    // Same ring, empty caches: the owner names no overflow holder until a
+    // routed reply teaches it again, and no write runs before the query.
+    net.dht().Stabilize();
+    EXPECT_EQ(net.peer(owner)->dht_peer()->KnownOwnerCount(), 0u);
+    out.victim_named = false;
+  }
 
   // Crash mid-request. The ring re-stabilizes around the crash, so the
   // victim's key range is inherited by a data-less successor that answers
-  // pulls with empty-but-"complete" lists: the holder's directory check
-  // catches that and NACKs (complete=false), which forces the affected
-  // tasks onto the query-side fallback. The fallback's own verified
-  // re-pulls out-wait the outage: the victim revives at t0+1.0, rejoins
-  // the ring with its store intact, and the second fallback attempt
-  // (~t0+1.1) recovers the full data.
+  // pulls with empty-but-"complete" lists. With routed dispatches the
+  // holder's directory check catches that and NACKs (complete=false),
+  // which forces the affected tasks onto the query-side fallback. The
+  // fallback's own verified re-pulls out-wait the outage: the victim
+  // revives at t0+1.0, rejoins the ring with its store intact, and the
+  // second fallback attempt (~t0+1.1) recovers the full data. With the
+  // victim named, the first dispatch and pulls go one hop to the dead
+  // node; their routed retries run after the ring change, and may land
+  // after the revival.
   sim::FaultOptions fopts;
   fopts.seed = seed;
   fopts.drop_p = 0.05;
@@ -1064,6 +1250,8 @@ JoinChaosOutcome RunJoinChaosScenario(uint64_t seed) {
 
   qopt.fetch_retry.timeout_s = 0.5;
   qopt.fetch_retry.max_retries = 3;
+  const uint64_t retries_before =
+      obs::MetricRegistry::Default().GetCounter("dht.retries")->value();
   std::optional<query::QueryResult> result;
   EXPECT_TRUE(net.SubmitQuery(kQuerier, kQuery, qopt,
                               [&](query::QueryResult r) {
@@ -1082,14 +1270,23 @@ JoinChaosOutcome RunJoinChaosScenario(uint64_t seed) {
     out.remote = result->metrics.join_remote;
     out.local_fallback = result->metrics.join_local_fallback;
     out.answers_match_ground_truth = result->answers == expected;
-    // Exact contract: the crash forced at least one per-task fallback,
-    // the run says so (degraded), and the answers are still the complete
-    // fault-free set (complete).
-    EXPECT_GE(out.local_fallback, 1u);
+    out.answers_match_oracle =
+        Sorted(result->answers) == Oracle(kQuery, docs);
+    out.retries =
+        obs::MetricRegistry::Default().GetCounter("dht.retries")->value() -
+        retries_before;
+    // Every task either ran remotely or fell back, and the answers are
+    // still the complete fault-free set (complete).
     EXPECT_EQ(out.remote + out.local_fallback, out.tasks);
-    EXPECT_TRUE(out.degraded);
     EXPECT_TRUE(out.complete);
     EXPECT_TRUE(out.answers_match_ground_truth);
+    EXPECT_TRUE(out.answers_match_oracle);
+    if (names == HolderNames::kNone) {
+      // Exact contract of the routed path: the crash forced at least one
+      // per-task fallback, and the run says so (degraded).
+      EXPECT_GE(out.local_fallback, 1u);
+      EXPECT_TRUE(out.degraded);
+    }
   }
   net.RunToIdle();
 
@@ -1100,18 +1297,35 @@ JoinChaosOutcome RunJoinChaosScenario(uint64_t seed) {
 }
 
 TEST(DistributedJoinChaosTest, HolderCrashFallsBackPerTask) {
-  const JoinChaosOutcome out = RunJoinChaosScenario(FaultSeed());
+  const JoinChaosOutcome out =
+      RunJoinChaosScenario(FaultSeed(), HolderNames::kNone);
   EXPECT_TRUE(out.finished_in_time);
   EXPECT_TRUE(out.answers_match_ground_truth);
 }
 
 TEST(DistributedJoinChaosTest, SameSeedRunsAreByteIdentical) {
-  const JoinChaosOutcome a = RunJoinChaosScenario(FaultSeed());
-  const JoinChaosOutcome b = RunJoinChaosScenario(FaultSeed());
-  EXPECT_EQ(a.trace, b.trace);
-  EXPECT_EQ(a.metrics_delta, b.metrics_delta);
-  EXPECT_EQ(a, b);
-  EXPECT_FALSE(a.trace.empty());
+  for (const HolderNames names : {HolderNames::kNone, HolderNames::kNamed}) {
+    const JoinChaosOutcome a = RunJoinChaosScenario(FaultSeed(), names);
+    const JoinChaosOutcome b = RunJoinChaosScenario(FaultSeed(), names);
+    EXPECT_EQ(a.trace, b.trace);
+    EXPECT_EQ(a.metrics_delta, b.metrics_delta);
+    EXPECT_EQ(a, b);
+    EXPECT_FALSE(a.trace.empty());
+  }
+}
+
+// The directory names the crashed holder of the victim's block, so that
+// task's first dispatch goes one hop to a dead node: its routed retry
+// resolves it, and the answers are complete and equal the oracle.
+TEST(DistributedJoinChaosTest, HintedDispatchToCrashedHolderResolvesByRetry) {
+  const JoinChaosOutcome out =
+      RunJoinChaosScenario(FaultSeed(), HolderNames::kNamed);
+  EXPECT_TRUE(out.victim_named);
+  EXPECT_TRUE(out.finished_in_time);
+  EXPECT_GT(out.retries, 0u);
+  EXPECT_TRUE(out.complete);
+  EXPECT_TRUE(out.answers_match_ground_truth);
+  EXPECT_TRUE(out.answers_match_oracle);
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include "dht/dht.h"
 #include "dht/ring.h"
 #include "index/dpp.h"
+#include "obs/metrics.h"
 #include "sim/fault_plan.h"
 
 namespace kadop::index {
@@ -190,6 +191,61 @@ TEST(DppTest, LongListSplitsAcrossPeersWithOrderedConditions) {
   for (const auto& m : net.managers) stats.Add(m->stats());
   EXPECT_GT(stats.splits, 0u);
   EXPECT_GT(stats.migrated_postings, 0u);
+}
+
+// The owner learns an overflow block's holder from the reply to a routed
+// write and names it in its directory: every named holder is the block
+// key's owner. A ring change empties the owner cache, so the directory
+// names none until a routed reply teaches the owner again.
+TEST(DppTest, DirectoryNamesTheOverflowHoldersTheOwnerLearned) {
+  DppOptions options;
+  options.max_block_postings = 256;
+  DppNet net(12, options);
+  PostingList postings;
+  for (uint32_t i = 0; i < 2000; ++i) postings.push_back(MakePosting(i, 1));
+  for (size_t off = 0; off < postings.size(); off += 400) {
+    PostingList batch(postings.begin() + off,
+                      postings.begin() + std::min(off + 400, postings.size()));
+    net.dht.peer(3)->Append("l:author", batch, nullptr);
+  }
+  net.scheduler.RunUntilIdle();
+
+  auto& registry = obs::MetricRegistry::Default();
+  const obs::Counter* named = registry.GetCounter("dpp.dir.holders_named");
+  const obs::Counter* unnamed = registry.GetCounter("dpp.dir.holders_unnamed");
+  const sim::NodeIndex owner = net.dht.OwnerOf(dht::HashKey("l:author"));
+  uint64_t named0 = named->value();
+  uint64_t unnamed0 = unnamed->value();
+  std::vector<DppBlockInfo> dir = net.Directory("l:author");
+  ASSERT_GE(dir.size(), 4u);
+  uint64_t overflow = 0;
+  uint64_t holders = 0;
+  for (const DppBlockInfo& b : dir) {
+    if (b.key == "l:author") {
+      EXPECT_EQ(b.holder, owner);
+      continue;
+    }
+    ++overflow;
+    if (!b.holder.has_value()) continue;
+    ++holders;
+    EXPECT_EQ(*b.holder, net.dht.OwnerOf(dht::HashKey(b.key))) << b.key;
+  }
+  EXPECT_GT(holders, 0u);
+  EXPECT_EQ(named->value() - named0, holders);
+  EXPECT_EQ(unnamed->value() - unnamed0, overflow - holders);
+
+  net.dht.Stabilize();
+  named0 = named->value();
+  unnamed0 = unnamed->value();
+  dir = net.Directory("l:author");
+  for (const DppBlockInfo& b : dir) {
+    if (b.key != "l:author") {
+      EXPECT_FALSE(b.holder.has_value()) << b.key;
+    }
+  }
+  EXPECT_EQ(named->value() - named0, 0u);
+  EXPECT_EQ(unnamed->value() - unnamed0, overflow);
+  EXPECT_EQ(net.FetchAllBlocks("l:author"), postings);
 }
 
 TEST(DppTest, OutOfOrderInsertsLandInMatchingBlocks) {

@@ -34,11 +34,16 @@ The serving harness (bench == "serving") additionally promises:
 Every p50/p99/p999 cell is a nearest-rank order statistic of the step's
 raw latency samples.
 
+The Fig 3 bench (bench == "fig3_query_dpp") additionally promises, on
+every row, join_answers_match == 1 and view_answers_match == 1: the
+kDppJoin and kView runs return exactly the kDpp run's answers.
+
 Usage: check_bench_json.py FILE [FILE...]
        check_bench_json.py --self-test
 Exits non-zero listing every violation, so CI fails loudly when a bench
 stops emitting what the figure scripts consume. --self-test checks that
-small synthetic serving files which break each gate are rejected.
+small synthetic serving and Fig 3 files which break each gate are
+rejected.
 """
 
 import json
@@ -137,6 +142,19 @@ def check_file(path, errors):
 
     if bench == "serving" and isinstance(rows, list):
         check_serving_rows(rows, path, errors)
+    if bench == "fig3_query_dpp" and isinstance(rows, list):
+        check_fig3_rows(rows, path, errors)
+
+
+def check_fig3_rows(rows, path, errors):
+    """Every Fig 3 volume's kDppJoin and kView answers equal kDpp's."""
+    for i, row in enumerate(rows):
+        if not isinstance(row, dict):
+            continue
+        for key in ("join_answers_match", "view_answers_match"):
+            if row.get(key) != 1:
+                _err(errors, path,
+                     f"rows[{i}].{key} must be 1 (got {row.get(key)!r})")
 
 
 def check_serving_rows(rows, path, errors):
@@ -367,6 +385,24 @@ def _synthetic_serving():
             "metrics": {"counters": {}, "gauges": {}, "histograms": {}}}
 
 
+def _synthetic_fig3():
+    """A small Fig 3 file that passes every gate: two volumes."""
+    rows = [{"indexed_mb": mb, "dpp_response_s": 0.03,
+             "join_answers_match": 1, "view_answers_match": 1}
+            for mb in (2, 4)]
+    return {"bench": "fig3_query_dpp", "description": "synthetic Fig 3 file",
+            "schema_version": 1, "rows": rows,
+            "metrics": {"counters": {}, "gauges": {}, "histograms": {}}}
+
+
+def _join_mismatch(data):
+    data["rows"][1]["join_answers_match"] = 0
+
+
+def _view_missing(data):
+    del data["rows"][0]["view_answers_match"]
+
+
 def _rows_of(data, kind):
     return [r for r in data["rows"] if r.get("kind") == kind]
 
@@ -396,24 +432,32 @@ def _unpaired_views(data):
 def self_test():
     """Each broken synthetic file must be rejected for its own reason,
     and the unbroken one accepted."""
+    serving = _synthetic_serving
+    fig3 = _synthetic_fig3
     cases = [
-        ("valid", None, None),
-        ("no knee", _no_knee, "knee row names no ladder step"),
-        ("views not strictly better", _views_tie,
+        ("valid", serving, None, None),
+        ("no knee", serving, _no_knee, "knee row names no ladder step"),
+        ("views not strictly better", serving, _views_tie,
          "p99 with views"),
-        ("replication worse", _replication_worse, "p99 with replication"),
-        ("unpaired replication rows", _unpaired_repl,
+        ("replication worse", serving, _replication_worse,
+         "p99 with replication"),
+        ("unpaired replication rows", serving, _unpaired_repl,
          "one 'qps_step_repl' row per 'qps_step' row"),
-        ("unpaired views rows", _unpaired_views,
+        ("unpaired views rows", serving, _unpaired_views,
          "qps_step_views[2] offered_qps"),
+        ("valid fig3", fig3, None, None),
+        ("fig3 join answers differ", fig3, _join_mismatch,
+         "rows[1].join_answers_match must be 1"),
+        ("fig3 view answers unchecked", fig3, _view_missing,
+         "rows[0].view_answers_match must be 1"),
     ]
     failures = 0
     with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "BENCH_serving.json")
-        for name, mutate, expected in cases:
-            data = _synthetic_serving()
+        for name, make, mutate, expected in cases:
+            data = make()
             if mutate:
                 mutate(data)
+            path = os.path.join(tmp, f"BENCH_{data['bench']}.json")
             with open(path, "w", encoding="utf-8") as f:
                 json.dump(data, f)
             errors = []

@@ -386,10 +386,11 @@ class Shell {
   /// Per-peer breakdown: that peer's DhtStats plus every registry metric
   /// filed under its load prefix (`load.holder.<N>.*`), so hot holders can
   /// be singled out without grepping the full metrics dump. The peer's
-  /// owner-cache size and the owner-hint counters (`dht.hint.*`) follow,
-  /// the counters network-wide: sends that went one hop to a named owner,
-  /// how many of those found a non-owner, and how many took their hint
-  /// from an owner cache.
+  /// owner-cache size and the owner-hint counters (`dht.hint.*`,
+  /// `dpp.dir.holders_*`) follow, the counters network-wide: sends that
+  /// went one hop to a named owner, how many of those found a non-owner,
+  /// how many took their hint from an owner cache, and how many overflow
+  /// entries of directory replies named a holder or did not.
   void CmdStatsPeer(std::istringstream& in) {
     size_t peer = 0;
     if (!(in >> peer) || peer >= net_->PeerCount()) {
@@ -433,7 +434,8 @@ class Shell {
                 net_->dht().peer(node)->KnownOwnerCount());
     std::printf("  owner hints (network-wide):\n");
     for (const char* name :
-         {"dht.hint.sends", "dht.hint.forwards", "dht.hint.cached"}) {
+         {"dht.hint.sends", "dht.hint.forwards", "dht.hint.cached",
+          "dpp.dir.holders_named", "dpp.dir.holders_unnamed"}) {
       auto it = snap.counters.find(name);
       std::printf("    %-24s %llu\n", name,
                   static_cast<unsigned long long>(
