@@ -771,6 +771,35 @@ Result<std::string> KadopNet::ExplainQueryAndWait(
   out += query::QueryStrategyName(
       query::PickStrategy(costs, options.objective));
   out += "\n";
+  if (options.dpp_available && options.dpp_join_available) {
+    // The tasks a kDppJoin run would dispatch, each with its window and
+    // the home block it would be joined at.
+    std::vector<std::vector<index::DppBlockInfo>> directories;
+    for (TermDirectory& dir : *dirs) {
+      directories.push_back(std::move(dir.blocks));
+    }
+    const query::DppBlockSelection selection =
+        query::SelectDppBlocks(std::move(directories));
+    std::vector<query::JoinTaskPlan> tasks;
+    if (selection.viable) {
+      tasks = query::PlanJoinTasks(selection.blocks, selection.window);
+    }
+    out += "dpp-join tasks: " + std::to_string(tasks.size()) + "\n";
+    for (size_t t = 0; t < tasks.size(); ++t) {
+      const query::JoinTaskPlan& task = tasks[t];
+      const index::DppBlockInfo& home =
+          task.inputs[task.home_node][task.home_block];
+      char estimate[96];
+      std::snprintf(estimate, sizeof(estimate),
+                    " ~%.0f of %llu postings in window\n",
+                    task.home_postings,
+                    static_cast<unsigned long long>(home.count));
+      out += "  [" + std::to_string(t) + "] docs " +
+             task.window.MinDoc().ToString() + ".." +
+             task.window.MaxDoc().ToString() + " home " + home.key +
+             estimate;
+    }
+  }
   return out;
 }
 

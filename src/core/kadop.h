@@ -300,7 +300,10 @@ class KadopNet {
   /// Explains how the optimizer sees a query: the parsed pattern, its
   /// completeness/precision analysis, the stored list size per term with
   /// its directory block count, the per-strategy cost estimates, and the
-  /// strategy kAuto would pick. The sizes come from kAuto's own planning
+  /// strategy kAuto would pick. When kDppJoin is a candidate it also lists
+  /// the join tasks a kDppJoin run would dispatch (PlanJoinTasks): each
+  /// window, its home block and the home's estimated postings in the
+  /// window. The sizes come from kAuto's own planning
   /// round (one directory fetch per term, under `options.fetch_retry` or
   /// else the DHT's retry policy); a term whose directory never arrives
   /// yields kUnavailable naming it.

@@ -545,7 +545,11 @@ void DhtPeer::RouteEnvelopeMsg(std::shared_ptr<RouteEnvelope> env) {
 
 void DhtPeer::SendEnvelope(std::shared_ptr<RouteEnvelope> env,
                            std::optional<OwnerHint> owner_hint) {
-  if (!owner_hint.has_value() || owner_hint->node == node_) {
+  // A key this peer owns is delivered here whatever the hint names: after
+  // a crash the sender may have inherited the dead node's range, and a
+  // send to the dead node would only wait out the timeout.
+  if (!owner_hint.has_value() || owner_hint->node == node_ ||
+      IsResponsible(env->key)) {
     RouteEnvelopeMsg(std::move(env));
     return;
   }

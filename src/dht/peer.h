@@ -342,8 +342,9 @@ class DhtPeer final : public sim::Actor {
   sim::NodeIndex NextHop(KeyId key) const;
   /// Starts or forwards routing of an envelope.
   void RouteEnvelopeMsg(std::shared_ptr<RouteEnvelope> env);
-  /// Sends an envelope one hop to `owner_hint` when set (and not this
-  /// peer); otherwise starts routing it.
+  /// Sends an envelope one hop to `owner_hint` when set, naming another
+  /// peer, and this peer does not own the key; otherwise starts routing it
+  /// (a key this peer owns is delivered locally).
   void SendEnvelope(std::shared_ptr<RouteEnvelope> env,
                     std::optional<OwnerHint> owner_hint);
   /// Delivers a routed payload for which this peer is responsible.

@@ -172,9 +172,10 @@ struct BlockJoinPatternNode {
   uint8_t axis = 1;  // 0 = child ('/'), 1 = descendant ('//')
 };
 
-/// Asks the peer holding `inputs[home_node][home_block]` (the task's
-/// largest input — routed to that block's pseudo-key, so the heaviest
-/// list never moves) to execute one block-join task of Section 4.3: pull
+/// Asks the peer holding `inputs[home_node][home_block]` (the input with
+/// the most postings expected in `window`, sent to that block's
+/// pseudo-key, so the window's heaviest input never moves) to execute
+/// one block-join task of Section 4.3: pull
 /// the other input blocks trimmed to `window`, run the holistic twig join
 /// locally, and reply with a JoinResultMessage carrying only result
 /// tuples (docs/distributed_join.md).

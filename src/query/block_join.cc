@@ -24,8 +24,12 @@ obs::MetricRegistry& R() { return obs::MetricRegistry::Default(); }
 
 struct HolderCounters {
   obs::Counter* tasks = R().GetCounter("query.join.holder.tasks");
+  // Every posting a holder read for its tasks, local and foreign alike.
   obs::Counter* ingress_postings =
       R().GetCounter("query.join.holder.ingress_postings");
+  // The part of ingress_postings read from the holder's own store.
+  obs::Counter* local_postings =
+      R().GetCounter("query.join.holder.local_postings");
   obs::Counter* ingress_wire_bytes =
       R().GetCounter("query.join.holder.ingress_wire_bytes");
   obs::Counter* egress_result_bytes =
@@ -231,7 +235,9 @@ void BlockJoinService::RunTask(const index::BlockJoinRequest& req,
       result->postings_pulled += got.size();
       result->blocks_fetched++;
       C().ingress_postings->Increment(got.size());
-      if (!local) {
+      if (local) {
+        C().local_postings->Increment(got.size());
+      } else {
         const size_t wire = index::codec::EncodedBytes(got);
         result->pulled_wire_bytes += wire;
         C().ingress_wire_bytes->Increment(wire);

@@ -71,9 +71,10 @@ void PullAndJoin(dht::DhtPeer* peer, const TreePattern& pattern,
                  std::function<void(const TwigJoin& join)> done);
 
 /// Holder side of kDppJoin (Section 4.3), one per peer. The query peer
-/// routes each task to the pseudo-key of its largest input block; the
-/// holder runs it with PullAndJoin and replies with the answer tuples
-/// only, so the heaviest posting list never crosses the wire. It never
+/// sends each task to its home block, the input expected to hold the most
+/// of the task's window (PlanJoinTasks); the holder runs it with
+/// PullAndJoin and replies with the answer tuples only, so the window's
+/// heaviest input never crosses the wire. It never
 /// re-pulls: a short pull turns the reply into a NACK (complete=false) and
 /// the query peer redoes the task.
 class BlockJoinService {

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <iterator>
+#include <map>
 #include <set>
+#include <string>
 #include <utility>
 
 #include "common/logging.h"
@@ -402,14 +404,66 @@ void QueryExecutor::AnnotateTermCounts() {
 }
 
 void QueryExecutor::OnDppDirectoriesReady() {
+  std::vector<std::vector<index::DppBlockInfo>> directories;
+  directories.reserve(dpp_.size());
+  for (DppNodeState& st : dpp_) {
+    for (const auto& b : st.blocks) metrics_.full_postings += b.count;
+    directories.push_back(std::move(st.blocks));
+    st.blocks.clear();
+  }
+  DppBlockSelection selection = SelectDppBlocks(std::move(directories));
+  metrics_.blocks_skipped += selection.skipped;
+  C().dpp_blocks_skipped->Increment(selection.skipped);
+  if (!selection.viable) {
+    for (size_t node = 0; node < pattern_.size(); ++node) CloseStream(node);
+    AdvanceJoin();
+    Finish(metrics_.complete);
+    return;
+  }
+  dpp_window_ = selection.window;
+
+  // Phase span for the remainder of the query: block fetches (kDpp), or
+  // the dispatch/result round of holder-side joins (kDppJoin). Ended by
+  // Finish().
+  auto& tracer = obs::Tracer::Default();
+  phase_span_ = tracer.Begin(
+      dpp_join_mode_ ? "query.join.dispatch" : "query.fetch", span_);
+  obs::ScopedTraceContext phase_scope(tracer.ContextFor(phase_span_));
+
+  if (dpp_join_mode_) {  // no query-side fetches in join mode
+    StartJoinTasks(selection.blocks);
+    return;
+  }
+  for (size_t node = 0; node < pattern_.size(); ++node) {
+    DppNodeState& st = dpp_[node];
+    st.blocks = std::move(selection.blocks[node]);
+    // Overlapping conditions (random-split ablation) cannot be streamed in
+    // order: collect fully and merge before feeding the join.
+    st.requires_merge = false;
+    for (size_t i = 1; i < st.blocks.size(); ++i) {
+      if (st.blocks[i - 1].cond.Intersects(st.blocks[i].cond)) {
+        st.requires_merge = true;
+      }
+    }
+    if (st.blocks.empty()) {
+      CloseStream(node);
+    } else {
+      PumpDppFetches(node);
+    }
+  }
+  AdvanceJoin();
+  MaybeFinishStreams();
+}
+
+DppBlockSelection SelectDppBlocks(
+    std::vector<std::vector<index::DppBlockInfo>> directories) {
+  DppBlockSelection out;
   // The [min, max] document-interval filter of Section 4.2: all answers lie
   // between the largest per-term minimum and the smallest per-term maximum.
   DocId min_doc{0, 0};
   DocId max_doc{UINT32_MAX, UINT32_MAX};
   bool empty = false;
-  for (size_t node = 0; node < pattern_.size(); ++node) {
-    const auto& blocks = dpp_[node].blocks;
-    for (const auto& b : blocks) metrics_.full_postings += b.count;
+  for (const auto& blocks : directories) {
     if (blocks.empty()) {
       empty = true;
       continue;
@@ -426,19 +480,12 @@ void QueryExecutor::OnDppDirectoriesReady() {
   if (empty || max_doc < min_doc) {
     // Some term has no postings, or the document intervals are disjoint:
     // the index query is provably empty without fetching anything.
-    for (size_t node = 0; node < pattern_.size(); ++node) {
-      metrics_.blocks_skipped += dpp_[node].blocks.size();
-      C().dpp_blocks_skipped->Increment(dpp_[node].blocks.size());
-      dpp_[node].blocks.clear();
-      CloseStream(node);
-    }
-    AdvanceJoin();
-    Finish(metrics_.complete);
-    return;
+    for (const auto& blocks : directories) out.skipped += blocks.size();
+    return out;
   }
-
-  dpp_window_.lo = Posting{min_doc.peer, min_doc.doc, {0, 0, 0}};
-  dpp_window_.hi =
+  out.viable = true;
+  out.window.lo = Posting{min_doc.peer, min_doc.doc, {0, 0, 0}};
+  out.window.hi =
       Posting{max_doc.peer, max_doc.doc, {UINT32_MAX, UINT32_MAX, UINT16_MAX}};
 
   // Type-aware filtering (Section 4.1): a document type can only produce
@@ -447,83 +494,78 @@ void QueryExecutor::OnDppDirectoriesReady() {
   // info (e.g. `rev:` entries) disable the filter conservatively.
   std::map<std::string, size_t> terms_with_type;
   bool types_known = true;
-  for (const DppNodeState& st : dpp_) {
+  for (const auto& blocks : directories) {
     std::set<std::string> term_types;
-    for (const auto& b : st.blocks) {
+    for (const auto& b : blocks) {
       types_known = types_known && !b.types.empty();
       term_types.insert(b.types.begin(), b.types.end());
     }
     for (const auto& t : term_types) terms_with_type[t]++;
   }
 
-  // Phase span for the remainder of the query: block fetches (kDpp), or
-  // the dispatch/result round of holder-side joins (kDppJoin). Ended by
-  // Finish().
-  auto& tracer = obs::Tracer::Default();
-  phase_span_ = tracer.Begin(
-      dpp_join_mode_ ? "query.join.dispatch" : "query.fetch", span_);
-  obs::ScopedTraceContext phase_scope(tracer.ContextFor(phase_span_));
-
-  for (size_t node = 0; node < pattern_.size(); ++node) {
-    DppNodeState& st = dpp_[node];
-    std::vector<index::DppBlockInfo> kept;
-    for (auto& b : st.blocks) {
+  out.blocks.resize(directories.size());
+  for (size_t node = 0; node < directories.size(); ++node) {
+    for (auto& b : directories[node]) {
       bool type_viable = !types_known;
       for (const auto& t : b.types) {
-        type_viable = type_viable || terms_with_type[t] == pattern_.size();
+        type_viable = type_viable || terms_with_type[t] == directories.size();
       }
-      if (type_viable && b.cond.Intersects(dpp_window_)) {
-        kept.push_back(std::move(b));
+      if (type_viable && b.cond.Intersects(out.window)) {
+        out.blocks[node].push_back(std::move(b));
       } else {
-        metrics_.blocks_skipped++;
-        C().dpp_blocks_skipped->Increment();
+        out.skipped++;
       }
     }
-    st.blocks = std::move(kept);
-    // Overlapping conditions (random-split ablation) cannot be streamed in
-    // order: collect fully and merge before feeding the join.
-    st.requires_merge = false;
-    for (size_t i = 1; i < st.blocks.size(); ++i) {
-      if (st.blocks[i - 1].cond.Intersects(st.blocks[i].cond)) {
-        st.requires_merge = true;
-      }
-    }
-    if (dpp_join_mode_) continue;  // no query-side fetches in join mode
-    if (st.blocks.empty()) {
-      CloseStream(node);
-    } else {
-      PumpDppFetches(node);
-    }
   }
-  if (dpp_join_mode_) {
-    PlanJoinTasks();
-    return;
-  }
-  AdvanceJoin();
-  MaybeFinishStreams();
+  return out;
 }
 
 // -- Distributed block-level twig join (kDppJoin) ---------------------------
 
-void QueryExecutor::PlanJoinTasks() {
-  // Cut the document window wherever any surviving block ends: within one
-  // interval every term is covered by a fixed set of blocks, so the join
-  // decomposes into at most sum(m_i) independent tasks (Section 4.3). The
-  // window maximum is always a cut so the intervals cover the window even
-  // when type filtering dropped the block that defined it.
-  const DocId window_max{dpp_window_.hi.peer, dpp_window_.hi.doc};
+namespace {
+
+/// A document's place in the (peer, doc) order as one number.
+uint64_t LinearDoc(const DocId& d) {
+  return (static_cast<uint64_t>(d.peer) << 32) | d.doc;
+}
+
+}  // namespace
+
+double InWindowPostings(const index::DppBlockInfo& block,
+                        const index::Condition& window) {
+  if (!block.cond.Intersects(window)) return 0;
+  const DocId lo = std::max(block.cond.MinDoc(), window.MinDoc());
+  const DocId hi = std::min(block.cond.MaxDoc(), window.MaxDoc());
+  const double covered =
+      static_cast<double>(LinearDoc(hi) - LinearDoc(lo)) + 1;
+  const double whole = static_cast<double>(LinearDoc(block.cond.MaxDoc()) -
+                                           LinearDoc(block.cond.MinDoc())) +
+                       1;
+  return static_cast<double>(block.count) * covered / whole;
+}
+
+std::vector<JoinTaskPlan> PlanJoinTasks(
+    const std::vector<std::vector<index::DppBlockInfo>>& blocks,
+    const index::Condition& window) {
+  // Cut the document window wherever any block ends: within one interval
+  // every term is covered by a fixed set of blocks, so the join decomposes
+  // into at most sum(m_i) independent tasks (Section 4.3). The window
+  // maximum is always a cut so the intervals cover the window even when
+  // type filtering dropped the block that defined it.
+  const DocId window_max = window.MaxDoc();
   std::set<DocId> cuts;
   cuts.insert(window_max);
-  for (const DppNodeState& st : dpp_) {
-    for (const auto& b : st.blocks) {
+  for (const auto& per_node : blocks) {
+    for (const auto& b : per_node) {
       const DocId end = b.cond.MaxDoc();
       cuts.insert(end < window_max ? end : window_max);
     }
   }
 
-  Posting lo = dpp_window_.lo;
+  std::vector<JoinTaskPlan> tasks;
+  Posting lo = window.lo;
   for (const DocId& cut : cuts) {
-    JoinTask task;
+    JoinTaskPlan task;
     task.window.lo = lo;
     task.window.hi = Posting{cut.peer, cut.doc,
                              {UINT32_MAX, UINT32_MAX, UINT16_MAX}};
@@ -532,15 +574,17 @@ void QueryExecutor::PlanJoinTasks() {
              : Posting{cut.peer + 1, 0, {0, 0, 0}};
     // A task can only produce answers if every term has a block there.
     bool viable = true;
-    uint64_t largest = 0;
-    task.inputs.resize(pattern_.size());
-    for (size_t node = 0; node < pattern_.size() && viable; ++node) {
-      for (const auto& b : dpp_[node].blocks) {
+    bool homed = false;
+    task.inputs.resize(blocks.size());
+    for (size_t node = 0; node < blocks.size() && viable; ++node) {
+      for (const auto& b : blocks[node]) {
         if (!b.cond.Intersects(task.window)) continue;
-        // Home = the largest participating block (ties: first seen), so
-        // the heaviest posting list is joined where it already lives.
-        if (b.count > largest) {
-          largest = b.count;
+        // Home = the block expected to hold the most of this window (ties:
+        // first seen), so the window's heaviest input never moves.
+        const double postings = InWindowPostings(b, task.window);
+        if (!homed || postings > task.home_postings) {
+          homed = true;
+          task.home_postings = postings;
           task.home_node = node;
           task.home_block = task.inputs[node].size();
         }
@@ -548,9 +592,16 @@ void QueryExecutor::PlanJoinTasks() {
       }
       if (task.inputs[node].empty()) viable = false;
     }
-    if (viable) join_tasks_.push_back(std::move(task));
+    if (viable) tasks.push_back(std::move(task));
   }
+  return tasks;
+}
 
+void QueryExecutor::StartJoinTasks(
+    const std::vector<std::vector<index::DppBlockInfo>>& blocks) {
+  for (JoinTaskPlan& plan : PlanJoinTasks(blocks, dpp_window_)) {
+    join_tasks_.emplace_back().plan = std::move(plan);
+  }
   metrics_.join_tasks = join_tasks_.size();
   C().join_tasks->Increment(join_tasks_.size());
   obs::Tracer::Default().Annotate(span_, "join_tasks",
@@ -564,7 +615,7 @@ void QueryExecutor::PlanJoinTasks() {
 
 void QueryExecutor::DispatchJoinTask(size_t task) {
   auto self = shared_from_this();
-  const JoinTask& jt = join_tasks_[task];
+  const JoinTaskPlan& plan = join_tasks_[task].plan;
   auto req = std::make_shared<index::BlockJoinRequest>();
   req->query_id = query_id_;
   req->task = static_cast<uint32_t>(task);
@@ -575,12 +626,13 @@ void QueryExecutor::DispatchJoinTask(size_t task) {
     pn.axis = pattern_.node(node).axis == Axis::kChild ? 0 : 1;
     req->nodes.push_back(pn);
   }
-  req->inputs = jt.inputs;
-  req->window = jt.window;
-  req->home_node = jt.home_node;
-  req->home_block = jt.home_block;
+  req->inputs = plan.inputs;
+  req->window = plan.window;
+  req->home_node = plan.home_node;
+  req->home_block = plan.home_block;
   req->fetch_retry = options_.fetch_retry;
-  const index::DppBlockInfo& home = jt.inputs[jt.home_node][jt.home_block];
+  const index::DppBlockInfo& home =
+      plan.inputs[plan.home_node][plan.home_block];
   peer_->RouteApp(
       home.key, std::move(req), TrafficCategory::kQuery,
       [self, task](sim::PayloadPtr inner) {
@@ -657,7 +709,7 @@ void QueryExecutor::RunLocalJoinFallback(size_t task) {
       C().dpp_blocks_fetched->Increment();
     };
   };
-  PullAndJoin(peer_, pattern_, jt.inputs, jt.window,
+  PullAndJoin(peer_, pattern_, jt.plan.inputs, jt.plan.window,
               {.retry = options_.fetch_retry,
                .repull = true,
                .live = [self]() { return !self->finished_; }},
@@ -891,10 +943,11 @@ std::vector<StrategyCostEstimate> EstimateStrategyCosts(
     max_count = std::max(max_count, static_cast<double>(term_counts[i]));
     if (term_counts[i] < term_counts[selective]) selective = i;
   }
-  // Upper bound on answer cardinality: a twig answer needs a posting from
-  // every node's stream, so the scarcest stream bounds the count. Replaces
-  // the old fixed bytes-per-posting guesswork wherever a strategy's cost
-  // depends on how much survives the join rather than on what ships.
+  // Answer-cardinality heuristic: the scarcest stream's count. It is not a
+  // bound, since one posting can take part in many answers (long_list's
+  // //article//author returns 80638 answers from 32254 article postings).
+  // It stands wherever a strategy's cost depends on how much survives the
+  // join rather than on what ships.
   const double est_matches =
       static_cast<double>(EstimateTwigResults(pattern, term_counts));
 
@@ -915,9 +968,11 @@ std::vector<StrategyCostEstimate> EstimateStrategyCosts(
         max_count * kWire / static_cast<double>(kDppParallelism / 2);
     costs.push_back(dpp);
     if (options.dpp_join_available) {
-      // Distributed block join: the largest list never moves (each task
-      // is joined at its holder), the rest ship holder-to-holder with the
-      // same block parallelism, and only answer tuples come back.
+      // Distributed block join: each task is joined at the holder of the
+      // block with the most postings in its window (PlanJoinTasks), so the
+      // heaviest input of every window stays put. Priced as if the largest
+      // list never moves: the rest ship holder-to-holder with the same
+      // block parallelism, and only answer tuples come back.
       StrategyCostEstimate djoin;
       djoin.strategy = QueryStrategy::kDppJoin;
       // Holder-to-holder input shipping plus the result tuples coming

@@ -43,7 +43,8 @@ enum class QueryStrategy : uint8_t {
   /// Distributed block-level twig join (Section 4.3): after the directory
   /// round and [min, max] / type-set filtering, partition the document
   /// window into per-interval join tasks and route each to the peer
-  /// holding the task's largest input block. Holders pull the other
+  /// holding the input block with the most postings in the task's window
+  /// (PlanJoinTasks). Holders pull the other
   /// blocks, join locally, and ship back answer tuples only — the query
   /// peer receives results, not posting lists.
   kDppJoin = 7,
@@ -136,6 +137,54 @@ struct ViewPricing {
 [[nodiscard]] QueryStrategy PickStrategy(
     const std::vector<StrategyCostEstimate>& costs,
     QueryOptions::Objective objective);
+
+/// The directory blocks a DPP query reads: per pattern node, the blocks
+/// that survive the [min, max] document-interval filter (Section 4.2) and
+/// the type-set filter (Section 4.1), in directory order.
+struct DppBlockSelection {
+  /// False when some term has no postings or the per-term intervals are
+  /// disjoint: the index query is provably empty and `blocks` is empty.
+  bool viable = false;
+  /// From the largest per-term minimum document to the smallest maximum.
+  index::Condition window;
+  std::vector<std::vector<index::DppBlockInfo>> blocks;
+  /// Blocks dropped by either filter.
+  size_t skipped = 0;
+};
+
+/// Filters one directory per pattern node. kDpp, kDppJoin and `explain`
+/// read the same selection.
+[[nodiscard]] DppBlockSelection SelectDppBlocks(
+    std::vector<std::vector<index::DppBlockInfo>> directories);
+
+/// One kDppJoin task (Section 4.3): a window of the document order, the
+/// blocks of every pattern node that intersect it, and the home block the
+/// task is sent to, `inputs[home_node][home_block]`.
+struct JoinTaskPlan {
+  index::Condition window;
+  std::vector<std::vector<index::DppBlockInfo>> inputs;  // per node
+  size_t home_node = 0;
+  size_t home_block = 0;
+  /// InWindowPostings of the home block.
+  double home_postings = 0;
+};
+
+/// The postings of `block` expected inside `window`: its count times the
+/// share of its document interval [MinDoc, MaxDoc] the window covers.
+/// Documents are linearized as peer * 2^32 + doc, the (peer, doc) order
+/// of the conditions, so a block spanning several publishers gets a small
+/// share of a window inside one of them.
+[[nodiscard]] double InWindowPostings(const index::DppBlockInfo& block,
+                                      const index::Condition& window);
+
+/// Cuts `window` wherever a block of `blocks` (a DppBlockSelection) ends
+/// and keeps each interval where every node has a block: at most Σ mᵢ
+/// tasks, in document order. Each task's home is the input block with
+/// the most InWindowPostings, the first seen on a tie, so the heaviest
+/// input of the window is joined where it already lives.
+[[nodiscard]] std::vector<JoinTaskPlan> PlanJoinTasks(
+    const std::vector<std::vector<index::DppBlockInfo>>& blocks,
+    const index::Condition& window);
 
 struct QueryMetrics {
   double submit_time = 0.0;
@@ -297,10 +346,10 @@ class QueryExecutor : public std::enable_shared_from_this<QueryExecutor> {
                         std::shared_ptr<const index::PostingList> postings);
   void StartBaseline();
   void OnDppDirectoriesReady();
-  /// kDppJoin: cut the document window at surviving block boundaries,
-  /// form one join task per interval where every term participates, and
-  /// dispatch them all.
-  void PlanJoinTasks();
+  /// kDppJoin: plan the join tasks over the selected `blocks`
+  /// (PlanJoinTasks) and dispatch them all.
+  void StartJoinTasks(
+      const std::vector<std::vector<index::DppBlockInfo>>& blocks);
   void DispatchJoinTask(size_t task);
   void OnJoinTaskResult(size_t task, const index::JoinResultMessage& msg);
   /// The holder is unreachable (routing retry budget exhausted) or replied
@@ -398,10 +447,7 @@ class QueryExecutor : public std::enable_shared_from_this<QueryExecutor> {
   // window into disjoint ascending intervals, so delivering them in task
   // order reproduces the document-order answer stream of kDpp exactly.
   struct JoinTask {
-    index::Condition window;
-    std::vector<std::vector<index::DppBlockInfo>> inputs;  // per node
-    size_t home_node = 0;
-    size_t home_block = 0;
+    JoinTaskPlan plan;
     bool done = false;
     std::vector<Answer> answers;
     std::vector<index::DocId> matched_docs;

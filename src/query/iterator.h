@@ -77,9 +77,10 @@ class PostingListIterator {
 [[nodiscard]] index::PostingList MergeDistinct(
     std::vector<index::PostingList> lists);
 
-/// Cardinality estimate for a twig query over per-node posting counts:
-/// the answer count is bounded by the scarcest node's stream. This is the
-/// number `kAuto` consumes (docs/query_engine.md#estimates).
+/// Cardinality heuristic for a twig query over per-node posting counts:
+/// the scarcest node's count. It is not a bound: one posting can take part
+/// in many answers. This is the number `kAuto` consumes
+/// (docs/query_engine.md#estimates).
 [[nodiscard]] uint64_t EstimateTwigResults(
     const TreePattern& pattern, const std::vector<uint64_t>& counts);
 

@@ -496,6 +496,57 @@ TEST(DhtHintTest, HintAtACrashedPeerResolvesOnTheRoutedRetry) {
   EXPECT_EQ(d.counters.at("dht.retries"), 1u);
 }
 
+// The key's owner crashed and the ring handed its range to the heir. A
+// send from the heir hinted at the dead owner is delivered at the heir at
+// once: no one-hop send to the dead node, no timeout, no retry.
+TEST(DhtHintTest, HintAtTheDeadOwnerOfAnInheritedKeyIsDeliveredLocally) {
+  HintNet net("l:hinted", HintPostings());
+  const sim::NodeIndex dead = net.owner;
+  net.dht.FailPeer(dead);
+  net.dht.Stabilize();
+  const sim::NodeIndex heir = net.dht.OwnerOf(HashKey("l:hinted"));
+  ASSERT_NE(heir, dead);
+  DhtPeer* p = net.dht.peer(heir);
+  RetryPolicy retry;
+  retry.timeout_s = 0.5;
+
+  GetSpec spec;
+  spec.key = "l:hinted";
+  spec.retry = retry;
+  spec.owner_hint = dead;
+  obs::MetricsSnapshot base = Now();
+  double start = net.scheduler.Now();
+  bool done = false;
+  p->GetBlocks(spec, [&](PostingList, bool last, bool complete) {
+    EXPECT_TRUE(complete);
+    done = done || last;
+  });
+  net.scheduler.RunUntilIdle();
+  EXPECT_TRUE(done);
+  EXPECT_LT(net.scheduler.Now() - start, retry.timeout_s);
+  obs::MetricsSnapshot d = Since(base);
+  EXPECT_EQ(d.counters.at("dht.hint.sends"), 0u);
+  EXPECT_EQ(d.counters.at("dht.retries"), 0u);
+
+  base = Now();
+  start = net.scheduler.Now();
+  std::optional<sim::NodeIndex> answered;
+  p->RouteApp(
+      "l:hinted", std::make_shared<WhoPayload>(),
+      sim::TrafficCategory::kControl,
+      [&](sim::PayloadPtr inner) {
+        const auto* who = dynamic_cast<const WhoPayload*>(inner.get());
+        if (who != nullptr) answered = who->node;
+      },
+      retry, OwnerHint(dead));
+  net.scheduler.RunUntilIdle();
+  EXPECT_EQ(answered, heir);
+  EXPECT_LT(net.scheduler.Now() - start, retry.timeout_s);
+  d = Since(base);
+  EXPECT_EQ(d.counters.at("dht.hint.sends"), 0u);
+  EXPECT_EQ(d.counters.at("dht.retries"), 0u);
+}
+
 // -- Owner cache ------------------------------------------------------------
 
 TEST(OwnerCacheTest, RoutedGetTeachesTheOwnerAndWarmReadsTakeOneHop) {

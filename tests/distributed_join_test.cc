@@ -17,6 +17,7 @@
 #include <string_view>
 #include <vector>
 
+#include "common/random.h"
 #include "core/kadop.h"
 #include "dht/ring.h"
 #include "index/dpp.h"
@@ -289,6 +290,32 @@ TEST_F(DistributedJoinTest, ExplainNamesTheStrategyAutoRuns) {
   }
 }
 
+// `explain` lists the tasks a kDppJoin run dispatches, one line each with
+// its window and home block, when kDppJoin is a candidate.
+TEST_F(DistributedJoinTest, ExplainListsTheJoinTasks) {
+  QueryOptions options;
+  options.dpp_join_available = true;
+  for (const char* expr : kQueries) {
+    auto explained = net_->ExplainQueryAndWait(1, expr, options);
+    ASSERT_TRUE(explained.ok()) << explained.status().ToString();
+    const std::string& text = explained.value();
+    const QueryResult djoin = RunQuery(expr, QueryStrategy::kDppJoin);
+    const std::string header =
+        "dpp-join tasks: " + std::to_string(djoin.metrics.join_tasks) + "\n";
+    EXPECT_NE(text.find(header), std::string::npos) << text;
+    size_t homes = 0;
+    for (size_t at = text.find(" home "); at != std::string::npos;
+         at = text.find(" home ", at + 1)) {
+      ++homes;
+    }
+    EXPECT_EQ(homes, djoin.metrics.join_tasks) << text;
+  }
+  options.dpp_join_available = false;
+  auto explained = net_->ExplainQueryAndWait(1, kQueries[0], options);
+  ASSERT_TRUE(explained.ok());
+  EXPECT_EQ(explained.value().find("dpp-join tasks"), std::string::npos);
+}
+
 // A term owner that never answers makes `explain` return a Status naming
 // the term, with or without a retry policy, instead of aborting.
 TEST_F(DistributedJoinTest, ExplainReportsAnUnreachableTerm) {
@@ -358,6 +385,198 @@ TEST_F(DistributedJoinTest, CostModelOffersDppJoinOnlyWhenAvailable) {
       }
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// The kDppJoin task planner: windows cut at block ends, each task homed at
+// the input block expected to hold the most of its window.
+
+/// A block of `count` postings from publisher `peer`, docs `lo`..`hi`.
+index::DppBlockInfo Block(const std::string& key, uint32_t peer, uint32_t lo,
+                          uint32_t hi, uint64_t count) {
+  index::DppBlockInfo b;
+  b.key = key;
+  b.cond = {index::Posting{peer, lo, {1, 2, 1}},
+            index::Posting{peer, hi, {1, 2, 1}}};
+  b.count = count;
+  return b;
+}
+
+/// A block whose documents run from (lo_peer, lo) to (hi_peer, hi).
+index::DppBlockInfo SpanBlock(const std::string& key, uint32_t lo_peer,
+                              uint32_t lo, uint32_t hi_peer, uint32_t hi,
+                              uint64_t count) {
+  index::DppBlockInfo b = Block(key, lo_peer, lo, lo, count);
+  b.cond.hi = index::Posting{hi_peer, hi, {1, 2, 1}};
+  return b;
+}
+
+index::Condition Docs(uint32_t peer, uint32_t lo, uint32_t hi) {
+  return {index::Posting{peer, lo, {0, 0, 0}},
+          index::Posting{peer, hi, {UINT32_MAX, UINT32_MAX, UINT16_MAX}}};
+}
+
+const index::DppBlockInfo& Home(const JoinTaskPlan& task) {
+  return task.inputs[task.home_node][task.home_block];
+}
+
+// A 1000-posting block over docs 0..999 holds about a tenth of each
+// 100-document window; each window's 300-posting block holds all of its
+// own. The count rule would home every task at the big block and pull
+// every small one to it.
+TEST(JoinTaskPlanTest, BigBlockNeverHomesAWindowItBarelyCovers) {
+  std::vector<std::vector<index::DppBlockInfo>> blocks(2);
+  blocks[0].push_back(Block("big", 2, 0, 999, 1000));
+  for (uint32_t w = 0; w < 10; ++w) {
+    blocks[1].push_back(
+        Block("small" + std::to_string(w), 2, w * 100, w * 100 + 99, 300));
+  }
+  const auto tasks = PlanJoinTasks(blocks, Docs(2, 0, 999));
+  ASSERT_EQ(tasks.size(), 10u);
+  for (size_t t = 0; t < tasks.size(); ++t) {
+    EXPECT_EQ(tasks[t].home_node, 1u) << t;
+    EXPECT_EQ(Home(tasks[t]).key, "small" + std::to_string(t));
+    EXPECT_DOUBLE_EQ(tasks[t].home_postings, 300.0);
+    EXPECT_DOUBLE_EQ(InWindowPostings(blocks[0][0], tasks[t].window), 100.0);
+  }
+}
+
+TEST(JoinTaskPlanTest, InWindowPostingsScalesByCoveredDocuments) {
+  const index::DppBlockInfo b = Block("b", 2, 100, 199, 400);
+  EXPECT_DOUBLE_EQ(InWindowPostings(b, Docs(2, 0, 999)), 400.0);
+  EXPECT_DOUBLE_EQ(InWindowPostings(b, Docs(2, 150, 999)), 200.0);
+  EXPECT_DOUBLE_EQ(InWindowPostings(b, Docs(2, 100, 100)), 4.0);
+  EXPECT_DOUBLE_EQ(InWindowPostings(b, Docs(2, 200, 300)), 0.0);
+  EXPECT_DOUBLE_EQ(InWindowPostings(b, Docs(3, 0, 999)), 0.0);
+}
+
+TEST(JoinTaskPlanTest, TiesGoToTheFirstBlockSeen) {
+  // Equal estimates across nodes: node 0 wins.
+  std::vector<std::vector<index::DppBlockInfo>> blocks(2);
+  blocks[0].push_back(Block("a", 2, 0, 99, 50));
+  blocks[1].push_back(Block("b", 2, 0, 99, 50));
+  auto tasks = PlanJoinTasks(blocks, Docs(2, 0, 99));
+  ASSERT_EQ(tasks.size(), 1u);
+  EXPECT_EQ(Home(tasks[0]).key, "a");
+  // Equal estimates within one node (overlapping random-split blocks): the
+  // first in directory order wins.
+  blocks[0] = {Block("a", 2, 0, 99, 10)};
+  blocks[1] = {Block("b1", 2, 0, 99, 50), Block("b2", 2, 0, 99, 50)};
+  tasks = PlanJoinTasks(blocks, Docs(2, 0, 99));
+  ASSERT_EQ(tasks.size(), 1u);
+  EXPECT_EQ(tasks[0].home_node, 1u);
+  EXPECT_EQ(tasks[0].home_block, 0u);
+  EXPECT_EQ(Home(tasks[0]).key, "b1");
+}
+
+TEST(JoinTaskPlanTest, AllZeroEstimatesStillGetAValidHome) {
+  std::vector<std::vector<index::DppBlockInfo>> blocks(2);
+  blocks[0].push_back(Block("a", 2, 0, 99, 0));
+  blocks[1].push_back(Block("b", 2, 0, 99, 0));
+  const auto tasks = PlanJoinTasks(blocks, Docs(2, 0, 99));
+  ASSERT_EQ(tasks.size(), 1u);
+  EXPECT_EQ(tasks[0].home_node, 0u);
+  EXPECT_EQ(tasks[0].home_block, 0u);
+  EXPECT_EQ(Home(tasks[0]).key, "a");
+  EXPECT_EQ(tasks[0].home_postings, 0.0);
+}
+
+// Seeded random staggered splits: the windows partition the query window
+// in document order at block ends, each task's inputs are exactly the
+// blocks that meet its window, no task lacks a node, tasks <= sum(m_i),
+// and the home is the first input with the largest estimate.
+TEST(JoinTaskPlanTest, WindowsInputsAndTaskBoundHold) {
+  Rng rng(7);
+  for (int round = 0; round < 50; ++round) {
+    const size_t nodes = 1 + rng.Uniform(3);
+    std::vector<std::vector<index::DppBlockInfo>> blocks(nodes);
+    size_t total = 0;
+    for (size_t n = 0; n < nodes; ++n) {
+      uint32_t doc = static_cast<uint32_t>(rng.Uniform(20));
+      const size_t m = 1 + rng.Uniform(6);
+      for (size_t i = 0; i < m; ++i) {
+        const uint32_t end = doc + static_cast<uint32_t>(rng.Uniform(40));
+        blocks[n].push_back(Block(std::to_string(n) + ":" + std::to_string(i),
+                                  2, doc, end, 1 + rng.Uniform(500)));
+        doc = end + 1 + static_cast<uint32_t>(rng.Uniform(3));
+        ++total;
+      }
+    }
+    DppBlockSelection selection = SelectDppBlocks(blocks);
+    if (!selection.viable) continue;
+    const auto tasks = PlanJoinTasks(selection.blocks, selection.window);
+    EXPECT_LE(tasks.size(), total);
+    const index::Condition* previous = nullptr;
+    for (const JoinTaskPlan& task : tasks) {
+      EXPECT_FALSE(task.window.Empty());
+      EXPECT_TRUE(task.window.SubsetOf(selection.window));
+      if (previous != nullptr) {
+        EXPECT_TRUE(previous->Before(task.window));
+      }
+      previous = &task.window;
+      double best = -1;
+      size_t best_node = 0;
+      size_t best_block = 0;
+      for (size_t n = 0; n < nodes; ++n) {
+        std::vector<std::string> expected;
+        for (const auto& b : selection.blocks[n]) {
+          if (b.cond.Intersects(task.window)) expected.push_back(b.key);
+        }
+        std::vector<std::string> got;
+        for (size_t i = 0; i < task.inputs[n].size(); ++i) {
+          const auto& b = task.inputs[n][i];
+          got.push_back(b.key);
+          if (InWindowPostings(b, task.window) > best) {
+            best = InWindowPostings(b, task.window);
+            best_node = n;
+            best_block = i;
+          }
+        }
+        EXPECT_FALSE(got.empty());
+        EXPECT_EQ(got, expected);
+      }
+      EXPECT_EQ(task.home_node, best_node);
+      EXPECT_EQ(task.home_block, best_block);
+      EXPECT_EQ(task.home_postings, best);
+    }
+  }
+}
+
+// Four publishers of 100 documents each. 'x' has 5 postings per
+// document in two blocks that span publishers; 'y' has one posting per
+// document of publishers 1-3 in one block and two per document of
+// publisher 4 in two. Documents are linearized as peer * 2^32 + doc, so a
+// window that crosses a publisher boundary gives a spanning block the
+// share of the boundaries it covers: there the estimate tracks the true
+// in-window count, and the block with the most in-window postings is
+// home. A window inside one publisher gives a spanning block almost
+// nothing, so a block inside that publisher is home even when the
+// spanning block holds more of the window: the last window's home is
+// y's 100-posting block, where x's block holds 250.
+TEST(JoinTaskPlanTest, MultiPublisherWindowsPickByLinearizedShare) {
+  std::vector<std::vector<index::DppBlockInfo>> blocks(2);
+  blocks[0] = {SpanBlock("x0", 1, 0, 2, 49, 750),
+               SpanBlock("x1", 2, 50, 4, 99, 1250)};
+  blocks[1] = {SpanBlock("y0", 1, 0, 3, 99, 300), Block("y1", 4, 0, 49, 100),
+               Block("y2", 4, 50, 99, 100)};
+  const index::Condition window{index::Posting{1, 0, {0, 0, 0}},
+                                index::Posting{4, 99, {1, 2, 1}}};
+  const auto tasks = PlanJoinTasks(blocks, window);
+  // Cuts at (2,49), (3,99), (4,49) and (4,99).
+  ASSERT_EQ(tasks.size(), 4u);
+  // (1,0)..(2,49): x0 holds 750, y0 150.
+  EXPECT_EQ(Home(tasks[0]).key, "x0");
+  EXPECT_DOUBLE_EQ(tasks[0].home_postings, 750.0);
+  EXPECT_NEAR(InWindowPostings(blocks[1][0], tasks[0].window), 150.0, 1e-6);
+  // (2,50)..(3,99): x1 holds 750 (estimated 625), y0 150.
+  EXPECT_EQ(Home(tasks[1]).key, "x1");
+  EXPECT_NEAR(tasks[1].home_postings, 625.0, 1e-3);
+  // (3,100)..(4,49): x1 holds 250 (estimated 625), y1 100.
+  EXPECT_EQ(Home(tasks[2]).key, "x1");
+  // (4,50)..(4,99): x1 holds 250 but is estimated at almost 0.
+  EXPECT_EQ(Home(tasks[3]).key, "y2");
+  EXPECT_DOUBLE_EQ(tasks[3].home_postings, 100.0);
+  EXPECT_LT(InWindowPostings(blocks[0][1], tasks[3].window), 1e-3);
 }
 
 // ---------------------------------------------------------------------------
@@ -991,6 +1210,101 @@ TEST(NamedHolderTest, RingChangesUnnameEveryOverflowHolder) {
   expect_unnamed_and_correct("JoinPeerAndWait");
 }
 
+// ---------------------------------------------------------------------------
+// Home choice end to end, on long_list's shape scaled down: a 256 KB
+// corpus of 1 KB documents from one publisher, in 256-posting blocks.
+// 'article' and 'author' split at staggered documents, so each window of
+// //article//author meets one article block that spans many windows and
+// one author block that holds most of the window.
+
+/// The postings of `block` inside `window`, as a holder pulls them.
+size_t WindowPostings(KadopNet& net, const index::DppBlockInfo& block,
+                      const index::Condition& window) {
+  size_t got = 0;
+  net.peer(0)->dht_peer()->GetBlocks(
+      BlockPullSpec(block, window, {}),
+      [&got](index::PostingList part, bool, bool) { got += part.size(); });
+  net.RunToIdle();
+  return got;
+}
+
+TEST(JoinHomeTest, WindowShareHomesCutHolderForeignIngress) {
+  xml::corpus::DblpOptions copt;
+  copt.target_bytes = 256 << 10;
+  copt.doc_bytes = 1 << 10;
+  const std::vector<xml::Document> docs = xml::corpus::GenerateDblp(copt);
+  KadopOptions opt;
+  opt.peers = 16;
+  opt.dpp.max_block_postings = 256;
+  KadopNet net(opt);
+  net.RegisterDocuments(docs);
+  net.PublishAndWait(2, DocPtrs(docs, 0, docs.size()));
+  constexpr sim::NodeIndex kQuerier = 1;
+  constexpr const char* kQuery = "//article//author";
+
+  auto dpp = net.QueryAndWait(kQuerier, kQuery,
+                              StrategyOptions(QueryStrategy::kDpp));
+  ASSERT_TRUE(dpp.ok());
+  const obs::MetricsSnapshot base = MetricsNow();
+  auto djoin = net.QueryAndWait(kQuerier, kQuery,
+                                StrategyOptions(QueryStrategy::kDppJoin));
+  ASSERT_TRUE(djoin.ok());
+  const obs::MetricsSnapshot d = MetricsSince(base);
+  const QueryMetrics& m = djoin.value().metrics;
+  ASSERT_TRUE(m.complete);
+  ASSERT_FALSE(m.degraded);
+  ASSERT_EQ(m.join_remote, m.join_tasks);
+  EXPECT_EQ(djoin.value().answers, dpp.value().answers);
+  EXPECT_EQ(djoin.value().matched_docs, dpp.value().matched_docs);
+  EXPECT_EQ(Sorted(djoin.value().answers), Oracle(kQuery, docs));
+
+  // The plan the query ran, and what each task's inputs hold in its window.
+  const TreePattern pattern = ParsePattern(kQuery).take();
+  std::vector<std::vector<index::DppBlockInfo>> dirs;
+  for (size_t n = 0; n < pattern.size(); ++n) {
+    dirs.push_back(Directory(net, kQuerier, pattern.node(n).TermKey()));
+  }
+  const DppBlockSelection selection = SelectDppBlocks(dirs);
+  ASSERT_TRUE(selection.viable);
+  const std::vector<JoinTaskPlan> tasks =
+      PlanJoinTasks(selection.blocks, selection.window);
+  ASSERT_EQ(tasks.size(), m.join_tasks);
+  auto holder = [&net](const index::DppBlockInfo& b) {
+    return net.dht().OwnerOf(dht::HashKey(b.key));
+  };
+  // Postings a home at inputs[node][block] pulls from other peers.
+  uint64_t window_home = 0;  // the plan's homes
+  uint64_t count_home = 0;   // the largest directory count, first seen
+  for (const JoinTaskPlan& task : tasks) {
+    const index::DppBlockInfo* largest = nullptr;
+    for (const auto& per_node : task.inputs) {
+      for (const auto& b : per_node) {
+        if (largest == nullptr || b.count > largest->count) largest = &b;
+      }
+    }
+    for (const auto& per_node : task.inputs) {
+      for (const auto& b : per_node) {
+        const size_t postings = WindowPostings(net, b, task.window);
+        if (holder(b) != holder(Home(task))) window_home += postings;
+        if (holder(b) != holder(*largest)) count_home += postings;
+      }
+    }
+  }
+  // The holders' measured foreign reads are the plan's.
+  EXPECT_EQ(CounterDelta(d, "query.join.holder.ingress_postings") -
+                CounterDelta(d, "query.join.holder.local_postings"),
+            window_home);
+  EXPECT_LT(window_home, count_home);
+  // Two ~240-posting article blocks each span about nine windows; each
+  // window's ~164-posting author block holds most of it. The count rule
+  // homes every task at an article block, which pulls whole author
+  // blocks; the window share homes it at the author block, which pulls
+  // article slivers.
+  EXPECT_EQ(m.join_tasks, 19u);
+  EXPECT_EQ(window_home, 468u);
+  EXPECT_EQ(count_home, 2253u);
+}
+
 TEST(ShortPullTest, OneRuleForEveryTrimShape) {
   index::DppBlockInfo block;
   block.key = "block";
@@ -1132,6 +1446,11 @@ struct JoinChaosOutcome {
   /// The directory named the crashed victim as its block's holder, so the
   /// first dispatch of that block's task went one hop to the dead node.
   bool victim_named = false;
+  /// When a join task first read the victim's block at the node that
+  /// inherited it, in seconds after t0, and how long after that task
+  /// reached the node; -1 when no task read it there.
+  double heir_read_s = -1;
+  double heir_read_wait_s = -1;
   uint64_t retries = 0;
   uint64_t tasks = 0;
   uint64_t remote = 0;
@@ -1202,6 +1521,7 @@ JoinChaosOutcome RunJoinChaosScenario(uint64_t seed, HolderNames names) {
   const sim::NodeIndex owner = net.dht().OwnerOf(dht::HashKey(term));
   std::set<sim::NodeIndex> protected_nodes{2, kQuerier, owner};
   std::optional<sim::NodeIndex> victim;
+  std::string victim_key;
   std::vector<index::DppBlockInfo> dir;
   index::DppManager::FetchDirectory(
       net.peer(0)->dht_peer(), term,
@@ -1215,6 +1535,7 @@ JoinChaosOutcome RunJoinChaosScenario(uint64_t seed, HolderNames names) {
     const sim::NodeIndex holder = net.dht().OwnerOf(dht::HashKey(dir[i].key));
     if (protected_nodes.count(holder) > 0) continue;
     victim = holder;
+    victim_key = dir[i].key;
     out.victim_named = dir[i].holder == holder;
   }
   EXPECT_TRUE(victim.has_value()) << "corpus too small to pick a victim";
@@ -1290,6 +1611,26 @@ JoinChaosOutcome RunJoinChaosScenario(uint64_t seed, HolderNames names) {
   }
   net.RunToIdle();
 
+  std::map<obs::SpanId, const obs::SpanRecord*> spans;
+  for (const obs::SpanRecord& s : tracer.spans()) spans[s.id] = &s;
+  for (const obs::SpanRecord& serve : tracer.spans()) {
+    auto parent = spans.find(serve.parent);
+    const obs::SpanRecord* task =
+        parent == spans.end() ? nullptr : parent->second;
+    if (serve.name != "dht.get.serve" || serve.node == *victim ||
+        task == nullptr || task->name != "join.holder.task" ||
+        task->node != serve.node) {
+      continue;
+    }
+    bool victim_block = false;
+    for (const auto& [key, value] : serve.attrs) {
+      victim_block = victim_block || (key == "key" && value == victim_key);
+    }
+    if (victim_block && out.heir_read_s < 0) {
+      out.heir_read_s = serve.start - t0;
+      out.heir_read_wait_s = serve.start - task->start;
+    }
+  }
   out.trace = tracer.DumpText();
   out.metrics_delta =
       obs::MetricRegistry::Default().Snapshot().DiffSince(base).ToText();
@@ -1325,6 +1666,23 @@ TEST(DistributedJoinChaosTest, HintedDispatchToCrashedHolderResolvesByRetry) {
   EXPECT_GT(out.retries, 0u);
   EXPECT_TRUE(out.complete);
   EXPECT_TRUE(out.answers_match_ground_truth);
+  EXPECT_TRUE(out.answers_match_oracle);
+}
+
+// The victim's task reaches, on its routed retry, the node that inherited
+// the victim's range, with inputs naming the dead victim as the block's
+// holder (fault seed 11: node 11 inherits ovf:1:l:author from node 3 and
+// reads it at t0+0.56 s). The heir reads its own block at once, instead
+// of sending the pull to the dead node and waiting out the pull timeout
+// until the victim revives at t0+1.0.
+TEST(DistributedJoinChaosTest, HeirReadsTheInheritedBlockAtOnce) {
+  const JoinChaosOutcome out =
+      RunJoinChaosScenario(FaultSeed(), HolderNames::kNamed);
+  EXPECT_TRUE(out.victim_named);
+  ASSERT_GE(out.heir_read_s, 0.0) << "no task read the block at its heir";
+  EXPECT_EQ(out.heir_read_wait_s, 0.0);
+  EXPECT_LT(out.heir_read_s, 1.0);
+  EXPECT_TRUE(out.complete);
   EXPECT_TRUE(out.answers_match_oracle);
 }
 

@@ -36,7 +36,10 @@ raw latency samples.
 
 The Fig 3 bench (bench == "fig3_query_dpp") additionally promises, on
 every row, join_answers_match == 1 and view_answers_match == 1: the
-kDppJoin and kView runs return exactly the kDpp run's answers.
+kDppJoin and kView runs return exactly the kDpp run's answers. Every row
+also has dpp_join_ingress_wire_kb < dpp_ingress_wire_kb: with the join at
+the holders, the query peer receives less than kDpp's posting lists, as
+the largest list never moves.
 
 Usage: check_bench_json.py FILE [FILE...]
        check_bench_json.py --self-test
@@ -147,7 +150,8 @@ def check_file(path, errors):
 
 
 def check_fig3_rows(rows, path, errors):
-    """Every Fig 3 volume's kDppJoin and kView answers equal kDpp's."""
+    """Every Fig 3 volume's kDppJoin and kView answers equal kDpp's, and
+    kDppJoin's query-peer ingress is below kDpp's."""
     for i, row in enumerate(rows):
         if not isinstance(row, dict):
             continue
@@ -155,6 +159,13 @@ def check_fig3_rows(rows, path, errors):
             if row.get(key) != 1:
                 _err(errors, path,
                      f"rows[{i}].{key} must be 1 (got {row.get(key)!r})")
+        join = row.get("dpp_join_ingress_wire_kb")
+        dpp = row.get("dpp_ingress_wire_kb")
+        if not (isinstance(join, (int, float)) and
+                isinstance(dpp, (int, float)) and join < dpp):
+            _err(errors, path,
+                 f"rows[{i}].dpp_join_ingress_wire_kb must be below "
+                 f"dpp_ingress_wire_kb (got {join!r} vs {dpp!r})")
 
 
 def check_serving_rows(rows, path, errors):
@@ -388,6 +399,7 @@ def _synthetic_serving():
 def _synthetic_fig3():
     """A small Fig 3 file that passes every gate: two volumes."""
     rows = [{"indexed_mb": mb, "dpp_response_s": 0.03,
+             "dpp_ingress_wire_kb": 85.0, "dpp_join_ingress_wire_kb": 0.5,
              "join_answers_match": 1, "view_answers_match": 1}
             for mb in (2, 4)]
     return {"bench": "fig3_query_dpp", "description": "synthetic Fig 3 file",
@@ -401,6 +413,11 @@ def _join_mismatch(data):
 
 def _view_missing(data):
     del data["rows"][0]["view_answers_match"]
+
+
+def _join_ingress_not_below(data):
+    row = data["rows"][1]
+    row["dpp_join_ingress_wire_kb"] = row["dpp_ingress_wire_kb"]
 
 
 def _rows_of(data, kind):
@@ -450,6 +467,8 @@ def self_test():
          "rows[1].join_answers_match must be 1"),
         ("fig3 view answers unchecked", fig3, _view_missing,
          "rows[0].view_answers_match must be 1"),
+        ("fig3 join ingress not below dpp", fig3, _join_ingress_not_below,
+         "rows[1].dpp_join_ingress_wire_kb must be below"),
     ]
     failures = 0
     with tempfile.TemporaryDirectory() as tmp:

@@ -114,7 +114,8 @@ class Shell {
         "                                   ab db bloom subquery view auto\n"
         "                                   broadcast\n"
         "  analyze <xpath>                  completeness/precision report\n"
-        "  explain <xpath>                  optimizer cost estimates\n"
+        "  explain <xpath>                  optimizer cost estimates and\n"
+        "                                   kDppJoin tasks\n"
         "  unpublish <peer> <seq>           withdraw a document\n"
         "  join                             add a peer (with handoff)\n"
         "  fail <peer>                      fail a peer and stabilize\n"
@@ -270,6 +271,7 @@ class Shell {
       options.dpp_join_available = true;  // best fallback on a view miss
     } else if (strategy == "auto") {
       options.strategy = query::QueryStrategy::kAuto;
+      options.dpp_join_available = true;  // peers run the BlockJoinService
     } else {
       std::printf("unknown strategy '%s'\n", strategy.c_str());
       return;
@@ -356,6 +358,7 @@ class Shell {
     std::string xpath;
     std::getline(in, xpath);
     query::QueryOptions options;
+    options.dpp_join_available = true;  // plan as `query auto` does
     if (net_->fault_plan() != nullptr) {
       options.fetch_retry.timeout_s = 0.5;  // as `query` does under faults
     }
@@ -380,7 +383,26 @@ class Shell {
       std::printf("%s\n", stats.ToJson().c_str());
     } else {
       std::printf("%s", stats.ToText().c_str());
+      PrintJoinLocality(stats.metrics);
     }
+  }
+
+  /// The share of kDppJoin holders' input postings read from their own
+  /// store (`query.join.holder.local_postings` over `ingress_postings`).
+  static void PrintJoinLocality(const obs::MetricsSnapshot& metrics) {
+    auto counter = [&metrics](const char* name) -> uint64_t {
+      auto it = metrics.counters.find(name);
+      return it == metrics.counters.end() ? 0 : it->second;
+    };
+    const uint64_t read = counter("query.join.holder.ingress_postings");
+    if (read == 0) return;
+    const uint64_t local = counter("query.join.holder.local_postings");
+    std::printf("join holders read %llu of %llu input postings locally "
+                "(%.1f%%)\n",
+                static_cast<unsigned long long>(local),
+                static_cast<unsigned long long>(read),
+                100.0 * static_cast<double>(local) /
+                    static_cast<double>(read));
   }
 
   /// Per-peer breakdown: that peer's DhtStats plus every registry metric
