@@ -9,8 +9,7 @@
 // across peers and fetched in parallel, so response time grows much more
 // slowly and the DPP's lead widens with the volume.
 //
-// On top of the paper's figure this bench runs, per volume, a warm-cache
-// repeat (the repeat query issues zero Get messages), the
+// On top of the paper's figure this bench runs, per volume, the
 // distributed-join A/B (kDppJoin ships structural joins to the block
 // holders, so the query peer's posting ingress collapses to result
 // tuples — same answers, byte for byte), and a materialized-view run (the
@@ -32,13 +31,11 @@ struct Sample {
   uint64_t posting_wire = 0;   // kPosting wire bytes for the (first) query
   uint64_t ingress_wire = 0;   // query-peer posting + result ingress
   uint64_t join_tasks = 0;
-  uint64_t repeat_gets = 0;    // Get messages served during the cached repeat
-  uint64_t repeat_cache_hits = 0;
   std::vector<query::Answer> answers;
   std::vector<index::DocId> matched_docs;
 };
 
-Sample RunOne(size_t mb, query::QueryStrategy strategy, bool repeat_cached) {
+Sample RunOne(size_t mb, query::QueryStrategy strategy) {
   xml::corpus::DblpOptions copt;
   copt.target_bytes = mb << 20;
   auto docs = xml::corpus::GenerateDblp(copt);
@@ -61,7 +58,6 @@ Sample RunOne(size_t mb, query::QueryStrategy strategy, bool repeat_cached) {
   query::QueryOptions qopt;
   qopt.strategy = strategy;
   qopt.dpp_join_available = strategy == query::QueryStrategy::kDppJoin;
-  qopt.cache_postings = repeat_cached;
 
   Sample out;
   const uint64_t wire_before =
@@ -82,15 +78,6 @@ Sample RunOne(size_t mb, query::QueryStrategy strategy, bool repeat_cached) {
   out.posting_wire =
       net.network().traffic().CategoryBytes(sim::TrafficCategory::kPosting) -
       wire_before;
-
-  if (repeat_cached) {
-    const uint64_t gets_before = net.dht().AggregateStats().gets_served;
-    auto repeat = net.QueryAndWait(1, kQuery, qopt);
-    if (repeat.ok()) {
-      out.repeat_gets = net.dht().AggregateStats().gets_served - gets_before;
-      out.repeat_cache_hits = repeat.value().metrics.cache_hits;
-    }
-  }
   return out;
 }
 
@@ -98,7 +85,7 @@ void Run() {
   bench::Banner("FIG 3", "query response time with/without DPP");
   bench::BenchReport report("fig3_query_dpp",
                             "query response time with/without DPP, plus "
-                            "posting cache and join A/B");
+                            "join and view A/B");
   std::printf("query: %s\n\n", kQuery);
   std::printf("%-28s%14s%14s%16s%12s%14s%14s\n", "indexed data (scaled MB)",
               "no DPP (s)", "DPP (s)", "DPP 1st ans (s)", "speedup",
@@ -106,16 +93,12 @@ void Run() {
   std::vector<size_t> volumes_mb = {2, 4, 8, 16, 24};
   if (bench::QuickMode()) volumes_mb = {2};
   for (size_t mb : volumes_mb) {
-    // Paper trajectory, with a warm-cache repeat on the DPP run; then the
-    // DPP run once more with the join pushed to the block holders.
-    const Sample base = RunOne(mb, query::QueryStrategy::kBaseline,
-                               /*repeat_cached=*/false);
-    const Sample dpp = RunOne(mb, query::QueryStrategy::kDpp,
-                              /*repeat_cached=*/true);
-    const Sample djoin = RunOne(mb, query::QueryStrategy::kDppJoin,
-                                /*repeat_cached=*/false);
-    const Sample view = RunOne(mb, query::QueryStrategy::kView,
-                               /*repeat_cached=*/false);
+    // Paper trajectory; then the DPP run once more with the join pushed to
+    // the block holders, and once from a materialized view.
+    const Sample base = RunOne(mb, query::QueryStrategy::kBaseline);
+    const Sample dpp = RunOne(mb, query::QueryStrategy::kDpp);
+    const Sample djoin = RunOne(mb, query::QueryStrategy::kDppJoin);
+    const Sample view = RunOne(mb, query::QueryStrategy::kView);
     // Query-peer ingress, postings plus result messages: kDppJoin receives
     // answer streams instead of posting blocks.
     const double join_wire_reduction =
@@ -136,9 +119,6 @@ void Run() {
         .Num("dpp_first_answer_s", dpp.first_answer)
         .Num("speedup", base.response / dpp.response)
         .Num("posting_wire_kb", static_cast<double>(dpp.posting_wire) / 1024.0)
-        .Num("repeat_cache_gets", static_cast<double>(dpp.repeat_gets))
-        .Num("repeat_cache_hits",
-             static_cast<double>(dpp.repeat_cache_hits))
         .Num("dpp_join_response_s", djoin.response)
         .Num("dpp_join_first_answer_s", djoin.first_answer)
         .Num("dpp_ingress_wire_kb",
@@ -163,7 +143,6 @@ void Run() {
       "\nPaper shape: DPP cuts response time by ~3x and its growth with\n"
       "data volume is much slower (transfer parallelized across block\n"
       "holders instead of a single owner uplink).\n"
-      "The warm-cache repeat query issues zero Gets.\n"
       "Join A/B: dpp_join pushes the structural join to the block\n"
       "holders — byte-identical answers, and the query peer receives\n"
       "answer streams instead of posting blocks.\n");

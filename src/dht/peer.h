@@ -285,12 +285,13 @@ class DhtPeer final : public sim::Actor {
   sim::Network* network() { return network_; }
   Dht* dht() { return dht_; }
 
-  /// Staleness oracle for the query-side posting cache: the current
-  /// posting version of `key` at the store of the peer responsible for it
-  /// (see PeerStore::PostingVersion). This is zero-cost simulator
-  /// introspection standing in for the version lease a real deployment
-  /// would piggyback on its routing keep-alives (docs/wire_format.md); it
-  /// sends no message and charges nothing.
+  /// The current posting version of `key` at the store of the peer
+  /// responsible for it (see PeerStore::PostingVersion). A god's-eye read:
+  /// it sends no message and charges no bytes or virtual time. Its
+  /// readers are the replica serve guard (HandleMessage's CanServeReplica
+  /// check) and views (ViewCatalog::Servable and ResyncEntry); ROADMAP
+  /// item 7 replaces it with versions carried on the wire, and analyzer
+  /// rule KDP017 keeps new readers out of src/query and src/dht.
   [[nodiscard]] uint64_t AuthoritativeVersion(const std::string& key) const;
 
   /// The owner cache: which node owns each key this peer has read or

@@ -99,8 +99,8 @@ class KeyLoadTracker {
 /// when the load subsides.
 ///
 /// Consistency: a replica serves a get only while its stamped version
-/// matches the owner store's current posting version for the key (the same
-/// staleness-oracle guard as the query-side posting cache); otherwise the
+/// matches the owner store's current posting version for the key (a
+/// god's-eye read, see OwnerVersion); otherwise the
 /// request is forwarded to the owner, and the next window re-copies the key.
 /// Only "flat" keys — plain store reads at the owner (overflow blocks,
 /// unpartitioned terms) — are served by replicas directly; partitioned term

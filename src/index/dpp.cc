@@ -90,7 +90,7 @@ void DppManager::ProcessAppend(const AppendRequest& request) {
   TermState& st = terms_[request.key];
   // The owner's version of the term key covers the whole partitioned list:
   // appends that land only in remote overflow blocks never touch the local
-  // store, so bump here for the query-side cache's staleness oracle.
+  // store, so bump here for the views' base-term freshness check.
   if (!request.postings.empty()) {
     peer_->store()->BumpPostingVersion(request.key);
   }
@@ -254,7 +254,7 @@ bool DppManager::OnDelete(const dht::DeleteRequest& request) {
   if (it == terms_.end()) return false;
   TermState& st = it->second;
   // Conservative owner-side bump (mirrors ProcessAppend): deletes routed to
-  // remote blocks must invalidate cached copies of the whole term.
+  // remote blocks must invalidate replicas and views of the whole term.
   peer_->store()->BumpPostingVersion(request.key);
   for (BlockEntry& block : st.blocks) {
     // A targeted delete only concerns blocks whose condition may contain

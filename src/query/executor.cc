@@ -231,31 +231,12 @@ void QueryExecutor::FetchStream(size_t node, bool count_blocks) {
   spec.block_postings = options_.block_postings;
   spec.retry = options_.fetch_retry;
   spec.owner_hint = TermOwner(node);
-  if (ServeFromCache(spec, [self, node](
-                               std::shared_ptr<const PostingList> cached) {
-        // full_postings still grows (it is the metric's denominator).
-        self->metrics_.full_postings += cached->size();
-        // Zero-copy: the join's iterator reads the cached list in place.
-        if (!cached->empty()) self->join_.AppendShared(node, cached);
-        self->CloseStream(node);
-        self->AdvanceJoin();
-        self->MaybeFinishStreams();
-      })) {
-    return;
-  }
-  const uint64_t pre_version =
-      options_.cache_postings ? peer_->AuthoritativeVersion(spec.key) : 0;
-  auto accum = options_.cache_postings ? std::make_shared<PostingList>()
-                                       : std::shared_ptr<PostingList>();
-  peer_->GetBlocks(spec, [self, node, count_blocks, spec, pre_version, accum](
-                             PostingList block, bool last, bool complete) {
+  peer_->GetBlocks(spec, [self, node, count_blocks](PostingList block,
+                                                    bool last, bool complete) {
     if (self->finished_) return;
     self->RecordTransfer(block);
     self->metrics_.full_postings += block.size();
     if (count_blocks) self->metrics_.blocks_fetched++;
-    // The cache accumulator (when present) takes a copy; the join always
-    // takes the block itself — the single-consumer fast path moves it.
-    if (accum) accum->insert(accum->end(), block.begin(), block.end());
     if (!block.empty()) self->join_.Append(node, std::move(block));
     if (last) {
       if (!complete) {
@@ -263,10 +244,6 @@ void QueryExecutor::FetchStream(size_t node, bool count_blocks) {
         if (self->options_.fetch_retry.enabled()) {
           self->metrics_.degraded = true;
         }
-      } else if (accum) {
-        self->MaybeCacheInsert(
-            spec, pre_version,
-            std::shared_ptr<const PostingList>(std::move(accum)));
       }
       self->CloseStream(node);
     }
@@ -286,42 +263,6 @@ size_t QueryExecutor::RecordTransfer(const PostingList& postings) {
   C().posting_bytes->Increment(index::codec::RawBytes(postings));
   C().posting_wire_bytes->Increment(wire);
   return wire;
-}
-
-bool QueryExecutor::ServeFromCache(
-    const GetSpec& spec,
-    std::function<void(std::shared_ptr<const PostingList>)> deliver) {
-  if (!options_.cache_postings) return false;
-  auto cached = client_->posting_cache().Lookup(
-      spec.key, spec.lo, spec.hi, peer_->AuthoritativeVersion(spec.key));
-  if (!cached) {
-    metrics_.cache_misses++;
-    return false;
-  }
-  metrics_.cache_hits++;
-  // Deliver asynchronously so join/stream bookkeeping sees the same
-  // ordering as a real fetch. A hit ships nothing: no posting/wire bytes
-  // and no blocks_fetched.
-  auto self = shared_from_this();
-  peer_->network()->scheduler()->After(
-      0.0, [self, cached = std::move(cached), deliver = std::move(deliver)]() {
-        if (self->finished_) return;
-        self->metrics_.postings_received += cached->size();
-        C().postings_received->Increment(cached->size());
-        deliver(cached);
-      });
-  return true;
-}
-
-void QueryExecutor::MaybeCacheInsert(
-    const GetSpec& spec, uint64_t pre_version,
-    std::shared_ptr<const PostingList> postings) {
-  // Only a still-authoritative result may be cached: if the key's version
-  // moved while the stream was in flight, the stream may predate the
-  // mutation and a later Lookup at the new version must miss.
-  if (peer_->AuthoritativeVersion(spec.key) != pre_version) return;
-  client_->posting_cache().Insert(spec.key, spec.lo, spec.hi, pre_version,
-                                  std::move(postings));
 }
 
 void QueryExecutor::StartBaseline() {
@@ -760,24 +701,12 @@ void QueryExecutor::PumpDppFetches(size_t node) {
     const size_t idx = st.next_to_issue++;
     st.outstanding++;
     const index::DppBlockInfo& block = st.blocks[idx];
-    const GetSpec spec =
-        BlockPullSpec(block, dpp_window_, options_.fetch_retry);
-    // A hit's full_postings was counted from the directory.
-    if (ServeFromCache(spec, [self, node, idx](
-                                 std::shared_ptr<const PostingList> cached) {
-          self->OnDppBlock(node, idx, std::move(cached));  // shared, no copy
-        })) {
-      continue;
-    }
-    const uint64_t pre_version =
-        options_.cache_postings ? peer_->AuthoritativeVersion(spec.key) : 0;
     PullBlock(
         peer_, block, dpp_window_,
         {.retry = options_.fetch_retry,
          .repull = false,
          .live = [self]() { return !self->finished_; }},
-        [self, node, idx, spec, pre_version](PostingList postings,
-                                             bool complete, bool suspect) {
+        [self, node, idx](PostingList postings, bool complete, bool suspect) {
           // Without a retry policy only a timeout marks the query
           // incomplete. With one, a short pull does too: the data died
           // with its holder. The answers still computable are a sound
@@ -791,13 +720,7 @@ void QueryExecutor::PumpDppFetches(size_t node) {
           self->RecordTransfer(postings);
           self->metrics_.blocks_fetched++;
           C().dpp_blocks_fetched->Increment();
-          auto shared =
-              std::make_shared<const PostingList>(std::move(postings));
-          if (sound && self->options_.cache_postings) {
-            // The cache aliases the same storage the join will read.
-            self->MaybeCacheInsert(spec, pre_version, shared);
-          }
-          self->OnDppBlock(node, idx, std::move(shared));
+          self->OnDppBlock(node, idx, std::move(postings));
         });
   }
   if (st.outstanding > 0) {
@@ -805,8 +728,7 @@ void QueryExecutor::PumpDppFetches(size_t node) {
   }
 }
 
-void QueryExecutor::OnDppBlock(size_t node, size_t idx,
-                               std::shared_ptr<const PostingList> postings) {
+void QueryExecutor::OnDppBlock(size_t node, size_t idx, PostingList postings) {
   DppNodeState& st = dpp_[node];
   st.ready[idx] = std::move(postings);
   st.outstanding--;
@@ -824,7 +746,7 @@ void QueryExecutor::DeliverReadyDppBlocks(size_t node) {
     if (st.ready.size() < st.blocks.size()) return;
     std::vector<PostingList> lists;
     lists.reserve(st.ready.size());
-    for (auto& [idx, postings] : st.ready) lists.push_back(*postings);
+    for (auto& [idx, postings] : st.ready) lists.push_back(std::move(postings));
     st.ready.clear();
     join_.Append(node, MergeDistinct(std::move(lists)));
     st.next_to_deliver = st.blocks.size();
@@ -834,7 +756,7 @@ void QueryExecutor::DeliverReadyDppBlocks(size_t node) {
   while (true) {
     auto it = st.ready.find(st.next_to_deliver);
     if (it == st.ready.end()) break;
-    if (!it->second->empty()) join_.AppendShared(node, std::move(it->second));
+    join_.Append(node, std::move(it->second));
     st.ready.erase(it);
     st.next_to_deliver++;
   }

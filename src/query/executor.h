@@ -12,7 +12,6 @@
 #include "index/dpp.h"
 #include "obs/trace.h"
 #include "query/messages.h"
-#include "query/posting_cache.h"
 #include "query/tree_pattern.h"
 #include "query/twig_join.h"
 #include "query/view_manager.h"
@@ -93,9 +92,6 @@ struct QueryOptions {
   /// parallelism (DPP) over the reducers' filter round-trips.
   enum class Objective : uint8_t { kTime = 0, kTraffic = 1 };
   Objective objective = Objective::kTime;
-  /// Serve repeat fetches from the peer's version-checked posting cache
-  /// and cache complete fetch results for later queries.
-  bool cache_postings = false;
 };
 
 /// The kAuto cost model: predicted shipped bytes per candidate strategy,
@@ -204,11 +200,8 @@ struct QueryMetrics {
   /// data-volume unit, independent of the wire encoding.
   uint64_t posting_bytes = 0;
   /// Bytes those postings actually occupied on the wire: their
-  /// delta+varint-coded size. Cache hits add to neither.
+  /// delta+varint-coded size.
   uint64_t posting_wire_bytes = 0;
-  /// Posting-cache outcomes for this query's fetches.
-  uint64_t cache_hits = 0;
-  uint64_t cache_misses = 0;
   uint64_t ab_filter_bytes = 0;
   uint64_t db_filter_bytes = 0;
   /// Sum of the unfiltered posting-list sizes of all query terms (the
@@ -289,10 +282,6 @@ class QueryClient {
 
   dht::DhtPeer* peer() { return peer_; }
 
-  /// This peer's query-side posting cache (see PostingCache); consulted by
-  /// executors when `QueryOptions::cache_postings` is set.
-  PostingCache& posting_cache() { return posting_cache_; }
-
   /// The network's view catalog (may be null). Consulted by kAuto / kView
   /// executors for rewrites, and fed each submitted pattern for the
   /// advisor's query log.
@@ -306,7 +295,6 @@ class QueryClient {
   dht::DhtPeer* peer_;
   uint64_t next_query_id_ = 1;
   std::map<uint64_t, std::shared_ptr<QueryExecutor>> active_;
-  PostingCache posting_cache_;
   ViewCatalog* view_catalog_ = nullptr;
 };
 
@@ -323,27 +311,15 @@ class QueryExecutor : public std::enable_shared_from_this<QueryExecutor> {
   /// Starts `strategy`: the one dispatch shared by Start, kAuto's pick and
   /// a kView fallback.
   void Run(QueryStrategy strategy);
-  /// Full-list fetch of `node`'s term with cache consult/fill: used by the
-  /// baseline strategy and the sub-query plan's off-path fetches (the only
-  /// difference being whether blocks_fetched is counted). After a
-  /// directory round the get goes to the term owner in one hop.
+  /// Full-list fetch of `node`'s term: used by the baseline strategy and
+  /// the sub-query plan's off-path fetches (the only difference being
+  /// whether blocks_fetched is counted). After a directory round the get
+  /// goes to the term owner in one hop.
   void FetchStream(size_t node, bool count_blocks);
   /// Accounts a posting transfer that crossed to this peer: the received
   /// count, raw bytes and wire bytes. Returns the wire (encoded) size,
   /// computed once per transfer.
   size_t RecordTransfer(const index::PostingList& postings);
-  /// Consults the posting cache for `spec` when caching is on, counting
-  /// the hit or miss. On a hit, `deliver` runs with the cached list after
-  /// a zero delay (the ordering of a real fetch) unless the query has
-  /// finished by then; false means the caller must fetch.
-  bool ServeFromCache(
-      const dht::GetSpec& spec,
-      std::function<void(std::shared_ptr<const index::PostingList>)> deliver);
-  /// Caches a completed fetch result unless the key was mutated while the
-  /// stream was in flight (`pre_version` no longer authoritative). The
-  /// cache aliases the list the join consumes.
-  void MaybeCacheInsert(const dht::GetSpec& spec, uint64_t pre_version,
-                        std::shared_ptr<const index::PostingList> postings);
   void StartBaseline();
   void OnDppDirectoriesReady();
   /// kDppJoin: plan the join tasks over the selected `blocks`
@@ -392,9 +368,8 @@ class QueryExecutor : public std::enable_shared_from_this<QueryExecutor> {
   void LaunchReducePlan(ReduceMode mode, std::vector<ReducePlanNode> nodes);
   /// DPP: issue up to K block fetches for `node`; called on completions.
   void PumpDppFetches(size_t node);
-  /// DPP: block `idx` of `node` arrived (fetched or from the cache).
-  void OnDppBlock(size_t node, size_t idx,
-                  std::shared_ptr<const index::PostingList> postings);
+  /// DPP: block `idx` of `node` arrived.
+  void OnDppBlock(size_t node, size_t idx, index::PostingList postings);
   void DeliverReadyDppBlocks(size_t node);
   void CloseStream(size_t node);
   void AdvanceJoin();
@@ -428,9 +403,8 @@ class QueryExecutor : public std::enable_shared_from_this<QueryExecutor> {
     size_t next_to_issue = 0;
     size_t outstanding = 0;
     size_t next_to_deliver = 0;
-    /// Out-of-order completions. Shared so a cache hit costs no copy: the
-    /// join's iterator reads the cached storage directly (AppendShared).
-    std::map<size_t, std::shared_ptr<const index::PostingList>> ready;
+    /// Out-of-order completions, moved into the join in block order.
+    std::map<size_t, index::PostingList> ready;
     /// Set when block conditions overlap (random-split ablation): blocks
     /// must be collected fully and merge-sorted before joining.
     bool requires_merge = false;

@@ -38,20 +38,9 @@ namespace {
 // --- PostingListIterator --------------------------------------------------
 
 void PostingListIterator::Push(PostingList block) {
-  PushBlock(Block{std::move(block), nullptr});
-}
-
-void PostingListIterator::Push(std::shared_ptr<const PostingList> block) {
-  KADOP_CHECK(block != nullptr, "iterator: null shared block");
-  PushBlock(Block{{}, std::move(block)});
-}
-
-void PostingListIterator::PushBlock(Block block) {
   KADOP_CHECK(!closed_, "iterator: pushing into a closed stream");
-  const PostingList& list = block.list();
-  if (list.empty()) return;
-  KADOP_CHECK(blocks_.empty() ||
-                  !(list.front() < blocks_.back().list().back()),
+  if (block.empty()) return;
+  KADOP_CHECK(blocks_.empty() || !(block.front() < blocks_.back().back()),
               "iterator: blocks out of stream order");
   blocks_.push_back(std::move(block));
 }
@@ -63,12 +52,12 @@ void PostingListIterator::PopFrontBlock() {
 
 DocId PostingListIterator::HeadDoc() const {
   KADOP_CHECK(!blocks_.empty(), "iterator: head of an empty stream");
-  return blocks_.front().list()[cursor_].doc_id();
+  return blocks_.front()[cursor_].doc_id();
 }
 
 DocId PostingListIterator::LastBufferedDoc() const {
   KADOP_CHECK(!blocks_.empty(), "iterator: tail of an empty stream");
-  return blocks_.back().list().back().doc_id();
+  return blocks_.back().back().doc_id();
 }
 
 size_t PostingListIterator::SkipBelowDoc(DocId doc) {
@@ -77,7 +66,7 @@ size_t PostingListIterator::SkipBelowDoc(DocId doc) {
   const Posting doc_floor{doc.peer, doc.doc, xml::StructuralId{0, 0, 0}};
   size_t dropped = 0;
   while (!blocks_.empty()) {
-    const PostingList& list = blocks_.front().list();
+    const PostingList& list = blocks_.front();
     const size_t i = list.back().doc_id() < doc
                          ? list.size()
                          : GallopLowerBound(list, cursor_, doc_floor);
@@ -94,7 +83,7 @@ size_t PostingListIterator::SkipBelowDoc(DocId doc) {
 size_t PostingListIterator::SkipAll() {
   size_t dropped = 0;
   while (!blocks_.empty()) {
-    dropped += blocks_.front().list().size() - cursor_;
+    dropped += blocks_.front().size() - cursor_;
     PopFrontBlock();
   }
   return dropped;
@@ -103,7 +92,7 @@ size_t PostingListIterator::SkipAll() {
 size_t PostingListIterator::TakeDoc(DocId doc, PostingList& out) {
   size_t took = 0;
   while (!blocks_.empty()) {
-    const PostingList& list = blocks_.front().list();
+    const PostingList& list = blocks_.front();
     const size_t start = cursor_;
     while (cursor_ < list.size() && list[cursor_].doc_id() == doc) ++cursor_;
     out.insert(out.end(), list.begin() + static_cast<long>(start),

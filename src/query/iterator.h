@@ -4,7 +4,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
-#include <memory>
 #include <vector>
 
 #include "index/posting.h"
@@ -15,9 +14,9 @@ struct TreePattern;
 
 /// One pattern node's decoded posting stream, fed incrementally as blocks
 /// arrive from the network (the twig join's streaming discipline) or all
-/// at once. Blocks are decoded `PostingList`s, owned or shared (zero-copy
-/// posting-cache hits); the stream reads them front to back and drops
-/// whole blocks when the twig join's document leapfrog skips past them.
+/// at once. Blocks are decoded, owned `PostingList`s; the stream reads them
+/// front to back and drops whole blocks when the twig join's document
+/// leapfrog skips past them.
 class PostingListIterator {
  public:
   PostingListIterator() = default;
@@ -31,7 +30,6 @@ class PostingListIterator {
   /// arrive in stream order (each block's first posting at or after the
   /// previous block's last).
   void Push(index::PostingList block);
-  void Push(std::shared_ptr<const index::PostingList> block);
   /// Declares the stream complete: no further Push will happen.
   void Close() { closed_ = true; }
 
@@ -53,20 +51,9 @@ class PostingListIterator {
   size_t TakeDoc(index::DocId doc, index::PostingList& out);
 
  private:
-  /// A block owns its postings or shares an immutable list, never both.
-  struct Block {
-    index::PostingList owned;
-    std::shared_ptr<const index::PostingList> shared;
-
-    [[nodiscard]] const index::PostingList& list() const {
-      return shared ? *shared : owned;
-    }
-  };
-
-  void PushBlock(Block block);
   void PopFrontBlock();
 
-  std::deque<Block> blocks_;
+  std::deque<index::PostingList> blocks_;
   size_t cursor_ = 0;  // consumed postings of the front block
   bool closed_ = false;
 };

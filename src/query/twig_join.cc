@@ -56,18 +56,6 @@ void TwigJoin::Append(size_t node, PostingList postings) {
   streams_[node].Push(std::move(postings));
 }
 
-void TwigJoin::AppendShared(size_t node,
-                            std::shared_ptr<const PostingList> postings) {
-  KADOP_CHECK(node < streams_.size(), "bad stream index");
-  if (!postings || postings->empty()) return;
-  KADOP_CHECK(!streams_[node].closed(), "append after close");
-  for (size_t i = 1; i < postings->size(); ++i) {
-    KADOP_CHECK(!((*postings)[i] < (*postings)[i - 1]),
-                "stream postings out of order");
-  }
-  streams_[node].Push(std::move(postings));
-}
-
 void TwigJoin::Close(size_t node) {
   KADOP_CHECK(node < streams_.size(), "bad stream index");
   streams_[node].Close();

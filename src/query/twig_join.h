@@ -2,7 +2,6 @@
 #define KADOP_QUERY_TWIG_JOIN_H_
 
 #include <cstddef>
-#include <memory>
 #include <vector>
 
 #include "index/posting.h"
@@ -64,11 +63,6 @@ class TwigJoin {
   /// network-fetch hot path can move blocks in without a copy; callers
   /// that keep their list pass an lvalue and pay one bulk copy.
   void Append(size_t node, index::PostingList postings);
-
-  /// Zero-copy variant: shares an immutable list (posting-cache hits)
-  /// instead of copying it into the stream.
-  void AppendShared(size_t node,
-                    std::shared_ptr<const index::PostingList> postings);
 
   /// Marks `node`'s stream as ended.
   void Close(size_t node);

@@ -54,8 +54,8 @@ struct ViewOptions {
 /// The catalog is a single in-process object shared by all peers of one
 /// simulated network, standing in for a catalog blob published under the
 /// well-known key "view:catalog" (which the core layer does keep up to
-/// date for discovery). Like the posting cache's and replication layer's
-/// staleness oracles, the in-process reads model control-plane metadata
+/// date for discovery). Like the replication layer's staleness oracle
+/// (ROADMAP item 7), the in-process reads model control-plane metadata
 /// that real deployments piggyback on existing traffic — the *data* plane
 /// (extent columns, delta appends, probe round-trips) always moves over
 /// simulated links.

@@ -34,8 +34,8 @@ class PeerStore {
   /// 0 until first modified here, then strictly increasing on every
   /// mutation that changes the stored set. A fresh store instance (handoff
   /// target, replica takeover rebuild) starts a new epoch in the high
-  /// bits, so a version observed before a rebuild can never reappear. The
-  /// query-side posting cache uses this as its staleness oracle
+  /// bits, so a version observed before a rebuild can never reappear.
+  /// Replica routing and view freshness compare against it
   /// (docs/wire_format.md).
   [[nodiscard]] uint64_t PostingVersion(const std::string& key) const;
 

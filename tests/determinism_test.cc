@@ -66,7 +66,7 @@ TEST(DeterminismTest, IdenticalRunsProduceIdenticalOutcomes) {
 }
 
 // The strongest observable we have: the FULL metric registry. Two
-// same-seed runs with the posting cache and seeded faults
+// same-seed runs with views, the view advisor and seeded faults
 // all enabled must leave every counter, gauge and histogram bucket
 // byte-identical — any wall-clock, RNG or hash-order escape anywhere in
 // the stack shows up here as a diff.
@@ -105,10 +105,9 @@ obs::MetricsSnapshot RunScenarioFullSnapshot() {
 
   query::QueryOptions qopt;
   qopt.strategy = query::QueryStrategy::kDpp;
-  qopt.cache_postings = true;
   qopt.fetch_retry.timeout_s = 0.5;
   qopt.fetch_retry.max_retries = 3;
-  // Same query twice: the second pass exercises the cache hit path.
+  // Same query twice: the second pass runs from a warm owner cache.
   for (int pass = 0; pass < 2; ++pass) {
     auto result =
         net.QueryAndWait(5, "//article//author[. contains 'Ullman']", qopt);

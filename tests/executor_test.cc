@@ -24,6 +24,20 @@ std::vector<Answer> Sorted(std::vector<Answer> v) {
   return v;
 }
 
+/// Ground truth by local evaluation, for `docs` all published in order by
+/// peer 2.
+std::vector<Answer> GroundTruth(const std::vector<xml::Document>& docs,
+                                const char* expr) {
+  const TreePattern pattern = ParsePattern(expr).take();
+  std::vector<Answer> all;
+  for (size_t d = 0; d < docs.size(); ++d) {
+    auto answers = EvaluateOnDocument(
+        pattern, docs[d], index::DocId{2, static_cast<uint32_t>(d)});
+    all.insert(all.end(), answers.begin(), answers.end());
+  }
+  return all;
+}
+
 /// Shared fixture: a network with a published DBLP-like corpus and a
 /// ground-truth oracle via local evaluation.
 class ExecutorTest : public ::testing::Test {
@@ -45,14 +59,7 @@ class ExecutorTest : public ::testing::Test {
   }
 
   std::vector<Answer> GroundTruth(const char* expr) {
-    TreePattern pattern = ParsePattern(expr).take();
-    std::vector<Answer> all;
-    for (size_t d = 0; d < docs_.size(); ++d) {
-      auto answers = EvaluateOnDocument(
-          pattern, docs_[d], index::DocId{2, static_cast<uint32_t>(d)});
-      all.insert(all.end(), answers.begin(), answers.end());
-    }
-    return all;
+    return query::GroundTruth(docs_, expr);
   }
 
   QueryResult RunQuery(const char* expr, QueryStrategy strategy) {
@@ -249,15 +256,52 @@ TEST(ExecutorDppOffTest, AutoPlansFromStoreDirectories) {
     ASSERT_TRUE(result.ok()) << expr;
     EXPECT_EQ(result.value().metrics.effective_strategy, plan) << expr;
     EXPECT_TRUE(result.value().metrics.complete) << expr;
-    const TreePattern pattern = ParsePattern(expr).take();
-    std::vector<Answer> truth;
-    for (size_t d = 0; d < docs.size(); ++d) {
-      auto answers = EvaluateOnDocument(
-          pattern, docs[d], index::DocId{2, static_cast<uint32_t>(d)});
-      truth.insert(truth.end(), answers.begin(), answers.end());
-    }
+    const std::vector<Answer> truth = GroundTruth(docs, expr);
     EXPECT_FALSE(truth.empty()) << expr;
     EXPECT_EQ(Sorted(result.value().answers), Sorted(truth)) << expr;
+  }
+}
+
+// The random-split ablation (Section 4.1) leaves blocks with overlapping
+// conditions, so kDpp collects each such term's blocks and merges them
+// before the join instead of streaming them in order.
+TEST(ExecutorRandomSplitTest, DppMergesOverlappingBlocksToGroundTruth) {
+  xml::corpus::DblpOptions copt;
+  copt.target_bytes = 150 << 10;
+  copt.doc_bytes = 8 << 10;
+  const std::vector<xml::Document> docs = xml::corpus::GenerateDblp(copt);
+  KadopOptions opt;
+  opt.peers = 12;
+  opt.dpp.max_block_postings = 256;
+  opt.dpp.ordered_splits = false;
+  KadopNet net(opt);
+  std::vector<const xml::Document*> ptrs;
+  for (const auto& d : docs) ptrs.push_back(&d);
+  net.PublishAndWait(2, ptrs);
+
+  std::optional<std::vector<index::DppBlockInfo>> dir;
+  index::DppManager::FetchDirectory(
+      net.peer(1)->dht_peer(), "l:author",
+      [&dir](Status st, std::vector<index::DppBlockInfo> blocks) {
+        EXPECT_TRUE(st.ok());
+        dir = std::move(blocks);
+      });
+  net.RunToIdle();
+  ASSERT_TRUE(dir.has_value());
+  bool overlapping = false;
+  for (size_t i = 1; i < dir->size(); ++i) {
+    overlapping |= (*dir)[i - 1].cond.Intersects((*dir)[i].cond);
+  }
+  ASSERT_TRUE(overlapping);
+
+  for (const char* expr : kQueries) {
+    QueryOptions options;
+    options.strategy = QueryStrategy::kDpp;
+    auto result = net.QueryAndWait(1, expr, options);
+    ASSERT_TRUE(result.ok()) << expr;
+    EXPECT_TRUE(result.value().metrics.complete) << expr;
+    EXPECT_EQ(Sorted(result.value().answers), Sorted(GroundTruth(docs, expr)))
+        << expr;
   }
 }
 

@@ -8,7 +8,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <memory>
 #include <random>
 #include <vector>
 
@@ -69,20 +68,14 @@ TEST(PostingListIteratorTest, SkipAndTakeMatchFlatListOracle) {
   for (uint64_t seed = 1; seed <= 8; ++seed) {
     std::mt19937_64 rng(seed);
     const PostingList list = RandomSortedList(rng, 400);
-    // Random block split, alternating owned and shared storage, with an
-    // empty block (dropped on Push) thrown in.
+    // Random block split, with an empty block (dropped on Push) thrown in.
     PostingListIterator it;
     it.Push(PostingList{});
     std::uniform_int_distribution<size_t> len_d(1, 64);
-    for (size_t i = 0, b = 0; i < list.size(); ++b) {
+    for (size_t i = 0; i < list.size();) {
       const size_t len = std::min(len_d(rng), list.size() - i);
-      PostingList chunk(list.begin() + static_cast<long>(i),
-                        list.begin() + static_cast<long>(i + len));
-      if (b % 2 == 0) {
-        it.Push(std::move(chunk));
-      } else {
-        it.Push(std::make_shared<const PostingList>(std::move(chunk)));
-      }
+      it.Push(PostingList(list.begin() + static_cast<long>(i),
+                          list.begin() + static_cast<long>(i + len)));
       i += len;
     }
     it.Close();

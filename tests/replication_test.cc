@@ -404,7 +404,7 @@ TEST(ReplicationQueryTest, ReplicaServedAnswersByteIdenticalToGroundTruth) {
 
   // Append during replication: versions bump, every replica is stale until
   // re-copied, and no query may ever see the pre-append answer set (the
-  // version-guard sibling of CacheNeverServesPreAppendResultsUnderFaults).
+  // version-guard sibling of FaultedAppendIsVisibleToTheNextQuery).
   net.PublishAndWait(2, extra_ptrs);
   for (int round = 0; round < 4; ++round) {
     for (const char* expr : kQueries) {

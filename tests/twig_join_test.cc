@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <memory>
 #include <random>
 
 #include "index/terms.h"
@@ -239,8 +238,8 @@ TEST(TwigJoinTest, BlockBoundariesDoNotChangeTheJoin) {
     ASSERT_GT(whole.answers().size(), 0u);
 
     // The same streams cut into random-size blocks (often mid-document),
-    // fed in a random interleaving of the two nodes through both append
-    // forms, with the join advancing after every block.
+    // fed in a random interleaving of the two nodes, with the join
+    // advancing after every block.
     TwigJoin blocked(pattern);
     std::vector<size_t> fed(streams.size(), 0);
     std::uniform_int_distribution<size_t> len_d(1, 7);
@@ -256,12 +255,7 @@ TEST(TwigJoinTest, BlockBoundariesDoNotChangeTheJoin) {
       PostingList block(streams[q].begin() + static_cast<long>(fed[q]),
                         streams[q].begin() + static_cast<long>(fed[q] + len));
       fed[q] += len;
-      if (coin(rng) == 0) {
-        blocked.Append(q, std::move(block));
-      } else {
-        blocked.AppendShared(
-            q, std::make_shared<const PostingList>(std::move(block)));
-      }
+      blocked.Append(q, std::move(block));
       if (fed[q] == streams[q].size()) blocked.Close(q);
       blocked.Advance();
     }

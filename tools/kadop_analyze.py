@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""kadop_analyze: the KadoP static analyzer (rules KDP001-KDP016).
+"""kadop_analyze: the KadoP static analyzer (rules KDP001-KDP017).
 
 Enforces invariants no off-the-shelf tool knows about. The token-level
 rules guard the library's contracts:
@@ -93,6 +93,17 @@ metric snapshots, trace dumps).
                               Member spans (trailing `_`) own their
                               lifecycle across methods and are exempt.
 
+The last rule guards the simulation's message discipline: a peer learns
+another peer's state only from a message.
+
+  KDP017  gods-eye-read       AuthoritativeVersion( / OwnerVersion( calls
+                              or `dht_->peer(` / `dht()->peer(` under
+                              src/query and src/dht. These read another
+                              peer's store directly, at zero bytes and zero
+                              virtual time. The remaining readers (the
+                              replica serve guard and views) are exempt by
+                              file until they carry versions on the wire.
+
 Backends
 --------
 The analyzer is compile_commands.json-driven and resolves symbol facts
@@ -141,7 +152,7 @@ from kdp_common import (Finding, apply_suppressions, findings_json, line_of,
                         strip_comments_and_strings, write_findings_json)
 
 TOOL = "kadop_analyze"
-ALL_RULES = tuple(f"KDP{i:03d}" for i in range(1, 17))
+ALL_RULES = tuple(f"KDP{i:03d}" for i in range(1, 18))
 
 # Path policy (rel paths are posix, repo-root-relative). The scanned tree
 # is src/**, tools/*.cc|.h (fixtures excluded) and bench/**. Each rule runs
@@ -156,6 +167,7 @@ ALL_RULES = tuple(f"KDP{i:03d}" for i in range(1, 17))
 #   KDP013      everywhere but src/common/random.* (the seeded RNG itself)
 #               and src/sim/ (jitter/fault draws own a seeded Rng by
 #               contract).
+#   KDP017      src/query/ + src/dht/, minus the god's-eye readers below.
 
 # KDP009 grandfather list: files whose *_count declarations predate the
 # metrics registry and are not event tallies — wire-format fields
@@ -177,6 +189,23 @@ KDP010_EXEMPT_FILES = (
     "src/index/codec.cc",
 )
 
+# KDP017 exempt list: the god's-eye readers that remain. Each is on
+# ROADMAP item 7 ("No god's-eye reads: every freshness check is a
+# message") and leaves this list when its freshness check becomes one.
+KDP017_EXEMPT_FILES = (
+    # ROADMAP item 7: DhtPeer::AuthoritativeVersion and the replica serve
+    # guard (CanServeReplica) that calls it.
+    "src/dht/peer.h",
+    "src/dht/peer.cc",
+    # ROADMAP item 7: ReplicationManager::OwnerVersion, read on replica
+    # install, refresh and invalidation.
+    "src/dht/replication.h",
+    "src/dht/replication.cc",
+    # ROADMAP item 7: ViewCatalog::Servable's column and base-term
+    # version checks.
+    "src/query/view_manager.cc",
+)
+
 # rule -> (scope prefixes, exempt prefixes); unlisted rules run everywhere.
 RULE_SCOPE = {
     "KDP001": (("src/",), ()),
@@ -191,6 +220,7 @@ RULE_SCOPE = {
     "KDP010": (("src/",), KDP010_EXEMPT_FILES),
     "KDP011": (("src/", "tools/"), ()),
     "KDP013": (("",), ("src/common/random.", "src/sim/")),
+    "KDP017": (("src/query/", "src/dht/"), KDP017_EXEMPT_FILES),
 }
 
 
@@ -816,6 +846,19 @@ def check_kdp016(rel: str, clean: str, facts: Facts, add) -> None:
                 "lambda defined before the return)")
 
 
+RE_KDP017 = re.compile(
+    r"\b(?:AuthoritativeVersion|OwnerVersion)\s*\("
+    r"|\bdht(?:_|\s*\(\s*\))\s*->\s*peer\s*\(")
+
+
+def check_kdp017(rel: str, clean: str, facts: Facts, add) -> None:
+    for m in RE_KDP017.finditer(clean):
+        add("KDP017", m.start(),
+            f"god's-eye read (`{m.group(0)}…`): this reads another peer's "
+            "state directly, at zero bytes and zero virtual time; learn it "
+            "from a message (a reply, install or invalidate) instead")
+
+
 CHECKS = {rule: globals()["check_" + rule.lower()] for rule in ALL_RULES}
 
 
@@ -926,6 +969,8 @@ FIXTURES = {
     "kdp015_good.cc.txt": ("src/kdp015_good.cc", set()),
     "kdp016_bad.cc.txt": ("src/kdp016_bad.cc", {"KDP016"}),
     "kdp016_good.cc.txt": ("src/kdp016_good.cc", set()),
+    "kdp017_bad.cc.txt": ("src/query/kdp017_bad.cc", {"KDP017"}),
+    "kdp017_good.cc.txt": ("src/query/kdp017_good.cc", set()),
 }
 # Each seeds reasoned KDP-ALLOWs over real violations of the listed rules
 # plus one reasonless allow, which must be reported as KDP000.

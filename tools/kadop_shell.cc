@@ -74,8 +74,6 @@ class Shell {
       CmdMetrics();
     } else if (cmd == "trace") {
       CmdTrace(in);
-    } else if (cmd == "cache") {
-      CmdCache(in);
     } else if (cmd == "repl") {
       CmdRepl(in);
     } else if (cmd == "views") {
@@ -131,7 +129,6 @@ class Shell {
         "  trace on|off|dump [json]|clear   virtual-time span tracing\n"
         "  trace report                     per-query phase breakdown\n"
         "  trace export [file]              Chrome trace_event JSON\n"
-        "  cache on|off|stats|clear         query-side posting cache\n"
         "  repl on|off|stats                hot-data replication + routing\n"
         "  views on|off|stats|list          materialized tree-pattern views\n"
         "  views create <xpath> [name]      materialize a view\n"
@@ -281,7 +278,6 @@ class Shell {
       // query: bounded retries, and losses surface as a degraded result.
       options.fetch_retry.timeout_s = 0.5;
     }
-    options.cache_postings = cache_postings_;
     auto result =
         net_->QueryAndWait(static_cast<sim::NodeIndex>(peer), xpath, options);
     if (!result.ok()) {
@@ -322,11 +318,6 @@ class Shell {
     if (m.join_input_wire_bytes > 0) {
       std::printf("join input: %.1f KB pulled at the holder\n",
                   m.join_input_wire_bytes / 1024.0);
-    }
-    if (m.cache_hits + m.cache_misses > 0) {
-      std::printf("posting cache: %llu hits, %llu misses\n",
-                  static_cast<unsigned long long>(m.cache_hits),
-                  static_cast<unsigned long long>(m.cache_misses));
     }
     if (m.blocks_fetched + m.blocks_skipped > 0) {
       std::printf("DPP blocks: %llu fetched, %llu skipped\n",
@@ -531,52 +522,6 @@ class Shell {
     std::printf("warning: trace buffer full — %llu span(s) dropped; raise "
                 "Tracer capacity or 'trace clear' between runs\n",
                 static_cast<unsigned long long>(dropped));
-  }
-
-  void CmdCache(std::istringstream& in) {
-    std::string sub;
-    in >> sub;
-    if (sub == "on" || sub == "off") {
-      cache_postings_ = sub == "on";
-      std::printf("posting cache %s for subsequent queries\n", sub.c_str());
-      return;
-    }
-    if (!RequireNet()) return;
-    if (sub == "clear") {
-      for (size_t p = 0; p < net_->PeerCount(); ++p) {
-        net_->peer(static_cast<sim::NodeIndex>(p))
-            ->query_client()
-            .posting_cache()
-            .Clear();
-      }
-      std::printf("posting caches cleared on all peers\n");
-      return;
-    }
-    if (!sub.empty() && sub != "stats") {
-      std::printf("usage: cache on|off|stats|clear\n");
-      return;
-    }
-    size_t entries = 0, bytes = 0;
-    uint64_t hits = 0, misses = 0, evictions = 0, invalidations = 0;
-    for (size_t p = 0; p < net_->PeerCount(); ++p) {
-      const auto& cache = net_->peer(static_cast<sim::NodeIndex>(p))
-                              ->query_client()
-                              .posting_cache();
-      entries += cache.entries();
-      bytes += cache.bytes();
-      hits += cache.hits();
-      misses += cache.misses();
-      evictions += cache.evictions();
-      invalidations += cache.invalidations();
-    }
-    std::printf(
-        "posting cache %s | %zu entries, %.1f KB across %zu peers\n"
-        "  hits %llu, misses %llu, evictions %llu, invalidations %llu\n",
-        cache_postings_ ? "on" : "off", entries, bytes / 1024.0,
-        net_->PeerCount(), static_cast<unsigned long long>(hits),
-        static_cast<unsigned long long>(misses),
-        static_cast<unsigned long long>(evictions),
-        static_cast<unsigned long long>(invalidations));
   }
 
   void CmdRepl(std::istringstream& in) {
@@ -839,7 +784,6 @@ class Shell {
 
   std::unique_ptr<core::KadopNet> net_;
   std::vector<xml::Document> docs_;
-  bool cache_postings_ = false;
   bool warned_dropped_ = false;
 };
 
