@@ -713,11 +713,14 @@ Result<std::string> KadopNet::ExplainQueryAndWait(
   }
   scheduler_.RunUntilIdle();
   std::vector<uint64_t> counts(pattern.size(), 0);
+  std::vector<uint64_t> overflow(pattern.size(), 0);
   std::string unreachable;
   for (size_t node = 0; node < pattern.size(); ++node) {
     const TermDirectory& dir = (*dirs)[node];
     if (dir.answered && dir.status.ok()) {
       counts[node] = index::DirectoryCount(dir.blocks);
+      overflow[node] =
+          index::OverflowCount(dir.blocks, pattern.node(node).TermKey());
       continue;
     }
     if (!unreachable.empty()) unreachable += ", ";
@@ -756,16 +759,26 @@ Result<std::string> KadopNet::ExplainQueryAndWait(
              std::to_string(view->residual_postings) + " postings)\n";
     }
   }
-  const auto costs =
-      query::EstimateStrategyCosts(pattern, counts, options, view);
+  const auto costs = query::EstimateStrategyCosts(pattern, counts, options,
+                                                  view, overflow);
   out += "strategy cost estimates:\n";
   for (const auto& c : costs) {
     char line[160];
     std::snprintf(line, sizeof(line),
-                  "  %-18s bytes=%.0f bottleneck=%.0f\n",
+                  "  %-18s bytes=%.0f bottleneck=%.0f",
                   std::string(query::QueryStrategyName(c.strategy)).c_str(),
                   c.bytes, c.bottleneck_bytes);
     out += line;
+    if (c.strategy == query::QueryStrategy::kSubQueryReducer) {
+      // The postings each on-path owner pulls from its overflow holders
+      // before the reduction starts.
+      out += " gather";
+      for (const int q : query::SubQueryPath(pattern, counts)) {
+        out += " [" + std::to_string(q) +
+               "]=" + std::to_string(overflow[static_cast<size_t>(q)]);
+      }
+    }
+    out += '\n';
   }
   out += "auto would run: ";
   out += query::QueryStrategyName(

@@ -629,6 +629,15 @@ uint64_t DirectoryCount(const std::vector<DppBlockInfo>& blocks) {
   return total;
 }
 
+uint64_t OverflowCount(const std::vector<DppBlockInfo>& blocks,
+                       const std::string& term_key) {
+  uint64_t total = 0;
+  for (const DppBlockInfo& b : blocks) {
+    if (b.key != term_key) total += b.count;
+  }
+  return total;
+}
+
 size_t DppManager::PartitionedTermCount() const {
   size_t n = 0;
   for (const auto& [key, st] : terms_) {

@@ -187,6 +187,13 @@ class DppManager {
 /// A term's posting count: the sum of its directory's block counts.
 [[nodiscard]] uint64_t DirectoryCount(const std::vector<DppBlockInfo>& blocks);
 
+/// The postings of `term_key`'s directory held outside the owner's own
+/// block (every block whose key is not the term key): what a get at the
+/// owner pulls from the overflow holders before it answers. Zero for a
+/// term that was never partitioned.
+[[nodiscard]] uint64_t OverflowCount(const std::vector<DppBlockInfo>& blocks,
+                                     const std::string& term_key);
+
 }  // namespace kadop::index
 
 #endif  // KADOP_INDEX_DPP_H_

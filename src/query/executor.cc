@@ -849,9 +849,23 @@ ViewPricing PriceViewRewrite(const ViewCatalog::Rewrite& rewrite,
   return pricing;
 }
 
+std::vector<int> SubQueryPath(const TreePattern& pattern,
+                              const std::vector<uint64_t>& term_counts) {
+  size_t best = 0;
+  for (size_t node = 1; node < term_counts.size(); ++node) {
+    if (term_counts[node] < term_counts[best]) best = node;
+  }
+  std::vector<int> path;
+  for (int q = static_cast<int>(best); q >= 0; q = pattern.node(q).parent) {
+    path.push_back(q);
+  }
+  return path;
+}
+
 std::vector<StrategyCostEstimate> EstimateStrategyCosts(
     const TreePattern& pattern, const std::vector<uint64_t>& term_counts,
-    const QueryOptions& options, std::optional<ViewPricing> view) {
+    const QueryOptions& options, std::optional<ViewPricing> view,
+    const std::vector<uint64_t>& overflow) {
   // Per-posting transfer estimate: postings always ship delta-coded.
   const double kWire = index::codec::EstimatedWirePostingBytes();
   // Approximate per-posting DBF cost: |containers| inserts at ~10 bits.
@@ -859,11 +873,9 @@ std::vector<StrategyCostEstimate> EstimateStrategyCosts(
 
   double total = 0;
   double max_count = 0;
-  size_t selective = 0;
   for (size_t i = 0; i < term_counts.size(); ++i) {
     total += static_cast<double>(term_counts[i]);
     max_count = std::max(max_count, static_cast<double>(term_counts[i]));
-    if (term_counts[i] < term_counts[selective]) selective = i;
   }
   // Answer-cardinality heuristic: the scarcest stream's count. It is not a
   // bound, since one posting can take part in many answers (long_list's
@@ -919,14 +931,11 @@ std::vector<StrategyCostEstimate> EstimateStrategyCosts(
       min_count * kAutoSelectivityRatio < max_count) {
     // DB-reduce the path from the most selective term to the root: path
     // lists shrink to ~min_count; off-path lists ship entire.
-    size_t path_len = 0;
+    const std::vector<int> path = SubQueryPath(pattern, term_counts);
+    const size_t path_len = path.size();
     double off_path = 0;
     std::vector<bool> on_path(pattern.size(), false);
-    for (int q = static_cast<int>(selective); q >= 0;
-         q = pattern.node(q).parent) {
-      on_path[static_cast<size_t>(q)] = true;
-      ++path_len;
-    }
+    for (const int q : path) on_path[static_cast<size_t>(q)] = true;
     for (size_t i = 0; i < term_counts.size(); ++i) {
       if (!on_path[i]) off_path += static_cast<double>(term_counts[i]);
     }
@@ -949,6 +958,22 @@ std::vector<StrategyCostEstimate> EstimateStrategyCosts(
                                       kWire);
       }
     }
+    // Each on-path owner loads its whole list before it reduces: the DPP
+    // get proxy first pulls a partitioned term's overflow blocks to the
+    // owner, all at once. The owners gather side by side, so the largest
+    // gather delays the reduction, spread like a kDpp block fetch.
+    KADOP_CHECK(overflow.empty() || overflow.size() == term_counts.size(),
+                "one overflow count per term");
+    double gathered = 0;
+    double max_gather = 0;
+    for (size_t i = 0; i < overflow.size(); ++i) {
+      if (!on_path[i]) continue;
+      gathered += static_cast<double>(overflow[i]);
+      max_gather = std::max(max_gather, static_cast<double>(overflow[i]));
+    }
+    sub.bytes += gathered * kWire;
+    sub.bottleneck_bytes +=
+        max_gather * kWire / static_cast<double>(kDppParallelism / 2);
     costs.push_back(sub);
   }
   if (view.has_value()) {
@@ -999,25 +1024,22 @@ void QueryExecutor::StartAuto() {
         view = PriceViewRewrite(*view_rewrite_, term_counts_);
       }
     }
+    std::vector<uint64_t> overflow(pattern_.size(), 0);
+    for (size_t node = 0; node < pattern_.size(); ++node) {
+      overflow[node] = index::OverflowCount(dpp_[node].blocks,
+                                            pattern_.node(node).TermKey());
+    }
     metrics_.effective_strategy = PickStrategy(
-        EstimateStrategyCosts(pattern_, term_counts_, options_, view),
+        EstimateStrategyCosts(pattern_, term_counts_, options_, view,
+                              overflow),
         options_.objective);
     Run(metrics_.effective_strategy);
   });
 }
 
 void QueryExecutor::OnTermCountsReady() {
-  // Heuristic (Section 5.4): the sub-query with a guaranteed low
-  // selectivity factor — the path from the smallest posting list up to the
-  // root. DB-reduce that path; fetch everything else entire.
-  size_t best = 0;
-  for (size_t node = 1; node < pattern_.size(); ++node) {
-    if (term_counts_[node] < term_counts_[best]) best = node;
-  }
-  std::vector<int> path;
-  for (int q = static_cast<int>(best); q >= 0; q = pattern_.node(q).parent) {
-    path.push_back(q);
-  }
+  // DB-reduce the sub-query path; fetch everything else entire.
+  const std::vector<int> path = SubQueryPath(pattern_, term_counts_);
 
   std::vector<ReducePlanNode> nodes;
   for (size_t i = 0; i < path.size(); ++i) {

@@ -119,12 +119,22 @@ struct ViewPricing {
     const ViewCatalog::Rewrite& rewrite,
     const std::vector<uint64_t>& term_counts);
 
+/// The sub-query the Sub-query Reducer DB-reduces (Section 5.4), the one
+/// with a guaranteed low selectivity factor: the path from the term with
+/// the smallest count (the first on a tie) up to the root, leaf first.
+[[nodiscard]] std::vector<int> SubQueryPath(
+    const TreePattern& pattern, const std::vector<uint64_t>& term_counts);
+
 /// Estimates costs for the viable strategies given per-term posting
 /// counts. kView is a candidate only when `view` prices a rewrite.
+/// `overflow` gives each term's index::OverflowCount, the postings its
+/// owner gathers before a sub-query reduction can start; empty means
+/// nothing is partitioned.
 [[nodiscard]] std::vector<StrategyCostEstimate> EstimateStrategyCosts(
     const TreePattern& pattern, const std::vector<uint64_t>& term_counts,
     const QueryOptions& options,
-    std::optional<ViewPricing> view = std::nullopt);
+    std::optional<ViewPricing> view = std::nullopt,
+    const std::vector<uint64_t>& overflow = {});
 
 /// kAuto's choice among `costs` (non-empty): the lowest primary cost
 /// under `objective` (bytes for kTraffic, bottleneck bytes for kTime),

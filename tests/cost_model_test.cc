@@ -133,6 +133,79 @@ TEST(CostModelTest, DppJoinBytesTrackEstimateTwigResults) {
   EXPECT_DOUBLE_EQ(djoin->bytes, expected);
 }
 
+TEST(CostModelTest, OwnerGatherFlipsSubQueryReducer) {
+  // The same counts twice. Unpartitioned, the sub-query reducer ships ~200
+  // postings per path term and wins. With the long on-path term b split
+  // into 256-posting blocks, b's owner first pulls its other 39744
+  // postings through its own downlink, and kAuto leaves the reducer.
+  TreePattern pattern = MustParse("//a//b//c");
+  const std::vector<uint64_t> counts{2000, 40000, 200};
+  const std::vector<uint64_t> flat{0, 0, 0};
+  const std::vector<uint64_t> partitioned{2000 - 256, 40000 - 256, 0};
+  QueryOptions options;
+  options.dpp_join_available = true;
+  const auto kTime = QueryOptions::Objective::kTime;
+  const auto kTraffic = QueryOptions::Objective::kTraffic;
+
+  const auto unsplit =
+      EstimateStrategyCosts(pattern, counts, options, std::nullopt, flat);
+  EXPECT_EQ(PickStrategy(unsplit, kTime), QueryStrategy::kSubQueryReducer);
+  EXPECT_EQ(PickStrategy(unsplit, kTraffic),
+            QueryStrategy::kSubQueryReducer);
+  // An all-zero gather prices exactly like no partitioning information.
+  const auto plain = EstimateStrategyCosts(pattern, counts, options);
+  ASSERT_EQ(plain.size(), unsplit.size());
+  for (size_t i = 0; i < plain.size(); ++i) {
+    EXPECT_EQ(plain[i].bytes, unsplit[i].bytes);
+    EXPECT_EQ(plain[i].bottleneck_bytes, unsplit[i].bottleneck_bytes);
+  }
+
+  const auto split = EstimateStrategyCosts(pattern, counts, options,
+                                           std::nullopt, partitioned);
+  EXPECT_EQ(PickStrategy(split, kTime), QueryStrategy::kDppJoin);
+  EXPECT_EQ(PickStrategy(split, kTraffic), QueryStrategy::kDppJoin);
+  // Every gathered posting crosses the wire once.
+  const auto* sub_flat = Find(unsplit, QueryStrategy::kSubQueryReducer);
+  const auto* sub_split = Find(split, QueryStrategy::kSubQueryReducer);
+  ASSERT_NE(sub_flat, nullptr);
+  ASSERT_NE(sub_split, nullptr);
+  const double kWire = index::codec::EstimatedWirePostingBytes();
+  EXPECT_NEAR(sub_split->bytes - sub_flat->bytes,
+              (1744.0 + 39744.0) * kWire, 1e-6);
+  // The owners gather side by side: the largest gather, spread over the
+  // block fetch parallelism, is added to the bottleneck.
+  EXPECT_NEAR(sub_split->bottleneck_bytes - sub_flat->bottleneck_bytes,
+              39744.0 * kWire / 8, 1e-6);
+
+  // Without kDppJoin the split term sends kTime to kDpp.
+  options.dpp_join_available = false;
+  EXPECT_EQ(PickStrategy(EstimateStrategyCosts(pattern, counts, options,
+                                               std::nullopt, flat),
+                         kTime),
+            QueryStrategy::kSubQueryReducer);
+  EXPECT_EQ(PickStrategy(EstimateStrategyCosts(pattern, counts, options,
+                                               std::nullopt, partitioned),
+                         kTime),
+            QueryStrategy::kDpp);
+}
+
+TEST(CostModelTest, OffPathGatherIsNotPriced) {
+  // An off-path term already ships entire from its owner, so its owner's
+  // gather adds nothing the estimate did not charge.
+  TreePattern pattern = MustParse("//a[//b]//c");
+  const std::vector<uint64_t> counts{50000, 60000, 10};
+  QueryOptions options;
+  const auto plain = EstimateStrategyCosts(pattern, counts, options);
+  const auto split = EstimateStrategyCosts(pattern, counts, options,
+                                           std::nullopt, {0, 59000, 0});
+  const auto* a = Find(plain, QueryStrategy::kSubQueryReducer);
+  const auto* b = Find(split, QueryStrategy::kSubQueryReducer);
+  ASSERT_NE(a, nullptr);
+  ASSERT_NE(b, nullptr);
+  EXPECT_EQ(a->bytes, b->bytes);
+  EXPECT_EQ(a->bottleneck_bytes, b->bottleneck_bytes);
+}
+
 TEST(CostModelTest, TinyExtentFlipsAutoToView) {
   // A selective view collapses both inputs and egress to its tiny extent:
   // kView must beat kDppJoin (and everything else) under both objectives.

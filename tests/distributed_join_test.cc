@@ -77,6 +77,8 @@ constexpr const char* kQueries[] = {
     "//article[//journal]//year",
     "//inproceedings//booktitle",
     "//author",
+    // Selective, and every term is a single block: no owner gathers.
+    "//dblp//incollection//\"graph\"",
 };
 
 TEST_F(DistributedJoinTest, AnswersByteIdenticalToDpp) {
@@ -1303,6 +1305,45 @@ TEST(JoinHomeTest, WindowShareHomesCutHolderForeignIngress) {
   EXPECT_EQ(m.join_tasks, 19u);
   EXPECT_EQ(window_home, 468u);
   EXPECT_EQ(count_home, 2253u);
+}
+
+// kbench long_list's Ullman query at half its corpus and half its block
+// size, so author still spans 17 blocks on 64 peers and the word is rare.
+// The sub-query reducer would make author's owner pull its 16 overflow
+// blocks before it reduces; kAuto prices that gather and runs kDppJoin,
+// which answers sooner.
+TEST(GatherPricingTest, PartitionedPathSendsAutoToTheDistributedJoin) {
+  xml::corpus::DblpOptions copt;
+  copt.target_bytes = 8 << 20;
+  const std::vector<xml::Document> docs = xml::corpus::GenerateDblp(copt);
+  KadopOptions opt;
+  opt.peers = 64;
+  opt.dpp.max_block_postings = 8192;
+  KadopNet net(opt);
+  net.RegisterDocuments(docs);
+  net.PublishAndWait(2, DocPtrs(docs, 0, docs.size()));
+  constexpr sim::NodeIndex kQuerier = 1;
+  constexpr const char* kQuery = "//article//author//\"Ullman\"";
+  const std::vector<Answer> truth = Oracle(kQuery, docs);
+  ASSERT_FALSE(truth.empty());
+
+  // Warm the querier's owner cache, so both timed runs start alike.
+  ASSERT_TRUE(
+      net.QueryAndWait(kQuerier, kQuery, StrategyOptions(QueryStrategy::kDpp))
+          .ok());
+  auto planned = net.QueryAndWait(kQuerier, kQuery,
+                                  StrategyOptions(QueryStrategy::kAuto));
+  ASSERT_TRUE(planned.ok());
+  const QueryMetrics& m = planned.value().metrics;
+  EXPECT_EQ(m.effective_strategy, QueryStrategy::kDppJoin);
+  EXPECT_TRUE(m.complete);
+  EXPECT_EQ(Sorted(planned.value().answers), truth);
+
+  auto reduced = net.QueryAndWait(
+      kQuerier, kQuery, StrategyOptions(QueryStrategy::kSubQueryReducer));
+  ASSERT_TRUE(reduced.ok());
+  EXPECT_EQ(Sorted(reduced.value().answers), truth);
+  EXPECT_LT(m.ResponseTime(), reduced.value().metrics.ResponseTime());
 }
 
 TEST(ShortPullTest, OneRuleForEveryTrimShape) {

@@ -185,12 +185,13 @@ TEST(DistributedTraceTest, AutoPlanningRoundIsTheDirectorySpan) {
 
 // The sub-query reducer's owners load partitioned lists through the DPP
 // get proxy: that time is fetch time, under the reducer plan's fetch span,
-// not unattributed `other`.
+// not unattributed `other`. The reducer runs explicitly: kAuto prices that
+// gather and prefers kDppJoin here.
 TEST(DistributedTraceTest, ReducerLoadsOfPartitionedTermsAreFetchTime) {
   index::DppOptions dpp;
   dpp.max_block_postings = 256;
   const TracedQuery q =
-      RunTracedTwigQuery(16, query::QueryStrategy::kAuto,
+      RunTracedTwigQuery(16, query::QueryStrategy::kSubQueryReducer,
                          "//article//author[. contains 'Ullman']", dpp);
   auto& tracer = obs::Tracer::Default();
   ASSERT_NE(q.root, 0u);
