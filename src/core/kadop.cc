@@ -804,13 +804,32 @@ Result<std::string> KadopNet::ExplainQueryAndWait(
           task.inputs[task.home_node][task.home_block];
       char estimate[96];
       std::snprintf(estimate, sizeof(estimate),
-                    " ~%.0f of %llu postings in window\n",
+                    " ~%.0f of %llu postings in window",
                     task.home_postings,
                     static_cast<unsigned long long>(home.count));
       out += "  [" + std::to_string(t) + "] docs " +
              task.window.MinDoc().ToString() + ".." +
              task.window.MaxDoc().ToString() + " home " + home.key +
              estimate;
+      // Every other input: held by the home's named holder too, pushed to
+      // the home by its holder, or asked for by the home itself.
+      const std::vector<std::vector<bool>> pushed = query::PushedInputs(
+          task.inputs, task.home_node, task.home_block, at);
+      std::string inputs;
+      for (size_t node = 0; node < task.inputs.size(); ++node) {
+        for (size_t idx = 0; idx < task.inputs[node].size(); ++idx) {
+          if (node == task.home_node && idx == task.home_block) continue;
+          const index::DppBlockInfo& input = task.inputs[node][idx];
+          const bool local =
+              home.holder.has_value() && input.holder == home.holder;
+          const char* how = pushed[node][idx] ? " (pushed)"
+                            : local           ? " (local)"
+                                              : " (asked)";
+          inputs += " " + input.key + how;
+        }
+      }
+      if (!inputs.empty()) out += ";" + inputs;
+      out += '\n';
     }
   }
   return out;

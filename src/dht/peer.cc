@@ -259,47 +259,123 @@ void DhtPeer::GetBlocks(const GetSpec& spec, BlockCallback on_block) {
   IssueGet(std::move(pending));
 }
 
-RequestId DhtPeer::IssueGet(PendingGet pending) {
-  const RequestId id = NextRequestId();
+namespace {
+
+std::shared_ptr<GetRequest> NewGetRequest(const GetSpec& spec,
+                                          uint32_t default_block_postings) {
   auto req = std::make_shared<GetRequest>();
-  req->key = pending.spec.key;
+  req->key = spec.key;
+  req->pipelined = spec.pipelined;
+  req->block_postings =
+      spec.block_postings != 0 ? spec.block_postings : default_block_postings;
+  req->lo = spec.lo;
+  req->hi = spec.hi;
+  return req;
+}
+
+/// How long a pushed block that arrived before the get awaiting it is
+/// kept. Only reordering (jitter) or a resent request makes a push
+/// overtake its awaiting request, by far less than this; a dropped hold
+/// costs the awaiting get one timeout and a routed ask.
+constexpr double kHoldDeliveryS = 1.0;
+
+}  // namespace
+
+RequestId DhtPeer::ReserveRequestIds(uint32_t n) {
+  KADOP_CHECK(n > 0, "reserve at least one request id");
+  const RequestId first = NextRequestId();
+  next_req_ += n - 1;
+  return first;
+}
+
+bool DhtPeer::SendGet(std::shared_ptr<GetRequest> req, const GetSpec& spec) {
+  // Load-aware routing: a hot key with fresh replicas is pulled from the
+  // least-loaded copy directly (one hop). Retries re-enter here and re-roll
+  // the choice, so a crashed replica falls back to the routed owner path.
+  const NodeIndex replica = dht_->replication().RouteGet(spec.key);
+  if (replica != ReplicationManager::kNoReplica) {
+    network_->Send(
+        Message{node_, replica, TrafficCategory::kControl, std::move(req)});
+    return true;
+  }
+  auto env = std::make_shared<RouteEnvelope>();
+  env->key = HashKey(spec.key);
+  env->inner = std::move(req);
+  env->category = TrafficCategory::kControl;
+  SendEnvelope(std::move(env), spec.owner_hint);
+  return false;
+}
+
+void DhtPeer::PushGet(const GetSpec& spec, NodeIndex target,
+                      RequestId req_id) {
+  KADOP_CHECK(target != node_, "a peer asks for its own gets");
+  auto req = NewGetRequest(spec, dht_->options().pipeline_block_postings);
+  req->req_id = req_id;
+  req->origin = target;
+  (void)SendGet(std::move(req), spec);
+}
+
+RequestId DhtPeer::IssueGet(PendingGet pending) {
+  // An id is awaited once. A get naming an id awaited here before (a
+  // resent task whose pushed blocks were taken, or timed out) asks itself.
+  if (pending.spec.awaited.has_value()) {
+    auto seen = deliveries_.find(*pending.spec.awaited);
+    if (seen != deliveries_.end() && seen->second.awaited) {
+      pending.spec.awaited.reset();
+    }
+  }
+  const std::optional<RequestId> awaited = pending.spec.awaited;
+  const RequestId id = awaited.value_or(NextRequestId());
+  auto req = NewGetRequest(pending.spec,
+                           dht_->options().pipeline_block_postings);
   req->req_id = id;
   req->origin = node_;
-  req->pipelined = pending.spec.pipelined;
-  req->block_postings = pending.spec.block_postings != 0
-                            ? pending.spec.block_postings
-                            : dht_->options().pipeline_block_postings;
-  req->lo = pending.spec.lo;
-  req->hi = pending.spec.hi;
 
   // With a retry policy the per-attempt timeout comes from the policy; the
   // legacy spec timeout stays an overall (single-attempt) deadline.
   const double timeout = pending.retry.enabled() ? pending.retry.timeout_s
                                                  : pending.spec.timeout_s;
-  const KeyId hashed = HashKey(pending.spec.key);
-  const NodeIndex replica = dht_->replication().RouteGet(pending.spec.key);
-  const std::optional<OwnerHint> owner_hint = pending.spec.owner_hint;
+  const GetSpec spec = pending.spec;
+  // A resend of the task that named the id comes within the task's retry
+  // budget, which is this get's.
+  const double remember_s = kHoldDeliveryS + pending.retry.SpanS();
   pending.next_block = 0;
-  pending.to_replica = replica != ReplicationManager::kNoReplica;
+  pending.to_replica = false;
   auto [it, inserted] = pending_get_.emplace(id, std::move(pending));
   KADOP_CHECK(inserted, "get request id collision");
   if (timeout > 0) it->second.timeout_event = ArmTimeout(id, timeout);
-
-  // Load-aware routing: a hot key with fresh replicas is pulled from the
-  // least-loaded copy directly (one hop). Retries re-enter here and re-roll
-  // the choice, so a crashed replica falls back to the routed owner path.
-  if (replica != ReplicationManager::kNoReplica) {
-    network_->Send(
-        Message{node_, replica, TrafficCategory::kControl, std::move(req)});
+  if (!awaited.has_value()) {
+    it->second.to_replica = SendGet(std::move(req), spec);
     return id;
   }
-
-  auto env = std::make_shared<RouteEnvelope>();
-  env->key = hashed;
-  env->inner = std::move(req);
-  env->category = TrafficCategory::kControl;
-  SendEnvelope(std::move(env), owner_hint);
+  Delivery& delivery = deliveries_[id];
+  delivery.awaited = true;
+  network_->scheduler()->Cancel(delivery.forget_event);
+  delivery.forget_event = network_->scheduler()->After(
+      remember_s, [this, id]() { deliveries_.erase(id); });
+  // Blocks pushed before this get awaited them are handled now, in their
+  // arrival order.
+  if (!delivery.held.empty()) {
+    network_->scheduler()->At(
+        network_->Now(), [this, blocks = std::move(delivery.held)]() {
+          for (const Message& msg : blocks) {
+            HandleGetBlock(msg, static_cast<GetBlock&>(*msg.payload));
+          }
+        });
+    delivery.held.clear();
+  }
   return id;
+}
+
+void DhtPeer::HoldDelivery(const Message& msg, RequestId req_id) {
+  Delivery& delivery = deliveries_[req_id];
+  // Its get already took the blocks it awaited, or gave up on them.
+  if (delivery.awaited) return;
+  delivery.held.push_back(msg);
+  if (delivery.forget_event == sim::kInvalidEventId) {
+    delivery.forget_event = network_->scheduler()->After(
+        kHoldDeliveryS, [this, req_id]() { deliveries_.erase(req_id); });
+  }
 }
 
 void DhtPeer::Delete(const std::string& key, const Posting& posting) {
@@ -501,6 +577,7 @@ void DhtPeer::OnGetTimeout(RequestId req_id) {
     // The resend re-resolves the owner by routing: the hinted node may be
     // the one that crashed.
     pending.spec.owner_hint.reset();
+    pending.spec.awaited.reset();
     C().retries->Increment();
     const double delay = pending.retry.BackoffDelay(pending.attempt - 1);
     auto next = std::make_shared<PendingGet>(std::move(pending));
@@ -788,6 +865,75 @@ void DhtPeer::HandleDelete(const DeleteRequest& req) {
   }
 }
 
+void DhtPeer::HandleGetBlock(const Message& msg, GetBlock& block) {
+  auto it = pending_get_.find(block.req_id);
+  if (it == pending_get_.end()) {
+    // Ids this peer issued carry its node in the high word (NextRequestId):
+    // such a block belongs to a get that timed out earlier. Any other was
+    // pushed here (PushGet) and may have overtaken the request that makes
+    // this peer await it.
+    if ((block.req_id >> 32) != node_) HoldDelivery(msg, block.req_id);
+    return;
+  }
+  PendingGet& pending = it->second;
+  // Links are FIFO, so blocks of one attempt arrive in index order; an
+  // out-of-sequence index is a fault artifact — a duplicated copy (index
+  // below expected) or the far side of a dropped block (index above). In
+  // both cases ignore it: delivering would duplicate data or silently
+  // complete a stream with a hole. The timeout/retry path recovers.
+  if (block.block_index != pending.next_block) return;
+  pending.next_block++;
+  // The first block of a get routed through the ring comes from the key's
+  // owner (its DPP get proxy included). A hinted attempt's owner was
+  // already named, and a replica's answer says nothing about the owner.
+  if (block.block_index == 0 && !pending.to_replica &&
+      !pending.spec.owner_hint.has_value() &&
+      !pending.spec.awaited.has_value()) {
+    LearnOwner(pending.spec.key, msg.from);
+  }
+  if (pending.accumulate) {
+    pending.accumulated.insert(pending.accumulated.end(),
+                               block.postings.begin(),
+                               block.postings.end());
+    if (block.last) {
+      PendingGet done = std::move(pending);
+      pending_get_.erase(it);
+      if (done.timeout_event != sim::kInvalidEventId) {
+        network_->scheduler()->Cancel(done.timeout_event);
+      }
+      if (done.on_done) {
+        done.on_done(
+            GetResult{std::move(done.accumulated), true, Status::OK()});
+      }
+    } else if (pending.retry.enabled()) {
+      // Progress timer: each block pushes the per-attempt deadline out,
+      // so a long healthy stream is not killed mid-transfer.
+      if (pending.timeout_event != sim::kInvalidEventId) {
+        network_->scheduler()->Cancel(pending.timeout_event);
+      }
+      pending.timeout_event =
+          ArmTimeout(block.req_id, pending.retry.timeout_s);
+    }
+  } else {
+    pending.delivered_any = true;
+    BlockCallback cb = pending.on_block;
+    const bool last = block.last;
+    if (last) {
+      if (pending.timeout_event != sim::kInvalidEventId) {
+        network_->scheduler()->Cancel(pending.timeout_event);
+      }
+      pending_get_.erase(it);
+    } else if (pending.retry.enabled()) {
+      if (pending.timeout_event != sim::kInvalidEventId) {
+        network_->scheduler()->Cancel(pending.timeout_event);
+      }
+      pending.timeout_event =
+          ArmTimeout(block.req_id, pending.retry.timeout_s);
+    }
+    if (cb) cb(std::move(block.postings), last, true);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Message dispatch
 
@@ -817,64 +963,7 @@ void DhtPeer::HandleMessage(const Message& msg) {
     return;
   }
   if (auto* block = dynamic_cast<GetBlock*>(payload)) {
-    auto it = pending_get_.find(block->req_id);
-    if (it == pending_get_.end()) return;  // timed out earlier
-    PendingGet& pending = it->second;
-    // Links are FIFO, so blocks of one attempt arrive in index order; an
-    // out-of-sequence index is a fault artifact — a duplicated copy (index
-    // below expected) or the far side of a dropped block (index above). In
-    // both cases ignore it: delivering would duplicate data or silently
-    // complete a stream with a hole. The timeout/retry path recovers.
-    if (block->block_index != pending.next_block) return;
-    pending.next_block++;
-    // The first block of a get routed through the ring comes from the key's
-    // owner (its DPP get proxy included). A hinted attempt's owner was
-    // already named, and a replica's answer says nothing about the owner.
-    if (block->block_index == 0 && !pending.to_replica &&
-        !pending.spec.owner_hint.has_value()) {
-      LearnOwner(pending.spec.key, msg.from);
-    }
-    if (pending.accumulate) {
-      pending.accumulated.insert(pending.accumulated.end(),
-                                 block->postings.begin(),
-                                 block->postings.end());
-      if (block->last) {
-        PendingGet done = std::move(pending);
-        pending_get_.erase(it);
-        if (done.timeout_event != sim::kInvalidEventId) {
-          network_->scheduler()->Cancel(done.timeout_event);
-        }
-        if (done.on_done) {
-          done.on_done(
-              GetResult{std::move(done.accumulated), true, Status::OK()});
-        }
-      } else if (pending.retry.enabled()) {
-        // Progress timer: each block pushes the per-attempt deadline out,
-        // so a long healthy stream is not killed mid-transfer.
-        if (pending.timeout_event != sim::kInvalidEventId) {
-          network_->scheduler()->Cancel(pending.timeout_event);
-        }
-        pending.timeout_event =
-            ArmTimeout(block->req_id, pending.retry.timeout_s);
-      }
-    } else {
-      pending.delivered_any = true;
-      BlockCallback cb = pending.on_block;
-      const bool last = block->last;
-      if (last) {
-        if (pending.timeout_event != sim::kInvalidEventId) {
-          network_->scheduler()->Cancel(pending.timeout_event);
-        }
-        pending_get_.erase(it);
-      } else if (pending.retry.enabled()) {
-        if (pending.timeout_event != sim::kInvalidEventId) {
-          network_->scheduler()->Cancel(pending.timeout_event);
-        }
-        pending.timeout_event =
-            ArmTimeout(block->req_id, pending.retry.timeout_s);
-      }
-      if (cb) cb(std::move(block->postings), last, true);
-    }
+    HandleGetBlock(msg, *block);
     return;
   }
   if (auto* resp = dynamic_cast<BlobGetResponse*>(payload)) {

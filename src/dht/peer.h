@@ -41,6 +41,16 @@ struct RetryPolicy {
   double backoff_cap_s = 2.0;
 
   [[nodiscard]] bool enabled() const { return timeout_s > 0; }
+  /// Virtual seconds from the first attempt until the last one times out
+  /// (0 when disabled).
+  [[nodiscard]] double SpanS() const {
+    if (!enabled()) return 0;
+    double span = timeout_s;
+    for (uint32_t a = 1; a <= max_retries; ++a) {
+      span += BackoffDelay(a) + timeout_s;
+    }
+    return span;
+  }
   [[nodiscard]] double BackoffDelay(uint32_t attempt) const {
     double d = backoff_base_s;
     for (uint32_t i = 1; i < attempt && d < backoff_cap_s; ++i) d *= 2;
@@ -142,6 +152,11 @@ struct GetSpec {
   /// DhtPeer::RouteApp). Retries are routed; a replica picked by load-aware
   /// routing wins.
   std::optional<OwnerHint> owner_hint;
+  /// Set when another peer already asked for this get on this peer's
+  /// behalf (DhtPeer::PushGet) under this request id: the first attempt
+  /// sends nothing and awaits the blocks under that id. Its timeout and
+  /// retries are a plain get's; a retry asks itself, routed.
+  std::optional<RequestId> awaited;
 };
 
 /// One DHT peer: a Chord-style node with a finger table, a local store for
@@ -195,6 +210,19 @@ class DhtPeer final : public sim::Actor {
 
   /// General get (range, pipelined, timeout) with per-block delivery.
   void GetBlocks(const GetSpec& spec, BlockCallback on_block);
+
+  /// Asks for the get `spec` on behalf of `target` (another peer): its
+  /// blocks go to `target` under `req_id`, which `target` awaits
+  /// (GetSpec::awaited). The request is a plain get's GetRequest whose
+  /// origin is the target, sent like a first attempt (a hint goes one
+  /// hop). This peer keeps no state for it: `target` times it out and
+  /// asks again itself.
+  void PushGet(const GetSpec& spec, sim::NodeIndex target, RequestId req_id);
+
+  /// Reserves `n` consecutive request ids and returns the first, for gets
+  /// another peer awaits (PushGet). Like every id this peer issues, they
+  /// carry its node in the high word.
+  [[nodiscard]] RequestId ReserveRequestIds(uint32_t n);
 
   /// Deletes one posting (or a whole document's postings) under `key`.
   void Delete(const std::string& key, const index::Posting& posting);
@@ -308,6 +336,12 @@ class DhtPeer final : public sim::Actor {
   void LearnOwner(const std::string& key, sim::NodeIndex owner);
   [[nodiscard]] size_t KnownOwnerCount() const { return owners_.size(); }
 
+  /// Gets in flight or awaited here, and the pushed ids this peer tracks:
+  /// those whose blocks are held because no get awaits them yet, and
+  /// those a get has awaited.
+  [[nodiscard]] size_t PendingGetCount() const { return pending_get_.size(); }
+  [[nodiscard]] size_t DeliveryCount() const { return deliveries_.size(); }
+
   /// Models a local disk/CPU busy period: runs `fn` once the peer's disk
   /// has absorbed `bytes` (FIFO with other disk activity).
   void ScheduleAfterDisk(double bytes, bool write, std::function<void()> fn);
@@ -363,8 +397,16 @@ class DhtPeer final : public sim::Actor {
   struct PendingApp;
   struct PendingAppend;
   /// (Re-)issues a get under a fresh request id, arming the per-attempt
-  /// timeout. Used for the first attempt and every retry.
+  /// timeout. Used for the first attempt and every retry. A first attempt
+  /// with `spec.awaited` sends nothing and awaits the pushed blocks.
   RequestId IssueGet(PendingGet pending);
+  /// Sends a get request for `spec`: to a replica load-aware routing
+  /// picks (returns true), else one hop to the hinted owner or routed.
+  bool SendGet(std::shared_ptr<GetRequest> req, const GetSpec& spec);
+  void HandleGetBlock(const sim::Message& msg, GetBlock& block);
+  /// Keeps a pushed block that no get awaits yet, until its get awaits it
+  /// or kHoldDeliveryS passes; drops it if its get already awaited it.
+  void HoldDelivery(const sim::Message& msg, RequestId req_id);
   sim::EventId ArmTimeout(RequestId req_id, double timeout_s);
   void OnGetTimeout(RequestId req_id);
   RequestId IssueApp(PendingApp pending);
@@ -436,6 +478,15 @@ class DhtPeer final : public sim::Actor {
   };
   std::unordered_map<RequestId, LocateCallback> pending_locate_;
   std::unordered_map<RequestId, PendingGet> pending_get_;
+  /// A pushed id (GetSpec::awaited): its blocks that arrived before a get
+  /// awaited it, or the mark that a get has (so no second get awaits it
+  /// and late copies are dropped). Forgotten at `forget_event`.
+  struct Delivery {
+    std::vector<sim::Message> held;
+    bool awaited = false;
+    sim::EventId forget_event = sim::kInvalidEventId;
+  };
+  std::unordered_map<RequestId, Delivery> deliveries_;
   std::unordered_map<RequestId, BlobCallback> pending_blob_;
   std::unordered_map<RequestId, PendingApp> pending_app_;
   std::unordered_map<RequestId, PendingAppend> pending_ack_;

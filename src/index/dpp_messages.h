@@ -175,12 +175,16 @@ struct BlockJoinPatternNode {
 /// Asks the peer holding `inputs[home_node][home_block]` (the input with
 /// the most postings expected in `window`, sent to that block's
 /// pseudo-key, so the window's heaviest input never moves) to execute
-/// one block-join task of Section 4.3: pull
-/// the other input blocks trimmed to `window`, run the holistic twig join
-/// locally, and reply with a JoinResultMessage carrying only result
-/// tuples (docs/distributed_join.md).
+/// one block-join task of Section 4.3: read its own block, take the other
+/// input blocks trimmed to `window` (pushed to it by their holders, or
+/// asked for), run the holistic twig join locally, and reply with a
+/// JoinResultMessage carrying only result tuples
+/// (docs/distributed_join.md).
 struct BlockJoinRequest final : sim::Payload {
-  uint64_t query_id = 0;
+  /// The request id of the first input pushed to the home; the pushed
+  /// inputs (query::PushedInputs, in node and block order) arrive under
+  /// consecutive ids from it. Unused when nothing is pushed.
+  dht::RequestId delivery_id = 0;
   uint32_t task = 0;
   std::vector<BlockJoinPatternNode> nodes;
   /// Per pattern node, the surviving directory blocks whose conditions
@@ -211,7 +215,6 @@ struct BlockJoinRequest final : sim::Payload {
 /// (`codec::EncodeAnswers`), which the query peer decodes with its
 /// pattern's arity; the message is sized at the stream's length.
 struct JoinResultMessage final : sim::Payload {
-  uint64_t query_id = 0;
   uint32_t task = 0;
   std::vector<uint8_t> answers;
   bool complete = true;

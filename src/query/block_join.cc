@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <memory>
+#include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -39,6 +41,20 @@ struct HolderCounters {
 HolderCounters& C() {
   static HolderCounters counters;
   return counters;
+}
+
+/// `load.holder.<N>.join_tasks`: the join tasks peer N ran as a home, so
+/// `stats peer <N>` shows where join work runs. Not part of HolderLoad's
+/// get and append load.
+obs::Counter* JoinTasksAt(sim::NodeIndex node) {
+  static std::unordered_map<sim::NodeIndex, obs::Counter*>* cache =
+      new std::unordered_map<sim::NodeIndex, obs::Counter*>();
+  auto [it, fresh] = cache->emplace(node, nullptr);
+  if (fresh) {
+    it->second = R().GetCounter("load.holder." + std::to_string(node) +
+                                ".join_tasks");
+  }
+  return it->second;
 }
 
 /// Rebuilds the join's structural skeleton from the wire slice. Labels
@@ -101,9 +117,12 @@ struct Pull {
 void Issue(std::shared_ptr<const Pull> pull, uint32_t attempt) {
   auto staged = std::make_shared<PostingList>();
   GetSpec spec = pull->spec;
-  // Only the first pull goes straight to the directory's holder; a re-pull
-  // re-resolves the key owner by routing.
-  if (attempt > 1) spec.owner_hint.reset();
+  // Only the first pull goes straight to the directory's holder or awaits
+  // a push; a re-pull re-resolves the key owner by routing.
+  if (attempt > 1) {
+    spec.owner_hint.reset();
+    spec.awaited.reset();
+  }
   pull->peer->GetBlocks(spec, [pull, attempt, staged](
                                         PostingList postings, bool last,
                                         bool complete) {
@@ -132,19 +151,36 @@ void Issue(std::shared_ptr<const Pull> pull, uint32_t attempt) {
 
 void PullBlock(dht::DhtPeer* peer, const index::DppBlockInfo& block,
                const index::Condition& window, const PullOptions& options,
-               PullSink sink) {
+               PullSink sink, std::optional<dht::RequestId> awaited) {
+  GetSpec spec = BlockPullSpec(block, window, options.retry);
+  spec.awaited = awaited;
   Issue(std::make_shared<const Pull>(
-            Pull{peer, block, BlockPullSpec(block, window, options.retry),
-                 options, std::move(sink)}),
+            Pull{peer, block, std::move(spec), options, std::move(sink)}),
         /*attempt=*/1);
 }
 
-void PullAndJoin(dht::DhtPeer* peer, const TreePattern& pattern,
-                 const std::vector<std::vector<index::DppBlockInfo>>& inputs,
-                 const index::Condition& window, const PullOptions& options,
-                 const PullAccount& account,
-                 std::function<void(const TwigJoin& join)> done) {
-  // One sorted list per finished pull, merged once at join time.
+std::vector<std::vector<bool>> PushedInputs(
+    const std::vector<std::vector<index::DppBlockInfo>>& inputs,
+    size_t home_node, size_t home_block, sim::NodeIndex query_peer) {
+  std::vector<std::vector<bool>> pushed(inputs.size());
+  const std::optional<sim::NodeIndex> home =
+      inputs[home_node][home_block].holder;
+  for (size_t node = 0; node < inputs.size(); ++node) {
+    pushed[node].resize(inputs[node].size(), false);
+    if (!home.has_value() || *home == query_peer) continue;
+    // The home block is held by the home, like any other input named so.
+    for (size_t idx = 0; idx < inputs[node].size(); ++idx) {
+      pushed[node][idx] = inputs[node][idx].holder != home;
+    }
+  }
+  return pushed;
+}
+
+void JoinInputs(const TreePattern& pattern,
+                const std::vector<std::vector<index::DppBlockInfo>>& inputs,
+                const InputFetch& fetch,
+                std::function<void(const TwigJoin& join)> done) {
+  // One sorted list per fetched block, merged once at join time.
   struct Gather {
     TreePattern pattern;
     std::function<void(const TwigJoin& join)> done;
@@ -154,8 +190,8 @@ void PullAndJoin(dht::DhtPeer* peer, const TreePattern& pattern,
     void Join() {
       TwigJoin join(pattern);
       for (size_t node = 0; node < lists.size(); ++node) {
-        // Pulled blocks may interleave or overlap (random-split ablation):
-        // merge-distinct the sorted pulls once, like kDpp's merge path.
+        // Fetched blocks may interleave or overlap (random-split ablation):
+        // merge-distinct the sorted lists once, like kDpp's merge path.
         join.Append(node, MergeDistinct(std::move(lists[node])));
       }
       join.CloseAll();
@@ -167,21 +203,37 @@ void PullAndJoin(dht::DhtPeer* peer, const TreePattern& pattern,
   auto gather = std::make_shared<Gather>(
       Gather{pattern, std::move(done),
              std::vector<std::vector<PostingList>>(inputs.size()), 0});
-  // Count every pull up front so an early completion cannot run the join
-  // while later pulls are still being issued.
+  // Count every fetch up front so an early completion cannot run the join
+  // while later fetches are still being issued.
   for (const auto& per_node : inputs) gather->pending += per_node.size();
   if (gather->pending == 0) gather->Join();
   for (size_t node = 0; node < inputs.size(); ++node) {
-    for (const index::DppBlockInfo& block : inputs[node]) {
-      PullBlock(peer, block, window, options,
-                [gather, node, record = account(block)](
-                    PostingList got, bool /*complete*/, bool suspect) {
-                  record(got, suspect);
-                  gather->lists[node].push_back(std::move(got));
-                  if (--gather->pending == 0) gather->Join();
-                });
+    for (size_t idx = 0; idx < inputs[node].size(); ++idx) {
+      fetch(node, idx, [gather, node](PostingList got) {
+        gather->lists[node].push_back(std::move(got));
+        if (--gather->pending == 0) gather->Join();
+      });
     }
   }
+}
+
+void PullAndJoin(dht::DhtPeer* peer, const TreePattern& pattern,
+                 const std::vector<std::vector<index::DppBlockInfo>>& inputs,
+                 const index::Condition& window, const PullOptions& options,
+                 const PullAccount& account,
+                 std::function<void(const TwigJoin& join)> done) {
+  JoinInputs(
+      pattern, inputs,
+      [&](size_t node, size_t idx, std::function<void(PostingList)> sink) {
+        const index::DppBlockInfo& block = inputs[node][idx];
+        PullBlock(peer, block, window, options,
+                  [sink = std::move(sink), record = account(block)](
+                      PostingList got, bool /*complete*/, bool suspect) {
+                    record(got, suspect);
+                    sink(std::move(got));
+                  });
+      },
+      std::move(done));
 }
 
 BlockJoinService::BlockJoinService(dht::DhtPeer* peer) : peer_(peer) {
@@ -201,15 +253,15 @@ bool BlockJoinService::HandleApp(const dht::AppRequest& request,
 void BlockJoinService::RunTask(const index::BlockJoinRequest& req,
                                sim::NodeIndex origin, dht::RequestId req_id) {
   C().tasks->Increment();
+  JoinTasksAt(peer_->node())->Increment();
   // The reply, accumulating the pulls' accounting until the join is done.
   auto result = std::make_shared<index::JoinResultMessage>();
-  result->query_id = req.query_id;
   result->task = req.task;
   dht::DhtPeer* peer = peer_;
 
   // Holder-side span: parents to the dispatching query via the request's
-  // wire context; covers the input pulls and the twig join, and closes when
-  // the result leaves for the query peer.
+  // wire context; covers the input reads and the twig join, and closes
+  // when the result leaves for the query peer.
   auto& tracer = obs::Tracer::Default();
   const obs::SpanId span = tracer.Begin("join.holder.task");
   tracer.Annotate(span, "task", std::to_string(req.task));
@@ -222,31 +274,58 @@ void BlockJoinService::RunTask(const index::BlockJoinRequest& req,
     peer->Reply(origin, req_id, result, sim::TrafficCategory::kResult);
   };
 
-  auto account = [result, peer](const index::DppBlockInfo& block) {
-    // The home block (and any other block this peer holds) is read from
-    // the local store with zero network traffic, so only foreign pulls
-    // charge wire bytes.
-    const bool local = peer->IsResponsible(dht::HashKey(block.key));
-    return [result, local](const PostingList& got, bool suspect) {
-      if (suspect) {  // unverifiable here: NACK the task
-        result->complete = false;
-        result->degraded = true;
-      }
-      result->postings_pulled += got.size();
-      result->blocks_fetched++;
-      C().ingress_postings->Increment(got.size());
-      if (local) {
-        C().local_postings->Increment(got.size());
-      } else {
-        const size_t wire = index::codec::EncodedBytes(got);
-        result->pulled_wire_bytes += wire;
-        C().ingress_wire_bytes->Increment(wire);
-      }
-    };
-  };
-  PullAndJoin(peer_, PatternFromSlice(req.nodes), req.inputs, req.window,
-              {.retry = req.fetch_retry, .repull = false, .live = {}},
-              account, reply);
+  // The query peer pushed this task's foreign inputs to the home it named
+  // (PushedInputs) under consecutive ids from `delivery_id`. A task that
+  // reached another peer (the heir of a crashed holder, or past a stale
+  // name) asks for every input itself.
+  const index::DppBlockInfo& home = req.inputs[req.home_node][req.home_block];
+  std::vector<std::vector<std::optional<dht::RequestId>>> awaited(
+      req.inputs.size());
+  const std::vector<std::vector<bool>> pushed =
+      PushedInputs(req.inputs, req.home_node, req.home_block, origin);
+  dht::RequestId next_delivery = req.delivery_id;
+  for (size_t node = 0; node < req.inputs.size(); ++node) {
+    awaited[node].resize(req.inputs[node].size());
+    for (size_t idx = 0; idx < req.inputs[node].size(); ++idx) {
+      if (!pushed[node][idx]) continue;
+      const dht::RequestId id = next_delivery++;
+      if (home.holder == peer->node()) awaited[node][idx] = id;
+    }
+  }
+  const PullOptions options{.retry = req.fetch_retry, .repull = false,
+                            .live = {}};
+  const index::Condition window = req.window;
+  JoinInputs(
+      PatternFromSlice(req.nodes), req.inputs,
+      [&](size_t node, size_t idx, std::function<void(PostingList)> sink) {
+        const index::DppBlockInfo& block = req.inputs[node][idx];
+        // The home block (and any other block this peer holds) is read
+        // from the local store with zero network traffic, so only foreign
+        // inputs charge wire bytes.
+        const bool local = peer->IsResponsible(dht::HashKey(block.key));
+        PullBlock(
+            peer, block, window, options,
+            [result, local, sink = std::move(sink)](
+                PostingList got, bool /*complete*/, bool suspect) {
+              if (suspect) {  // unverifiable here: NACK the task
+                result->complete = false;
+                result->degraded = true;
+              }
+              result->postings_pulled += got.size();
+              result->blocks_fetched++;
+              C().ingress_postings->Increment(got.size());
+              if (local) {
+                C().local_postings->Increment(got.size());
+              } else {
+                const size_t wire = index::codec::EncodedBytes(got);
+                result->pulled_wire_bytes += wire;
+                C().ingress_wire_bytes->Increment(wire);
+              }
+              sink(std::move(got));
+            },
+            awaited[node][idx]);
+      },
+      reply);
 }
 
 }  // namespace kadop::query

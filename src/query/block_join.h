@@ -2,6 +2,7 @@
 #define KADOP_QUERY_BLOCK_JOIN_H_
 
 #include <functional>
+#include <optional>
 #include <vector>
 
 #include "dht/peer.h"
@@ -12,8 +13,9 @@
 namespace kadop::query {
 
 /// The DPP block pull (docs/distributed_join.md): one directory block
-/// fetched trimmed to a document window. kDpp's fetches, the kDppJoin
-/// holder and the query peer's local join fallback all pull through here.
+/// fetched trimmed to a document window. kDpp's fetches, kDppJoin's
+/// pushes and home reads, and the query peer's local join fallback all
+/// use it.
 
 /// The non-pipelined get of `block` clamped to `window`, hinted at the
 /// block's holder when the directory named one.
@@ -50,9 +52,42 @@ using PullSink =
     std::function<void(index::PostingList got, bool complete, bool suspect)>;
 
 /// Pulls `block` clamped to `window` and hands the final pull to `sink`.
+/// With `awaited`, another peer already asked for the pull on this peer's
+/// behalf under that request id (dht::DhtPeer::PushGet): the first attempt
+/// awaits it instead of asking, under the same timeout.
 void PullBlock(dht::DhtPeer* peer, const index::DppBlockInfo& block,
                const index::Condition& window, const PullOptions& options,
-               PullSink sink);
+               PullSink sink,
+               std::optional<dht::RequestId> awaited = std::nullopt);
+
+/// The kDppJoin push rule: which inputs of a task homed at
+/// `inputs[home_node][home_block]` the query peer `query_peer` asks their
+/// holders to push straight to the home, per node and block. Only to a
+/// home the directory names, and not the query peer (an unnamed home's
+/// address is unknown; a home at the query peer is reached at once).
+/// Every input but the home block and those the directory names the
+/// home's holder for (the home reads its own blocks). An unnamed input's
+/// push request is routed to its owner; its blocks still go straight to
+/// the home. The pushed inputs, in (node, block) order, travel under
+/// consecutive request ids from BlockJoinRequest::delivery_id. The query
+/// peer's dispatch, the home and `explain` all decide by this one
+/// function.
+[[nodiscard]] std::vector<std::vector<bool>> PushedInputs(
+    const std::vector<std::vector<index::DppBlockInfo>>& inputs,
+    size_t home_node, size_t home_block, sim::NodeIndex query_peer);
+
+/// Fetches block `inputs[node][idx]` of a join task and hands its
+/// postings to `sink`, exactly once.
+using InputFetch = std::function<void(
+    size_t node, size_t idx, std::function<void(index::PostingList)> sink)>;
+
+/// One block-join task: fetches every block of `inputs[node]` with
+/// `fetch`, merge-distincts each node's blocks, twig-joins them under
+/// `pattern` and hands the join to `done`.
+void JoinInputs(const TreePattern& pattern,
+                const std::vector<std::vector<index::DppBlockInfo>>& inputs,
+                const InputFetch& fetch,
+                std::function<void(const TwigJoin& join)> done);
 
 /// Called as each input pull of a join task is issued; the callback it
 /// returns accounts that pull's postings and verdict.
@@ -61,9 +96,8 @@ using PullAccount =
                                      bool suspect)>(
         const index::DppBlockInfo& block)>;
 
-/// One block-join task: pulls every block of `inputs[node]` clamped to
-/// `window`, merge-distincts each node's pulls, twig-joins them under
-/// `pattern` and hands the join to `done`.
+/// The query peer's local join of one task (its fallback): JoinInputs
+/// over pulls of every input clamped to `window`.
 void PullAndJoin(dht::DhtPeer* peer, const TreePattern& pattern,
                  const std::vector<std::vector<index::DppBlockInfo>>& inputs,
                  const index::Condition& window, const PullOptions& options,
@@ -72,11 +106,15 @@ void PullAndJoin(dht::DhtPeer* peer, const TreePattern& pattern,
 
 /// Holder side of kDppJoin (Section 4.3), one per peer. The query peer
 /// sends each task to its home block, the input expected to hold the most
-/// of the task's window (PlanJoinTasks); the holder runs it with
-/// PullAndJoin and replies with the answer tuples only, so the window's
-/// heaviest input never crosses the wire. It never
-/// re-pulls: a short pull turns the reply into a NACK (complete=false) and
-/// the query peer redoes the task.
+/// of the task's window (PlanJoinTasks), and then asks the holders of the
+/// other inputs to push them to the home (PushedInputs). The home reads
+/// its own block, awaits the pushed inputs, asks for any others itself,
+/// joins, and replies with the answer tuples only, so the window's
+/// heaviest input never crosses the wire. A push that has not arrived
+/// within the pull's per-attempt timeout is asked for again, routed,
+/// within the same retry budget. It never re-pulls: a short input turns
+/// the reply into a NACK (complete=false) and the query peer redoes the
+/// task.
 class BlockJoinService {
  public:
   explicit BlockJoinService(dht::DhtPeer* peer);

@@ -551,14 +551,26 @@ void QueryExecutor::StartJoinTasks(
     Finish(metrics_.complete);
     return;
   }
+  // Every task leaves before any push request, so the pushes never queue
+  // a dispatch behind them on this peer's uplink.
   for (size_t t = 0; t < join_tasks_.size(); ++t) DispatchJoinTask(t);
+  for (size_t t = 0; t < join_tasks_.size(); ++t) PushJoinInputs(t);
 }
 
 void QueryExecutor::DispatchJoinTask(size_t task) {
   auto self = shared_from_this();
-  const JoinTaskPlan& plan = join_tasks_[task].plan;
+  JoinTask& jt = join_tasks_[task];
+  const JoinTaskPlan& plan = jt.plan;
+  jt.pushed = PushedInputs(plan.inputs, plan.home_node, plan.home_block,
+                           peer_->node());
+  uint32_t pushes = 0;
+  for (const auto& per_node : jt.pushed) {
+    pushes += static_cast<uint32_t>(
+        std::count(per_node.begin(), per_node.end(), true));
+  }
+  if (pushes > 0) jt.delivery_id = peer_->ReserveRequestIds(pushes);
   auto req = std::make_shared<index::BlockJoinRequest>();
-  req->query_id = query_id_;
+  req->delivery_id = jt.delivery_id;
   req->task = static_cast<uint32_t>(task);
   req->nodes.reserve(pattern_.size());
   for (size_t node = 0; node < pattern_.size(); ++node) {
@@ -589,6 +601,22 @@ void QueryExecutor::DispatchJoinTask(size_t task) {
         self->OnJoinTaskResult(task, *msg);
       },
       options_.fetch_retry, home.holder);
+}
+
+void QueryExecutor::PushJoinInputs(size_t task) {
+  const JoinTask& jt = join_tasks_[task];
+  const JoinTaskPlan& plan = jt.plan;
+  const index::DppBlockInfo& home =
+      plan.inputs[plan.home_node][plan.home_block];
+  dht::RequestId next = jt.delivery_id;
+  for (size_t node = 0; node < plan.inputs.size(); ++node) {
+    for (size_t idx = 0; idx < plan.inputs[node].size(); ++idx) {
+      if (!jt.pushed[node][idx]) continue;
+      peer_->PushGet(BlockPullSpec(plan.inputs[node][idx], plan.window,
+                                   options_.fetch_retry),
+                     *home.holder, next++);
+    }
+  }
 }
 
 void QueryExecutor::OnJoinTaskResult(size_t task,

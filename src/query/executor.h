@@ -43,9 +43,9 @@ enum class QueryStrategy : uint8_t {
   /// round and [min, max] / type-set filtering, partition the document
   /// window into per-interval join tasks and route each to the peer
   /// holding the input block with the most postings in the task's window
-  /// (PlanJoinTasks). Holders pull the other
-  /// blocks, join locally, and ship back answer tuples only — the query
-  /// peer receives results, not posting lists.
+  /// (PlanJoinTasks). The other blocks' holders push them to a named
+  /// home (PushedInputs); homes join locally and ship back answer tuples
+  /// only — the query peer receives results, not posting lists.
   kDppJoin = 7,
   /// Answer from a materialized tree-pattern view (docs/views.md): fetch
   /// the matched view's extent columns, re-join them under the query
@@ -333,10 +333,14 @@ class QueryExecutor : public std::enable_shared_from_this<QueryExecutor> {
   void StartBaseline();
   void OnDppDirectoriesReady();
   /// kDppJoin: plan the join tasks over the selected `blocks`
-  /// (PlanJoinTasks) and dispatch them all.
+  /// (PlanJoinTasks), dispatch them all, then ask for every task's pushed
+  /// inputs.
   void StartJoinTasks(
       const std::vector<std::vector<index::DppBlockInfo>>& blocks);
   void DispatchJoinTask(size_t task);
+  /// Asks the holder of each input PushedInputs names to push it to the
+  /// task's home.
+  void PushJoinInputs(size_t task);
   void OnJoinTaskResult(size_t task, const index::JoinResultMessage& msg);
   /// The holder is unreachable (routing retry budget exhausted) or replied
   /// without being able to verify its inputs: pull the task's input
@@ -432,6 +436,9 @@ class QueryExecutor : public std::enable_shared_from_this<QueryExecutor> {
   // order reproduces the document-order answer stream of kDpp exactly.
   struct JoinTask {
     JoinTaskPlan plan;
+    /// PushedInputs of the plan, and the first of their delivery ids.
+    std::vector<std::vector<bool>> pushed;
+    dht::RequestId delivery_id = 0;
     bool done = false;
     std::vector<Answer> answers;
     std::vector<index::DocId> matched_docs;

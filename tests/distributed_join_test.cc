@@ -160,7 +160,6 @@ TEST_F(DistributedJoinTest, CorruptReplyFallsBackLocally) {
       if (req != nullptr && corrupted == 0) {
         ++corrupted;
         auto reply = std::make_shared<index::JoinResultMessage>();
-        reply->query_id = req->query_id;
         reply->task = req->task;
         reply->answers = {0x7f};
         peer->dht_peer()->Reply(request.origin, request.req_id,
@@ -1210,6 +1209,396 @@ TEST(NamedHolderTest, RingChangesUnnameEveryOverflowHolder) {
   expect_unnamed_and_correct("FailPeerAndStabilize");
   (void)s.net->JoinPeerAndWait();
   expect_unnamed_and_correct("JoinPeerAndWait");
+}
+
+// ---------------------------------------------------------------------------
+// Pushed join inputs: at dispatch the query peer asks the holder of each
+// input of a named home that the home does not hold to push it straight
+// to the home (PushedInputs), so a task no longer waits a round trip for
+// its pulls.
+
+/// One kDppJoin query run with tracing on, and its spans.
+struct TracedJoin {
+  QueryResult result;
+  std::map<obs::SpanId, obs::SpanRecord> spans;
+
+  /// The span `id` names, or nullptr.
+  const obs::SpanRecord* Span(obs::SpanId id) const {
+    auto it = spans.find(id);
+    return it == spans.end() ? nullptr : &it->second;
+  }
+  /// The first span called `name`.
+  const obs::SpanRecord* Named(std::string_view name) const {
+    for (const auto& [id, span] : spans) {
+      if (span.name == name) return &span;
+    }
+    return nullptr;
+  }
+  /// Every get served for the query (by the store, or by a term owner's
+  /// get proxy), with the span that caused it.
+  std::vector<std::pair<const obs::SpanRecord*, const obs::SpanRecord*>>
+  Serves() const {
+    std::vector<std::pair<const obs::SpanRecord*, const obs::SpanRecord*>>
+        out;
+    for (const auto& [id, span] : spans) {
+      const obs::SpanRecord* cause = Span(span.parent);
+      if (span.name == "dht.get.serve" || span.name == "dht.get.proxy") {
+        if (cause == nullptr || cause->name != "dht.get.proxy") {
+          out.emplace_back(&span, cause);
+        }
+      }
+    }
+    return out;
+  }
+};
+
+std::string SpanKey(const obs::SpanRecord& span) {
+  for (const auto& [key, value] : span.attrs) {
+    if (key == "key") return value;
+  }
+  return "";
+}
+
+/// Submits `expr` as kDppJoin at `at` under `options` and runs the
+/// network until idle with tracing on.
+TracedJoin RunTracedJoin(KadopNet& net, sim::NodeIndex at, const char* expr,
+                         QueryOptions options = {}) {
+  auto& tracer = obs::Tracer::Default();
+  tracer.SetEnabled(true);
+  tracer.Clear();
+  options.strategy = QueryStrategy::kDppJoin;
+  options.dpp_join_available = true;
+  TracedJoin out;
+  std::optional<QueryResult> result;
+  EXPECT_TRUE(net.SubmitQuery(at, expr, options, [&](QueryResult r) {
+                   result = std::move(r);
+                 }).ok());
+  net.RunToIdle();
+  EXPECT_TRUE(result.has_value()) << expr;
+  if (result.has_value()) out.result = std::move(*result);
+  for (const obs::SpanRecord& span : tracer.spans()) out.spans[span.id] = span;
+  tracer.Clear();
+  tracer.SetEnabled(false);
+  return out;
+}
+
+// On a warm network whose directories name every holder, no home sends a
+// get for a foreign input: every get a task causes is the home reading
+// its own block, and every foreign input is served on the query peer's
+// push. A home at the query peer itself is the one exception: it asks at
+// dispatch time, as early as a push. The answers are kDpp's, byte for
+// byte, and the oracle's.
+TEST(PushJoinTest, HomesAskForNoForeignInput) {
+  SplitNet s;
+  constexpr sim::NodeIndex kQuerier = 1;
+  for (const char* expr : SplitNet::kExprs) {
+    const TracedJoin run = RunTracedJoin(*s.net, kQuerier, expr);
+    size_t pushed = 0;
+    size_t home_reads = 0;
+    for (const auto& [serve, cause] : run.Serves()) {
+      ASSERT_NE(cause, nullptr) << expr;
+      if (cause->name == "join.holder.task") {
+        if (serve->node == cause->node) {
+          ++home_reads;
+        } else {
+          EXPECT_EQ(cause->node, kQuerier) << expr << " " << SpanKey(*serve);
+        }
+      } else {
+        EXPECT_EQ(cause->name, "query.join.dispatch") << expr;
+        ++pushed;
+      }
+    }
+    EXPECT_GT(pushed, 0u) << expr;
+    EXPECT_GE(home_reads, run.result.metrics.join_tasks) << expr;
+    EXPECT_TRUE(run.result.metrics.complete) << expr;
+    EXPECT_FALSE(run.result.metrics.degraded) << expr;
+    const auto dpp = s.net->QueryAndWait(kQuerier, expr,
+                                         StrategyOptions(QueryStrategy::kDpp));
+    ASSERT_TRUE(dpp.ok());
+    EXPECT_EQ(run.result.answers, dpp.value().answers) << expr;
+    EXPECT_EQ(run.result.matched_docs, dpp.value().matched_docs) << expr;
+    EXPECT_EQ(Sorted(run.result.answers), Oracle(expr, s.docs)) << expr;
+  }
+}
+
+// A pushed input's holder starts serving one hop after dispatch, so the
+// input reaches its home 2 hops plus its serve and transfer time after
+// dispatch: every task's reply leaves within that, where a pull by the
+// home would add a third hop.
+TEST(PushJoinTest, PushedInputsReachTheirHomeTwoHopsAfterDispatch) {
+  SplitNet s;
+  constexpr sim::NodeIndex kQuerier = 1;
+  const double hop = s.net->network().params().hop_latency_s;
+  for (const char* expr : SplitNet::kExprs) {
+    const TracedJoin run = RunTracedJoin(*s.net, kQuerier, expr);
+    const obs::SpanRecord* dispatch = run.Named("query.join.dispatch");
+    ASSERT_NE(dispatch, nullptr) << expr;
+    double longest_serve = 0;
+    for (const auto& [serve, cause] : run.Serves()) {
+      if (cause != dispatch) continue;
+      // One hop, plus this peer's uplink carrying the dispatches first.
+      EXPECT_GE(serve->start - dispatch->start, hop) << SpanKey(*serve);
+      EXPECT_LT(serve->start - dispatch->start, hop * 1.5) << SpanKey(*serve);
+      longest_serve = std::max(longest_serve, serve->end - serve->start);
+    }
+    size_t tasks = 0;
+    for (const auto& [id, span] : run.spans) {
+      if (span.name != "join.holder.task") continue;
+      ++tasks;
+      // The reply leaves once the last input is in (the join takes no
+      // virtual time): 2 hops, the serve, and well under a hop of
+      // transfers and queueing.
+      EXPECT_LT(span.end - dispatch->start, 2 * hop + longest_serve + hop * 0.75)
+          << expr << " task at node " << span.node;
+    }
+    EXPECT_EQ(tasks, run.result.metrics.join_tasks) << expr;
+  }
+}
+
+// `explain` marks exactly the inputs the executor pushes, and
+// `load.holder.<N>.join_tasks` counts the tasks each home ran. After a
+// ring change the directory names only each term's block-0 holder, the
+// owner that answered: only tasks homed there are pushed to, so fewer
+// inputs are pushed, and `explain` marks the other tasks' foreign inputs
+// as asked for by their home.
+TEST(PushJoinTest, ExplainMarksTheInputsTheQueryPeerPushes) {
+  SplitNet s;
+  constexpr sim::NodeIndex kQuerier = 1;
+  auto count = [](const std::string& text, std::string_view what) {
+    size_t n = 0;
+    for (size_t at = text.find(what); at != std::string::npos;
+         at = text.find(what, at + 1)) {
+      ++n;
+    }
+    return n;
+  };
+  auto& registry = obs::MetricRegistry::Default();
+  std::map<std::string, size_t> warm_pushed;
+  for (const bool warm : {true, false}) {
+    if (!warm) s.net->dht().Stabilize();
+    for (const char* expr : SplitNet::kExprs) {
+      QueryOptions options;
+      options.dpp_join_available = true;
+      auto explained = s.net->ExplainQueryAndWait(kQuerier, expr, options);
+      ASSERT_TRUE(explained.ok()) << explained.status().ToString();
+      const obs::MetricsSnapshot before = registry.Snapshot();
+      const TracedJoin run = RunTracedJoin(*s.net, kQuerier, expr);
+      const obs::MetricsSnapshot delta = registry.Snapshot().DiffSince(before);
+      size_t pushed = 0;
+      std::map<sim::NodeIndex, uint64_t> homes;
+      for (const auto& [serve, cause] : run.Serves()) {
+        if (cause != nullptr && cause->name == "query.join.dispatch") ++pushed;
+      }
+      for (const auto& [id, span] : run.spans) {
+        if (span.name == "join.holder.task") ++homes[span.node];
+      }
+      EXPECT_EQ(count(explained.value(), " (pushed)"), pushed) << expr;
+      if (warm) {
+        EXPECT_GT(pushed, 0u) << expr;
+        warm_pushed[expr] = pushed;
+      } else {
+        EXPECT_LT(pushed, warm_pushed[expr]) << expr;
+        EXPECT_GT(count(explained.value(), " (asked)"), 0u) << expr;
+      }
+      for (const auto& [node, tasks] : homes) {
+        const std::string name =
+            "load.holder." + std::to_string(node) + ".join_tasks";
+        EXPECT_EQ(delta.counters.count(name) ? delta.counters.at(name) : 0,
+                  tasks)
+            << expr << " " << name;
+      }
+    }
+  }
+}
+
+/// Every peer's app handler is wrapped: a BlockJoinRequest reaches the
+/// block-join service `delay_s` late, so the inputs pushed to its home
+/// arrive first. `held` is set when such a task finds pushed blocks
+/// already tracked at its home.
+void DelayJoinTasks(KadopNet& net, double delay_s, bool* held) {
+  for (sim::NodeIndex n = 0; n < net.PeerCount(); ++n) {
+    core::KadopPeer* peer = net.peer(n);
+    sim::Scheduler* scheduler = &net.scheduler();
+    peer->dht_peer()->SetAppHandler([peer, scheduler, delay_s, held](
+                                        const dht::AppRequest& request,
+                                        sim::NodeIndex from) {
+      if (dynamic_cast<const index::BlockJoinRequest*>(
+              request.inner.get()) == nullptr) {
+        // KadopPeer's dispatch order.
+        if (peer->dpp() != nullptr && peer->dpp()->HandleApp(request, from)) {
+          return;
+        }
+        if (peer->reducer().HandleApp(request, from)) return;
+        if (peer->query_client().HandleApp(request, from)) return;
+        EXPECT_TRUE(peer->fundex().HandleApp(request, from))
+            << "unexpected app message " << request.inner->TypeName();
+        return;
+      }
+      scheduler->After(delay_s, [peer, held, request, from]() {
+        if (peer->dht_peer()->DeliveryCount() > 0) *held = true;
+        EXPECT_TRUE(peer->block_join().HandleApp(request, from));
+      });
+    });
+  }
+}
+
+// Pushed inputs that reach their home before its task (jitter) lose
+// nothing: they are held until the task awaits them. Once the network is
+// idle no get is awaited and nothing is held anywhere.
+TEST(PushJoinTest, DeliveriesThatOvertakeTheirTaskAreHeld) {
+  for (const bool jitter : {false, true}) {
+    SplitNet s;
+    constexpr sim::NodeIndex kQuerier = 1;
+    bool held = false;
+    QueryOptions options;
+    if (jitter) {
+      sim::FaultOptions fopts;
+      fopts.seed = FaultSeed();
+      fopts.jitter_mean_s = 0.004;
+      s.net->EnableFaults(fopts, {});
+      options.fetch_retry.timeout_s = 0.5;
+    } else {
+      DelayJoinTasks(*s.net, 0.01, &held);
+    }
+    for (const char* expr : SplitNet::kExprs) {
+      const TracedJoin run = RunTracedJoin(*s.net, kQuerier, expr, options);
+      EXPECT_TRUE(run.result.metrics.complete) << expr;
+      EXPECT_EQ(run.result.metrics.join_local_fallback, 0u) << expr;
+      EXPECT_EQ(Sorted(run.result.answers), Oracle(expr, s.docs)) << expr;
+    }
+    if (!jitter) {
+      EXPECT_TRUE(held);
+    }
+    for (sim::NodeIndex n = 0; n < s.net->PeerCount(); ++n) {
+      EXPECT_EQ(s.net->peer(n)->dht_peer()->PendingGetCount(), 0u) << n;
+      EXPECT_EQ(s.net->peer(n)->dht_peer()->DeliveryCount(), 0u) << n;
+    }
+  }
+}
+
+// Chaos: the named holder of a pushed input crashes at dispatch, before
+// the push reaches it, and the ring re-stabilizes. The home awaits the
+// push for the pull's timeout, then asks again, routed: the re-ask
+// reaches the heir of the crashed holder's range. The heir has no data,
+// so the home NACKs and the query peer redoes the task, out-waiting the
+// outage (the holder revives 1 s later). Every other foreign input is
+// still pushed. The answers are complete and equal the oracle.
+TEST(PushJoinTest, CrashedPushHolderIsAskedAgainAtItsHeir) {
+  SplitNet s;
+  constexpr sim::NodeIndex kQuerier = 1;
+  constexpr const char* kQuery = "//article//author";
+  const TreePattern pattern = ParsePattern(kQuery).take();
+
+  // The tasks as the querier plans them, from its directories.
+  std::vector<std::vector<index::DppBlockInfo>> dirs;
+  std::set<sim::NodeIndex> protected_nodes{kQuerier, 2};
+  for (size_t n = 0; n < pattern.size(); ++n) {
+    const std::string term = pattern.node(n).TermKey();
+    dirs.push_back(Directory(*s.net, kQuerier, term));
+    protected_nodes.insert(s.net->dht().OwnerOf(dht::HashKey(term)));
+  }
+  const DppBlockSelection selection = SelectDppBlocks(dirs);
+  ASSERT_TRUE(selection.viable);
+  const std::vector<JoinTaskPlan> tasks =
+      PlanJoinTasks(selection.blocks, selection.window);
+  // Victim: a holder of pushed inputs (of homes other than the querier)
+  // whose every input an empty reply from its heir would show to be short.
+  struct Candidate {
+    bool verifiable = true;
+    bool pushed = false;
+  };
+  std::map<sim::NodeIndex, Candidate> candidates;
+  for (const JoinTaskPlan& task : tasks) {
+    const auto pushed = PushedInputs(task.inputs, task.home_node,
+                                     task.home_block, kQuerier);
+    for (size_t node = 0; node < task.inputs.size(); ++node) {
+      for (size_t idx = 0; idx < task.inputs[node].size(); ++idx) {
+        const index::DppBlockInfo& b = task.inputs[node][idx];
+        ASSERT_TRUE(b.holder.has_value()) << b.key;
+        const dht::GetSpec spec = BlockPullSpec(b, task.window, {});
+        Candidate& c = candidates[*b.holder];
+        c.verifiable = c.verifiable && b.count > 0 &&
+                       ShortPull(b, spec, 0, /*complete=*/true);
+        c.pushed = c.pushed || pushed[node][idx];
+      }
+    }
+  }
+  std::optional<sim::NodeIndex> victim;
+  for (const auto& [node, c] : candidates) {
+    if (c.verifiable && c.pushed && protected_nodes.count(node) == 0) {
+      victim = node;
+      break;
+    }
+  }
+  ASSERT_TRUE(victim.has_value()) << "no verifiable holder of pushed inputs";
+  std::set<std::string> victim_keys;
+  for (const auto& dir : dirs) {
+    for (const index::DppBlockInfo& b : dir) {
+      if (b.holder == victim) victim_keys.insert(b.key);
+    }
+  }
+
+  // A fault-free run finds when the query dispatches; the next run is
+  // the same query on the same warm caches.
+  const TracedJoin dry = RunTracedJoin(*s.net, kQuerier, kQuery);
+  const obs::SpanRecord* dry_dispatch = dry.Named("query.join.dispatch");
+  const obs::SpanRecord* dry_query = dry.Named("query");
+  ASSERT_NE(dry_dispatch, nullptr);
+  ASSERT_NE(dry_query, nullptr);
+  const double hop = s.net->network().params().hop_latency_s;
+  const double crash_at = s.net->scheduler().Now() +
+                          (dry_dispatch->start - dry_query->start) + hop / 2;
+  s.net->EnableFaults(sim::FaultOptions{},
+                      {sim::CrashEvent{crash_at, *victim, /*up=*/false},
+                       sim::CrashEvent{crash_at + 1.0, *victim, /*up=*/true}});
+  QueryOptions options;
+  options.fetch_retry.timeout_s = 0.5;
+  options.fetch_retry.max_retries = 3;
+  const TracedJoin run = RunTracedJoin(*s.net, kQuerier, kQuery, options);
+  const obs::SpanRecord* dispatch = run.Named("query.join.dispatch");
+  ASSERT_NE(dispatch, nullptr);
+  EXPECT_EQ(dispatch->start - run.Named("query")->start,
+            dry_dispatch->start - dry_query->start);
+
+  // Each task's first run at its named home: the run the pushes were
+  // meant for. A task that reached another node (the heir, when the
+  // victim was its home) asks for all its inputs itself, and so does a
+  // resent task (the query peer's dispatch timed out while its home
+  // waited for the push), whose pushes its first run took.
+  std::map<std::string, obs::SpanId> first_run;
+  for (const auto& [id, span] : run.spans) {
+    if (span.name != "join.holder.task") continue;
+    for (const auto& [key, value] : span.attrs) {
+      if (key != "task") continue;
+      const JoinTaskPlan& task = tasks.at(std::stoul(value));
+      if (span.node == *task.inputs[task.home_node][task.home_block].holder) {
+        first_run.emplace(value, id);
+      }
+    }
+  }
+  size_t reasks = 0;
+  size_t pushed = 0;
+  for (const auto& [serve, cause] : run.Serves()) {
+    if (cause == nullptr) continue;
+    if (cause == dispatch) ++pushed;
+    const bool first = std::any_of(
+        first_run.begin(), first_run.end(),
+        [&](const auto& entry) { return entry.second == cause->id; });
+    if (!first || serve->node == cause->node) continue;
+    // The only get a home's first run sends for a foreign input: the
+    // victim's block, asked again of the heir once the push's timeout
+    // passed.
+    EXPECT_EQ(victim_keys.count(SpanKey(*serve)), 1u) << SpanKey(*serve);
+    EXPECT_NE(serve->node, *victim);
+    EXPECT_GE(serve->start - cause->start, options.fetch_retry.timeout_s);
+    EXPECT_LT(serve->start, crash_at + 1.0);
+    ++reasks;
+  }
+  EXPECT_GE(reasks, 1u);
+  EXPECT_GT(pushed, reasks);
+  EXPECT_TRUE(run.result.metrics.complete);
+  EXPECT_GE(run.result.metrics.join_local_fallback, 1u);
+  EXPECT_EQ(Sorted(run.result.answers), Oracle(kQuery, s.docs));
 }
 
 // ---------------------------------------------------------------------------
