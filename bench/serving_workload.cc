@@ -14,9 +14,6 @@
 //   kind=flash_crowd      a burst phase concentrating arrivals on the hot
 //                         tenant
 //   kind=knee             the first ladder step that violates the serving SLO
-//   kind=qps_step_repl    the same ladder on a same-seed twin network with
-//                         hot-data replication enabled (A/B by row index)
-//   kind=flash_crowd_repl the burst phase on the replicated twin
 //   kind=qps_step_views   the same ladder on a same-seed twin with the
 //                         tenant patterns materialized as views (A/B by
 //                         row index; carries view hit-rate cells)
@@ -95,7 +92,7 @@ struct StepResult {
   uint64_t window_gets = 0;
   uint64_t window_appends = 0;
   /// Largest per-holder gets delta in the window: the saturation signal
-  /// hot-data replication exists to reduce.
+  /// of one hot holder.
   uint64_t max_holder_gets = 0;
 
   bool MeetsSlo() const {
@@ -367,53 +364,6 @@ void Run() {
     PrintStep("flash_crowd", r);
     auto& row = report.AddRow().Str("kind", "flash_crowd").Num(
         "burst_mult", 6.0);
-    AddLatencyCells(row, r);
-  }
-
-  // Replication A/B: a same-seed twin network with hot-data replication
-  // enabled replays the exact ladder and flash crowd (same arrival seeds,
-  // same churn documents), so the off/on rows pair up by index. Thresholds
-  // are scaled to the window so promotion happens within the first steps.
-  {
-    core::KadopOptions ropt = opt;
-    ropt.dht.repl.enabled = true;
-    ropt.dht.repl.replicas = 2;
-    ropt.dht.repl.window_s = quick ? 0.5 : 1.0;
-    ropt.dht.repl.hot_gets_per_window = quick ? 8 : 16;
-    ropt.dht.repl.hot_windows = 2;
-    // Sticky replicas for the bench: only an idle window counts as cooling,
-    // so copies survive the inter-step gaps.
-    ropt.dht.repl.cool_gets_per_window = 0;
-    ropt.dht.repl.cool_windows = 8;
-    core::KadopNet rnet(ropt);
-    rnet.RegisterDocuments(docs);
-    rnet.RegisterDocuments(churn_docs);
-    rnet.PublishAndWait(0, bench::Ptrs(docs));
-    size_t next_churn_repl = 0;
-
-    for (size_t i = 0; i < ladder.size(); ++i) {
-      const StepResult r = RunStep(rnet, zipf, churn, next_churn_repl,
-                                   /*seed=*/1000 + i, ladder[i], window_s,
-                                   /*burst_mult=*/1.0);
-      PrintStep("qps_step_repl", r);
-      auto& row = report.AddRow().Str("kind", "qps_step_repl");
-      AddLatencyCells(row, r);
-    }
-    const double base = ladder.front();
-    const StepResult r = RunStep(rnet, zipf, churn, next_churn_repl,
-                                 /*seed=*/77, base, window_s,
-                                 /*burst_mult=*/6.0);
-    PrintStep("flash_repl", r);
-    obs::MetricRegistry& reg = obs::MetricRegistry::Default();
-    auto& row =
-        report.AddRow()
-            .Str("kind", "flash_crowd_repl")
-            .Num("burst_mult", 6.0)
-            .Num("promotions", static_cast<double>(
-                                   reg.GetCounter("repl.promotions")->value()))
-            .Num("replica_gets",
-                 static_cast<double>(
-                     reg.GetCounter("repl.replica_gets")->value()));
     AddLatencyCells(row, r);
   }
 

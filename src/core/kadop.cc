@@ -80,48 +80,6 @@ void KadopPeer::HandleHandoff(const HandoffMessage& msg) {
   }
 }
 
-void KadopPeer::HandleReplicaInstall(const ReplicaInstallMessage& msg) {
-  // Idempotent refresh: replace whatever copy is here (an older replica or
-  // a chain-replication shadow) with the authoritative snapshot.
-  store::PeerStore* store = dht_peer_->store();
-  store->DeleteKey(msg.key);
-  if (!msg.postings.empty()) store->AppendPostings(msg.key, msg.postings);
-  if (msg.dpp_root) {
-    staged_terms_[msg.key] = *msg.dpp_root;
-  } else {
-    staged_terms_.erase(msg.key);
-  }
-  const double bytes = static_cast<double>(msg.SizeBytes());
-  const std::string key = msg.key;
-  const uint64_t version = msg.version;
-  const bool flat = msg.flat;
-  // The install ack fires once the copy is durable; like the cache's
-  // staleness oracle it is zero-cost control-plane introspection standing
-  // in for a small ack message (docs/replication.md).
-  dht_peer_->ScheduleAfterDisk(bytes, /*write=*/true,
-                               [this, key, version, flat]() {
-                                 dht_peer_->dht()->replication()
-                                     .OnReplicaInstalled(key,
-                                                         dht_peer_->node(),
-                                                         version, flat);
-                               });
-}
-
-void KadopPeer::ActivateStagedTerms() {
-  if (dpp_ == nullptr) {
-    staged_terms_.clear();
-    return;
-  }
-  for (auto it = staged_terms_.begin(); it != staged_terms_.end();) {
-    if (dht_peer_->IsResponsible(dht::HashKey(it->first))) {
-      dpp_->ImportTerm(it->second);
-      it = staged_terms_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-}
-
 void KadopPeer::HandleApp(const dht::AppRequest& request, NodeIndex from) {
   if (dpp_ && dpp_->HandleApp(request, from)) return;
   if (reducer_->HandleApp(request, from)) return;
@@ -132,27 +90,6 @@ void KadopPeer::HandleApp(const dht::AppRequest& request, NodeIndex from) {
   if (const auto* handoff =
           dynamic_cast<const HandoffMessage*>(request.inner.get())) {
     HandleHandoff(*handoff);
-    return;
-  }
-
-  if (const auto* install = dynamic_cast<const ReplicaInstallMessage*>(
-          request.inner.get())) {
-    HandleReplicaInstall(*install);
-    return;
-  }
-  if (const auto* drop =
-          dynamic_cast<const ReplicaDropMessage*>(request.inner.get())) {
-    // Keep the stored copy when this node is part of the key's
-    // chain-replication tail (that copy belongs to crash recovery, not to
-    // hot-data replication); otherwise discard it.
-    dht::Dht* d = dht_peer_->dht();
-    const std::vector<NodeIndex> chain =
-        d->SuccessorsOf(dht::HashKey(drop->key), d->options().replication);
-    const bool chain_holder =
-        std::find(chain.begin(), chain.end(), dht_peer_->node()) !=
-        chain.end();
-    if (!chain_holder) dht_peer_->store()->DeleteKey(drop->key);
-    staged_terms_.erase(drop->key);
     return;
   }
 
@@ -248,44 +185,6 @@ KadopNet::KadopNet(KadopOptions options) : options_(options) {
   view_catalog_->SetDropViewFn(
       [this](const std::string& name) { DropView(name); });
 
-  // Hot-data replication data plane: the control plane (dht layer) decides
-  // *what* to copy or drop; these hooks move the actual state as
-  // application messages over real simulated links.
-  obs::Counter* bytes_copied =
-      obs::MetricRegistry::Default().GetCounter("repl.bytes_copied");
-  dht_->replication().SetCopyFn(
-      [this, bytes_copied](const std::string& key, NodeIndex owner,
-                           NodeIndex target, uint64_t version) {
-        KadopPeer* src = peer(owner);
-        auto msg = std::make_shared<ReplicaInstallMessage>();
-        msg->key = key;
-        msg->postings = src->dht_peer()->store()->GetPostings(key);
-        msg->version = version;
-        if (src->dpp() != nullptr) {
-          if (src->dpp()->SplitInProgress(key)) return;  // retry next window
-          if (auto exported = src->dpp()->PeekTerm(key)) {
-            // A single root block stored under the term key itself is a
-            // plain store read at the owner — the replica may serve it
-            // directly. Partitioned terms are staged for takeover only.
-            const bool flat = exported->blocks.size() == 1 &&
-                              exported->blocks[0].key == key;
-            msg->flat = flat;
-            if (!flat) msg->dpp_root = std::move(*exported);
-          }
-        }
-        bytes_copied->Increment(msg->SizeBytes());
-        src->dht_peer()->SendApp(target, std::move(msg),
-                                 TrafficCategory::kPublish);
-      });
-  dht_->replication().SetDropFn(
-      [this](const std::string& key, NodeIndex target) {
-        auto msg = std::make_shared<ReplicaDropMessage>();
-        msg->key = key;
-        peer(dht_->OwnerOf(dht::HashKey(key)))
-            ->dht_peer()
-            ->SendApp(target, std::move(msg), TrafficCategory::kControl);
-      });
-
   // Stamp traces with this network's virtual clock so span timestamps are
   // reproducible across identical seeded runs.
   obs::Tracer::Default().SetClock([this] { return scheduler_.Now(); }, this);
@@ -363,7 +262,6 @@ sim::NodeIndex KadopNet::JoinPeerAndWait() {
     old_owner->dht_peer()->SendApp(node, std::move(msg),
                                    sim::TrafficCategory::kPublish);
   }
-  ActivateStagedReplicas();
   scheduler_.RunUntilIdle();
   tracer.End(span);
   return node;
@@ -372,23 +270,11 @@ sim::NodeIndex KadopNet::JoinPeerAndWait() {
 void KadopNet::FailPeerAndStabilize(NodeIndex node) {
   dht_->FailPeer(node);
   dht_->Stabilize();
-  ActivateStagedReplicas();
 }
 
 void KadopNet::RestartPeerAndStabilize(NodeIndex node) {
   dht_->RestartPeer(node);
   dht_->Stabilize();
-  ActivateStagedReplicas();
-}
-
-void KadopNet::ActivateStagedReplicas() {
-  // After every re-stabilization a replica holder may have become the owner
-  // of keys it staged directory state for; installing that state is what
-  // turns the copy into an authoritative takeover.
-  for (size_t i = 0; i < peers_.size(); ++i) {
-    if (!network_->IsNodeUp(static_cast<NodeIndex>(i))) continue;
-    peers_[i]->ActivateStagedTerms();
-  }
 }
 
 void KadopNet::EnableFaults(const sim::FaultOptions& fault_options,

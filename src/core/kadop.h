@@ -72,40 +72,6 @@ struct HandoffMessage final : sim::Payload {
   mutable index::codec::WireSizeMemo wire_bytes_memo_;
 };
 
-/// Hot-data replication: a versioned copy of one key's postings — plus its
-/// DPP root block when the key is a partitioned term — shipped from the
-/// owner to a successor (a planned handoff with a version stamp; see
-/// docs/replication.md). `flat` marks keys the replica may serve directly
-/// from its store; non-flat state is staged for crash takeover only.
-struct ReplicaInstallMessage final : sim::Payload {
-  std::string key;
-  index::PostingList postings;
-  std::optional<index::DppManager::TermExport> dpp_root;
-  uint64_t version = 0;
-  bool flat = true;
-
-  size_t SizeBytes() const override {
-    size_t total = key.size() + 25 +
-                   index::codec::MemoizedWireBytes(postings, &wire_bytes_memo_);
-    if (dpp_root) total += dpp_root->WireBytes();
-    return total;
-  }
-  std::string_view TypeName() const override {
-    return "ReplicaInstallMessage";
-  }
-
- private:
-  mutable index::codec::WireSizeMemo wire_bytes_memo_;
-};
-
-/// Demotion: the target discards its replica of `key`.
-struct ReplicaDropMessage final : sim::Payload {
-  std::string key;
-
-  size_t SizeBytes() const override { return key.size() + 8; }
-  std::string_view TypeName() const override { return "ReplicaDropMessage"; }
-};
-
 /// Top-level configuration of a KadoP network.
 struct KadopOptions {
   size_t peers = 16;
@@ -139,25 +105,12 @@ class KadopPeer {
   query::ReducerService& reducer() { return *reducer_; }
   fundex::FundexService& fundex() { return *fundex_; }
 
-  /// DPP directory state staged by replication for crash takeover:
-  /// term_key -> exported root block, installed into the local DPP manager
-  /// when (and only when) ownership actually moves here.
-  const std::map<std::string, index::DppManager::TermExport>& staged_terms()
-      const {
-    return staged_terms_;
-  }
-  /// Installs staged directory state for keys this peer now owns; called
-  /// by KadopNet after every re-stabilization.
-  void ActivateStagedTerms();
-
  private:
   /// App-message dispatcher: tries each service in turn.
   void HandleApp(const dht::AppRequest& request, sim::NodeIndex from);
   void HandleHandoff(const HandoffMessage& msg);
-  void HandleReplicaInstall(const ReplicaInstallMessage& msg);
 
   dht::DhtPeer* dht_peer_;
-  std::map<std::string, index::DppManager::TermExport> staged_terms_;
   index::DocStore doc_store_;
   std::unique_ptr<index::Publisher> publisher_;
   std::unique_ptr<index::DppManager> dpp_;
@@ -351,9 +304,6 @@ class KadopNet {
 
  private:
   fundex::Resolver MakeResolver();
-  /// Installs staged replica directory state on peers that became owners
-  /// after a membership change (see KadopPeer::ActivateStagedTerms).
-  void ActivateStagedReplicas();
   /// Runs the registered view's ground-truth query and ships the projected
   /// extent columns as acked appends. Asynchronous: the entry serves once
   /// every chunk acked and the oracles resynced. An incomplete or degraded

@@ -4,7 +4,6 @@
 
 #include "common/hash.h"
 #include "common/logging.h"
-#include "dht/replication.h"
 #include "dht/ring.h"
 
 namespace kadop::dht {
@@ -14,10 +13,7 @@ Dht::Dht(sim::Scheduler* scheduler, sim::Network* network, DhtOptions options)
   KADOP_CHECK(scheduler_ != nullptr && network_ != nullptr,
               "Dht requires scheduler and network");
   KADOP_CHECK(options_.replication >= 1, "replication must be >= 1");
-  replication_ = std::make_unique<ReplicationManager>(this, options_.repl);
 }
-
-Dht::~Dht() = default;
 
 std::unique_ptr<store::PeerStore> Dht::MakeStore() const {
   if (options_.store_kind == StoreKind::kBTree) {
@@ -31,10 +27,10 @@ sim::NodeIndex Dht::AddPeer() {
   KeyId id = Mix64(options_.seed ^ (0x517cc1b727220a95ULL * ++next_peer_seq_));
   while (ring_.count(id) > 0) id = Mix64(id);
 
-  auto peer = std::make_unique<DhtPeer>(this, network_, id, MakeStore());
-  sim::NodeIndex node = network_->AddNode(peer.get());
-  KADOP_CHECK(node == peers_.size(), "peer/node index mismatch");
-  peer->set_node(node);
+  const auto node = static_cast<sim::NodeIndex>(peers_.size());
+  auto peer = std::make_unique<DhtPeer>(this, network_, node, id, MakeStore());
+  const sim::NodeIndex added = network_->AddNode(peer.get());
+  KADOP_CHECK(added == node, "peer/node index mismatch");
   ring_[id] = node;
   peers_.push_back(std::move(peer));
   return node;
@@ -65,19 +61,6 @@ sim::NodeIndex Dht::OwnerOf(KeyId key) const {
   auto it = ring_.lower_bound(key);
   if (it == ring_.end()) it = ring_.begin();  // wrap
   return it->second;
-}
-
-std::vector<sim::NodeIndex> Dht::SuccessorsOf(KeyId key, size_t count) const {
-  std::vector<sim::NodeIndex> out;
-  if (ring_.empty()) return out;
-  auto it = ring_.lower_bound(key);
-  if (it == ring_.end()) it = ring_.begin();
-  for (size_t i = 0; i < count && i < ring_.size(); ++i) {
-    out.push_back(it->second);
-    ++it;
-    if (it == ring_.end()) it = ring_.begin();
-  }
-  return out;
 }
 
 void Dht::BuildRoutingTable(DhtPeer* peer) {

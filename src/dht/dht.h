@@ -11,8 +11,6 @@
 
 namespace kadop::dht {
 
-class ReplicationManager;
-
 /// The DHT overlay: owns the peers, assigns ring identifiers, and builds
 /// Chord-style routing state (finger tables, successor lists).
 ///
@@ -24,7 +22,6 @@ class ReplicationManager;
 class Dht {
  public:
   Dht(sim::Scheduler* scheduler, sim::Network* network, DhtOptions options);
-  ~Dht();
 
   Dht(const Dht&) = delete;
   Dht& operator=(const Dht&) = delete;
@@ -63,9 +60,6 @@ class Dht {
   /// and assertions; protocol code resolves owners by routing.
   [[nodiscard]] sim::NodeIndex OwnerOf(KeyId key) const;
 
-  /// The `count` successors of `key`'s owner (for replication).
-  [[nodiscard]] std::vector<sim::NodeIndex> SuccessorsOf(KeyId key, size_t count) const;
-
   /// Sum of all per-peer stats.
   [[nodiscard]] DhtStats AggregateStats() const;
 
@@ -75,11 +69,6 @@ class Dht {
   const DhtOptions& options() const { return options_; }
   sim::Scheduler* scheduler() { return scheduler_; }
   sim::Network* network() { return network_; }
-
-  /// Hot-data replication control plane (see dht/replication.h). Always
-  /// constructed; inert unless `options.repl.enabled`.
-  ReplicationManager& replication() { return *replication_; }
-  const ReplicationManager& replication() const { return *replication_; }
 
  private:
   std::unique_ptr<store::PeerStore> MakeStore() const;
@@ -92,7 +81,6 @@ class Dht {
   /// Live ring: id -> node index, sorted by id.
   std::map<KeyId, sim::NodeIndex> ring_;
   uint64_t next_peer_seq_ = 0;
-  std::unique_ptr<ReplicationManager> replication_;
 };
 
 }  // namespace kadop::dht

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <string>
-#include <unordered_map>
 #include <utility>
 
 #include "common/logging.h"
@@ -69,37 +68,22 @@ DhtCounters& C() {
   return counters;
 }
 
-// Per-holder ingress load, the input signal for load-aware rebalancing
-// (ROADMAP item "Hot terms: capacity that grows with peers"). Handles are
-// cached per node index; per-key load lives in the bounded
-// ReplicationManager tracker, not in registry counters.
-struct HolderLoadCounters {
-  obs::Counter* gets;
-  obs::Counter* appends;
-};
-
-HolderLoadCounters& LoadFor(NodeIndex node) {
-  static std::unordered_map<NodeIndex, HolderLoadCounters>* cache =
-      new std::unordered_map<NodeIndex, HolderLoadCounters>();
-  auto it = cache->find(node);
-  if (it == cache->end()) {
-    auto& r = obs::MetricRegistry::Default();
-    const std::string base = "load.holder." + std::to_string(node);
-    it = cache
-             ->emplace(node,
-                       HolderLoadCounters{r.GetCounter(base + ".gets"),
-                                          r.GetCounter(base + ".appends")})
-             .first;
-  }
-  return it->second;
-}
-
 }  // namespace
 
-DhtPeer::DhtPeer(Dht* dht, sim::Network* network, KeyId id,
+DhtPeer::DhtPeer(Dht* dht, sim::Network* network, NodeIndex node, KeyId id,
                  std::unique_ptr<store::PeerStore> store)
-    : dht_(dht), network_(network), id_(id), store_(std::move(store)) {
+    : dht_(dht),
+      network_(network),
+      node_(node),
+      id_(id),
+      store_(std::move(store)) {
   KADOP_CHECK(store_ != nullptr, "peer requires a store");
+  // Per-holder ingress load, read by `stats peer <N>`, the serving bench's
+  // windows and kbench's `load.holder.max_get_share`.
+  auto& r = obs::MetricRegistry::Default();
+  const std::string base = "load.holder." + std::to_string(node_);
+  load_gets_ = r.GetCounter(base + ".gets");
+  load_appends_ = r.GetCounter(base + ".appends");
 }
 
 // ---------------------------------------------------------------------------
@@ -288,22 +272,12 @@ RequestId DhtPeer::ReserveRequestIds(uint32_t n) {
   return first;
 }
 
-bool DhtPeer::SendGet(std::shared_ptr<GetRequest> req, const GetSpec& spec) {
-  // Load-aware routing: a hot key with fresh replicas is pulled from the
-  // least-loaded copy directly (one hop). Retries re-enter here and re-roll
-  // the choice, so a crashed replica falls back to the routed owner path.
-  const NodeIndex replica = dht_->replication().RouteGet(spec.key);
-  if (replica != ReplicationManager::kNoReplica) {
-    network_->Send(
-        Message{node_, replica, TrafficCategory::kControl, std::move(req)});
-    return true;
-  }
+void DhtPeer::SendGet(std::shared_ptr<GetRequest> req, const GetSpec& spec) {
   auto env = std::make_shared<RouteEnvelope>();
   env->key = HashKey(spec.key);
   env->inner = std::move(req);
   env->category = TrafficCategory::kControl;
   SendEnvelope(std::move(env), spec.owner_hint);
-  return false;
 }
 
 void DhtPeer::PushGet(const GetSpec& spec, NodeIndex target,
@@ -312,7 +286,7 @@ void DhtPeer::PushGet(const GetSpec& spec, NodeIndex target,
   auto req = NewGetRequest(spec, dht_->options().pipeline_block_postings);
   req->req_id = req_id;
   req->origin = target;
-  (void)SendGet(std::move(req), spec);
+  SendGet(std::move(req), spec);
 }
 
 RequestId DhtPeer::IssueGet(PendingGet pending) {
@@ -340,12 +314,11 @@ RequestId DhtPeer::IssueGet(PendingGet pending) {
   // budget, which is this get's.
   const double remember_s = kHoldDeliveryS + pending.retry.SpanS();
   pending.next_block = 0;
-  pending.to_replica = false;
   auto [it, inserted] = pending_get_.emplace(id, std::move(pending));
   KADOP_CHECK(inserted, "get request id collision");
   if (timeout > 0) it->second.timeout_event = ArmTimeout(id, timeout);
   if (!awaited.has_value()) {
-    it->second.to_replica = SendGet(std::move(req), spec);
+    SendGet(std::move(req), spec);
     return id;
   }
   Delivery& delivery = deliveries_[id];
@@ -710,8 +683,7 @@ void DhtPeer::SendAppendAck(const AppendRequest& request) {
 void DhtPeer::HandleAppend(const AppendRequest& req) {
   stats_.appends_received++;
   C().appends_received->Increment();
-  LoadFor(node_).appends->Increment();
-  dht_->replication().MaybeTick(network_->Now());
+  load_appends_->Increment();
   // At-most-once application of retry-capable appends: a resend of an
   // already-applied request skips the store (and the DPP interceptor) but
   // still forwards down the replication chain and acks, so the resend both
@@ -796,14 +768,8 @@ void DhtPeer::SendGetBlock(NodeIndex origin, RequestId req_id,
 void DhtPeer::HandleGet(const GetRequest& req) {
   stats_.gets_served++;
   C().gets_served->Increment();
-  LoadFor(node_).gets->Increment();
-  dht_->replication().RecordKeyGet(req.key);
-  dht_->replication().MaybeTick(network_->Now());
+  load_gets_->Increment();
   if (get_interceptor_ && get_interceptor_(req)) return;
-  ServeGetRange(req);
-}
-
-void DhtPeer::ServeGetRange(const GetRequest& req) {
   auto& tracer = obs::Tracer::Default();
   const obs::SpanId serve = tracer.Begin("dht.get.serve");
   tracer.Annotate(serve, "key", req.key);
@@ -885,9 +851,8 @@ void DhtPeer::HandleGetBlock(const Message& msg, GetBlock& block) {
   pending.next_block++;
   // The first block of a get routed through the ring comes from the key's
   // owner (its DPP get proxy included). A hinted attempt's owner was
-  // already named, and a replica's answer says nothing about the owner.
-  if (block.block_index == 0 && !pending.to_replica &&
-      !pending.spec.owner_hint.has_value() &&
+  // already named.
+  if (block.block_index == 0 && !pending.spec.owner_hint.has_value() &&
       !pending.spec.awaited.has_value()) {
     LearnOwner(pending.spec.key, msg.from);
   }
@@ -1005,33 +970,6 @@ void DhtPeer::HandleMessage(const Message& msg) {
   if (auto* append = dynamic_cast<AppendRequest*>(payload)) {
     // Replication chain forwarding arrives directly (not routed).
     HandleAppend(*append);
-    return;
-  }
-  if (auto* get = dynamic_cast<GetRequest*>(payload)) {
-    // Replica-routed gets arrive directly (not routed). Serve when this
-    // peer owns the key or holds a version-fresh replica; a stale or
-    // dropped replica forwards to the owner instead (the NACK path: the
-    // client still gets an authoritative answer, one routed trip later).
-    ReplicationManager& repl = dht_->replication();
-    if (IsResponsible(HashKey(get->key))) {
-      HandleGet(*get);
-    } else if (repl.CanServeReplica(get->key, node_,
-                                    AuthoritativeVersion(get->key))) {
-      repl.CountReplicaGet();
-      stats_.gets_served++;
-      C().gets_served->Increment();
-      LoadFor(node_).gets->Increment();
-      repl.RecordKeyGet(get->key);
-      repl.MaybeTick(network_->Now());
-      ServeGetRange(*get);
-    } else {
-      repl.CountStaleReject();
-      auto env = std::make_shared<RouteEnvelope>();
-      env->key = HashKey(get->key);
-      env->inner = std::static_pointer_cast<GetRequest>(msg.payload);
-      env->category = TrafficCategory::kControl;
-      RouteEnvelopeMsg(std::move(env));
-    }
     return;
   }
   if (auto* app = dynamic_cast<AppRequest*>(payload)) {

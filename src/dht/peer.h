@@ -12,9 +12,12 @@
 
 #include "common/status.h"
 #include "dht/messages.h"
-#include "dht/replication.h"
 #include "sim/network.h"
 #include "store/peer_store.h"
+
+namespace kadop::obs {
+class Counter;
+}  // namespace kadop::obs
 
 namespace kadop::dht {
 
@@ -81,9 +84,6 @@ struct DhtOptions {
   /// Disabled by default; a per-request policy (GetSpec::retry, the
   /// RouteApp/CallApp parameter) overrides it when enabled.
   RetryPolicy retry;
-  /// Hot-data replication + load-aware routing (off by default; see
-  /// dht/replication.h and docs/replication.md).
-  ReplicationOptions repl;
 };
 
 /// Counters kept per peer and aggregated by the Dht.
@@ -149,8 +149,7 @@ struct GetSpec {
   RetryPolicy retry;
   /// The key's owner as a directory reply or the owner cache named it: the
   /// first attempt goes there in one hop instead of being routed (see
-  /// DhtPeer::RouteApp). Retries are routed; a replica picked by load-aware
-  /// routing wins.
+  /// DhtPeer::RouteApp). Retries are routed.
   std::optional<OwnerHint> owner_hint;
   /// Set when another peer already asked for this get on this peer's
   /// behalf (DhtPeer::PushGet) under this request id: the first attempt
@@ -184,7 +183,8 @@ class DhtPeer final : public sim::Actor {
   using AppHandler =
       std::function<void(const AppRequest& request, sim::NodeIndex from)>;
 
-  DhtPeer(Dht* dht, sim::Network* network, KeyId id,
+  /// `node` is the network index the Dht registers this peer under.
+  DhtPeer(Dht* dht, sim::Network* network, sim::NodeIndex node, KeyId id,
           std::unique_ptr<store::PeerStore> store);
 
   // -- Client-side API -----------------------------------------------------
@@ -315,9 +315,8 @@ class DhtPeer final : public sim::Actor {
 
   /// The current posting version of `key` at the store of the peer
   /// responsible for it (see PeerStore::PostingVersion). A god's-eye read:
-  /// it sends no message and charges no bytes or virtual time. Its
-  /// readers are the replica serve guard (HandleMessage's CanServeReplica
-  /// check) and views (ViewCatalog::Servable and ResyncEntry); ROADMAP
+  /// it sends no message and charges no bytes or virtual time. Its only
+  /// readers are views (ViewCatalog::Servable and ResyncEntry); ROADMAP
   /// item 7 replaces it with versions carried on the wire, and analyzer
   /// rule KDP017 keeps new readers out of src/query and src/dht.
   [[nodiscard]] uint64_t AuthoritativeVersion(const std::string& key) const;
@@ -325,8 +324,8 @@ class DhtPeer final : public sim::Actor {
   /// The owner cache: which node owns each key this peer has read or
   /// written, learned only from messages it received (a directory reply's
   /// block-0 holder; the sender of the first block of a get, or of the
-  /// reply to an app request, routed through the ring, neither hinted nor
-  /// sent to a replica). The cache-aware read sites hint their first
+  /// reply to an app request, routed through the ring and not hinted).
+  /// The cache-aware read sites hint their first
   /// attempt with it, and a DPP owner names its overflow holders from it;
   /// a stale entry costs a forward, never a misdelivery. `set_routing`
   /// empties it, so an entry never outlives the ring it was learned on.
@@ -348,7 +347,6 @@ class DhtPeer final : public sim::Actor {
 
   // -- Wiring (called by Dht) ----------------------------------------------
 
-  void set_node(sim::NodeIndex node) { node_ = node; }
   struct RoutingTable {
     /// finger[i] targets id + 2^i; each entry is (id, node) of the owner.
     std::vector<std::pair<KeyId, sim::NodeIndex>> fingers;
@@ -386,10 +384,9 @@ class DhtPeer final : public sim::Actor {
   void DeliverRouted(const RouteEnvelope& env);
 
   void HandleAppend(const AppendRequest& req);
+  /// Streams the store's postings for `req` back to its origin, unless
+  /// the get interceptor takes it.
   void HandleGet(const GetRequest& req);
-  /// Streams the store's postings for `req` back to its origin (the body of
-  /// HandleGet past the interceptor; also the replica serve path).
-  void ServeGetRange(const GetRequest& req);
   void HandleDelete(const DeleteRequest& req);
 
   RequestId NextRequestId();
@@ -400,9 +397,9 @@ class DhtPeer final : public sim::Actor {
   /// timeout. Used for the first attempt and every retry. A first attempt
   /// with `spec.awaited` sends nothing and awaits the pushed blocks.
   RequestId IssueGet(PendingGet pending);
-  /// Sends a get request for `spec`: to a replica load-aware routing
-  /// picks (returns true), else one hop to the hinted owner or routed.
-  bool SendGet(std::shared_ptr<GetRequest> req, const GetSpec& spec);
+  /// Sends a get request for `spec` one hop to the hinted owner, or
+  /// routed.
+  void SendGet(std::shared_ptr<GetRequest> req, const GetSpec& spec);
   void HandleGetBlock(const sim::Message& msg, GetBlock& block);
   /// Keeps a pushed block that no get awaits yet, until its get awaits it
   /// or kHoldDeliveryS passes; drops it if its get already awaited it.
@@ -416,7 +413,7 @@ class DhtPeer final : public sim::Actor {
 
   Dht* dht_;
   sim::Network* network_;
-  sim::NodeIndex node_ = 0;
+  sim::NodeIndex node_;
   KeyId id_;
   std::unique_ptr<store::PeerStore> store_;
   RoutingTable routing_;
@@ -425,6 +422,9 @@ class DhtPeer final : public sim::Actor {
   GetInterceptor get_interceptor_;
   DeleteInterceptor delete_interceptor_;
   DhtStats stats_;
+  /// This peer's `load.holder.<N>.{gets,appends}` counters.
+  obs::Counter* load_gets_;
+  obs::Counter* load_appends_;
   /// The owner cache (see KnownOwner).
   std::unordered_map<std::string, sim::NodeIndex> owners_;
 
@@ -443,9 +443,6 @@ class DhtPeer final : public sim::Actor {
     GetSpec spec;
     RetryPolicy retry;
     uint32_t attempt = 1;
-    /// This attempt went to a replica picked by load-aware routing: its
-    /// sender teaches the owner cache nothing.
-    bool to_replica = false;
     bool delivered_any = false;
     /// Expected next block index: out-of-sequence blocks (duplicates, or a
     /// gap left by a dropped block) are discarded so a stream never

@@ -254,7 +254,7 @@ bool DppManager::OnDelete(const dht::DeleteRequest& request) {
   if (it == terms_.end()) return false;
   TermState& st = it->second;
   // Conservative owner-side bump (mirrors ProcessAppend): deletes routed to
-  // remote blocks must invalidate replicas and views of the whole term.
+  // remote blocks must invalidate views of the whole term.
   peer_->store()->BumpPostingVersion(request.key);
   for (BlockEntry& block : st.blocks) {
     // A targeted delete only concerns blocks whose condition may contain
@@ -311,26 +311,6 @@ std::optional<DppManager::TermExport> DppManager::ExportTerm(
         DppBlockInfo{b.key, b.cond, b.count, b.types, std::nullopt});
   }
   terms_.erase(it);
-  return out;
-}
-
-bool DppManager::SplitInProgress(const std::string& term_key) const {
-  auto it = terms_.find(term_key);
-  return it != terms_.end() && it->second.split_in_progress;
-}
-
-std::optional<DppManager::TermExport> DppManager::PeekTerm(
-    const std::string& term_key) const {
-  auto it = terms_.find(term_key);
-  if (it == terms_.end()) return std::nullopt;
-  if (it->second.split_in_progress) return std::nullopt;
-  TermExport out;
-  out.term_key = term_key;
-  out.next_block_seq = it->second.next_block_seq;
-  for (const BlockEntry& b : it->second.blocks) {
-    out.blocks.push_back(
-        DppBlockInfo{b.key, b.cond, b.count, b.types, std::nullopt});
-  }
   return out;
 }
 

@@ -101,17 +101,6 @@ class DppManager {
   /// peer does not own one. Must not be called mid-split.
   [[nodiscard]] std::optional<TermExport> ExportTerm(const std::string& term_key);
 
-  /// Non-destructive copy of the root block of `term_key`, or nullopt if
-  /// this peer does not own one or a split is mid-flight (callers retry
-  /// later). Used by hot-data replication to stage directory state on a
-  /// replica without disturbing the owner.
-  [[nodiscard]] std::optional<TermExport> PeekTerm(
-      const std::string& term_key) const;
-
-  /// True while a split of `term_key` is mid-flight (PeekTerm would
-  /// observe a half-migrated directory).
-  [[nodiscard]] bool SplitInProgress(const std::string& term_key) const;
-
   /// Installs a root block handed off from the previous owner.
   void ImportTerm(const TermExport& exported);
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -41,20 +40,6 @@ struct HolderCounters {
 HolderCounters& C() {
   static HolderCounters counters;
   return counters;
-}
-
-/// `load.holder.<N>.join_tasks`: the join tasks peer N ran as a home, so
-/// `stats peer <N>` shows where join work runs. Not part of HolderLoad's
-/// get and append load.
-obs::Counter* JoinTasksAt(sim::NodeIndex node) {
-  static std::unordered_map<sim::NodeIndex, obs::Counter*>* cache =
-      new std::unordered_map<sim::NodeIndex, obs::Counter*>();
-  auto [it, fresh] = cache->emplace(node, nullptr);
-  if (fresh) {
-    it->second = R().GetCounter("load.holder." + std::to_string(node) +
-                                ".join_tasks");
-  }
-  return it->second;
 }
 
 /// Rebuilds the join's structural skeleton from the wire slice. Labels
@@ -238,6 +223,8 @@ void PullAndJoin(dht::DhtPeer* peer, const TreePattern& pattern,
 
 BlockJoinService::BlockJoinService(dht::DhtPeer* peer) : peer_(peer) {
   KADOP_CHECK(peer_ != nullptr, "BlockJoinService requires a peer");
+  tasks_here_ = R().GetCounter("load.holder." + std::to_string(peer_->node()) +
+                               ".join_tasks");
 }
 
 bool BlockJoinService::HandleApp(const dht::AppRequest& request,
@@ -253,7 +240,7 @@ bool BlockJoinService::HandleApp(const dht::AppRequest& request,
 void BlockJoinService::RunTask(const index::BlockJoinRequest& req,
                                sim::NodeIndex origin, dht::RequestId req_id) {
   C().tasks->Increment();
-  JoinTasksAt(peer_->node())->Increment();
+  tasks_here_->Increment();
   // The reply, accumulating the pulls' accounting until the join is done.
   auto result = std::make_shared<index::JoinResultMessage>();
   result->task = req.task;

@@ -131,6 +131,9 @@ class BlockJoinService {
                dht::RequestId req_id);
 
   dht::DhtPeer* peer_;
+  /// `load.holder.<N>.join_tasks`: the join tasks this peer ran as a
+  /// home, so `stats peer <N>` shows where join work runs.
+  obs::Counter* tasks_here_;
 };
 
 }  // namespace kadop::query

@@ -44,6 +44,61 @@ ViewCounters& C() {
 
 }  // namespace
 
+// ---------------------------------------------------------------------------
+// KeyLoadTracker
+
+KeyLoadTracker::KeyLoadTracker(size_t capacity) : capacity_(capacity) {
+  KADOP_CHECK(capacity_ > 0, "key load tracker needs capacity");
+  auto& r = obs::MetricRegistry::Default();
+  eviction_counter_ = r.GetCounter("load.key.evictions");
+  tracked_gauge_ = r.GetGauge("load.key.tracked");
+}
+
+void KeyLoadTracker::RecordGet(const std::string& key) {
+  auto it = entries_.find(key);
+  if (it == entries_.end()) {
+    if (entries_.size() >= capacity_) {
+      // Evict the coldest entry (smallest count; ties: the map's first,
+      // i.e. lexically smallest, key). The newcomer inherits the evicted
+      // count — the space-saving guarantee that a genuinely hot key cannot
+      // be hidden by a stream of one-off keys.
+      auto victim = entries_.begin();
+      for (auto e = std::next(entries_.begin()); e != entries_.end(); ++e) {
+        if (e->second.count < victim->second.count) victim = e;
+      }
+      const uint64_t inherited = victim->second.count;
+      entries_.erase(victim);
+      evictions_++;
+      eviction_counter_->Increment();
+      it = entries_.emplace(key, Entry{inherited, 0}).first;
+    } else {
+      it = entries_.emplace(key, Entry{}).first;
+    }
+    tracked_gauge_->Set(static_cast<double>(entries_.size()));
+  }
+  it->second.count++;
+  it->second.window_gets++;
+}
+
+std::map<std::string, uint64_t> KeyLoadTracker::DrainWindow() {
+  std::map<std::string, uint64_t> out;
+  for (auto it = entries_.begin(); it != entries_.end();) {
+    if (it->second.window_gets > 0) out[it->first] = it->second.window_gets;
+    it->second.window_gets = 0;
+    it->second.count /= 2;
+    if (it->second.count == 0) {
+      it = entries_.erase(it);
+    } else {
+      ++it;
+    }
+  }
+  tracked_gauge_->Set(static_cast<double>(entries_.size()));
+  return out;
+}
+
+// ---------------------------------------------------------------------------
+// ViewCatalog
+
 ViewCatalog::ViewCatalog(ViewOptions options)
     : options_(options), pattern_load_(options.max_tracked_patterns) {}
 

@@ -9,9 +9,13 @@
 #include <vector>
 
 #include "dht/peer.h"
-#include "dht/replication.h"
 #include "index/publisher.h"
 #include "query/view.h"
+
+namespace kadop::obs {
+class Counter;
+class Gauge;
+}  // namespace kadop::obs
 
 namespace kadop::query {
 
@@ -43,9 +47,43 @@ struct ViewOptions {
   /// Bound on advisor-materialized views alive at once.
   size_t max_auto_views = 4;
   /// Bound on distinct patterns the query-log tracker follows
-  /// (space-saving top-K, same structure as the replication layer's
-  /// KeyLoadTracker).
+  /// (space-saving top-K, see KeyLoadTracker).
   size_t max_tracked_patterns = 64;
+};
+
+/// Bounded per-key load tracker (space-saving top-K), the advisor's query
+/// log. The tracker holds at most `capacity` keys; a new key evicts the
+/// coldest tracked one (deterministic tie-break: lexically smallest key)
+/// and inherits its count, the classic space-saving guarantee that a truly
+/// hot key cannot be hidden by churn. Counts decay by half per drained
+/// window so stale heat fades. It registers exactly two metrics,
+/// `load.key.evictions` and the gauge `load.key.tracked`, never one per key.
+class KeyLoadTracker {
+ public:
+  explicit KeyLoadTracker(size_t capacity);
+
+  /// Records one use of `key`.
+  void RecordGet(const std::string& key);
+
+  /// Closes the current window: returns per-key uses observed since the
+  /// last drain, halves the long-run counts, and forgets keys that decayed
+  /// to zero. Iteration order is the keys' lexicographic order.
+  std::map<std::string, uint64_t> DrainWindow();
+
+  [[nodiscard]] size_t tracked() const { return entries_.size(); }
+  [[nodiscard]] uint64_t evictions() const { return evictions_; }
+
+ private:
+  struct Entry {
+    uint64_t count = 0;        // decayed long-run estimate
+    uint64_t window_gets = 0;  // uses since the last drain
+  };
+
+  size_t capacity_;
+  uint64_t evictions_ = 0;
+  std::map<std::string, Entry> entries_;
+  obs::Counter* eviction_counter_;
+  obs::Gauge* tracked_gauge_;
 };
 
 /// The per-DHT view catalog: every registered view's definition plus the
@@ -54,9 +92,9 @@ struct ViewOptions {
 /// The catalog is a single in-process object shared by all peers of one
 /// simulated network, standing in for a catalog blob published under the
 /// well-known key "view:catalog" (which the core layer does keep up to
-/// date for discovery). Like the replication layer's staleness oracle
-/// (ROADMAP item 7), the in-process reads model control-plane metadata
-/// that real deployments piggyback on existing traffic — the *data* plane
+/// date for discovery). Its version reads (DhtPeer::AuthoritativeVersion,
+/// ROADMAP item 7) model control-plane metadata that real deployments
+/// piggyback on existing traffic — the *data* plane
 /// (extent columns, delta appends, probe round-trips) always moves over
 /// simulated links.
 ///
@@ -212,7 +250,7 @@ class ViewCatalog {
   uint64_t next_generation_ = 0;
 
   // Advisor state.
-  dht::KeyLoadTracker pattern_load_;
+  KeyLoadTracker pattern_load_;
   double window_end_ = 0.0;
   bool window_armed_ = false;
   struct Streaks {

@@ -47,7 +47,7 @@ void CountBTreeSplit() {
 namespace {
 
 /// Each store instance gets its own version epoch: versions from a store
-/// that no longer owns a key (handoff, replica takeover) can never collide
+/// that no longer owns a key (handoff, crash takeover) can never collide
 /// with the new owner's.
 uint64_t NextStoreEpoch() {
   static uint64_t epoch = 0;

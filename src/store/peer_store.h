@@ -32,10 +32,9 @@ class PeerStore {
 
   /// Monotone modification version of `key`'s posting data at this store:
   /// 0 until first modified here, then strictly increasing on every
-  /// mutation that changes the stored set. A fresh store instance (handoff
-  /// target, replica takeover rebuild) starts a new epoch in the high
-  /// bits, so a version observed before a rebuild can never reappear.
-  /// Replica routing and view freshness compare against it
+  /// mutation that changes the stored set. A fresh store instance starts
+  /// a new epoch in the high bits, so a version observed before a rebuild
+  /// can never reappear. View freshness compares against it
   /// (docs/wire_format.md).
   [[nodiscard]] uint64_t PostingVersion(const std::string& key) const;
 

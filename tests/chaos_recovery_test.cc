@@ -397,13 +397,12 @@ TEST(ChaosRecoveryTest, ViewColumnHolderCrashFallsBackToDppJoin) {
   EXPECT_FALSE(healed.value().metrics.degraded);
 }
 
-// Flash crowd with hot-data replication on, under lossy links: a burst of
-// concurrent queries slams one term while messages drop, duplicate and
-// jitter. Every query must resolve inside the virtual-time watchdog with
-// either the full answer set or an explicitly incomplete (degraded) one —
-// replication must never turn the overload into a hang or a silent wrong
-// answer.
-TEST(ChaosRecoveryTest, FlashCrowdWithReplicationUnderFaults) {
+// Flash crowd under lossy links: a burst of concurrent queries slams one
+// term while messages drop, duplicate and jitter. Every query must resolve
+// inside the virtual-time watchdog with either the full answer set or an
+// explicitly incomplete (degraded) one — the overload must never turn into
+// a hang or a silent wrong answer.
+TEST(ChaosRecoveryTest, FlashCrowdUnderFaults) {
   obs::MetricRegistry::Default().Reset();
   xml::corpus::DblpOptions copt;
   copt.target_bytes = 100 << 10;
@@ -411,13 +410,6 @@ TEST(ChaosRecoveryTest, FlashCrowdWithReplicationUnderFaults) {
 
   core::KadopOptions opt;
   opt.peers = 12;
-  opt.dht.repl.enabled = true;
-  opt.dht.repl.replicas = 2;
-  opt.dht.repl.window_s = 0.5;
-  opt.dht.repl.hot_gets_per_window = 4;
-  opt.dht.repl.hot_windows = 2;
-  opt.dht.repl.cool_gets_per_window = 0;
-  opt.dht.repl.cool_windows = 100;
   core::KadopNet net(opt);
   std::vector<const xml::Document*> ptrs;
   for (const auto& d : docs) ptrs.push_back(&d);
@@ -428,8 +420,7 @@ TEST(ChaosRecoveryTest, FlashCrowdWithReplicationUnderFaults) {
   qopt.fetch_retry.timeout_s = 0.5;
   qopt.fetch_retry.max_retries = 3;
 
-  // Fault-free ground truth, then deterministic promotion of the hot term
-  // so the crowd actually hits replica-served paths.
+  // Fault-free ground truth.
   size_t expected_answers = 0;
   {
     auto baseline = net.QueryAndWait(kQuerier, "//author", qopt);
@@ -437,17 +428,6 @@ TEST(ChaosRecoveryTest, FlashCrowdWithReplicationUnderFaults) {
     expected_answers = baseline.value().answers.size();
     ASSERT_GT(expected_answers, 0u);
   }
-  auto& repl = net.dht().replication();
-  const std::string hot_key = index::LabelKey("author");
-  double now = 0.0;
-  repl.MaybeTick(now);
-  for (int w = 0; w < 2; ++w) {
-    for (int i = 0; i < 10; ++i) repl.RecordKeyGet(hot_key);
-    now += 1.0;
-    repl.MaybeTick(now);
-  }
-  net.RunToIdle();
-  ASSERT_TRUE(repl.IsReplicated(hot_key));
 
   sim::FaultOptions fopts;
   fopts.seed = FaultSeed();

@@ -701,68 +701,6 @@ TEST(OwnerCacheTest, DirectoryRoundsFromAWarmPeerTakeOneHop) {
   EXPECT_EQ(q->KnownOwner(term)->node, owner);
 }
 
-TEST(OwnerCacheTest, ReplicaServedGetTeachesNothing) {
-  const std::vector<xml::Document> docs = CacheCorpus();
-  KadopOptions opt;
-  opt.peers = 10;
-  opt.enable_dpp = false;  // replicas serve flat lists only
-  opt.dht.repl.enabled = true;
-  opt.dht.repl.replicas = 2;
-  opt.dht.repl.window_s = 1.0;
-  opt.dht.repl.hot_gets_per_window = 4;
-  opt.dht.repl.hot_windows = 2;
-  opt.dht.repl.cool_windows = 1000;  // keep the copies
-  KadopNet net(opt);
-  net.PublishAndWait(2, DocPtrs(docs, 0, docs.size()));
-
-  // Promote the key through the manager's lazy windows, then let the
-  // copies install.
-  const std::string key = index::LabelKey("author");
-  dht::ReplicationManager& repl = net.dht().replication();
-  double now = net.scheduler().Now();
-  repl.MaybeTick(now);
-  for (int window = 0; window < 2; ++window) {
-    for (int i = 0; i < 10; ++i) repl.RecordKeyGet(key);
-    now += 1.5;
-    repl.MaybeTick(now);
-  }
-  net.RunToIdle();
-  ASSERT_TRUE(repl.IsReplicated(key));
-
-  const sim::NodeIndex owner = net.dht().OwnerOf(dht::HashKey(key));
-  const std::vector<sim::NodeIndex> replicas = repl.ReplicaNodes(key);
-  sim::NodeIndex querier = 0;
-  while (querier == owner || std::find(replicas.begin(), replicas.end(),
-                                       querier) != replicas.end()) {
-    ++querier;
-  }
-  dht::DhtPeer* q = net.peer(querier)->dht_peer();
-  auto& registry = obs::MetricRegistry::Default();
-  const obs::Counter* replica_gets = registry.GetCounter("repl.replica_gets");
-  const obs::Counter* stale = registry.GetCounter("repl.stale_rejects");
-  bool owner_served = false;
-  bool replica_served = false;
-  for (int i = 0; i < 64 && !(owner_served && replica_served); ++i) {
-    net.dht().Stabilize();  // empties every cache
-    ASSERT_FALSE(q->KnownOwner(key).has_value());
-    const uint64_t to_replica = replica_gets->value() + stale->value();
-    bool done = false;
-    q->Get(key, [&done](const dht::GetResult& r) { done = r.complete; });
-    net.RunToIdle();
-    ASSERT_TRUE(done);
-    if (replica_gets->value() + stale->value() > to_replica) {
-      replica_served = true;
-      EXPECT_FALSE(q->KnownOwner(key).has_value()) << "attempt " << i;
-    } else {
-      owner_served = true;
-      ASSERT_TRUE(q->KnownOwner(key).has_value()) << "attempt " << i;
-      EXPECT_EQ(q->KnownOwner(key)->node, owner);
-    }
-  }
-  EXPECT_TRUE(owner_served);
-  EXPECT_TRUE(replica_served);
-}
-
 TEST(OwnerCacheTest, EveryRingChangeEmptiesEveryCache) {
   const std::vector<xml::Document> docs = CacheCorpus();
   KadopOptions opt;

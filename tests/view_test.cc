@@ -311,6 +311,53 @@ TEST_F(ViewTest, AutoViewFallbackReusesThePlanningDirectories) {
 
 // -- Advisor ----------------------------------------------------------------
 
+// The advisor's query log: a bounded space-saving tracker.
+
+TEST(KeyLoadTrackerTest, StaysBoundedUnderHundredThousandDistinctKeys) {
+  KeyLoadTracker tracker(64);
+  const std::string hot = "hot-key";
+  for (int i = 0; i < 100000; ++i) {
+    tracker.RecordGet("key-" + std::to_string(i));
+    if (i % 10 == 0) tracker.RecordGet(hot);
+  }
+  EXPECT_LE(tracker.tracked(), 64u);
+  EXPECT_GT(tracker.evictions(), 0u);
+  // Space-saving guarantee: the genuinely hot key is still tracked — the
+  // stream of one-off keys cannot push it out.
+  const auto window = tracker.DrainWindow();
+  ASSERT_TRUE(window.count(hot) > 0);
+  EXPECT_GE(window.at(hot), 10000u - 64u);
+}
+
+TEST(KeyLoadTrackerTest, RegistryCardinalityStaysFixed) {
+  // The tracker registers exactly two metrics (an eviction counter and a
+  // tracked-keys gauge) — never one counter per key.
+  const auto before = obs::MetricRegistry::Default().Snapshot();
+  KeyLoadTracker tracker(8);
+  for (int i = 0; i < 1000; ++i) {
+    tracker.RecordGet("cardinality-" + std::to_string(i));
+  }
+  const auto after = obs::MetricRegistry::Default().Snapshot();
+  for (const auto& [name, value] : after.counters) {
+    if (before.counters.count(name) > 0) continue;
+    EXPECT_EQ(name, "load.key.evictions") << "unexpected new counter";
+  }
+  EXPECT_LE(tracker.tracked(), 8u);
+}
+
+TEST(KeyLoadTrackerTest, DecayForgetsColdKeys) {
+  KeyLoadTracker tracker(16);
+  tracker.RecordGet("a");
+  tracker.RecordGet("a");
+  tracker.RecordGet("b");
+  EXPECT_EQ(tracker.tracked(), 2u);
+  // "b" (count 1) decays to zero after one window, "a" (count 2) after two.
+  tracker.DrainWindow();
+  EXPECT_EQ(tracker.tracked(), 1u);
+  tracker.DrainWindow();
+  EXPECT_EQ(tracker.tracked(), 0u);
+}
+
 class ViewAdvisorTest : public ::testing::Test {
  protected:
   void SetUp() override {

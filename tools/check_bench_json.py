@@ -20,10 +20,6 @@ The serving harness (bench == "serving") additionally promises:
     of one of the "qps_step" rows (a ladder that never reaches its knee
     fails)
   - at least one "capacity" row with numeric peers and sustainable_qps
-  - a replication A/B: one "qps_step_repl" row per "qps_step" row (same
-    ascending offered_qps ladder), p99_on <= p99_off at the knee step,
-    and one "flash_crowd_repl" row whose max_holder_gets is strictly
-    below the "flash_crowd" row's
   - a views A/B: one "qps_step_views" row per "qps_step" row (same
     ascending offered_qps ladder, numeric view_hits/view_hit_rate with
     view hits somewhere in the ladder), p99 strictly improved at the knee
@@ -220,7 +216,6 @@ def check_serving_rows(rows, path, errors):
                  f"serving: capacity[{i}] needs numeric peers and "
                  f"sustainable_qps")
 
-    check_replication_ab(rows, qps_steps, knees, path, errors)
     check_views_ab(rows, qps_steps, knees, path, errors)
 
 
@@ -309,65 +304,6 @@ def check_views_ab(rows, qps_steps, knees, path, errors):
              f"({probe['djoin_wire_bytes']})")
 
 
-def check_replication_ab(rows, qps_steps, knees, path, errors):
-    """The hot-data replication A/B promised by the serving harness."""
-
-    def num(row, key):
-        return isinstance(row.get(key), (int, float))
-
-    repl_steps = [r for r in rows if isinstance(r, dict)
-                  and r.get("kind") == "qps_step_repl"]
-    flash = [r for r in rows if isinstance(r, dict)
-             and r.get("kind") == "flash_crowd"]
-    flash_repl = [r for r in rows if isinstance(r, dict)
-                  and r.get("kind") == "flash_crowd_repl"]
-
-    if len(repl_steps) != len(qps_steps):
-        _err(errors, path,
-             f"serving: need one 'qps_step_repl' row per 'qps_step' row "
-             f"({len(repl_steps)} vs {len(qps_steps)})")
-        return
-    for i, (off, on) in enumerate(zip(qps_steps, repl_steps)):
-        if not num(on, "offered_qps") or not num(on, "p99") or \
-                not num(on, "max_holder_gets"):
-            _err(errors, path,
-                 f"serving: qps_step_repl[{i}] missing numeric "
-                 f"offered_qps/p99/max_holder_gets")
-            return
-        if num(off, "offered_qps") and \
-                on["offered_qps"] != off["offered_qps"]:
-            _err(errors, path,
-                 f"serving: qps_step_repl[{i}] offered_qps "
-                 f"{on['offered_qps']} != qps_step's {off['offered_qps']}")
-
-    # p99 must be no worse with replication at the knee step.
-    knee_idx = _knee_index(qps_steps, knees)
-    if num(qps_steps[knee_idx], "p99") and \
-            repl_steps[knee_idx]["p99"] > qps_steps[knee_idx]["p99"]:
-        _err(errors, path,
-             f"serving: p99 with replication "
-             f"({repl_steps[knee_idx]['p99']}) exceeds the unreplicated "
-             f"p99 ({qps_steps[knee_idx]['p99']}) at the knee step "
-             f"(offered_qps={qps_steps[knee_idx].get('offered_qps')})")
-
-    if len(flash_repl) != 1 or len(flash) != 1:
-        _err(errors, path,
-             "serving: need exactly one 'flash_crowd' and one "
-             "'flash_crowd_repl' row")
-        return
-    if not num(flash[0], "max_holder_gets") or \
-            not num(flash_repl[0], "max_holder_gets"):
-        _err(errors, path,
-             "serving: flash_crowd rows need numeric max_holder_gets")
-        return
-    if flash_repl[0]["max_holder_gets"] >= flash[0]["max_holder_gets"]:
-        _err(errors, path,
-             f"serving: replication must strictly reduce max-holder "
-             f"ingress on the flash crowd "
-             f"({flash_repl[0]['max_holder_gets']} vs "
-             f"{flash[0]['max_holder_gets']})")
-
-
 def _synthetic_serving():
     """A small serving file that passes every gate: a five-step ladder
     with its knee at the fourth step."""
@@ -384,8 +320,6 @@ def _synthetic_serving():
     rows += [step("qps_step", q, p) for q, p in zip(rates, p99s)]
     rows.append({"kind": "knee", "offered_qps": 400, "reason": "slo_miss"})
     rows.append(step("flash_crowd", 300, 5.0, max_holder_gets=900))
-    rows += [step("qps_step_repl", q, p) for q, p in zip(rates, p99s)]
-    rows.append(step("flash_crowd_repl", 300, 5.0, max_holder_gets=600))
     rows += [step("qps_step_views", q, p * 0.9, view_hits=10,
                   view_hit_rate=0.2) for q, p in zip(rates, p99s)]
     rows.append({"kind": "view_probe", "tenant": "filtered",
@@ -434,14 +368,6 @@ def _views_tie(data):
         _rows_of(data, "qps_step")[3]["p99"]
 
 
-def _replication_worse(data):
-    _rows_of(data, "qps_step_repl")[3]["p99"] += 0.001
-
-
-def _unpaired_repl(data):
-    data["rows"].remove(_rows_of(data, "qps_step_repl")[-1])
-
-
 def _unpaired_views(data):
     _rows_of(data, "qps_step_views")[2]["offered_qps"] = 301
 
@@ -456,10 +382,6 @@ def self_test():
         ("no knee", serving, _no_knee, "knee row names no ladder step"),
         ("views not strictly better", serving, _views_tie,
          "p99 with views"),
-        ("replication worse", serving, _replication_worse,
-         "p99 with replication"),
-        ("unpaired replication rows", serving, _unpaired_repl,
-         "one 'qps_step_repl' row per 'qps_step' row"),
         ("unpaired views rows", serving, _unpaired_views,
          "qps_step_views[2] offered_qps"),
         ("valid fig3", fig3, None, None),

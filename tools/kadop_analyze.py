@@ -96,13 +96,14 @@ metric snapshots, trace dumps).
 The last rule guards the simulation's message discipline: a peer learns
 another peer's state only from a message.
 
-  KDP017  gods-eye-read       AuthoritativeVersion( / OwnerVersion( calls
+  KDP017  gods-eye-read       calls of AuthoritativeVersion or OwnerVersion,
                               or `dht_->peer(` / `dht()->peer(` under
                               src/query and src/dht. These read another
                               peer's store directly, at zero bytes and zero
-                              virtual time. The remaining readers (the
-                              replica serve guard and views) are exempt by
-                              file until they carry versions on the wire.
+                              virtual time. DhtPeer::AuthoritativeVersion's
+                              definition is exempt by file; its only
+                              callers, the views, are exempt until they
+                              carry versions on the wire.
 
 Backends
 --------
@@ -193,14 +194,10 @@ KDP010_EXEMPT_FILES = (
 # ROADMAP item 7 ("No god's-eye reads: every freshness check is a
 # message") and leaves this list when its freshness check becomes one.
 KDP017_EXEMPT_FILES = (
-    # ROADMAP item 7: DhtPeer::AuthoritativeVersion and the replica serve
-    # guard (CanServeReplica) that calls it.
+    # ROADMAP item 7: the definition of DhtPeer::AuthoritativeVersion.
+    # Nothing in src/dht calls it; views are its only callers.
     "src/dht/peer.h",
     "src/dht/peer.cc",
-    # ROADMAP item 7: ReplicationManager::OwnerVersion, read on replica
-    # install, refresh and invalidation.
-    "src/dht/replication.h",
-    "src/dht/replication.cc",
     # ROADMAP item 7: ViewCatalog::Servable's column and base-term
     # version checks.
     "src/query/view_manager.cc",

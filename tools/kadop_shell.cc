@@ -74,8 +74,6 @@ class Shell {
       CmdMetrics();
     } else if (cmd == "trace") {
       CmdTrace(in);
-    } else if (cmd == "repl") {
-      CmdRepl(in);
     } else if (cmd == "views") {
       CmdViews(in);
     } else if (cmd == "traffic") {
@@ -129,7 +127,6 @@ class Shell {
         "  trace on|off|dump [json]|clear   virtual-time span tracing\n"
         "  trace report                     per-query phase breakdown\n"
         "  trace export [file]              Chrome trace_event JSON\n"
-        "  repl on|off|stats                hot-data replication + routing\n"
         "  views on|off|stats|list          materialized tree-pattern views\n"
         "  views create <xpath> [name]      materialize a view\n"
         "  views drop <name>                drop a view\n"
@@ -522,44 +519,6 @@ class Shell {
     std::printf("warning: trace buffer full — %llu span(s) dropped; raise "
                 "Tracer capacity or 'trace clear' between runs\n",
                 static_cast<unsigned long long>(dropped));
-  }
-
-  void CmdRepl(std::istringstream& in) {
-    std::string sub;
-    in >> sub;
-    if (!RequireNet()) return;
-    dht::ReplicationManager& repl = net_->dht().replication();
-    if (sub == "on" || sub == "off") {
-      repl.SetEnabled(sub == "on");
-      // Turning off sends replica drops; let them land before prompting.
-      net_->RunToIdle();
-      std::printf("hot-data replication %s\n", sub.c_str());
-      return;
-    }
-    if (!sub.empty() && sub != "stats") {
-      std::printf("usage: repl on|off|stats\n");
-      return;
-    }
-    auto& r = obs::MetricRegistry::Default();
-    std::printf(
-        "hot-data replication %s | %zu keys under management, "
-        "%zu tracked by load\n"
-        "  promotions %llu, demotions %llu, replica gets %llu, "
-        "stale rejects %llu\n"
-        "  bytes copied %llu, tracker evictions %llu\n",
-        repl.enabled() ? "on" : "off", repl.ReplicatedKeyCount(),
-        repl.tracker().tracked(),
-        static_cast<unsigned long long>(
-            r.GetCounter("repl.promotions")->value()),
-        static_cast<unsigned long long>(
-            r.GetCounter("repl.demotions")->value()),
-        static_cast<unsigned long long>(
-            r.GetCounter("repl.replica_gets")->value()),
-        static_cast<unsigned long long>(
-            r.GetCounter("repl.stale_rejects")->value()),
-        static_cast<unsigned long long>(
-            r.GetCounter("repl.bytes_copied")->value()),
-        static_cast<unsigned long long>(repl.tracker().evictions()));
   }
 
   void CmdViews(std::istringstream& in) {
