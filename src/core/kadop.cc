@@ -578,37 +578,15 @@ Result<std::string> KadopNet::ExplainQueryAndWait(
   if (!parsed.ok()) return parsed.status();
   const query::TreePattern pattern = parsed.take();
 
-  // The planning round kAuto runs: every term's directory, whose block
-  // sum is the term's posting count.
-  struct TermDirectory {
-    bool answered = false;
-    Status status;
-    std::vector<index::DppBlockInfo> blocks;
-  };
-  // Shared: a reply that never came leaves its callback registered past
-  // this call.
-  auto dirs = std::make_shared<std::vector<TermDirectory>>(pattern.size());
+  // The planning round kAuto runs, and its plan.
   dht::DhtPeer* origin = peer(at)->dht_peer();
-  for (size_t node = 0; node < pattern.size(); ++node) {
-    index::DppManager::FetchDirectory(
-        origin, pattern.node(node).TermKey(),
-        [dirs, node](Status st, std::vector<index::DppBlockInfo> blocks) {
-          (*dirs)[node] = {true, std::move(st), std::move(blocks)};
-        },
-        options.fetch_retry);
-  }
+  const auto dirs =
+      query::FetchTermDirectories(origin, pattern, options.fetch_retry, {});
   scheduler_.RunUntilIdle();
-  std::vector<uint64_t> counts(pattern.size(), 0);
-  std::vector<uint64_t> overflow(pattern.size(), 0);
   std::string unreachable;
   for (size_t node = 0; node < pattern.size(); ++node) {
-    const TermDirectory& dir = (*dirs)[node];
-    if (dir.answered && dir.status.ok()) {
-      counts[node] = index::DirectoryCount(dir.blocks);
-      overflow[node] =
-          index::OverflowCount(dir.blocks, pattern.node(node).TermKey());
-      continue;
-    }
+    const query::TermDirectory& dir = (*dirs)[node];
+    if (dir.answered && dir.status.ok()) continue;
     if (!unreachable.empty()) unreachable += ", ";
     unreachable += '\'';
     unreachable += pattern.node(node).TermKey();
@@ -617,6 +595,12 @@ Result<std::string> KadopNet::ExplainQueryAndWait(
   if (!unreachable.empty()) {
     return Status::Unavailable("no directory for " + unreachable);
   }
+  std::optional<query::ViewCatalog::Rewrite> rewrite;
+  if (view_catalog_->enabled()) {
+    rewrite = view_catalog_->FindRewrite(pattern, origin);
+  }
+  const query::QueryPlan plan =
+      query::PlanQuery(pattern, *dirs, rewrite, options, at);
 
   std::string out = "pattern: " + pattern.ToString() + "\n";
   const query::PatternAnalysis analysis = query::AnalyzePattern(pattern);
@@ -630,25 +614,18 @@ Result<std::string> KadopNet::ExplainQueryAndWait(
     const size_t blocks = (*dirs)[node].blocks.size();
     out += "  [" + std::to_string(node) + "] " +
            pattern.node(node).TermKey() + ": " +
-           std::to_string(counts[node]) + " postings in " +
+           std::to_string(plan.term_counts[node]) + " postings in " +
            std::to_string(blocks) + (blocks == 1 ? " block\n" : " blocks\n");
   }
-  std::optional<query::ViewPricing> view;
-  if (view_catalog_->enabled()) {
-    if (std::optional<query::ViewCatalog::Rewrite> rw =
-            view_catalog_->FindRewrite(pattern, origin)) {
-      view = query::PriceViewRewrite(*rw, counts);
-      out += "view rewrite: " + rw->name +
-             (rw->match.exact ? " (exact" : " (containment") +
-             ", extent=" + std::to_string(view->extent_postings) +
-             " postings, residual=" +
-             std::to_string(view->residual_postings) + " postings)\n";
-    }
+  if (plan.view.has_value()) {
+    out += "view rewrite: " + rewrite->name +
+           (rewrite->match.exact ? " (exact" : " (containment") +
+           ", extent=" + std::to_string(plan.view->extent_postings) +
+           " postings, residual=" +
+           std::to_string(plan.view->residual_postings) + " postings)\n";
   }
-  const auto costs = query::EstimateStrategyCosts(pattern, counts, options,
-                                                  view, overflow);
   out += "strategy cost estimates:\n";
-  for (const auto& c : costs) {
+  for (const auto& c : plan.costs) {
     char line[160];
     std::snprintf(line, sizeof(line),
                   "  %-18s bytes=%.0f bottleneck=%.0f",
@@ -659,33 +636,22 @@ Result<std::string> KadopNet::ExplainQueryAndWait(
       // The postings each on-path owner pulls from its overflow holders
       // before the reduction starts.
       out += " gather";
-      for (const int q : query::SubQueryPath(pattern, counts)) {
+      for (const int q : plan.sub_query_path) {
         out += " [" + std::to_string(q) +
-               "]=" + std::to_string(overflow[static_cast<size_t>(q)]);
+               "]=" + std::to_string(plan.overflow[static_cast<size_t>(q)]);
       }
     }
     out += '\n';
   }
   out += "auto would run: ";
-  out += query::QueryStrategyName(
-      query::PickStrategy(costs, options.objective));
+  out += query::QueryStrategyName(plan.pick);
   out += "\n";
   if (options.dpp_available && options.dpp_join_available) {
     // The tasks a kDppJoin run would dispatch, each with its window and
     // the home block it would be joined at.
-    std::vector<std::vector<index::DppBlockInfo>> directories;
-    for (TermDirectory& dir : *dirs) {
-      directories.push_back(std::move(dir.blocks));
-    }
-    const query::DppBlockSelection selection =
-        query::SelectDppBlocks(std::move(directories));
-    std::vector<query::JoinTaskPlan> tasks;
-    if (selection.viable) {
-      tasks = query::PlanJoinTasks(selection.blocks, selection.window);
-    }
-    out += "dpp-join tasks: " + std::to_string(tasks.size()) + "\n";
-    for (size_t t = 0; t < tasks.size(); ++t) {
-      const query::JoinTaskPlan& task = tasks[t];
+    out += "dpp-join tasks: " + std::to_string(plan.tasks.size()) + "\n";
+    for (size_t t = 0; t < plan.tasks.size(); ++t) {
+      const query::JoinTaskPlan& task = plan.tasks[t];
       const index::DppBlockInfo& home =
           task.inputs[task.home_node][task.home_block];
       char estimate[96];
@@ -699,8 +665,6 @@ Result<std::string> KadopNet::ExplainQueryAndWait(
              estimate;
       // Every other input: held by the home's named holder too, pushed to
       // the home by its holder, or asked for by the home itself.
-      const std::vector<std::vector<bool>> pushed = query::PushedInputs(
-          task.inputs, task.home_node, task.home_block, at);
       std::string inputs;
       for (size_t node = 0; node < task.inputs.size(); ++node) {
         for (size_t idx = 0; idx < task.inputs[node].size(); ++idx) {
@@ -708,9 +672,9 @@ Result<std::string> KadopNet::ExplainQueryAndWait(
           const index::DppBlockInfo& input = task.inputs[node][idx];
           const bool local =
               home.holder.has_value() && input.holder == home.holder;
-          const char* how = pushed[node][idx] ? " (pushed)"
-                            : local           ? " (local)"
-                                              : " (asked)";
+          const char* how = task.pushed[node][idx] ? " (pushed)"
+                            : local                ? " (local)"
+                                                   : " (asked)";
           inputs += " " + input.key + how;
         }
       }

@@ -250,16 +250,15 @@ class KadopNet {
   Result<std::string> LookupDocUriAndWait(sim::NodeIndex at,
                                           const index::DocId& doc);
 
-  /// Explains how the optimizer sees a query: the parsed pattern, its
-  /// completeness/precision analysis, the stored list size per term with
-  /// its directory block count, the per-strategy cost estimates, and the
-  /// strategy kAuto would pick. When kDppJoin is a candidate it also lists
-  /// the join tasks a kDppJoin run would dispatch (PlanJoinTasks): each
-  /// window, its home block and the home's estimated postings in the
-  /// window. The sizes come from kAuto's own planning
-  /// round (one directory fetch per term, under `options.fetch_retry` or
-  /// else the DHT's retry policy); a term whose directory never arrives
-  /// yields kUnavailable naming it.
+  /// Explains how the optimizer sees a query: runs kAuto's directory round
+  /// (under `options.fetch_retry` or else the DHT's retry policy) and
+  /// renders the query::QueryPlan PlanQuery derives from it: the parsed
+  /// pattern and its completeness/precision analysis, each term's posting
+  /// and block counts, any view rewrite, the cost estimates and the pick.
+  /// When kDppJoin is a candidate it also lists the plan's join tasks: each
+  /// window, its home block, the home's estimated postings in the window
+  /// and how each other input reaches the home. A term whose directory
+  /// never arrives yields kUnavailable naming it.
   Result<std::string> ExplainQueryAndWait(sim::NodeIndex at,
                                           std::string_view xpath,
                                           const query::QueryOptions& options);

@@ -79,15 +79,6 @@ void Dht::BuildRoutingTable(DhtPeer* peer) {
   table.successor_id = succ->first;
   table.successor_node = succ->second;
 
-  // Successor list (for replication chains).
-  auto walker = succ;
-  for (uint32_t i = 0;
-       i + 1 < options_.replication && walker->second != peer->node(); ++i) {
-    table.successors.push_back(walker->second);
-    ++walker;
-    if (walker == ring_.end()) walker = ring_.begin();
-  }
-
   // Finger table: finger[i] = owner of id + 2^i.
   table.fingers.reserve(64);
   for (int i = 0; i < 64; ++i) {

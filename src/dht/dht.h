@@ -12,7 +12,7 @@
 namespace kadop::dht {
 
 /// The DHT overlay: owns the peers, assigns ring identifiers, and builds
-/// Chord-style routing state (finger tables, successor lists).
+/// Chord-style routing state (finger tables, successors).
 ///
 /// Construction and membership changes use global knowledge (`Stabilize()`
 /// recomputes routing tables from the current ring), standing in for the

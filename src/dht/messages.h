@@ -63,7 +63,7 @@ struct AppendRequest final : sim::Payload {
   /// types cannot match (Section 4.1, type-aware conditions).
   std::vector<std::string> doc_types;
   bool per_entry = false;
-  /// Remaining replication fan-out (receiver forwards to successors).
+  /// Remaining replication fan-out (receiver forwards to its successor).
   uint32_t replicate = 0;
   /// If nonzero, the responsible peer acks to `ack_origin` once applied.
   RequestId ack_req_id = 0;

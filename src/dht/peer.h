@@ -353,8 +353,6 @@ class DhtPeer final : public sim::Actor {
     KeyId predecessor_id = 0;
     KeyId successor_id = 0;
     sim::NodeIndex successor_node = 0;
-    /// Successor list for replication.
-    std::vector<sim::NodeIndex> successors;
   };
   /// Installs a rebuilt routing table and empties the owner cache.
   void set_routing(RoutingTable table) {

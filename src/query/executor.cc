@@ -190,7 +190,10 @@ void QueryExecutor::Run(QueryStrategy strategy) {
       FetchDirectories([this]() { OnDppDirectoriesReady(); });
       break;
     case QueryStrategy::kAuto:
-      StartAuto();
+      FetchDirectories([this]() {
+        metrics_.effective_strategy = plan_->pick;
+        Run(plan_->pick);
+      });
       break;
     case QueryStrategy::kView:
       StartView();
@@ -276,60 +279,111 @@ void QueryExecutor::StartBaseline() {
 
 // -- DPP --------------------------------------------------------------------
 
+std::shared_ptr<const std::vector<TermDirectory>> FetchTermDirectories(
+    dht::DhtPeer* peer, const TreePattern& pattern,
+    const dht::RetryPolicy& retry,
+    std::function<void(const std::vector<TermDirectory>&)> done) {
+  // Shared: a reply that never comes leaves its callback registered past
+  // any caller's wait.
+  auto dirs = std::make_shared<std::vector<TermDirectory>>(pattern.size());
+  auto pending = std::make_shared<size_t>(pattern.size());
+  for (size_t node = 0; node < pattern.size(); ++node) {
+    index::DppManager::FetchDirectory(
+        peer, pattern.node(node).TermKey(),
+        [dirs, pending, done, node](Status st,
+                                    std::vector<index::DppBlockInfo> blocks) {
+          (*dirs)[node] = {true, std::move(st), std::move(blocks)};
+          if (--*pending == 0 && done) done(*dirs);
+        },
+        retry);
+  }
+  return dirs;
+}
+
+QueryPlan PlanQuery(const TreePattern& pattern,
+                    const std::vector<TermDirectory>& directories,
+                    const std::optional<ViewCatalog::Rewrite>& view_rewrite,
+                    const QueryOptions& options, sim::NodeIndex at) {
+  QueryPlan plan;
+  std::vector<std::vector<index::DppBlockInfo>> blocks;
+  for (size_t node = 0; node < pattern.size(); ++node) {
+    const std::vector<index::DppBlockInfo>& dir = directories[node].blocks;
+    const std::string term_key = pattern.node(node).TermKey();
+    plan.term_counts.push_back(index::DirectoryCount(dir));
+    plan.overflow.push_back(index::OverflowCount(dir, term_key));
+    // The term owner answered for block 0 under the term key.
+    std::optional<sim::NodeIndex>& owner = plan.term_owners.emplace_back();
+    for (const index::DppBlockInfo& b : dir) {
+      if (b.key == term_key) owner = b.holder;
+    }
+    blocks.push_back(dir);
+  }
+  if (view_rewrite.has_value()) {
+    plan.view = PriceViewRewrite(*view_rewrite, plan.term_counts);
+  }
+  plan.costs = EstimateStrategyCosts(pattern, plan.term_counts, options,
+                                     plan.view, plan.overflow);
+  plan.pick = PickStrategy(plan.costs, options.objective);
+  plan.sub_query_path = SubQueryPath(pattern, plan.term_counts);
+  plan.selection = SelectDppBlocks(std::move(blocks));
+  if (plan.selection.viable) {
+    plan.tasks = PlanJoinTasks(plan.selection.blocks, plan.selection.window);
+  }
+  for (JoinTaskPlan& task : plan.tasks) {
+    task.pushed =
+        PushedInputs(task.inputs, task.home_node, task.home_block, at);
+  }
+  return plan;
+}
+
 void QueryExecutor::FetchDirectories(std::function<void()> then) {
   // kAuto's round (reached directly or through a kView fallback) already
   // holds what every later plan needs.
-  if (directories_ready_) {
+  if (plan_.has_value()) {
     then();
     return;
   }
   auto self = shared_from_this();
-  auto continuation =
-      std::make_shared<std::function<void()>>(std::move(then));
   auto& tracer = obs::Tracer::Default();
   route_span_ = tracer.Begin("query.route.directory", span_);
   obs::ScopedTraceContext scope(tracer.ContextFor(route_span_));
-  dpp_.resize(pattern_.size());
-  term_counts_.assign(pattern_.size(), 0);
-  term_owners_.assign(pattern_.size(), std::nullopt);
-  directories_pending_ = pattern_.size();
-  for (size_t node = 0; node < pattern_.size(); ++node) {
-    index::DppManager::FetchDirectory(
-        peer_, pattern_.node(node).TermKey(),
-        [self, node, continuation](Status st,
-                                   std::vector<index::DppBlockInfo> blocks) {
-          if (self->finished_) return;
-          if (!st.ok()) {
-            // Directory owner unreachable within the retry budget.
-            self->metrics_.degraded = true;
-            self->directory_lost_ = true;
-          }
-          self->term_counts_[node] = index::DirectoryCount(blocks);
-          // The term owner answered for block 0 under the term key.
-          const std::string term_key = self->pattern_.node(node).TermKey();
-          for (const index::DppBlockInfo& b : blocks) {
-            if (b.key == term_key) self->term_owners_[node] = b.holder;
-          }
-          self->dpp_[node].blocks = std::move(blocks);
-          if (--self->directories_pending_ > 0) return;
-          self->directories_ready_ = true;
-          self->AnnotateTermCounts();
-          EndSpan(self->route_span_);
-          if (self->directory_lost_) {
-            // Every plan starts at the term owners, so none can reach the
-            // lost term's postings: finish with the sound (empty) subset
-            // instead of dispatching work that may never be answered.
-            self->Finish(false);
-            return;
-          }
-          (*continuation)();
-        },
-        options_.fetch_retry);
-  }
+  FetchTermDirectories(
+      peer_, pattern_, options_.fetch_retry,
+      [self, then = std::move(then)](
+          const std::vector<TermDirectory>& directories) {
+        if (self->finished_) return;
+        // A directory owner unreachable within the retry budget.
+        const bool lost =
+            std::any_of(directories.begin(), directories.end(),
+                        [](const TermDirectory& d) { return !d.status.ok(); });
+        ViewCatalog* catalog = self->client_->view_catalog();
+        if (!lost && self->options_.strategy == QueryStrategy::kAuto &&
+            catalog != nullptr && catalog->enabled()) {
+          // A servable rewrite makes kView a priced candidate, with the
+          // extent cardinality from the catalog and the residual cost from
+          // the directory counts.
+          self->view_rewrite_ =
+              catalog->FindRewrite(self->pattern_, self->peer_);
+        }
+        self->plan_ = PlanQuery(self->pattern_, directories,
+                                self->view_rewrite_, self->options_,
+                                self->peer_->node());
+        self->AnnotateTermCounts();
+        EndSpan(self->route_span_);
+        if (lost) {
+          // Every plan starts at the term owners, so none can reach the
+          // lost term's postings: finish with the sound (empty) subset
+          // instead of dispatching work that may never be answered.
+          self->metrics_.degraded = true;
+          self->Finish(false);
+          return;
+        }
+        then();
+      });
 }
 
 std::optional<dht::OwnerHint> QueryExecutor::TermOwner(size_t node) const {
-  if (node < term_owners_.size()) return term_owners_[node];
+  if (plan_.has_value()) return plan_->term_owners[node];
   return peer_->KnownOwner(pattern_.node(node).TermKey());
 }
 
@@ -339,20 +393,16 @@ void QueryExecutor::AnnotateTermCounts() {
   for (size_t node = 0; node < pattern_.size(); ++node) {
     if (node > 0) counts += ',';
     counts += pattern_.node(node).TermKey() + '=' +
-              std::to_string(term_counts_[node]);
+              std::to_string(plan_->term_counts[node]);
   }
   obs::Tracer::Default().Annotate(span_, "term_counts", std::move(counts));
 }
 
 void QueryExecutor::OnDppDirectoriesReady() {
-  std::vector<std::vector<index::DppBlockInfo>> directories;
-  directories.reserve(dpp_.size());
-  for (DppNodeState& st : dpp_) {
-    for (const auto& b : st.blocks) metrics_.full_postings += b.count;
-    directories.push_back(std::move(st.blocks));
-    st.blocks.clear();
+  const DppBlockSelection& selection = plan_->selection;
+  for (const uint64_t count : plan_->term_counts) {
+    metrics_.full_postings += count;
   }
-  DppBlockSelection selection = SelectDppBlocks(std::move(directories));
   metrics_.blocks_skipped += selection.skipped;
   C().dpp_blocks_skipped->Increment(selection.skipped);
   if (!selection.viable) {
@@ -361,7 +411,6 @@ void QueryExecutor::OnDppDirectoriesReady() {
     Finish(metrics_.complete);
     return;
   }
-  dpp_window_ = selection.window;
 
   // Phase span for the remainder of the query: block fetches (kDpp), or
   // the dispatch/result round of holder-side joins (kDppJoin). Ended by
@@ -372,21 +421,32 @@ void QueryExecutor::OnDppDirectoriesReady() {
   obs::ScopedTraceContext phase_scope(tracer.ContextFor(phase_span_));
 
   if (dpp_join_mode_) {  // no query-side fetches in join mode
-    StartJoinTasks(selection.blocks);
+    join_tasks_.resize(plan_->tasks.size());
+    metrics_.join_tasks = join_tasks_.size();
+    C().join_tasks->Increment(join_tasks_.size());
+    tracer.Annotate(span_, "join_tasks", std::to_string(join_tasks_.size()));
+    if (join_tasks_.empty()) {
+      Finish(metrics_.complete);
+      return;
+    }
+    // Every task leaves before any push request, so the pushes never queue
+    // a dispatch behind them on this peer's uplink.
+    for (size_t t = 0; t < join_tasks_.size(); ++t) DispatchJoinTask(t);
+    for (size_t t = 0; t < join_tasks_.size(); ++t) PushJoinInputs(t);
     return;
   }
+  dpp_.resize(pattern_.size());
   for (size_t node = 0; node < pattern_.size(); ++node) {
     DppNodeState& st = dpp_[node];
-    st.blocks = std::move(selection.blocks[node]);
+    const std::vector<index::DppBlockInfo>& blocks = selection.blocks[node];
     // Overlapping conditions (random-split ablation) cannot be streamed in
     // order: collect fully and merge before feeding the join.
-    st.requires_merge = false;
-    for (size_t i = 1; i < st.blocks.size(); ++i) {
-      if (st.blocks[i - 1].cond.Intersects(st.blocks[i].cond)) {
+    for (size_t i = 1; i < blocks.size(); ++i) {
+      if (blocks[i - 1].cond.Intersects(blocks[i].cond)) {
         st.requires_merge = true;
       }
     }
-    if (st.blocks.empty()) {
+    if (blocks.empty()) {
       CloseStream(node);
     } else {
       PumpDppFetches(node);
@@ -538,33 +598,12 @@ std::vector<JoinTaskPlan> PlanJoinTasks(
   return tasks;
 }
 
-void QueryExecutor::StartJoinTasks(
-    const std::vector<std::vector<index::DppBlockInfo>>& blocks) {
-  for (JoinTaskPlan& plan : PlanJoinTasks(blocks, dpp_window_)) {
-    join_tasks_.emplace_back().plan = std::move(plan);
-  }
-  metrics_.join_tasks = join_tasks_.size();
-  C().join_tasks->Increment(join_tasks_.size());
-  obs::Tracer::Default().Annotate(span_, "join_tasks",
-                                  std::to_string(join_tasks_.size()));
-  if (join_tasks_.empty()) {
-    Finish(metrics_.complete);
-    return;
-  }
-  // Every task leaves before any push request, so the pushes never queue
-  // a dispatch behind them on this peer's uplink.
-  for (size_t t = 0; t < join_tasks_.size(); ++t) DispatchJoinTask(t);
-  for (size_t t = 0; t < join_tasks_.size(); ++t) PushJoinInputs(t);
-}
-
 void QueryExecutor::DispatchJoinTask(size_t task) {
   auto self = shared_from_this();
   JoinTask& jt = join_tasks_[task];
-  const JoinTaskPlan& plan = jt.plan;
-  jt.pushed = PushedInputs(plan.inputs, plan.home_node, plan.home_block,
-                           peer_->node());
+  const JoinTaskPlan& plan = plan_->tasks[task];
   uint32_t pushes = 0;
-  for (const auto& per_node : jt.pushed) {
+  for (const auto& per_node : plan.pushed) {
     pushes += static_cast<uint32_t>(
         std::count(per_node.begin(), per_node.end(), true));
   }
@@ -604,14 +643,13 @@ void QueryExecutor::DispatchJoinTask(size_t task) {
 }
 
 void QueryExecutor::PushJoinInputs(size_t task) {
-  const JoinTask& jt = join_tasks_[task];
-  const JoinTaskPlan& plan = jt.plan;
+  const JoinTaskPlan& plan = plan_->tasks[task];
   const index::DppBlockInfo& home =
       plan.inputs[plan.home_node][plan.home_block];
-  dht::RequestId next = jt.delivery_id;
+  dht::RequestId next = join_tasks_[task].delivery_id;
   for (size_t node = 0; node < plan.inputs.size(); ++node) {
     for (size_t idx = 0; idx < plan.inputs[node].size(); ++idx) {
-      if (!jt.pushed[node][idx]) continue;
+      if (!plan.pushed[node][idx]) continue;
       peer_->PushGet(BlockPullSpec(plan.inputs[node][idx], plan.window,
                                    options_.fetch_retry),
                      *home.holder, next++);
@@ -678,7 +716,8 @@ void QueryExecutor::RunLocalJoinFallback(size_t task) {
       C().dpp_blocks_fetched->Increment();
     };
   };
-  PullAndJoin(peer_, pattern_, jt.plan.inputs, jt.plan.window,
+  const JoinTaskPlan& plan = plan_->tasks[task];
+  PullAndJoin(peer_, pattern_, plan.inputs, plan.window,
               {.retry = options_.fetch_retry,
                .repull = true,
                .live = [self]() { return !self->finished_; }},
@@ -724,13 +763,14 @@ void QueryExecutor::DeliverReadyJoinTasks() {
 void QueryExecutor::PumpDppFetches(size_t node) {
   auto self = shared_from_this();
   DppNodeState& st = dpp_[node];
+  const std::vector<index::DppBlockInfo>& blocks =
+      plan_->selection.blocks[node];
   while (st.outstanding < kDppParallelism &&
-         st.next_to_issue < st.blocks.size()) {
+         st.next_to_issue < blocks.size()) {
     const size_t idx = st.next_to_issue++;
     st.outstanding++;
-    const index::DppBlockInfo& block = st.blocks[idx];
     PullBlock(
-        peer_, block, dpp_window_,
+        peer_, blocks[idx], plan_->selection.window,
         {.retry = options_.fetch_retry,
          .repull = false,
          .live = [self]() { return !self->finished_; }},
@@ -768,16 +808,17 @@ void QueryExecutor::OnDppBlock(size_t node, size_t idx, PostingList postings) {
 
 void QueryExecutor::DeliverReadyDppBlocks(size_t node) {
   DppNodeState& st = dpp_[node];
+  const size_t blocks = plan_->selection.blocks[node].size();
   if (st.requires_merge) {
     // Wait for everything, then merge-distinct once (each block is
     // already sorted; overlap is across blocks only).
-    if (st.ready.size() < st.blocks.size()) return;
+    if (st.ready.size() < blocks) return;
     std::vector<PostingList> lists;
     lists.reserve(st.ready.size());
     for (auto& [idx, postings] : st.ready) lists.push_back(std::move(postings));
     st.ready.clear();
     join_.Append(node, MergeDistinct(std::move(lists)));
-    st.next_to_deliver = st.blocks.size();
+    st.next_to_deliver = blocks;
     CloseStream(node);
     return;
   }
@@ -788,7 +829,7 @@ void QueryExecutor::DeliverReadyDppBlocks(size_t node) {
     st.ready.erase(it);
     st.next_to_deliver++;
   }
-  if (st.next_to_deliver == st.blocks.size() && !stream_closed_[node]) {
+  if (st.next_to_deliver == blocks && !stream_closed_[node]) {
     CloseStream(node);
   }
 }
@@ -1039,35 +1080,9 @@ QueryStrategy PickStrategy(const std::vector<StrategyCostEstimate>& costs,
   return best->strategy;
 }
 
-void QueryExecutor::StartAuto() {
-  FetchDirectories([this]() {
-    // Catalog consult before strategy selection: a servable rewrite makes
-    // kView a priced candidate, with the extent cardinality from the
-    // catalog and the residual cost from the directory counts.
-    std::optional<ViewPricing> view;
-    ViewCatalog* catalog = client_->view_catalog();
-    if (catalog != nullptr && catalog->enabled()) {
-      view_rewrite_ = catalog->FindRewrite(pattern_, peer_);
-      if (view_rewrite_.has_value()) {
-        view = PriceViewRewrite(*view_rewrite_, term_counts_);
-      }
-    }
-    std::vector<uint64_t> overflow(pattern_.size(), 0);
-    for (size_t node = 0; node < pattern_.size(); ++node) {
-      overflow[node] = index::OverflowCount(dpp_[node].blocks,
-                                            pattern_.node(node).TermKey());
-    }
-    metrics_.effective_strategy = PickStrategy(
-        EstimateStrategyCosts(pattern_, term_counts_, options_, view,
-                              overflow),
-        options_.objective);
-    Run(metrics_.effective_strategy);
-  });
-}
-
 void QueryExecutor::OnTermCountsReady() {
   // DB-reduce the sub-query path; fetch everything else entire.
-  const std::vector<int> path = SubQueryPath(pattern_, term_counts_);
+  const std::vector<int>& path = plan_->sub_query_path;
 
   std::vector<ReducePlanNode> nodes;
   for (size_t i = 0; i < path.size(); ++i) {

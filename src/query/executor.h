@@ -32,12 +32,10 @@ enum class QueryStrategy : uint8_t {
   /// DB Reducer applied only to the lowest-selectivity root-to-leaf path;
   /// remaining lists are fetched entire (Section 5.4, fourth strategy).
   kSubQueryReducer = 5,
-  /// Pick a plan from the stored posting-list sizes, in the spirit of the
-  /// optimizer the paper leaves as current work (Section 8): if some term
-  /// is much more selective than the largest one, run the Sub-query
-  /// Reducer on its path; otherwise fetch everything with the DPP (or the
-  /// baseline when the index has no DPP). The sizes come from the terms'
-  /// DPP directories, which a DPP plan then uses without a second fetch.
+  /// The optimizer the paper leaves as current work (Section 8): run the
+  /// cheapest candidate PlanQuery prices under `QueryOptions::objective`
+  /// (QueryPlan::pick), from the one directory round. A DPP plan then reads
+  /// the same directories without a second fetch.
   kAuto = 6,
   /// Distributed block-level twig join (Section 4.3): after the directory
   /// round and [min, max] / type-set filtering, partition the document
@@ -173,6 +171,8 @@ struct JoinTaskPlan {
   size_t home_block = 0;
   /// InWindowPostings of the home block.
   double home_postings = 0;
+  /// PushedInputs for the query peer (set by PlanQuery, not PlanJoinTasks).
+  std::vector<std::vector<bool>> pushed;
 };
 
 /// The postings of `block` expected inside `window`: its count times the
@@ -191,6 +191,50 @@ struct JoinTaskPlan {
 [[nodiscard]] std::vector<JoinTaskPlan> PlanJoinTasks(
     const std::vector<std::vector<index::DppBlockInfo>>& blocks,
     const index::Condition& window);
+
+/// One term's answer to the directory round (FetchTermDirectories).
+struct TermDirectory {
+  bool answered = false;
+  /// Not OK when the owner stayed unreachable within the retry budget.
+  Status status;
+  std::vector<index::DppBlockInfo> blocks;
+};
+
+/// The planning round: fetches every term's directory from `peer` in node
+/// order and runs `done` (if set) once every term has answered. The result
+/// fills as replies arrive; a term whose owner never replies stays
+/// unanswered.
+std::shared_ptr<const std::vector<TermDirectory>> FetchTermDirectories(
+    dht::DhtPeer* peer, const TreePattern& pattern,
+    const dht::RetryPolicy& retry,
+    std::function<void(const std::vector<TermDirectory>&)> done);
+
+/// What kAuto, kDpp, kDppJoin, the sub-query reducer and `explain` read
+/// from one directory round. Only PlanQuery derives it.
+struct QueryPlan {
+  /// Per term: its posting count (index::DirectoryCount), the owner that
+  /// answered for block 0 (unset for a term with none), and the postings
+  /// that owner gathers from overflow holders (index::OverflowCount).
+  std::vector<uint64_t> term_counts;
+  std::vector<std::optional<sim::NodeIndex>> term_owners;
+  std::vector<uint64_t> overflow;
+  /// The view rewrite PlanQuery was given, priced against the counts.
+  std::optional<ViewPricing> view;
+  std::vector<StrategyCostEstimate> costs;
+  /// kAuto's choice among `costs` (PickStrategy).
+  QueryStrategy pick = QueryStrategy::kBaseline;
+  /// The sub-query reducer's path (SubQueryPath).
+  std::vector<int> sub_query_path;
+  /// The blocks kDpp reads, and kDppJoin's tasks over them.
+  DppBlockSelection selection;
+  std::vector<JoinTaskPlan> tasks;
+};
+
+/// Plans a query issued at `at`. Pure: the caller consults the catalog.
+[[nodiscard]] QueryPlan PlanQuery(
+    const TreePattern& pattern, const std::vector<TermDirectory>& directories,
+    const std::optional<ViewCatalog::Rewrite>& view_rewrite,
+    const QueryOptions& options, sim::NodeIndex at);
 
 struct QueryMetrics {
   double submit_time = 0.0;
@@ -331,12 +375,9 @@ class QueryExecutor : public std::enable_shared_from_this<QueryExecutor> {
   /// computed once per transfer.
   size_t RecordTransfer(const index::PostingList& postings);
   void StartBaseline();
+  /// Starts kDpp's block fetches, or dispatches every kDppJoin task of the
+  /// plan and then asks for every task's pushed inputs.
   void OnDppDirectoriesReady();
-  /// kDppJoin: plan the join tasks over the selected `blocks`
-  /// (PlanJoinTasks), dispatch them all, then ask for every task's pushed
-  /// inputs.
-  void StartJoinTasks(
-      const std::vector<std::vector<index::DppBlockInfo>>& blocks);
   void DispatchJoinTask(size_t task);
   /// Asks the holder of each input PushedInputs names to push it to the
   /// task's home.
@@ -353,7 +394,6 @@ class QueryExecutor : public std::enable_shared_from_this<QueryExecutor> {
   /// order; finishes the query when every task has been delivered.
   void DeliverReadyJoinTasks();
   void StartReducer(ReduceMode mode);
-  void StartAuto();
   /// kView: resolve a rewrite (unless kAuto already stashed one), fetch and
   /// count-verify the extent columns, then feed them into the join at their
   /// mapped query nodes alongside residual-term base fetches. Any miss or
@@ -365,19 +405,16 @@ class QueryExecutor : public std::enable_shared_from_this<QueryExecutor> {
   /// Re-dispatches a failed kView start to the strongest available base
   /// strategy (kDppJoin > kDpp > kBaseline) with degraded accounting.
   void FallbackFromView();
-  /// The planning round: fetches every term's directory into `dpp_` and
-  /// its posting count (the directory's block sum) into `term_counts_`,
-  /// then runs `then` (at once if the round already ran). kDpp and
-  /// kDppJoin run from the directories; every other strategy needs only
-  /// the counts. A directory lost to the retry budget finishes the query
-  /// degraded and incomplete instead.
+  /// The planning round (FetchTermDirectories) and PlanQuery over it, into
+  /// `plan_`; then runs `then` (at once if the round already ran). kAuto
+  /// consults the view catalog in between. A directory lost to the retry
+  /// budget finishes the query degraded and incomplete instead.
   void FetchDirectories(std::function<void()> then);
   void OnTermCountsReady();
-  /// The owner of `node`'s term as its directory reply named it (unset for
-  /// a term with no block 0); without a directory round, the owner the
-  /// peer's owner cache names (DhtPeer::KnownOwner).
+  /// The owner of `node`'s term as the plan names it; without a directory
+  /// round, the owner the peer's owner cache names (DhtPeer::KnownOwner).
   [[nodiscard]] std::optional<dht::OwnerHint> TermOwner(size_t node) const;
-  /// Records the planning counts on the root span (`term_counts`).
+  /// Records the plan's counts on the root span (`term_counts`).
   void AnnotateTermCounts();
   void LaunchReducePlan(ReduceMode mode, std::vector<ReducePlanNode> nodes);
   /// DPP: issue up to K block fetches for `node`; called on completions.
@@ -411,9 +448,8 @@ class QueryExecutor : public std::enable_shared_from_this<QueryExecutor> {
   // Stream bookkeeping (baseline / DPP / plain fetches in sub-query mode).
   std::vector<bool> stream_closed_;
 
-  // DPP state per pattern node.
+  // kDpp fetch state per pattern node, over plan_->selection.blocks.
   struct DppNodeState {
-    std::vector<index::DppBlockInfo> blocks;  // after skipping
     size_t next_to_issue = 0;
     size_t outstanding = 0;
     size_t next_to_deliver = 0;
@@ -424,20 +460,15 @@ class QueryExecutor : public std::enable_shared_from_this<QueryExecutor> {
     bool requires_merge = false;
   };
   std::vector<DppNodeState> dpp_;
-  index::Condition dpp_window_;
-  size_t directories_pending_ = 0;
-  /// Set once FetchDirectories has filled `dpp_` and `term_counts_`.
-  bool directories_ready_ = false;
-  /// Some directory fetch exhausted its retry budget.
-  bool directory_lost_ = false;
+  /// Set once the directory round has completed.
+  std::optional<QueryPlan> plan_;
 
   // Distributed block-join state (kDppJoin). Tasks partition the document
   // window into disjoint ascending intervals, so delivering them in task
   // order reproduces the document-order answer stream of kDpp exactly.
+  // One per task of plan_->tasks.
   struct JoinTask {
-    JoinTaskPlan plan;
-    /// PushedInputs of the plan, and the first of their delivery ids.
-    std::vector<std::vector<bool>> pushed;
+    /// The first of the pushed inputs' delivery ids.
     dht::RequestId delivery_id = 0;
     bool done = false;
     std::vector<Answer> answers;
@@ -451,11 +482,6 @@ class QueryExecutor : public std::enable_shared_from_this<QueryExecutor> {
 
   // Reducer state.
   size_t reduced_lists_pending_ = 0;
-
-  // Per-term posting counts from the directory round (kAuto, sub-query).
-  std::vector<uint64_t> term_counts_;
-  // Per-term owners from the same round (see TermOwner).
-  std::vector<std::optional<sim::NodeIndex>> term_owners_;
 
   // View state: the rewrite this query serves from (stashed by kAuto's
   // catalog consult or resolved by StartView).

@@ -1671,6 +1671,24 @@ TEST(GatherPricingTest, PartitionedPathSendsAutoToTheDistributedJoin) {
   ASSERT_TRUE(reduced.ok());
   EXPECT_EQ(Sorted(reduced.value().answers), truth);
   EXPECT_LT(m.ResponseTime(), reduced.value().metrics.ResponseTime());
+
+  // `explain` reads the same plan: the same pick, and the sub-query line
+  // prices author's gather at its overflow postings.
+  auto explained = net.ExplainQueryAndWait(
+      kQuerier, kQuery, StrategyOptions(QueryStrategy::kAuto));
+  ASSERT_TRUE(explained.ok()) << explained.status().ToString();
+  const std::string& text = explained.value();
+  EXPECT_NE(text.find("auto would run: dpp-join\n"), std::string::npos)
+      << text;
+  const std::string author = ParsePattern(kQuery).value().node(1).TermKey();
+  const uint64_t gather =
+      index::OverflowCount(Directory(net, kQuerier, author), author);
+  EXPECT_GT(gather, 0u);
+  const size_t sub = text.find("  subquery-reducer ");
+  ASSERT_NE(sub, std::string::npos) << text;
+  const std::string line = text.substr(sub, text.find('\n', sub) - sub);
+  EXPECT_NE(line.find(" [1]=" + std::to_string(gather)), std::string::npos)
+      << line;
 }
 
 TEST(ShortPullTest, OneRuleForEveryTrimShape) {

@@ -309,6 +309,26 @@ TEST_F(ViewTest, AutoViewFallbackReusesThePlanningDirectories) {
   EXPECT_EQ(fallen.value().answers, truth.value().answers);
 }
 
+// `explain` prices a servable view from the same plan kAuto runs, and
+// names the strategy kAuto then serves with.
+TEST_F(ViewTest, ExplainPricesTheViewAutoServesFrom) {
+  auto name = net_->CreateViewAndWait("//article//author");
+  ASSERT_TRUE(name.ok()) << name.status().ToString();
+  QueryOptions options;
+  options.strategy = QueryStrategy::kAuto;
+  auto explained = net_->ExplainQueryAndWait(1, "//article//author", options);
+  ASSERT_TRUE(explained.ok()) << explained.status().ToString();
+  const std::string& text = explained.value();
+  EXPECT_NE(text.find("view rewrite: " + name.value() + " (exact, extent="),
+            std::string::npos)
+      << text;
+  auto ran = net_->QueryAndWait(1, "//article//author", options);
+  ASSERT_TRUE(ran.ok());
+  EXPECT_EQ(ran.value().metrics.effective_strategy, QueryStrategy::kView);
+  EXPECT_TRUE(ran.value().metrics.view_hit);
+  EXPECT_NE(text.find("auto would run: view\n"), std::string::npos) << text;
+}
+
 // -- Advisor ----------------------------------------------------------------
 
 // The advisor's query log: a bounded space-saving tracker.
