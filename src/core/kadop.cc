@@ -33,6 +33,14 @@ FaultEventCounters& FaultEvents() {
   return counters;
 }
 
+/// `options` as a network with or without DPP can plan them: without it
+/// every list is one block at its owner, so kAuto and `explain` must price
+/// neither kDpp nor kDppJoin.
+query::QueryOptions Plannable(query::QueryOptions options, bool enable_dpp) {
+  options.dpp_available = options.dpp_available && enable_dpp;
+  return options;
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -462,7 +470,8 @@ Status KadopNet::SubmitQuery(NodeIndex at, std::string_view xpath,
                              query::QueryClient::Callback callback) {
   Result<query::TreePattern> pattern = query::ParsePattern(xpath);
   if (!pattern.ok()) return pattern.status();
-  peer(at)->query_client().Submit(pattern.value(), options,
+  peer(at)->query_client().Submit(pattern.value(),
+                                  Plannable(options, options_.enable_dpp),
                                   std::move(callback));
   return Status::OK();
 }
@@ -573,7 +582,9 @@ Result<std::string> KadopNet::LookupDocUriAndWait(NodeIndex at,
 
 Result<std::string> KadopNet::ExplainQueryAndWait(
     NodeIndex at, std::string_view xpath,
-    const query::QueryOptions& options) {
+    const query::QueryOptions& requested) {
+  const query::QueryOptions options =
+      Plannable(requested, options_.enable_dpp);
   Result<query::TreePattern> parsed = query::ParsePattern(xpath);
   if (!parsed.ok()) return parsed.status();
   const query::TreePattern pattern = parsed.take();

@@ -49,6 +49,10 @@ void AppendVarint(std::vector<uint8_t>& out, uint64_t v) {
 
 [[nodiscard]] bool ReadVarint(const uint8_t* data, size_t size, size_t* pos,
                               uint64_t* v) {
+  if (*pos < size && data[*pos] < 0x80) {  // most fields fit in one byte
+    *v = data[(*pos)++];
+    return true;
+  }
   uint64_t value = 0;
   for (int shift = 0; shift < 64; shift += 7) {
     if (*pos >= size) return false;
@@ -56,6 +60,9 @@ void AppendVarint(std::vector<uint8_t>& out, uint64_t v) {
     if (shift == 63 && byte > 0x01) return false;  // bits beyond 2^64
     value |= static_cast<uint64_t>(byte & 0x7f) << shift;
     if ((byte & 0x80) == 0) {
+      // A zero final byte after the first pads the value: the encoder
+      // never writes one, so accepting it would break canonical form.
+      if (byte == 0 && shift > 0) return false;
       *v = value;
       return true;
     }
@@ -100,34 +107,37 @@ void AppendVarintPosting(std::vector<uint8_t>& out, const Posting& p) {
   return true;
 }
 
-/// Shared traversal for the encoder and the size function: walks the runs
-/// of `list` and feeds each varint (or its length) to `emit`, so
-/// `EncodedBytes` is exact by construction.
+/// Shared traversal for the encoder and the size functions: walks the runs
+/// of `list[0, n)` and feeds each varint (or its length) to `emit`, so
+/// `EncodedBytes` and `EncodedSingleBytes` are exact by construction.
 template <typename Emit>
-void WalkEncoded(const PostingList& list, Emit&& emit) {
-  emit(list.size());
+void WalkEncoded(const Posting* list, size_t n, Emit&& emit) {
+  emit(n);
   uint32_t prev_peer = 0;
   uint32_t prev_doc = 0;
+  uint16_t prev_level = 0;
   size_t i = 0;
-  while (i < list.size()) {
+  while (i < n) {
     const uint32_t peer = list[i].peer;
     const uint32_t doc = list[i].doc;
-    size_t end = i;
-    while (end < list.size() && list[end].peer == peer &&
-           list[end].doc == doc) {
-      ++end;
-    }
-    emit(peer - prev_peer);
-    emit(peer != prev_peer ? doc : doc - prev_doc);
-    emit(static_cast<uint64_t>(end - i));
+    size_t end = i + 1;
+    while (end < n && list[end].peer == peer && list[end].doc == doc) ++end;
+    const bool new_peer = peer != prev_peer;
+    const bool multi = end - i > 1;
+    const uint64_t doc_field = new_peer ? doc : doc - prev_doc;
+    emit(doc_field << 2 | uint64_t{new_peer} << 1 | uint64_t{multi});
+    if (new_peer) emit(peer - prev_peer);
+    if (multi) emit(static_cast<uint64_t>(end - i - 2));
     uint32_t prev_start = 0;
     for (; i < end; ++i) {
       const xml::StructuralId& sid = list[i].sid;
       KADOP_CHECK(sid.end >= sid.start, "codec: sid interval end < start");
+      const bool level_changed = sid.level != prev_level;
       emit(sid.start - prev_start);
-      emit(sid.end - sid.start);
-      emit(sid.level);
+      emit(uint64_t{sid.end - sid.start} << 1 | uint64_t{level_changed});
+      if (level_changed) emit(sid.level);
       prev_start = sid.start;
+      prev_level = sid.level;
     }
     prev_peer = peer;
     prev_doc = doc;
@@ -184,6 +194,7 @@ void WalkAnswers(const std::vector<DocId>& matched_docs,
   emit(answers.size());
   const size_t arity = answers.empty() ? 0 : answers.front().elements.size();
   const xml::StructuralId zero;
+  std::vector<uint16_t> last_level(arity, 0);  // per node, across runs
   size_t i = 0;
   while (i < answers.size()) {
     const DocId doc = answers[i].doc;
@@ -200,14 +211,17 @@ void WalkAnswers(const std::vector<DocId>& matched_docs,
             a == i ? zero : answers[a - 1].elements[k];
         if (sid == prev) {
           emit(0);
-          continue;
+        } else {
+          KADOP_CHECK(sid.end >= sid.start,
+                      "codec: sid interval end < start");
+          const bool level_changed = sid.level != last_level[k];
+          emit(ZigZag(static_cast<int64_t>(sid.start) -
+                      static_cast<int64_t>(prev.start)) +
+               1);
+          emit(uint64_t{sid.end - sid.start} << 1 | uint64_t{level_changed});
+          if (level_changed) emit(sid.level);
         }
-        KADOP_CHECK(sid.end >= sid.start, "codec: sid interval end < start");
-        emit(ZigZag(static_cast<int64_t>(sid.start) -
-                    static_cast<int64_t>(prev.start)) +
-             1);
-        emit(sid.end - sid.start);
-        emit(sid.level);
+        last_level[k] = sid.level;
       }
     }
     i = end;
@@ -229,8 +243,9 @@ std::vector<uint8_t> EncodePostings(const PostingList& list) {
   KADOP_CHECK(IsSortedPostingList(list), "codec: encoding an unsorted list");
   const uint64_t t0 = obs::ProfileNowNs();
   std::vector<uint8_t> out;
-  out.reserve(list.size() * 6 + 4);
-  WalkEncoded(list, [&out](uint64_t v) { AppendVarint(out, v); });
+  out.reserve(list.size() * 4 + 4);
+  WalkEncoded(list.data(), list.size(),
+              [&out](uint64_t v) { AppendVarint(out, v); });
   C().encodes->Increment();
   C().encode_ns->Increment(obs::ProfileNowNs() - t0);
   return out;
@@ -244,57 +259,85 @@ Status DecodePostings(const uint8_t* data, size_t size, PostingList* out) {
   if (!ReadVarint(data, size, &pos, &count)) {
     return Status::Corruption("codec: truncated posting count");
   }
-  // Every posting needs >= 3 payload bytes; reject counts the buffer can't
+  // Every posting needs >= 2 payload bytes; reject counts the buffer can't
   // possibly hold before reserving.
-  if (count > (size - pos) / 3 + 1) {
+  if (count > (size - pos) / 2) {
     return Status::Corruption("codec: posting count exceeds buffer");
   }
   out->reserve(count);
-  uint32_t prev_peer = 0;
-  uint32_t prev_doc = 0;
+  constexpr uint64_t kMax32 = std::numeric_limits<uint32_t>::max();
+  uint64_t prev_peer = 0;
+  uint64_t prev_doc = 0;
+  uint64_t prev_level = 0;
   while (out->size() < count) {
+    uint64_t head = 0;
     uint64_t dpeer = 0;
-    uint64_t doc_field = 0;
-    uint64_t run_len = 0;
-    if (!ReadVarint(data, size, &pos, &dpeer) ||
-        !ReadVarint(data, size, &pos, &doc_field) ||
-        !ReadVarint(data, size, &pos, &run_len)) {
+    uint64_t extra = 0;
+    if (!ReadVarint(data, size, &pos, &head)) {
       return Status::Corruption("codec: truncated run header");
+    }
+    const uint64_t doc_field = head >> 2;
+    const uint64_t remaining = count - out->size();
+    if (((head & 2) != 0 && !ReadVarint(data, size, &pos, &dpeer)) ||
+        ((head & 1) != 0 && !ReadVarint(data, size, &pos, &extra))) {
+      return Status::Corruption("codec: truncated run header");
+    }
+    // Canonical form only: a new-peer bit carries a non-zero delta, a
+    // multi run holds 2..remaining postings, and a run on the same peer
+    // moves to a later doc (runs are maximal).
+    if (((head & 2) != 0) != (dpeer != 0) ||
+        ((head & 1) != 0 && (remaining < 2 || extra > remaining - 2)) ||
+        (dpeer == 0 && doc_field == 0 && !out->empty()) ||
+        dpeer > kMax32 - prev_peer ||
+        doc_field > (dpeer != 0 ? kMax32 : kMax32 - prev_doc)) {
+      return Status::Corruption("codec: malformed run header");
     }
     const uint64_t peer = prev_peer + dpeer;
     const uint64_t doc = dpeer != 0 ? doc_field : prev_doc + doc_field;
-    if (run_len == 0 || run_len > count - out->size() ||
-        peer > std::numeric_limits<uint32_t>::max() ||
-        doc > std::numeric_limits<uint32_t>::max()) {
-      return Status::Corruption("codec: malformed run header");
-    }
+    const uint64_t run_len = (head & 1) != 0 ? extra + 2 : 1;
     uint64_t prev_start = 0;
+    uint64_t prev_width = 0;
     for (uint64_t k = 0; k < run_len; ++k) {
       uint64_t dstart = 0;
-      uint64_t width = 0;
-      uint64_t level = 0;
+      uint64_t width_field = 0;
       if (!ReadVarint(data, size, &pos, &dstart) ||
-          !ReadVarint(data, size, &pos, &width) ||
-          !ReadVarint(data, size, &pos, &level)) {
+          !ReadVarint(data, size, &pos, &width_field)) {
         return Status::Corruption("codec: truncated posting");
       }
+      uint64_t level = prev_level;
+      if ((width_field & 1) != 0) {
+        if (!ReadVarint(data, size, &pos, &level)) {
+          return Status::Corruption("codec: truncated posting");
+        }
+        // A set level bit must change the level.
+        if (level == prev_level) {
+          return Status::Corruption("codec: non-canonical posting");
+        }
+      }
+      const uint64_t width = width_field >> 1;
+      // prev_start <= 2^32, so neither sum can wrap once dstart is bounded.
       const uint64_t start = prev_start + dstart;
-      const uint64_t sid_end = start + width;
-      if (sid_end > std::numeric_limits<uint32_t>::max() ||
+      if (dstart > kMax32 || start + width > kMax32 ||
           level > std::numeric_limits<uint16_t>::max()) {
         return Status::Corruption("codec: posting field overflow");
       }
-      Posting p;
-      p.peer = static_cast<uint32_t>(peer);
-      p.doc = static_cast<uint32_t>(doc);
-      p.sid.start = static_cast<uint32_t>(start);
-      p.sid.end = static_cast<uint32_t>(sid_end);
-      p.sid.level = static_cast<uint16_t>(level);
-      out->push_back(p);
-      prev_start = static_cast<uint32_t>(start);
+      // Postings sharing a start keep (end, level) order, so every
+      // accepted stream decodes to a sorted list.
+      if (dstart == 0 && k > 0 &&
+          (width < prev_width || (width == prev_width && level < prev_level))) {
+        return Status::Corruption("codec: non-canonical posting");
+      }
+      out->push_back(Posting{static_cast<uint32_t>(peer),
+                             static_cast<uint32_t>(doc),
+                             {static_cast<uint32_t>(start),
+                              static_cast<uint32_t>(start + width),
+                              static_cast<uint16_t>(level)}});
+      prev_start = start;
+      prev_width = width;
+      prev_level = level;
     }
-    prev_peer = static_cast<uint32_t>(peer);
-    prev_doc = static_cast<uint32_t>(doc);
+    prev_peer = peer;
+    prev_doc = doc;
   }
   if (pos != size) {
     return Status::Corruption("codec: trailing bytes after postings");
@@ -310,18 +353,15 @@ Status DecodePostings(const std::vector<uint8_t>& buffer, PostingList* out) {
 
 size_t EncodedBytes(const PostingList& list) {
   size_t total = 0;
-  WalkEncoded(list, [&total](uint64_t v) { total += VarintLen(v); });
+  WalkEncoded(list.data(), list.size(),
+              [&total](uint64_t v) { total += VarintLen(v); });
   return total;
 }
 
 size_t EncodedSingleBytes(const Posting& posting) {
-  KADOP_CHECK(posting.sid.end >= posting.sid.start,
-              "codec: sid interval end < start");
-  return VarintLen(1)                                    // count
-         + VarintLen(posting.peer) + VarintLen(posting.doc) + VarintLen(1)
-         + VarintLen(posting.sid.start)
-         + VarintLen(posting.sid.end - posting.sid.start)
-         + VarintLen(posting.sid.level);
+  size_t total = 0;
+  WalkEncoded(&posting, 1, [&total](uint64_t v) { total += VarintLen(v); });
+  return total;
 }
 
 size_t WireBytes(const PostingList& list) {
@@ -339,8 +379,9 @@ size_t MemoizedWireBytes(const PostingList& list, WireSizeMemo* memo) {
 }
 
 double EstimatedWirePostingBytes() {
-  // ~6 bytes/posting is the measured DBLP-mix ratio (BENCH_codec.json);
-  // the planner only needs relative strategy costs, not exact sizes.
+  // A fixed, conservative round number: the DBLP mix measures 3.30 B per
+  // posting (BENCH_codec.json). The planner only needs relative strategy
+  // costs, not exact sizes (docs/wire_format.md#planner).
   return 6.0;
 }
 
@@ -395,6 +436,7 @@ Status DecodeAnswers(const uint8_t* data, size_t size, size_t arity,
   answers->reserve(count);
   docs = DocDeltas{};
   const xml::StructuralId zero;
+  std::vector<uint16_t> last_level(arity, 0);  // per node, across runs
   while (answers->size() < count) {
     DocId doc;
     uint64_t run_len = 0;
@@ -402,7 +444,9 @@ Status DecodeAnswers(const uint8_t* data, size_t size, size_t arity,
         !ReadVarint(data, size, &pos, &run_len)) {
       return fail("codec: truncated answer run header");
     }
-    if (run_len == 0 || run_len > count - answers->size()) {
+    // Runs are maximal, so a run never repeats the previous run's doc.
+    if (run_len == 0 || run_len > count - answers->size() ||
+        (!answers->empty() && answers->back().doc == doc)) {
       return fail("codec: malformed answer run header");
     }
     for (uint64_t r = 0; r < run_len; ++r) {
@@ -416,17 +460,21 @@ Status DecodeAnswers(const uint8_t* data, size_t size, size_t arity,
         if (!ReadVarint(data, size, &pos, &token)) {
           return fail("codec: truncated answer");
         }
+        xml::StructuralId& sid = a.elements[k];
         if (token == 0) {
-          a.elements[k] = prev;
+          sid = prev;
+          last_level[k] = sid.level;
           continue;
         }
         const int64_t dstart = UnZigZag(token - 1);
-        uint64_t width = 0;
-        uint64_t level = 0;
-        if (!ReadVarint(data, size, &pos, &width) ||
-            !ReadVarint(data, size, &pos, &level)) {
+        uint64_t width_field = 0;
+        uint64_t level = last_level[k];
+        if (!ReadVarint(data, size, &pos, &width_field) ||
+            ((width_field & 1) != 0 &&
+             !ReadVarint(data, size, &pos, &level))) {
           return fail("codec: truncated answer");
         }
+        const uint64_t width = width_field >> 1;
         // Bound the delta before adding, so the sum cannot overflow.
         const int64_t base = prev.start;
         constexpr int64_t kMax = std::numeric_limits<uint32_t>::max();
@@ -435,10 +483,16 @@ Status DecodeAnswers(const uint8_t* data, size_t size, size_t arity,
             level > std::numeric_limits<uint16_t>::max()) {
           return fail("codec: answer sid overflow");
         }
-        xml::StructuralId& sid = a.elements[k];
         sid.start = static_cast<uint32_t>(base + dstart);
         sid.end = static_cast<uint32_t>(sid.start + width);
         sid.level = static_cast<uint16_t>(level);
+        // The encoder writes a repeat as 0 and sets the level bit only on a
+        // change; anything else would not re-encode to the same bytes.
+        if (sid == prev ||
+            ((width_field & 1) != 0 && level == last_level[k])) {
+          return fail("codec: non-canonical answer sid");
+        }
+        last_level[k] = sid.level;
       }
       answers->push_back(std::move(a));
     }
@@ -448,10 +502,11 @@ Status DecodeAnswers(const uint8_t* data, size_t size, size_t arity,
 }
 
 double EstimatedWireAnswerBytes(size_t nodes) {
-  // The raw tuple (8 B doc id + 18 B per node) over the ~9x ratio measured
-  // on the Fig 3 twigs: 4.95-4.99 B per answer at 2 nodes and 6.84 B at 3
-  // (docs/wire_format.md#planner). Like EstimatedWirePostingBytes it only
-  // steers strategy choice, never a byte charge.
+  // The raw tuple (8 B doc id + 18 B per node) over a ~9x ratio, kept
+  // conservative: DBLP twigs measure 3.58 B per answer at 2 nodes and
+  // 5.04 B at 3 (docs/wire_format.md#planner). Like
+  // EstimatedWirePostingBytes it only steers strategy choice, never a
+  // byte charge.
   return 1.0 + 2.0 * static_cast<double>(nodes);
 }
 

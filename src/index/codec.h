@@ -20,17 +20,27 @@ namespace kadop::index::codec {
 /// (peer, doc) run. The encoded stream is
 ///
 ///   varint(count)
-///   run*:  varint(dpeer) varint(ddoc) varint(run_len)
-///          posting*: varint(dstart) varint(end - start) varint(level)
+///   run*:  varint(doc_field << 2 | new_peer << 1 | multi)
+///          [varint(dpeer)]        only if new_peer
+///          [varint(run_len - 2)]  only if multi
+///          posting*: varint(dstart) varint(width << 1 | level_changed)
+///                    [varint(level)]  only if level_changed
 ///
-/// where `dpeer` is the peer delta against the previous run (absolute for
-/// the first run), `ddoc` is the doc delta when the peer is unchanged and
-/// the absolute doc id otherwise, and `dstart` restarts at the absolute
-/// sid start on each new run. Every varint is LEB128 (7 bits per byte).
+/// A run is a maximal group of postings sharing (peer, doc); `multi` says
+/// it holds two or more (else exactly one). `new_peer` says the peer
+/// differs from the previous run's (0 before the first run) and `dpeer` is
+/// that non-zero delta. `doc_field` is the absolute doc id on a new peer
+/// and the doc delta otherwise. `dstart` restarts at the absolute sid
+/// start on each run, `width` is `end - start`, and the level is written
+/// only when it differs from the previous posting's, carried across the
+/// whole list from 0 (3% of a DBLP corpus's postings change level).
+/// Every varint is LEB128 (7 bits per byte).
 ///
 /// Encoding requires `IsSortedPostingList(list)` and `sid.end >= sid.start`
 /// for every posting — the invariants every stored list already satisfies.
-/// Duplicates encode as zero deltas; the codec never deduplicates.
+/// Duplicates encode as zero deltas; the codec never deduplicates. The
+/// decoder accepts only the encoder's canonical output, so an accepted
+/// stream re-encodes to the same bytes.
 ///
 /// This is the only posting wire and store format: every posting payload
 /// and stored list is charged at its encoded size. The raw 18-byte record
@@ -43,9 +53,12 @@ namespace kadop::index::codec {
 /// `DecodePostings` and its size always equals `EncodedBytes(list)`.
 [[nodiscard]] std::vector<uint8_t> EncodePostings(const PostingList& list);
 
-/// Inverse of `EncodePostings`. Fails with `kCorruption` on truncated or
-/// malformed input instead of crashing; `out` is cleared first and holds
-/// the full decoded list only on OK.
+/// Inverse of `EncodePostings`. Fails with `kCorruption` on truncated,
+/// malformed or non-canonical input (a padded varint, a `new_peer` bit
+/// with a zero delta, a run past the count or repeating the previous
+/// run's (peer, doc), a level bit that keeps the level, postings out of
+/// order) instead of crashing; `out` is cleared first and holds the full
+/// decoded list only on OK.
 [[nodiscard]] Status DecodePostings(const uint8_t* data, size_t size,
                                     PostingList* out);
 [[nodiscard]] Status DecodePostings(const std::vector<uint8_t>& buffer,
@@ -105,16 +118,21 @@ struct WireSizeMemo {
 ///   run*:     varint(dpeer) varint(ddoc | doc) varint(run_len)
 ///             answer*: per pattern node, either
 ///                      0                                (sid repeats), or
-///                      varint(zigzag(dstart) + 1) varint(width) varint(level)
+///                      varint(zigzag(dstart) + 1)
+///                      varint(width << 1 | level_changed)
+///                      [varint(level)]  only if level_changed
 ///
 /// A run is a maximal group of answers sharing `(peer, doc)`. Peer and doc
-/// fields follow the posting codec (doc absolute on a peer change, else a
-/// delta), taken mod 2^32 so any document order round-trips. Inside a run
-/// each pattern node's sid is coded against the same node's sid in the
-/// previous answer (the zero sid for the run's first answer): a repeat —
-/// typically the root element — is one 0 byte; otherwise the start delta
-/// is zigzag-coded, because a non-root column may decrease on a branching
-/// pattern. Every answer must carry the same number of elements, and every
+/// fields are the posting codec's before its run-header packing (doc
+/// absolute on a peer change, else a delta), taken mod 2^32 so any
+/// document order round-trips. Inside a run each pattern node's sid is
+/// coded against the same node's sid in the previous answer (the zero sid
+/// for the run's first answer): a repeat — typically the root element — is
+/// one 0 byte; otherwise the start delta is zigzag-coded, because a
+/// non-root column may decrease on a branching pattern. Each pattern node
+/// keeps its last level across runs (starting at 0, updated by every sid,
+/// repeats included), and a written sid carries its level only when it
+/// differs. Every answer must carry the same number of elements, and every
 /// sid needs `end >= start`.
 [[nodiscard]] std::vector<uint8_t> EncodeAnswers(
     const std::vector<DocId>& matched_docs, const std::vector<Answer>& answers);
@@ -126,9 +144,10 @@ struct WireSizeMemo {
 
 /// Inverse of `EncodeAnswers` for answers of `arity` elements (the
 /// pattern's node count; the stream does not repeat it). Fails with
-/// `kCorruption` on truncated, malformed or trailing input and on counts
-/// the buffer cannot hold, never crashing or over-allocating; both outputs
-/// are cleared first and hold the decoded stream only on OK.
+/// `kCorruption` on truncated, malformed, non-canonical or trailing input
+/// and on counts the buffer cannot hold, never crashing or
+/// over-allocating; both outputs are cleared first and hold the decoded
+/// stream only on OK.
 [[nodiscard]] Status DecodeAnswers(const uint8_t* data, size_t size,
                                    size_t arity,
                                    std::vector<DocId>* matched_docs,

@@ -4,7 +4,8 @@
 // allocating, encoded size must be monotone in list length, the block
 // encoder must emit independently decodable posting-aligned blocks, and
 // malformed input must fail with a Corruption status instead of crashing.
-// The answer-tuple codec gets the same treatment (AnswerCodecTest).
+// The answer-tuple codec gets the same treatment (AnswerCodecTest), and
+// seeded mutation fuzzers drive all three decoders (CodecFuzzTest).
 
 #include <gtest/gtest.h>
 
@@ -337,6 +338,140 @@ TEST(CodecTest, WireBytesIsTheMemoizedEncodedSize) {
 }
 
 // ---------------------------------------------------------------------------
+// Posting layout: run header varint(doc << 2 | new_peer << 1 | multi), the
+// peer delta only on a new peer, varint(run_len - 2) only on a multi run,
+// and per posting varint(dstart) varint(width << 1 | level_changed) plus
+// the level only when it changes (docs/wire_format.md).
+
+Status DecodeBytes(const std::vector<uint8_t>& buf) {
+  PostingList out;
+  return codec::DecodePostings(buf, &out);
+}
+
+TEST(CodecTest, LayoutIsPinnedByGoldenBytes) {
+  const PostingList list{Posting{0, 5, {10, 20, 3}}, Posting{0, 5, {12, 14, 3}},
+                         Posting{2, 1, {1, 1, 4}}};
+  const std::vector<uint8_t> golden{
+      0x03,                    // count
+      0x15, 0x00,              // doc 5, multi; run_len - 2 = 0
+      0x0a, 0x15, 0x03,        // start 10, width 10 + level bit, level 3
+      0x02, 0x04,              // start +2, width 2, level carries
+      0x06, 0x02,              // doc 1 absolute, new peer; peer delta 2
+      0x01, 0x01, 0x04};       // start 1, width 0 + level bit, level 4
+  EXPECT_EQ(codec::EncodePostings(list), golden);
+  ExpectRoundtrip(list);
+}
+
+TEST(CodecTest, LevelChangesRoundtripInsideAndAcrossRuns) {
+  // Levels change inside a run, carry across a run boundary unchanged,
+  // change at a run boundary, and return to 0 (the stream's start level).
+  const PostingList list{
+      Posting{1, 1, {2, 9, 1}},  Posting{1, 1, {3, 4, 2}},
+      Posting{1, 1, {5, 6, 2}},  Posting{1, 2, {2, 9, 2}},
+      Posting{1, 3, {1, 3, 5}},  Posting{4, 0, {7, 8, 0}},
+      Posting{4, 0, {7, 8, 9}},  Posting{4, 6, {0, 0, 9}}};
+  ExpectRoundtrip(list);
+  // Each of the five level changes costs exactly one one-byte varint.
+  PostingList flat = list;
+  for (Posting& p : flat) p.sid.level = 0;
+  EXPECT_EQ(codec::EncodedBytes(list), codec::EncodedBytes(flat) + 5);
+}
+
+TEST(CodecTest, WidthsRoundtripAtShiftedVarintBoundaries) {
+  // The level bit shares the width varint, so widths 64 and 8192 are the
+  // first to need one more byte.
+  const uint32_t start = 100;
+  for (const auto& [below, above] :
+       {std::pair<uint32_t, uint32_t>{63, 64}, {8191, 8192}}) {
+    for (uint16_t level : {uint16_t{0}, uint16_t{7}}) {
+      const Posting lo{0, 0, {start, start + below, level}};
+      const Posting hi{0, 0, {start, start + above, level}};
+      ExpectRoundtrip({lo});
+      ExpectRoundtrip({hi});
+      ExpectRoundtrip({lo, hi});
+      EXPECT_EQ(codec::EncodedBytes({hi}), codec::EncodedBytes({lo}) + 1)
+          << "width " << above << " level " << level;
+    }
+  }
+  const uint32_t u32 = std::numeric_limits<uint32_t>::max();
+  ExpectRoundtrip({Posting{0, 0, {0, u32, 1}}});
+}
+
+TEST(CodecTest, RunsOfOneTwoAndThreeRoundtrip) {
+  // A run of one has no length field; longer runs add varint(len - 2).
+  for (size_t len : {1u, 2u, 3u}) {
+    PostingList list;
+    for (uint32_t s = 0; s < len; ++s) list.push_back({0, 4, {s, s + 1, 2}});
+    list.push_back({0, 9, {1, 2, 2}});  // a second run after it
+    ExpectRoundtrip(list);
+    const size_t header = 1 + (len > 1 ? 1 : 0);
+    // count + run headers + (dstart, width) per posting + one level byte.
+    EXPECT_EQ(codec::EncodedBytes(list), 1 + header + 1 + 2 * (len + 1) + 1)
+        << "run of " << len;
+  }
+}
+
+TEST(CodecTest, MidListPeerChangeRoundtrips) {
+  // Two peer changes mid-list, each to a smaller doc id than the last.
+  const PostingList list{Posting{0, 3, {1, 2, 1}}, Posting{0, 8, {1, 2, 1}},
+                         Posting{3, 2, {1, 2, 1}}, Posting{3, 2, {4, 5, 1}},
+                         Posting{3, 7, {1, 2, 1}}, Posting{7, 0, {1, 2, 1}}};
+  ExpectRoundtrip(list);
+  // Keeping peer 0 for the middle runs drops one one-byte peer delta.
+  PostingList fewer = list;
+  for (size_t i = 2; i < 5; ++i) fewer[i].peer = 0;
+  fewer[2].doc = fewer[3].doc = 9;
+  fewer[4].doc = 14;
+  ExpectRoundtrip(fewer);
+  EXPECT_EQ(codec::EncodedBytes(fewer) + 1, codec::EncodedBytes(list));
+}
+
+TEST(CodecTest, SizeWalkEqualsEncoderOnSeededLists) {
+  // Real lists hold one level per term; random ones change it often.
+  for (uint64_t seed = 1; seed <= 40; ++seed) {
+    std::mt19937_64 rng(seed);
+    PostingList list = RandomSortedList(rng, 1 + seed * 37 % 700);
+    if (seed % 2 == 0) {
+      for (Posting& p : list) p.sid.level = 3;
+    }
+    EXPECT_EQ(codec::EncodedBytes(list), codec::EncodePostings(list).size())
+        << "seed " << seed;
+    for (size_t i = 0; i < list.size(); i += 17) {
+      EXPECT_EQ(codec::EncodedSingleBytes(list[i]),
+                codec::EncodePostings({list[i]}).size());
+    }
+  }
+}
+
+TEST(CodecTest, NonCanonicalStreamsFailWithCorruption) {
+  // Each stream below decodes to a list whose encoding differs, so the
+  // decoder refuses it: every accepted stream re-encodes byte-exactly.
+  const std::vector<std::vector<uint8_t>> cases{
+      // new-peer bit with a zero peer delta
+      {0x01, 0x06, 0x00, 0x01, 0x00},
+      // multi run whose length runs past the count
+      {0x02, 0x01, 0x01, 0x01, 0x00, 0x01, 0x00},
+      // level bit on an unchanged level (0 -> 0)
+      {0x01, 0x00, 0x01, 0x01, 0x00},
+      // a second run on the same (peer, doc)
+      {0x02, 0x04, 0x01, 0x00, 0x00, 0x01, 0x00},
+      // a padded varint: 0x80 0x00 is a two-byte 0
+      {0x01, 0x00, 0x80, 0x00, 0x00},
+      // equal starts with a falling width: (1, 5) then (1, 3)
+      {0x02, 0x01, 0x00, 0x01, 0x08, 0x00, 0x04},
+      // equal start and width with a falling level: 2 then 1
+      {0x02, 0x01, 0x00, 0x01, 0x01, 0x02, 0x00, 0x01, 0x01}};
+  for (size_t i = 0; i < cases.size(); ++i) {
+    EXPECT_EQ(DecodeBytes(cases[i]).code(), StatusCode::kCorruption)
+        << "case " << i;
+  }
+  // The same shapes written canonically decode.
+  EXPECT_TRUE(DecodeBytes({0x01, 0x06, 0x01, 0x01, 0x00}).ok());
+  EXPECT_TRUE(DecodeBytes({0x02, 0x01, 0x00, 0x01, 0x00, 0x01, 0x00}).ok());
+  EXPECT_TRUE(DecodeBytes({0x02, 0x04, 0x01, 0x00, 0x08, 0x01, 0x00}).ok());
+}
+
+// ---------------------------------------------------------------------------
 // Answer-tuple codec (EncodeAnswers / DecodeAnswers / EncodedAnswerBytes).
 
 struct Reply {
@@ -570,6 +705,240 @@ TEST(AnswerCodecTest, AbsurdCountsAndFieldsFailWithCorruption) {
   EXPECT_EQ(DecodeReply({0x01, 0x80, 0x80, 0x80, 0x80, 0x10, 0x00, 0x00}, 1)
                 .code(),
             StatusCode::kCorruption);
+}
+
+// Answer sids carry the posting codec's level bit, against a last level
+// kept per pattern node across runs.
+
+TEST(AnswerCodecTest, LayoutIsPinnedByGoldenBytes) {
+  const DocId a{1, 4}, b{1, 9};
+  const Reply reply{{a},
+                    {Answer{a, {{1, 50, 1}, {3, 4, 2}}},
+                     Answer{a, {{1, 50, 1}, {6, 7, 2}}},
+                     Answer{b, {{2, 30, 1}, {5, 6, 3}}}}};
+  const std::vector<uint8_t> golden{
+      0x01, 0x01, 0x04,        // one matched doc: peer 1, doc 4
+      0x03,                    // three answers
+      0x01, 0x04, 0x02,        // run (1, 4) of two answers
+      0x03, 0x63, 0x01,        // start +1, width 49 + level bit, level 1
+      0x07, 0x03, 0x02,        // start +3, width 1 + level bit, level 2
+      0x00,                    // root repeats
+      0x07, 0x02,              // start +3, width 1, level 2 carries
+      0x00, 0x05, 0x01,        // run (1, 9) of one answer
+      0x05, 0x38,              // start +2, width 28, level 1 carries
+      0x0b, 0x03, 0x03};       // start +5, width 1 + level bit, level 3
+  EXPECT_EQ(codec::EncodeAnswers(reply.matched, reply.answers), golden);
+  ExpectAnswerRoundtrip(reply, 2);
+}
+
+TEST(AnswerCodecTest, PerNodeLevelsChangeAndCarryAcrossRuns) {
+  // Levels change inside a run, per node, and at run boundaries.
+  const DocId a{0, 1}, b{0, 2}, c{3, 0};
+  const Reply changing{
+      {a, b, c},
+      {Answer{a, {{1, 90, 1}, {4, 5, 2}, {6, 7, 3}}},
+       Answer{a, {{1, 90, 1}, {8, 9, 4}, {10, 11, 3}}},
+       Answer{b, {{2, 40, 2}, {3, 4, 4}, {5, 6, 1}}},
+       Answer{c, {{1, 9, 2}, {2, 3, 4}, {4, 5, 1}}},
+       Answer{c, {{1, 9, 2}, {6, 7, 0}, {8, 9, 6}}}}};
+  ExpectAnswerRoundtrip(changing, 3);
+  // With one level per node, only each node's first written sid pays for
+  // its level: one byte per node over an all-zero-level reply.
+  std::mt19937_64 rng(25);
+  Reply steady = RandomReply(rng, 3, 100);
+  Reply zero = steady;
+  for (size_t i = 0; i < steady.answers.size(); ++i) {
+    for (size_t k = 0; k < 3; ++k) {
+      steady.answers[i].elements[k].level = static_cast<uint16_t>(k + 1);
+      zero.answers[i].elements[k].level = 0;
+    }
+  }
+  ExpectAnswerRoundtrip(steady, 3);
+  ExpectAnswerRoundtrip(zero, 3);
+  EXPECT_EQ(codec::EncodedAnswerBytes(steady.matched, steady.answers),
+            codec::EncodedAnswerBytes(zero.matched, zero.answers) + 3);
+}
+
+TEST(AnswerCodecTest, NonCanonicalStreamsFailWithCorruption) {
+  // One answer of arity 1 in run (0, 0) starts {0x00, 0x01, 0x00, 0x00,
+  // 0x01}; each tail below makes a stream whose decoding re-encodes to
+  // other bytes, or whose level does not fit in 16 bits.
+  const std::vector<uint8_t> head{0x00, 0x01, 0x00, 0x00, 0x01};
+  const std::vector<std::vector<uint8_t>> tails{
+      {0x01, 0x00},              // a written sid equal to the zero sid
+      {0x03, 0x01, 0x00},        // level bit on an unchanged level
+      {0x03, 0x01, 0x80, 0x80, 0x04},  // level 2^16
+      {0x83, 0x00, 0x00}};       // a padded start token
+  for (size_t i = 0; i < tails.size(); ++i) {
+    std::vector<uint8_t> buf = head;
+    buf.insert(buf.end(), tails[i].begin(), tails[i].end());
+    EXPECT_EQ(DecodeReply(buf, 1).code(), StatusCode::kCorruption)
+        << "tail " << i;
+  }
+  std::vector<uint8_t> canonical = head;
+  canonical.insert(canonical.end(), {0x03, 0x00});
+  EXPECT_TRUE(DecodeReply(canonical, 1).ok());
+  // Two runs on the same document: runs are maximal.
+  EXPECT_EQ(DecodeReply({0x00, 0x02, 0x00, 0x05, 0x01, 0x03, 0x00, 0x00, 0x00,
+                         0x01, 0x03, 0x00},
+                        1)
+                .code(),
+            StatusCode::kCorruption);
+  EXPECT_TRUE(DecodeReply({0x00, 0x02, 0x00, 0x05, 0x01, 0x03, 0x00, 0x00,
+                           0x01, 0x01, 0x03, 0x00},
+                          1)
+                  .ok());
+}
+
+// ---------------------------------------------------------------------------
+// Seeded mutation fuzzers over the three receive paths: DecodePostings,
+// DecodeBlockWithHeader and DecodeAnswers. Each mutant is a valid stream
+// with one to three bytes flipped, cut short, or spliced (a prefix of one
+// valid stream followed by the suffix of another). Every mutant must fail
+// with kCorruption or decode to a valid result that re-encodes to exactly
+// the mutant's bytes, since the decoders accept only canonical streams.
+// The budget is fixed; CI also runs it under ASan/UBSan, where an
+// over-read or overflow on any mutant fails the test.
+
+constexpr int kFuzzRounds = 4000;  // mutants per decoder
+constexpr size_t kFuzzArity = 3;   // answer-stream pattern size
+
+enum class Mutation { kFlip, kTruncate, kSplice };
+
+std::vector<uint8_t> Mutate(std::mt19937_64& rng, Mutation op,
+                            const std::vector<uint8_t>& valid,
+                            const std::vector<uint8_t>& other) {
+  auto pick = [&rng](size_t n) {
+    return std::uniform_int_distribution<size_t>(0, n - 1)(rng);
+  };
+  std::vector<uint8_t> out = valid;
+  switch (op) {
+    case Mutation::kFlip:
+      for (size_t flips = 1 + pick(3); flips > 0; --flips) {
+        out[pick(out.size())] ^= static_cast<uint8_t>(1 + pick(255));
+      }
+      break;
+    case Mutation::kTruncate:
+      out.resize(pick(out.size()));
+      break;
+    case Mutation::kSplice: {
+      out.resize(pick(out.size() + 1));
+      const size_t from = pick(other.size() + 1);
+      out.insert(out.end(), other.begin() + static_cast<long>(from),
+                 other.end());
+      break;
+    }
+  }
+  return out;
+}
+
+/// A small seeded list (so mutations land on headers as often as on
+/// postings): half with one level per list, as real term lists have.
+PostingList FuzzList(std::mt19937_64& rng) {
+  PostingList list =
+      RandomSortedList(rng, std::uniform_int_distribution<size_t>(0, 24)(rng));
+  if (rng() % 2 == 0) {
+    for (Posting& p : list) p.sid.level = 4;
+  }
+  return list;
+}
+
+/// Runs `decode` on kFuzzRounds mutants of `make()`'s valid streams and
+/// returns how many it rejected; `decode` checks every accepted mutant.
+template <typename Make, typename Decode>
+size_t FuzzDecoder(uint64_t seed, Make&& make, Decode&& decode) {
+  std::mt19937_64 rng(seed);
+  size_t rejected = 0;
+  for (int round = 0; round < kFuzzRounds; ++round) {
+    const std::vector<uint8_t> valid = make(rng);
+    const std::vector<uint8_t> other = make(rng);
+    const auto op = static_cast<Mutation>(round % 3);
+    const std::vector<uint8_t> mutant = Mutate(rng, op, valid, other);
+    const Status st = decode(mutant);
+    if (!st.ok()) {
+      EXPECT_EQ(st.code(), StatusCode::kCorruption) << st.ToString();
+      ++rejected;
+    }
+  }
+  return rejected;
+}
+
+TEST(CodecFuzzTest, DecodePostingsAcceptsOnlyCanonicalStreams) {
+  const size_t rejected = FuzzDecoder(
+      101,
+      [](std::mt19937_64& rng) { return codec::EncodePostings(FuzzList(rng)); },
+      [](const std::vector<uint8_t>& bytes) {
+        PostingList out;
+        const Status st = codec::DecodePostings(bytes, &out);
+        if (st.ok()) {
+          EXPECT_TRUE(IsSortedPostingList(out));
+          if (IsSortedPostingList(out)) {
+            EXPECT_EQ(codec::EncodePostings(out), bytes);
+          }
+        } else {
+          EXPECT_TRUE(out.empty() || st.code() == StatusCode::kCorruption);
+        }
+        return st;
+      });
+  EXPECT_GT(rejected, 0u);
+}
+
+TEST(CodecFuzzTest, DecodeBlockWithHeaderAcceptsOnlyCanonicalBlocks) {
+  const size_t rejected = FuzzDecoder(
+      102,
+      [](std::mt19937_64& rng) {
+        const PostingList list = FuzzList(rng);
+        codec::BlockEncoder enc(list.size() + 1);
+        for (const Posting& p : list) enc.Add(p);
+        return enc.Flush().bytes;
+      },
+      [](const std::vector<uint8_t>& bytes) {
+        codec::BlockHeader header;
+        PostingList out;
+        const Status st = codec::DecodeBlockWithHeader(
+            bytes.data(), bytes.size(), &header, &out);
+        if (st.ok()) {
+          EXPECT_EQ(header.count, out.size());
+          EXPECT_TRUE(IsSortedPostingList(out));
+          if (IsSortedPostingList(out)) {
+            std::vector<uint8_t> again;
+            codec::AppendBlockHeader(again, header);
+            const std::vector<uint8_t> payload = codec::EncodePostings(out);
+            again.insert(again.end(), payload.begin(), payload.end());
+            EXPECT_EQ(again, bytes);
+          }
+        }
+        return st;
+      });
+  EXPECT_GT(rejected, 0u);
+}
+
+TEST(CodecFuzzTest, DecodeAnswersAcceptsOnlyCanonicalStreams) {
+  const size_t rejected = FuzzDecoder(
+      103,
+      [](std::mt19937_64& rng) {
+        const Reply reply = RandomReply(rng, kFuzzArity, rng() % 6);
+        return codec::EncodeAnswers(reply.matched, reply.answers);
+      },
+      [](const std::vector<uint8_t>& bytes) {
+        std::vector<DocId> matched;
+        std::vector<Answer> answers;
+        const Status st = codec::DecodeAnswers(bytes.data(), bytes.size(),
+                                               kFuzzArity, &matched,
+                                               &answers);
+        if (!st.ok()) {
+          EXPECT_TRUE(matched.empty());
+          EXPECT_TRUE(answers.empty());
+          return st;
+        }
+        for (const Answer& a : answers) {
+          EXPECT_EQ(a.elements.size(), kFuzzArity);
+          for (const auto& sid : a.elements) EXPECT_GE(sid.end, sid.start);
+        }
+        EXPECT_EQ(codec::EncodeAnswers(matched, answers), bytes);
+        return st;
+      });
+  EXPECT_GT(rejected, 0u);
 }
 
 }  // namespace

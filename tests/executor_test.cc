@@ -212,22 +212,37 @@ TEST_F(ExecutorTest, IncompleteQueryMetricsStaySane) {
   EXPECT_DOUBLE_EQ(fresh.TimeToFirstAnswer(), -1.0);
 }
 
+/// A DPP-off network with a published DBLP-like corpus.
+class ExecutorDppOffTest : public ::testing::Test {
+ protected:
+  static std::vector<xml::Document> Corpus() {
+    xml::corpus::DblpOptions copt;
+    copt.target_bytes = 150 << 10;
+    copt.doc_bytes = 8 << 10;
+    return xml::corpus::GenerateDblp(copt);
+  }
+
+  static KadopOptions DppOff() {
+    KadopOptions opt;
+    opt.peers = 8;
+    opt.enable_dpp = false;
+    return opt;
+  }
+
+  void SetUp() override {
+    std::vector<const xml::Document*> ptrs;
+    for (const auto& d : docs) ptrs.push_back(&d);
+    net.PublishAndWait(2, ptrs);
+  }
+
+  const std::vector<xml::Document> docs = Corpus();
+  KadopNet net{DppOff()};
+};
+
 // On a DPP-off network the reducer service answers directory requests
 // from the store: the directory's count is the owner's stored count, and
 // kAuto plans from it and runs.
-TEST(ExecutorDppOffTest, AutoPlansFromStoreDirectories) {
-  xml::corpus::DblpOptions copt;
-  copt.target_bytes = 150 << 10;
-  copt.doc_bytes = 8 << 10;
-  const std::vector<xml::Document> docs = xml::corpus::GenerateDblp(copt);
-  KadopOptions opt;
-  opt.peers = 8;
-  opt.enable_dpp = false;
-  KadopNet net(opt);
-  std::vector<const xml::Document*> ptrs;
-  for (const auto& d : docs) ptrs.push_back(&d);
-  net.PublishAndWait(2, ptrs);
-
+TEST_F(ExecutorDppOffTest, AutoPlansFromStoreDirectories) {
   for (const char* term : {"l:article", "l:author", "w:ullman", "l:none"}) {
     std::optional<std::vector<index::DppBlockInfo>> dir;
     index::DppManager::FetchDirectory(
@@ -259,6 +274,34 @@ TEST(ExecutorDppOffTest, AutoPlansFromStoreDirectories) {
     const std::vector<Answer> truth = GroundTruth(docs, expr);
     EXPECT_FALSE(truth.empty()) << expr;
     EXPECT_EQ(Sorted(result.value().answers), Sorted(truth)) << expr;
+  }
+}
+
+// A DPP-off network clears `dpp_available` itself: with the options the
+// shell passes (DPP and the distributed join advertised), `explain` prices
+// neither kDpp nor kDppJoin and lists no join tasks, and kAuto runs
+// neither and answers exactly.
+TEST_F(ExecutorDppOffTest, PlanningIgnoresAdvertisedDpp) {
+  QueryOptions options;
+  options.dpp_join_available = true;
+  for (const char* expr : kQueries) {
+    auto explained = net.ExplainQueryAndWait(1, expr, options);
+    ASSERT_TRUE(explained.ok()) << explained.status().ToString();
+    const std::string& text = explained.value();
+    EXPECT_NE(text.find("  baseline "), std::string::npos) << text;
+    EXPECT_EQ(text.find("  dpp "), std::string::npos) << text;
+    EXPECT_EQ(text.find("  dpp-join "), std::string::npos) << text;
+    EXPECT_EQ(text.find("dpp-join tasks"), std::string::npos) << text;
+
+    options.strategy = QueryStrategy::kAuto;
+    auto result = net.QueryAndWait(1, expr, options);
+    ASSERT_TRUE(result.ok()) << expr;
+    const QueryStrategy ran = result.value().metrics.effective_strategy;
+    EXPECT_NE(ran, QueryStrategy::kDpp) << expr;
+    EXPECT_NE(ran, QueryStrategy::kDppJoin) << expr;
+    EXPECT_TRUE(result.value().metrics.complete) << expr;
+    EXPECT_EQ(Sorted(result.value().answers), Sorted(GroundTruth(docs, expr)))
+        << expr;
   }
 }
 

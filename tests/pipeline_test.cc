@@ -8,6 +8,7 @@
 
 #include "dht/dht.h"
 #include "dht/ring.h"
+#include "index/codec.h"
 
 namespace kadop::dht {
 namespace {
@@ -33,9 +34,16 @@ PostingList BigList(size_t n) {
   return out;
 }
 
+/// Seconds the default uplink takes to send `list`'s encoded bytes.
+double UplinkSeconds(const PostingList& list) {
+  return static_cast<double>(index::codec::EncodedBytes(list)) /
+         sim::NetworkParams{}.uplink_bytes_per_s;
+}
+
 TEST(PipelineTest, BlocksArriveSpacedInTime) {
   Net net(8);
-  net.dht.peer(0)->Append("l:a", BigList(12000), nullptr);
+  const PostingList list = BigList(12000);
+  net.dht.peer(0)->Append("l:a", list, nullptr);
   net.scheduler.RunUntilIdle();
 
   GetSpec spec;
@@ -53,10 +61,14 @@ TEST(PipelineTest, BlocksArriveSpacedInTime) {
   for (size_t i = 1; i < arrivals.size(); ++i) {
     EXPECT_GT(arrivals[i], arrivals[i - 1]);
   }
-  // The stream spans real time: ~three extra 18 KB transfers after the
-  // first block (3000 postings at ~6 encoded bytes each; >= 3 x 1.8 ms at
-  // 10 MB/s).
-  EXPECT_GT(arrivals.back() - arrivals.front(), 0.004);
+  // The stream spans real time: at least 78% of the uplink time of the
+  // three blocks that follow the first.
+  double transfer = 0;
+  for (size_t b = 1; b < 4; ++b) {
+    transfer += UplinkSeconds(PostingList(list.begin() + b * 3000,
+                                          list.begin() + (b + 1) * 3000));
+  }
+  EXPECT_GT(arrivals.back() - arrivals.front(), 0.78 * transfer);
 }
 
 TEST(PipelineTest, ProducerFailureMidStreamTimesOutIncomplete) {
@@ -95,7 +107,6 @@ TEST(PipelineTest, ProducerFailureMidStreamTimesOutIncomplete) {
 }
 
 TEST(PipelineTest, ConcurrentStreamsFromOneProducerSerializeOnUplink) {
-  // ~108 KB on the wire: 18000 postings at ~6 encoded bytes each.
   constexpr size_t kPostings = 18000;
   Net net(8);
   net.dht.peer(0)->Append("l:a", BigList(kPostings), nullptr);
@@ -127,11 +138,11 @@ TEST(PipelineTest, ConcurrentStreamsFromOneProducerSerializeOnUplink) {
   const sim::NodeIndex c2 = owner == 3 ? 4 : 3;
   const double solo = run({c1});
   const double both = run({c1, c2});
-  // Two full-list streams share the producer's uplink: the second 108 KB
-  // transfer serializes behind the first (~11 ms at 10 MB/s), on top of
-  // the fixed routing latency both runs share.
-  EXPECT_GT(both, 1.25 * solo);
-  EXPECT_GT(both - solo, 0.006);
+  // Two full-list streams share the producer's uplink: the second list's
+  // transfer serializes behind the first, on top of the fixed routing
+  // latency both runs share, so it adds at least 59% of a list's uplink
+  // time.
+  EXPECT_GT(both - solo, 0.59 * UplinkSeconds(BigList(kPostings)));
 }
 
 TEST(PipelineTest, DiskFifoSerializesLocalWork) {

@@ -37,11 +37,16 @@ also has dpp_join_ingress_wire_kb < dpp_ingress_wire_kb: with the join at
 the holders, the query peer receives less than kDpp's posting lists, as
 the largest list never moves.
 
+The codec bench (bench == "codec") additionally promises, on every row,
+decoded_postings == postings (every encoded list decodes whole) and
+ratio >= CODEC_RATIO_FLOOR, the raw-to-encoded ratio of the committed
+quick run on the DBLP mix. The floor only ever rises.
+
 Usage: check_bench_json.py FILE [FILE...]
        check_bench_json.py --self-test
 Exits non-zero listing every violation, so CI fails loudly when a bench
 stops emitting what the figure scripts consume. --self-test checks that
-small synthetic serving and Fig 3 files which break each gate are
+small synthetic serving, Fig 3 and codec files which break each gate are
 rejected.
 """
 
@@ -49,6 +54,11 @@ import json
 import os
 import sys
 import tempfile
+
+# Raw-to-encoded posting ratio of the committed quick BENCH_codec.json
+# (DBLP mix, 128 KB corpus; deterministic). Raise it when the codec
+# improves; never lower it.
+CODEC_RATIO_FLOOR = 5.45
 
 
 def _err(errors, path, message):
@@ -143,6 +153,27 @@ def check_file(path, errors):
         check_serving_rows(rows, path, errors)
     if bench == "fig3_query_dpp" and isinstance(rows, list):
         check_fig3_rows(rows, path, errors)
+    if bench == "codec" and isinstance(rows, list):
+        check_codec_rows(rows, path, errors)
+
+
+def check_codec_rows(rows, path, errors):
+    """Every codec row decodes all it encoded, at no worse a ratio than the
+    committed floor."""
+    for i, row in enumerate(rows):
+        if not isinstance(row, dict):
+            continue
+        postings = row.get("postings")
+        decoded = row.get("decoded_postings")
+        if not isinstance(postings, (int, float)) or decoded != postings:
+            _err(errors, path,
+                 f"rows[{i}].decoded_postings must equal postings "
+                 f"(got {decoded!r} vs {postings!r})")
+        ratio = row.get("ratio")
+        if not isinstance(ratio, (int, float)) or ratio < CODEC_RATIO_FLOOR:
+            _err(errors, path,
+                 f"rows[{i}].ratio must be >= {CODEC_RATIO_FLOOR} "
+                 f"(got {ratio!r})")
 
 
 def check_fig3_rows(rows, path, errors):
@@ -341,6 +372,23 @@ def _synthetic_fig3():
             "metrics": {"counters": {}, "gauges": {}, "histograms": {}}}
 
 
+def _synthetic_codec():
+    """A one-row codec file that passes every gate."""
+    row = {"corpus": "dblp", "postings": 1000, "decoded_postings": 1000,
+           "ratio": CODEC_RATIO_FLOOR + 0.5}
+    return {"bench": "codec", "description": "synthetic codec file",
+            "schema_version": 1, "rows": [row],
+            "metrics": {"counters": {}, "gauges": {}, "histograms": {}}}
+
+
+def _codec_lost_postings(data):
+    data["rows"][0]["decoded_postings"] = 999
+
+
+def _codec_ratio_below_floor(data):
+    data["rows"][0]["ratio"] = CODEC_RATIO_FLOOR - 0.01
+
+
 def _join_mismatch(data):
     data["rows"][1]["join_answers_match"] = 0
 
@@ -377,6 +425,7 @@ def self_test():
     and the unbroken one accepted."""
     serving = _synthetic_serving
     fig3 = _synthetic_fig3
+    codec = _synthetic_codec
     cases = [
         ("valid", serving, None, None),
         ("no knee", serving, _no_knee, "knee row names no ladder step"),
@@ -391,6 +440,11 @@ def self_test():
          "rows[0].view_answers_match must be 1"),
         ("fig3 join ingress not below dpp", fig3, _join_ingress_not_below,
          "rows[1].dpp_join_ingress_wire_kb must be below"),
+        ("valid codec", codec, None, None),
+        ("codec lost postings", codec, _codec_lost_postings,
+         "rows[0].decoded_postings must equal postings"),
+        ("codec ratio below floor", codec, _codec_ratio_below_floor,
+         "rows[0].ratio must be >="),
     ]
     failures = 0
     with tempfile.TemporaryDirectory() as tmp:
