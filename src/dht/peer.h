@@ -324,12 +324,13 @@ class DhtPeer final : public sim::Actor {
   /// The owner cache: which node owns each key this peer has read or
   /// written, learned only from messages it received (a directory reply's
   /// block-0 holder; the sender of the first block of a get, or of the
-  /// reply to an app request, routed through the ring and not hinted).
-  /// The cache-aware read sites hint their first
-  /// attempt with it, and a DPP owner names its overflow holders from it;
-  /// a stale entry costs a forward, never a misdelivery. `set_routing`
-  /// empties it, so an entry never outlives the ring it was learned on.
-  /// Writes never consult it.
+  /// reply to an app request, routed through the ring and not hinted; the
+  /// new block's holder a DppSplitDone carries, learned only when no ring
+  /// change fell inside the split, see routing_changes). The cache-aware
+  /// read sites hint their first attempt with it, and a DPP owner names
+  /// its overflow holders from it; a stale entry costs a forward, never a
+  /// misdelivery. `set_routing` empties it, so an entry never outlives the
+  /// ring it was learned on. Writes never consult it.
   [[nodiscard]] std::optional<OwnerHint> KnownOwner(
       const std::string& key) const;
   void LearnOwner(const std::string& key, sim::NodeIndex owner);
@@ -358,8 +359,13 @@ class DhtPeer final : public sim::Actor {
   void set_routing(RoutingTable table) {
     routing_ = std::move(table);
     owners_.clear();
+    ++routing_changes_;
   }
   const RoutingTable& routing() const { return routing_; }
+  /// How many routing tables this peer has installed. A name learned from
+  /// a reply to a request sent before a change may belong to the old
+  /// ring: compare the counts at send and at reply before caching it.
+  [[nodiscard]] uint64_t routing_changes() const { return routing_changes_; }
 
   void HandleMessage(const sim::Message& msg) override;
 
@@ -425,6 +431,7 @@ class DhtPeer final : public sim::Actor {
   obs::Counter* load_appends_;
   /// The owner cache (see KnownOwner).
   std::unordered_map<std::string, sim::NodeIndex> owners_;
+  uint64_t routing_changes_ = 0;
 
   double disk_free_at_ = 0.0;
   uint64_t last_read_bytes_ = 0;

@@ -71,8 +71,8 @@ namespace kadop::index::codec {
 [[nodiscard]] size_t EncodedBytes(const PostingList& list);
 
 /// Encoded size of a single posting as a standalone one-element stream —
-/// the amortized append charge (appends re-encode only the appended run,
-/// never the whole stored list).
+/// the charge of a one-posting append or erase (a batch append is charged
+/// `EncodedBytes` of the batch, never the whole stored list).
 [[nodiscard]] size_t EncodedSingleBytes(const Posting& posting);
 
 /// Raw (fixed 18-byte record) sizes. The only sanctioned home for

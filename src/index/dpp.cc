@@ -346,8 +346,10 @@ void DppManager::MaybeSplit(const std::string& term_key) {
       "ovf:" + std::to_string(st.next_block_seq++) + ":" + term_key;
   const std::string block_key = st.blocks[victim].key;
 
-  auto done = [this, term_key, victim, new_key](const DppSplitDone& result) {
-    FinishSplit(term_key, victim, new_key, result);
+  const uint64_t ring = peer_->routing_changes();
+  auto done = [this, term_key, victim, new_key,
+               ring](const DppSplitDone& result) {
+    FinishSplit(term_key, victim, new_key, ring, result);
   };
 
   if (block_key == term_key) {
@@ -368,10 +370,17 @@ void DppManager::MaybeSplit(const std::string& term_key) {
 }
 
 void DppManager::FinishSplit(const std::string& term_key, size_t block_index,
-                             std::string new_key, const DppSplitDone& done) {
+                             std::string new_key, uint64_t ring,
+                             const DppSplitDone& done) {
   TermState& st = terms_[term_key];
   KADOP_CHECK(st.split_in_progress, "unexpected split completion");
   if (done.ok) {
+    // The carried holder owned the new key on the ring the split ran on;
+    // after a ring change it may not, so name nothing until a routed
+    // reply teaches the owner again.
+    if (done.new_holder.has_value() && peer_->routing_changes() == ring) {
+      peer_->LearnOwner(new_key, *done.new_holder);
+    }
     BlockEntry& lower = st.blocks[block_index];
     lower.cond = done.lower;
     lower.count = done.lower_count;
@@ -435,7 +444,9 @@ void DppManager::PerformLocalSplit(const std::string& block_key,
   for (const Posting& p : upper) result.upper.Extend(p);
 
   // The whole block is read and half of it rewritten: charge the disk,
-  // then migrate the upper half to the new holder.
+  // then migrate the upper half to the new holder. The routed store's
+  // reply teaches this peer's cache the new holder, which the result
+  // carries to the term owner.
   const double io_bytes = static_cast<double>(codec::EncodedBytes(all));
   auto migrate = [this, new_block_key, upper = std::move(upper),
                   result = std::move(result),
@@ -445,8 +456,13 @@ void DppManager::PerformLocalSplit(const std::string& block_key,
     msg->postings = std::move(upper);
     peer_->RouteApp(
         new_block_key, std::move(msg), TrafficCategory::kPublish,
-        [result = std::move(result), done = std::move(done)](
-            sim::PayloadPtr) mutable { done(std::move(result)); });
+        [this, new_block_key, result = std::move(result),
+         done = std::move(done)](sim::PayloadPtr) mutable {
+          if (const auto known = peer_->KnownOwner(new_block_key)) {
+            result.new_holder = known->node;
+          }
+          done(std::move(result));
+        });
   };
   peer_->ScheduleAfterDisk(io_bytes, /*write=*/true, std::move(migrate));
 }
@@ -538,8 +554,9 @@ bool DppManager::HandleApp(const AppRequest& request, NodeIndex /*from*/) {
         DppBlockInfo& info = resp->blocks.emplace_back(
             DppBlockInfo{b.key, b.cond, b.count, b.types, std::nullopt});
         // Block 0 lives in this peer's own store: name this peer as its
-        // holder. An overflow block's holder is named once a routed reply
-        // from it taught the owner cache, which every ring change empties.
+        // holder. An overflow block's holder is named from the owner
+        // cache (its split's carried holder, or a routed reply from it),
+        // which every ring change empties.
         if (b.key == dir->term_key) {
           info.holder = peer_->node();
           continue;

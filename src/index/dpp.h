@@ -149,8 +149,12 @@ class DppManager {
   /// Index of the block a posting belongs to.
   [[nodiscard]] size_t FindBlock(TermState& st, const Posting& p);
   void MaybeSplit(const std::string& term_key);
+  /// Applies a split's outcome. `ring` is the owner's routing-change
+  /// count when the split began: the carried new holder is cached only if
+  /// the ring has not changed since.
   void FinishSplit(const std::string& term_key, size_t block_index,
-                   std::string new_key, const DppSplitDone& done);
+                   std::string new_key, uint64_t ring,
+                   const DppSplitDone& done);
   /// Executes a split of a locally stored block and migrates the upper
   /// half; used for both the owner's local block and the holder role.
   void PerformLocalSplit(const std::string& block_key,

@@ -78,17 +78,23 @@ struct DppSplitBlock final : sim::Payload {
 };
 
 /// Split outcome reported back to the term owner so it can update the root
-/// block's conditions.
+/// block's conditions. `new_holder` is the node that stored the migrated
+/// half: the sender of the reply to the old holder's routed DppStoreBlock,
+/// so the owner can name the new block's holder without a routed write.
 struct DppSplitDone final : sim::Payload {
   bool ok = false;
   Condition lower;
   Condition upper;
   uint64_t lower_count = 0;
   uint64_t upper_count = 0;
+  std::optional<sim::NodeIndex> new_holder;
 
   size_t SizeBytes() const override {
-    // Two conditions = four raw posting bounds (fixed-format fields).
-    return codec::RawBytes(4) + 20;
+    // Two conditions = four raw posting bounds (fixed-format fields); the
+    // new holder is a varint node index (its presence rides in `ok`'s
+    // byte).
+    return codec::RawBytes(4) + 20 +
+           (new_holder.has_value() ? codec::VarintLen(*new_holder) : 0);
   }
   std::string_view TypeName() const override { return "DppSplitDone"; }
 };
@@ -121,12 +127,15 @@ struct DppDeleteDone final : sim::Payload {
 /// `holder` names the node a read of the block goes to in one hop
 /// (GetSpec::owner_hint): for block 0 under the term key, the owner that
 /// answered the directory request; for an overflow block, the holder the
-/// owner's cache learned from a routed reply to its own writes or
-/// get-proxy pulls (DhtPeer::KnownOwner). It is absent while the owner
-/// knows none: after every ring change (which empties the cache, so a
-/// dead holder is never named after it) until a routed reply teaches the
-/// owner again. A stale name costs a forward, or a lost attempt and its
-/// routed retry, never a misdelivery.
+/// owner's cache learned (DhtPeer::KnownOwner) from the DppSplitDone that
+/// created the block (which carries the holder the old holder's routed
+/// DppStoreBlock reached) or from a routed reply to the owner's own
+/// writes or get-proxy pulls. On an unchanged ring every overflow block
+/// is named. It is absent after a ring change (which empties the cache,
+/// so a dead holder is never named after it; a split that straddles one
+/// names nothing) until a routed reply teaches the owner again. A stale
+/// name costs a forward, or a lost attempt and its routed retry, never a
+/// misdelivery.
 struct DppBlockInfo {
   std::string key;
   Condition cond;

@@ -111,7 +111,19 @@ void BTreePeerStore::AppendPosting(const std::string& key,
 
 void BTreePeerStore::AppendPostings(const std::string& key,
                                     const PostingList& postings) {
-  for (const Posting& p : postings) AppendPosting(key, p);
+  if (postings.empty()) return;
+  const uint32_t tid = InternTerm(key);
+  bool changed = false;
+  for (const Posting& p : postings) {
+    if (tree_.InsertOrAssign(TreeKey{tid, p}, Empty{})) {
+      ++counts_[tid];
+      changed = true;
+    }
+  }
+  if (changed) BumpPostingVersion(key);
+  // One operation per batch, charged at the batch's encoded size: the
+  // appended run is written once, as one stream.
+  ChargeIo(0, index::codec::EncodedBytes(postings));
 }
 
 PostingList BTreePeerStore::GetPostings(const std::string& key) {

@@ -49,7 +49,8 @@ class PeerStore {
 
   /// Appends a batch (already sorted or not; the store keeps order). The
   /// naive store performs a single whole-value reconciliation per call —
-  /// this is what makes batching matter there.
+  /// this is what makes batching matter there; the B+-tree store charges
+  /// one write of the batch's encoded size.
   virtual void AppendPostings(const std::string& key,
                               const index::PostingList& postings) = 0;
 

@@ -695,12 +695,24 @@ TEST(AnswerCodecTest, AbsurdCountsAndFieldsFailWithCorruption) {
   EXPECT_EQ(DecodeReply({0x00, 0x01, 0x00, 0x00, 0x01, 0x02, 0x00, 0x01}, 1)
                 .code(),
             StatusCode::kCorruption);
-  // A level beyond 16 bits: varint(2^16) = 80 80 04.
+  // A written sid equal to the zero sid it is coded against (start delta
+  // 0, width 0, no level bit): refused before the trailing bytes are read.
   EXPECT_EQ(DecodeReply({0x00, 0x01, 0x00, 0x00, 0x01, 0x01, 0x00, 0x80, 0x80,
                          0x04},
                         1)
                 .code(),
             StatusCode::kCorruption);
+  // A level beyond 16 bits: start delta +1, the level bit set and
+  // varint(2^16) = 80 80 04.
+  const Status wide_level = DecodeReply(
+      {0x00, 0x01, 0x00, 0x00, 0x01, 0x03, 0x01, 0x80, 0x80, 0x04}, 1);
+  EXPECT_EQ(wide_level.code(), StatusCode::kCorruption);
+  EXPECT_EQ(wide_level.message(), "codec: answer sid overflow");
+  // The same stream one level lower decodes.
+  EXPECT_TRUE(
+      DecodeReply({0x00, 0x01, 0x00, 0x00, 0x01, 0x03, 0x01, 0xff, 0xff, 0x03},
+                  1)
+          .ok());
   // A peer delta beyond 32 bits: varint(2^32) = 80 80 80 80 10.
   EXPECT_EQ(DecodeReply({0x01, 0x80, 0x80, 0x80, 0x80, 0x10, 0x00, 0x00}, 1)
                 .code(),

@@ -999,11 +999,9 @@ TEST(OwnerHintTest, ReadsAfterTheDirectoryRoundTakeOneHop) {
 // directory, so reads of a partitioned term's blocks go one hop.
 
 /// A network whose terms split into many blocks, the corpus published by
-/// peer 2 and its last document withdrawn again: a whole-document delete
-/// visits every block of each of its terms, so each term owner learns
-/// every overflow holder (a block created by a remote split is otherwise
-/// learned only at the owner's next write to it). `docs` is what stays
-/// published.
+/// peer 2. Many blocks are made by splits on remote holders and see no
+/// write after it: each term owner names their holders from the splits'
+/// DppSplitDone replies alone.
 struct SplitNet {
   static constexpr const char* kExprs[] = {"//article//author",
                                            "//article[//journal]//year"};
@@ -1014,8 +1012,6 @@ struct SplitNet {
     opt.dpp.max_block_postings = 256;  // force splits
     net = std::make_unique<KadopNet>(opt);
     net->PublishAndWait(2, DocPtrs(docs, 0, docs.size()));
-    EXPECT_TRUE(net->UnpublishAndWait(2, docs.size() - 1));
-    docs.pop_back();
   }
 
   /// Each term of the queries, with its directory as `at` fetches it.
@@ -1259,6 +1255,59 @@ TEST(PushJoinTest, HomesAskForNoForeignInput) {
   }
 }
 
+// A block made by a split on a remote holder is named by the DppSplitDone
+// that created it, so on a network that only published (no later write
+// teaches the owners) every kDppJoin task's home is named and every input
+// the home does not hold is pushed to it: no home asks for a foreign
+// input, and the answers are the oracle's.
+TEST(PushJoinTest, RemoteSplitBlocksAreNamedAndPushed) {
+  SplitNet s;
+  constexpr sim::NodeIndex kQuerier = 1;
+  for (const char* expr : SplitNet::kExprs) {
+    const TreePattern pattern = ParsePattern(expr).take();
+    std::shared_ptr<const std::vector<TermDirectory>> dirs =
+        FetchTermDirectories(s.net->peer(kQuerier)->dht_peer(), pattern, {},
+                             nullptr);
+    s.net->RunToIdle();
+    const QueryPlan plan =
+        PlanQuery(pattern, *dirs, std::nullopt,
+                  StrategyOptions(QueryStrategy::kDppJoin), kQuerier);
+    ASSERT_GE(plan.tasks.size(), 2u) << expr;
+    size_t pushes = 0;
+    for (const JoinTaskPlan& task : plan.tasks) {
+      const std::optional<sim::NodeIndex> home = Home(task).holder;
+      ASSERT_TRUE(home.has_value()) << expr << " " << Home(task).key;
+      for (size_t node = 0; node < task.inputs.size(); ++node) {
+        for (size_t idx = 0; idx < task.inputs[node].size(); ++idx) {
+          const index::DppBlockInfo& block = task.inputs[node][idx];
+          ASSERT_TRUE(block.holder.has_value()) << expr << " " << block.key;
+          const bool pushed = task.pushed[node][idx];
+          EXPECT_EQ(pushed, *home != kQuerier && block.holder != home)
+              << expr << " " << block.key;
+          pushes += pushed ? 1 : 0;
+        }
+      }
+    }
+    EXPECT_GT(pushes, 0u) << expr;
+
+    const TracedJoin run = RunTracedJoin(*s.net, kQuerier, expr);
+    size_t pushed = 0;
+    for (const auto& [serve, cause] : run.Serves()) {
+      ASSERT_NE(cause, nullptr) << expr;
+      if (cause->name == "query.join.dispatch") {
+        ++pushed;
+      } else if (cause->node != kQuerier) {
+        EXPECT_EQ(serve->node, cause->node) << expr << " " << SpanKey(*serve);
+      }
+    }
+    EXPECT_EQ(pushed, pushes) << expr;
+    EXPECT_EQ(run.result.metrics.join_tasks, plan.tasks.size()) << expr;
+    EXPECT_TRUE(run.result.metrics.complete) << expr;
+    EXPECT_FALSE(run.result.metrics.degraded) << expr;
+    EXPECT_EQ(Sorted(run.result.answers), Oracle(expr, s.docs)) << expr;
+  }
+}
+
 // A pushed input's holder starts serving one hop after dispatch, so the
 // input reaches its home 2 hops plus its serve and transfer time after
 // dispatch: every task's reply leaves within that, where a pull by the
@@ -1349,6 +1398,18 @@ TEST(PushJoinTest, ExplainMarksTheInputsTheQueryPeerPushes) {
   }
 }
 
+/// KadopPeer's own app dispatch, for tests that wrap a peer's handler.
+void HandleAppAsKadopPeer(core::KadopPeer* peer,
+                          const dht::AppRequest& request,
+                          sim::NodeIndex from) {
+  if (peer->dpp() != nullptr && peer->dpp()->HandleApp(request, from)) return;
+  if (peer->reducer().HandleApp(request, from)) return;
+  if (peer->query_client().HandleApp(request, from)) return;
+  if (peer->block_join().HandleApp(request, from)) return;
+  EXPECT_TRUE(peer->fundex().HandleApp(request, from))
+      << "unexpected app message " << request.inner->TypeName();
+}
+
 /// Every peer's app handler is wrapped: a BlockJoinRequest reaches the
 /// block-join service `delay_s` late, so the inputs pushed to its home
 /// arrive first. `held` is set when such a task finds pushed blocks
@@ -1362,14 +1423,7 @@ void DelayJoinTasks(KadopNet& net, double delay_s, bool* held) {
                                         sim::NodeIndex from) {
       if (dynamic_cast<const index::BlockJoinRequest*>(
               request.inner.get()) == nullptr) {
-        // KadopPeer's dispatch order.
-        if (peer->dpp() != nullptr && peer->dpp()->HandleApp(request, from)) {
-          return;
-        }
-        if (peer->reducer().HandleApp(request, from)) return;
-        if (peer->query_client().HandleApp(request, from)) return;
-        EXPECT_TRUE(peer->fundex().HandleApp(request, from))
-            << "unexpected app message " << request.inner->TypeName();
+        HandleAppAsKadopPeer(peer, request, from);
         return;
       }
       scheduler->After(delay_s, [peer, held, request, from]() {
@@ -1859,6 +1913,29 @@ enum class HolderNames {
   kNamed,
 };
 
+/// Crashes `victim` (KadopNet::FailPeerAndStabilize) as the first
+/// BlockJoinRequest reaches it, once that task has started, or at
+/// `latest` if none has reached it by then (its dispatch was lost).
+void CrashVictimMidTask(KadopNet& net, sim::NodeIndex victim, double latest) {
+  auto crashed = std::make_shared<bool>(false);
+  auto crash = [&net, victim, crashed]() {
+    if (*crashed) return;
+    *crashed = true;
+    net.FailPeerAndStabilize(victim);
+  };
+  net.scheduler().At(latest, crash);
+  core::KadopPeer* peer = net.peer(victim);
+  peer->dht_peer()->SetAppHandler([&net, peer, crash](
+                                      const dht::AppRequest& request,
+                                      sim::NodeIndex from) {
+    HandleAppAsKadopPeer(peer, request, from);
+    if (dynamic_cast<const index::BlockJoinRequest*>(request.inner.get()) !=
+        nullptr) {
+      net.scheduler().After(0, crash);
+    }
+  });
+}
+
 /// The single-term pattern makes every join task have exactly one input
 /// block — its home — so the crashed holder's blocks are touched only by
 /// the tasks homed there. With routed dispatches (HolderNames::kNone)
@@ -1934,9 +2011,11 @@ JoinChaosOutcome RunJoinChaosScenario(uint64_t seed, HolderNames names) {
     out.victim_named = false;
   }
 
-  // Crash mid-request. The ring re-stabilizes around the crash, so the
-  // victim's key range is inherited by a data-less successor that answers
-  // pulls with empty-but-"complete" lists. With routed dispatches the
+  // Crash mid-request: the victim crashes as its first join task starts
+  // (or at t0+0.02 if that task's dispatch was lost), so the task's reply
+  // is lost however fast the query runs. The ring re-stabilizes around
+  // the crash, so the victim's key range is inherited by a data-less
+  // successor that answers pulls with empty-but-"complete" lists. With routed dispatches the
   // holder's directory check catches that and NACKs (complete=false),
   // which forces the affected tasks onto the query-side fallback. The
   // fallback's own verified re-pulls out-wait the outage: the victim
@@ -1951,9 +2030,8 @@ JoinChaosOutcome RunJoinChaosScenario(uint64_t seed, HolderNames names) {
   fopts.dup_p = 0.02;
   fopts.jitter_mean_s = 0.002;
   const double t0 = net.scheduler().Now();
-  net.EnableFaults(fopts,
-                   {sim::CrashEvent{t0 + 0.02, *victim, /*up=*/false},
-                    sim::CrashEvent{t0 + 1.0, *victim, /*up=*/true}});
+  net.EnableFaults(fopts, {sim::CrashEvent{t0 + 1.0, *victim, /*up=*/true}});
+  CrashVictimMidTask(net, *victim, t0 + 0.02);
 
   qopt.fetch_retry.timeout_s = 0.5;
   qopt.fetch_retry.max_retries = 3;
@@ -2058,7 +2136,7 @@ TEST(DistributedJoinChaosTest, HintedDispatchToCrashedHolderResolvesByRetry) {
 // The victim's task reaches, on its routed retry, the node that inherited
 // the victim's range, with inputs naming the dead victim as the block's
 // holder (fault seed 11: node 11 inherits ovf:1:l:author from node 3 and
-// reads it at t0+0.56 s). The heir reads its own block at once, instead
+// reads it at t0+0.57 s). The heir reads its own block at once, instead
 // of sending the pull to the dead node and waiting out the pull timeout
 // until the victim revives at t0+1.0.
 TEST(DistributedJoinChaosTest, HeirReadsTheInheritedBlockAtOnce) {

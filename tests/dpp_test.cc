@@ -194,9 +194,12 @@ TEST(DppTest, LongListSplitsAcrossPeersWithOrderedConditions) {
 }
 
 // The owner learns an overflow block's holder from the reply to a routed
-// write and names it in its directory: every named holder is the block
-// key's owner. A ring change empties the owner cache, so the directory
-// names none until a routed reply teaches the owner again.
+// write, or from the DppSplitDone of the split that created it, and names
+// it in its directory: on an unchanged ring every overflow holder is
+// named, including those of blocks made by splits on remote holders, and
+// every named holder is the block key's owner. A ring change empties the
+// owner cache, so the directory names none until a routed reply teaches
+// the owner again.
 TEST(DppTest, DirectoryNamesTheOverflowHoldersTheOwnerLearned) {
   DppOptions options;
   options.max_block_postings = 256;
@@ -230,7 +233,7 @@ TEST(DppTest, DirectoryNamesTheOverflowHoldersTheOwnerLearned) {
     ++holders;
     EXPECT_EQ(*b.holder, net.dht.OwnerOf(dht::HashKey(b.key))) << b.key;
   }
-  EXPECT_GT(holders, 0u);
+  EXPECT_EQ(holders, overflow);
   EXPECT_EQ(named->value() - named0, holders);
   EXPECT_EQ(unnamed->value() - unnamed0, overflow - holders);
 
@@ -246,6 +249,70 @@ TEST(DppTest, DirectoryNamesTheOverflowHoldersTheOwnerLearned) {
   EXPECT_EQ(named->value() - named0, 0u);
   EXPECT_EQ(unnamed->value() - unnamed0, overflow);
   EXPECT_EQ(net.FetchAllBlocks("l:author"), postings);
+}
+
+// A split whose DppSplitDone carries the new block's holder names it only
+// if the owner's ring did not change while the split was in flight: here
+// a ring change lands as the remote holder receives the DppSplitBlock, so
+// the new block stays unnamed and every posting is still fetched. The next
+// remote split, on an unchanged ring, names its new block.
+TEST(DppTest, RingChangeMidSplitLeavesTheNewBlockUnnamed) {
+  DppOptions options;
+  options.max_block_postings = 256;
+  DppNet net(12, options);
+  const std::string term = "l:author";
+  const sim::NodeIndex owner = net.dht.OwnerOf(dht::HashKey(term));
+  PostingList postings;
+  auto append = [&](uint32_t from, uint32_t to) {
+    PostingList batch;
+    for (uint32_t i = from; i < to; ++i) batch.push_back(MakePosting(i, 1));
+    postings.insert(postings.end(), batch.begin(), batch.end());
+    net.dht.peer(3)->Append(term, batch, nullptr);
+    net.scheduler.RunUntilIdle();
+  };
+  auto holder_of = [&](const std::string& key) {
+    for (const DppBlockInfo& b : net.Directory(term)) {
+      if (b.key == key) return b.holder;
+    }
+    ADD_FAILURE() << "no block " << key;
+    return std::optional<sim::NodeIndex>{};
+  };
+  // The owner splits block 0 itself: ovf:1 holds the upper half.
+  append(0, 300);
+  ASSERT_NE(net.dht.OwnerOf(dht::HashKey("ovf:1:" + term)), owner);
+  ASSERT_NE(net.dht.OwnerOf(dht::HashKey("ovf:2:" + term)), owner);
+
+  // The first DppSplitBlock any holder receives rebuilds every routing
+  // table over the unchanged membership: a ring change mid-split.
+  bool changed = false;
+  for (size_t i = 0; i < net.managers.size(); ++i) {
+    DppManager* manager = net.managers[i].get();
+    net.dht.peer(static_cast<sim::NodeIndex>(i))
+        ->SetAppHandler([&net, &changed, manager](
+                            const dht::AppRequest& request,
+                            sim::NodeIndex from) {
+          if (!changed &&
+              dynamic_cast<const DppSplitBlock*>(request.inner.get())) {
+            changed = true;
+            net.dht.Stabilize();
+          }
+          (void)manager->HandleApp(request, from);
+        });
+  }
+  // ovf:1 overflows: its remote holder splits it into ovf:2.
+  append(300, 500);
+  ASSERT_TRUE(changed);
+  EXPECT_FALSE(holder_of("ovf:2:" + term).has_value());
+  std::sort(postings.begin(), postings.end());
+  EXPECT_EQ(net.FetchAllBlocks(term), postings);
+
+  // ovf:2 overflows on an unchanged ring: ovf:3 is named at once.
+  append(500, 650);
+  const std::optional<sim::NodeIndex> named = holder_of("ovf:3:" + term);
+  ASSERT_TRUE(named.has_value());
+  EXPECT_EQ(*named, net.dht.OwnerOf(dht::HashKey("ovf:3:" + term)));
+  std::sort(postings.begin(), postings.end());
+  EXPECT_EQ(net.FetchAllBlocks(term), postings);
 }
 
 TEST(DppTest, OutOfOrderInsertsLandInMatchingBlocks) {

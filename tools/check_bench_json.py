@@ -35,7 +35,10 @@ every row, join_answers_match == 1 and view_answers_match == 1: the
 kDppJoin and kView runs return exactly the kDpp run's answers. Every row
 also has dpp_join_ingress_wire_kb < dpp_ingress_wire_kb: with the join at
 the holders, the query peer receives less than kDpp's posting lists, as
-the largest list never moves.
+the largest list never moves. Its metrics snapshot reads
+dpp.dir.holders_unnamed == 0: on the bench's unchanged ring every
+directory entry names its block's holder, so no read or join task of the
+figure waits on a Chord route.
 
 The codec bench (bench == "codec") additionally promises, on every row,
 decoded_postings == postings (every encoded list decodes whole) and
@@ -153,6 +156,8 @@ def check_file(path, errors):
         check_serving_rows(rows, path, errors)
     if bench == "fig3_query_dpp" and isinstance(rows, list):
         check_fig3_rows(rows, path, errors)
+    if bench == "fig3_query_dpp" and isinstance(data.get("metrics"), dict):
+        check_fig3_metrics(data["metrics"], path, errors)
     if bench == "codec" and isinstance(rows, list):
         check_codec_rows(rows, path, errors)
 
@@ -193,6 +198,18 @@ def check_fig3_rows(rows, path, errors):
             _err(errors, path,
                  f"rows[{i}].dpp_join_ingress_wire_kb must be below "
                  f"dpp_ingress_wire_kb (got {join!r} vs {dpp!r})")
+
+
+def check_fig3_metrics(metrics, path, errors):
+    """Every overflow entry the Fig 3 run's directories served named its
+    holder."""
+    counters = metrics.get("counters")
+    unnamed = counters.get("dpp.dir.holders_unnamed") \
+        if isinstance(counters, dict) else None
+    if unnamed != 0:
+        _err(errors, path,
+             f"metrics.counters.dpp.dir.holders_unnamed must be 0 "
+             f"(got {unnamed!r})")
 
 
 def check_serving_rows(rows, path, errors):
@@ -367,9 +384,11 @@ def _synthetic_fig3():
              "dpp_ingress_wire_kb": 85.0, "dpp_join_ingress_wire_kb": 0.5,
              "join_answers_match": 1, "view_answers_match": 1}
             for mb in (2, 4)]
+    counters = {"dpp.dir.holders_named": 6, "dpp.dir.holders_unnamed": 0}
     return {"bench": "fig3_query_dpp", "description": "synthetic Fig 3 file",
             "schema_version": 1, "rows": rows,
-            "metrics": {"counters": {}, "gauges": {}, "histograms": {}}}
+            "metrics": {"counters": counters, "gauges": {},
+                        "histograms": {}}}
 
 
 def _synthetic_codec():
@@ -400,6 +419,10 @@ def _view_missing(data):
 def _join_ingress_not_below(data):
     row = data["rows"][1]
     row["dpp_join_ingress_wire_kb"] = row["dpp_ingress_wire_kb"]
+
+
+def _holders_unnamed(data):
+    data["metrics"]["counters"]["dpp.dir.holders_unnamed"] = 3
 
 
 def _rows_of(data, kind):
@@ -440,6 +463,8 @@ def self_test():
          "rows[0].view_answers_match must be 1"),
         ("fig3 join ingress not below dpp", fig3, _join_ingress_not_below,
          "rows[1].dpp_join_ingress_wire_kb must be below"),
+        ("fig3 overflow holders unnamed", fig3, _holders_unnamed,
+         "dpp.dir.holders_unnamed must be 0"),
         ("valid codec", codec, None, None),
         ("codec lost postings", codec, _codec_lost_postings,
          "rows[0].decoded_postings must equal postings"),
