@@ -43,7 +43,6 @@ Sample RunOne(size_t mb, query::QueryStrategy strategy) {
   core::KadopOptions opt;
   opt.peers = 200;
   opt.enable_dpp = strategy != query::QueryStrategy::kBaseline;
-  opt.views.enabled = strategy == query::QueryStrategy::kView;
   core::KadopNet net(opt);
   net.PublishAndWait(0, bench::Ptrs(docs));
   if (strategy == query::QueryStrategy::kView) {

@@ -368,13 +368,11 @@ void Run() {
   }
 
   // Views A/B: a same-seed twin with every tenant pattern materialized as
-  // a view (advisor off — the views are pinned) replays the exact ladder,
-  // so the off/on rows pair up by index. Churn publishes flow through the
-  // hooked publish options, keeping extents fresh between steps.
+  // a pinned view replays the exact ladder, so the off/on rows pair up by
+  // index. Churn publishes flow through the hooked publish options, keeping
+  // extents fresh between steps.
   {
-    core::KadopOptions vnopt = opt;
-    vnopt.views.enabled = true;
-    core::KadopNet vnet(vnopt);
+    core::KadopNet vnet(opt);
     vnet.RegisterDocuments(docs);
     vnet.RegisterDocuments(churn_docs);
     vnet.PublishAndWait(0, bench::Ptrs(docs));

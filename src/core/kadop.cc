@@ -147,7 +147,7 @@ KadopNet::KadopNet(KadopOptions options) : options_(options) {
   // built: every Publisher — the per-peer member and each PublishAndWait
   // batch publisher — copies options_.publish at construction, so hooks
   // installed here reach all of them.
-  view_catalog_ = std::make_unique<query::ViewCatalog>(options_.views);
+  view_catalog_ = std::make_unique<query::ViewCatalog>();
   query::ViewCatalog* catalog = view_catalog_.get();
   options_.publish.derive =
       [catalog](dht::DhtPeer* p, const xml::Document& doc,
@@ -176,22 +176,6 @@ KadopNet::KadopNet(KadopOptions options) : options_(options) {
   for (auto& kp : peers_) {
     kp->query_client().SetViewCatalog(view_catalog_.get());
   }
-
-  // Advisor hooks. A promotion decision fires inside Submit (from the
-  // query log), so materialization is deferred one virtual instant rather
-  // than starting a nested query from within another query's submission.
-  view_catalog_->SetMaterializeFn([this](const std::string& pattern_key) {
-    scheduler_.After(0.0, [this, pattern_key] {
-      Result<query::TreePattern> parsed = query::ParsePattern(pattern_key);
-      if (!parsed.ok()) return;
-      Result<std::string> name =
-          view_catalog_->Register(parsed.value(), "", /*auto_created=*/true);
-      if (!name.ok()) return;
-      MaterializeView(name.value());
-    });
-  });
-  view_catalog_->SetDropViewFn(
-      [this](const std::string& name) { DropView(name); });
 
   // Stamp traces with this network's virtual clock so span timestamps are
   // reproducible across identical seeded runs.
@@ -437,8 +421,8 @@ Result<std::string> KadopNet::CreateViewAndWait(std::string_view xpath,
                                                 std::string name) {
   Result<query::TreePattern> pattern = query::ParsePattern(xpath);
   if (!pattern.ok()) return pattern.status();
-  Result<std::string> registered = view_catalog_->Register(
-      pattern.value(), std::move(name), /*auto_created=*/false);
+  Result<std::string> registered =
+      view_catalog_->Register(pattern.value(), std::move(name));
   if (!registered.ok()) return registered.status();
   MaterializeView(registered.value());
   SyncViews();
@@ -606,10 +590,8 @@ Result<std::string> KadopNet::ExplainQueryAndWait(
   if (!unreachable.empty()) {
     return Status::Unavailable("no directory for " + unreachable);
   }
-  std::optional<query::ViewCatalog::Rewrite> rewrite;
-  if (view_catalog_->enabled()) {
-    rewrite = view_catalog_->FindRewrite(pattern, origin);
-  }
+  const std::optional<query::ViewCatalog::Rewrite> rewrite =
+      view_catalog_->FindRewrite(pattern, origin);
   const query::QueryPlan plan =
       query::PlanQuery(pattern, *dirs, rewrite, options, at);
 

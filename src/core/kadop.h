@@ -81,8 +81,6 @@ struct KadopOptions {
   bool enable_dpp = true;
   index::DppOptions dpp;
   index::PublishOptions publish;
-  /// Materialized tree-pattern views (docs/views.md). Off by default.
-  query::ViewOptions views;
 };
 
 /// One KadoP peer: the DHT node plus every KadoP service — local document
@@ -274,8 +272,7 @@ class KadopNet {
   /// Registers a view over `xpath` (auto-named when `name` is empty),
   /// materializes its extent from a ground-truth index query, and drives
   /// the simulation until the extent is installed and in sync. Returns the
-  /// view's name. Maintenance stays registered even while serving is
-  /// disabled (`ViewOptions::enabled == false`).
+  /// view's name. kAuto and kView may serve from it from then on.
   Result<std::string> CreateViewAndWait(std::string_view xpath,
                                         std::string name = "");
 

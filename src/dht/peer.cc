@@ -224,13 +224,12 @@ void DhtPeer::OnAppendTimeout(RequestId req_id) {
                                       pending.key + "'"));
 }
 
-void DhtPeer::Get(const std::string& key, GetCallback cb, double timeout_s) {
+void DhtPeer::Get(const std::string& key, GetCallback cb) {
   PendingGet pending;
   pending.accumulate = true;
   pending.on_done = std::move(cb);
   pending.spec.key = key;
   pending.spec.pipelined = false;
-  pending.spec.timeout_s = timeout_s;
   pending.retry = dht_->options().retry;
   IssueGet(std::move(pending));
 }
@@ -305,10 +304,6 @@ RequestId DhtPeer::IssueGet(PendingGet pending) {
   req->req_id = id;
   req->origin = node_;
 
-  // With a retry policy the per-attempt timeout comes from the policy; the
-  // legacy spec timeout stays an overall (single-attempt) deadline.
-  const double timeout = pending.retry.enabled() ? pending.retry.timeout_s
-                                                 : pending.spec.timeout_s;
   const GetSpec spec = pending.spec;
   // A resend of the task that named the id comes within the task's retry
   // budget, which is this get's.
@@ -316,7 +311,10 @@ RequestId DhtPeer::IssueGet(PendingGet pending) {
   pending.next_block = 0;
   auto [it, inserted] = pending_get_.emplace(id, std::move(pending));
   KADOP_CHECK(inserted, "get request id collision");
-  if (timeout > 0) it->second.timeout_event = ArmTimeout(id, timeout);
+  // Only a retry policy times a get out, once per attempt.
+  if (it->second.retry.enabled()) {
+    it->second.timeout_event = ArmTimeout(id, it->second.retry.timeout_s);
+  }
   if (!awaited.has_value()) {
     SendGet(std::move(req), spec);
     return id;
@@ -561,14 +559,10 @@ void DhtPeer::OnGetTimeout(RequestId req_id) {
   }
   if (pending.accumulate) {
     if (pending.on_done) {
-      Status st = pending.retry.enabled()
-                      ? Status::DeadlineExceeded(
-                            "get retry budget exhausted for '" +
-                            pending.spec.key + "'")
-                      : Status::Timeout("get timed out for '" +
-                                        pending.spec.key + "'");
-      pending.on_done(
-          GetResult{std::move(pending.accumulated), false, std::move(st)});
+      pending.on_done(GetResult{
+          std::move(pending.accumulated), false,
+          Status::DeadlineExceeded("get retry budget exhausted for '" +
+                                   pending.spec.key + "'")});
     }
   } else if (pending.on_block) {
     pending.on_block({}, /*last=*/true, /*complete=*/false);

@@ -115,8 +115,8 @@ struct DhtStats {
 struct GetResult {
   index::PostingList postings;
   bool complete = true;
-  /// OK on completion; kTimeout when a plain (no-retry) timeout fired;
-  /// kDeadlineExceeded when a retry budget was exhausted.
+  /// OK on completion; kDeadlineExceeded when the retry budget was
+  /// exhausted (a single-attempt budget included).
   Status status;
 };
 
@@ -141,11 +141,9 @@ struct GetSpec {
   uint32_t block_postings = 0;  // 0 = DhtOptions default
   index::Posting lo = index::kMinPosting;
   index::Posting hi = index::kMaxPosting;
-  /// 0 = no timeout.
-  double timeout_s = 0.0;
-  /// Overrides DhtOptions::retry for this request when enabled. With a
-  /// policy active, `retry.timeout_s` is the per-attempt timeout and
-  /// `timeout_s` above is ignored.
+  /// Overrides DhtOptions::retry for this request when enabled. A get
+  /// times out only under a policy (`retry.timeout_s` per attempt);
+  /// `max_retries = 0` makes it a single-attempt deadline.
   RetryPolicy retry;
   /// The key's owner as a directory reply or the owner cache named it: the
   /// first attempt goes there in one hop instead of being routed (see
@@ -205,10 +203,11 @@ class DhtPeer final : public sim::Actor {
               std::vector<std::string> doc_types = {},
               RetryPolicy retry = {});
 
-  /// Blocking get: the whole list arrives as one message.
-  void Get(const std::string& key, GetCallback cb, double timeout_s = 0.0);
+  /// Blocking get: the whole list arrives as one message. It times out
+  /// only under DhtOptions::retry.
+  void Get(const std::string& key, GetCallback cb);
 
-  /// General get (range, pipelined, timeout) with per-block delivery.
+  /// General get (range, pipelined, retry budget) with per-block delivery.
   void GetBlocks(const GetSpec& spec, BlockCallback on_block);
 
   /// Asks for the get `spec` on behalf of `target` (another peer): its

@@ -111,10 +111,6 @@ QueryClient::QueryClient(dht::DhtPeer* peer) : peer_(peer) {
 
 void QueryClient::Submit(const TreePattern& pattern,
                          const QueryOptions& options, Callback callback) {
-  if (view_catalog_ != nullptr && view_catalog_->enabled()) {
-    // Advisor query log: every submitted pattern, whatever its strategy.
-    view_catalog_->RecordQuery(pattern.ToString(), peer_->network()->Now());
-  }
   const uint64_t id =
       (static_cast<uint64_t>(peer_->node()) << 40) | next_query_id_++;
   auto exec = std::make_shared<QueryExecutor>(this, id, pattern, options,
@@ -358,10 +354,10 @@ void QueryExecutor::FetchDirectories(std::function<void()> then) {
                         [](const TermDirectory& d) { return !d.status.ok(); });
         ViewCatalog* catalog = self->client_->view_catalog();
         if (!lost && self->options_.strategy == QueryStrategy::kAuto &&
-            catalog != nullptr && catalog->enabled()) {
+            catalog != nullptr) {
           // A servable rewrite makes kView a priced candidate, with the
           // extent cardinality from the catalog and the residual cost from
-          // the directory counts.
+          // the directory counts. An empty catalog answers at once.
           self->view_rewrite_ =
               catalog->FindRewrite(self->pattern_, self->peer_);
         }
@@ -1140,8 +1136,10 @@ void QueryExecutor::FallbackFromView() {
                                          : std::string());
   }
   EndSpan(phase_span_);
+  // Only what the planner may run: a DPP-off network clears
+  // dpp_available, and kDppJoin reads DPP blocks too.
   const QueryStrategy fallback =
-      options_.dpp_join_available
+      options_.dpp_available && options_.dpp_join_available
           ? QueryStrategy::kDppJoin
           : (options_.dpp_available ? QueryStrategy::kDpp
                                     : QueryStrategy::kBaseline);

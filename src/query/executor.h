@@ -337,8 +337,7 @@ class QueryClient {
   dht::DhtPeer* peer() { return peer_; }
 
   /// The network's view catalog (may be null). Consulted by kAuto / kView
-  /// executors for rewrites, and fed each submitted pattern for the
-  /// advisor's query log.
+  /// executors for rewrites.
   void SetViewCatalog(ViewCatalog* catalog) { view_catalog_ = catalog; }
   ViewCatalog* view_catalog() { return view_catalog_; }
 

@@ -1,10 +1,8 @@
 #include "query/view_manager.h"
 
 #include <algorithm>
-#include <memory>
 #include <utility>
 
-#include "common/logging.h"
 #include "index/dpp.h"
 #include "obs/metrics.h"
 
@@ -20,8 +18,6 @@ struct ViewCounters {
   obs::Counter* fallbacks;
   obs::Counter* maintenance_tuples;
   obs::Counter* bytes_served;
-  obs::Counter* promotions;
-  obs::Counter* demotions;
 
   ViewCounters() {
     auto& r = obs::MetricRegistry::Default();
@@ -32,8 +28,6 @@ struct ViewCounters {
     fallbacks = r.GetCounter("view.fallbacks");
     maintenance_tuples = r.GetCounter("view.maintenance_tuples");
     bytes_served = r.GetCounter("view.bytes_served");
-    promotions = r.GetCounter("view.promotions");
-    demotions = r.GetCounter("view.demotions");
   }
 };
 
@@ -45,69 +39,10 @@ ViewCounters& C() {
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// KeyLoadTracker
-
-KeyLoadTracker::KeyLoadTracker(size_t capacity) : capacity_(capacity) {
-  KADOP_CHECK(capacity_ > 0, "key load tracker needs capacity");
-  auto& r = obs::MetricRegistry::Default();
-  eviction_counter_ = r.GetCounter("load.key.evictions");
-  tracked_gauge_ = r.GetGauge("load.key.tracked");
-}
-
-void KeyLoadTracker::RecordGet(const std::string& key) {
-  auto it = entries_.find(key);
-  if (it == entries_.end()) {
-    if (entries_.size() >= capacity_) {
-      // Evict the coldest entry (smallest count; ties: the map's first,
-      // i.e. lexically smallest, key). The newcomer inherits the evicted
-      // count — the space-saving guarantee that a genuinely hot key cannot
-      // be hidden by a stream of one-off keys.
-      auto victim = entries_.begin();
-      for (auto e = std::next(entries_.begin()); e != entries_.end(); ++e) {
-        if (e->second.count < victim->second.count) victim = e;
-      }
-      const uint64_t inherited = victim->second.count;
-      entries_.erase(victim);
-      evictions_++;
-      eviction_counter_->Increment();
-      it = entries_.emplace(key, Entry{inherited, 0}).first;
-    } else {
-      it = entries_.emplace(key, Entry{}).first;
-    }
-    tracked_gauge_->Set(static_cast<double>(entries_.size()));
-  }
-  it->second.count++;
-  it->second.window_gets++;
-}
-
-std::map<std::string, uint64_t> KeyLoadTracker::DrainWindow() {
-  std::map<std::string, uint64_t> out;
-  for (auto it = entries_.begin(); it != entries_.end();) {
-    if (it->second.window_gets > 0) out[it->first] = it->second.window_gets;
-    it->second.window_gets = 0;
-    it->second.count /= 2;
-    if (it->second.count == 0) {
-      it = entries_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  tracked_gauge_->Set(static_cast<double>(entries_.size()));
-  return out;
-}
-
-// ---------------------------------------------------------------------------
-// ViewCatalog
-
-ViewCatalog::ViewCatalog(ViewOptions options)
-    : options_(options), pattern_load_(options.max_tracked_patterns) {}
-
-// ---------------------------------------------------------------------------
 // Registration
 
 Result<std::string> ViewCatalog::Register(const TreePattern& pattern,
-                                          std::string name,
-                                          bool auto_created) {
+                                          std::string name) {
   if (pattern.size() == 0) {
     return Status::InvalidArgument("empty view pattern");
   }
@@ -132,7 +67,6 @@ Result<std::string> ViewCatalog::Register(const TreePattern& pattern,
   entry.def.pattern = pattern;
   entry.def.extent_prefix =
       "view:" + name + ".g" + std::to_string(++next_generation_);
-  entry.auto_created = auto_created;
   entry.column_counts.assign(pattern.size(), 0);
   entry.column_versions.assign(pattern.size(), 0);
   entry.term_versions.assign(pattern.size(), 0);
@@ -169,7 +103,6 @@ std::string ViewCatalog::Describe() const {
            " synced=" + (entry.pending == entry.applied ? "1" : "0") +
            " answers=" + std::to_string(entry.answers) +
            " postings=" + std::to_string(postings) +
-           " auto=" + (entry.auto_created ? "1" : "0") +
            " hits=" + std::to_string(entry.hits) +
            " fallbacks=" + std::to_string(entry.fallbacks) + "\n";
   }
@@ -200,7 +133,7 @@ bool ViewCatalog::Servable(const Entry& entry, dht::DhtPeer* peer) const {
 
 std::optional<ViewCatalog::Rewrite> ViewCatalog::FindRewrite(
     const TreePattern& pattern, dht::DhtPeer* peer) {
-  if (!options_.enabled || entries_.empty()) return std::nullopt;
+  if (entries_.empty()) return std::nullopt;
   const auto build = [](const Entry& entry, ViewMatch match) {
     Rewrite rw;
     rw.name = entry.def.name;
@@ -362,92 +295,6 @@ void ViewCatalog::HandleUnpublish(
                                  index::DirectoryCount(blocks), peer);
           },
           {}, /*behind_writes=*/true);
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Advisor
-
-void ViewCatalog::RecordQuery(const std::string& pattern_key, double now) {
-  if (!options_.enabled || !options_.advisor) return;
-  if (!window_armed_) {
-    window_armed_ = true;
-    window_end_ = now + options_.window_s;
-  }
-  while (now >= window_end_) {
-    AdvisorTick(pattern_load_.DrainWindow());
-    window_end_ += options_.window_s;
-  }
-  pattern_load_.RecordGet(pattern_key);
-}
-
-void ViewCatalog::AdvisorTick(const std::map<std::string, uint64_t>& window) {
-  for (auto it = cooldown_.begin(); it != cooldown_.end();) {
-    if (--it->second == 0) {
-      it = cooldown_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  // Hot streaks: a pattern must clear the per-window threshold in every
-  // window of the streak; one quiet window resets it (hysteresis).
-  for (const auto& [pattern, count] : window) {
-    Streaks& s = streaks_[pattern];
-    s.hot = count >= options_.hot_queries_per_window ? s.hot + 1 : 0;
-  }
-  for (auto& [pattern, s] : streaks_) {
-    if (window.find(pattern) == window.end()) s.hot = 0;
-  }
-  // Cool streaks of advisor-materialized views; demote after the streak.
-  std::vector<std::string> demote;
-  for (const auto& [name, entry] : entries_) {
-    if (!entry.auto_created) continue;
-    const auto wit = window.find(entry.def.PatternKey());
-    const uint64_t count = wit == window.end() ? 0 : wit->second;
-    Streaks& s = streaks_[entry.def.PatternKey()];
-    s.cool = count <= options_.cool_queries_per_window ? s.cool + 1 : 0;
-    if (s.cool >= options_.cool_windows) demote.push_back(name);
-  }
-  for (const std::string& name : demote) {
-    Entry* entry = FindMutable(name);
-    if (entry == nullptr) continue;
-    const std::string pattern = entry->def.PatternKey();
-    C().demotions->Increment();
-    cooldown_[pattern] = options_.cooldown_windows;
-    streaks_.erase(pattern);
-    if (drop_view_fn_) {
-      drop_view_fn_(name);
-    } else {
-      Drop(name);
-    }
-  }
-  // Promotions, lexicographic pattern order (deterministic).
-  if (materialize_fn_ == nullptr) return;
-  size_t auto_alive = 0;
-  for (const auto& [name, entry] : entries_) {
-    if (entry.auto_created) auto_alive++;
-  }
-  for (auto& [pattern, s] : streaks_) {
-    if (auto_alive >= options_.max_auto_views) break;
-    if (s.hot < options_.hot_windows) continue;
-    if (by_pattern_.count(pattern) > 0 || cooldown_.count(pattern) > 0) {
-      continue;
-    }
-    // Re-arm the hysteresis: materialization registers the view (possibly
-    // a tick later when scheduled), and a pattern that stays hot must earn
-    // a fresh streak before it could fire again.
-    s.hot = 0;
-    auto_alive++;
-    C().promotions->Increment();
-    materialize_fn_(pattern);
-  }
-  for (auto it = streaks_.begin(); it != streaks_.end();) {
-    if (it->second.hot == 0 && it->second.cool == 0 &&
-        by_pattern_.count(it->first) == 0) {
-      it = streaks_.erase(it);
-    } else {
-      ++it;
     }
   }
 }

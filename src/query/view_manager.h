@@ -2,7 +2,6 @@
 #define KADOP_QUERY_VIEW_MANAGER_H_
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <optional>
 #include <string>
@@ -12,79 +11,7 @@
 #include "index/publisher.h"
 #include "query/view.h"
 
-namespace kadop::obs {
-class Counter;
-class Gauge;
-}  // namespace kadop::obs
-
 namespace kadop::query {
-
-/// Knobs of the materialized-view layer (docs/views.md). Off by default:
-/// with `enabled == false` nothing is recorded, rewritten or priced, so
-/// every seeded baseline is byte-identical to the pre-view build.
-struct ViewOptions {
-  /// Master switch for view-based rewriting (and advisor bookkeeping).
-  /// Registered views are still *maintained* while off — incremental
-  /// deltas are cheap, and an extent that fell behind can never be made
-  /// fresh again without re-materializing.
-  bool enabled = false;
-  /// Hot-pattern auto-selection (the ViewAdvisor). Requires `enabled`.
-  bool advisor = false;
-  /// Advisor window length (virtual seconds). Windows close lazily when
-  /// the next recorded query crosses the boundary — an idle network
-  /// schedules nothing and RunUntilIdle terminates.
-  double window_s = 1.0;
-  /// A pattern is hot when it is queried at least this many times per
-  /// window for `hot_windows` consecutive windows (promotion hysteresis).
-  uint64_t hot_queries_per_window = 8;
-  uint32_t hot_windows = 2;
-  /// An auto-materialized view cools when its pattern drops to at most
-  /// this many queries per window for `cool_windows` consecutive windows.
-  uint64_t cool_queries_per_window = 0;
-  uint32_t cool_windows = 4;
-  /// Windows a demoted pattern must wait before it can be promoted again.
-  uint32_t cooldown_windows = 4;
-  /// Bound on advisor-materialized views alive at once.
-  size_t max_auto_views = 4;
-  /// Bound on distinct patterns the query-log tracker follows
-  /// (space-saving top-K, see KeyLoadTracker).
-  size_t max_tracked_patterns = 64;
-};
-
-/// Bounded per-key load tracker (space-saving top-K), the advisor's query
-/// log. The tracker holds at most `capacity` keys; a new key evicts the
-/// coldest tracked one (deterministic tie-break: lexically smallest key)
-/// and inherits its count, the classic space-saving guarantee that a truly
-/// hot key cannot be hidden by churn. Counts decay by half per drained
-/// window so stale heat fades. It registers exactly two metrics,
-/// `load.key.evictions` and the gauge `load.key.tracked`, never one per key.
-class KeyLoadTracker {
- public:
-  explicit KeyLoadTracker(size_t capacity);
-
-  /// Records one use of `key`.
-  void RecordGet(const std::string& key);
-
-  /// Closes the current window: returns per-key uses observed since the
-  /// last drain, halves the long-run counts, and forgets keys that decayed
-  /// to zero. Iteration order is the keys' lexicographic order.
-  std::map<std::string, uint64_t> DrainWindow();
-
-  [[nodiscard]] size_t tracked() const { return entries_.size(); }
-  [[nodiscard]] uint64_t evictions() const { return evictions_; }
-
- private:
-  struct Entry {
-    uint64_t count = 0;        // decayed long-run estimate
-    uint64_t window_gets = 0;  // uses since the last drain
-  };
-
-  size_t capacity_;
-  uint64_t evictions_ = 0;
-  std::map<std::string, Entry> entries_;
-  obs::Counter* eviction_counter_;
-  obs::Gauge* tracked_gauge_;
-};
 
 /// The per-DHT view catalog: every registered view's definition plus the
 /// maintenance bookkeeping that decides whether its extent may serve.
@@ -107,16 +34,19 @@ class KeyLoadTracker {
 ///      the version recorded at the last resync — so an append that
 ///      bypassed delta maintenance (or data lost with a crashed holder)
 ///      silently disqualifies the extent instead of serving stale answers.
+///
+/// There is no switch: the catalog rewrites exactly when it holds a
+/// registered view, and an empty catalog answers FindRewrite at once
+/// without counting anything.
 class ViewCatalog {
  public:
-  explicit ViewCatalog(ViewOptions options);
+  ViewCatalog() = default;
 
   ViewCatalog(const ViewCatalog&) = delete;
   ViewCatalog& operator=(const ViewCatalog&) = delete;
 
   struct Entry {
     ViewDefinition def;
-    bool auto_created = false;
     /// Materialization finished and the extent columns are installed.
     bool ready = false;
     /// Maintenance operations (materialization chunks, publish deltas,
@@ -152,8 +82,7 @@ class ViewCatalog {
   /// Registers a view over `pattern`. `name` empty picks "v<N>". Fails on
   /// wildcard patterns and duplicate names/patterns. The new entry is not
   /// `ready` until a materialization completes (MarkReady).
-  Result<std::string> Register(const TreePattern& pattern, std::string name,
-                               bool auto_created);
+  Result<std::string> Register(const TreePattern& pattern, std::string name);
   /// Forgets a view. Its extent columns become unreferenced garbage (each
   /// generation uses fresh column keys, so a later re-create never collides).
   bool Drop(const std::string& name);
@@ -164,10 +93,6 @@ class ViewCatalog {
   }
   /// One line per view: name, pattern, readiness, cardinality, hits.
   [[nodiscard]] std::string Describe() const;
-
-  void SetEnabled(bool enabled) { options_.enabled = enabled; }
-  [[nodiscard]] bool enabled() const { return options_.enabled; }
-  [[nodiscard]] const ViewOptions& options() const { return options_; }
 
   // -- Rewriting ------------------------------------------------------------
 
@@ -220,18 +145,6 @@ class ViewCatalog {
                        index::PeerId peer_id, index::DocSeq seq,
                        const std::vector<index::TermPosting>& postings);
 
-  // -- Advisor --------------------------------------------------------------
-
-  using MaterializeFn = std::function<void(const std::string& pattern)>;
-  using DropViewFn = std::function<void(const std::string& name)>;
-  void SetMaterializeFn(MaterializeFn fn) { materialize_fn_ = std::move(fn); }
-  void SetDropViewFn(DropViewFn fn) { drop_view_fn_ = std::move(fn); }
-
-  /// Feeds one submitted query into the advisor's pattern-load tracker and
-  /// lazily closes elapsed windows (promotion / demotion decisions fire
-  /// from here; the advisor never self-schedules).
-  void RecordQuery(const std::string& pattern_key, double now);
-
   // -- Executor accounting --------------------------------------------------
 
   void CountHit(const std::string& name, bool exact, uint64_t wire_bytes);
@@ -240,29 +153,12 @@ class ViewCatalog {
  private:
   Entry* FindMutable(const std::string& name);
   void ResyncEntry(Entry& entry, dht::DhtPeer* peer);
-  void AdvisorTick(const std::map<std::string, uint64_t>& window);
 
-  ViewOptions options_;
   std::map<std::string, Entry> entries_;
   /// pattern key -> view name (exact-match index).
   std::map<std::string, std::string> by_pattern_;
   uint64_t next_name_id_ = 0;
   uint64_t next_generation_ = 0;
-
-  // Advisor state.
-  KeyLoadTracker pattern_load_;
-  double window_end_ = 0.0;
-  bool window_armed_ = false;
-  struct Streaks {
-    uint32_t hot = 0;
-    uint32_t cool = 0;
-  };
-  std::map<std::string, Streaks> streaks_;
-  /// pattern key -> windows left before it may be promoted again.
-  std::map<std::string, uint32_t> cooldown_;
-  size_t auto_views_ = 0;
-  MaterializeFn materialize_fn_;
-  DropViewFn drop_view_fn_;
 };
 
 }  // namespace kadop::query

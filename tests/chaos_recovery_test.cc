@@ -284,7 +284,6 @@ TEST(ChaosRecoveryTest, ViewsNeverServePreAppendExtentsUnderFaults) {
 
   core::KadopOptions opt;
   opt.peers = 10;
-  opt.views.enabled = true;
   // Retry-capable publishes: base batches and view deltas carry dedup ids,
   // so duplicated AppendRequests apply at most once and dropped ones are
   // retried until the ack lands.
@@ -348,7 +347,6 @@ TEST(ChaosRecoveryTest, ViewColumnHolderCrashFallsBackToDppJoin) {
 
   core::KadopOptions opt;
   opt.peers = 12;
-  opt.views.enabled = true;
   core::KadopNet net(opt);
   std::vector<const xml::Document*> ptrs;
   for (const auto& d : docs) ptrs.push_back(&d);

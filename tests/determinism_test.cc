@@ -66,10 +66,10 @@ TEST(DeterminismTest, IdenticalRunsProduceIdenticalOutcomes) {
 }
 
 // The strongest observable we have: the FULL metric registry. Two
-// same-seed runs with views, the view advisor and seeded faults
-// all enabled must leave every counter, gauge and histogram bucket
-// byte-identical — any wall-clock, RNG or hash-order escape anywhere in
-// the stack shows up here as a diff.
+// same-seed runs with a view and seeded faults both live must leave
+// every counter, gauge and histogram bucket byte-identical — any
+// wall-clock, RNG or hash-order escape anywhere in the stack shows up
+// here as a diff.
 obs::MetricsSnapshot RunScenarioFullSnapshot() {
   obs::MetricRegistry::Default().Reset();
 
@@ -80,13 +80,6 @@ obs::MetricsSnapshot RunScenarioFullSnapshot() {
   core::KadopOptions opt;
   opt.peers = 12;
   opt.dpp.max_block_postings = 128;
-  // Views and the advisor are part of the deterministic surface: the
-  // query log, window closings, materialization appends and the view.*
-  // counters must all replay byte-identically.
-  opt.views.enabled = true;
-  opt.views.advisor = true;
-  opt.views.hot_queries_per_window = 2;
-  opt.views.hot_windows = 1;
   core::KadopNet net(opt);
 
   std::vector<const xml::Document*> ptrs;
@@ -114,7 +107,7 @@ obs::MetricsSnapshot RunScenarioFullSnapshot() {
     EXPECT_TRUE(result.ok());
   }
   // View serving (hit or guarded fallback — both deterministic under the
-  // seeded fault plan) plus advisor-log traffic.
+  // seeded fault plan).
   query::QueryOptions vopt;
   vopt.strategy = query::QueryStrategy::kView;
   vopt.fetch_retry = qopt.fetch_retry;

@@ -215,7 +215,10 @@ TEST(DhtTest, BlobRoundTrip) {
 }
 
 TEST(DhtTest, GetTimeoutYieldsIncompleteResult) {
-  TestNet net(8);
+  DhtOptions options;
+  options.retry.timeout_s = 1.0;
+  options.retry.max_retries = 0;
+  TestNet net(8, options);
   PostingList postings{MakePosting(1, 1, 1)};
   net.dht.peer(0)->Append("l:a", postings, nullptr);
   net.scheduler.RunUntilIdle();
@@ -225,7 +228,7 @@ TEST(DhtTest, GetTimeoutYieldsIncompleteResult) {
   net.network.SetNodeUp(owner, false);
   std::optional<GetResult> got;
   net.dht.peer(requester)->Get("l:a",
-                               [&](GetResult r) { got = std::move(r); }, 1.0);
+                               [&](GetResult r) { got = std::move(r); });
   net.scheduler.RunUntilIdle();
   ASSERT_TRUE(got.has_value());
   EXPECT_FALSE(got->complete);

@@ -305,6 +305,24 @@ TEST_F(ExecutorDppOffTest, PlanningIgnoresAdvertisedDpp) {
   }
 }
 
+// A kView fallback runs only what the planner may run: with no view
+// registered, an explicit kView on a DPP-off network falls back to the
+// baseline even when the distributed join is advertised.
+TEST_F(ExecutorDppOffTest, ViewFallbackRunsTheBaseline) {
+  const char* expr = "//article//author";
+  QueryOptions options;
+  options.strategy = QueryStrategy::kView;
+  options.dpp_join_available = true;
+  auto result = net.QueryAndWait(1, expr, options);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  const QueryMetrics& m = result.value().metrics;
+  EXPECT_TRUE(m.view_fallback);
+  EXPECT_EQ(m.effective_strategy, QueryStrategy::kBaseline)
+      << QueryStrategyName(m.effective_strategy);
+  EXPECT_TRUE(m.complete);
+  EXPECT_EQ(Sorted(result.value().answers), Sorted(GroundTruth(docs, expr)));
+}
+
 // The random-split ablation (Section 4.1) leaves blocks with overlapping
 // conditions, so kDpp collects each such term's blocks and merges them
 // before the join instead of streaming them in order.

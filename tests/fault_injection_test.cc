@@ -13,6 +13,7 @@
 
 #include "dht/dht.h"
 #include "dht/ring.h"
+#include "obs/metrics.h"
 #include "sim/fault_plan.h"
 #include "sim/network.h"
 #include "sim/scheduler.h"
@@ -203,21 +204,29 @@ TEST(FaultInjectionTest, GetFromDeadPeerResolvesWithDeadlineExceeded) {
   EXPECT_TRUE(got->status.IsDeadlineExceeded()) << got->status.ToString();
 }
 
-TEST(FaultInjectionTest, PlainTimeoutReportsTimeoutStatus) {
-  TestNet net(8);  // retry disabled
+// A get times out only under a retry policy; `max_retries = 0` is the
+// single-attempt deadline.
+TEST(FaultInjectionTest, SingleAttemptTimeoutReportsDeadlineExceeded) {
+  dht::DhtOptions options;
+  options.retry.timeout_s = 1.0;
+  options.retry.max_retries = 0;
+  TestNet net(8, options);
   PostingList postings{MakePosting(1, 1)};
   net.dht.peer(0)->Append("l:a", postings, nullptr);
   net.scheduler.RunUntilIdle();
   const sim::NodeIndex owner = net.dht.OwnerOf(dht::HashKey("l:a"));
   net.dht.FailPeer(owner);
+  obs::Counter* timeouts =
+      obs::MetricRegistry::Default().GetCounter("dht.get_timeouts");
+  const uint64_t timeouts_before = timeouts->value();
   std::optional<GetResult> got;
   net.dht.peer((owner + 1) % 8)
-      ->Get("l:a", [&](GetResult r) { got = std::move(r); },
-            /*timeout_s=*/1.0);
+      ->Get("l:a", [&](GetResult r) { got = std::move(r); });
   net.scheduler.RunUntilIdle();
   ASSERT_TRUE(got.has_value());
   EXPECT_FALSE(got->complete);
-  EXPECT_EQ(got->status.code(), StatusCode::kTimeout);
+  EXPECT_TRUE(got->status.IsDeadlineExceeded()) << got->status.ToString();
+  EXPECT_EQ(timeouts->value() - timeouts_before, 1u);
 }
 
 TEST(FaultInjectionTest, DuplicatedAppendsApplyOnce) {

@@ -82,7 +82,8 @@ TEST(PipelineTest, ProducerFailureMidStreamTimesOutIncomplete) {
   spec.key = "l:a";
   spec.pipelined = true;
   spec.block_postings = 1000;
-  spec.timeout_s = 5.0;
+  spec.retry.timeout_s = 5.0;
+  spec.retry.max_retries = 0;
   size_t received = 0;
   bool ended = false;
   bool complete = true;

@@ -42,7 +42,6 @@ class ViewTest : public ::testing::Test {
 
     KadopOptions opt;
     opt.peers = 12;
-    opt.views.enabled = true;
     net_ = std::make_unique<KadopNet>(opt);
     net_->RegisterDocuments(docs_);
     std::vector<const xml::Document*> ptrs;
@@ -257,11 +256,27 @@ TEST_F(ViewTest, RegistrationRejectsDuplicatesAndWildcards) {
                                    QueryStrategy::kDpp).answers);
 }
 
-TEST_F(ViewTest, DisabledCatalogNeverRewrites) {
-  ASSERT_TRUE(net_->CreateViewAndWait("//article//author").ok());
-  net_->views().SetEnabled(false);
+// Views have no switch: the catalog rewrites exactly while it holds a
+// registered view. Before the first one, kAuto's consult counts nothing.
+TEST_F(ViewTest, RewritingFollowsRegistration) {
+  const uint64_t rewrites_before = Counter("view.rewrites");
+  const uint64_t misses_before = Counter("view.misses");
+  QueryOptions auto_options;
+  auto_options.strategy = QueryStrategy::kAuto;
+  auto_options.dpp_join_available = true;
+  auto planned = net_->QueryAndWait(1, "//article//author", auto_options);
+  ASSERT_TRUE(planned.ok());
+  EXPECT_NE(planned.value().metrics.effective_strategy, QueryStrategy::kView);
+  EXPECT_EQ(Counter("view.rewrites"), rewrites_before);
+  EXPECT_EQ(Counter("view.misses"), misses_before);
+
+  auto name = net_->CreateViewAndWait("//article//author");
+  ASSERT_TRUE(name.ok()) << name.status().ToString();
+  EXPECT_TRUE(RunQuery("//article//author", QueryStrategy::kView)
+                  .metrics.view_hit);
+
+  ASSERT_TRUE(net_->DropView(name.value()));
   const QueryResult view = RunQuery("//article//author", QueryStrategy::kView);
-  // Explicit kView finds no servable rewrite and falls back.
   EXPECT_FALSE(view.metrics.view_hit);
   EXPECT_TRUE(view.metrics.view_fallback);
   EXPECT_EQ(view.answers, RunQuery("//article//author",
@@ -327,152 +342,8 @@ TEST_F(ViewTest, ExplainPricesTheViewAutoServesFrom) {
   EXPECT_EQ(ran.value().metrics.effective_strategy, QueryStrategy::kView);
   EXPECT_TRUE(ran.value().metrics.view_hit);
   EXPECT_NE(text.find("auto would run: view\n"), std::string::npos) << text;
-}
-
-// -- Advisor ----------------------------------------------------------------
-
-// The advisor's query log: a bounded space-saving tracker.
-
-TEST(KeyLoadTrackerTest, StaysBoundedUnderHundredThousandDistinctKeys) {
-  KeyLoadTracker tracker(64);
-  const std::string hot = "hot-key";
-  for (int i = 0; i < 100000; ++i) {
-    tracker.RecordGet("key-" + std::to_string(i));
-    if (i % 10 == 0) tracker.RecordGet(hot);
-  }
-  EXPECT_LE(tracker.tracked(), 64u);
-  EXPECT_GT(tracker.evictions(), 0u);
-  // Space-saving guarantee: the genuinely hot key is still tracked — the
-  // stream of one-off keys cannot push it out.
-  const auto window = tracker.DrainWindow();
-  ASSERT_TRUE(window.count(hot) > 0);
-  EXPECT_GE(window.at(hot), 10000u - 64u);
-}
-
-TEST(KeyLoadTrackerTest, RegistryCardinalityStaysFixed) {
-  // The tracker registers exactly two metrics (an eviction counter and a
-  // tracked-keys gauge) — never one counter per key.
-  const auto before = obs::MetricRegistry::Default().Snapshot();
-  KeyLoadTracker tracker(8);
-  for (int i = 0; i < 1000; ++i) {
-    tracker.RecordGet("cardinality-" + std::to_string(i));
-  }
-  const auto after = obs::MetricRegistry::Default().Snapshot();
-  for (const auto& [name, value] : after.counters) {
-    if (before.counters.count(name) > 0) continue;
-    EXPECT_EQ(name, "load.key.evictions") << "unexpected new counter";
-  }
-  EXPECT_LE(tracker.tracked(), 8u);
-}
-
-TEST(KeyLoadTrackerTest, DecayForgetsColdKeys) {
-  KeyLoadTracker tracker(16);
-  tracker.RecordGet("a");
-  tracker.RecordGet("a");
-  tracker.RecordGet("b");
-  EXPECT_EQ(tracker.tracked(), 2u);
-  // "b" (count 1) decays to zero after one window, "a" (count 2) after two.
-  tracker.DrainWindow();
-  EXPECT_EQ(tracker.tracked(), 1u);
-  tracker.DrainWindow();
-  EXPECT_EQ(tracker.tracked(), 0u);
-}
-
-class ViewAdvisorTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    xml::corpus::DblpOptions copt;
-    copt.target_bytes = 60 << 10;
-    copt.doc_bytes = 8 << 10;
-    docs_ = xml::corpus::GenerateDblp(copt);
-
-    KadopOptions opt;
-    opt.peers = 8;
-    opt.views.enabled = true;
-    opt.views.advisor = true;
-    opt.views.window_s = 1.0;
-    opt.views.hot_queries_per_window = 2;
-    opt.views.hot_windows = 2;
-    opt.views.cool_queries_per_window = 0;
-    opt.views.cool_windows = 2;
-    opt.views.cooldown_windows = 2;
-    net_ = std::make_unique<KadopNet>(opt);
-    std::vector<const xml::Document*> ptrs;
-    for (const auto& d : docs_) ptrs.push_back(&d);
-    net_->PublishAndWait(1, ptrs);
-  }
-
-  void QueryBatch(const char* expr, int n) {
-    QueryOptions options;
-    options.strategy = QueryStrategy::kAuto;
-    options.dpp_join_available = true;
-    for (int i = 0; i < n; ++i) {
-      auto r = net_->QueryAndWait(0, expr, options);
-      ASSERT_TRUE(r.ok());
-    }
-  }
-
-  void AdvanceWindow() {
-    net_->scheduler().After(1.0, [] {});
-    net_->RunToIdle();
-  }
-
-  std::vector<xml::Document> docs_;
-  std::unique_ptr<KadopNet> net_;
-};
-
-TEST_F(ViewAdvisorTest, PromotesHotPatternThenDemotesWhenCold) {
-  const char* hot = "//article//author";
-  const uint64_t promotions_before = Counter("view.promotions");
-
-  // Two consecutive hot windows promote; the third batch's first query
-  // closes the second window and fires the materialization.
-  for (int w = 0; w < 3; ++w) {
-    QueryBatch(hot, 3);
-    AdvanceWindow();
-  }
-  EXPECT_GT(Counter("view.promotions"), promotions_before);
-  ASSERT_EQ(net_->views().entries().size(), 1u);
-  const auto& [name, entry] = *net_->views().entries().begin();
-  EXPECT_TRUE(entry.auto_created);
-  EXPECT_EQ(entry.def.PatternKey(), hot);
-  EXPECT_TRUE(entry.ready);
-
-  // Once synced, the hot pattern is served from its auto-view. (Without
-  // the block-join service; for an unselective pattern like this one
-  // kDppJoin's result-tuple shipping can legitimately price below the
-  // whole extent — the planner choosing it then is correct, not a miss.)
-  net_->SyncViews();
-  QueryOptions options;
-  options.strategy = QueryStrategy::kAuto;
-  auto hit = net_->QueryAndWait(0, hot, options);
-  ASSERT_TRUE(hit.ok());
-  EXPECT_TRUE(hit.value().metrics.view_hit)
-      << "effective="
-      << QueryStrategyName(hit.value().metrics.effective_strategy);
-  QueryOptions dpp;
-  dpp.strategy = QueryStrategy::kDpp;
-  auto truth = net_->QueryAndWait(0, hot, dpp);
-  ASSERT_TRUE(truth.ok());
-  EXPECT_EQ(hit.value().answers, truth.value().answers);
-
-  // Cold windows demote it again (other traffic keeps the clock ticking).
-  const uint64_t demotions_before = Counter("view.demotions");
-  for (int w = 0; w < 5; ++w) {
-    QueryBatch("//inproceedings//booktitle", 1);
-    AdvanceWindow();
-  }
-  EXPECT_GT(Counter("view.demotions"), demotions_before);
-  EXPECT_TRUE(net_->views().entries().empty());
-}
-
-TEST_F(ViewAdvisorTest, ColdTrafficNeverPromotes) {
-  // Below the per-window threshold: no streak, no views.
-  for (int w = 0; w < 4; ++w) {
-    QueryBatch("//article//title", 1);
-    AdvanceWindow();
-  }
-  EXPECT_TRUE(net_->views().entries().empty());
+  EXPECT_EQ(ran.value().answers, RunQuery("//article//author",
+                                          QueryStrategy::kDpp).answers);
 }
 
 }  // namespace

@@ -127,7 +127,7 @@ class Shell {
         "  trace on|off|dump [json]|clear   virtual-time span tracing\n"
         "  trace report                     per-query phase breakdown\n"
         "  trace export [file]              Chrome trace_event JSON\n"
-        "  views on|off|stats|list          materialized tree-pattern views\n"
+        "  views stats|list                 materialized tree-pattern views\n"
         "  views create <xpath> [name]      materialize a view\n"
         "  views drop <name>                drop a view\n"
         "  version | buildinfo              sanitizer/profiling build line\n"
@@ -526,11 +526,6 @@ class Shell {
     in >> sub;
     if (!RequireNet()) return;
     query::ViewCatalog& views = net_->views();
-    if (sub == "on" || sub == "off") {
-      views.SetEnabled(sub == "on");
-      std::printf("materialized views %s\n", sub.c_str());
-      return;
-    }
     if (sub == "list") {
       const std::string listing = views.Describe();
       std::printf("%s", listing.empty() ? "no views registered\n"
@@ -566,17 +561,16 @@ class Shell {
       return;
     }
     if (!sub.empty() && sub != "stats") {
-      std::printf("usage: views on|off|stats|list|create <xpath>|drop <n>\n");
+      std::printf("usage: views stats|list|create <xpath> [name]|drop <n>\n");
       return;
     }
     auto& r = obs::MetricRegistry::Default();
     std::printf(
-        "materialized views %s | %zu registered\n"
+        "materialized views: %zu registered\n"
         "  hits %llu (%llu exact), misses %llu, rewrites %llu, "
         "fallbacks %llu\n"
-        "  maintenance tuples %llu, bytes served %llu\n"
-        "  advisor promotions %llu, demotions %llu\n",
-        views.enabled() ? "on" : "off", views.entries().size(),
+        "  maintenance tuples %llu, bytes served %llu\n",
+        views.entries().size(),
         static_cast<unsigned long long>(r.GetCounter("view.hits")->value()),
         static_cast<unsigned long long>(
             r.GetCounter("view.exact_hits")->value()),
@@ -588,11 +582,7 @@ class Shell {
         static_cast<unsigned long long>(
             r.GetCounter("view.maintenance_tuples")->value()),
         static_cast<unsigned long long>(
-            r.GetCounter("view.bytes_served")->value()),
-        static_cast<unsigned long long>(
-            r.GetCounter("view.promotions")->value()),
-        static_cast<unsigned long long>(
-            r.GetCounter("view.demotions")->value()));
+            r.GetCounter("view.bytes_served")->value()));
   }
 
   void CmdTraffic() {
