@@ -118,8 +118,8 @@ struct GetBlock final : sim::Payload {
   uint32_t block_index = 0;
   bool last = false;
   /// Delta+varint-coded on the wire (docs/wire_format.md). Blocks are
-  /// posting-aligned: each one is an independently decodable stream
-  /// (codec::BlockEncoder framing).
+  /// posting-aligned: each one is sized as its own EncodePostings stream,
+  /// with no header.
   index::PostingList postings;
 
   size_t SizeBytes() const override {

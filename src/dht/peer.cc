@@ -110,151 +110,20 @@ NodeIndex DhtPeer::NextHop(KeyId key) const {
 // ---------------------------------------------------------------------------
 // Disk model
 
-void DhtPeer::ScheduleAfterDisk(double bytes, bool write,
+void DhtPeer::ScheduleAfterDisk(double read_bytes, double write_bytes,
                                 std::function<void()> fn) {
   const DhtOptions& opt = dht_->options();
-  const double bw =
-      write ? opt.disk_write_bytes_per_s : opt.disk_read_bytes_per_s;
-  const double now = network_->Now();
-  const double start = std::max(now, disk_free_at_);
-  const double end = start + opt.disk_seek_s + bytes / bw;
-  disk_free_at_ = end;
-  network_->scheduler()->At(end, std::move(fn));
+  const double start = std::max(network_->Now(), disk_free_at_);
+  disk_free_at_ = start + opt.disk_seek_s +
+                  read_bytes / opt.disk_read_bytes_per_s +
+                  write_bytes / opt.disk_write_bytes_per_s;
+  network_->scheduler()->At(disk_free_at_, std::move(fn));
 }
 
 // ---------------------------------------------------------------------------
 // Client-side operations
 
-RequestId DhtPeer::NextRequestId() {
-  return (static_cast<uint64_t>(node_) << 32) | next_req_++;
-}
-
-void DhtPeer::Locate(const std::string& key, LocateCallback cb) {
-  auto req = std::make_shared<LocateRequest>();
-  req->req_id = NextRequestId();
-  req->origin = node_;
-  pending_locate_[req->req_id] = std::move(cb);
-  stats_.locates++;
-  C().locates->Increment();
-
-  auto env = std::make_shared<RouteEnvelope>();
-  env->key = HashKey(key);
-  env->inner = req;
-  env->category = TrafficCategory::kControl;
-  RouteEnvelopeMsg(std::move(env));
-}
-
-void DhtPeer::Append(const std::string& key, PostingList postings,
-                     AppendCallback on_ack,
-                     std::vector<std::string> doc_types,
-                     RetryPolicy retry) {
-  // Without an ack there is no loss signal to retry on: fire-and-forget.
-  if (!on_ack) {
-    auto req = std::make_shared<AppendRequest>();
-    req->key = key;
-    req->postings = std::move(postings);
-    req->doc_types = std::move(doc_types);
-    req->per_entry = dht_->options().per_entry_reconciliation;
-    req->replicate = dht_->options().replication;
-    auto env = std::make_shared<RouteEnvelope>();
-    env->key = HashKey(key);
-    env->inner = std::move(req);
-    env->category = TrafficCategory::kPublish;
-    RouteEnvelopeMsg(std::move(env));
-    return;
-  }
-  PendingAppend pending;
-  pending.cb = std::move(on_ack);
-  pending.key = key;
-  pending.postings = std::move(postings);
-  pending.doc_types = std::move(doc_types);
-  pending.retry = retry.enabled() ? retry : dht_->options().retry;
-  if (pending.retry.enabled()) pending.dedup_id = NextRequestId();
-  IssueAppend(std::move(pending));
-}
-
-RequestId DhtPeer::IssueAppend(PendingAppend pending) {
-  const RequestId id = NextRequestId();
-  auto req = std::make_shared<AppendRequest>();
-  req->key = pending.key;
-  req->doc_types = pending.doc_types;
-  if (pending.retry.enabled()) {
-    req->postings = pending.postings;  // keep a copy for resends
-  } else {
-    req->postings = std::move(pending.postings);
-  }
-  req->per_entry = dht_->options().per_entry_reconciliation;
-  req->replicate = dht_->options().replication;
-  req->ack_req_id = id;
-  req->ack_origin = node_;
-  req->dedup_id = pending.dedup_id;
-  const double timeout = pending.retry.timeout_s;
-  auto [it, inserted] = pending_ack_.emplace(id, std::move(pending));
-  KADOP_CHECK(inserted, "append request id collision");
-  if (timeout > 0) {
-    it->second.timeout_event = network_->scheduler()->After(
-        timeout, [this, id]() { OnAppendTimeout(id); });
-  }
-  auto env = std::make_shared<RouteEnvelope>();
-  env->key = HashKey(req->key);
-  env->inner = std::move(req);
-  env->category = TrafficCategory::kPublish;
-  RouteEnvelopeMsg(std::move(env));
-  return id;
-}
-
-void DhtPeer::OnAppendTimeout(RequestId req_id) {
-  auto it = pending_ack_.find(req_id);
-  if (it == pending_ack_.end()) return;  // acked in time
-  C().timeouts->Increment();
-  PendingAppend pending = std::move(it->second);
-  pending_ack_.erase(it);
-  pending.timeout_event = sim::kInvalidEventId;
-  if (pending.attempt <= pending.retry.max_retries) {
-    pending.attempt++;
-    C().retries->Increment();
-    const double delay = pending.retry.BackoffDelay(pending.attempt - 1);
-    auto next = std::make_shared<PendingAppend>(std::move(pending));
-    network_->scheduler()->After(delay, [this, next]() {
-      IssueAppend(std::move(*next));
-    });
-    return;
-  }
-  pending.cb(Status::DeadlineExceeded("append retry budget exhausted for '" +
-                                      pending.key + "'"));
-}
-
-void DhtPeer::Get(const std::string& key, GetCallback cb) {
-  PendingGet pending;
-  pending.accumulate = true;
-  pending.on_done = std::move(cb);
-  pending.spec.key = key;
-  pending.spec.pipelined = false;
-  pending.retry = dht_->options().retry;
-  IssueGet(std::move(pending));
-}
-
-void DhtPeer::GetBlocks(const GetSpec& spec, BlockCallback on_block) {
-  PendingGet pending;
-  pending.on_block = std::move(on_block);
-  pending.spec = spec;
-  pending.retry = spec.retry.enabled() ? spec.retry : dht_->options().retry;
-  IssueGet(std::move(pending));
-}
-
 namespace {
-
-std::shared_ptr<GetRequest> NewGetRequest(const GetSpec& spec,
-                                          uint32_t default_block_postings) {
-  auto req = std::make_shared<GetRequest>();
-  req->key = spec.key;
-  req->pipelined = spec.pipelined;
-  req->block_postings =
-      spec.block_postings != 0 ? spec.block_postings : default_block_postings;
-  req->lo = spec.lo;
-  req->hi = spec.hi;
-  return req;
-}
 
 /// How long a pushed block that arrived before the get awaiting it is
 /// kept. Only reordering (jitter) or a resent request makes a push
@@ -264,6 +133,10 @@ constexpr double kHoldDeliveryS = 1.0;
 
 }  // namespace
 
+RequestId DhtPeer::NextRequestId() {
+  return (static_cast<uint64_t>(node_) << 32) | next_req_++;
+}
+
 RequestId DhtPeer::ReserveRequestIds(uint32_t n) {
   KADOP_CHECK(n > 0, "reserve at least one request id");
   const RequestId first = NextRequestId();
@@ -271,93 +144,88 @@ RequestId DhtPeer::ReserveRequestIds(uint32_t n) {
   return first;
 }
 
-void DhtPeer::SendGet(std::shared_ptr<GetRequest> req, const GetSpec& spec) {
-  auto env = std::make_shared<RouteEnvelope>();
-  env->key = HashKey(spec.key);
-  env->inner = std::move(req);
-  env->category = TrafficCategory::kControl;
-  SendEnvelope(std::move(env), spec.owner_hint);
+void DhtPeer::Locate(const std::string& key, LocateCallback cb) {
+  stats_.locates++;
+  C().locates->Increment();
+  Request request;
+  request.key = key;
+  request.call = LocateCall{std::move(cb)};
+  StartAttempt(std::move(request));
+}
+
+void DhtPeer::Append(const std::string& key, PostingList postings,
+                     AppendCallback on_ack,
+                     std::vector<std::string> doc_types,
+                     RetryPolicy retry) {
+  // Without an ack there is no loss signal to retry on: fire-and-forget.
+  const bool acked = on_ack != nullptr;
+  Request request;
+  request.key = key;
+  request.category = TrafficCategory::kPublish;
+  if (acked) request.retry = retry.enabled() ? retry : dht_->options().retry;
+  const uint64_t dedup_id = request.retry.enabled() ? NextRequestId() : 0;
+  request.call = AppendCall{std::move(on_ack), std::move(postings),
+                            std::move(doc_types), dedup_id};
+  if (!acked) {
+    SendAttempt(request, /*id=*/0);
+    return;
+  }
+  StartAttempt(std::move(request));
+}
+
+GetRequest DhtPeer::AskFor(const GetSpec& spec) const {
+  GetRequest ask;
+  ask.pipelined = spec.pipelined;
+  ask.block_postings = spec.block_postings != 0
+                           ? spec.block_postings
+                           : dht_->options().pipeline_block_postings;
+  ask.lo = spec.lo;
+  ask.hi = spec.hi;
+  return ask;
+}
+
+void DhtPeer::Get(const std::string& key, GetCallback cb) {
+  GetSpec spec;
+  spec.key = key;
+  GetCall call;
+  call.accumulate = true;
+  call.on_done = std::move(cb);
+  StartGet(std::move(spec), std::move(call));
+}
+
+void DhtPeer::GetBlocks(const GetSpec& spec, BlockCallback on_block) {
+  GetCall call;
+  call.on_block = std::move(on_block);
+  StartGet(spec, std::move(call));
+}
+
+void DhtPeer::StartGet(GetSpec spec, GetCall call) {
+  Request request;
+  request.key = std::move(spec.key);
+  request.owner_hint = spec.owner_hint;
+  request.awaited = spec.awaited;
+  request.retry = spec.retry.enabled() ? spec.retry : dht_->options().retry;
+  call.ask = AskFor(spec);
+  request.call = std::move(call);
+  StartAttempt(std::move(request));
 }
 
 void DhtPeer::PushGet(const GetSpec& spec, NodeIndex target,
                       RequestId req_id) {
   KADOP_CHECK(target != node_, "a peer asks for its own gets");
-  auto req = NewGetRequest(spec, dht_->options().pipeline_block_postings);
+  auto req = std::make_shared<GetRequest>(AskFor(spec));
+  req->key = spec.key;
   req->req_id = req_id;
   req->origin = target;
-  SendGet(std::move(req), spec);
-}
-
-RequestId DhtPeer::IssueGet(PendingGet pending) {
-  // An id is awaited once. A get naming an id awaited here before (a
-  // resent task whose pushed blocks were taken, or timed out) asks itself.
-  if (pending.spec.awaited.has_value()) {
-    auto seen = deliveries_.find(*pending.spec.awaited);
-    if (seen != deliveries_.end() && seen->second.awaited) {
-      pending.spec.awaited.reset();
-    }
-  }
-  const std::optional<RequestId> awaited = pending.spec.awaited;
-  const RequestId id = awaited.value_or(NextRequestId());
-  auto req = NewGetRequest(pending.spec,
-                           dht_->options().pipeline_block_postings);
-  req->req_id = id;
-  req->origin = node_;
-
-  const GetSpec spec = pending.spec;
-  // A resend of the task that named the id comes within the task's retry
-  // budget, which is this get's.
-  const double remember_s = kHoldDeliveryS + pending.retry.SpanS();
-  pending.next_block = 0;
-  auto [it, inserted] = pending_get_.emplace(id, std::move(pending));
-  KADOP_CHECK(inserted, "get request id collision");
-  // Only a retry policy times a get out, once per attempt.
-  if (it->second.retry.enabled()) {
-    it->second.timeout_event = ArmTimeout(id, it->second.retry.timeout_s);
-  }
-  if (!awaited.has_value()) {
-    SendGet(std::move(req), spec);
-    return id;
-  }
-  Delivery& delivery = deliveries_[id];
-  delivery.awaited = true;
-  network_->scheduler()->Cancel(delivery.forget_event);
-  delivery.forget_event = network_->scheduler()->After(
-      remember_s, [this, id]() { deliveries_.erase(id); });
-  // Blocks pushed before this get awaited them are handled now, in their
-  // arrival order.
-  if (!delivery.held.empty()) {
-    network_->scheduler()->At(
-        network_->Now(), [this, blocks = std::move(delivery.held)]() {
-          for (const Message& msg : blocks) {
-            HandleGetBlock(msg, static_cast<GetBlock&>(*msg.payload));
-          }
-        });
-    delivery.held.clear();
-  }
-  return id;
-}
-
-void DhtPeer::HoldDelivery(const Message& msg, RequestId req_id) {
-  Delivery& delivery = deliveries_[req_id];
-  // Its get already took the blocks it awaited, or gave up on them.
-  if (delivery.awaited) return;
-  delivery.held.push_back(msg);
-  if (delivery.forget_event == sim::kInvalidEventId) {
-    delivery.forget_event = network_->scheduler()->After(
-        kHoldDeliveryS, [this, req_id]() { deliveries_.erase(req_id); });
-  }
+  Route(spec.key, std::move(req), TrafficCategory::kControl,
+        spec.owner_hint);
 }
 
 void DhtPeer::Delete(const std::string& key, const Posting& posting) {
   auto req = std::make_shared<DeleteRequest>();
   req->key = key;
   req->posting = posting;
-  auto env = std::make_shared<RouteEnvelope>();
-  env->key = HashKey(key);
-  env->inner = std::move(req);
-  env->category = TrafficCategory::kControl;
-  RouteEnvelopeMsg(std::move(env));
+  Route(key, std::move(req), TrafficCategory::kControl);
 }
 
 void DhtPeer::DeleteDoc(const std::string& key, const index::DocId& doc) {
@@ -365,72 +233,45 @@ void DhtPeer::DeleteDoc(const std::string& key, const index::DocId& doc) {
   req->key = key;
   req->whole_doc = true;
   req->doc = doc;
-  auto env = std::make_shared<RouteEnvelope>();
-  env->key = HashKey(key);
-  env->inner = std::move(req);
-  env->category = TrafficCategory::kControl;
-  RouteEnvelopeMsg(std::move(env));
+  Route(key, std::move(req), TrafficCategory::kControl);
 }
 
 void DhtPeer::PutBlob(const std::string& key, std::string blob) {
   auto req = std::make_shared<BlobPutRequest>();
   req->key = key;
   req->blob = std::move(blob);
-  auto env = std::make_shared<RouteEnvelope>();
-  env->key = HashKey(key);
-  env->inner = std::move(req);
-  env->category = TrafficCategory::kPublish;
-  RouteEnvelopeMsg(std::move(env));
+  Route(key, std::move(req), TrafficCategory::kPublish);
 }
 
 void DhtPeer::DeleteBlobKey(const std::string& key) {
   auto req = std::make_shared<BlobDeleteRequest>();
   req->key = key;
-  auto env = std::make_shared<RouteEnvelope>();
-  env->key = HashKey(key);
-  env->inner = std::move(req);
-  env->category = TrafficCategory::kControl;
-  RouteEnvelopeMsg(std::move(env));
+  Route(key, std::move(req), TrafficCategory::kControl);
 }
 
 void DhtPeer::GetBlob(const std::string& key, BlobCallback cb) {
-  auto req = std::make_shared<BlobGetRequest>();
-  req->key = key;
-  req->req_id = NextRequestId();
-  req->origin = node_;
-  pending_blob_[req->req_id] = std::move(cb);
-  auto env = std::make_shared<RouteEnvelope>();
-  env->key = HashKey(key);
-  env->inner = std::move(req);
-  env->category = TrafficCategory::kControl;
-  RouteEnvelopeMsg(std::move(env));
+  Request request;
+  request.key = key;
+  request.call = BlobCall{std::move(cb)};
+  StartAttempt(std::move(request));
 }
 
 void DhtPeer::RouteApp(const std::string& key, sim::PayloadPtr inner,
                        TrafficCategory category, AppResponseCallback cb,
                        RetryPolicy retry,
                        std::optional<OwnerHint> owner_hint) {
-  if (!cb) {
-    auto req = std::make_shared<AppRequest>();
-    req->key = key;
-    req->origin = node_;
-    req->inner = std::move(inner);
-    auto env = std::make_shared<RouteEnvelope>();
-    env->key = HashKey(key);
-    env->inner = std::move(req);
-    env->category = category;
-    SendEnvelope(std::move(env), owner_hint);
+  const bool awaits_reply = cb != nullptr;
+  Request request;
+  request.key = key;
+  request.category = category;
+  request.owner_hint = owner_hint;
+  request.retry = retry;
+  request.call = AppCall{std::move(cb), std::move(inner)};
+  if (!awaits_reply) {
+    SendAttempt(request, /*id=*/0);
     return;
   }
-  PendingApp pending;
-  pending.cb = std::move(cb);
-  pending.routed = true;
-  pending.key = key;
-  pending.inner = std::move(inner);
-  pending.category = category;
-  pending.retry = retry;
-  pending.owner_hint = owner_hint;
-  IssueApp(std::move(pending));
+  StartAttempt(std::move(request));
 }
 
 void DhtPeer::Reply(NodeIndex origin, RequestId req_id, sim::PayloadPtr inner,
@@ -453,119 +294,215 @@ void DhtPeer::CallApp(NodeIndex target, sim::PayloadPtr inner,
                       TrafficCategory category, AppResponseCallback cb,
                       RetryPolicy retry) {
   if (!cb) {
-    auto req = std::make_shared<AppRequest>();
+    SendApp(target, std::move(inner), category);
+    return;
+  }
+  Request request;
+  request.target = target;
+  request.category = category;
+  request.retry = retry;
+  request.call = AppCall{std::move(cb), std::move(inner)};
+  StartAttempt(std::move(request));
+}
+
+// ---------------------------------------------------------------------------
+// The request table
+
+void DhtPeer::StartAttempt(Request request) {
+  // An id is awaited once. A get naming an id awaited here before (a
+  // resent task whose pushed blocks were taken, or timed out) asks itself.
+  if (request.awaited.has_value()) {
+    auto seen = deliveries_.find(*request.awaited);
+    if (seen != deliveries_.end() && seen->second.awaited) {
+      request.awaited.reset();
+    }
+  }
+  // An awaited attempt takes a fresh id too, so the sequence never
+  // depends on what is awaited.
+  const RequestId fresh = NextRequestId();
+  const RequestId id = request.awaited.value_or(fresh);
+  auto [it, inserted] = requests_.emplace(id, std::move(request));
+  KADOP_CHECK(inserted, "request id collision");
+  Request& entry = it->second;
+  if (entry.retry.enabled()) {
+    entry.timeout_event = ArmTimeout(id, entry.retry.timeout_s);
+  }
+  if (entry.awaited.has_value()) {
+    // A resend of the task that named the id comes within the task's
+    // retry budget, which is this get's.
+    AwaitPushed(id, kHoldDeliveryS + entry.retry.SpanS());
+    return;
+  }
+  SendAttempt(entry, id);
+}
+
+void DhtPeer::SendAttempt(Request& request, RequestId id) {
+  sim::PayloadPtr ask;
+  if (std::holds_alternative<LocateCall>(request.call)) {
+    auto req = std::make_shared<LocateRequest>();
+    req->req_id = id;
     req->origin = node_;
-    req->inner = std::move(inner);
-    network_->Send(Message{node_, target, category, std::move(req)});
-    return;
-  }
-  PendingApp pending;
-  pending.cb = std::move(cb);
-  pending.routed = false;
-  pending.target = target;
-  pending.inner = std::move(inner);
-  pending.category = category;
-  pending.retry = retry;
-  IssueApp(std::move(pending));
-}
-
-RequestId DhtPeer::IssueApp(PendingApp pending) {
-  const RequestId id = NextRequestId();
-  auto req = std::make_shared<AppRequest>();
-  req->origin = node_;
-  req->req_id = id;
-  req->inner = pending.inner;
-  const double timeout = pending.retry.timeout_s;
-  const bool routed = pending.routed;
-  const std::string key = pending.key;
-  const NodeIndex target = pending.target;
-  const TrafficCategory category = pending.category;
-  const std::optional<OwnerHint> owner_hint = pending.owner_hint;
-  auto [it, inserted] = pending_app_.emplace(id, std::move(pending));
-  KADOP_CHECK(inserted, "app request id collision");
-  if (timeout > 0) {
-    it->second.timeout_event = network_->scheduler()->After(
-        timeout, [this, id]() { OnAppTimeout(id); });
-  }
-  if (routed) {
-    req->key = key;
-    auto env = std::make_shared<RouteEnvelope>();
-    env->key = HashKey(key);
-    env->inner = std::move(req);
-    env->category = category;
-    SendEnvelope(std::move(env), owner_hint);
+    ask = std::move(req);
+  } else if (std::holds_alternative<BlobCall>(request.call)) {
+    auto req = std::make_shared<BlobGetRequest>();
+    req->key = request.key;
+    req->req_id = id;
+    req->origin = node_;
+    ask = std::move(req);
+  } else if (auto* get = std::get_if<GetCall>(&request.call)) {
+    auto req = std::make_shared<GetRequest>(get->ask);
+    req->key = request.key;
+    req->req_id = id;
+    req->origin = node_;
+    ask = std::move(req);
+  } else if (auto* app = std::get_if<AppCall>(&request.call)) {
+    auto req = std::make_shared<AppRequest>();
+    req->key = request.key;
+    req->req_id = id;
+    req->origin = node_;
+    req->inner = app->inner;
+    ask = std::move(req);
   } else {
-    network_->Send(Message{node_, target, category, std::move(req)});
+    auto& append = std::get<AppendCall>(request.call);
+    auto req = std::make_shared<AppendRequest>();
+    req->key = request.key;
+    // Resends need the payload again; a single attempt hands it over.
+    if (request.retry.enabled()) {
+      req->postings = append.postings;
+      req->doc_types = append.doc_types;
+    } else {
+      req->postings = std::move(append.postings);
+      req->doc_types = std::move(append.doc_types);
+    }
+    req->per_entry = dht_->options().per_entry_reconciliation;
+    req->replicate = dht_->options().replication;
+    req->ack_req_id = id;
+    req->ack_origin = node_;
+    req->dedup_id = append.dedup_id;
+    ask = std::move(req);
   }
-  return id;
-}
-
-void DhtPeer::OnAppTimeout(RequestId req_id) {
-  auto it = pending_app_.find(req_id);
-  if (it == pending_app_.end()) return;  // answered in time
-  C().timeouts->Increment();
-  PendingApp pending = std::move(it->second);
-  pending_app_.erase(it);
-  pending.timeout_event = sim::kInvalidEventId;
-  if (pending.attempt <= pending.retry.max_retries) {
-    pending.attempt++;
-    pending.owner_hint.reset();
-    C().retries->Increment();
-    const double delay = pending.retry.BackoffDelay(pending.attempt - 1);
-    auto next = std::make_shared<PendingApp>(std::move(pending));
-    // Routed resends re-resolve the owner, so a request aimed at a peer
-    // that crashed since reaches whoever inherited the key range.
-    network_->scheduler()->After(delay, [this, next]() {
-      IssueApp(std::move(*next));
-    });
-    return;
+  if (request.target.has_value()) {
+    network_->Send(
+        Message{node_, *request.target, request.category, std::move(ask)});
+  } else {
+    Route(request.key, std::move(ask), request.category, request.owner_hint);
   }
-  pending.cb(nullptr);
 }
 
 sim::EventId DhtPeer::ArmTimeout(RequestId req_id, double timeout_s) {
   return network_->scheduler()->After(
-      timeout_s, [this, req_id]() { OnGetTimeout(req_id); });
+      timeout_s, [this, req_id]() { OnTimeout(req_id); });
 }
 
-void DhtPeer::OnGetTimeout(RequestId req_id) {
-  auto it = pending_get_.find(req_id);
-  if (it == pending_get_.end()) return;  // completed in time
-  C().get_timeouts->Increment();
+void DhtPeer::OnTimeout(RequestId req_id) {
+  auto it = requests_.find(req_id);
+  if (it == requests_.end()) return;  // completed in time
+  Request request = std::move(it->second);
+  requests_.erase(it);
+  request.timeout_event = sim::kInvalidEventId;
+  auto* get = std::get_if<GetCall>(&request.call);
+  if (get != nullptr) C().get_timeouts->Increment();
   C().timeouts->Increment();
-  PendingGet pending = std::move(it->second);
-  pending_get_.erase(it);
-  pending.timeout_event = sim::kInvalidEventId;
   // A streaming get that already surfaced blocks to its caller cannot be
-  // transparently reissued (the caller would see duplicates); it fails
+  // transparently resent (the caller would see duplicates); it fails
   // instead. Accumulating gets discard the partial list and start over.
-  const bool can_retry = pending.retry.enabled() &&
-                         pending.attempt <= pending.retry.max_retries &&
-                         (pending.accumulate || !pending.delivered_any);
-  if (can_retry) {
-    pending.attempt++;
-    pending.accumulated.clear();
-    // The resend re-resolves the owner by routing: the hinted node may be
-    // the one that crashed.
-    pending.spec.owner_hint.reset();
-    pending.spec.awaited.reset();
-    C().retries->Increment();
-    const double delay = pending.retry.BackoffDelay(pending.attempt - 1);
-    auto next = std::make_shared<PendingGet>(std::move(pending));
-    network_->scheduler()->After(delay, [this, next]() {
-      IssueGet(std::move(*next));
-    });
+  const bool can_retry =
+      request.attempt <= request.retry.max_retries &&
+      (get == nullptr || get->accumulate || !get->delivered_any);
+  if (!can_retry) {
+    GiveUp(request);
     return;
   }
-  if (pending.accumulate) {
-    if (pending.on_done) {
-      pending.on_done(GetResult{
-          std::move(pending.accumulated), false,
+  request.attempt++;
+  // The resend re-resolves the owner by routing: the hinted node may be
+  // the one that crashed, and whoever inherited its key range answers.
+  request.owner_hint.reset();
+  request.awaited.reset();
+  if (get != nullptr) {
+    get->accumulated.clear();
+    get->next_block = 0;
+  }
+  C().retries->Increment();
+  const double delay = request.retry.BackoffDelay(request.attempt - 1);
+  auto next = std::make_shared<Request>(std::move(request));
+  network_->scheduler()->After(
+      delay, [this, next]() { StartAttempt(std::move(*next)); });
+}
+
+void DhtPeer::GiveUp(Request& request) {
+  // Locates and blob gets carry no policy, so they never time out.
+  if (auto* get = std::get_if<GetCall>(&request.call)) {
+    if (!get->accumulate) {
+      if (get->on_block) get->on_block({}, /*last=*/true, /*complete=*/false);
+    } else if (get->on_done) {
+      get->on_done(GetResult{
+          std::move(get->accumulated), false,
           Status::DeadlineExceeded("get retry budget exhausted for '" +
-                                   pending.spec.key + "'")});
+                                   request.key + "'")});
     }
-  } else if (pending.on_block) {
-    pending.on_block({}, /*last=*/true, /*complete=*/false);
+  } else if (auto* app = std::get_if<AppCall>(&request.call)) {
+    app->cb(nullptr);
+  } else if (auto* append = std::get_if<AppendCall>(&request.call)) {
+    append->cb(Status::DeadlineExceeded(
+        "append retry budget exhausted for '" + request.key + "'"));
+  }
+}
+
+DhtPeer::Request DhtPeer::Finish(Requests::iterator it) {
+  Request done = std::move(it->second);
+  requests_.erase(it);
+  network_->scheduler()->Cancel(done.timeout_event);
+  return done;
+}
+
+template <typename Call>
+std::optional<DhtPeer::Request> DhtPeer::Complete(RequestId req_id) {
+  auto it = requests_.find(req_id);
+  if (it == requests_.end() ||
+      !std::holds_alternative<Call>(it->second.call)) {
+    return std::nullopt;
+  }
+  return Finish(it);
+}
+
+void DhtPeer::LearnFromReply(const Request& request, NodeIndex from) {
+  // Only a ring-routed attempt learns: a hinted attempt's owner was
+  // already named, an awaited get's blocks come from whoever pushed them,
+  // and a direct CallApp names no key.
+  if (request.target.has_value() || request.owner_hint.has_value() ||
+      request.awaited.has_value()) {
+    return;
+  }
+  LearnOwner(request.key, from);
+}
+
+void DhtPeer::AwaitPushed(RequestId req_id, double remember_s) {
+  Delivery& delivery = deliveries_[req_id];
+  delivery.awaited = true;
+  network_->scheduler()->Cancel(delivery.forget_event);
+  delivery.forget_event = network_->scheduler()->After(
+      remember_s, [this, req_id]() { deliveries_.erase(req_id); });
+  // Blocks pushed before this get awaited them are handled now, in their
+  // arrival order.
+  if (!delivery.held.empty()) {
+    network_->scheduler()->At(
+        network_->Now(), [this, blocks = std::move(delivery.held)]() {
+          for (const Message& msg : blocks) {
+            HandleGetBlock(msg, static_cast<GetBlock&>(*msg.payload));
+          }
+        });
+    delivery.held.clear();
+  }
+}
+
+void DhtPeer::HoldDelivery(const Message& msg, RequestId req_id) {
+  Delivery& delivery = deliveries_[req_id];
+  // Its get already took the blocks it awaited, or gave up on them.
+  if (delivery.awaited) return;
+  delivery.held.push_back(msg);
+  if (delivery.forget_event == sim::kInvalidEventId) {
+    delivery.forget_event = network_->scheduler()->After(
+        kHoldDeliveryS, [this, req_id]() { deliveries_.erase(req_id); });
   }
 }
 
@@ -587,8 +524,13 @@ void DhtPeer::RouteEnvelopeMsg(std::shared_ptr<RouteEnvelope> env) {
   network_->Send(Message{node_, next, env->category, std::move(env)});
 }
 
-void DhtPeer::SendEnvelope(std::shared_ptr<RouteEnvelope> env,
-                           std::optional<OwnerHint> owner_hint) {
+void DhtPeer::Route(const std::string& key, sim::PayloadPtr inner,
+                    TrafficCategory category,
+                    std::optional<OwnerHint> owner_hint) {
+  auto env = std::make_shared<RouteEnvelope>();
+  env->key = HashKey(key);
+  env->inner = std::move(inner);
+  env->category = category;
   // A key this peer owns is delivered here whatever the hint names: after
   // a crash the sender may have inherited the dead node's range, and a
   // send to the dead node would only wait out the timeout.
@@ -674,6 +616,17 @@ void DhtPeer::SendAppendAck(const AppendRequest& request) {
                          std::move(ack)});
 }
 
+void DhtPeer::ForwardOrAck(const AppendRequest& req) {
+  if (req.replicate > 1 && routing_.successor_node != node_) {
+    auto copy = std::make_shared<AppendRequest>(req);
+    copy->replicate = req.replicate - 1;
+    network_->Send(Message{node_, routing_.successor_node,
+                           TrafficCategory::kPublish, std::move(copy)});
+    return;  // the tail of the chain acks
+  }
+  SendAppendAck(req);
+}
+
 void DhtPeer::HandleAppend(const AppendRequest& req) {
   stats_.appends_received++;
   C().appends_received->Increment();
@@ -684,15 +637,7 @@ void DhtPeer::HandleAppend(const AppendRequest& req) {
   // repairs replicas that missed it and unblocks the waiting client.
   if (req.dedup_id != 0 && !applied_appends_.insert(req.dedup_id).second) {
     C().dedup_hits->Increment();
-    const bool forward = req.replicate > 1 && routing_.successor_node != node_;
-    if (forward) {
-      auto copy = std::make_shared<AppendRequest>(req);
-      copy->replicate = req.replicate - 1;
-      network_->Send(Message{node_, routing_.successor_node,
-                             TrafficCategory::kPublish, std::move(copy)});
-      return;  // the tail of the chain acks
-    }
-    SendAppendAck(req);
+    ForwardOrAck(req);
     return;
   }
   stats_.postings_stored += req.postings.size();
@@ -710,39 +655,15 @@ void DhtPeer::HandleAppend(const AppendRequest& req) {
   } else {
     store_->AppendPostings(req.key, req.postings);
   }
-  const DhtOptions& opt = dht_->options();
-  const double io_bytes_as_read =
-      static_cast<double>(store_->io().read_bytes - r0);
-  const double io_bytes_as_write =
-      static_cast<double>(store_->io().write_bytes - w0);
-  const double now = network_->Now();
-  const double start = std::max(now, disk_free_at_);
-  const double end = start + opt.disk_seek_s +
-                     io_bytes_as_read / opt.disk_read_bytes_per_s +
-                     io_bytes_as_write / opt.disk_write_bytes_per_s;
-  disk_free_at_ = end;
-
-  const bool forward = req.replicate > 1 &&
-                       routing_.successor_node != node_;
   // Children of the apply span: the disk-completion event below and any
   // replication forward / ack it sends.
   obs::ScopedTraceContext scope(tracer.ContextFor(apply));
-  network_->scheduler()->At(end, [this, req, forward, apply]() {
-    obs::Tracer::Default().End(apply);
-    if (forward) {
-      auto copy = std::make_shared<AppendRequest>(req);
-      copy->replicate = req.replicate - 1;
-      network_->Send(Message{node_, routing_.successor_node,
-                             TrafficCategory::kPublish, std::move(copy)});
-      return;  // the tail of the chain acks
-    }
-    if (req.ack_req_id != 0) {
-      auto ack = std::make_shared<AppendAck>();
-      ack->req_id = req.ack_req_id;
-      network_->Send(Message{node_, req.ack_origin,
-                             TrafficCategory::kControl, std::move(ack)});
-    }
-  });
+  ScheduleAfterDisk(static_cast<double>(store_->io().read_bytes - r0),
+                    static_cast<double>(store_->io().write_bytes - w0),
+                    [this, req, apply]() {
+                      obs::Tracer::Default().End(apply);
+                      ForwardOrAck(req);
+                    });
 }
 
 void DhtPeer::SendGetBlock(NodeIndex origin, RequestId req_id,
@@ -788,9 +709,9 @@ void DhtPeer::HandleGet(const GetRequest& req) {
     const size_t begin = req.pipelined ? b * block_postings : 0;
     const size_t end_pos =
         req.pipelined ? std::min(total, begin + block_postings) : total;
-    // Blocks are sliced on posting boundaries, so each one is encoded as a
-    // standalone stream (codec::BlockEncoder framing) and the disk read is
-    // charged at the stored (encoded) size.
+    // Blocks are sliced on posting boundaries, so each one is sized as its
+    // own EncodePostings stream, with no header, and the disk read is
+    // charged at that stored (encoded) size.
     PostingList block(list.begin() + begin, list.begin() + end_pos);
     const double block_bytes =
         static_cast<double>(index::codec::EncodedBytes(block));
@@ -801,7 +722,7 @@ void DhtPeer::HandleGet(const GetRequest& req) {
     out->postings = std::move(block);
     const NodeIndex origin = req.origin;
     const bool last_block = (b + 1 == n_blocks);
-    ScheduleAfterDisk(block_bytes, /*write=*/false,
+    ScheduleAfterDisk(block_bytes, /*write_bytes=*/0,
                       [this, origin, serve, last_block,
                        out = std::move(out)]() mutable {
                         stats_.blocks_sent++;
@@ -826,70 +747,57 @@ void DhtPeer::HandleDelete(const DeleteRequest& req) {
 }
 
 void DhtPeer::HandleGetBlock(const Message& msg, GetBlock& block) {
-  auto it = pending_get_.find(block.req_id);
-  if (it == pending_get_.end()) {
-    // Ids this peer issued carry its node in the high word (NextRequestId):
+  auto it = requests_.find(block.req_id);
+  GetCall* get = it == requests_.end()
+                     ? nullptr
+                     : std::get_if<GetCall>(&it->second.call);
+  if (get == nullptr) {
+    // Ids this peer made carry its node in the high word (NextRequestId):
     // such a block belongs to a get that timed out earlier. Any other was
     // pushed here (PushGet) and may have overtaken the request that makes
     // this peer await it.
     if ((block.req_id >> 32) != node_) HoldDelivery(msg, block.req_id);
     return;
   }
-  PendingGet& pending = it->second;
   // Links are FIFO, so blocks of one attempt arrive in index order; an
   // out-of-sequence index is a fault artifact — a duplicated copy (index
   // below expected) or the far side of a dropped block (index above). In
   // both cases ignore it: delivering would duplicate data or silently
   // complete a stream with a hole. The timeout/retry path recovers.
-  if (block.block_index != pending.next_block) return;
-  pending.next_block++;
-  // The first block of a get routed through the ring comes from the key's
-  // owner (its DPP get proxy included). A hinted attempt's owner was
-  // already named.
-  if (block.block_index == 0 && !pending.spec.owner_hint.has_value() &&
-      !pending.spec.awaited.has_value()) {
-    LearnOwner(pending.spec.key, msg.from);
+  if (block.block_index != get->next_block) return;
+  get->next_block++;
+  // The first block comes from the key's owner (its DPP get proxy
+  // included).
+  if (block.block_index == 0) LearnFromReply(it->second, msg.from);
+  if (!block.last) {
+    // Progress timer: each block pushes the per-attempt deadline out, so
+    // a long healthy stream is not killed mid-transfer.
+    Request& request = it->second;
+    if (request.retry.enabled()) {
+      network_->scheduler()->Cancel(request.timeout_event);
+      request.timeout_event =
+          ArmTimeout(block.req_id, request.retry.timeout_s);
+    }
+    if (get->accumulate) {
+      get->accumulated.insert(get->accumulated.end(), block.postings.begin(),
+                              block.postings.end());
+      return;
+    }
+    get->delivered_any = true;
+    BlockCallback cb = get->on_block;
+    if (cb) cb(std::move(block.postings), /*last=*/false, true);
+    return;
   }
-  if (pending.accumulate) {
-    pending.accumulated.insert(pending.accumulated.end(),
-                               block.postings.begin(),
-                               block.postings.end());
-    if (block.last) {
-      PendingGet done = std::move(pending);
-      pending_get_.erase(it);
-      if (done.timeout_event != sim::kInvalidEventId) {
-        network_->scheduler()->Cancel(done.timeout_event);
-      }
-      if (done.on_done) {
-        done.on_done(
-            GetResult{std::move(done.accumulated), true, Status::OK()});
-      }
-    } else if (pending.retry.enabled()) {
-      // Progress timer: each block pushes the per-attempt deadline out,
-      // so a long healthy stream is not killed mid-transfer.
-      if (pending.timeout_event != sim::kInvalidEventId) {
-        network_->scheduler()->Cancel(pending.timeout_event);
-      }
-      pending.timeout_event =
-          ArmTimeout(block.req_id, pending.retry.timeout_s);
-    }
-  } else {
-    pending.delivered_any = true;
-    BlockCallback cb = pending.on_block;
-    const bool last = block.last;
-    if (last) {
-      if (pending.timeout_event != sim::kInvalidEventId) {
-        network_->scheduler()->Cancel(pending.timeout_event);
-      }
-      pending_get_.erase(it);
-    } else if (pending.retry.enabled()) {
-      if (pending.timeout_event != sim::kInvalidEventId) {
-        network_->scheduler()->Cancel(pending.timeout_event);
-      }
-      pending.timeout_event =
-          ArmTimeout(block.req_id, pending.retry.timeout_s);
-    }
-    if (cb) cb(std::move(block.postings), last, true);
+  Request done = Finish(it);
+  GetCall& call = std::get<GetCall>(done.call);
+  if (!call.accumulate) {
+    if (call.on_block) call.on_block(std::move(block.postings), true, true);
+    return;
+  }
+  call.accumulated.insert(call.accumulated.end(), block.postings.begin(),
+                          block.postings.end());
+  if (call.on_done) {
+    call.on_done(GetResult{std::move(call.accumulated), true, Status::OK()});
   }
 }
 
@@ -914,11 +822,9 @@ void DhtPeer::HandleMessage(const Message& msg) {
     return;
   }
   if (auto* resp = dynamic_cast<LocateResponse*>(payload)) {
-    auto it = pending_locate_.find(resp->req_id);
-    if (it == pending_locate_.end()) return;
-    LocateCallback cb = std::move(it->second);
-    pending_locate_.erase(it);
-    cb(resp->owner);
+    if (auto done = Complete<LocateCall>(resp->req_id)) {
+      std::get<LocateCall>(done->call).cb(resp->owner);
+    }
     return;
   }
   if (auto* block = dynamic_cast<GetBlock*>(payload)) {
@@ -926,39 +832,22 @@ void DhtPeer::HandleMessage(const Message& msg) {
     return;
   }
   if (auto* resp = dynamic_cast<BlobGetResponse*>(payload)) {
-    auto it = pending_blob_.find(resp->req_id);
-    if (it == pending_blob_.end()) return;
-    BlobCallback cb = std::move(it->second);
-    pending_blob_.erase(it);
-    cb(std::move(resp->blob));
+    if (auto done = Complete<BlobCall>(resp->req_id)) {
+      std::get<BlobCall>(done->call).cb(std::move(resp->blob));
+    }
     return;
   }
   if (auto* resp = dynamic_cast<AppResponse*>(payload)) {
-    auto it = pending_app_.find(resp->req_id);
-    if (it == pending_app_.end()) return;
-    PendingApp done = std::move(it->second);
-    pending_app_.erase(it);
-    if (done.timeout_event != sim::kInvalidEventId) {
-      network_->scheduler()->Cancel(done.timeout_event);
+    if (auto done = Complete<AppCall>(resp->req_id)) {
+      LearnFromReply(*done, msg.from);
+      std::get<AppCall>(done->call).cb(resp->inner);
     }
-    // Same rule as a get's first block: the reply to a request routed
-    // through the ring comes from the key's owner. A hinted attempt's
-    // owner was already named, and a direct CallApp names no key.
-    if (done.routed && !done.owner_hint.has_value()) {
-      LearnOwner(done.key, msg.from);
-    }
-    done.cb(resp->inner);
     return;
   }
   if (auto* ack = dynamic_cast<AppendAck*>(payload)) {
-    auto it = pending_ack_.find(ack->req_id);
-    if (it == pending_ack_.end()) return;
-    PendingAppend done = std::move(it->second);
-    pending_ack_.erase(it);
-    if (done.timeout_event != sim::kInvalidEventId) {
-      network_->scheduler()->Cancel(done.timeout_event);
+    if (auto done = Complete<AppendCall>(ack->req_id)) {
+      std::get<AppendCall>(done->call).cb(Status::OK());
     }
-    done.cb(Status::OK());
     return;
   }
   if (auto* append = dynamic_cast<AppendRequest*>(payload)) {

@@ -8,6 +8,7 @@
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
+#include <variant>
 #include <vector>
 
 #include "common/status.h"
@@ -80,9 +81,12 @@ struct DhtOptions {
   uint32_t pipeline_block_postings = 4096;
   /// Seed for peer identifier assignment.
   uint64_t seed = 7;
-  /// Default retry policy for client ops (Get / GetBlocks / acked Append).
-  /// Disabled by default; a per-request policy (GetSpec::retry, the
-  /// RouteApp/CallApp parameter) overrides it when enabled.
+  /// Default retry policy of Get, GetBlocks and acked Append, disabled by
+  /// default; a request's own policy (GetSpec::retry, Append's parameter)
+  /// overrides it when enabled. App calls (RouteApp / CallApp) never fall
+  /// back to it: they time out and retry only under their own parameter,
+  /// so a caller that passes none (the DPP owner<->holder writes, which are
+  /// not idempotent) sends once.
   RetryPolicy retry;
 };
 
@@ -335,15 +339,18 @@ class DhtPeer final : public sim::Actor {
   void LearnOwner(const std::string& key, sim::NodeIndex owner);
   [[nodiscard]] size_t KnownOwnerCount() const { return owners_.size(); }
 
-  /// Gets in flight or awaited here, and the pushed ids this peer tracks:
-  /// those whose blocks are held because no get awaits them yet, and
-  /// those a get has awaited.
-  [[nodiscard]] size_t PendingGetCount() const { return pending_get_.size(); }
+  /// Requests of every kind awaiting a reply here (gets awaiting pushed
+  /// blocks included), and the pushed ids this peer tracks: those whose
+  /// blocks are held because no get awaits them yet, and those a get has
+  /// awaited.
+  [[nodiscard]] size_t PendingRequestCount() const { return requests_.size(); }
   [[nodiscard]] size_t DeliveryCount() const { return deliveries_.size(); }
 
   /// Models a local disk/CPU busy period: runs `fn` once the peer's disk
-  /// has absorbed `bytes` (FIFO with other disk activity).
-  void ScheduleAfterDisk(double bytes, bool write, std::function<void()> fn);
+  /// has read `read_bytes` and written `write_bytes` (FIFO with other disk
+  /// activity).
+  void ScheduleAfterDisk(double read_bytes, double write_bytes,
+                         std::function<void()> fn);
 
   // -- Wiring (called by Dht) ----------------------------------------------
 
@@ -378,41 +385,116 @@ class DhtPeer final : public sim::Actor {
   sim::NodeIndex NextHop(KeyId key) const;
   /// Starts or forwards routing of an envelope.
   void RouteEnvelopeMsg(std::shared_ptr<RouteEnvelope> env);
-  /// Sends an envelope one hop to `owner_hint` when set, naming another
-  /// peer, and this peer does not own the key; otherwise starts routing it
-  /// (a key this peer owns is delivered locally).
-  void SendEnvelope(std::shared_ptr<RouteEnvelope> env,
-                    std::optional<OwnerHint> owner_hint);
+  /// Sends `inner` toward the owner of `key`: one hop to `owner_hint` when
+  /// it names another peer and this peer does not own the key, otherwise
+  /// routed through the ring (a key this peer owns is delivered locally).
+  void Route(const std::string& key, sim::PayloadPtr inner,
+             sim::TrafficCategory category,
+             std::optional<OwnerHint> owner_hint = std::nullopt);
   /// Delivers a routed payload for which this peer is responsible.
   void DeliverRouted(const RouteEnvelope& env);
 
   void HandleAppend(const AppendRequest& req);
+  /// Passes an applied append down the replication chain, or acks it at
+  /// the chain's tail.
+  void ForwardOrAck(const AppendRequest& req);
   /// Streams the store's postings for `req` back to its origin, unless
   /// the get interceptor takes it.
   void HandleGet(const GetRequest& req);
   void HandleDelete(const DeleteRequest& req);
 
   RequestId NextRequestId();
-  struct PendingGet;
-  struct PendingApp;
-  struct PendingAppend;
-  /// (Re-)issues a get under a fresh request id, arming the per-attempt
-  /// timeout. Used for the first attempt and every retry. A first attempt
-  /// with `spec.awaited` sends nothing and awaits the pushed blocks.
-  RequestId IssueGet(PendingGet pending);
-  /// Sends a get request for `spec` one hop to the hinted owner, or
-  /// routed.
-  void SendGet(std::shared_ptr<GetRequest> req, const GetSpec& spec);
+  /// What each attempt of the get `spec` asks for, less its key, id and
+  /// origin.
+  GetRequest AskFor(const GetSpec& spec) const;
+
+  // -- The request table ---------------------------------------------------
+  // Every request this peer awaits a reply for is one Request, keyed by the
+  // id of its current attempt. Each attempt is started, timed out, retried
+  // and completed by the same code whatever its kind; only the payload an
+  // attempt sends and the callback that ends it are the kind's.
+
+  struct LocateCall {
+    LocateCallback cb;
+  };
+  struct BlobCall {
+    BlobCallback cb;
+  };
+  struct GetCall {
+    GetRequest ask;
+    /// An accumulating get (Get) hands the whole list to `on_done`; a
+    /// streaming one (GetBlocks) hands each block to `on_block`.
+    bool accumulate = false;
+    GetCallback on_done;
+    BlockCallback on_block;
+    index::PostingList accumulated;
+    /// A streaming get is not retried once a block reached its caller.
+    bool delivered_any = false;
+    /// Expected next block index: out-of-sequence blocks (duplicates, or a
+    /// gap left by a dropped block) are discarded so a stream never
+    /// double-delivers or silently completes with a hole.
+    uint32_t next_block = 0;
+  };
+  struct AppCall {
+    AppResponseCallback cb;
+    sim::PayloadPtr inner;
+  };
+  struct AppendCall {
+    AppendCallback cb;
+    index::PostingList postings;
+    std::vector<std::string> doc_types;
+    /// Stable across resends, so the owner applies a resend at most once;
+    /// 0 without a retry policy.
+    uint64_t dedup_id = 0;
+  };
+  struct Request {
+    /// Where each attempt goes: routed toward `key`'s owner, or straight
+    /// to `target` (CallApp).
+    std::string key;
+    std::optional<sim::NodeIndex> target;
+    sim::TrafficCategory category = sim::TrafficCategory::kControl;
+    /// First attempt only: one hop to the hinted owner, or (gets) no send
+    /// at all and the blocks pushed under `awaited` (GetSpec::awaited).
+    /// Retries drop both and are routed.
+    std::optional<OwnerHint> owner_hint;
+    std::optional<RequestId> awaited;
+    /// The effective policy: only an enabled one times attempts out.
+    RetryPolicy retry;
+    uint32_t attempt = 1;
+    sim::EventId timeout_event = sim::kInvalidEventId;
+    std::variant<LocateCall, BlobCall, GetCall, AppCall, AppendCall> call;
+  };
+  using Requests = std::unordered_map<RequestId, Request>;
+
+  /// Enters the get `spec` in the table with its kind's part `call`.
+  void StartGet(GetSpec spec, GetCall call);
+  /// Starts an attempt under a fresh request id (or the awaited one):
+  /// enters it in the table, arms its timeout, then sends it.
+  void StartAttempt(Request request);
+  /// Sends `request`'s payload for the attempt `id`; id 0 is a
+  /// fire-and-forget call, which has no table entry and no timeout.
+  void SendAttempt(Request& request, RequestId id);
+  sim::EventId ArmTimeout(RequestId req_id, double timeout_s);
+  /// Retries after the backoff while the budget lasts, else gives up
+  /// through the kind's callback.
+  void OnTimeout(RequestId req_id);
+  static void GiveUp(Request& request);
+  /// Takes an entry out of the table and cancels its timeout.
+  Request Finish(Requests::iterator it);
+  /// Finishes the entry awaiting `req_id` if it is of kind `Call`.
+  template <typename Call>
+  std::optional<Request> Complete(RequestId req_id);
+  /// The first reply to an attempt routed through the ring names the
+  /// key's owner: teaches it to the owner cache.
+  void LearnFromReply(const Request& request, sim::NodeIndex from);
+
   void HandleGetBlock(const sim::Message& msg, GetBlock& block);
+  /// Marks `req_id` awaited by a get for `remember_s`, and hands the
+  /// blocks pushed under it so far to that get.
+  void AwaitPushed(RequestId req_id, double remember_s);
   /// Keeps a pushed block that no get awaits yet, until its get awaits it
   /// or kHoldDeliveryS passes; drops it if its get already awaited it.
   void HoldDelivery(const sim::Message& msg, RequestId req_id);
-  sim::EventId ArmTimeout(RequestId req_id, double timeout_s);
-  void OnGetTimeout(RequestId req_id);
-  RequestId IssueApp(PendingApp pending);
-  void OnAppTimeout(RequestId req_id);
-  RequestId IssueAppend(PendingAppend pending);
-  void OnAppendTimeout(RequestId req_id);
 
   Dht* dht_;
   sim::Network* network_;
@@ -433,52 +515,9 @@ class DhtPeer final : public sim::Actor {
   uint64_t routing_changes_ = 0;
 
   double disk_free_at_ = 0.0;
-  uint64_t last_read_bytes_ = 0;
-  uint64_t last_write_bytes_ = 0;
 
   uint64_t next_req_ = 1;
-  struct PendingGet {
-    BlockCallback on_block;
-    index::PostingList accumulated;
-    bool accumulate = false;
-    GetCallback on_done;
-    /// Retry state. `spec` keeps everything needed to reissue the request;
-    /// streaming gets only retry while no block has reached the caller.
-    GetSpec spec;
-    RetryPolicy retry;
-    uint32_t attempt = 1;
-    bool delivered_any = false;
-    /// Expected next block index: out-of-sequence blocks (duplicates, or a
-    /// gap left by a dropped block) are discarded so a stream never
-    /// double-delivers or silently completes with a hole.
-    uint32_t next_block = 0;
-    sim::EventId timeout_event = sim::kInvalidEventId;
-  };
-  struct PendingApp {
-    AppResponseCallback cb;
-    bool routed = false;
-    std::string key;            // routed requests
-    sim::NodeIndex target = 0;  // direct (CallApp) requests
-    sim::PayloadPtr inner;
-    sim::TrafficCategory category = sim::TrafficCategory::kControl;
-    RetryPolicy retry;
-    /// First attempt of a routed request only (retries clear it).
-    std::optional<OwnerHint> owner_hint;
-    uint32_t attempt = 1;
-    sim::EventId timeout_event = sim::kInvalidEventId;
-  };
-  struct PendingAppend {
-    AppendCallback cb;
-    std::string key;
-    index::PostingList postings;
-    std::vector<std::string> doc_types;
-    uint64_t dedup_id = 0;
-    RetryPolicy retry;
-    uint32_t attempt = 1;
-    sim::EventId timeout_event = sim::kInvalidEventId;
-  };
-  std::unordered_map<RequestId, LocateCallback> pending_locate_;
-  std::unordered_map<RequestId, PendingGet> pending_get_;
+  Requests requests_;
   /// A pushed id (GetSpec::awaited): its blocks that arrived before a get
   /// awaited it, or the mark that a get has (so no second get awaits it
   /// and late copies are dropped). Forgotten at `forget_event`.
@@ -488,9 +527,6 @@ class DhtPeer final : public sim::Actor {
     sim::EventId forget_event = sim::kInvalidEventId;
   };
   std::unordered_map<RequestId, Delivery> deliveries_;
-  std::unordered_map<RequestId, BlobCallback> pending_blob_;
-  std::unordered_map<RequestId, PendingApp> pending_app_;
-  std::unordered_map<RequestId, PendingAppend> pending_ack_;
   /// Dedup ids of retry-capable appends already applied here (server side).
   std::unordered_set<uint64_t> applied_appends_;
 };

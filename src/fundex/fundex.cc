@@ -255,7 +255,7 @@ void FundexService::IndexFunction(const std::string& uri) {
   // a disk-sized scan), indexed under the functional id, then discarded.
   const std::string serialized = xml::SerializeDocument(*doc);
   peer_->ScheduleAfterDisk(static_cast<double>(serialized.size()),
-                           /*write=*/false, []() {});
+                           /*write_bytes=*/0, []() {});
 
   std::vector<index::TermPosting> postings;
   index::ExtractTerms(*doc, peer_->node(), FidSeq(uri), {}, postings);

@@ -34,11 +34,6 @@ CodecCounters& C() {
   return c;
 }
 
-/// Leading magic byte of the block-header framing. Every `BlockEncoder`
-/// block carries the header, so the magic byte is a corruption tripwire,
-/// not a negotiation.
-constexpr uint8_t kBlockHeaderMagic = 0xB7;
-
 void AppendVarint(std::vector<uint8_t>& out, uint64_t v) {
   while (v >= 0x80) {
     out.push_back(static_cast<uint8_t>(v) | 0x80);
@@ -68,43 +63,6 @@ void AppendVarint(std::vector<uint8_t>& out, uint64_t v) {
     }
   }
   return false;  // > 10 bytes: malformed
-}
-
-void AppendVarintPosting(std::vector<uint8_t>& out, const Posting& p) {
-  AppendVarint(out, p.peer);
-  AppendVarint(out, p.doc);
-  AppendVarint(out, p.sid.start);
-  AppendVarint(out, p.sid.end - p.sid.start);
-  AppendVarint(out, p.sid.level);
-}
-
-[[nodiscard]] size_t VarintPostingLen(const Posting& p) {
-  return VarintLen(p.peer) + VarintLen(p.doc) + VarintLen(p.sid.start) +
-         VarintLen(p.sid.end - p.sid.start) + VarintLen(p.sid.level);
-}
-
-[[nodiscard]] bool ReadVarintPosting(const uint8_t* data, size_t size,
-                                     size_t* pos, Posting* p) {
-  uint64_t peer = 0, doc = 0, start = 0, width = 0, level = 0;
-  if (!ReadVarint(data, size, pos, &peer) ||
-      !ReadVarint(data, size, pos, &doc) ||
-      !ReadVarint(data, size, pos, &start) ||
-      !ReadVarint(data, size, pos, &width) ||
-      !ReadVarint(data, size, pos, &level)) {
-    return false;
-  }
-  if (peer > std::numeric_limits<uint32_t>::max() ||
-      doc > std::numeric_limits<uint32_t>::max() ||
-      start + width > std::numeric_limits<uint32_t>::max() ||
-      level > std::numeric_limits<uint16_t>::max()) {
-    return false;
-  }
-  p->peer = static_cast<uint32_t>(peer);
-  p->doc = static_cast<uint32_t>(doc);
-  p->sid.start = static_cast<uint32_t>(start);
-  p->sid.end = static_cast<uint32_t>(start + width);
-  p->sid.level = static_cast<uint16_t>(level);
-  return true;
 }
 
 /// Shared traversal for the encoder and the size functions: walks the runs
@@ -513,95 +471,6 @@ double EstimatedWireAnswerBytes(size_t nodes) {
 void RecordEncode(size_t raw_bytes, size_t encoded_bytes) {
   C().raw_bytes->Increment(raw_bytes);
   C().encoded_bytes->Increment(encoded_bytes);
-}
-
-size_t BlockHeaderBytes(const BlockHeader& header) {
-  size_t total = 1 + VarintLen(header.count);  // magic + count
-  if (header.count > 0) {
-    total += VarintPostingLen(header.bounds.lo) +
-             VarintPostingLen(header.bounds.hi);
-  }
-  return total;
-}
-
-void AppendBlockHeader(std::vector<uint8_t>& out, const BlockHeader& header) {
-  KADOP_CHECK(header.count == 0 || !(header.bounds.hi < header.bounds.lo),
-              "codec: block header bounds inverted");
-  out.push_back(kBlockHeaderMagic);
-  AppendVarint(out, header.count);
-  if (header.count > 0) {
-    AppendVarintPosting(out, header.bounds.lo);
-    AppendVarintPosting(out, header.bounds.hi);
-  }
-}
-
-Status ParseBlockHeader(const uint8_t* data, size_t size, BlockHeader* header,
-                        size_t* payload_offset) {
-  *header = BlockHeader{};
-  *payload_offset = 0;
-  size_t pos = 0;
-  if (size == 0 || data[pos++] != kBlockHeaderMagic) {
-    return Status::Corruption("codec: bad block header magic");
-  }
-  uint64_t count = 0;
-  if (!ReadVarint(data, size, &pos, &count)) {
-    return Status::Corruption("codec: truncated block header count");
-  }
-  Condition bounds;  // default-empty: matches nothing when count == 0
-  if (count > 0) {
-    if (!ReadVarintPosting(data, size, &pos, &bounds.lo) ||
-        !ReadVarintPosting(data, size, &pos, &bounds.hi)) {
-      return Status::Corruption("codec: truncated block header bounds");
-    }
-    if (bounds.hi < bounds.lo) {
-      return Status::Corruption("codec: block header bounds inverted");
-    }
-  }
-  header->bounds = bounds;
-  header->count = count;
-  *payload_offset = pos;
-  return Status::OK();
-}
-
-Status DecodeBlockWithHeader(const uint8_t* data, size_t size,
-                             BlockHeader* header, PostingList* out) {
-  size_t payload = 0;
-  if (Status s = ParseBlockHeader(data, size, header, &payload); !s.ok()) {
-    return s;
-  }
-  if (Status s = DecodePostings(data + payload, size - payload, out);
-      !s.ok()) {
-    return s;
-  }
-  if (out->size() != header->count ||
-      (!out->empty() && (out->front() != header->bounds.lo ||
-                         out->back() != header->bounds.hi))) {
-    return Status::Corruption("codec: block header disagrees with payload");
-  }
-  return Status::OK();
-}
-
-BlockEncoder::BlockEncoder(size_t max_block_postings)
-    : max_block_postings_(max_block_postings == 0 ? 1 : max_block_postings) {}
-
-void BlockEncoder::Add(const Posting& posting) {
-  KADOP_CHECK(pending_.empty() || !(posting < pending_.back()),
-              "codec: block postings must arrive sorted");
-  pending_.push_back(posting);
-}
-
-BlockEncoder::Block BlockEncoder::Flush() {
-  Block block;
-  block.postings = std::move(pending_);
-  pending_ = PostingList();
-  block.count = block.postings.size();
-  if (!block.postings.empty()) {
-    block.bounds = Condition{block.postings.front(), block.postings.back()};
-  }
-  AppendBlockHeader(block.bytes, BlockHeader{block.bounds, block.count});
-  const std::vector<uint8_t> payload = EncodePostings(block.postings);
-  block.bytes.insert(block.bytes.end(), payload.begin(), payload.end());
-  return block;
 }
 
 }  // namespace kadop::index::codec

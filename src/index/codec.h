@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "index/condition.h"
 #include "index/posting.h"
 
 namespace kadop::index::codec {
@@ -161,70 +160,6 @@ struct WireSizeMemo {
 /// Record an achieved raw -> encoded ratio in the codec counters (used by
 /// sites that model an encode without materializing it).
 void RecordEncode(size_t raw_bytes, size_t encoded_bytes);
-
-/// Self-describing block header: the exact first/last posting of the block
-/// (so `bounds` carries `[min_doc, max_doc]` *and* the min/max start
-/// interval) plus the posting count. A reader can decide from the header
-/// alone whether a block can intersect its query range — and skip the
-/// payload without ever decoding it.
-struct BlockHeader {
-  Condition bounds;  // lo == first posting, hi == last posting (exact)
-  uint64_t count = 0;
-};
-
-/// Encoded size of `header` (magic byte + varints).
-[[nodiscard]] size_t BlockHeaderBytes(const BlockHeader& header);
-
-/// Appends the header framing to `out`.
-void AppendBlockHeader(std::vector<uint8_t>& out, const BlockHeader& header);
-
-/// Parses a header off the front of a framed block. On OK, `*payload_offset`
-/// is the offset of the embedded `EncodePostings` stream. Fails with
-/// `kCorruption` on a bad magic byte, truncation, or inverted bounds.
-[[nodiscard]] Status ParseBlockHeader(const uint8_t* data, size_t size,
-                                      BlockHeader* header,
-                                      size_t* payload_offset);
-
-/// Parses the header, decodes the payload, and cross-checks them: the
-/// payload's posting count and exact first/last posting must match the
-/// header, so a tampered header (or a header spliced onto the wrong
-/// payload) fails with `kCorruption` instead of mis-skipping.
-[[nodiscard]] Status DecodeBlockWithHeader(const uint8_t* data, size_t size,
-                                           BlockHeader* header,
-                                           PostingList* out);
-
-/// Splits a posting stream into posting-aligned, independently decodable
-/// blocks: every `Flush()` emits a standalone `EncodePostings` stream of at
-/// most `max_block_postings` postings, so pipelined-get and DPP block
-/// boundaries never straddle a posting and each block decodes on its own.
-/// `bytes` is the block's `BlockHeader` followed by the stream.
-class BlockEncoder {
- public:
-  struct Block {
-    PostingList postings;
-    std::vector<uint8_t> bytes;  // header + EncodePostings(postings)
-    Condition bounds;            // exact first/last posting (empty if none)
-    uint64_t count = 0;
-  };
-
-  explicit BlockEncoder(size_t max_block_postings);
-
-  /// Appends one posting to the current block. Input must arrive in sorted
-  /// order, exactly as `EncodePostings` requires.
-  void Add(const Posting& posting);
-
-  [[nodiscard]] bool BlockFull() const {
-    return pending_.size() >= max_block_postings_;
-  }
-  [[nodiscard]] size_t pending() const { return pending_.size(); }
-
-  /// Encodes and returns the current block, then starts a fresh one.
-  [[nodiscard]] Block Flush();
-
- private:
-  size_t max_block_postings_;
-  PostingList pending_;
-};
 
 }  // namespace kadop::index::codec
 

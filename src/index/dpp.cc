@@ -145,7 +145,7 @@ void DppManager::ProcessAppend(const AppendRequest& request) {
       // Local block 0.
       const double bytes = static_cast<double>(codec::EncodedBytes(postings));
       peer_->store()->AppendPostings(term_key, postings);
-      peer_->ScheduleAfterDisk(bytes, /*write=*/true, on_part_done);
+      peer_->ScheduleAfterDisk(/*read_bytes=*/0, bytes, on_part_done);
     } else {
       auto msg = std::make_shared<DppAppendToBlock>();
       msg->block_key = block.key;
@@ -222,7 +222,7 @@ bool DppManager::OnGet(const dht::GetRequest& request) {
           request.key, request.lo, request.hi, 0);
       const double bytes = static_cast<double>(codec::EncodedBytes(list));
       peer_->ScheduleAfterDisk(
-          bytes, /*write=*/false,
+          bytes, /*write_bytes=*/0,
           [deliver, i, list = std::move(list)]() mutable {
             deliver(i, std::move(list));
           });
@@ -464,7 +464,7 @@ void DppManager::PerformLocalSplit(const std::string& block_key,
           done(std::move(result));
         });
   };
-  peer_->ScheduleAfterDisk(io_bytes, /*write=*/true, std::move(migrate));
+  peer_->ScheduleAfterDisk(/*read_bytes=*/0, io_bytes, std::move(migrate));
 }
 
 bool DppManager::HandleApp(const AppRequest& request, NodeIndex /*from*/) {
@@ -479,14 +479,14 @@ bool DppManager::HandleApp(const AppRequest& request, NodeIndex /*from*/) {
     const NodeIndex origin = request.origin;
     const dht::RequestId req_id = request.req_id;
     const uint64_t count = peer_->store()->PostingCount(append->block_key);
-    peer_->ScheduleAfterDisk(bytes, /*write=*/true, [this, origin, req_id,
-                                                     count]() {
-      if (req_id == 0) return;
-      auto resp = std::make_shared<DppAppendDone>();
-      resp->new_count = count;
-      peer_->Reply(origin, req_id, std::move(resp),
-                   TrafficCategory::kControl);
-    });
+    peer_->ScheduleAfterDisk(
+        /*read_bytes=*/0, bytes, [this, origin, req_id, count]() {
+          if (req_id == 0) return;
+          auto resp = std::make_shared<DppAppendDone>();
+          resp->new_count = count;
+          peer_->Reply(origin, req_id, std::move(resp),
+                       TrafficCategory::kControl);
+        });
     return true;
   }
 
@@ -499,14 +499,14 @@ bool DppManager::HandleApp(const AppRequest& request, NodeIndex /*from*/) {
     const NodeIndex origin = request.origin;
     const dht::RequestId req_id = request.req_id;
     const uint64_t count = peer_->store()->PostingCount(block->block_key);
-    peer_->ScheduleAfterDisk(bytes, /*write=*/true, [this, origin, req_id,
-                                                     count]() {
-      if (req_id == 0) return;
-      auto resp = std::make_shared<DppStoreBlockDone>();
-      resp->count = count;
-      peer_->Reply(origin, req_id, std::move(resp),
-                   TrafficCategory::kControl);
-    });
+    peer_->ScheduleAfterDisk(
+        /*read_bytes=*/0, bytes, [this, origin, req_id, count]() {
+          if (req_id == 0) return;
+          auto resp = std::make_shared<DppStoreBlockDone>();
+          resp->count = count;
+          peer_->Reply(origin, req_id, std::move(resp),
+                       TrafficCategory::kControl);
+        });
     return true;
   }
 

@@ -161,164 +161,6 @@ TEST(CodecTest, OverlongVarintFailsWithCorruption) {
             "codec: posting count exceeds buffer");
 }
 
-TEST(CodecTest, BlockEncoderEmitsAlignedStandaloneBlocks) {
-  std::mt19937_64 rng(5);
-  const PostingList list = RandomSortedList(rng, 1000);
-  codec::BlockEncoder enc(128);
-  PostingList reassembled;
-  size_t blocks = 0;
-  auto drain = [&](codec::BlockEncoder::Block block) {
-    ++blocks;
-    EXPECT_LE(block.postings.size(), 128u);
-    const codec::BlockHeader expected{block.bounds, block.count};
-    EXPECT_EQ(block.bytes.size(), codec::BlockHeaderBytes(expected) +
-                                      codec::EncodedBytes(block.postings));
-    // Posting-aligned: every block decodes standalone.
-    codec::BlockHeader header;
-    PostingList decoded;
-    ASSERT_TRUE(codec::DecodeBlockWithHeader(block.bytes.data(),
-                                             block.bytes.size(), &header,
-                                             &decoded)
-                    .ok());
-    EXPECT_EQ(decoded, block.postings);
-    reassembled.insert(reassembled.end(), decoded.begin(), decoded.end());
-  };
-  for (const Posting& p : list) {
-    enc.Add(p);
-    if (enc.BlockFull()) drain(enc.Flush());
-  }
-  if (enc.pending() > 0) drain(enc.Flush());
-  EXPECT_EQ(reassembled, list);
-  EXPECT_EQ(blocks, (list.size() + 127) / 128);
-}
-
-// ---------------------------------------------------------------------------
-// Block-header framing.
-
-std::vector<codec::BlockEncoder::Block> EncodeBlocks(const PostingList& list,
-                                                     size_t per_block) {
-  codec::BlockEncoder enc(per_block);
-  std::vector<codec::BlockEncoder::Block> blocks;
-  for (const Posting& p : list) {
-    enc.Add(p);
-    if (enc.BlockFull()) blocks.push_back(enc.Flush());
-  }
-  if (enc.pending() > 0) blocks.push_back(enc.Flush());
-  return blocks;
-}
-
-TEST(CodecTest, BlockHeaderRoundtripsExactBoundsAndCount) {
-  std::mt19937_64 rng(21);
-  const PostingList list = RandomSortedList(rng, 700);
-  PostingList reassembled;
-  for (const auto& block : EncodeBlocks(list, 128)) {
-    // The in-memory block mirror carries the exact first/last posting.
-    ASSERT_FALSE(block.postings.empty());
-    EXPECT_EQ(block.bounds.lo, block.postings.front());
-    EXPECT_EQ(block.bounds.hi, block.postings.back());
-    EXPECT_EQ(block.count, block.postings.size());
-
-    // The wire framing round-trips header and payload, cross-checked.
-    codec::BlockHeader header;
-    PostingList decoded;
-    ASSERT_TRUE(codec::DecodeBlockWithHeader(block.bytes.data(),
-                                             block.bytes.size(), &header,
-                                             &decoded)
-                    .ok());
-    EXPECT_EQ(header.count, block.count);
-    EXPECT_EQ(header.bounds.lo, block.bounds.lo);
-    EXPECT_EQ(header.bounds.hi, block.bounds.hi);
-    EXPECT_EQ(decoded, block.postings);
-
-    // Header-only parse never touches the payload.
-    size_t payload = 0;
-    ASSERT_TRUE(codec::ParseBlockHeader(block.bytes.data(),
-                                        block.bytes.size(), &header, &payload)
-                    .ok());
-    EXPECT_EQ(payload, codec::BlockHeaderBytes(header));
-    reassembled.insert(reassembled.end(), decoded.begin(), decoded.end());
-  }
-  EXPECT_EQ(reassembled, list);
-}
-
-TEST(CodecTest, BlockBytesAreHeaderThenBareStream) {
-  // The framing is exactly AppendBlockHeader + EncodePostings, so a reader
-  // that strips the header sees the bare stream every decoder accepts.
-  std::mt19937_64 rng(23);
-  const PostingList list = RandomSortedList(rng, 300);
-  for (const auto& block : EncodeBlocks(list, 64)) {
-    std::vector<uint8_t> expected;
-    codec::AppendBlockHeader(expected,
-                             codec::BlockHeader{block.bounds, block.count});
-    const std::vector<uint8_t> bare = codec::EncodePostings(block.postings);
-    expected.insert(expected.end(), bare.begin(), bare.end());
-    EXPECT_EQ(block.bytes, expected);
-  }
-}
-
-TEST(CodecTest, BlockHeaderCorruptionIsRejected) {
-  std::mt19937_64 rng(29);
-  const PostingList list = RandomSortedList(rng, 100);
-  const auto blocks = EncodeBlocks(list, 100);
-  ASSERT_EQ(blocks.size(), 1u);
-  const std::vector<uint8_t>& good = blocks[0].bytes;
-
-  codec::BlockHeader header;
-  PostingList out;
-  size_t payload = 0;
-
-  // Bad magic byte.
-  std::vector<uint8_t> bad_magic = good;
-  bad_magic[0] ^= 0xFF;
-  EXPECT_EQ(codec::ParseBlockHeader(bad_magic.data(), bad_magic.size(),
-                                    &header, &payload)
-                .code(),
-            StatusCode::kCorruption);
-
-  // Truncation at every header prefix. The loop uses scratch outputs:
-  // ParseBlockHeader resets them on entry, and `payload` is needed intact
-  // for the tamper below.
-  ASSERT_TRUE(
-      codec::ParseBlockHeader(good.data(), good.size(), &header, &payload)
-          .ok());
-  for (size_t len = 0; len < payload; ++len) {
-    codec::BlockHeader scratch_header;
-    size_t scratch_payload = 0;
-    EXPECT_EQ(codec::ParseBlockHeader(good.data(), len, &scratch_header,
-                                      &scratch_payload)
-                  .code(),
-              StatusCode::kCorruption)
-        << "header prefix of length " << len << " parsed";
-  }
-
-  // A tampered header over an intact payload: ParseBlockHeader cannot
-  // tell, but the decode cross-check must refuse to mis-skip. Flip a low
-  // bit of the hi-posting's level varint (the last header byte).
-  std::vector<uint8_t> tampered = good;
-  tampered[payload - 1] ^= 0x01;
-  EXPECT_EQ(codec::DecodeBlockWithHeader(tampered.data(), tampered.size(),
-                                         &header, &out)
-                .code(),
-            StatusCode::kCorruption);
-
-  // A header spliced onto a truncated payload.
-  std::vector<uint8_t> cut(good.begin(), good.end() - 3);
-  EXPECT_EQ(
-      codec::DecodeBlockWithHeader(cut.data(), cut.size(), &header, &out)
-          .code(),
-      StatusCode::kCorruption);
-
-  // An overlong varint (bit 64 set) as the header's posting count.
-  std::vector<uint8_t> overlong_count{good[0]};
-  const std::vector<uint8_t> overlong = TenByteVarint(0x02);
-  overlong_count.insert(overlong_count.end(), overlong.begin(),
-                        overlong.end());
-  const Status st = codec::ParseBlockHeader(
-      overlong_count.data(), overlong_count.size(), &header, &payload);
-  EXPECT_EQ(st.code(), StatusCode::kCorruption);
-  EXPECT_EQ(st.message(), "codec: truncated block header count");
-}
-
 TEST(CodecTest, WireBytesIsTheMemoizedEncodedSize) {
   std::mt19937_64 rng(11);
   const PostingList list = RandomSortedList(rng, 300);
@@ -803,8 +645,8 @@ TEST(AnswerCodecTest, NonCanonicalStreamsFailWithCorruption) {
 }
 
 // ---------------------------------------------------------------------------
-// Seeded mutation fuzzers over the three receive paths: DecodePostings,
-// DecodeBlockWithHeader and DecodeAnswers. Each mutant is a valid stream
+// Seeded mutation fuzzers over the two receive paths: DecodePostings and
+// DecodeAnswers. Each mutant is a valid stream
 // with one to three bytes flipped, cut short, or spliced (a prefix of one
 // valid stream followed by the suffix of another). Every mutant must fail
 // with kCorruption or decode to a valid result that re-encodes to exactly
@@ -889,36 +731,6 @@ TEST(CodecFuzzTest, DecodePostingsAcceptsOnlyCanonicalStreams) {
           }
         } else {
           EXPECT_TRUE(out.empty() || st.code() == StatusCode::kCorruption);
-        }
-        return st;
-      });
-  EXPECT_GT(rejected, 0u);
-}
-
-TEST(CodecFuzzTest, DecodeBlockWithHeaderAcceptsOnlyCanonicalBlocks) {
-  const size_t rejected = FuzzDecoder(
-      102,
-      [](std::mt19937_64& rng) {
-        const PostingList list = FuzzList(rng);
-        codec::BlockEncoder enc(list.size() + 1);
-        for (const Posting& p : list) enc.Add(p);
-        return enc.Flush().bytes;
-      },
-      [](const std::vector<uint8_t>& bytes) {
-        codec::BlockHeader header;
-        PostingList out;
-        const Status st = codec::DecodeBlockWithHeader(
-            bytes.data(), bytes.size(), &header, &out);
-        if (st.ok()) {
-          EXPECT_EQ(header.count, out.size());
-          EXPECT_TRUE(IsSortedPostingList(out));
-          if (IsSortedPostingList(out)) {
-            std::vector<uint8_t> again;
-            codec::AppendBlockHeader(again, header);
-            const std::vector<uint8_t> payload = codec::EncodePostings(out);
-            again.insert(again.end(), payload.begin(), payload.end());
-            EXPECT_EQ(again, bytes);
-          }
         }
         return st;
       });

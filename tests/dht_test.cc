@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <optional>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "dht/dht.h"
 #include "dht/ring.h"
@@ -665,6 +668,103 @@ TEST(OwnerCacheTest, AddPeersEmptiesEveryCache) {
   net.dht.AddPeers(2);
   for (sim::NodeIndex n = 0; n < net.dht.PeerCount(); ++n) {
     EXPECT_EQ(net.dht.peer(n)->KnownOwnerCount(), 0u) << n;
+  }
+}
+
+// -- Retry budget -----------------------------------------------------------
+
+uint64_t CounterDelta(const obs::MetricsSnapshot& diff,
+                      const std::string& name) {
+  const auto it = diff.counters.find(name);
+  return it == diff.counters.end() ? 0 : it->second;
+}
+
+// Every request kind that awaits a reply spends one retry budget the same
+// way: each attempt times out, the next goes out after its backoff, and the
+// last timeout gives up exactly once, RetryPolicy::SpanS() after the first
+// send, through the kind's callback.
+TEST(DhtRetryTest, EveryRequestKindSpendsOneBudget) {
+  RetryPolicy policy;
+  policy.timeout_s = 0.2;
+  policy.max_retries = 2;
+  DhtOptions options;
+  options.retry = policy;  // the blocking Get's only policy
+  TestNet net(8, options);
+  const std::string key = "l:a";
+  // The owner dies before it can ever reply; no restabilization, so every
+  // attempt keeps aiming at the corpse.
+  const sim::NodeIndex owner = net.dht.OwnerOf(HashKey(key));
+  net.dht.FailPeer(owner);
+  DhtPeer* requester = net.dht.peer((owner + 1) % 8);
+
+  // Each kind sends one request and reports whether its give-up was the
+  // kind's: DeadlineExceeded, an incomplete last block, or nullptr.
+  using GaveUp = std::function<void(bool as_expected)>;
+  struct Kind {
+    std::string name;
+    bool is_get;
+    std::function<void(GaveUp)> start;
+  };
+  const std::vector<Kind> kinds = {
+      {"Get", true,
+       [&](GaveUp gave_up) {
+         requester->Get(key, [gave_up](GetResult r) {
+           gave_up(!r.complete && r.status.IsDeadlineExceeded());
+         });
+       }},
+      {"GetBlocks", true,
+       [&](GaveUp gave_up) {
+         GetSpec spec;
+         spec.key = key;
+         spec.pipelined = true;
+         spec.retry = policy;
+         requester->GetBlocks(
+             spec, [gave_up](PostingList block, bool last, bool complete) {
+               gave_up(block.empty() && last && !complete);
+             });
+       }},
+      {"RouteApp", false,
+       [&](GaveUp gave_up) {
+         requester->RouteApp(
+             key, std::make_shared<WhoPayload>(),
+             sim::TrafficCategory::kControl,
+             [gave_up](sim::PayloadPtr inner) { gave_up(inner == nullptr); },
+             policy);
+       }},
+      {"CallApp", false,
+       [&](GaveUp gave_up) {
+         requester->CallApp(
+             owner, std::make_shared<WhoPayload>(),
+             sim::TrafficCategory::kControl,
+             [gave_up](sim::PayloadPtr inner) { gave_up(inner == nullptr); },
+             policy);
+       }},
+      {"Append", false,
+       [&](GaveUp gave_up) {
+         requester->Append(
+             key, {MakePosting(1, 1, 1)},
+             [gave_up](Status s) { gave_up(s.IsDeadlineExceeded()); }, {},
+             policy);
+       }},
+  };
+  for (const Kind& kind : kinds) {
+    SCOPED_TRACE(kind.name);
+    const obs::MetricsSnapshot base = Now();
+    const double t0 = net.scheduler.Now();
+    std::vector<double> gave_up_at;
+    bool as_expected = true;
+    kind.start([&](bool ok) {
+      gave_up_at.push_back(net.scheduler.Now());
+      as_expected = as_expected && ok;
+    });
+    net.scheduler.RunUntilIdle();
+    ASSERT_EQ(gave_up_at.size(), 1u);
+    EXPECT_TRUE(as_expected);
+    EXPECT_NEAR(gave_up_at[0], t0 + policy.SpanS(), 1e-9);
+    const obs::MetricsSnapshot diff = Since(base);
+    EXPECT_EQ(CounterDelta(diff, "dht.timeouts"), 3u);
+    EXPECT_EQ(CounterDelta(diff, "dht.retries"), 2u);
+    EXPECT_EQ(CounterDelta(diff, "dht.get_timeouts"), kind.is_get ? 3u : 0u);
   }
 }
 

@@ -1462,7 +1462,7 @@ TEST(PushJoinTest, DeliveriesThatOvertakeTheirTaskAreHeld) {
       EXPECT_TRUE(held);
     }
     for (sim::NodeIndex n = 0; n < s.net->PeerCount(); ++n) {
-      EXPECT_EQ(s.net->peer(n)->dht_peer()->PendingGetCount(), 0u) << n;
+      EXPECT_EQ(s.net->peer(n)->dht_peer()->PendingRequestCount(), 0u) << n;
       EXPECT_EQ(s.net->peer(n)->dht_peer()->DeliveryCount(), 0u) << n;
     }
   }

@@ -152,9 +152,9 @@ TEST(PipelineTest, DiskFifoSerializesLocalWork) {
   std::vector<double> done;
   // Two 8 MB disk jobs queued back to back at t=0.
   const double mb8 = 8.0 * 1024 * 1024;
-  peer->ScheduleAfterDisk(mb8, /*write=*/false,
+  peer->ScheduleAfterDisk(mb8, /*write_bytes=*/0,
                           [&] { done.push_back(net.scheduler.Now()); });
-  peer->ScheduleAfterDisk(mb8, /*write=*/false,
+  peer->ScheduleAfterDisk(mb8, /*write_bytes=*/0,
                           [&] { done.push_back(net.scheduler.Now()); });
   net.scheduler.RunUntilIdle();
   ASSERT_EQ(done.size(), 2u);
