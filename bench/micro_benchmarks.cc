@@ -424,7 +424,7 @@ void BM_DhtLocate(benchmark::State& state) {
   for (auto _ : state) {
     std::optional<sim::NodeIndex> owner;
     dht_net.peer(0)->Locate("key" + std::to_string(i++),
-                            [&](sim::NodeIndex o) { owner = o; });
+                            [&](Result<sim::NodeIndex> o) { owner = o.value(); });
     scheduler.RunUntilIdle();
     benchmark::DoNotOptimize(owner);
   }

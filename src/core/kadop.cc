@@ -6,6 +6,7 @@
 
 #include "common/logging.h"
 #include "dht/ring.h"
+#include "index/codec.h"
 #include "obs/json.h"
 #include "obs/trace.h"
 
@@ -33,6 +34,20 @@ FaultEventCounters& FaultEvents() {
   return counters;
 }
 
+/// Appends a phase-2 reply's answers, decoded with the pattern's `arity`.
+void TakeDocAnswers(const sim::PayloadPtr& inner, size_t arity,
+                    std::vector<query::Answer>* out) {
+  const auto* resp = dynamic_cast<const DocQueryResponse*>(inner.get());
+  if (resp == nullptr) return;
+  std::vector<index::DocId> matched;
+  std::vector<query::Answer> answers;
+  const Status status = index::codec::DecodeAnswers(
+      resp->answers.data(), resp->answers.size(), arity, &matched, &answers);
+  KADOP_CHECK(status.ok(), "phase-2 answer stream is corrupt");
+  out->insert(out->end(), std::make_move_iterator(answers.begin()),
+              std::make_move_iterator(answers.end()));
+}
+
 /// `options` as a network with or without DPP can plan them: without it
 /// every list is one block at its owner, so kAuto and `explain` must price
 /// neither kDpp nor kDppJoin.
@@ -54,8 +69,9 @@ KadopPeer::KadopPeer(dht::DhtPeer* dht_peer, const KadopOptions& options,
   if (options.enable_dpp) {
     dpp_ = std::make_unique<index::DppManager>(dht_peer_, options.dpp);
     dht_peer_->SetAppendInterceptor(
-        [this](const dht::AppendRequest& request) {
-          return dpp_->OnAppend(request);
+        [this](const dht::AppendRequest& request,
+               const index::PostingList& postings) {
+          return dpp_->OnAppend(request, postings);
         });
     dht_peer_->SetGetInterceptor([this](const dht::GetRequest& request) {
       return dpp_->OnGet(request);
@@ -77,8 +93,9 @@ KadopPeer::KadopPeer(dht::DhtPeer* dht_peer, const KadopOptions& options,
 }
 
 void KadopPeer::HandleHandoff(const HandoffMessage& msg) {
-  if (!msg.postings.empty()) {
-    dht_peer_->store()->AppendPostings(msg.key, msg.postings);
+  const index::PostingList postings = index::codec::DecodePayload(msg.postings);
+  if (!postings.empty()) {
+    dht_peer_->store()->AppendPostings(msg.key, postings);
   }
   if (msg.blob) {
     dht_peer_->store()->PutBlob(msg.key, *msg.blob);
@@ -103,7 +120,7 @@ void KadopPeer::HandleApp(const dht::AppRequest& request, NodeIndex from) {
 
   if (const auto* doc_query =
           dynamic_cast<const DocQueryRequest*>(request.inner.get())) {
-    auto resp = std::make_shared<DocQueryResponse>();
+    std::vector<query::Answer> answers;
     Result<query::TreePattern> pattern = query::ParsePattern(
         doc_query->pattern);
     if (pattern.ok()) {
@@ -117,13 +134,14 @@ void KadopPeer::HandleApp(const dht::AppRequest& request, NodeIndex from) {
       for (DocSeq seq : seqs) {
         const xml::Document* doc = doc_store_.Get(seq);
         if (doc == nullptr) continue;
-        auto answers = query::EvaluateOnDocument(
+        auto found = query::EvaluateOnDocument(
             pattern.value(), *doc,
             index::DocId{dht_peer_->node(), seq});
-        resp->answers.insert(resp->answers.end(), answers.begin(),
-                             answers.end());
+        answers.insert(answers.end(), found.begin(), found.end());
       }
     }
+    auto resp = std::make_shared<DocQueryResponse>();
+    resp->answers = index::codec::EncodeAnswers({}, answers);
     dht_peer_->Reply(request.origin, request.req_id, std::move(resp),
                      TrafficCategory::kResult);
     return;
@@ -237,7 +255,7 @@ sim::NodeIndex KadopNet::JoinPeerAndWait() {
     if (dht_->OwnerOf(dht::HashKey(key)) != node) continue;
     auto msg = std::make_shared<HandoffMessage>();
     msg->key = key;
-    msg->postings = old_store->GetPostings(key);
+    msg->postings = index::codec::EncodePostings(old_store->GetPostings(key));
     if (!keep_replica) old_store->DeleteKey(key);
     if (old_owner->dpp() != nullptr) {
       msg->dpp_root = old_owner->dpp()->ExportTerm(key);
@@ -249,6 +267,7 @@ sim::NodeIndex KadopNet::JoinPeerAndWait() {
     if (dht_->OwnerOf(dht::HashKey(key)) != node) continue;
     auto msg = std::make_shared<HandoffMessage>();
     msg->key = key;
+    msg->postings = index::codec::EncodePostings({});
     msg->blob = *old_store->GetBlob(key);
     if (!keep_replica) old_store->DeleteBlob(key);
     old_owner->dht_peer()->SendApp(node, std::move(msg),
@@ -482,6 +501,9 @@ Result<FullQueryResult> KadopNet::QueryDocumentsAndWait(
   const double start = scheduler_.Now();
   Result<query::QueryResult> index_result = QueryAndWait(at, xpath, options);
   if (!index_result.ok()) return index_result.status();
+  KADOP_ASSIGN_OR_RETURN(const query::TreePattern pattern,
+                         query::ParsePattern(xpath));
+  const size_t arity = pattern.size();
 
   FullQueryResult full;
   full.index = index_result.take();
@@ -498,14 +520,8 @@ Result<FullQueryResult> KadopNet::QueryDocumentsAndWait(
     req->pattern = std::string(xpath);
     req->docs = docs;
     origin->CallApp(node, std::move(req), TrafficCategory::kQuery,
-                    [&full, &pending](sim::PayloadPtr inner) {
-                      auto* resp =
-                          dynamic_cast<DocQueryResponse*>(inner.get());
-                      if (resp != nullptr) {
-                        full.final_answers.insert(full.final_answers.end(),
-                                                  resp->answers.begin(),
-                                                  resp->answers.end());
-                      }
+                    [&full, &pending, arity](sim::PayloadPtr inner) {
+                      TakeDocAnswers(inner, arity, &full.final_answers);
                       --pending;
                     });
   }
@@ -519,6 +535,7 @@ Result<FullQueryResult> KadopNet::BroadcastQueryAndWait(
     NodeIndex at, std::string_view xpath) {
   Result<query::TreePattern> pattern = query::ParsePattern(xpath);
   if (!pattern.ok()) return pattern.status();
+  const size_t arity = pattern.value().size();
   const double start = scheduler_.Now();
   FullQueryResult full;
   dht::DhtPeer* origin = peer(at)->dht_peer();
@@ -531,14 +548,8 @@ Result<FullQueryResult> KadopNet::BroadcastQueryAndWait(
     ++pending;
     origin->CallApp(static_cast<NodeIndex>(node), std::move(req),
                     TrafficCategory::kQuery,
-                    [&full, &pending](sim::PayloadPtr inner) {
-                      auto* resp =
-                          dynamic_cast<DocQueryResponse*>(inner.get());
-                      if (resp != nullptr) {
-                        full.final_answers.insert(full.final_answers.end(),
-                                                  resp->answers.begin(),
-                                                  resp->answers.end());
-                      }
+                    [&full, &pending, arity](sim::PayloadPtr inner) {
+                      TakeDocAnswers(inner, arity, &full.final_answers);
                       --pending;
                     });
   }
@@ -552,16 +563,17 @@ Result<std::string> KadopNet::LookupDocUriAndWait(NodeIndex at,
                                                   const index::DocId& doc) {
   const std::string key = "doc:" + std::to_string(doc.peer) + ":" +
                           std::to_string(doc.doc);
-  std::optional<std::optional<std::string>> got;
-  peer(at)->dht_peer()->GetBlob(key, [&got](std::optional<std::string> blob) {
-    got = std::move(blob);
-  });
+  // Shared with the callback: without a retry policy a lookup sent toward
+  // a crashed owner never calls back, and its request outlives this frame.
+  auto got = std::make_shared<Result<std::string>>(
+      Status::Internal("blob lookup got no reply"));
+  peer(at)->dht_peer()->GetBlob(
+      key, [got](Result<std::string> uri) { *got = std::move(uri); });
   scheduler_.RunUntilIdle();
-  if (!got.has_value()) return Status::Internal("blob lookup did not run");
-  if (!got->has_value()) {
+  if (got->status().IsNotFound()) {
     return Status::NotFound("no Doc-relation entry for " + doc.ToString());
   }
-  return **got;
+  return *got;  // kDeadlineExceeded when the retry budget ran out
 }
 
 Result<std::string> KadopNet::ExplainQueryAndWait(

@@ -10,7 +10,6 @@
 #include "common/status.h"
 #include "dht/dht.h"
 #include "fundex/fundex.h"
-#include "index/codec.h"
 #include "index/doc_store.h"
 #include "index/dpp.h"
 #include "index/publisher.h"
@@ -40,36 +39,31 @@ struct DocQueryRequest final : sim::Payload {
   std::string_view TypeName() const override { return "DocQueryRequest"; }
 };
 
+/// The answers as a `codec::EncodeAnswers` stream with no matched docs.
 struct DocQueryResponse final : sim::Payload {
-  std::vector<query::Answer> answers;
+  std::vector<uint8_t> answers;
 
-  size_t SizeBytes() const override {
-    // The answer stream of the kDppJoin holder reply, with no matched docs.
-    return 8 + index::codec::EncodedAnswerBytes({}, answers);
-  }
+  size_t SizeBytes() const override { return 8 + answers.size(); }
   std::string_view TypeName() const override { return "DocQueryResponse"; }
 };
 
 /// Key-range handoff when a peer joins: the previous owner ships each key
-/// it no longer owns — its postings, or a blob, plus the DPP root block if
-/// the key had one.
+/// it no longer owns — its postings (as their `codec::EncodePostings`
+/// stream; the empty list's for a blob), or a blob, plus the DPP root
+/// block if the key had one.
 struct HandoffMessage final : sim::Payload {
   std::string key;
-  index::PostingList postings;
+  std::vector<uint8_t> postings;
   std::optional<std::string> blob;
   std::optional<index::DppManager::TermExport> dpp_root;
 
   size_t SizeBytes() const override {
-    size_t total = key.size() + 16 +
-                   index::codec::MemoizedWireBytes(postings, &wire_bytes_memo_);
+    size_t total = key.size() + 16 + postings.size();
     if (blob) total += blob->size();
     if (dpp_root) total += dpp_root->WireBytes();
     return total;
   }
   std::string_view TypeName() const override { return "HandoffMessage"; }
-
- private:
-  mutable index::codec::WireSizeMemo wire_bytes_memo_;
 };
 
 /// Top-level configuration of a KadoP network.

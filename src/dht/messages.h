@@ -5,8 +5,8 @@
 #include <optional>
 #include <string>
 #include <utility>
+#include <vector>
 
-#include "index/codec.h"
 #include "index/posting.h"
 #include "sim/message.h"
 
@@ -57,7 +57,8 @@ struct LocateResponse final : sim::Payload {
 /// legacy put-reconciliation path in the receiving store (the baseline).
 struct AppendRequest final : sim::Payload {
   std::string key;
-  index::PostingList postings;
+  /// The `codec::EncodePostings` stream (docs/wire_format.md).
+  std::vector<uint8_t> postings;
   /// Document types (root labels) the postings come from. The DPP layer
   /// folds them into its block conditions so queries can skip blocks whose
   /// types cannot match (Section 4.1, type-aware conditions).
@@ -75,16 +76,12 @@ struct AppendRequest final : sim::Payload {
   uint64_t dedup_id = 0;
 
   size_t SizeBytes() const override {
-    size_t total = key.size() + 8;
-    total += index::codec::MemoizedWireBytes(postings, &wire_bytes_memo_);
+    size_t total = key.size() + 8 + postings.size();
     for (const auto& t : doc_types) total += t.size() + 1;
     if (dedup_id != 0) total += 8;
     return total;
   }
   std::string_view TypeName() const override { return "AppendRequest"; }
-
- private:
-  mutable index::codec::WireSizeMemo wire_bytes_memo_;
 };
 
 /// Durability ack for an append.
@@ -117,18 +114,12 @@ struct GetBlock final : sim::Payload {
   RequestId req_id = 0;
   uint32_t block_index = 0;
   bool last = false;
-  /// Delta+varint-coded on the wire (docs/wire_format.md). Blocks are
-  /// posting-aligned: each one is sized as its own EncodePostings stream,
-  /// with no header.
-  index::PostingList postings;
+  /// The block's own `codec::EncodePostings` stream, with no header
+  /// (blocks are posting-aligned; docs/wire_format.md).
+  std::vector<uint8_t> postings;
 
-  size_t SizeBytes() const override {
-    return index::codec::MemoizedWireBytes(postings, &wire_bytes_memo_) + 16;
-  }
+  size_t SizeBytes() const override { return postings.size() + 16; }
   std::string_view TypeName() const override { return "GetBlock"; }
-
- private:
-  mutable index::codec::WireSizeMemo wire_bytes_memo_;
 };
 
 /// delete(k, entry).

@@ -149,6 +149,7 @@ void DhtPeer::Locate(const std::string& key, LocateCallback cb) {
   C().locates->Increment();
   Request request;
   request.key = key;
+  request.retry = dht_->options().retry;
   request.call = LocateCall{std::move(cb)};
   StartAttempt(std::move(request));
 }
@@ -164,8 +165,9 @@ void DhtPeer::Append(const std::string& key, PostingList postings,
   request.category = TrafficCategory::kPublish;
   if (acked) request.retry = retry.enabled() ? retry : dht_->options().retry;
   const uint64_t dedup_id = request.retry.enabled() ? NextRequestId() : 0;
-  request.call = AppendCall{std::move(on_ack), std::move(postings),
-                            std::move(doc_types), dedup_id};
+  request.call =
+      AppendCall{std::move(on_ack), index::codec::EncodePostings(postings),
+                 std::move(doc_types), dedup_id};
   if (!acked) {
     SendAttempt(request, /*id=*/0);
     return;
@@ -252,6 +254,7 @@ void DhtPeer::DeleteBlobKey(const std::string& key) {
 void DhtPeer::GetBlob(const std::string& key, BlobCallback cb) {
   Request request;
   request.key = key;
+  request.retry = dht_->options().retry;
   request.call = BlobCall{std::move(cb)};
   StartAttempt(std::move(request));
 }
@@ -430,21 +433,23 @@ void DhtPeer::OnTimeout(RequestId req_id) {
 }
 
 void DhtPeer::GiveUp(Request& request) {
-  // Locates and blob gets carry no policy, so they never time out.
-  if (auto* get = std::get_if<GetCall>(&request.call)) {
+  const Status budget_spent =
+      Status::DeadlineExceeded("retry budget exhausted for '" + request.key +
+                               "'");
+  if (auto* locate = std::get_if<LocateCall>(&request.call)) {
+    locate->cb(budget_spent);
+  } else if (auto* blob = std::get_if<BlobCall>(&request.call)) {
+    blob->cb(budget_spent);
+  } else if (auto* get = std::get_if<GetCall>(&request.call)) {
     if (!get->accumulate) {
       if (get->on_block) get->on_block({}, /*last=*/true, /*complete=*/false);
     } else if (get->on_done) {
-      get->on_done(GetResult{
-          std::move(get->accumulated), false,
-          Status::DeadlineExceeded("get retry budget exhausted for '" +
-                                   request.key + "'")});
+      get->on_done(GetResult{std::move(get->accumulated), false, budget_spent});
     }
   } else if (auto* app = std::get_if<AppCall>(&request.call)) {
     app->cb(nullptr);
   } else if (auto* append = std::get_if<AppendCall>(&request.call)) {
-    append->cb(Status::DeadlineExceeded(
-        "append retry budget exhausted for '" + request.key + "'"));
+    append->cb(budget_spent);
   }
 }
 
@@ -488,7 +493,7 @@ void DhtPeer::AwaitPushed(RequestId req_id, double remember_s) {
     network_->scheduler()->At(
         network_->Now(), [this, blocks = std::move(delivery.held)]() {
           for (const Message& msg : blocks) {
-            HandleGetBlock(msg, static_cast<GetBlock&>(*msg.payload));
+            HandleGetBlock(msg, static_cast<const GetBlock&>(*msg.payload));
           }
         });
     delivery.held.clear();
@@ -640,9 +645,10 @@ void DhtPeer::HandleAppend(const AppendRequest& req) {
     ForwardOrAck(req);
     return;
   }
-  stats_.postings_stored += req.postings.size();
-  C().postings_stored->Increment(req.postings.size());
-  if (append_interceptor_ && append_interceptor_(req)) return;
+  const PostingList postings = index::codec::DecodePayload(req.postings);
+  stats_.postings_stored += postings.size();
+  C().postings_stored->Increment(postings.size());
+  if (append_interceptor_ && append_interceptor_(req, postings)) return;
 
   auto& tracer = obs::Tracer::Default();
   const obs::SpanId apply = tracer.Begin("dht.append.apply");
@@ -651,9 +657,9 @@ void DhtPeer::HandleAppend(const AppendRequest& req) {
   const uint64_t r0 = store_->io().read_bytes;
   const uint64_t w0 = store_->io().write_bytes;
   if (req.per_entry) {
-    for (const Posting& p : req.postings) store_->AppendPosting(req.key, p);
+    for (const Posting& p : postings) store_->AppendPosting(req.key, p);
   } else {
-    store_->AppendPostings(req.key, req.postings);
+    store_->AppendPostings(req.key, postings);
   }
   // Children of the apply span: the disk-completion event below and any
   // replication forward / ack it sends.
@@ -673,7 +679,7 @@ void DhtPeer::SendGetBlock(NodeIndex origin, RequestId req_id,
   out->req_id = req_id;
   out->block_index = block_index;
   out->last = last;
-  out->postings = std::move(postings);
+  out->postings = index::codec::EncodePostings(postings);
   stats_.blocks_sent++;
   C().blocks_sent->Increment();
   network_->Send(
@@ -709,17 +715,15 @@ void DhtPeer::HandleGet(const GetRequest& req) {
     const size_t begin = req.pipelined ? b * block_postings : 0;
     const size_t end_pos =
         req.pipelined ? std::min(total, begin + block_postings) : total;
-    // Blocks are sliced on posting boundaries, so each one is sized as its
-    // own EncodePostings stream, with no header, and the disk read is
-    // charged at that stored (encoded) size.
-    PostingList block(list.begin() + begin, list.begin() + end_pos);
-    const double block_bytes =
-        static_cast<double>(index::codec::EncodedBytes(block));
+    // Blocks are sliced on posting boundaries, so each one is its own
+    // EncodePostings stream; the disk read is charged at its length.
     auto out = std::make_shared<GetBlock>();
     out->req_id = req.req_id;
     out->block_index = static_cast<uint32_t>(b);
     out->last = (b + 1 == n_blocks);
-    out->postings = std::move(block);
+    out->postings = index::codec::EncodePostings(
+        PostingList(list.begin() + begin, list.begin() + end_pos));
+    const double block_bytes = static_cast<double>(out->postings.size());
     const NodeIndex origin = req.origin;
     const bool last_block = (b + 1 == n_blocks);
     ScheduleAfterDisk(block_bytes, /*write_bytes=*/0,
@@ -746,7 +750,7 @@ void DhtPeer::HandleDelete(const DeleteRequest& req) {
   }
 }
 
-void DhtPeer::HandleGetBlock(const Message& msg, GetBlock& block) {
+void DhtPeer::HandleGetBlock(const Message& msg, const GetBlock& block) {
   auto it = requests_.find(block.req_id);
   GetCall* get = it == requests_.end()
                      ? nullptr
@@ -769,6 +773,7 @@ void DhtPeer::HandleGetBlock(const Message& msg, GetBlock& block) {
   // The first block comes from the key's owner (its DPP get proxy
   // included).
   if (block.block_index == 0) LearnFromReply(it->second, msg.from);
+  PostingList postings = index::codec::DecodePayload(block.postings);
   if (!block.last) {
     // Progress timer: each block pushes the per-attempt deadline out, so
     // a long healthy stream is not killed mid-transfer.
@@ -779,23 +784,23 @@ void DhtPeer::HandleGetBlock(const Message& msg, GetBlock& block) {
           ArmTimeout(block.req_id, request.retry.timeout_s);
     }
     if (get->accumulate) {
-      get->accumulated.insert(get->accumulated.end(), block.postings.begin(),
-                              block.postings.end());
+      get->accumulated.insert(get->accumulated.end(), postings.begin(),
+                              postings.end());
       return;
     }
     get->delivered_any = true;
     BlockCallback cb = get->on_block;
-    if (cb) cb(std::move(block.postings), /*last=*/false, true);
+    if (cb) cb(std::move(postings), /*last=*/false, true);
     return;
   }
   Request done = Finish(it);
   GetCall& call = std::get<GetCall>(done.call);
   if (!call.accumulate) {
-    if (call.on_block) call.on_block(std::move(block.postings), true, true);
+    if (call.on_block) call.on_block(std::move(postings), true, true);
     return;
   }
-  call.accumulated.insert(call.accumulated.end(), block.postings.begin(),
-                          block.postings.end());
+  call.accumulated.insert(call.accumulated.end(), postings.begin(),
+                          postings.end());
   if (call.on_done) {
     call.on_done(GetResult{std::move(call.accumulated), true, Status::OK()});
   }
@@ -833,7 +838,12 @@ void DhtPeer::HandleMessage(const Message& msg) {
   }
   if (auto* resp = dynamic_cast<BlobGetResponse*>(payload)) {
     if (auto done = Complete<BlobCall>(resp->req_id)) {
-      std::get<BlobCall>(done->call).cb(std::move(resp->blob));
+      BlobCallback& cb = std::get<BlobCall>(done->call).cb;
+      if (resp->blob.has_value()) {
+        cb(std::move(*resp->blob));
+      } else {
+        cb(Status::NotFound("no blob under '" + done->key + "'"));
+      }
     }
     return;
   }

@@ -81,10 +81,10 @@ struct DhtOptions {
   uint32_t pipeline_block_postings = 4096;
   /// Seed for peer identifier assignment.
   uint64_t seed = 7;
-  /// Default retry policy of Get, GetBlocks and acked Append, disabled by
-  /// default; a request's own policy (GetSpec::retry, Append's parameter)
-  /// overrides it when enabled. App calls (RouteApp / CallApp) never fall
-  /// back to it: they time out and retry only under their own parameter,
+  /// Default retry policy of Locate, GetBlob, Get, GetBlocks and acked
+  /// Append, disabled by default; a request's own policy (GetSpec::retry,
+  /// Append's parameter) overrides it when enabled. App calls (RouteApp /
+  /// CallApp) never fall back to it: they time out and retry only under their own parameter,
   /// so a caller that passes none (the DPP owner<->holder writes, which are
   /// not idempotent) sends once.
   RetryPolicy retry;
@@ -168,7 +168,8 @@ struct GetSpec {
 /// when the simulated messages arrive.
 class DhtPeer final : public sim::Actor {
  public:
-  using LocateCallback = std::function<void(sim::NodeIndex owner)>;
+  /// The key's owner, or kDeadlineExceeded when the retry budget ran out.
+  using LocateCallback = std::function<void(Result<sim::NodeIndex> owner)>;
   using GetCallback = std::function<void(GetResult result)>;
   /// Append durability ack: OK once applied (and replicated), or
   /// kDeadlineExceeded when the retry budget ran out.
@@ -177,8 +178,9 @@ class DhtPeer final : public sim::Actor {
   /// `complete=false` signals a timeout (no further calls follow).
   using BlockCallback =
       std::function<void(index::PostingList block, bool last, bool complete)>;
-  using BlobCallback =
-      std::function<void(std::optional<std::string> blob)>;
+  /// The blob; kNotFound when the key holds none, kDeadlineExceeded when
+  /// the retry budget ran out.
+  using BlobCallback = std::function<void(Result<std::string> blob)>;
   using AppResponseCallback = std::function<void(sim::PayloadPtr inner)>;
   /// Handler for application-level routed requests (DPP / query / Fundex
   /// layers). Implementations reply via `Reply()`.
@@ -194,7 +196,8 @@ class DhtPeer final : public sim::Actor {
   /// Resolves the peer in charge of `key` (multi-hop).
   void Locate(const std::string& key, LocateCallback cb);
 
-  /// Appends postings under `key`; `on_ack` (optional) fires when the
+  /// Appends postings under `key`, encoded once here and decoded once by
+  /// the key's owner; `on_ack` (optional) fires when the
   /// responsible peer has durably applied (and replicated) them.
   /// `doc_types` (optional) carries the document types of the postings for
   /// the DPP's type-aware block conditions. When a retry policy is active
@@ -274,10 +277,12 @@ class DhtPeer final : public sim::Actor {
   void SetAppHandler(AppHandler handler) { app_handler_ = std::move(handler); }
 
   /// Intercepts appends arriving at this peer (the responsible peer for the
-  /// key). If the interceptor returns true it has taken full ownership of
-  /// the request — storage, disk-time modeling and acking. Used by the DPP
-  /// layer to replace the flat posting-list insert path.
-  using AppendInterceptor = std::function<bool(const AppendRequest& request)>;
+  /// key), with the request's postings decoded. If the interceptor returns
+  /// true it has taken full ownership of the request — storage, disk-time
+  /// modeling and acking. Used by the DPP layer to replace the flat
+  /// posting-list insert path.
+  using AppendInterceptor = std::function<bool(
+      const AppendRequest& request, const index::PostingList& postings)>;
   void SetAppendInterceptor(AppendInterceptor interceptor) {
     append_interceptor_ = std::move(interceptor);
   }
@@ -295,7 +300,7 @@ class DhtPeer final : public sim::Actor {
   }
 
   /// Emits one response block for a get request being served out-of-band
-  /// (by a get interceptor).
+  /// (by a get interceptor), encoding `postings` into it.
   void SendGetBlock(sim::NodeIndex origin, RequestId req_id,
                     uint32_t block_index, bool last,
                     index::PostingList postings);
@@ -441,7 +446,7 @@ class DhtPeer final : public sim::Actor {
   };
   struct AppendCall {
     AppendCallback cb;
-    index::PostingList postings;
+    std::vector<uint8_t> postings;  // encoded once; a resend copies it
     std::vector<std::string> doc_types;
     /// Stable across resends, so the owner applies a resend at most once;
     /// 0 without a retry policy.
@@ -488,7 +493,7 @@ class DhtPeer final : public sim::Actor {
   /// key's owner: teaches it to the owner cache.
   void LearnFromReply(const Request& request, sim::NodeIndex from);
 
-  void HandleGetBlock(const sim::Message& msg, GetBlock& block);
+  void HandleGetBlock(const sim::Message& msg, const GetBlock& block);
   /// Marks `req_id` awaited by a get for `remember_s`, and hands the
   /// blocks pushed under it so far to that get.
   void AwaitPushed(RequestId req_id, double remember_s);

@@ -1,5 +1,7 @@
 #include "index/codec.h"
 
+#include <limits>
+
 #include "common/logging.h"
 #include "obs/metrics.h"
 #include "obs/profile_clock.h"
@@ -206,6 +208,8 @@ std::vector<uint8_t> EncodePostings(const PostingList& list) {
               [&out](uint64_t v) { AppendVarint(out, v); });
   C().encodes->Increment();
   C().encode_ns->Increment(obs::ProfileNowNs() - t0);
+  C().raw_bytes->Increment(RawBytes(list));
+  C().encoded_bytes->Increment(out.size());
   return out;
 }
 
@@ -309,6 +313,13 @@ Status DecodePostings(const std::vector<uint8_t>& buffer, PostingList* out) {
   return DecodePostings(buffer.data(), buffer.size(), out);
 }
 
+PostingList DecodePayload(const std::vector<uint8_t>& stream) {
+  PostingList out;
+  const Status status = DecodePostings(stream, &out);
+  KADOP_CHECK(status.ok(), "codec: a payload's posting stream is corrupt");
+  return out;
+}
+
 size_t EncodedBytes(const PostingList& list) {
   size_t total = 0;
   WalkEncoded(list.data(), list.size(),
@@ -320,20 +331,6 @@ size_t EncodedSingleBytes(const Posting& posting) {
   size_t total = 0;
   WalkEncoded(&posting, 1, [&total](uint64_t v) { total += VarintLen(v); });
   return total;
-}
-
-size_t WireBytes(const PostingList& list) {
-  const size_t encoded = EncodedBytes(list);
-  RecordEncode(RawBytes(list), encoded);
-  return encoded;
-}
-
-size_t MemoizedWireBytes(const PostingList& list, WireSizeMemo* memo) {
-  if (memo->count != list.size()) {
-    memo->bytes = WireBytes(list);
-    memo->count = list.size();
-  }
-  return memo->bytes;
 }
 
 double EstimatedWirePostingBytes() {
@@ -466,11 +463,6 @@ double EstimatedWireAnswerBytes(size_t nodes) {
   // EstimatedWirePostingBytes it only steers strategy choice, never a
   // byte charge.
   return 1.0 + 2.0 * static_cast<double>(nodes);
-}
-
-void RecordEncode(size_t raw_bytes, size_t encoded_bytes) {
-  C().raw_bytes->Increment(raw_bytes);
-  C().encoded_bytes->Increment(encoded_bytes);
 }
 
 }  // namespace kadop::index::codec

@@ -3,7 +3,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <limits>
 #include <vector>
 
 #include "common/status.h"
@@ -50,6 +49,7 @@ namespace kadop::index::codec {
 
 /// Serializes `list` (sorted; see above). The buffer round-trips through
 /// `DecodePostings` and its size always equals `EncodedBytes(list)`.
+/// Records the achieved ratio in `codec.{raw,encoded}_bytes`.
 [[nodiscard]] std::vector<uint8_t> EncodePostings(const PostingList& list);
 
 /// Inverse of `EncodePostings`. Fails with `kCorruption` on truncated,
@@ -62,6 +62,10 @@ namespace kadop::index::codec {
                                     PostingList* out);
 [[nodiscard]] Status DecodePostings(const std::vector<uint8_t>& buffer,
                                     PostingList* out);
+
+/// Decodes a payload's stream at its receiver; the simulator delivers the
+/// sender's bytes intact, so a corrupt stream is a bug and aborts.
+[[nodiscard]] PostingList DecodePayload(const std::vector<uint8_t>& stream);
 
 /// Exact size of `EncodePostings(list)` without materializing the buffer —
 /// the size model used for every network/store cost charge (peer-store
@@ -83,24 +87,6 @@ namespace kadop::index::codec {
 [[nodiscard]] inline size_t RawBytes(const PostingList& list) {
   return RawBytes(list.size());
 }
-
-/// Wire size of a posting payload (its encoded size). Records the achieved
-/// ratio in `codec.{raw,encoded}_bytes`.
-[[nodiscard]] size_t WireBytes(const PostingList& list);
-
-/// `WireBytes` with a caller-owned memo so a payload's size is computed
-/// (and its compression ratio counted) once per list length even though
-/// the network model calls `SizeBytes()` on every hop. The memo
-/// revalidates against the list length, so a payload built incrementally
-/// (postings appended between sizings) is re-sized instead of served
-/// stale; in-place edits that keep the length are not detected — payload
-/// postings must only be appended, never rewritten.
-struct WireSizeMemo {
-  size_t count = std::numeric_limits<size_t>::max();
-  size_t bytes = 0;
-};
-[[nodiscard]] size_t MemoizedWireBytes(const PostingList& list,
-                                       WireSizeMemo* memo);
 
 /// Per-posting byte estimate for the query planner's transfer-cost model: a
 /// fixed documented estimate of the delta-coded size
@@ -156,10 +142,6 @@ struct WireSizeMemo {
 /// nodes, the planner's price for kDppJoin result egress
 /// (docs/wire_format.md#planner).
 [[nodiscard]] double EstimatedWireAnswerBytes(size_t nodes);
-
-/// Record an achieved raw -> encoded ratio in the codec counters (used by
-/// sites that model an encode without materializing it).
-void RecordEncode(size_t raw_bytes, size_t encoded_bytes);
 
 }  // namespace kadop::index::codec
 

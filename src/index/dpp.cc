@@ -50,17 +50,18 @@ DppManager::DppManager(dht::DhtPeer* peer, DppOptions options)
   KADOP_CHECK(options_.max_block_postings >= 2, "block size too small");
 }
 
-bool DppManager::OnAppend(const AppendRequest& request) {
+bool DppManager::OnAppend(const AppendRequest& request,
+                          const PostingList& postings) {
   TermState& st = terms_[request.key];
   if (st.blocks.empty()) {
     // Block 0 is the original list, stored locally under the term key.
     st.blocks.push_back(BlockEntry{request.key, Condition{}, 0, {}});
   }
   if (st.split_in_progress) {
-    st.queued.push_back(request);
+    st.queued.emplace_back(request, postings);
     return true;
   }
-  ProcessAppend(request);
+  ProcessAppend(request, postings);
   return true;
 }
 
@@ -86,18 +87,19 @@ size_t DppManager::FindBlock(TermState& st, const Posting& p) {
   return chosen;
 }
 
-void DppManager::ProcessAppend(const AppendRequest& request) {
+void DppManager::ProcessAppend(const AppendRequest& request,
+                               const PostingList& postings) {
   TermState& st = terms_[request.key];
   // The owner's version of the term key covers the whole partitioned list:
   // appends that land only in remote overflow blocks never touch the local
   // store, so bump here for the views' base-term freshness check.
-  if (!request.postings.empty()) {
+  if (!postings.empty()) {
     peer_->store()->BumpPostingVersion(request.key);
   }
 
   // Partition the batch across blocks.
   std::unordered_map<size_t, PostingList> buckets;
-  for (const Posting& p : request.postings) {
+  for (const Posting& p : postings) {
     const size_t b = FindBlock(st, p);
     st.blocks[b].cond.Extend(p);
     st.blocks[b].count++;
@@ -126,7 +128,7 @@ void DppManager::ProcessAppend(const AppendRequest& request) {
   // downstream event schedule (KDP012).
   std::vector<size_t> block_order;
   block_order.reserve(buckets.size());
-  for (const auto& [block_index, postings] : buckets) {
+  for (const auto& [block_index, part] : buckets) {
     block_order.push_back(block_index);
   }
   std::sort(block_order.begin(), block_order.end());
@@ -139,17 +141,17 @@ void DppManager::ProcessAppend(const AppendRequest& request) {
   }
 
   for (const size_t block_index : block_order) {
-    PostingList& postings = buckets[block_index];
+    const PostingList& part = buckets[block_index];
     BlockEntry& block = st.blocks[block_index];
     if (block.key == term_key) {
       // Local block 0.
-      const double bytes = static_cast<double>(codec::EncodedBytes(postings));
-      peer_->store()->AppendPostings(term_key, postings);
+      const double bytes = static_cast<double>(codec::EncodedBytes(part));
+      peer_->store()->AppendPostings(term_key, part);
       peer_->ScheduleAfterDisk(/*read_bytes=*/0, bytes, on_part_done);
     } else {
       auto msg = std::make_shared<DppAppendToBlock>();
       msg->block_key = block.key;
-      msg->postings = std::move(postings);
+      msg->postings = codec::EncodePostings(part);
       peer_->RouteApp(block.key, std::move(msg), TrafficCategory::kPublish,
                       [on_part_done](sim::PayloadPtr) { on_part_done(); });
     }
@@ -397,9 +399,11 @@ void DppManager::FinishSplit(const std::string& term_key, size_t block_index,
   st.split_in_progress = false;
 
   // Drain inserts queued during the split, then re-check occupancy.
-  std::deque<AppendRequest> queued = std::move(st.queued);
+  auto queued = std::move(st.queued);
   st.queued.clear();
-  for (const AppendRequest& request : queued) ProcessAppend(request);
+  for (const auto& [request, postings] : queued) {
+    ProcessAppend(request, postings);
+  }
   MaybeSplit(term_key);
 }
 
@@ -453,7 +457,7 @@ void DppManager::PerformLocalSplit(const std::string& block_key,
                   done = std::move(done)]() mutable {
     auto msg = std::make_shared<DppStoreBlock>();
     msg->block_key = new_block_key;
-    msg->postings = std::move(upper);
+    msg->postings = codec::EncodePostings(upper);
     peer_->RouteApp(
         new_block_key, std::move(msg), TrafficCategory::kPublish,
         [this, new_block_key, result = std::move(result),
@@ -471,11 +475,11 @@ bool DppManager::HandleApp(const AppRequest& request, NodeIndex /*from*/) {
   const sim::Payload* inner = request.inner.get();
 
   if (const auto* append = dynamic_cast<const DppAppendToBlock*>(inner)) {
-    peer_->store()->AppendPostings(append->block_key, append->postings);
+    peer_->store()->AppendPostings(append->block_key,
+                                   codec::DecodePayload(append->postings));
     stats_.blocks_stored++;
     C().blocks_stored->Increment();
-    const double bytes =
-        static_cast<double>(codec::EncodedBytes(append->postings));
+    const double bytes = static_cast<double>(append->postings.size());
     const NodeIndex origin = request.origin;
     const dht::RequestId req_id = request.req_id;
     const uint64_t count = peer_->store()->PostingCount(append->block_key);
@@ -491,11 +495,11 @@ bool DppManager::HandleApp(const AppRequest& request, NodeIndex /*from*/) {
   }
 
   if (const auto* block = dynamic_cast<const DppStoreBlock*>(inner)) {
-    peer_->store()->AppendPostings(block->block_key, block->postings);
+    peer_->store()->AppendPostings(block->block_key,
+                                   codec::DecodePayload(block->postings));
     stats_.blocks_stored++;
     C().blocks_stored->Increment();
-    const double bytes =
-        static_cast<double>(codec::EncodedBytes(block->postings));
+    const double bytes = static_cast<double>(block->postings.size());
     const NodeIndex origin = request.origin;
     const dht::RequestId req_id = request.req_id;
     const uint64_t count = peer_->store()->PostingCount(block->block_key);

@@ -7,6 +7,7 @@
 #include <set>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/random.h"
@@ -61,8 +62,10 @@ class DppManager {
   DppManager& operator=(const DppManager&) = delete;
 
   /// Append interceptor (install via DhtPeer::SetAppendInterceptor, or let
-  /// the core facade do it). Always takes ownership of the request.
-  [[nodiscard]] bool OnAppend(const dht::AppendRequest& request);
+  /// the core facade do it), given the request's decoded postings. Always
+  /// takes ownership of the request.
+  [[nodiscard]] bool OnAppend(const dht::AppendRequest& request,
+                              const PostingList& postings);
 
   /// Get interceptor: serves reads of terms whose list was partitioned by
   /// pulling every block in the requested range from its holder at once
@@ -141,11 +144,13 @@ class DppManager {
   struct TermState {
     std::vector<BlockEntry> blocks;
     bool split_in_progress = false;
-    std::deque<dht::AppendRequest> queued;
+    /// Appends that arrived during a split, with their decoded postings.
+    std::deque<std::pair<dht::AppendRequest, PostingList>> queued;
     uint32_t next_block_seq = 1;
   };
 
-  void ProcessAppend(const dht::AppendRequest& request);
+  void ProcessAppend(const dht::AppendRequest& request,
+                     const PostingList& postings);
   /// Index of the block a posting belongs to.
   [[nodiscard]] size_t FindBlock(TermState& st, const Posting& p);
   void MaybeSplit(const std::string& term_key);

@@ -14,20 +14,17 @@
 
 namespace kadop::index {
 
-/// Append a sub-batch into an (overflow) DPP block; routed to the block's
-/// pseudo-key, i.e. the peer holding the block.
+/// Append a sub-batch, as its `codec::EncodePostings` stream, into an
+/// (overflow) DPP block; routed to the block's pseudo-key, i.e. the peer
+/// holding the block.
 struct DppAppendToBlock final : sim::Payload {
   std::string block_key;
-  PostingList postings;
+  std::vector<uint8_t> postings;
 
   size_t SizeBytes() const override {
-    return block_key.size() +
-           codec::MemoizedWireBytes(postings, &wire_bytes_memo_) + 8;
+    return block_key.size() + postings.size() + 8;
   }
   std::string_view TypeName() const override { return "DppAppendToBlock"; }
-
- private:
-  mutable codec::WireSizeMemo wire_bytes_memo_;
 };
 
 /// Ack for DppAppendToBlock, carrying the block's new size.
@@ -38,20 +35,16 @@ struct DppAppendDone final : sim::Payload {
   std::string_view TypeName() const override { return "DppAppendDone"; }
 };
 
-/// Stores a freshly migrated block at the new holder (routed to the new
-/// pseudo-key).
+/// Stores a freshly migrated block, as its `codec::EncodePostings` stream,
+/// at the new holder (routed to the new pseudo-key).
 struct DppStoreBlock final : sim::Payload {
   std::string block_key;
-  PostingList postings;
+  std::vector<uint8_t> postings;
 
   size_t SizeBytes() const override {
-    return block_key.size() +
-           codec::MemoizedWireBytes(postings, &wire_bytes_memo_) + 8;
+    return block_key.size() + postings.size() + 8;
   }
   std::string_view TypeName() const override { return "DppStoreBlock"; }
-
- private:
-  mutable codec::WireSizeMemo wire_bytes_memo_;
 };
 
 struct DppStoreBlockDone final : sim::Payload {

@@ -252,8 +252,8 @@ void QueryExecutor::FetchStream(size_t node, bool count_blocks) {
 }
 
 size_t QueryExecutor::RecordTransfer(const PostingList& postings) {
-  // The pure size function (never `codec::WireBytes`): the ratio counters
-  // were already bumped when the carrying payload was first sized.
+  // The pure size function: the ratio counters were already bumped when
+  // the carrying payload was encoded.
   const size_t wire = index::codec::EncodedBytes(postings);
   metrics_.postings_received += postings.size();
   metrics_.posting_bytes += index::codec::RawBytes(postings);
@@ -880,7 +880,8 @@ bool QueryExecutor::HandleApp(const AppRequest& request, NodeIndex /*from*/) {
   const size_t node = static_cast<size_t>(list->node);
   KADOP_CHECK(node < pattern_.size(), "bad node in reduced list");
   KADOP_CHECK(!stream_closed_[node], "duplicate reduced list");
-  RecordTransfer(list->postings);
+  const PostingList postings = index::codec::DecodePayload(list->postings);
+  RecordTransfer(postings);
   if (!list->complete) {
     // The owner's load ran out of its retry budget: the list is short.
     metrics_.complete = false;
@@ -891,7 +892,7 @@ bool QueryExecutor::HandleApp(const AppRequest& request, NodeIndex /*from*/) {
   metrics_.db_filter_bytes += list->db_filter_bytes;
   C().ab_filter_bytes->Increment(list->ab_filter_bytes);
   C().db_filter_bytes->Increment(list->db_filter_bytes);
-  if (!list->postings.empty()) join_.Append(node, list->postings);
+  if (!postings.empty()) join_.Append(node, postings);
   CloseStream(node);
   KADOP_CHECK(reduced_lists_pending_ > 0, "unexpected reduced list");
   reduced_lists_pending_--;

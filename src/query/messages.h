@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "bloom/structural_filter.h"
-#include "index/codec.h"
 #include "index/posting.h"
 #include "sim/message.h"
 
@@ -98,8 +97,9 @@ struct DbfMessage final : sim::Payload {
   std::string_view TypeName() const override { return "DbfMessage"; }
 };
 
-/// A (possibly reduced) posting list shipped to the query peer at the end
-/// of a node's filtering role. Carries accounting so the query peer can
+/// A (possibly reduced) posting list, as its `codec::EncodePostings`
+/// stream, shipped to the query peer at the end of a node's filtering
+/// role. Carries accounting so the query peer can
 /// compute the paper's normalized-data-volume metric exactly:
 /// `full_count` is the unfiltered list size, `ab/db_filter_bytes` the
 /// filters this owner sent (counted once, at the sender). `complete` is
@@ -109,18 +109,13 @@ struct ReducedListMessage final : sim::Payload {
   uint64_t query_id = 0;
   int node = -1;
   bool complete = true;
-  index::PostingList postings;
+  std::vector<uint8_t> postings;
   uint64_t full_count = 0;
   uint64_t ab_filter_bytes = 0;
   uint64_t db_filter_bytes = 0;
 
-  size_t SizeBytes() const override {
-    return 36 + index::codec::MemoizedWireBytes(postings, &wire_bytes_memo_);
-  }
+  size_t SizeBytes() const override { return 36 + postings.size(); }
   std::string_view TypeName() const override { return "ReducedListMessage"; }
-
- private:
-  mutable index::codec::WireSizeMemo wire_bytes_memo_;
 };
 
 }  // namespace kadop::query

@@ -3,6 +3,7 @@
 #include <utility>
 
 #include "common/logging.h"
+#include "index/codec.h"
 #include "index/dpp.h"
 #include "obs/trace.h"
 
@@ -156,7 +157,7 @@ void ReducerService::SendListToQueryPeer(NodeState& st) {
   msg->query_id = st.plan.query_id;
   msg->node = st.node;
   msg->complete = st.complete;
-  msg->postings = st.list;
+  msg->postings = index::codec::EncodePostings(st.list);
   msg->full_count = st.full_count;
   msg->ab_filter_bytes = st.ab_filter_bytes;
   msg->db_filter_bytes = st.db_filter_bytes;

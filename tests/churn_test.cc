@@ -29,7 +29,8 @@ struct ChurnNet {
 sim::NodeIndex LocateSync(ChurnNet& net, sim::NodeIndex from,
                           const std::string& key) {
   std::optional<sim::NodeIndex> owner;
-  net.dht.peer(from)->Locate(key, [&](sim::NodeIndex o) { owner = o; });
+  net.dht.peer(from)->Locate(key,
+                             [&](Result<sim::NodeIndex> o) { owner = o.value(); });
   net.scheduler.RunUntilIdle();
   EXPECT_TRUE(owner.has_value());
   return owner.value_or(0);

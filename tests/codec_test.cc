@@ -1,11 +1,11 @@
 // Seeded property tests for the posting codec (src/index/codec.h): the
 // group-delta + varint encoding must round-trip every sorted posting list
 // byte-exactly, EncodedBytes must predict the buffer size without
-// allocating, encoded size must be monotone in list length, the block
-// encoder must emit independently decodable posting-aligned blocks, and
-// malformed input must fail with a Corruption status instead of crashing.
-// The answer-tuple codec gets the same treatment (AnswerCodecTest), and
-// seeded mutation fuzzers drive all three decoders (CodecFuzzTest).
+// allocating, encoded size must be monotone in list length, every encode
+// must record its ratio, and malformed input must fail with a Corruption
+// status instead of crashing. The answer-tuple codec gets the same
+// treatment (AnswerCodecTest), and seeded mutation fuzzers drive both
+// decoders (CodecFuzzTest).
 
 #include <gtest/gtest.h>
 
@@ -17,6 +17,7 @@
 
 #include "index/codec.h"
 #include "index/posting.h"
+#include "obs/metrics.h"
 
 namespace kadop::index {
 namespace {
@@ -161,22 +162,20 @@ TEST(CodecTest, OverlongVarintFailsWithCorruption) {
             "codec: posting count exceeds buffer");
 }
 
-TEST(CodecTest, WireBytesIsTheMemoizedEncodedSize) {
+TEST(CodecTest, EncodeRecordsTheRatioOfWhatItEncodes) {
+  // Every posting payload is its EncodePostings stream, so each encode
+  // (and nothing else) counts its raw and encoded bytes.
   std::mt19937_64 rng(11);
   const PostingList list = RandomSortedList(rng, 300);
-  EXPECT_EQ(codec::WireBytes(list), codec::EncodedBytes(list));
-  codec::WireSizeMemo memo;
-  const size_t first = codec::MemoizedWireBytes(list, &memo);
-  EXPECT_EQ(first, codec::EncodedBytes(list));
-  EXPECT_EQ(memo.bytes, first);
-  EXPECT_EQ(codec::MemoizedWireBytes(list, &memo), first);
-  // The memo revalidates on length change: growing the payload after a
-  // first sizing (messages_test's handoff case) must re-size, not serve
-  // the stale bytes.
-  PostingList grown = list;
-  grown.push_back(grown.back());
-  EXPECT_EQ(codec::MemoizedWireBytes(grown, &memo),
-            codec::EncodedBytes(grown));
+  auto& registry = obs::MetricRegistry::Default();
+  const uint64_t raw0 = registry.GetCounter("codec.raw_bytes")->value();
+  const uint64_t enc0 = registry.GetCounter("codec.encoded_bytes")->value();
+  EXPECT_EQ(codec::EncodedBytes(list), codec::EncodePostings(list).size());
+  EXPECT_EQ(registry.GetCounter("codec.raw_bytes")->value() - raw0,
+            codec::RawBytes(list));
+  EXPECT_EQ(registry.GetCounter("codec.encoded_bytes")->value() - enc0,
+            codec::EncodedBytes(list));
+  EXPECT_EQ(codec::DecodePayload(codec::EncodePostings(list)), list);
 }
 
 // ---------------------------------------------------------------------------

@@ -68,8 +68,8 @@ TEST(DhtTest, LocateResolvesToTrueOwnerViaRouting) {
   for (int i = 0; i < 20; ++i) {
     const std::string key = "term" + std::to_string(i);
     std::optional<sim::NodeIndex> located;
-    net.dht.peer(0)->Locate(key, [&](sim::NodeIndex owner) {
-      located = owner;
+    net.dht.peer(0)->Locate(key, [&](Result<sim::NodeIndex> owner) {
+      located = owner.value();
     });
     net.scheduler.RunUntilIdle();
     ASSERT_TRUE(located.has_value());
@@ -81,7 +81,7 @@ TEST(DhtTest, RoutingUsesLogarithmicHops) {
   TestNet net(256);
   for (int i = 0; i < 50; ++i) {
     net.dht.peer(i % 256)->Locate("key" + std::to_string(i),
-                                  [](sim::NodeIndex) {});
+                                  [](Result<sim::NodeIndex>) {});
   }
   net.scheduler.RunUntilIdle();
   DhtStats stats = net.dht.AggregateStats();
@@ -199,22 +199,22 @@ TEST(DhtTest, BlobRoundTrip) {
   TestNet net(8);
   net.dht.peer(2)->PutBlob("doc:2:0", "uri://doc0");
   net.scheduler.RunUntilIdle();
-  std::optional<std::optional<std::string>> got;
-  net.dht.peer(5)->GetBlob("doc:2:0", [&](std::optional<std::string> blob) {
-    got = std::move(blob);
+  Status status = Status::Internal("no reply");
+  std::string got;
+  net.dht.peer(5)->GetBlob("doc:2:0", [&](Result<std::string> blob) {
+    status = blob.status();
+    if (blob.ok()) got = blob.value();
   });
   net.scheduler.RunUntilIdle();
-  ASSERT_TRUE(got.has_value());
-  ASSERT_TRUE(got->has_value());
-  EXPECT_EQ(**got, "uri://doc0");
+  ASSERT_TRUE(status.ok());
+  EXPECT_EQ(got, "uri://doc0");
 
-  got.reset();
-  net.dht.peer(5)->GetBlob("doc:9:9", [&](std::optional<std::string> blob) {
-    got = std::move(blob);
+  status = Status::Internal("no reply");
+  net.dht.peer(5)->GetBlob("doc:9:9", [&](Result<std::string> blob) {
+    status = blob.status();
   });
   net.scheduler.RunUntilIdle();
-  ASSERT_TRUE(got.has_value());
-  EXPECT_FALSE(got->has_value());
+  EXPECT_TRUE(status.IsNotFound());
 }
 
 TEST(DhtTest, GetTimeoutYieldsIncompleteResult) {
@@ -363,7 +363,7 @@ struct HintNet : TestNet {
     for (sim::NodeIndex n = 0; n < dht.PeerCount(); ++n) {
       if (n == owner) continue;
       const obs::MetricsSnapshot base = Now();
-      dht.peer(n)->Locate(key, [](sim::NodeIndex) {});
+      dht.peer(n)->Locate(key, [](Result<sim::NodeIndex>) {});
       scheduler.RunUntilIdle();
       if (Since(base).histograms.at("dht.hops_per_delivery").sum >= 2) {
         requester = n;
@@ -688,7 +688,7 @@ TEST(DhtRetryTest, EveryRequestKindSpendsOneBudget) {
   policy.timeout_s = 0.2;
   policy.max_retries = 2;
   DhtOptions options;
-  options.retry = policy;  // the blocking Get's only policy
+  options.retry = policy;  // the only policy of Get, Locate and GetBlob
   TestNet net(8, options);
   const std::string key = "l:a";
   // The owner dies before it can ever reply; no restabilization, so every
@@ -698,7 +698,8 @@ TEST(DhtRetryTest, EveryRequestKindSpendsOneBudget) {
   DhtPeer* requester = net.dht.peer((owner + 1) % 8);
 
   // Each kind sends one request and reports whether its give-up was the
-  // kind's: DeadlineExceeded, an incomplete last block, or nullptr.
+  // kind's: DeadlineExceeded (which a locate or blob get's caller tells
+  // apart from a reply), an incomplete last block, or nullptr.
   using GaveUp = std::function<void(bool as_expected)>;
   struct Kind {
     std::string name;
@@ -746,6 +747,18 @@ TEST(DhtRetryTest, EveryRequestKindSpendsOneBudget) {
              [gave_up](Status s) { gave_up(s.IsDeadlineExceeded()); }, {},
              policy);
        }},
+      {"Locate", false,
+       [&](GaveUp gave_up) {
+         requester->Locate(key, [gave_up](Result<sim::NodeIndex> owner) {
+           gave_up(owner.status().IsDeadlineExceeded());
+         });
+       }},
+      {"GetBlob", false,
+       [&](GaveUp gave_up) {
+         requester->GetBlob(key, [gave_up](Result<std::string> blob) {
+           gave_up(blob.status().IsDeadlineExceeded());
+         });
+       }},
   };
   for (const Kind& kind : kinds) {
     SCOPED_TRACE(kind.name);
@@ -765,6 +778,8 @@ TEST(DhtRetryTest, EveryRequestKindSpendsOneBudget) {
     EXPECT_EQ(CounterDelta(diff, "dht.timeouts"), 3u);
     EXPECT_EQ(CounterDelta(diff, "dht.retries"), 2u);
     EXPECT_EQ(CounterDelta(diff, "dht.get_timeouts"), kind.is_get ? 3u : 0u);
+    // The give-up took the request out of the table.
+    EXPECT_EQ(requester->PendingRequestCount(), 0u);
   }
 }
 

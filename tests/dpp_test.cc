@@ -34,8 +34,9 @@ struct DppNet {
           std::make_unique<DppManager>(peer, dpp_options));
       DppManager* manager = managers.back().get();
       peer->SetAppendInterceptor(
-          [manager](const dht::AppendRequest& request) {
-            return manager->OnAppend(request);
+          [manager](const dht::AppendRequest& request,
+                    const PostingList& postings) {
+            return manager->OnAppend(request, postings);
           });
       peer->SetDeleteInterceptor(
           [manager](const dht::DeleteRequest& request) {

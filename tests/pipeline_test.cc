@@ -189,13 +189,11 @@ TEST(PipelineTest, BlobDeleteRoundTrip) {
   net.scheduler.RunUntilIdle();
   net.dht.peer(3)->DeleteBlobKey("doc:0:0");
   net.scheduler.RunUntilIdle();
-  std::optional<std::optional<std::string>> got;
-  net.dht.peer(1)->GetBlob("doc:0:0", [&](std::optional<std::string> b) {
-    got = std::move(b);
-  });
+  Status status = Status::Internal("no reply");
+  net.dht.peer(1)->GetBlob("doc:0:0",
+                           [&](Result<std::string> b) { status = b.status(); });
   net.scheduler.RunUntilIdle();
-  ASSERT_TRUE(got.has_value());
-  EXPECT_FALSE(got->has_value());
+  EXPECT_TRUE(status.IsNotFound());
 }
 
 }  // namespace

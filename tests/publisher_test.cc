@@ -88,14 +88,13 @@ TEST(PublisherTest, DocRelationBlobRecorded) {
   auto d = MustParseDoc("<a/>", "kadop://docs/alpha.xml");
   publisher.Publish({&d}, nullptr);
   net.scheduler.RunUntilIdle();
-  std::optional<std::optional<std::string>> blob;
-  net.dht.peer(0)->GetBlob("doc:2:0", [&](std::optional<std::string> b) {
-    blob = std::move(b);
+  std::optional<std::string> blob;
+  net.dht.peer(0)->GetBlob("doc:2:0", [&](Result<std::string> b) {
+    if (b.ok()) blob = b.value();
   });
   net.scheduler.RunUntilIdle();
   ASSERT_TRUE(blob.has_value());
-  ASSERT_TRUE(blob->has_value());
-  EXPECT_EQ(**blob, "kadop://docs/alpha.xml");
+  EXPECT_EQ(*blob, "kadop://docs/alpha.xml");
 }
 
 TEST(PublisherTest, SequentialPublishesAssignIncreasingSeqs) {
@@ -150,7 +149,8 @@ TEST(PublisherTest, AppendsCarryDocumentTypes) {
   const auto owner = net.dht.OwnerOf(dht::HashKey("l:title"));
   std::set<std::string> seen_types;
   net.dht.peer(owner)->SetAppendInterceptor(
-      [&seen_types](const dht::AppendRequest& request) {
+      [&seen_types](const dht::AppendRequest& request,
+                    const PostingList& /*postings*/) {
         if (request.key == "l:title") {
           seen_types.insert(request.doc_types.begin(),
                             request.doc_types.end());

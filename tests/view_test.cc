@@ -229,7 +229,9 @@ TEST_F(ViewTest, CatalogPublishedUnderWellKnownKey) {
   std::optional<std::string> blob;
   net_->peer(5)->dht_peer()->GetBlob(
       "view:catalog",
-      [&blob](std::optional<std::string> b) { blob = std::move(b); });
+      [&blob](Result<std::string> b) {
+        if (b.ok()) blob = b.value();
+      });
   net_->RunToIdle();
   ASSERT_TRUE(blob.has_value());
   EXPECT_NE(blob->find("hot_authors"), std::string::npos);

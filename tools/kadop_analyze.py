@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""kadop_analyze: the KadoP static analyzer (rules KDP001-KDP017).
+"""kadop_analyze: the KadoP static analyzer (rules KDP001-KDP018).
 
 Enforces invariants no off-the-shelf tool knows about. The token-level
 rules guard the library's contracts:
@@ -45,7 +45,7 @@ rules guard the library's contracts:
                              ...`) arithmetic outside src/index/posting.h
                              and src/index/codec.{h,cc}. Posting transfer
                              and storage sizes must route through the codec
-                             size functions (codec::RawBytes / WireBytes /
+                             size functions (codec::RawBytes /
                              EncodedBytes) so the encoded size is charged
                              consistently everywhere; a bare non-multiplied
                              `kWireBytes` term (fixed-format field) is fine.
@@ -93,8 +93,9 @@ metric snapshots, trace dumps).
                               Member spans (trailing `_`) own their
                               lifecycle across methods and are exempt.
 
-The last rule guards the simulation's message discipline: a peer learns
-another peer's state only from a message.
+The last two rules guard the simulation's message discipline: a peer
+learns another peer's state only from a message, and a message carries
+its bytes.
 
   KDP017  gods-eye-read       calls of AuthoritativeVersion or OwnerVersion,
                               or `dht_->peer(` / `dht()->peer(` under
@@ -104,6 +105,14 @@ another peer's state only from a message.
                               definition is exempt by file; its only
                               callers, the views, are exempt until they
                               carry versions on the wire.
+  KDP018  decoded-payload     a sim::Payload subclass under src/ declaring
+                              an index::PostingList member, a
+                              std::vector<...Answer> member or any
+                              `mutable` member. A data payload holds its
+                              codec stream (std::vector<uint8_t>), encoded
+                              once by its sender and decoded once by its
+                              receiver, so SizeBytes() is its length and
+                              nothing caches a size beside it.
 
 Backends
 --------
@@ -153,7 +162,7 @@ from kdp_common import (Finding, apply_suppressions, findings_json, line_of,
                         strip_comments_and_strings, write_findings_json)
 
 TOOL = "kadop_analyze"
-ALL_RULES = tuple(f"KDP{i:03d}" for i in range(1, 18))
+ALL_RULES = tuple(f"KDP{i:03d}" for i in range(1, 19))
 
 # Path policy (rel paths are posix, repo-root-relative). The scanned tree
 # is src/**, tools/*.cc|.h (fixtures excluded) and bench/**. Each rule runs
@@ -169,6 +178,7 @@ ALL_RULES = tuple(f"KDP{i:03d}" for i in range(1, 18))
 #               and src/sim/ (jitter/fault draws own a seeded Rng by
 #               contract).
 #   KDP017      src/query/ + src/dht/, minus the god's-eye readers below.
+#   KDP018      src/ only.
 
 # KDP009 grandfather list: files whose *_count declarations predate the
 # metrics registry and are not event tallies — wire-format fields
@@ -218,6 +228,7 @@ RULE_SCOPE = {
     "KDP011": (("src/", "tools/"), ()),
     "KDP013": (("",), ("src/common/random.", "src/sim/")),
     "KDP017": (("src/query/", "src/dht/"), KDP017_EXEMPT_FILES),
+    "KDP018": (("src/",), ()),
 }
 
 
@@ -705,7 +716,7 @@ def check_kdp010(rel: str, clean: str, facts: Facts, add) -> None:
     for m in RE_RAW_POSTING_MATH.finditer(clean):
         add("KDP010", m.start(),
             "raw `* Posting::kWireBytes` size math; use the codec size "
-            "functions (index::codec::RawBytes/WireBytes/EncodedBytes) "
+            "functions (index::codec::RawBytes/EncodedBytes) "
             "so the encoded size is charged consistently")
 
 
@@ -856,6 +867,40 @@ def check_kdp017(rel: str, clean: str, facts: Facts, add) -> None:
             "from a message (a reply, install or invalidate) instead")
 
 
+RE_KDP018_PAYLOAD = re.compile(
+    r"\b(?:struct|class)\s+(\w+)\s*(?:final\s*)?:\s*(?:public\s+)?"
+    r"(?:\w+\s*::\s*)*Payload\s*\{")
+RE_KDP018_MEMBER = re.compile(
+    r"\bmutable\b"
+    r"|\b(?:\w+\s*::\s*)*PostingList\s+\w+\s*[;={]"
+    r"|\bstd\s*::\s*vector\s*<\s*(?:\w+\s*::\s*)*Answer\s*>\s+\w+\s*[;={]")
+
+
+def check_kdp018(rel: str, clean: str, facts: Facts, add) -> None:
+    for m in RE_KDP018_PAYLOAD.finditer(clean):
+        close = match_braces(clean, m.end() - 1)
+        if close < 0:
+            continue
+        # Member declarations only: blank out nested bodies (member
+        # functions, nested types) so their locals never count.
+        body = list(clean[m.end():close])
+        depth = 0
+        for i, c in enumerate(body):
+            if c == "}":
+                depth -= 1
+            if depth > 0 and c != "\n":
+                body[i] = " "
+            if c == "{":
+                depth += 1
+        for d in RE_KDP018_MEMBER.finditer("".join(body)):
+            add("KDP018", m.end() + d.start(),
+                f"payload `{m.group(1)}` declares `{d.group(0).strip()}`: a "
+                "data payload holds its codec stream (std::vector<uint8_t> "
+                "from codec::EncodePostings / EncodeAnswers), encoded once "
+                "by its sender and decoded once by its receiver, and sizes "
+                "itself by the stream's length")
+
+
 CHECKS = {rule: globals()["check_" + rule.lower()] for rule in ALL_RULES}
 
 
@@ -968,6 +1013,8 @@ FIXTURES = {
     "kdp016_good.cc.txt": ("src/kdp016_good.cc", set()),
     "kdp017_bad.cc.txt": ("src/query/kdp017_bad.cc", {"KDP017"}),
     "kdp017_good.cc.txt": ("src/query/kdp017_good.cc", set()),
+    "kdp018_bad.cc.txt": ("src/index/kdp018_bad.cc", {"KDP018"}),
+    "kdp018_good.cc.txt": ("src/index/kdp018_good.cc", set()),
 }
 # Each seeds reasoned KDP-ALLOWs over real violations of the listed rules
 # plus one reasonless allow, which must be reported as KDP000.
