@@ -7,6 +7,7 @@
 
 #include "core/kadop.h"
 #include "dht/ring.h"
+#include "obs/metrics.h"
 #include "xml/corpus.h"
 
 int main() {
@@ -30,7 +31,9 @@ int main() {
   net.ParallelPublishAndWait(batches);
   std::printf("community index built: %llu postings over %zu peers\n\n",
               static_cast<unsigned long long>(
-                  net.dht().AggregateStats().postings_stored),
+                  obs::MetricRegistry::Default()
+                      .GetCounter("dht.postings_stored")
+                      ->value()),
               net.PeerCount());
 
   // The same selective query under different strategies: compare the data

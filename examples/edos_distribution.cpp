@@ -13,6 +13,7 @@
 
 #include "common/random.h"
 #include "core/kadop.h"
+#include "obs/metrics.h"
 #include "xml/node.h"
 
 namespace {
@@ -82,7 +83,9 @@ int main() {
               "%.3f virtual s\n",
               docs.size(),
               static_cast<unsigned long long>(
-                  net.dht().AggregateStats().postings_stored),
+                  obs::MetricRegistry::Default()
+                      .GetCounter("dht.postings_stored")
+                      ->value()),
               publish_time);
 
   // How partitioned did the popular lists get?

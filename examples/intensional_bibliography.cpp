@@ -7,6 +7,7 @@
 #include <cstdio>
 
 #include "core/kadop.h"
+#include "obs/metrics.h"
 #include "xml/corpus.h"
 
 int main() {
@@ -34,6 +35,8 @@ int main() {
         fundex::IntensionalMode::kFundexSimple,
         fundex::IntensionalMode::kFundexRepresentative,
         fundex::IntensionalMode::kInline}) {
+    // The registry is process-wide: zero it so each scheme counts its own.
+    obs::MetricRegistry::Default().Reset();
     core::KadopOptions options;
     options.peers = 16;
     core::KadopNet net(options);
@@ -54,7 +57,9 @@ int main() {
                 static_cast<unsigned long long>(result.value().rev_lookups),
                 result.value().response_time,
                 static_cast<unsigned long long>(
-                    net.dht().AggregateStats().postings_stored));
+                    obs::MetricRegistry::Default()
+                        .GetCounter("dht.postings_stored")
+                        ->value()));
   }
   std::printf(
       "\nnaive misses everything (abstracts invisible); fundex-simple and\n"

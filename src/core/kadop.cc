@@ -714,14 +714,7 @@ KadopStats KadopNet::Stats() {
   s.peers = peers_.size();
   s.now = scheduler_.Now();
   s.executed_events = scheduler_.executed_events();
-  s.dht = dht_->AggregateStats();
-  s.io = dht_->AggregateIo();
-  for (const auto& peer : peers_) {
-    if (peer->dpp() != nullptr) s.dpp.Add(peer->dpp()->stats());
-    s.fundex.Add(peer->fundex().stats());
-  }
   s.traffic = network_->traffic();
-  s.dropped_messages = network_->dropped_messages();
   s.metrics = obs::MetricRegistry::Default().Snapshot();
   return s;
 }
@@ -744,24 +737,6 @@ std::string KadopStats::ToText() const {
   out += obs::JsonWriter::FormatDouble(now);
   out += '\n';
   AppendLine(out, "executed_events", executed_events);
-  AppendLine(out, "dht.locates", dht.locates);
-  AppendLine(out, "dht.routed_messages", dht.routed_messages);
-  AppendLine(out, "dht.route_hops", dht.route_hops);
-  AppendLine(out, "dht.appends_received", dht.appends_received);
-  AppendLine(out, "dht.postings_stored", dht.postings_stored);
-  AppendLine(out, "dht.gets_served", dht.gets_served);
-  AppendLine(out, "dht.blocks_sent", dht.blocks_sent);
-  AppendLine(out, "dht.app_requests", dht.app_requests);
-  AppendLine(out, "io.operations", io.operations);
-  AppendLine(out, "io.read_bytes", io.read_bytes);
-  AppendLine(out, "io.write_bytes", io.write_bytes);
-  AppendLine(out, "dpp.splits", dpp.splits);
-  AppendLine(out, "dpp.migrated_postings", dpp.migrated_postings);
-  AppendLine(out, "dpp.blocks_stored", dpp.blocks_stored);
-  AppendLine(out, "dpp.dir_requests", dpp.dir_requests);
-  AppendLine(out, "fundex.functions_indexed", fundex.functions_indexed);
-  AppendLine(out, "fundex.duplicate_requests", fundex.duplicate_requests);
-  AppendLine(out, "fundex.rev_entries", fundex.rev_entries);
   AppendLine(out, "traffic.messages", traffic.messages);
   AppendLine(out, "traffic.bytes", traffic.bytes);
   for (size_t c = 0;
@@ -773,7 +748,6 @@ std::string KadopStats::ToText() const {
                traffic.messages_by_category[c]);
     AppendLine(out, (key + ".bytes").c_str(), traffic.bytes_by_category[c]);
   }
-  AppendLine(out, "dropped_messages", dropped_messages);
   out += "--- metrics ---\n";
   out += metrics.ToText();
   return out;
@@ -788,54 +762,6 @@ std::string KadopStats::ToJson() const {
   w.Value(now);
   w.Key("executed_events");
   w.Value(executed_events);
-  w.Key("dht");
-  w.BeginObject();
-  w.Key("locates");
-  w.Value(dht.locates);
-  w.Key("routed_messages");
-  w.Value(dht.routed_messages);
-  w.Key("route_hops");
-  w.Value(dht.route_hops);
-  w.Key("appends_received");
-  w.Value(dht.appends_received);
-  w.Key("postings_stored");
-  w.Value(dht.postings_stored);
-  w.Key("gets_served");
-  w.Value(dht.gets_served);
-  w.Key("blocks_sent");
-  w.Value(dht.blocks_sent);
-  w.Key("app_requests");
-  w.Value(dht.app_requests);
-  w.EndObject();
-  w.Key("io");
-  w.BeginObject();
-  w.Key("operations");
-  w.Value(io.operations);
-  w.Key("read_bytes");
-  w.Value(io.read_bytes);
-  w.Key("write_bytes");
-  w.Value(io.write_bytes);
-  w.EndObject();
-  w.Key("dpp");
-  w.BeginObject();
-  w.Key("splits");
-  w.Value(dpp.splits);
-  w.Key("migrated_postings");
-  w.Value(dpp.migrated_postings);
-  w.Key("blocks_stored");
-  w.Value(dpp.blocks_stored);
-  w.Key("dir_requests");
-  w.Value(dpp.dir_requests);
-  w.EndObject();
-  w.Key("fundex");
-  w.BeginObject();
-  w.Key("functions_indexed");
-  w.Value(fundex.functions_indexed);
-  w.Key("duplicate_requests");
-  w.Value(fundex.duplicate_requests);
-  w.Key("rev_entries");
-  w.Value(fundex.rev_entries);
-  w.EndObject();
   w.Key("traffic");
   w.BeginObject();
   w.Key("messages");
@@ -857,8 +783,6 @@ std::string KadopStats::ToJson() const {
   }
   w.EndObject();
   w.EndObject();
-  w.Key("dropped_messages");
-  w.Value(dropped_messages);
   w.Key("metrics");
   metrics.AppendJson(w);
   w.EndObject();

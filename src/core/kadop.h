@@ -120,21 +120,19 @@ struct FullQueryResult {
   double total_time = 0.0;
 };
 
-/// A network-wide statistics snapshot: every per-subsystem stats struct the
-/// paper's figures draw from, aggregated across peers, plus the process-wide
-/// metrics-registry snapshot. Both dumps are deterministic: identical seeded
-/// runs produce byte-identical output (all timestamps are virtual).
+/// A network-wide statistics snapshot: the clock, the network's traffic
+/// meter and the metrics-registry snapshot, which holds every event tally
+/// the paper's figures draw from (`dht.*`, `store.*`, `dpp.*`, `fundex.*`,
+/// `net.dropped`, ...). The registry is process-wide, so its counters sum
+/// over every network since the last `MetricRegistry::Reset()`. Both dumps
+/// are deterministic: identical seeded runs produce byte-identical output
+/// (all timestamps are virtual).
 struct KadopStats {
   size_t peers = 0;
   /// Virtual clock at snapshot time.
   double now = 0.0;
   uint64_t executed_events = 0;
-  dht::DhtStats dht;
-  store::IoStats io;
-  index::DppStats dpp;
-  fundex::FundexStats fundex;
   sim::TrafficStats traffic;
-  uint64_t dropped_messages = 0;
   obs::MetricsSnapshot metrics;
 
   /// Human-readable dump (one line per figure-relevant quantity, then the

@@ -96,12 +96,6 @@ void Dht::Stabilize() {
   }
 }
 
-DhtStats Dht::AggregateStats() const {
-  DhtStats total;
-  for (const auto& peer : peers_) total.Add(peer->stats());
-  return total;
-}
-
 store::IoStats Dht::AggregateIo() const {
   store::IoStats total;
   for (const auto& peer : peers_) {

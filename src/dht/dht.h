@@ -60,9 +60,6 @@ class Dht {
   /// and assertions; protocol code resolves owners by routing.
   [[nodiscard]] sim::NodeIndex OwnerOf(KeyId key) const;
 
-  /// Sum of all per-peer stats.
-  [[nodiscard]] DhtStats AggregateStats() const;
-
   /// Sum of I/O counters over all stores.
   [[nodiscard]] store::IoStats AggregateIo() const;
 

@@ -21,8 +21,8 @@ using sim::TrafficCategory;
 
 namespace {
 
-// Process-wide mirrors of the per-peer DhtStats fields (see
-// docs/observability.md for the per-instance vs. registry split).
+// The DHT's event tallies, summed over every peer (see
+// docs/observability.md); per-peer load lives under `load.holder.<N>`.
 struct DhtCounters {
   obs::Counter* locates;
   obs::Counter* routed_messages;
@@ -145,7 +145,6 @@ RequestId DhtPeer::ReserveRequestIds(uint32_t n) {
 }
 
 void DhtPeer::Locate(const std::string& key, LocateCallback cb) {
-  stats_.locates++;
   C().locates->Increment();
   Request request;
   request.key = key;
@@ -515,7 +514,6 @@ void DhtPeer::HoldDelivery(const Message& msg, RequestId req_id) {
 // Routing
 
 void DhtPeer::RouteEnvelopeMsg(std::shared_ptr<RouteEnvelope> env) {
-  stats_.routed_messages++;
   C().routed_messages->Increment();
   if (IsResponsible(env->key)) {
     // Local delivery (free).
@@ -524,7 +522,6 @@ void DhtPeer::RouteEnvelopeMsg(std::shared_ptr<RouteEnvelope> env) {
   }
   NodeIndex next = NextHop(env->key);
   env->hops++;
-  stats_.route_hops++;
   C().route_hops->Increment();
   network_->Send(Message{node_, next, env->category, std::move(env)});
 }
@@ -547,11 +544,9 @@ void DhtPeer::Route(const std::string& key, sim::PayloadPtr inner,
   // One hop straight to the hinted owner, counted like a routing hop. The
   // receiver re-checks ownership (HandleMessage) and routes on if the hint
   // went stale, so a wrong hint costs hops but never misdelivers.
-  stats_.routed_messages++;
   C().routed_messages->Increment();
   env->hops++;
   env->hinted = true;
-  stats_.route_hops++;
   C().route_hops->Increment();
   C().hint_sends->Increment();
   if (owner_hint->cached) C().hint_cached->Increment();
@@ -600,7 +595,6 @@ void DhtPeer::DeliverRouted(const RouteEnvelope& env) {
     return;
   }
   if (const auto* app = dynamic_cast<const AppRequest*>(inner)) {
-    stats_.app_requests++;
     C().app_requests->Increment();
     if (app_handler_) app_handler_(*app, app->origin);
     return;
@@ -633,7 +627,6 @@ void DhtPeer::ForwardOrAck(const AppendRequest& req) {
 }
 
 void DhtPeer::HandleAppend(const AppendRequest& req) {
-  stats_.appends_received++;
   C().appends_received->Increment();
   load_appends_->Increment();
   // At-most-once application of retry-capable appends: a resend of an
@@ -646,7 +639,6 @@ void DhtPeer::HandleAppend(const AppendRequest& req) {
     return;
   }
   const PostingList postings = index::codec::DecodePayload(req.postings);
-  stats_.postings_stored += postings.size();
   C().postings_stored->Increment(postings.size());
   if (append_interceptor_ && append_interceptor_(req, postings)) return;
 
@@ -680,14 +672,12 @@ void DhtPeer::SendGetBlock(NodeIndex origin, RequestId req_id,
   out->block_index = block_index;
   out->last = last;
   out->postings = index::codec::EncodePostings(postings);
-  stats_.blocks_sent++;
   C().blocks_sent->Increment();
   network_->Send(
       Message{node_, origin, TrafficCategory::kPosting, std::move(out)});
 }
 
 void DhtPeer::HandleGet(const GetRequest& req) {
-  stats_.gets_served++;
   C().gets_served->Increment();
   load_gets_->Increment();
   if (get_interceptor_ && get_interceptor_(req)) return;
@@ -729,7 +719,6 @@ void DhtPeer::HandleGet(const GetRequest& req) {
     ScheduleAfterDisk(block_bytes, /*write_bytes=*/0,
                       [this, origin, serve, last_block,
                        out = std::move(out)]() mutable {
-                        stats_.blocks_sent++;
                         C().blocks_sent->Increment();
                         network_->Send(Message{node_, origin,
                                                TrafficCategory::kPosting,
@@ -866,7 +855,6 @@ void DhtPeer::HandleMessage(const Message& msg) {
     return;
   }
   if (auto* app = dynamic_cast<AppRequest*>(payload)) {
-    stats_.app_requests++;
     C().app_requests->Increment();
     if (app_handler_) app_handler_(*app, msg.from);
     return;

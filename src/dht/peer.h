@@ -90,29 +90,6 @@ struct DhtOptions {
   RetryPolicy retry;
 };
 
-/// Counters kept per peer and aggregated by the Dht.
-struct DhtStats {
-  uint64_t route_hops = 0;
-  uint64_t routed_messages = 0;
-  uint64_t locates = 0;
-  uint64_t appends_received = 0;
-  uint64_t postings_stored = 0;
-  uint64_t gets_served = 0;
-  uint64_t blocks_sent = 0;
-  uint64_t app_requests = 0;
-
-  void Add(const DhtStats& other) {
-    route_hops += other.route_hops;
-    routed_messages += other.routed_messages;
-    locates += other.locates;
-    appends_received += other.appends_received;
-    postings_stored += other.postings_stored;
-    gets_served += other.gets_served;
-    blocks_sent += other.blocks_sent;
-    app_requests += other.app_requests;
-  }
-};
-
 /// Result of a (pipelined) get: `complete` is false when the request timed
 /// out before all blocks arrived (the paper: "we detect faulty peers with
 /// time-outs; in this case, the answer is incomplete").
@@ -165,7 +142,9 @@ struct GetSpec {
 /// get / delete, extended per Section 3 with `append` and a pipelined get.
 ///
 /// All operations are asynchronous: results are delivered via callbacks
-/// when the simulated messages arrive.
+/// when the simulated messages arrive. A peer keeps no tally struct: its
+/// events count into the process-wide `dht.*` registry counters, and its
+/// own ingress load into `load.holder.<N>.{gets,appends}`.
 class DhtPeer final : public sim::Actor {
  public:
   /// The key's owner, or kDeadlineExceeded when the retry budget ran out.
@@ -317,7 +296,6 @@ class DhtPeer final : public sim::Actor {
   KeyId id() const { return id_; }
   sim::NodeIndex node() const { return node_; }
   store::PeerStore* store() { return store_.get(); }
-  const DhtStats& stats() const { return stats_; }
   sim::Network* network() { return network_; }
   Dht* dht() { return dht_; }
 
@@ -511,7 +489,6 @@ class DhtPeer final : public sim::Actor {
   AppendInterceptor append_interceptor_;
   GetInterceptor get_interceptor_;
   DeleteInterceptor delete_interceptor_;
-  DhtStats stats_;
   /// This peer's `load.holder.<N>.{gets,appends}` counters.
   obs::Counter* load_gets_;
   obs::Counter* load_appends_;

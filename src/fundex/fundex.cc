@@ -193,7 +193,6 @@ void FundexService::EmitFunctionCalls(const xml::Document& doc,
     const std::string& uri = it->second;
     // Rev: fid -> occurrences of the call (the entity-ref position, which
     // already carries the parent element's interval one level deeper).
-    stats_.rev_entries++;
     FX().rev_entries->Increment();
     peer_->Append(RevKey(FidSeq(uri)),
                   {Posting{peer_->node(), doc_seq, sid}});
@@ -242,13 +241,11 @@ void FundexService::Publish(const std::vector<const xml::Document*>& docs,
 
 void FundexService::IndexFunction(const std::string& uri) {
   if (!indexed_functions_.insert(uri).second) {
-    stats_.duplicate_requests++;
     FX().duplicate_requests->Increment();
     return;  // already materialized and indexed — nothing to do
   }
   const xml::Document* doc = resolver_(uri);
   if (doc == nullptr) return;
-  stats_.functions_indexed++;
   FX().functions_indexed->Increment();
 
   // Materialization: the function result is produced locally (modelled as

@@ -72,18 +72,6 @@ struct IndexFunctionRequest final : sim::Payload {
   }
 };
 
-struct FundexStats {
-  uint64_t functions_indexed = 0;
-  uint64_t duplicate_requests = 0;
-  uint64_t rev_entries = 0;
-
-  void Add(const FundexStats& other) {
-    functions_indexed += other.functions_indexed;
-    duplicate_requests += other.duplicate_requests;
-    rev_entries += other.rev_entries;
-  }
-};
-
 /// Per-peer Fundex service: publishing-side handling of intensional data
 /// and the owner role for `fun:` keys.
 class FundexService {
@@ -105,8 +93,6 @@ class FundexService {
   /// Handles `fun:` owner messages; false if not a Fundex payload.
   [[nodiscard]] bool HandleApp(const dht::AppRequest& request, sim::NodeIndex from);
 
-  const FundexStats& stats() const { return stats_; }
-
   /// The structural summary inferred from the intensional targets seen so
   /// far (the "schema" behind the representative instances).
   const xml::StructuralSummary& summary() const { return summary_; }
@@ -125,7 +111,6 @@ class FundexService {
   dht::DhtPeer* peer_;
   index::DocStore* doc_store_;
   Resolver resolver_;
-  FundexStats stats_;
   /// Documents already processed within the current Publish call; used to
   /// pre-compute the DocSeq the publisher will assign.
   size_t pending_marker_docs_ = 0;

@@ -341,7 +341,6 @@ void DppManager::MaybeSplit(const std::string& term_key) {
   if (victim == st.blocks.size()) return;
 
   st.split_in_progress = true;
-  stats_.splits++;
   C().splits->Increment();
   obs::Tracer::Default().Event("dpp.split");
   const std::string new_key =
@@ -393,7 +392,6 @@ void DppManager::FinishSplit(const std::string& term_key, size_t block_index,
     // Both halves inherit the victim's type set (a superset is safe).
     upper.types = lower.types;
     st.blocks.insert(st.blocks.begin() + block_index + 1, std::move(upper));
-    stats_.migrated_postings += done.upper_count;
     C().migrated_postings->Increment(done.upper_count);
   }
   st.split_in_progress = false;
@@ -477,7 +475,6 @@ bool DppManager::HandleApp(const AppRequest& request, NodeIndex /*from*/) {
   if (const auto* append = dynamic_cast<const DppAppendToBlock*>(inner)) {
     peer_->store()->AppendPostings(append->block_key,
                                    codec::DecodePayload(append->postings));
-    stats_.blocks_stored++;
     C().blocks_stored->Increment();
     const double bytes = static_cast<double>(append->postings.size());
     const NodeIndex origin = request.origin;
@@ -497,7 +494,6 @@ bool DppManager::HandleApp(const AppRequest& request, NodeIndex /*from*/) {
   if (const auto* block = dynamic_cast<const DppStoreBlock*>(inner)) {
     peer_->store()->AppendPostings(block->block_key,
                                    codec::DecodePayload(block->postings));
-    stats_.blocks_stored++;
     C().blocks_stored->Increment();
     const double bytes = static_cast<double>(block->postings.size());
     const NodeIndex origin = request.origin;
@@ -545,7 +541,6 @@ bool DppManager::HandleApp(const AppRequest& request, NodeIndex /*from*/) {
   }
 
   if (const auto* dir = dynamic_cast<const DppDirRequest*>(inner)) {
-    stats_.dir_requests++;
     C().dir_requests->Increment();
     // Zero virtual-time serve; the point event still places the directory
     // owner in the query's span tree.

@@ -27,20 +27,6 @@ struct DppOptions {
   bool ordered_splits = true;
 };
 
-struct DppStats {
-  uint64_t splits = 0;
-  uint64_t migrated_postings = 0;
-  uint64_t blocks_stored = 0;
-  uint64_t dir_requests = 0;
-
-  void Add(const DppStats& other) {
-    splits += other.splits;
-    migrated_postings += other.migrated_postings;
-    blocks_stored += other.blocks_stored;
-    dir_requests += other.dir_requests;
-  }
-};
-
 /// The Distributed Posting Partitioning manager of one peer (Section 4).
 ///
 /// Two roles, both on the same object:
@@ -128,8 +114,6 @@ class DppManager {
       std::function<void(Status, std::vector<DppBlockInfo>)> cb,
       dht::RetryPolicy retry = {}, bool behind_writes = false);
 
-  const DppStats& stats() const { return stats_; }
-
   /// Number of terms owned here that have been split at least once.
   [[nodiscard]] size_t PartitionedTermCount() const;
 
@@ -168,7 +152,6 @@ class DppManager {
 
   dht::DhtPeer* peer_;
   DppOptions options_;
-  DppStats stats_;
   Rng rng_;
   std::unordered_map<std::string, TermState> terms_;
 };

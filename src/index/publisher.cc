@@ -52,7 +52,6 @@ void Publisher::AckOne() {
 
 void Publisher::Flush(const std::string& key, Buffer buffer) {
   if (buffer.postings.empty()) return;
-  stats_.batches++;
   C().batches->Increment();
   outstanding_acks_++;
   std::vector<std::string> types(buffer.types.begin(), buffer.types.end());
@@ -103,7 +102,6 @@ void Publisher::Publish(const std::vector<const xml::Document*>& docs,
   for (const xml::Document* doc : docs) {
     KADOP_CHECK(doc != nullptr, "null document");
     const DocSeq seq = doc_store_->Register(doc);
-    stats_.documents++;
     C().documents->Increment();
     peer_->PutBlob("doc:" + std::to_string(peer_->node()) + ":" +
                        std::to_string(seq),
@@ -114,7 +112,6 @@ void Publisher::Publish(const std::vector<const xml::Document*>& docs,
     const std::string doc_type = doc->root ? doc->root->label() : "";
     std::vector<TermPosting> postings;
     ExtractTerms(*doc, peer_->node(), seq, options_.extract, postings);
-    stats_.postings += postings.size();
     C().postings->Increment(postings.size());
     if (options_.derive) {
       // Derived batches (view deltas) ride the same acked append path as

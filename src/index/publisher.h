@@ -87,13 +87,6 @@ class Publisher {
   /// followed by insertion"). Returns false if `seq` is unknown.
   [[nodiscard]] bool Unpublish(DocSeq seq);
 
-  struct Stats {
-    size_t documents = 0;
-    size_t postings = 0;
-    size_t batches = 0;
-  };
-  const Stats& stats() const { return stats_; }
-
  private:
   struct Buffer {
     PostingList postings;
@@ -109,7 +102,6 @@ class Publisher {
   dht::DhtPeer* peer_;
   DocStore* doc_store_;
   PublishOptions options_;
-  Stats stats_;
   size_t outstanding_acks_ = 0;
   std::function<void()> on_done_;
 };

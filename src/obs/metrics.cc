@@ -42,6 +42,11 @@ MetricsSnapshot MetricsSnapshot::DiffSince(const MetricsSnapshot& base) const {
   return out;
 }
 
+uint64_t MetricsSnapshot::CounterValue(const std::string& name) const {
+  auto it = counters.find(name);
+  return it == counters.end() ? 0 : it->second;
+}
+
 void MetricsSnapshot::AppendJson(JsonWriter& w) const {
   w.BeginObject();
   w.Key("counters").BeginObject();

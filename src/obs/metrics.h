@@ -85,6 +85,8 @@ struct MetricsSnapshot {
   // subtract (metrics absent from `base` count from zero); gauges keep their
   // current value (a gauge is a level, not a rate).
   MetricsSnapshot DiffSince(const MetricsSnapshot& base) const;
+  // The counter registered under `name`; 0 when there is none.
+  uint64_t CounterValue(const std::string& name) const;
 
   // Serializes as {"counters":{...},"gauges":{...},"histograms":{...}} into
   // an open writer (for embedding in KadopStats / bench reports).

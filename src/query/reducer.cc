@@ -5,6 +5,7 @@
 #include "common/logging.h"
 #include "index/codec.h"
 #include "index/dpp.h"
+#include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace kadop::query {
@@ -13,6 +14,30 @@ using dht::AppRequest;
 using index::PostingList;
 using sim::NodeIndex;
 using sim::TrafficCategory;
+
+namespace {
+
+struct ReducerCounters {
+  obs::Counter* roles_started;
+  obs::Counter* abf_built;
+  obs::Counter* dbf_built;
+  obs::Counter* postings_filtered_out;
+
+  ReducerCounters() {
+    auto& r = obs::MetricRegistry::Default();
+    roles_started = r.GetCounter("reducer.roles_started");
+    abf_built = r.GetCounter("reducer.abf_built");
+    dbf_built = r.GetCounter("reducer.dbf_built");
+    postings_filtered_out = r.GetCounter("reducer.postings_filtered_out");
+  }
+};
+
+ReducerCounters& C() {
+  static ReducerCounters counters;
+  return counters;
+}
+
+}  // namespace
 
 ReducerService::ReducerService(dht::DhtPeer* peer) : peer_(peer) {
   KADOP_CHECK(peer_ != nullptr, "ReducerService requires a peer");
@@ -52,7 +77,7 @@ void ReducerService::OnStart(const ReduceStart& start) {
   st.plan = start.plan;
   st.node = start.node;
   st.started = true;
-  stats_.roles_started++;
+  C().roles_started->Increment();
 
   const ReducePlanNode* pn = st.plan.Find(st.node);
   KADOP_CHECK(pn != nullptr, "plan is missing this node");
@@ -92,7 +117,7 @@ void ReducerService::OnAbf(const AbfMessage& msg) {
   KADOP_CHECK(msg.filter != nullptr, "ABF message without filter");
   const size_t before = st.list.size();
   st.list = msg.filter->Filter(st.list);
-  stats_.postings_filtered_out += before - st.list.size();
+  C().postings_filtered_out->Increment(before - st.list.size());
   st.abf_in_applied = true;
   Proceed(key);
 }
@@ -170,7 +195,7 @@ void ReducerService::BuildAndSendAbf(NodeState& st) {
   const ReducePlanNode* pn = st.plan.Find(st.node);
   auto filter = std::make_shared<bloom::AncestorBloomFilter>(
       bloom::AncestorBloomFilter::Build(st.list, st.plan.ab_params));
-  stats_.abf_built++;
+  C().abf_built->Increment();
   for (int child : pn->children) {
     const ReducePlanNode* cn = st.plan.Find(child);
     auto msg = std::make_shared<AbfMessage>();
@@ -190,7 +215,7 @@ void ReducerService::BuildAndSendDbf(NodeState& st) {
   const ReducePlanNode* parent = st.plan.Find(pn->parent);
   auto filter = std::make_shared<bloom::DescendantBloomFilter>(
       bloom::DescendantBloomFilter::Build(st.list, st.plan.db_params));
-  stats_.dbf_built++;
+  C().dbf_built->Increment();
   auto msg = std::make_shared<DbfMessage>();
   msg->query_id = st.plan.query_id;
   msg->from_node = st.node;
@@ -221,7 +246,7 @@ void ReducerService::ApplyDbfs(NodeState& st) {
     if (pass) kept.push_back(p);
   }
   st.list = std::move(kept);
-  stats_.postings_filtered_out += before - st.list.size();
+  C().postings_filtered_out->Increment(before - st.list.size());
   st.dbfs.clear();
 }
 

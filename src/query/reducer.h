@@ -11,20 +11,6 @@
 
 namespace kadop::query {
 
-struct ReducerStats {
-  uint64_t roles_started = 0;
-  uint64_t abf_built = 0;
-  uint64_t dbf_built = 0;
-  uint64_t postings_filtered_out = 0;
-
-  void Add(const ReducerStats& other) {
-    roles_started += other.roles_started;
-    abf_built += other.abf_built;
-    dbf_built += other.dbf_built;
-    postings_filtered_out += other.postings_filtered_out;
-  }
-};
-
 /// Per-peer service executing the owner-side roles of the Bloom-based
 /// query strategies (Section 5.3).
 ///
@@ -45,8 +31,6 @@ class ReducerService {
 
   /// Handles reducer messages; returns false if the payload is not one.
   [[nodiscard]] bool HandleApp(const dht::AppRequest& request, sim::NodeIndex from);
-
-  const ReducerStats& stats() const { return stats_; }
 
  private:
   struct NodeState {
@@ -83,7 +67,6 @@ class ReducerService {
   [[nodiscard]] static bool NeedsAbf(const NodeState& st);
 
   dht::DhtPeer* peer_;
-  ReducerStats stats_;
   std::map<StateKey, NodeState> states_;
 };
 

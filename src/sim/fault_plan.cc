@@ -17,7 +17,6 @@ FaultDecision FaultPlan::OnSend(const Message& msg) {
   FaultDecision d;
   if (options_.drop_p > 0 && rng_.Bernoulli(options_.drop_p)) {
     d.drop = true;
-    stats_.drops++;
     // A dropped message cannot also be duplicated or delayed; later fault
     // classes draw nothing so the RNG stream stays aligned with the
     // decision sequence, not with the knob set.
@@ -25,7 +24,6 @@ FaultDecision FaultPlan::OnSend(const Message& msg) {
   }
   if (options_.dup_p > 0 && rng_.Bernoulli(options_.dup_p)) {
     d.duplicate = true;
-    stats_.dups++;
   }
   if (options_.jitter_mean_s > 0) {
     d.extra_delay_s += rng_.Exponential(options_.jitter_mean_s);
@@ -33,7 +31,6 @@ FaultDecision FaultPlan::OnSend(const Message& msg) {
   if (options_.slow_extra_s > 0 && IsSlow(msg.from)) {
     d.extra_delay_s += options_.slow_extra_s;
   }
-  if (d.extra_delay_s > 0) stats_.delayed++;
   return d;
 }
 

@@ -53,18 +53,11 @@ struct FaultDecision {
   double extra_delay_s = 0.0;
 };
 
-/// Running tally of injected faults (also mirrored into the obs registry by
-/// the network as `fault.*` counters).
-struct FaultStats {
-  uint64_t drops = 0;
-  uint64_t dups = 0;
-  uint64_t delayed = 0;
-};
-
 /// A seeded, deterministic schedule of link faults. The network consults
 /// `OnSend` exactly once per non-local message, in send order; because that
 /// order is itself deterministic under the virtual clock, every run with the
-/// same seed and workload sees the identical fault sequence.
+/// same seed and workload sees the identical fault sequence. The network
+/// tallies the verdicts it applies as `fault.{drops,dups,delayed}`.
 class FaultPlan {
  public:
   explicit FaultPlan(FaultOptions options);
@@ -78,14 +71,12 @@ class FaultPlan {
   FaultDecision OnSend(const Message& msg);
 
   const FaultOptions& options() const { return options_; }
-  const FaultStats& stats() const { return stats_; }
 
  private:
   bool IsSlow(NodeIndex node) const;
 
   FaultOptions options_;
   Rng rng_;
-  FaultStats stats_;
 };
 
 }  // namespace kadop::sim

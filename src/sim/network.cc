@@ -147,7 +147,6 @@ void Network::Send(Message msg) {
         obs::ScopedTraceContext scope(ctx);
         nodes_[msg.to]->HandleMessage(msg);
       } else {
-        ++dropped_;
         Counters().dropped->Increment();
       }
     });
@@ -181,7 +180,6 @@ void Network::Send(Message msg) {
   // A dropped message still occupied the sender's uplink and the traffic
   // meter (the bytes were transmitted); it just never reaches a downlink.
   if (fd.drop) {
-    ++dropped_;
     Counters().dropped->Increment();
     FaultCounters().injected->Increment();
     FaultCounters().drops->Increment();
@@ -208,7 +206,6 @@ void Network::Send(Message msg) {
         obs::ScopedTraceContext scope(ctx);
         nodes_[msg.to]->HandleMessage(msg);
       } else {
-        ++dropped_;
         Counters().dropped->Increment();
       }
     });

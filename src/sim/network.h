@@ -75,7 +75,8 @@ class Network {
   size_t NodeCount() const { return nodes_.size(); }
 
   /// Marks a node up/down. Messages to a down node are dropped (counted in
-  /// `dropped_messages()`); this is how peer failure is injected in tests.
+  /// the `net.dropped` registry counter); this is how peer failure is
+  /// injected in tests.
   void SetNodeUp(NodeIndex node, bool up);
   bool IsNodeUp(NodeIndex node) const;
 
@@ -85,8 +86,6 @@ class Network {
 
   const TrafficStats& traffic() const { return traffic_; }
   void ResetTraffic() { traffic_ = TrafficStats(); }
-
-  uint64_t dropped_messages() const { return dropped_; }
 
   /// Installs a seeded fault plan consulted on every non-local send
   /// (drop / duplicate / extra delay). nullptr disables injection. The plan
@@ -106,7 +105,6 @@ class Network {
   std::vector<SimTime> uplink_free_;
   std::vector<SimTime> downlink_free_;
   TrafficStats traffic_;
-  uint64_t dropped_ = 0;
   FaultPlan* fault_plan_ = nullptr;
 };
 

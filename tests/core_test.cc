@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "core/kadop.h"
+#include "obs/metrics.h"
 #include "xml/corpus.h"
 
 namespace kadop::core {
@@ -27,13 +28,16 @@ TEST(KadopNetTest, PublishStoresDocsLocallyAndIndexesGlobally) {
   KadopNet net(opt);
   std::vector<const xml::Document*> ptrs;
   for (const auto& d : docs) ptrs.push_back(&d);
+  const obs::Counter* stored =
+      obs::MetricRegistry::Default().GetCounter("dht.postings_stored");
+  const uint64_t stored_before = stored->value();
   const double elapsed = net.PublishAndWait(3, ptrs);
   EXPECT_GT(elapsed, 0.0);
   EXPECT_EQ(net.peer(3)->doc_store().size(), docs.size());
   // All postings landed somewhere.
   store::IoStats io = net.dht().AggregateIo();
   EXPECT_GT(io.write_bytes, 0u);
-  EXPECT_GT(net.dht().AggregateStats().postings_stored, docs.size());
+  EXPECT_GT(stored->value() - stored_before, docs.size());
 }
 
 TEST(KadopNetTest, ParallelPublishFasterThanSerial) {

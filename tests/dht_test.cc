@@ -78,17 +78,20 @@ TEST(DhtTest, LocateResolvesToTrueOwnerViaRouting) {
 }
 
 TEST(DhtTest, RoutingUsesLogarithmicHops) {
+  const obs::Counter* hops =
+      obs::MetricRegistry::Default().GetCounter("dht.route_hops");
+  const uint64_t before = hops->value();
   TestNet net(256);
   for (int i = 0; i < 50; ++i) {
     net.dht.peer(i % 256)->Locate("key" + std::to_string(i),
                                   [](Result<sim::NodeIndex>) {});
   }
   net.scheduler.RunUntilIdle();
-  DhtStats stats = net.dht.AggregateStats();
+  const uint64_t route_hops = hops->value() - before;
   // Chord bound: ~log2(256) = 8 hops per lookup on average, certainly far
   // below the linear bound.
-  EXPECT_LT(stats.route_hops, 50 * 16u);
-  EXPECT_GT(stats.route_hops, 0u);
+  EXPECT_LT(route_hops, 50 * 16u);
+  EXPECT_GT(route_hops, 0u);
 }
 
 TEST(DhtTest, AppendThenGetRoundTrips) {
@@ -673,12 +676,6 @@ TEST(OwnerCacheTest, AddPeersEmptiesEveryCache) {
 
 // -- Retry budget -----------------------------------------------------------
 
-uint64_t CounterDelta(const obs::MetricsSnapshot& diff,
-                      const std::string& name) {
-  const auto it = diff.counters.find(name);
-  return it == diff.counters.end() ? 0 : it->second;
-}
-
 // Every request kind that awaits a reply spends one retry budget the same
 // way: each attempt times out, the next goes out after its backoff, and the
 // last timeout gives up exactly once, RetryPolicy::SpanS() after the first
@@ -775,9 +772,9 @@ TEST(DhtRetryTest, EveryRequestKindSpendsOneBudget) {
     EXPECT_TRUE(as_expected);
     EXPECT_NEAR(gave_up_at[0], t0 + policy.SpanS(), 1e-9);
     const obs::MetricsSnapshot diff = Since(base);
-    EXPECT_EQ(CounterDelta(diff, "dht.timeouts"), 3u);
-    EXPECT_EQ(CounterDelta(diff, "dht.retries"), 2u);
-    EXPECT_EQ(CounterDelta(diff, "dht.get_timeouts"), kind.is_get ? 3u : 0u);
+    EXPECT_EQ(diff.CounterValue("dht.timeouts"), 3u);
+    EXPECT_EQ(diff.CounterValue("dht.retries"), 2u);
+    EXPECT_EQ(diff.CounterValue("dht.get_timeouts"), kind.is_get ? 3u : 0u);
     // The give-up took the request out of the table.
     EXPECT_EQ(requester->PendingRequestCount(), 0u);
   }

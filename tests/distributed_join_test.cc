@@ -132,13 +132,9 @@ TEST_F(DistributedJoinTest, HolderAccountingFoldsIntoQueryMetrics) {
   // Holders fetched every surviving input block on the query's behalf.
   EXPECT_GT(djoin.metrics.blocks_fetched, 0u);
   const auto snap = obs::MetricRegistry::Default().Snapshot();
-  auto counter = [&snap](const char* name) -> uint64_t {
-    auto it = snap.counters.find(name);
-    return it == snap.counters.end() ? 0 : it->second;
-  };
-  EXPECT_GT(counter("query.join.holder.tasks"), 0u);
-  EXPECT_GT(counter("query.join.holder.ingress_postings"), 0u);
-  EXPECT_GT(counter("query.join.holder.egress_result_bytes"), 0u);
+  EXPECT_GT(snap.CounterValue("query.join.holder.tasks"), 0u);
+  EXPECT_GT(snap.CounterValue("query.join.holder.ingress_postings"), 0u);
+  EXPECT_GT(snap.CounterValue("query.join.holder.egress_result_bytes"), 0u);
 }
 
 TEST_F(DistributedJoinTest, CorruptReplyFallsBackLocally) {
@@ -248,13 +244,15 @@ TEST_F(DistributedJoinTest, AutoRunsAsFastAsItsPick) {
 
 // The planning round is the directory round, whatever plan it picks.
 TEST_F(DistributedJoinTest, AutoFetchesEachDirectoryOnce) {
+  const obs::Counter* dir_requests =
+      obs::MetricRegistry::Default().GetCounter("dpp.dir_requests");
   std::set<QueryStrategy> picked;
   for (const char* expr : kQueries) {
     const size_t terms = ParsePattern(expr).value().size();
-    const uint64_t before = net_->Stats().dpp.dir_requests;
+    const uint64_t before = dir_requests->value();
     QueryResult r = RunQuery(expr, QueryStrategy::kAuto);
     picked.insert(r.metrics.effective_strategy);
-    EXPECT_EQ(net_->Stats().dpp.dir_requests - before, terms)
+    EXPECT_EQ(dir_requests->value() - before, terms)
         << expr << " ran "
         << QueryStrategyName(r.metrics.effective_strategy);
   }
@@ -654,11 +652,6 @@ obs::MetricsSnapshot MetricsSince(const obs::MetricsSnapshot& base) {
   return MetricsNow().DiffSince(base);
 }
 
-uint64_t CounterDelta(const obs::MetricsSnapshot& d, const std::string& name) {
-  auto it = d.counters.find(name);
-  return it == d.counters.end() ? 0 : it->second;
-}
-
 TEST(OwnerCacheTest, DirectoryRoundsFromAWarmPeerTakeOneHop) {
   const std::vector<xml::Document> docs = CacheCorpus();
   KadopOptions opt;
@@ -686,9 +679,9 @@ TEST(OwnerCacheTest, DirectoryRoundsFromAWarmPeerTakeOneHop) {
   obs::MetricsSnapshot d = MetricsSince(base);
   EXPECT_EQ(d.histograms.at("dht.hops_per_delivery").count, 1u);
   EXPECT_EQ(d.histograms.at("dht.hops_per_delivery").sum, 1.0);
-  EXPECT_EQ(CounterDelta(d, "dht.hint.sends"), 1u);
-  EXPECT_EQ(CounterDelta(d, "dht.hint.cached"), 1u);
-  EXPECT_EQ(CounterDelta(d, "dht.hint.forwards"), 0u);
+  EXPECT_EQ(d.CounterValue("dht.hint.sends"), 1u);
+  EXPECT_EQ(d.CounterValue("dht.hint.cached"), 1u);
+  EXPECT_EQ(d.CounterValue("dht.hint.forwards"), 0u);
 
   // A stale entry naming a live bystander is forwarded to the owner: the
   // same directory comes back, and the cache names the owner again.
@@ -696,8 +689,8 @@ TEST(OwnerCacheTest, DirectoryRoundsFromAWarmPeerTakeOneHop) {
   base = MetricsNow();
   ExpectSameDirectory(Directory(net, querier, term), cold);
   d = MetricsSince(base);
-  EXPECT_EQ(CounterDelta(d, "dht.hint.cached"), 1u);
-  EXPECT_EQ(CounterDelta(d, "dht.hint.forwards"), 1u);
+  EXPECT_EQ(d.CounterValue("dht.hint.cached"), 1u);
+  EXPECT_EQ(d.CounterValue("dht.hint.forwards"), 1u);
   EXPECT_EQ(q->KnownOwner(term)->node, owner);
 }
 
@@ -835,13 +828,12 @@ class WarmSplitNetTest : public ::testing::Test {
 // Writes never take a hint, warm caches or not: publishing (appends, DPP
 // splits and migrations, blob puts) adds no hinted send.
 TEST_F(WarmSplitNetTest, PublishingSendsNoHint) {
-  const uint64_t splits = net_->Stats().dpp.splits;
   const obs::MetricsSnapshot base = MetricsNow();
   net_->PublishAndWait(2, DocPtrs(docs_, half_, docs_.size()));
   const obs::MetricsSnapshot d = MetricsSince(base);
-  EXPECT_GT(net_->Stats().dpp.splits, splits);
-  EXPECT_GT(CounterDelta(d, "dht.appends_received"), 0u);
-  EXPECT_EQ(CounterDelta(d, "dht.hint.sends"), 0u);
+  EXPECT_GT(d.CounterValue("dpp.splits"), 0u);
+  EXPECT_GT(d.CounterValue("dht.appends_received"), 0u);
+  EXPECT_EQ(d.CounterValue("dht.hint.sends"), 0u);
 }
 
 // Reads beside writes: queries from warm peers run while the second half
@@ -1674,8 +1666,8 @@ TEST(JoinHomeTest, WindowShareHomesCutHolderForeignIngress) {
     }
   }
   // The holders' measured foreign reads are the plan's.
-  EXPECT_EQ(CounterDelta(d, "query.join.holder.ingress_postings") -
-                CounterDelta(d, "query.join.holder.local_postings"),
+  EXPECT_EQ(d.CounterValue("query.join.holder.ingress_postings") -
+                d.CounterValue("query.join.holder.local_postings"),
             window_home);
   EXPECT_LT(window_home, count_home);
   // Two ~240-posting article blocks each span about nine windows; each

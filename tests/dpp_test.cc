@@ -152,6 +152,7 @@ TEST(DppTest, SmallListStaysLocal) {
 }
 
 TEST(DppTest, LongListSplitsAcrossPeersWithOrderedConditions) {
+  const obs::MetricsSnapshot base = obs::MetricRegistry::Default().Snapshot();
   DppOptions options;
   options.max_block_postings = 256;
   DppNet net(12, options);
@@ -188,10 +189,10 @@ TEST(DppTest, LongListSplitsAcrossPeersWithOrderedConditions) {
   // No postings lost or duplicated across the split blocks.
   EXPECT_EQ(net.FetchAllBlocks("l:author"), postings);
   // Splits actually migrated data to other peers.
-  DppStats stats;
-  for (const auto& m : net.managers) stats.Add(m->stats());
-  EXPECT_GT(stats.splits, 0u);
-  EXPECT_GT(stats.migrated_postings, 0u);
+  const obs::MetricsSnapshot d =
+      obs::MetricRegistry::Default().Snapshot().DiffSince(base);
+  EXPECT_GT(d.CounterValue("dpp.splits"), 0u);
+  EXPECT_GT(d.CounterValue("dpp.migrated_postings"), 0u);
 }
 
 // The owner learns an overflow block's holder from the reply to a routed
@@ -548,6 +549,9 @@ TEST(DppGetProxyTest, SlowFirstHolderStillStreamsInOrder) {
   fo.slow_peers = {holder(first)};
   sim::FaultPlan plan(fo);
   t.net.network.SetFaultPlan(&plan);
+  const obs::Counter* delayed =
+      obs::MetricRegistry::Default().GetCounter("fault.delayed");
+  const uint64_t delayed_before = delayed->value();
 
   dht::GetSpec spec;
   spec.key = SplitTerm::kTerm;
@@ -563,7 +567,7 @@ TEST(DppGetProxyTest, SlowFirstHolderStillStreamsInOrder) {
       });
   t.net.scheduler.RunUntilIdle();
   EXPECT_TRUE(done);
-  EXPECT_GT(plan.stats().delayed, 0u);
+  EXPECT_GT(delayed->value() - delayed_before, 0u);
   ASSERT_EQ(blocks.size(), t.dir.size() - first);
   for (size_t i = 0; i < blocks.size(); ++i) {
     EXPECT_EQ(blocks[i],

@@ -8,6 +8,7 @@
 
 #include <memory>
 #include <optional>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -44,6 +45,14 @@ class Recorder final : public sim::Actor {
   std::vector<std::pair<sim::NodeIndex, sim::SimTime>> arrivals;
 };
 
+// The registry is process-wide, so each check reads a counter's growth
+// since a snapshot taken before its scenario.
+uint64_t CounterSince(const obs::MetricsSnapshot& base,
+                      const std::string& name) {
+  const obs::MetricsSnapshot now = obs::MetricRegistry::Default().Snapshot();
+  return now.DiffSince(base).CounterValue(name);
+}
+
 sim::NetworkParams SimpleParams() {
   sim::NetworkParams p;
   p.hop_latency_s = 0.01;
@@ -65,6 +74,7 @@ class FaultNetworkTest : public ::testing::Test {
     net.Send({from, to, sim::TrafficCategory::kControl,
               std::make_shared<BytesPayload>(bytes)});
   }
+  const obs::MetricsSnapshot base = obs::MetricRegistry::Default().Snapshot();
   sim::Scheduler sched;
   sim::Network net;
   Recorder actors[4];
@@ -79,8 +89,8 @@ TEST_F(FaultNetworkTest, DropLosesTheMessageButChargesTheSender) {
   Send(0, 1);
   sched.RunUntilIdle();
   EXPECT_TRUE(actors[1].arrivals.empty());
-  EXPECT_EQ(net.dropped_messages(), 1u);
-  EXPECT_EQ(plan.stats().drops, 1u);
+  EXPECT_EQ(CounterSince(base, "net.dropped"), 1u);
+  EXPECT_EQ(CounterSince(base, "fault.drops"), 1u);
   // The sender transmitted: uplink bytes are still accounted.
   EXPECT_GT(net.traffic().bytes, bytes_before);
 }
@@ -93,7 +103,7 @@ TEST_F(FaultNetworkTest, DuplicationDeliversTwiceInOrder) {
   Send(0, 1);
   sched.RunUntilIdle();
   ASSERT_EQ(actors[1].arrivals.size(), 2u);
-  EXPECT_EQ(plan.stats().dups, 1u);
+  EXPECT_EQ(CounterSince(base, "fault.dups"), 1u);
   // The copy queues behind the original on the receiver downlink.
   EXPECT_LT(actors[1].arrivals[0].second, actors[1].arrivals[1].second);
 }
@@ -106,6 +116,8 @@ TEST_F(FaultNetworkTest, JitterDelaysDeliveryDeterministically) {
   const sim::SimTime baseline = actors[1].arrivals[0].second;
 
   auto jittered_arrival = [&] {
+    const obs::MetricsSnapshot base2 =
+        obs::MetricRegistry::Default().Snapshot();
     sim::Scheduler sched2;
     sim::Network net2(&sched2, SimpleParams());
     Recorder recv;
@@ -120,7 +132,7 @@ TEST_F(FaultNetworkTest, JitterDelaysDeliveryDeterministically) {
     net2.Send({0, 1, sim::TrafficCategory::kControl,
                std::make_shared<BytesPayload>(1000)});
     sched2.RunUntilIdle();
-    EXPECT_EQ(plan.stats().delayed, 1u);
+    EXPECT_EQ(CounterSince(base2, "fault.delayed"), 1u);
     return recv.arrivals.at(0).second;
   };
   const sim::SimTime a = jittered_arrival();
@@ -267,6 +279,7 @@ TEST(FaultInjectionTest, RetriesPushWritesAndReadsThroughLossyLinks) {
   fo.jitter_mean_s = 0.002;
   sim::FaultPlan plan(fo);
   net.network.SetFaultPlan(&plan);
+  const obs::MetricsSnapshot base = obs::MetricRegistry::Default().Snapshot();
 
   // A workload wide enough that 10% loss is certain to hit it many times:
   // every key must still land and read back in full, via retries.
@@ -290,7 +303,7 @@ TEST(FaultInjectionTest, RetriesPushWritesAndReadsThroughLossyLinks) {
     EXPECT_TRUE(got->complete) << key << ": " << got->status.ToString();
     EXPECT_EQ(got->postings.size(), postings.size()) << key;
   }
-  EXPECT_GT(plan.stats().drops, 0u);
+  EXPECT_GT(CounterSince(base, "fault.drops"), 0u);
 }
 
 struct FaultyRunOutcome {
@@ -320,6 +333,7 @@ FaultyRunOutcome RunFaultyWorkload(uint64_t seed) {
   fo.jitter_mean_s = 0.003;
   sim::FaultPlan plan(fo);
   net.network.SetFaultPlan(&plan);
+  const obs::MetricsSnapshot base = obs::MetricRegistry::Default().Snapshot();
 
   for (int batch = 0; batch < 4; ++batch) {
     PostingList postings;
@@ -338,9 +352,9 @@ FaultyRunOutcome RunFaultyWorkload(uint64_t seed) {
   out.executed = net.scheduler.executed_events();
   out.traffic_messages = net.network.traffic().messages;
   out.traffic_bytes = net.network.traffic().bytes;
-  out.drops = plan.stats().drops;
-  out.dups = plan.stats().dups;
-  out.delayed = plan.stats().delayed;
+  out.drops = CounterSince(base, "fault.drops");
+  out.dups = CounterSince(base, "fault.dups");
+  out.delayed = CounterSince(base, "fault.delayed");
   if (got.has_value()) {
     out.got_postings = got->postings.size();
     out.complete = got->complete;

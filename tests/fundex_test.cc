@@ -4,6 +4,7 @@
 #include <set>
 
 #include "core/kadop.h"
+#include "obs/metrics.h"
 #include "xml/corpus.h"
 
 namespace kadop::fundex {
@@ -116,6 +117,7 @@ TEST(FundexUnitTest, KeysAndFids) {
 }
 
 TEST(FundexUnitTest, FunctionIndexingIsDeduplicated) {
+  const obs::MetricsSnapshot base = obs::MetricRegistry::Default().Snapshot();
   xml::corpus::InexOptions copt;
   copt.publications = 20;
   copt.planted_matches = 2;
@@ -132,13 +134,27 @@ TEST(FundexUnitTest, FunctionIndexingIsDeduplicated) {
   for (size_t i = 0; i < 20; ++i) mains.push_back(&docs[i]);
   net.FundexPublishAndWait(0, mains, IntensionalMode::kFundexSimple);
 
-  FundexStats stats;
-  for (size_t i = 0; i < net.PeerCount(); ++i) {
-    stats.Add(net.peer(static_cast<sim::NodeIndex>(i))->fundex().stats());
-  }
-  EXPECT_EQ(stats.functions_indexed, 1u);
-  EXPECT_EQ(stats.duplicate_requests, 19u);
-  EXPECT_EQ(stats.rev_entries, 20u);
+  const obs::MetricsSnapshot d =
+      obs::MetricRegistry::Default().Snapshot().DiffSince(base);
+  EXPECT_EQ(d.CounterValue("fundex.functions_indexed"), 1u);
+  EXPECT_EQ(d.CounterValue("fundex.duplicate_requests"), 19u);
+  EXPECT_EQ(d.CounterValue("fundex.rev_entries"), 20u);
+}
+
+/// Postings the DHT stores while peer 0 publishes `mains` under `mode` on
+/// a fresh 6-peer network (a delta: the registry is process-wide).
+uint64_t PostingsStored(const std::vector<xml::Document>& docs,
+                        const std::vector<const xml::Document*>& mains,
+                        IntensionalMode mode) {
+  const obs::Counter* stored =
+      obs::MetricRegistry::Default().GetCounter("dht.postings_stored");
+  const uint64_t before = stored->value();
+  KadopOptions opt;
+  opt.peers = 6;
+  KadopNet net(opt);
+  net.RegisterDocuments(docs);
+  net.FundexPublishAndWait(0, mains, mode);
+  return stored->value() - before;
 }
 
 TEST(FundexUnitTest, InliningCostsMoreIndexingForSharedContent) {
@@ -151,16 +167,10 @@ TEST(FundexUnitTest, InliningCostsMoreIndexingForSharedContent) {
   std::vector<const xml::Document*> mains;
   for (size_t i = 0; i < 30; ++i) mains.push_back(&docs[i]);
 
-  auto run = [&](IntensionalMode mode) {
-    KadopOptions opt;
-    opt.peers = 6;
-    KadopNet net(opt);
-    net.RegisterDocuments(docs);
-    net.FundexPublishAndWait(0, mains, mode);
-    return net.dht().AggregateStats().postings_stored;
-  };
-  const uint64_t inline_postings = run(IntensionalMode::kInline);
-  const uint64_t fundex_postings = run(IntensionalMode::kFundexSimple);
+  const uint64_t inline_postings =
+      PostingsStored(docs, mains, IntensionalMode::kInline);
+  const uint64_t fundex_postings =
+      PostingsStored(docs, mains, IntensionalMode::kFundexSimple);
   // In-lining re-indexes the shared abstract 30 times; the Fundex once.
   EXPECT_GT(inline_postings, fundex_postings + 500);
 }
@@ -171,17 +181,10 @@ TEST(FundexUnitTest, RepresentativePublishesLessThanInlining) {
   auto docs = xml::corpus::GenerateInex(copt);
   std::vector<const xml::Document*> mains;
   for (size_t i = 0; i < 40; ++i) mains.push_back(&docs[i]);
-  auto run = [&](IntensionalMode mode) {
-    KadopOptions opt;
-    opt.peers = 6;
-    KadopNet net(opt);
-    net.RegisterDocuments(docs);
-    net.FundexPublishAndWait(0, mains, mode);
-    return net.dht().AggregateStats().postings_stored;
-  };
   // The representative skeleton drops all words of the abstracts.
-  EXPECT_LT(run(IntensionalMode::kFundexRepresentative),
-            run(IntensionalMode::kInline));
+  EXPECT_LT(
+      PostingsStored(docs, mains, IntensionalMode::kFundexRepresentative),
+      PostingsStored(docs, mains, IntensionalMode::kInline));
 }
 
 }  // namespace

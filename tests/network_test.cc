@@ -2,6 +2,7 @@
 
 #include <vector>
 
+#include "obs/metrics.h"
 #include "sim/network.h"
 #include "sim/scheduler.h"
 
@@ -119,12 +120,15 @@ TEST_F(NetworkTest, HeaderBytesAreCharged) {
 }
 
 TEST_F(NetworkTest, DownNodeDropsMessages) {
+  const obs::Counter* dropped =
+      obs::MetricRegistry::Default().GetCounter("net.dropped");
+  const uint64_t dropped_before = dropped->value();
   net.SetNodeUp(1, false);
   net.Send({0, 1, TrafficCategory::kControl,
             std::make_shared<BytesPayload>(10)});
   sched.RunUntilIdle();
   EXPECT_TRUE(actors[1].arrivals.empty());
-  EXPECT_EQ(net.dropped_messages(), 1u);
+  EXPECT_EQ(dropped->value() - dropped_before, 1u);
   net.SetNodeUp(1, true);
   net.Send({0, 1, TrafficCategory::kControl,
             std::make_shared<BytesPayload>(10)});

@@ -16,6 +16,8 @@ namespace kadop {
 namespace {
 
 struct RunDump {
+  uint64_t executed_events = 0;
+  double now = 0;
   std::string stats_text;
   std::string stats_json;
   std::string trace_text;
@@ -51,6 +53,8 @@ RunDump RunScenario() {
     (void)net.JoinPeerAndWait();
 
     core::KadopStats stats = net.Stats();
+    dump.executed_events = stats.executed_events;
+    dump.now = stats.now;
     dump.stats_text = stats.ToText();
     dump.stats_json = stats.ToJson();
     dump.trace_text = tracer.DumpText();
@@ -70,41 +74,13 @@ TEST(ObservabilitySimTest, SeededRunsProduceByteIdenticalDumps) {
   EXPECT_EQ(a.trace_json, b.trace_json);
 
   // The dumps actually carry signal: counters moved and spans recorded.
-  EXPECT_NE(a.stats_json.find("\"dht\""), std::string::npos);
+  EXPECT_GT(a.executed_events, 0u);
+  EXPECT_GT(a.now, 0.0);
+  EXPECT_NE(a.stats_json.find("\"dht.postings_stored\""), std::string::npos);
   EXPECT_NE(a.stats_json.find("\"metrics\""), std::string::npos);
   EXPECT_NE(a.trace_json.find("\"name\":\"publish\""), std::string::npos);
   EXPECT_NE(a.trace_json.find("\"name\":\"query\""), std::string::npos);
   EXPECT_NE(a.trace_json.find("\"name\":\"join_peer\""), std::string::npos);
-}
-
-TEST(ObservabilitySimTest, StatsAggregateMatchesRegistryCounters) {
-  obs::MetricRegistry::Default().Reset();
-
-  xml::corpus::DblpOptions copt;
-  copt.target_bytes = 32 << 10;
-  auto docs = xml::corpus::GenerateDblp(copt);
-
-  core::KadopOptions opt;
-  opt.peers = 8;
-  core::KadopNet net(opt);
-  std::vector<const xml::Document*> ptrs;
-  for (const auto& d : docs) ptrs.push_back(&d);
-  net.PublishAndWait(0, ptrs);
-
-  core::KadopStats stats = net.Stats();
-  // Per-instance aggregates and the registry's process-wide counters are
-  // incremented at the same sites, so with one net and a fresh registry
-  // they must agree.
-  EXPECT_EQ(stats.metrics.counters.at("dht.appends_received"),
-            stats.dht.appends_received);
-  EXPECT_EQ(stats.metrics.counters.at("dht.postings_stored"),
-            stats.dht.postings_stored);
-  EXPECT_EQ(stats.metrics.counters.at("store.operations"),
-            stats.io.operations);
-  EXPECT_EQ(stats.metrics.counters.at("store.write_bytes"),
-            stats.io.write_bytes);
-  EXPECT_GT(stats.executed_events, 0u);
-  EXPECT_GT(stats.now, 0.0);
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 #include "dht/ring.h"
 #include "index/doc_store.h"
 #include "index/publisher.h"
+#include "obs/metrics.h"
 #include "xml/parser.h"
 
 namespace kadop::index {
@@ -40,14 +41,17 @@ TEST(PublisherTest, StatsCountDocumentsPostingsBatches) {
 
   auto d1 = MustParseDoc("<a><b>one two</b></a>", "u1");
   auto d2 = MustParseDoc("<a><c>three</c></a>", "u2");
+  const obs::MetricsSnapshot base = obs::MetricRegistry::Default().Snapshot();
   bool done = false;
   publisher.Publish({&d1, &d2}, [&] { done = true; });
   net.scheduler.RunUntilIdle();
   ASSERT_TRUE(done);
-  EXPECT_EQ(publisher.stats().documents, 2u);
+  const obs::MetricsSnapshot d =
+      obs::MetricRegistry::Default().Snapshot().DiffSince(base);
+  EXPECT_EQ(d.CounterValue("publish.documents"), 2u);
   // d1: a, b, one, two; d2: a, c, three.
-  EXPECT_EQ(publisher.stats().postings, 7u);
-  EXPECT_GE(publisher.stats().batches, 5u);  // one per distinct term key
+  EXPECT_EQ(d.CounterValue("publish.postings"), 7u);
+  EXPECT_GE(d.CounterValue("publish.batches"), 5u);  // one per term key
   EXPECT_EQ(store.size(), 2u);
   EXPECT_EQ(store.Get(0), &d1);
   EXPECT_EQ(store.Get(1), &d2);

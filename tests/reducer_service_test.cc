@@ -11,6 +11,7 @@
 #include "core/kadop.h"
 #include "dht/ring.h"
 #include "index/dpp.h"
+#include "obs/metrics.h"
 #include "xml/corpus.h"
 
 namespace kadop::query {
@@ -74,7 +75,8 @@ TEST_P(ReducerServiceTest, AllStrategiesAgreeOnEveryNetworkSize) {
 INSTANTIATE_TEST_SUITE_P(NetworkSizes, ReducerServiceTest,
                          ::testing::Values(1, 2, 3, 8));
 
-TEST(ReducerStatsTest, ServiceCountsRolesAndFilters) {
+TEST(ReducerCountersTest, ServiceCountsRolesAndFilters) {
+  const obs::MetricsSnapshot base = obs::MetricRegistry::Default().Snapshot();
   xml::corpus::DblpOptions copt;
   copt.target_bytes = 40 << 10;
   auto docs = xml::corpus::GenerateDblp(copt);
@@ -91,14 +93,12 @@ TEST(ReducerStatsTest, ServiceCountsRolesAndFilters) {
       net.QueryAndWait(1, "//article//author[. contains 'Ullman']", qopt);
   ASSERT_TRUE(result.ok());
 
-  ReducerStats stats;
-  for (size_t i = 0; i < net.PeerCount(); ++i) {
-    stats.Add(net.peer(static_cast<sim::NodeIndex>(i))->reducer().stats());
-  }
-  EXPECT_EQ(stats.roles_started, 3u);  // one per pattern node
-  EXPECT_GE(stats.abf_built, 1u);
-  EXPECT_GE(stats.dbf_built, 1u);
-  EXPECT_GT(stats.postings_filtered_out, 0u);
+  const obs::MetricsSnapshot d =
+      obs::MetricRegistry::Default().Snapshot().DiffSince(base);
+  EXPECT_EQ(d.CounterValue("reducer.roles_started"), 3u);  // one per node
+  EXPECT_GE(d.CounterValue("reducer.abf_built"), 1u);
+  EXPECT_GE(d.CounterValue("reducer.dbf_built"), 1u);
+  EXPECT_GT(d.CounterValue("reducer.postings_filtered_out"), 0u);
 }
 
 TEST(ReducerRepeatTest, SameQueryTwiceUsesFreshState) {

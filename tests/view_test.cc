@@ -27,9 +27,7 @@ using core::KadopNet;
 using core::KadopOptions;
 
 uint64_t Counter(const char* name) {
-  const auto snap = obs::MetricRegistry::Default().Snapshot();
-  const auto it = snap.counters.find(name);
-  return it == snap.counters.end() ? 0 : it->second;
+  return obs::MetricRegistry::Default().Snapshot().CounterValue(name);
 }
 
 class ViewTest : public ::testing::Test {
@@ -310,7 +308,7 @@ TEST_F(ViewTest, AutoViewFallbackReusesThePlanningDirectories) {
   slow.slow_peers = {
       net_->dht().OwnerOf(dht::HashKey(entry->def.ColumnKey(0)))};
   net_->EnableFaults(slow);
-  const uint64_t before = net_->Stats().dpp.dir_requests;
+  const uint64_t before = Counter("dpp.dir_requests");
   auto fallen = net_->QueryAndWait(1, "//article//author", options);
   net_->DisableFaults();
   ASSERT_TRUE(fallen.ok());
@@ -318,7 +316,7 @@ TEST_F(ViewTest, AutoViewFallbackReusesThePlanningDirectories) {
   EXPECT_TRUE(m.view_fallback);
   EXPECT_TRUE(m.complete);
   EXPECT_EQ(m.effective_strategy, QueryStrategy::kDpp);
-  EXPECT_EQ(net_->Stats().dpp.dir_requests - before, 2u);
+  EXPECT_EQ(Counter("dpp.dir_requests") - before, 2u);
 
   options.strategy = QueryStrategy::kDpp;
   auto truth = net_->QueryAndWait(1, "//article//author", options);

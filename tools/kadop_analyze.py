@@ -35,12 +35,18 @@ rules guard the library's contracts:
                              comparator silently breaks merge joins and
                              range scans.
   KDP009  adhoc-counter      New integer member/variable declarations named
-                             `*_count` / `*_counter` under src/ outside
-                             src/obs/. Observable event tallies belong in
-                             the metrics registry (obs::MetricRegistry) so
-                             they show up in KadopStats / bench JSON;
-                             existing wire-format and structural-size
-                             fields are grandfathered per file.
+                             `*_count` / `*_counter`, and any `struct` /
+                             `class` named `*Stats`, under src/ outside
+                             src/obs/. The metrics registry
+                             (obs::MetricRegistry) is the one tally of
+                             observable events: it reaches the `stats` /
+                             `metrics` dumps and bench JSON, and a private
+                             tally struct beside it only counts the same
+                             event twice. Existing wire-format and
+                             structural-size `*_count` fields are
+                             grandfathered per file; the `*Stats` structs
+                             that are not event tallies are allowed by
+                             name, each with its reason.
   KDP010  raw-posting-math   `... * Posting::kWireBytes` (or `kWireBytes *
                              ...`) arithmetic outside src/index/posting.h
                              and src/index/codec.{h,cc}. Posting transfer
@@ -183,13 +189,28 @@ ALL_RULES = tuple(f"KDP{i:03d}" for i in range(1, 19))
 # KDP009 grandfather list: files whose *_count declarations predate the
 # metrics registry and are not event tallies — wire-format fields
 # (messages.h, dpp_messages.h, reducer.h) and structural size bookkeeping
-# (bplus_tree.h). New counters anywhere else must go through obs/.
+# (bplus_tree.h). New counters anywhere else must go through obs/. The
+# `*Stats` struct check ignores this list.
 KDP009_EXEMPT_FILES = (
     "src/query/messages.h",
     "src/query/reducer.h",
     "src/index/dpp_messages.h",
     "src/store/bplus_tree.h",
 )
+
+# KDP009 `*Stats` structs that are not a second tally of registry events.
+KDP009_ALLOWED_STATS = {
+    # The disk model reads its deltas to schedule virtual time.
+    "IoStats",
+    # Per-category byte meter: kbench reads network().traffic(), and the
+    # registry has no per-category byte counters.
+    "TrafficStats",
+    # Describes a generated corpus; counts no event.
+    "CorpusStats",
+    # The registry snapshot plus the clock and traffic meter; holds no
+    # tally of its own.
+    "KadopStats",
+}
 
 # KDP010 exempt list: the raw record size's definition site and the codec
 # library, which is the sanctioned home of raw-size arithmetic
@@ -223,7 +244,7 @@ RULE_SCOPE = {
     "KDP006": (("src/",), ("src/xml/sid.h",)),
     "KDP007": (("src/",), ()),
     "KDP008": (("src/index/", "src/store/"), ()),
-    "KDP009": (("src/",), ("src/obs/",) + KDP009_EXEMPT_FILES),
+    "KDP009": (("src/",), ("src/obs/",)),
     "KDP010": (("src/",), KDP010_EXEMPT_FILES),
     "KDP011": (("src/", "tools/"), ()),
     "KDP013": (("",), ("src/common/random.", "src/sim/")),
@@ -597,6 +618,9 @@ RE_ADHOC_COUNTER = re.compile(
     r"\b(?:uint(?:8|16|32|64)_t|int(?:8|16|32|64)_t|size_t|unsigned|int|"
     r"long)\s+(\w*_(?:count|counts|counter|counters)_?)\s*(?:=|;|\{)"
 )
+# A `*Stats` struct or class definition (a forward declaration has no body).
+RE_STATS_STRUCT = re.compile(
+    r"\b(?:struct|class)\s+(\w*Stats)\s*(?:final\s*)?(?::[^;{]*)?\{")
 RE_RAW_POSTING_MATH = re.compile(
     r"\*\s*(?:\w+\s*::\s*)*kWireBytes\b|\bkWireBytes\s*\*"
 )
@@ -705,11 +729,19 @@ def check_kdp008(rel: str, clean: str, facts: Facts, add) -> None:
 
 
 def check_kdp009(rel: str, clean: str, facts: Facts, add) -> None:
-    for m in RE_ADHOC_COUNTER.finditer(clean):
+    if not rel.startswith(KDP009_EXEMPT_FILES):
+        for m in RE_ADHOC_COUNTER.finditer(clean):
+            add("KDP009", m.start(),
+                f"ad-hoc counter `{m.group(1)}`; register a Counter in "
+                "obs::MetricRegistry instead so it reaches the metrics "
+                "dumps and the bench JSON")
+    for m in RE_STATS_STRUCT.finditer(clean):
+        if m.group(1) in KDP009_ALLOWED_STATS:
+            continue
         add("KDP009", m.start(),
-            f"ad-hoc counter `{m.group(1)}`; register a Counter in "
-            "obs::MetricRegistry instead so it reaches KadopStats and "
-            "the bench JSON")
+            f"tally struct `{m.group(1)}`; count each event once, in an "
+            "obs::MetricRegistry counter, not in a per-instance struct "
+            "beside it")
 
 
 def check_kdp010(rel: str, clean: str, facts: Facts, add) -> None:
@@ -999,6 +1031,8 @@ FIXTURES = {
                           {"KDP001", "KDP002", "KDP004", "KDP005", "KDP006",
                            "KDP007", "KDP008", "KDP009", "KDP010"}),
     "bad_guard.h.txt": ("src/index/bad_guard.h", {"KDP003"}),
+    "kdp009_bad.h.txt": ("src/query/reducer.h", {"KDP009"}),
+    "kdp009_good.cc.txt": ("src/index/kdp009_good.cc", set()),
     "kdp011_bad.cc.txt": ("src/kdp011_bad.cc", {"KDP011"}),
     "kdp011_good.cc.txt": ("src/kdp011_good.cc", set()),
     "kdp012_bad.cc.txt": ("src/kdp012_bad.cc", {"KDP012"}),

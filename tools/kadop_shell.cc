@@ -118,11 +118,11 @@ class Shell {
         "  restart <peer>                   bring a failed peer back\n"
         "  faults on [seed=N] [drop=p] [dup=p] [jitter=s] [slow=s]\n"
         "            [slowpeers=a,b,...]    seeded fault injection\n"
-        "  faults off | faults              disable / show fault stats\n"
+        "  faults off | faults              disable / show fault.* counters\n"
         "  owner <key>                      show the peer owning a DHT key\n"
         "  uri <peer> <doc>                 Doc-relation lookup\n"
         "  stats [json]                     full KadopStats dump\n"
-        "  stats peer <N>                   per-peer DHT + load breakdown\n"
+        "  stats peer <N>                   per-peer load breakdown\n"
         "  metrics                          process-wide metrics registry\n"
         "  trace on|off|dump [json]|clear   virtual-time span tracing\n"
         "  trace report                     per-query phase breakdown\n"
@@ -155,6 +155,10 @@ class Shell {
       if (flag == "nodpp") options.enable_dpp = false;
       if (flag == "repl") in >> options.dht.replication;
     }
+    // The registry is process-wide: zero it so `stats` and `metrics`
+    // describe this network only, not every network of the session.
+    net_.reset();
+    obs::MetricRegistry::Default().Reset();
     net_ = std::make_unique<core::KadopNet>(options);
     std::printf("network up: %zu peers, DPP %s, replication %u\n",
                 net_->PeerCount(), options.enable_dpp ? "on" : "off",
@@ -198,6 +202,9 @@ class Shell {
     size_t peer = 0, publishers = 1;
     in >> peer >> publishers;
     net_->RegisterDocuments(docs_);
+    const obs::Counter* stored =
+        obs::MetricRegistry::Default().GetCounter("dht.postings_stored");
+    const uint64_t stored_before = stored->value();
     double elapsed;
     if (publishers <= 1) {
       std::vector<const xml::Document*> ptrs;
@@ -216,8 +223,8 @@ class Shell {
     }
     std::printf("published in %.4f virtual s (%llu postings stored)\n",
                 elapsed,
-                static_cast<unsigned long long>(
-                    net_->dht().AggregateStats().postings_stored));
+                static_cast<unsigned long long>(stored->value() -
+                                                stored_before));
   }
 
   void CmdQuery(std::istringstream& in) {
@@ -378,13 +385,11 @@ class Shell {
   /// The share of kDppJoin holders' input postings read from their own
   /// store (`query.join.holder.local_postings` over `ingress_postings`).
   static void PrintJoinLocality(const obs::MetricsSnapshot& metrics) {
-    auto counter = [&metrics](const char* name) -> uint64_t {
-      auto it = metrics.counters.find(name);
-      return it == metrics.counters.end() ? 0 : it->second;
-    };
-    const uint64_t read = counter("query.join.holder.ingress_postings");
+    const uint64_t read =
+        metrics.CounterValue("query.join.holder.ingress_postings");
     if (read == 0) return;
-    const uint64_t local = counter("query.join.holder.local_postings");
+    const uint64_t local =
+        metrics.CounterValue("query.join.holder.local_postings");
     std::printf("join holders read %llu of %llu input postings locally "
                 "(%.1f%%)\n",
                 static_cast<unsigned long long>(local),
@@ -393,14 +398,29 @@ class Shell {
                     static_cast<double>(read));
   }
 
-  /// Per-peer breakdown: that peer's DhtStats plus every registry metric
-  /// filed under its load prefix (`load.holder.<N>.*`), so hot holders can
-  /// be singled out without grepping the full metrics dump. The peer's
-  /// owner-cache size and the owner-hint counters (`dht.hint.*`,
-  /// `dpp.dir.holders_*`) follow, the counters network-wide: sends that
-  /// went one hop to a named owner, how many of those found a non-owner,
-  /// how many took their hint from an owner cache, and how many overflow
-  /// entries of directory replies named a holder or did not.
+  /// Prints every counter of `snap` whose name starts with `prefix`, one
+  /// per line; returns false (printing nothing) when there is none.
+  static bool PrintCounters(const obs::MetricsSnapshot& snap,
+                            const std::string& prefix) {
+    bool any = false;
+    for (const auto& [name, value] : snap.counters) {
+      if (name.rfind(prefix, 0) != 0) continue;
+      any = true;
+      std::printf("    %-24s %llu\n", name.c_str(),
+                  static_cast<unsigned long long>(value));
+    }
+    return any;
+  }
+
+  /// Per-peer breakdown: every registry counter filed under the peer's
+  /// load prefix (`load.holder.<N>.*`: the gets and appends it served), so
+  /// hot holders can be singled out without grepping the full metrics
+  /// dump. The peer's owner-cache size and the owner-hint counters
+  /// (`dht.hint.*`, `dpp.dir.holders_*`) follow, the counters
+  /// network-wide: sends that went one hop to a named owner, how many of
+  /// those found a non-owner, how many took their hint from an owner
+  /// cache, and how many overflow entries of directory replies named a
+  /// holder or did not.
   void CmdStatsPeer(std::istringstream& in) {
     size_t peer = 0;
     if (!(in >> peer) || peer >= net_->PeerCount()) {
@@ -409,47 +429,21 @@ class Shell {
       return;
     }
     const auto node = static_cast<sim::NodeIndex>(peer);
-    const dht::DhtStats& s = net_->dht().peer(node)->stats();
-    std::printf(
-        "peer %zu:\n"
-        "  routed_messages   %llu\n"
-        "  route_hops        %llu\n"
-        "  locates           %llu\n"
-        "  appends_received  %llu\n"
-        "  postings_stored   %llu\n"
-        "  gets_served       %llu\n"
-        "  blocks_sent       %llu\n"
-        "  app_requests      %llu\n",
-        peer, static_cast<unsigned long long>(s.routed_messages),
-        static_cast<unsigned long long>(s.route_hops),
-        static_cast<unsigned long long>(s.locates),
-        static_cast<unsigned long long>(s.appends_received),
-        static_cast<unsigned long long>(s.postings_stored),
-        static_cast<unsigned long long>(s.gets_served),
-        static_cast<unsigned long long>(s.blocks_sent),
-        static_cast<unsigned long long>(s.app_requests));
-    const std::string prefix = "load.holder." + std::to_string(peer) + ".";
     const obs::MetricsSnapshot snap =
         obs::MetricRegistry::Default().Snapshot();
-    bool any = false;
-    for (const auto& [name, value] : snap.counters) {
-      if (name.rfind(prefix, 0) != 0) continue;
-      if (!any) std::printf("  load counters:\n");
-      any = true;
-      std::printf("    %-24s %llu\n", name.c_str(),
-                  static_cast<unsigned long long>(value));
+    std::printf("peer %zu:\n  load counters:\n", peer);
+    if (!PrintCounters(snap,
+                       "load.holder." + std::to_string(peer) + ".")) {
+      std::printf("    none recorded\n");
     }
-    if (!any) std::printf("  load counters: none recorded\n");
     std::printf("  owner cache       %zu keys\n",
                 net_->dht().peer(node)->KnownOwnerCount());
     std::printf("  owner hints (network-wide):\n");
     for (const char* name :
          {"dht.hint.sends", "dht.hint.forwards", "dht.hint.cached",
           "dpp.dir.holders_named", "dpp.dir.holders_unnamed"}) {
-      auto it = snap.counters.find(name);
       std::printf("    %-24s %llu\n", name,
-                  static_cast<unsigned long long>(
-                      it == snap.counters.end() ? 0 : it->second));
+                  static_cast<unsigned long long>(snap.CounterValue(name)));
     }
   }
 
@@ -635,16 +629,15 @@ class Shell {
         std::printf("faults off\n");
         return;
       }
-      const sim::FaultStats& s = plan->stats();
       std::printf(
-          "faults on: seed=%llu drop=%.3f dup=%.3f jitter=%.4f slow=%.4f | "
-          "dropped %llu, duplicated %llu, delayed %llu\n",
+          "faults on: seed=%llu drop=%.3f dup=%.3f jitter=%.4f slow=%.4f\n",
           static_cast<unsigned long long>(plan->options().seed),
           plan->options().drop_p, plan->options().dup_p,
-          plan->options().jitter_mean_s, plan->options().slow_extra_s,
-          static_cast<unsigned long long>(s.drops),
-          static_cast<unsigned long long>(s.dups),
-          static_cast<unsigned long long>(s.delayed));
+          plan->options().jitter_mean_s, plan->options().slow_extra_s);
+      if (!PrintCounters(obs::MetricRegistry::Default().Snapshot(),
+                         "fault.")) {
+        std::printf("    no fault injected yet\n");
+      }
       return;
     }
     if (token == "off") {
