@@ -9,10 +9,13 @@
 //     is cheap);
 //   - enabling DPP adds negligible overhead (block splits are cheap);
 //   - many publishers cut indexing time drastically.
+// Each row also records the mean routing hops of the messages the publish
+// delivered (digit-table routes: about log16 n hops).
 
 #include <cstdio>
 
 #include "bench/bench_util.h"
+#include "obs/metrics.h"
 
 namespace kadop {
 namespace {
@@ -43,8 +46,10 @@ void Run() {
   for (size_t mb : volumes_mb) std::printf("%10zu", mb);
   std::printf("\n");
 
+  auto& registry = obs::MetricRegistry::Default();
   for (const Config& config : configs) {
     std::printf("%-36s", config.label);
+    double hops_per_message = 0;
     for (size_t mb : volumes_mb) {
       xml::corpus::DblpOptions copt;
       copt.target_bytes = mb << 20;
@@ -54,6 +59,7 @@ void Run() {
       opt.peers = config.peers;
       opt.enable_dpp = config.dpp;
       core::KadopNet net(opt);
+      const obs::MetricsSnapshot base = registry.Snapshot();
       double elapsed;
       if (config.publishers == 1) {
         elapsed = net.PublishAndWait(0, bench::Ptrs(docs));
@@ -61,6 +67,10 @@ void Run() {
         elapsed = net.ParallelPublishAndWait(bench::SplitAcrossPublishers(
             docs, config.publishers, config.peers));
       }
+      const obs::HistogramSnapshot hops =
+          registry.Snapshot().DiffSince(base).histograms.at(
+              "dht.hops_per_delivery");
+      hops_per_message = hops.count > 0 ? hops.sum / hops.count : 0;
       std::printf("%9.2fs", elapsed);
       std::fflush(stdout);
       report.AddRow()
@@ -69,9 +79,10 @@ void Run() {
           .Num("peers", static_cast<double>(config.peers))
           .Num("dpp", config.dpp ? 1 : 0)
           .Num("published_mb", static_cast<double>(mb))
-          .Num("indexing_time_s", elapsed);
+          .Num("indexing_time_s", elapsed)
+          .Num("hops_per_message", hops_per_message);
     }
-    std::printf("\n");
+    std::printf("%8.2f hops/msg\n", hops_per_message);
   }
   report.Write();
   std::printf(

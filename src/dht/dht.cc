@@ -8,6 +8,14 @@
 
 namespace kadop::dht {
 
+namespace {
+
+/// Bits per routing digit: Pastry's b = 4, so routes resolve one base-16
+/// digit of the distance per hop.
+constexpr int kDigitBits = 4;
+
+}  // namespace
+
 Dht::Dht(sim::Scheduler* scheduler, sim::Network* network, DhtOptions options)
     : scheduler_(scheduler), network_(network), options_(options) {
   KADOP_CHECK(scheduler_ != nullptr && network_ != nullptr,
@@ -79,13 +87,22 @@ void Dht::BuildRoutingTable(DhtPeer* peer) {
   table.successor_id = succ->first;
   table.successor_node = succ->second;
 
-  // Finger table: finger[i] = owner of id + 2^i.
-  table.fingers.reserve(64);
-  for (int i = 0; i < 64; ++i) {
-    const KeyId target = id + (KeyId{1} << i);
-    auto fit = ring_.lower_bound(target);
-    if (fit == ring_.end()) fit = ring_.begin();
-    table.fingers.emplace_back(fit->first, fit->second);
+  // Digit table: entry (i, j) names the owner of id + j * 16^i. The
+  // offsets grow along the ring, so an offset at or before the last entry's
+  // id has that entry's owner and needs no lookup.
+  for (int shift = 0; shift < 64; shift += kDigitBits) {
+    for (KeyId digit = 1; digit < (KeyId{1} << kDigitBits); ++digit) {
+      const KeyId offset = digit << shift;
+      if (!table.entries.empty() && offset <= table.entries.back().id - id) {
+        continue;
+      }
+      auto owner = ring_.lower_bound(id + offset);
+      if (owner == ring_.end()) owner = ring_.begin();
+      if (owner->first == id) continue;  // wrapped back to this peer
+      auto owner_pred =
+          owner == ring_.begin() ? std::prev(ring_.end()) : std::prev(owner);
+      table.entries.push_back({owner->first, owner_pred->first, owner->second});
+    }
   }
   peer->set_routing(std::move(table));
 }

@@ -12,13 +12,15 @@
 namespace kadop::dht {
 
 /// The DHT overlay: owns the peers, assigns ring identifiers, and builds
-/// Chord-style routing state (finger tables, successors).
+/// each peer's routing state: its successor and a Pastry-style digit table
+/// whose entries name the owner of a key range (DhtPeer::RoutingTable).
 ///
 /// Construction and membership changes use global knowledge (`Stabilize()`
 /// recomputes routing tables from the current ring), standing in for the
 /// background stabilization protocol of a deployed overlay. *Routing* is
-/// never global: every lookup traverses real simulated hops, so locate()
-/// cost scales O(log n) with network size as in the paper's Figure 2.
+/// never global: every lookup traverses real simulated hops, about
+/// log16 n of them, so locate() cost grows slowly with network size as in
+/// the paper's Figure 2.
 class Dht {
  public:
   Dht(sim::Scheduler* scheduler, sim::Network* network, DhtOptions options);

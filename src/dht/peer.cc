@@ -93,18 +93,41 @@ bool DhtPeer::IsResponsible(KeyId key) const {
   return InHalfOpen(key, routing_.predecessor_id, id_);
 }
 
-NodeIndex DhtPeer::NextHop(KeyId key) const {
+DhtPeer::Hop DhtPeer::NextHop(KeyId key) const {
   if (InHalfOpen(key, id_, routing_.successor_id)) {
-    return routing_.successor_node;
+    return {routing_.successor_node, HopRule::kSuccessor};
   }
-  // Closest preceding finger: scan from the largest span downwards.
-  for (auto it = routing_.fingers.rbegin(); it != routing_.fingers.rend();
+  // Entries run in order of distance, so a scan from the farthest meets the
+  // entry whose range holds the key before any entry that precedes it.
+  for (auto it = routing_.entries.rbegin(); it != routing_.entries.rend();
        ++it) {
-    if (it->second != node_ && InOpen(it->first, id_, key)) {
-      return it->second;
+    if (InHalfOpen(key, it->predecessor_id, it->id)) {
+      return {it->node, HopRule::kRange};
+    }
+    if (InOpen(it->id, id_, key)) return {it->node, HopRule::kPreceding};
+  }
+  return {routing_.successor_node, HopRule::kSuccessor};
+}
+
+void DhtPeer::set_routing(RoutingTable table) {
+  routing_ = std::move(table);
+  owners_.clear();
+  ++routing_changes_;
+  // This peer may have inherited the range of a crashed node that was to
+  // push blocks here: a get still awaiting such a push, with no block in
+  // hand, starts over and reads the key here (see StartAttempt).
+  std::vector<RequestId> inherited;
+  for (const auto& [id, request] : requests_) {
+    const auto* get = std::get_if<GetCall>(&request.call);
+    if (request.awaited.has_value() && get != nullptr && get->next_block == 0 &&
+        IsResponsible(HashKey(request.key))) {
+      inherited.push_back(id);
     }
   }
-  return routing_.successor_node;
+  std::sort(inherited.begin(), inherited.end());  // a deterministic order
+  for (const RequestId id : inherited) {
+    StartAttempt(Finish(requests_.find(id)));
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -313,9 +336,17 @@ void DhtPeer::CallApp(NodeIndex target, sim::PayloadPtr inner,
 void DhtPeer::StartAttempt(Request request) {
   // An id is awaited once. A get naming an id awaited here before (a
   // resent task whose pushed blocks were taken, or timed out) asks itself.
+  // So does a get of a key this peer owns, as Route delivers such a key
+  // here whatever a hint names: it reads its own store now, and late
+  // copies of the push are dropped. After a crash this peer may have
+  // inherited the range of the dead node that was to push the blocks.
   if (request.awaited.has_value()) {
     auto seen = deliveries_.find(*request.awaited);
     if (seen != deliveries_.end() && seen->second.awaited) {
+      request.awaited.reset();
+    } else if (IsResponsible(HashKey(request.key))) {
+      MarkAwaited(*request.awaited, kHoldDeliveryS + request.retry.SpanS())
+          .held.clear();
       request.awaited.reset();
     }
   }
@@ -480,12 +511,17 @@ void DhtPeer::LearnFromReply(const Request& request, NodeIndex from) {
   LearnOwner(request.key, from);
 }
 
-void DhtPeer::AwaitPushed(RequestId req_id, double remember_s) {
+DhtPeer::Delivery& DhtPeer::MarkAwaited(RequestId req_id, double remember_s) {
   Delivery& delivery = deliveries_[req_id];
   delivery.awaited = true;
   network_->scheduler()->Cancel(delivery.forget_event);
   delivery.forget_event = network_->scheduler()->After(
       remember_s, [this, req_id]() { deliveries_.erase(req_id); });
+  return delivery;
+}
+
+void DhtPeer::AwaitPushed(RequestId req_id, double remember_s) {
+  Delivery& delivery = MarkAwaited(req_id, remember_s);
   // Blocks pushed before this get awaited them are handled now, in their
   // arrival order.
   if (!delivery.held.empty()) {
@@ -520,7 +556,7 @@ void DhtPeer::RouteEnvelopeMsg(std::shared_ptr<RouteEnvelope> env) {
     network_->Send(Message{node_, node_, env->category, std::move(env)});
     return;
   }
-  NodeIndex next = NextHop(env->key);
+  const NodeIndex next = NextHop(env->key).node;
   env->hops++;
   C().route_hops->Increment();
   network_->Send(Message{node_, next, env->category, std::move(env)});

@@ -137,9 +137,10 @@ struct GetSpec {
   std::optional<RequestId> awaited;
 };
 
-/// One DHT peer: a Chord-style node with a finger table, a local store for
-/// its slice of the Term relation, and the KadoP DHT API — locate / put /
-/// get / delete, extended per Section 3 with `append` and a pipelined get.
+/// One DHT peer: a ring node with a Pastry-style digit table (see
+/// RoutingTable), a local store for its slice of the Term relation, and
+/// the KadoP DHT API — locate / put / get / delete, extended per Section 3
+/// with `append` and a pipelined get.
 ///
 /// All operations are asynchronous: results are delivered via callbacks
 /// when the simulated messages arrive. A peer keeps no tally struct: its
@@ -226,7 +227,7 @@ class DhtPeer final : public sim::Actor {
   ///
   /// `owner_hint` (a node a directory reply or the owner cache named as the
   /// key's owner) sends the first attempt straight there, one hop. The
-  /// receiver still checks ownership and forwards by Chord if the hint is
+  /// receiver still checks ownership and routes on if the hint is
   /// stale, so a wrong hint costs hops, never a misdelivery; retries drop
   /// the hint. Reads only: a hinted send can overtake an earlier routed one
   /// to the same peer, so writes whose order matters (DPP block
@@ -337,24 +338,45 @@ class DhtPeer final : public sim::Actor {
 
   // -- Wiring (called by Dht) ----------------------------------------------
 
+  /// A node of the digit table and the (predecessor_id, id] range it owns.
+  struct RouteEntry {
+    KeyId id = 0;
+    KeyId predecessor_id = 0;
+    sim::NodeIndex node = 0;
+  };
   struct RoutingTable {
-    /// finger[i] targets id + 2^i; each entry is (id, node) of the owner.
-    std::vector<std::pair<KeyId, sim::NodeIndex>> fingers;
+    /// The digit table (Pastry, b = 4): for each base-16 digit position i
+    /// and digit value j in 1..15, the owner of id + j * 16^i. Entries run
+    /// in order of distance along the ring; this peer and consecutive
+    /// duplicates are dropped.
+    std::vector<RouteEntry> entries;
     KeyId predecessor_id = 0;
     KeyId successor_id = 0;
     sim::NodeIndex successor_node = 0;
   };
-  /// Installs a rebuilt routing table and empties the owner cache.
-  void set_routing(RoutingTable table) {
-    routing_ = std::move(table);
-    owners_.clear();
-    ++routing_changes_;
-  }
+  /// Installs a rebuilt routing table and empties the owner cache. A get
+  /// awaiting a push of a key this peer now owns reads its own store now.
+  void set_routing(RoutingTable table);
   const RoutingTable& routing() const { return routing_; }
   /// How many routing tables this peer has installed. A name learned from
   /// a reply to a request sent before a change may belong to the old
   /// ring: compare the counts at send and at reply before caching it.
   [[nodiscard]] uint64_t routing_changes() const { return routing_changes_; }
+
+  /// Which rule of NextHop chose a hop.
+  enum class HopRule {
+    kSuccessor,  // the key lies in (self, successor]
+    kRange,      // a table entry's range holds the key: the owner itself
+    kPreceding,  // the farthest table entry before the key
+  };
+  struct Hop {
+    sim::NodeIndex node;
+    HopRule rule;
+  };
+  /// Next hop toward `key`'s owner, for a key this peer does not own. A
+  /// stale range costs a forward, never a misdelivery: the receiver
+  /// re-checks ownership (HandleMessage) and routes on.
+  [[nodiscard]] Hop NextHop(KeyId key) const;
 
   void HandleMessage(const sim::Message& msg) override;
 
@@ -364,8 +386,6 @@ class DhtPeer final : public sim::Actor {
   [[nodiscard]] bool IsResponsible(KeyId key) const;
 
  private:
-  /// Next hop toward `key`'s owner.
-  sim::NodeIndex NextHop(KeyId key) const;
   /// Starts or forwards routing of an envelope.
   void RouteEnvelopeMsg(std::shared_ptr<RouteEnvelope> env);
   /// Sends `inner` toward the owner of `key`: one hop to `owner_hint` when
@@ -471,9 +491,21 @@ class DhtPeer final : public sim::Actor {
   /// key's owner: teaches it to the owner cache.
   void LearnFromReply(const Request& request, sim::NodeIndex from);
 
+  /// A pushed id (GetSpec::awaited): its blocks that arrived before a get
+  /// awaited it, or the mark that a get has (so no second get awaits it
+  /// and late copies are dropped). Forgotten at `forget_event`.
+  struct Delivery {
+    std::vector<sim::Message> held;
+    bool awaited = false;
+    sim::EventId forget_event = sim::kInvalidEventId;
+  };
+
   void HandleGetBlock(const sim::Message& msg, const GetBlock& block);
-  /// Marks `req_id` awaited by a get for `remember_s`, and hands the
-  /// blocks pushed under it so far to that get.
+  /// Marks `req_id` awaited by a get for `remember_s`: no second get
+  /// awaits it, and copies pushed under it from now on are dropped.
+  Delivery& MarkAwaited(RequestId req_id, double remember_s);
+  /// Marks `req_id` awaited, and hands the blocks pushed under it so far
+  /// to the get that awaits it.
   void AwaitPushed(RequestId req_id, double remember_s);
   /// Keeps a pushed block that no get awaits yet, until its get awaits it
   /// or kHoldDeliveryS passes; drops it if its get already awaited it.
@@ -500,14 +532,6 @@ class DhtPeer final : public sim::Actor {
 
   uint64_t next_req_ = 1;
   Requests requests_;
-  /// A pushed id (GetSpec::awaited): its blocks that arrived before a get
-  /// awaited it, or the mark that a get has (so no second get awaits it
-  /// and late copies are dropped). Forgotten at `forget_event`.
-  struct Delivery {
-    std::vector<sim::Message> held;
-    bool awaited = false;
-    sim::EventId forget_event = sim::kInvalidEventId;
-  };
   std::unordered_map<RequestId, Delivery> deliveries_;
   /// Dedup ids of retry-capable appends already applied here (server side).
   std::unordered_set<uint64_t> applied_appends_;

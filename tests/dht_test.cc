@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 #include <optional>
 #include <set>
@@ -88,10 +89,83 @@ TEST(DhtTest, RoutingUsesLogarithmicHops) {
   }
   net.scheduler.RunUntilIdle();
   const uint64_t route_hops = hops->value() - before;
-  // Chord bound: ~log2(256) = 8 hops per lookup on average, certainly far
-  // below the linear bound.
-  EXPECT_LT(route_hops, 50 * 16u);
+  // Digit bound: ceil(log16 256) + 1 = 3 hops per lookup at most.
+  EXPECT_LE(route_hops, 50 * 3u);
   EXPECT_GT(route_hops, 0u);
+}
+
+// Each NextHop rule picks the hop it names: the successor for a key in
+// (self, successor], the key's owner itself when an entry's range holds
+// the key, and otherwise an entry strictly between this peer and the key.
+TEST(DhtTest, NextHopRulesPickTheirHops) {
+  TestNet net(64);
+  std::set<DhtPeer::HopRule> seen;
+  for (sim::NodeIndex from = 0; from < 64; ++from) {
+    const DhtPeer* peer = net.dht.peer(from);
+    for (int k = 0; k < 50; ++k) {
+      const KeyId key = HashKey("key" + std::to_string(k));
+      if (peer->IsResponsible(key)) continue;
+      const DhtPeer::Hop hop = peer->NextHop(key);
+      seen.insert(hop.rule);
+      const KeyId next = net.dht.peer(hop.node)->id();
+      switch (hop.rule) {
+        case DhtPeer::HopRule::kSuccessor:
+          EXPECT_EQ(next, peer->routing().successor_id);
+          break;
+        case DhtPeer::HopRule::kRange:
+          EXPECT_EQ(hop.node, net.dht.OwnerOf(key));
+          break;
+        case DhtPeer::HopRule::kPreceding:
+          EXPECT_TRUE(InOpen(next, peer->id(), key));
+          break;
+      }
+    }
+  }
+  EXPECT_EQ(seen.size(), 3u);
+}
+
+/// ceil(log16 peers) + 1: the most hops a digit-table route takes.
+uint64_t DigitHopBound(size_t peers) {
+  uint64_t digits = 0;
+  for (size_t span = 1; span < peers; span *= 16) ++digits;
+  return digits + 1;
+}
+
+// A Locate from every peer to each of 200 keys returns the key's owner in
+// at most ceil(log16 n) + 1 hops, on a stable ring and again right after a
+// peer failed and the ring re-stabilized.
+TEST(DhtTest, LocateReachesTheOwnerWithinTheDigitBound) {
+  const obs::Counter* hops =
+      obs::MetricRegistry::Default().GetCounter("dht.route_hops");
+  for (const size_t peers : {12u, 64u, 500u}) {
+    TestNet net(peers);
+    const uint64_t bound = DigitHopBound(peers);
+    for (const bool after_failure : {false, true}) {
+      if (after_failure) {
+        net.dht.FailPeer(static_cast<sim::NodeIndex>(peers / 2));
+        net.dht.Stabilize();
+      }
+      const std::string what = std::to_string(peers) + " peers" +
+                               (after_failure ? ", one failed" : "");
+      uint64_t worst = 0;
+      for (sim::NodeIndex from = 0; from < peers; ++from) {
+        if (!net.network.IsNodeUp(from)) continue;
+        for (int k = 0; k < 200; ++k) {
+          const std::string key = "key" + std::to_string(k);
+          std::optional<sim::NodeIndex> located;
+          const uint64_t before = hops->value();
+          net.dht.peer(from)->Locate(key, [&](Result<sim::NodeIndex> owner) {
+            located = owner.value();
+          });
+          net.scheduler.RunUntilIdle();
+          ASSERT_EQ(located, net.dht.OwnerOf(HashKey(key))) << what;
+          worst = std::max(worst, hops->value() - before);
+        }
+      }
+      EXPECT_LE(worst, bound) << what;
+      EXPECT_GT(worst, 0u) << what;
+    }
+  }
 }
 
 TEST(DhtTest, AppendThenGetRoundTrips) {

@@ -38,7 +38,7 @@ the holders, the query peer receives less than kDpp's posting lists, as
 the largest list never moves. Its metrics snapshot reads
 dpp.dir.holders_unnamed == 0: on the bench's unchanged ring every
 directory entry names its block's holder, so no read or join task of the
-figure waits on a Chord route.
+figure waits on a routed lookup.
 
 The codec bench (bench == "codec") additionally promises, on every row,
 decoded_postings == postings (every encoded list decodes whole) and

@@ -92,6 +92,8 @@ class Shell {
       CmdUri(in);
     } else if (cmd == "owner") {
       CmdOwner(in);
+    } else if (cmd == "route") {
+      CmdRoute(in);
     } else {
       std::printf("unknown command '%s' (try 'help')\n", cmd.c_str());
     }
@@ -120,6 +122,8 @@ class Shell {
         "            [slowpeers=a,b,...]    seeded fault injection\n"
         "  faults off | faults              disable / show fault.* counters\n"
         "  owner <key>                      show the peer owning a DHT key\n"
+        "  route <peer> <key>               hop path from <peer> to <key>'s\n"
+        "                                   owner, with each hop's rule\n"
         "  uri <peer> <doc>                 Doc-relation lookup\n"
         "  stats [json]                     full KadopStats dump\n"
         "  stats peer <N>                   per-peer load breakdown\n"
@@ -722,6 +726,51 @@ class Shell {
     in >> key;
     std::printf("key '%s' -> peer %u\n", key.c_str(),
                 net_->dht().OwnerOf(dht::HashKey(key)));
+  }
+
+  static const char* HopRuleName(dht::DhtPeer::HopRule rule) {
+    switch (rule) {
+      case dht::DhtPeer::HopRule::kSuccessor:
+        return "successor";
+      case dht::DhtPeer::HopRule::kRange:
+        return "range";
+      case dht::DhtPeer::HopRule::kPreceding:
+        return "preceding entry";
+    }
+    return "?";
+  }
+
+  /// The path a routed message for `key` takes from `peer`, read from the
+  /// live peers' routing tables (no message is sent): each hop and the
+  /// DhtPeer::NextHop rule that chose it.
+  void CmdRoute(std::istringstream& in) {
+    if (!RequireNet()) return;
+    size_t peer = 0;
+    std::string key;
+    if (!(in >> peer >> key) || peer >= net_->PeerCount()) {
+      std::printf("usage: route <peer> <key>  (0 <= peer < %zu)\n",
+                  net_->PeerCount());
+      return;
+    }
+    const dht::Dht& overlay = net_->dht();
+    const auto from = static_cast<sim::NodeIndex>(peer);
+    if (!net_->network().IsNodeUp(from)) {
+      std::printf("peer %zu is down\n", peer);
+      return;
+    }
+    const dht::KeyId id = dht::HashKey(key);
+    const dht::DhtPeer* at = overlay.peer(from);
+    size_t hops = 0;
+    // A route visits a peer at most once, so it ends within PeerCount hops.
+    while (!at->IsResponsible(id) && hops < net_->PeerCount()) {
+      const dht::DhtPeer::Hop hop = at->NextHop(id);
+      std::printf("  hop %zu: peer %u -> peer %u  (%s)\n", ++hops, at->node(),
+                  hop.node, HopRuleName(hop.rule));
+      at = overlay.peer(hop.node);
+    }
+    std::printf("key '%s' from peer %zu -> peer %u in %zu hop%s%s\n",
+                key.c_str(), peer, at->node(), hops, hops == 1 ? "" : "s",
+                at->node() == overlay.OwnerOf(id) ? "" : " (not the owner)");
   }
 
   std::unique_ptr<core::KadopNet> net_;
